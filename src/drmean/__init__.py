@@ -49,7 +49,6 @@ from .estimators import (
     mu_ols_identities_check,
 )
 from .linmod import (
-    Link,
     OutcomeFit,
     PropensityFit,
     WeightDiagnostics,
@@ -99,7 +98,6 @@ __all__ = [
     "InfeasibleConstraintError",
     "InvalidArgumentError",
     "InvalidWeightError",
-    "Link",
     "MCSummary",
     "ModelSpec",
     "NoRootError",

@@ -33,14 +33,6 @@ def derive_seed(base_seed: int, index: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
-def fsum_mean(values: np.ndarray) -> float:
-    """Mean of a 1-d array accumulated with math.fsum (exact summation)."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise InvalidArgumentError("mean of empty array")
-    return math.fsum(values) / values.size
-
-
 def fsum_col_means(matrix: np.ndarray) -> np.ndarray:
     """Column means of a 2-d array, each accumulated with math.fsum."""
     matrix = np.asarray(matrix, dtype=float)

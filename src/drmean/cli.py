@@ -18,7 +18,8 @@ Floats are written with repr (shortest round-trip form) and files use
 "\n" line endings, so identical inputs give byte-identical outputs on
 any platform and with any worker count.
 
-Exit codes: 0 success, 2 configuration problem, 3 data problem.
+Exit codes: 0 success, 1 estimation failure, 2 configuration problem,
+3 data problem.
 """
 
 import argparse
@@ -35,9 +36,9 @@ import numpy as np
 
 from . import __version__
 from ._util import PRNG_NAME, SEED_DERIVATION
-from .dgp import AnalysisView, DgpConfig
-from .errors import ConfigError, DataError, DrmeanError
-from .estimators import ESTIMATOR_NAMES, estimate_all
+from .dgp import AnalysisView, DgpConfig, design_matrix
+from .errors import ConfigError, DataError, DrmeanError, InvalidArgumentError
+from .estimators import ESTIMATOR_NAMES, check_estimator_names, estimate_all
 from .mc import QUANTILE_LEVELS, ScenarioSpec, run_scenario
 from .sensitivity import DR_ESTIMATORS, ModelSpec, run_sensitivity
 from .mc import density_points
@@ -106,6 +107,13 @@ def _load_json(path: str, what: str) -> dict:
     return obj
 
 
+def _estimator_names(names) -> tuple[str, ...]:
+    try:
+        return check_estimator_names(names)
+    except InvalidArgumentError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def load_run_config(path: str) -> RunConfig:
     raw = _load_json(path, "config")
     allowed = {
@@ -164,8 +172,7 @@ def load_run_config(path: str) -> RunConfig:
         and all(isinstance(e, str) for e in estimators),
         "estimators must be a nonempty list of names",
     )
-    bad = [e for e in estimators if e not in ESTIMATOR_NAMES]
-    _require(not bad, f"unknown estimator name(s): {', '.join(bad)}")
+    estimators = _estimator_names(estimators)
     dgp_raw = raw.get("dgp", {})
     _require(isinstance(dgp_raw, dict), "dgp must be an object")
     _no_unknown_keys(dgp_raw, _DGP_KEYS, "dgp")
@@ -184,7 +191,7 @@ def load_run_config(path: str) -> RunConfig:
         sample_sizes=tuple(sizes),
         scenarios=tuple(scenarios),
         reverse_roles=reverse,
-        estimators=tuple(estimators),
+        estimators=estimators,
         dgp=dgp_cfg,
         raw=raw,
     )
@@ -401,16 +408,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.estimators is None:
         which = tuple(nm for nm in ESTIMATOR_NAMES if nm != "FULL")
     else:
-        which = tuple(s.strip() for s in args.estimators.split(",") if s.strip())
-        bad = [nm for nm in which if nm not in ESTIMATOR_NAMES]
-        if bad:
-            raise ConfigError(f"unknown estimator name(s): {', '.join(bad)}")
-    ones = np.ones((len(T), 1))
-    # ascontiguousarray: fancy column selection yields Fortran order, which
-    # would change BLAS rounding relative to a plain [1, X] design
+        which = _estimator_names(s.strip() for s in args.estimators.split(",") if s.strip())
     view = AnalysisView(
-        design_pi=np.ascontiguousarray(np.hstack([ones, X[:, pi_idx]])),
-        design_m=np.ascontiguousarray(np.hstack([ones, X[:, m_idx]])),
+        design_pi=design_matrix(X, pi_idx),
+        design_m=design_matrix(X, m_idx),
         T=T,
         y_observed=Y,
     )

@@ -132,6 +132,18 @@ def reverse_roles(sample: FullSample) -> FullSample:
     )
 
 
+def design_matrix(covariates: np.ndarray, columns) -> np.ndarray:
+    """The design [1, covariates[:, columns]] in C order.
+
+    Column fancy-indexing yields Fortran order, and a different memory
+    layout changes BLAS rounding; C order keeps designs built from the
+    same columns bitwise interchangeable.
+    """
+    return np.ascontiguousarray(
+        np.hstack([np.ones((covariates.shape[0], 1)), covariates[:, list(columns)]])
+    )
+
+
 def make_view(
     sample: FullSample,
     pi_model_correct: bool,

@@ -14,6 +14,10 @@ change spelling:
   B_DR_EXT    bounded form under the one-parameter extended propensity
   FULL        mean of the complete outcomes (simulation reference)
 
+ESTIMATORS below is the single definition of each estimator: the outcome
+fit it needs and how it combines the fits.  estimate_all and the
+sensitivity cells both evaluate it on a Pipeline of memoised fits.
+
 The three plug-in doubly robust forms (DR_WLS, DR_IPW_NR, DR_EXT_REG)
 coincide with their augmented-IPW counterparts because each fit zeroes
 the inverse-weighted respondent residual moment by construction; they
@@ -22,6 +26,7 @@ of the fitted values.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,19 +38,6 @@ from .errors import (
     InvalidArgumentError,
     InvalidWeightError,
     UndefinedEstimatorError,
-)
-
-ESTIMATOR_NAMES = (
-    "OLS",
-    "HT",
-    "IPW_POP",
-    "DR_REG",
-    "DR_WLS",
-    "DR_IPW_NR",
-    "DR_EXT_REG",
-    "B_DR_REG",
-    "B_DR_EXT",
-    "FULL",
 )
 
 FLAG_OK = "ok"
@@ -141,26 +133,25 @@ class EstimateSet:
     diagnostics: linmod.WeightDiagnostics | None = None
 
 
-# fits needed per estimator: (propensity, reg, wls, ext_reg, ipw_nr, extended)
-_NEEDS = {
-    "OLS": (False, True, False, False, False, False),
-    "HT": (True, False, False, False, False, False),
-    "IPW_POP": (True, False, False, False, False, False),
-    "DR_REG": (True, True, False, False, False, False),
-    "DR_WLS": (True, False, True, False, False, False),
-    "DR_IPW_NR": (True, False, False, False, True, False),
-    "DR_EXT_REG": (True, False, False, True, False, False),
-    "B_DR_REG": (True, True, False, False, False, False),
-    "B_DR_EXT": (True, True, False, False, False, True),
-    "FULL": (False, False, False, False, False, False),
-}
+class Pipeline:
+    """Lazy, memoised model fits shared across the requested estimators.
 
+    The propensity fit is logistic unless inverse_linear names a method of
+    linmod.fit_inverse_linear.  A failed fit is memoised too and re-raised
+    to every estimator that needs it.
+    """
 
-class _Pipeline:
-    """Lazy, memoised model fits shared across the requested estimators."""
-
-    def __init__(self, view: AnalysisView):
+    def __init__(
+        self,
+        view: AnalysisView,
+        full: FullSample | None = None,
+        inverse_linear: str | None = None,
+    ):
         self.view = view
+        self.full = full
+        self.inverse_linear = inverse_linear
+        self.T = np.asarray(view.T)
+        self.y = np.asarray(view.y_observed, dtype=float)
         self._cache: dict[str, object] = {}
 
     def _get(self, key: str, build):
@@ -175,40 +166,101 @@ class _Pipeline:
         return out
 
     def propensity(self) -> linmod.PropensityFit:
-        return self._get(
-            "pi", lambda: linmod.fit_logistic_propensity(self.view.design_pi, self.view.T)
-        )
-
-    def reg(self) -> linmod.OutcomeFit:
-        return self._get("reg", lambda: linmod.fit_outcome_reg(self.view))
-
-    def wls(self) -> linmod.OutcomeFit:
-        return self._get(
-            "wls", lambda: linmod.fit_outcome_wls(self.view, self.propensity().pi_hat)
-        )
-
-    def ext_reg(self) -> linmod.OutcomeFit:
-        return self._get(
-            "ext_reg",
-            lambda: linmod.fit_outcome_ext_reg(self.view, self.propensity().pi_hat),
-        )
-
-    def ipw_nr(self) -> linmod.OutcomeFit:
-        return self._get(
-            "ipw_nr",
-            lambda: linmod.fit_outcome_ipw_nr(self.view, self.propensity().pi_hat),
-        )
-
-    def extended(self) -> linmod.PropensityFit:
         def build():
-            m_reg = self.reg()
-            mu_ols = mu_from_regression(m_reg.m_hat)
-            h = m_reg.m_hat - mu_ols
-            return linmod.fit_extended_propensity(
-                self.propensity(), h, m_reg, mu_ols, self.view.T
+            if self.inverse_linear is None:
+                return linmod.fit_logistic_propensity(self.view.design_pi, self.view.T)
+            return linmod.fit_inverse_linear(
+                self.view.design_pi, self.view.T, self.inverse_linear
             )
 
+        return self._get("pi", build)
+
+    def outcome(self, kind: str) -> linmod.OutcomeFit:
+        """Outcome fit "REG", "WLS", "EXT_REG" or "IPW_NR" (fit_outcome_<kind>)."""
+
+        def build():
+            fit = getattr(linmod, f"fit_outcome_{kind.lower()}")
+            if kind == "REG":
+                return fit(self.view)
+            return fit(self.view, self.propensity().pi_hat)
+
+        return self._get(kind, build)
+
+    def extended(self) -> linmod.PropensityFit:
+        """Logistic fit extended along the centred unweighted regression."""
+
+        def build():
+            if self.inverse_linear is not None:
+                raise InvalidArgumentError("B_DR_EXT requires a logistic propensity model")
+            m_hat = self.outcome("REG").m_hat
+            h = m_hat - mu_from_regression(m_hat)
+            return linmod.fit_extended_propensity(self.propensity(), h, self.view.T)
+
         return self._get("extended", build)
+
+
+def _full_sample_mean(pipe: Pipeline, m_hat) -> float:
+    if pipe.full is None:
+        raise UndefinedEstimatorError("complete outcomes unavailable")
+    return mu_full(pipe.full.Y)
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """One estimator: the fits it needs and how it combines them.
+
+    combine(pipeline, m_hat) gets m_hat as a thunk for the fitted values
+    of the outcome fit, so that each estimator asks for its fits in its
+    own order and the first failing fit is the one reported.
+    """
+
+    outcome: str | None  # outcome fit kind, a Pipeline.outcome key
+    weighted: bool       # needs a propensity fit
+    combine: Callable[[Pipeline, Callable[[], np.ndarray]], float]
+
+    def __call__(self, pipe: Pipeline) -> float:
+        return self.combine(pipe, lambda: pipe.outcome(self.outcome).m_hat)
+
+
+def _plug_in(pipe, m_hat):
+    return mu_from_regression(m_hat())
+
+
+# The order is the output order of every table and CSV.
+ESTIMATORS: dict[str, Estimator] = {
+    "OLS": Estimator("REG", False, _plug_in),
+    "HT": Estimator(None, True, lambda p, m: mu_ht(p.propensity().pi_hat, p.T, p.y)),
+    "IPW_POP": Estimator(
+        None, True, lambda p, m: mu_ipw_pop(p.propensity().pi_hat, p.T, p.y)
+    ),
+    "DR_REG": Estimator(
+        "REG", True, lambda p, m: mu_aipw(p.propensity().pi_hat, m(), p.T, p.y)
+    ),
+    "DR_WLS": Estimator("WLS", True, _plug_in),
+    "DR_IPW_NR": Estimator("IPW_NR", True, _plug_in),
+    "DR_EXT_REG": Estimator("EXT_REG", True, _plug_in),
+    "B_DR_REG": Estimator(
+        "REG", True, lambda p, m: mu_b_dr(p.propensity().pi_hat, m(), p.T, p.y)
+    ),
+    "B_DR_EXT": Estimator(
+        "REG", True, lambda p, m: mu_b_dr(p.extended().pi_hat, m(), p.T, p.y)
+    ),
+    "FULL": Estimator(None, False, _full_sample_mean),
+}
+
+ESTIMATOR_NAMES = tuple(ESTIMATORS)
+
+
+def check_estimator_names(names) -> tuple[str, ...]:
+    """names as a tuple; InvalidArgumentError if any is unknown or repeated."""
+    names = tuple(names)
+    bad = [nm for nm in names if nm not in ESTIMATORS]
+    if bad:
+        raise InvalidArgumentError(f"unknown estimator name(s): {', '.join(map(str, bad))}")
+    repeated = sorted({nm for nm in names if names.count(nm) > 1})
+    if repeated:
+        raise InvalidArgumentError(f"duplicate estimator name(s): {', '.join(repeated)}")
+    return names
 
 
 def estimate_all(
@@ -222,45 +274,15 @@ def estimate_all(
     that diverges marks every weighted estimator as failed but leaves OLS
     (and FULL, when a complete sample is supplied) intact.
     """
-    names = ESTIMATOR_NAMES if which is None else tuple(which)
-    bad = [nm for nm in names if nm not in ESTIMATOR_NAMES]
-    if bad:
-        raise InvalidArgumentError(f"unknown estimator names: {bad}")
-
-    pipe = _Pipeline(view)
-    T = np.asarray(view.T)
-    y = np.asarray(view.y_observed, dtype=float)
-    resp = T == 1
+    names = ESTIMATOR_NAMES if which is None else check_estimator_names(which)
+    pipe = Pipeline(view, full)
+    resp, y = pipe.T == 1, pipe.y
     values: dict[str, float] = {}
     flags: dict[str, str] = {}
     messages: dict[str, str] = {}
-
-    def compute(name: str) -> float:
-        if name == "OLS":
-            return mu_from_regression(pipe.reg().m_hat)
-        if name == "HT":
-            return mu_ht(pipe.propensity().pi_hat, T, y)
-        if name == "IPW_POP":
-            return mu_ipw_pop(pipe.propensity().pi_hat, T, y)
-        if name == "DR_REG":
-            return mu_aipw(pipe.propensity().pi_hat, pipe.reg().m_hat, T, y)
-        if name == "DR_WLS":
-            return mu_from_regression(pipe.wls().m_hat)
-        if name == "DR_IPW_NR":
-            return mu_from_regression(pipe.ipw_nr().m_hat)
-        if name == "DR_EXT_REG":
-            return mu_from_regression(pipe.ext_reg().m_hat)
-        if name == "B_DR_REG":
-            return mu_b_dr(pipe.propensity().pi_hat, pipe.reg().m_hat, T, y)
-        if name == "B_DR_EXT":
-            return mu_b_dr(pipe.extended().pi_hat, pipe.reg().m_hat, T, y)
-        if full is None:
-            raise UndefinedEstimatorError("complete outcomes unavailable")
-        return mu_full(full.Y)
-
     for name in names:
         try:
-            value = compute(name)
+            value = ESTIMATORS[name](pipe)
         except DrmeanError as exc:
             values[name] = math.nan
             flags[name] = FLAG_FAILED

@@ -1,11 +1,12 @@
 """Weighted linear and logistic fits, plus the propensity models.
 
-All fits go through one iteratively reweighted least squares routine.
-Solves are done on column-equilibrated designs via SVD least squares
-with an explicit rank check, followed by iterative refinement driven by
-compensated (fsum) score sums.  The refinement matters: downstream
-identities are asserted to absolute tolerances near 1e-10 on raw-scale
-designs whose columns differ by orders of magnitude.
+Outcome fits go through one weighted least squares routine and the
+logistic propensity through one Newton routine.  Solves are done on
+column-equilibrated designs via SVD least squares with an explicit rank
+check, followed by iterative refinement driven by compensated (fsum)
+score sums.  The refinement matters: downstream identities are asserted
+to absolute tolerances near 1e-10 on raw-scale designs whose columns
+differ by orders of magnitude.
 
 Propensity models:
   * logistic maximum likelihood, pi = expit(alpha'x);
@@ -13,7 +14,7 @@ Propensity models:
     likelihood, by a constrained moment criterion, or by solving the
     unconstrained moment equation P_n[(T alpha'x - 1) x] = 0 exactly;
   * a one-parameter logistic extension expit(alpha'x + phi h) whose phi
-    solves P_n[(T / pi - 1) h_tilde] = 0 for a caller-chosen direction.
+    solves P_n[(T / pi - 1) h] = 0 for a caller-chosen direction h.
 
 Outcome fits are computed on respondents only and return fitted values
 for every unit.  The four variants differ in weighting and in whether a
@@ -51,37 +52,12 @@ _CONSTRAINT_DELTA = 1e-6
 _OPT_MAX_ITER = 10_000
 
 
-class Link(enum.Enum):
-    """Mean link for IRLS: the map from linear predictor to fitted mean."""
-
-    IDENTITY = "identity"
-    LOGIT = "logit"
-
-    def forward(self, eta: np.ndarray) -> np.ndarray:
-        if self is Link.IDENTITY:
-            return np.asarray(eta, dtype=float)
-        return expit(eta)
-
-    def mean_derivative(self, eta: np.ndarray) -> np.ndarray:
-        if self is Link.IDENTITY:
-            return np.ones_like(np.asarray(eta, dtype=float))
-        p = expit(eta)
-        return p * (1.0 - p)
-
-
 class PropensityKind(enum.Enum):
     LOGISTIC_MLE = "LOGISTIC_MLE"
     INV_LINEAR_ML = "INV_LINEAR_ML"
     INV_LINEAR_MOMENT = "INV_LINEAR_MOMENT"
     INV_LINEAR_UNCONSTRAINED = "INV_LINEAR_UNCONSTRAINED"
     LOGISTIC_EXTENDED = "LOGISTIC_EXTENDED"
-
-
-class OutcomeKind(enum.Enum):
-    REG = "REG"
-    WLS = "WLS"
-    EXT_REG = "EXT_REG"
-    IPW_NR = "IPW_NR"
 
 
 @dataclass
@@ -102,18 +78,14 @@ class PropensityFit:
     eta: np.ndarray         # per-unit linear predictor (alpha'x [+ phi h])
     pi_hat: np.ndarray      # per-unit fitted response probability
     diagnostics: WeightDiagnostics
-    converged: bool
     iterations: int
 
 
 @dataclass
 class OutcomeFit:
-    kind: OutcomeKind
     beta: np.ndarray        # appended covariate's coefficient last, if any
-    link: Link
     m_hat: np.ndarray       # fitted outcome mean for every unit
-    converged: bool
-    iterations: int
+    iterations: int         # solve plus refinement passes
 
 
 def weight_diagnostics(pi_hat: np.ndarray, T: np.ndarray) -> WeightDiagnostics:
@@ -180,21 +152,18 @@ def _assert_full_column_rank(design: np.ndarray) -> None:
         )
 
 
-def _irls(
+def _wls(
     design: np.ndarray,
     response: np.ndarray,
     unit_weights: np.ndarray | None,
-    link: Link,
 ) -> tuple[np.ndarray, int]:
-    """IRLS core.  Returns (coefficients, iterations).
+    """Weighted least squares.  Returns (coefficients, passes).
 
-    Identity link: one weighted solve, then refinement passes against the
-    fsum score until max|P_n-score| <= SCORE_TOL or the step stalls.
-    Logit link: Newton steps from beta = 0 with the same exit rules and a
-    separation check on the final linear predictor.
+    One weighted solve, then refinement passes against the fsum score
+    until max|P_n-score| <= SCORE_TOL or the step stalls.
     """
     design, response = _check_design(design, response)
-    n, p = design.shape
+    n = design.shape[0]
     if unit_weights is None:
         w = np.ones(n)
     else:
@@ -206,37 +175,44 @@ def _irls(
         if not np.any(w > 0):
             raise InvalidWeightError("all unit weights are zero")
 
-    if link is Link.IDENTITY:
-        sw = np.sqrt(w)
-        beta = _equilibrated_lstsq(design * sw[:, None], response * sw)
-        iterations = 1
-        for _ in range(IRLS_MAX_ITER):
-            resid = response - design @ beta
-            score = fsum_col_means(design * (w * resid)[:, None])
-            if np.max(np.abs(score)) <= SCORE_TOL:
-                break
-            step = _equilibrated_lstsq(design * sw[:, None], resid * sw)
-            beta = beta + step
-            iterations += 1
-            if np.max(np.abs(step)) <= STEP_TOL:
-                break
-        return beta, iterations
+    sw = np.sqrt(w)
+    beta = _equilibrated_lstsq(design * sw[:, None], response * sw)
+    iterations = 1
+    for _ in range(IRLS_MAX_ITER):
+        resid = response - design @ beta
+        score = fsum_col_means(design * (w * resid)[:, None])
+        if np.max(np.abs(score)) <= SCORE_TOL:
+            break
+        step = _equilibrated_lstsq(design * sw[:, None], resid * sw)
+        beta = beta + step
+        iterations += 1
+        if np.max(np.abs(step)) <= STEP_TOL:
+            break
+    return beta, iterations
 
-    # logit.  The rank check must come first: a stationary start (score
-    # already zero at beta = 0) would exit before any solve sees the design.
-    _assert_full_column_rank(design[w > 0])
-    beta = np.zeros(p)
+
+def _logistic_newton(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, int]:
+    """Logistic maximum likelihood.  Returns (coefficients, iterations).
+
+    Newton steps from beta = 0 with the exit rules of _wls, then a
+    separation check on the final linear predictor.
+    """
+    design, response = _check_design(design, response)
+    # The rank check must come first: a stationary start (score already
+    # zero at beta = 0) would exit before any solve sees the design.
+    _assert_full_column_rank(design)
+    beta = np.zeros(design.shape[1])
     converged = False
     first = True
     for iterations in range(1, IRLS_MAX_ITER + 1):
         eta = design @ beta
         mu = expit(eta)
-        resid = w * (response - mu)
+        resid = response - mu
         score = fsum_col_means(design * resid[:, None])
         if np.max(np.abs(score)) <= SCORE_TOL:
             converged = True
             break
-        v = w * mu * (1.0 - mu)
+        v = mu * (1.0 - mu)
         live = v > 0
         if not live.any():
             raise NonconvergenceError("all fitted variances vanished")
@@ -258,8 +234,7 @@ def _irls(
             break
     if not converged:
         raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} iterations")
-    eta = design @ beta
-    if np.max(np.abs(eta[w > 0])) > ETA_SEPARATION:
+    if np.max(np.abs(design @ beta)) > ETA_SEPARATION:
         raise NonconvergenceError(
             "fitted probabilities pinned at 0/1: data are separated"
         )
@@ -270,17 +245,16 @@ def irls_fit(
     design: np.ndarray,
     response: np.ndarray,
     unit_weights: np.ndarray | None = None,
-    link: Link = Link.IDENTITY,
 ) -> np.ndarray:
-    """Weighted regression coefficients under the given link."""
-    beta, _ = _irls(design, response, unit_weights, link)
+    """Weighted least-squares regression coefficients."""
+    beta, _ = _wls(design, response, unit_weights)
     return beta
 
 
 def fit_logistic_propensity(design: np.ndarray, T: np.ndarray) -> PropensityFit:
     """Logistic maximum-likelihood fit of P(T = 1 | x) = expit(alpha'x)."""
     T = np.asarray(T)
-    alpha, iterations = _irls(design, T.astype(float), None, Link.LOGIT)
+    alpha, iterations = _logistic_newton(design, T.astype(float))
     eta = np.asarray(design, dtype=float) @ alpha
     pi_hat = expit(eta)
     return PropensityFit(
@@ -290,7 +264,6 @@ def fit_logistic_propensity(design: np.ndarray, T: np.ndarray) -> PropensityFit:
         eta=eta,
         pi_hat=pi_hat,
         diagnostics=weight_diagnostics(pi_hat, T),
-        converged=True,
         iterations=iterations,
     )
 
@@ -419,7 +392,6 @@ def fit_inverse_linear(
         eta=eta,
         pi_hat=pi_hat,
         diagnostics=weight_diagnostics(pi_hat, T),
-        converged=True,
         iterations=iterations,
     )
 
@@ -434,30 +406,24 @@ def _respondent_parts(view: AnalysisView) -> tuple[np.ndarray, np.ndarray, np.nd
     return resp, np.asarray(view.design_m, dtype=float)[resp], y
 
 
-def fit_outcome_reg(view: AnalysisView, link: Link = Link.IDENTITY) -> OutcomeFit:
+def fit_outcome_reg(view: AnalysisView) -> OutcomeFit:
     """Unweighted outcome regression on respondents."""
     resp, a, y = _respondent_parts(view)
-    beta, iterations = _irls(a, y, None, link)
-    m_hat = link.forward(np.asarray(view.design_m, dtype=float) @ beta)
-    return OutcomeFit(OutcomeKind.REG, beta, link, m_hat, True, iterations)
+    beta, iterations = _wls(a, y, None)
+    return OutcomeFit(beta, np.asarray(view.design_m, dtype=float) @ beta, iterations)
 
 
-def fit_outcome_wls(
-    view: AnalysisView, pi_hat: np.ndarray, link: Link = Link.IDENTITY
-) -> OutcomeFit:
+def fit_outcome_wls(view: AnalysisView, pi_hat: np.ndarray) -> OutcomeFit:
     """Outcome regression on respondents, weighted by 1 / pi_hat."""
     resp, a, y = _respondent_parts(view)
     pi_hat = np.asarray(pi_hat, dtype=float)
     if np.any(pi_hat[resp] <= 0) or not np.all(np.isfinite(pi_hat[resp])):
         raise InvalidWeightError("pi_hat must be finite and positive on respondents")
-    beta, iterations = _irls(a, y, 1.0 / pi_hat[resp], link)
-    m_hat = link.forward(np.asarray(view.design_m, dtype=float) @ beta)
-    return OutcomeFit(OutcomeKind.WLS, beta, link, m_hat, True, iterations)
+    beta, iterations = _wls(a, y, 1.0 / pi_hat[resp])
+    return OutcomeFit(beta, np.asarray(view.design_m, dtype=float) @ beta, iterations)
 
 
-def fit_outcome_ext_reg(
-    view: AnalysisView, pi_hat: np.ndarray, link: Link = Link.IDENTITY
-) -> OutcomeFit:
+def fit_outcome_ext_reg(view: AnalysisView, pi_hat: np.ndarray) -> OutcomeFit:
     """Unweighted regression with 1 / pi_hat appended as a covariate.
 
     pi_hat must be positive on all units because the appended column is
@@ -474,19 +440,16 @@ def fit_outcome_ext_reg(
     if not resp.any():
         raise SingularDesignError("no respondents to fit on")
     y = np.asarray(view.y_observed, dtype=float)[resp]
-    beta, iterations = _irls(aug[resp], y, None, link)
-    m_hat = link.forward(aug @ beta)
-    return OutcomeFit(OutcomeKind.EXT_REG, beta, link, m_hat, True, iterations)
+    beta, iterations = _wls(aug[resp], y, None)
+    return OutcomeFit(beta, aug @ beta, iterations)
 
 
-def fit_outcome_ipw_nr(
-    view: AnalysisView, pi_hat: np.ndarray, link: Link = Link.IDENTITY
-) -> OutcomeFit:
+def fit_outcome_ipw_nr(view: AnalysisView, pi_hat: np.ndarray) -> OutcomeFit:
     """Regression weighted by 1 / pi_hat with pi_hat appended as covariate.
 
-    With an identity link the fitted values satisfy both the inverse-
-    weighted and the unweighted respondent moment conditions, so the
-    plug-in mean P_n[m_hat] equals P_n[T y + (1 - T) m_hat].
+    The fitted values satisfy both the inverse-weighted and the
+    unweighted respondent moment conditions, so the plug-in mean
+    P_n[m_hat] equals P_n[T y + (1 - T) m_hat].
     """
     pi_hat = np.asarray(pi_hat, dtype=float)
     if np.any(pi_hat <= 0) or np.any(pi_hat >= 1) or not np.all(np.isfinite(pi_hat)):
@@ -496,9 +459,8 @@ def fit_outcome_ipw_nr(
     if not resp.any():
         raise SingularDesignError("no respondents to fit on")
     y = np.asarray(view.y_observed, dtype=float)[resp]
-    beta, iterations = _irls(aug[resp], y, 1.0 / pi_hat[resp], link)
-    m_hat = link.forward(aug @ beta)
-    return OutcomeFit(OutcomeKind.IPW_NR, beta, link, m_hat, True, iterations)
+    beta, iterations = _wls(aug[resp], y, 1.0 / pi_hat[resp])
+    return OutcomeFit(beta, aug @ beta, iterations)
 
 
 def _sign(x: float) -> int:
@@ -508,22 +470,16 @@ def _sign(x: float) -> int:
 
 
 def fit_extended_propensity(
-    base: PropensityFit,
-    h: np.ndarray,
-    m_reg: OutcomeFit,
-    mu_ols: float,
-    T: np.ndarray,
+    base: PropensityFit, h: np.ndarray, T: np.ndarray
 ) -> PropensityFit:
     """Add one coefficient to a logistic fit so that a chosen moment is zero.
 
-    Solves g(phi) = P_n[(T / expit(eta + phi h) - 1) (m_hat - mu_ols)] = 0
-    for scalar phi by bracketing and bisection.  The default direction
-    used by callers is h = m_hat - mu_ols itself, which turns the bounded
-    doubly robust estimator built from this fit into a weighted mean of
-    observed outcomes.
+    Solves g(phi) = P_n[(T / expit(eta + phi h) - 1) h] = 0 for scalar phi
+    by bracketing and bisection; h is both the direction and the moment
+    weight.  With h = m_hat - P_n[m_hat] for an outcome fit m_hat, the
+    bounded doubly robust estimator built from this fit is a weighted
+    mean of observed outcomes.
     """
-    if not base.converged:
-        raise InvalidArgumentError("base propensity fit did not converge")
     if base.kind not in (PropensityKind.LOGISTIC_MLE, PropensityKind.LOGISTIC_EXTENDED):
         raise InvalidArgumentError("extension requires a logistic base fit")
     T = np.asarray(T)
@@ -532,7 +488,6 @@ def fit_extended_propensity(
         raise InvalidArgumentError("h must have one entry per unit")
     if not np.all(np.isfinite(h)):
         raise InvalidArgumentError("h contains non-finite entries")
-    htilde = m_reg.m_hat - mu_ols
     t1 = (T == 1).astype(float)
     evals = 0
 
@@ -542,7 +497,7 @@ def fit_extended_propensity(
         eta = np.clip(base.eta + phi * h, -700.0, 700.0)
         # T/expit(eta) - 1 = exp(-eta) for respondents, -1 otherwise
         term = np.where(t1 == 1.0, np.exp(-eta), -1.0)
-        return float(np.mean(term * htilde))
+        return float(np.mean(term * h))
 
     g0 = g(0.0)
     if abs(g0) <= PHI_GTOL:
@@ -592,6 +547,5 @@ def fit_extended_propensity(
         eta=eta,
         pi_hat=pi_hat,
         diagnostics=weight_diagnostics(pi_hat, T),
-        converged=True,
         iterations=evals,
     )

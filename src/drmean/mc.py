@@ -19,7 +19,7 @@ import numpy as np
 from ._util import PRNG_NAME, SEED_DERIVATION, derive_seed
 from .dgp import DgpConfig, generate_sample, make_view, reverse_roles
 from .errors import DegenerateInputError, InvalidArgumentError
-from .estimators import ESTIMATOR_NAMES, FLAG_FAILED, estimate_all
+from .estimators import ESTIMATOR_NAMES, FLAG_FAILED, check_estimator_names, estimate_all
 
 QUANTILE_LEVELS = (1, 5, 25, 50, 75, 95, 99)
 
@@ -43,9 +43,7 @@ class ScenarioSpec:
             raise InvalidArgumentError("reps must be at least 1")
         if self.base_seed < 0:
             raise InvalidArgumentError("base_seed must be nonnegative")
-        bad = [nm for nm in self.estimators if nm not in ESTIMATOR_NAMES]
-        if bad:
-            raise InvalidArgumentError(f"unknown estimator names: {bad}")
+        check_estimator_names(self.estimators)
 
     def label(self) -> str:
         tag = (

@@ -18,25 +18,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
-from . import linmod
 from ._util import derive_seed
-from .dgp import AnalysisView
+from .dgp import AnalysisView, design_matrix
 from .errors import DrmeanError, InvalidArgumentError
-from .estimators import mu_aipw, mu_b_dr, mu_from_regression
+from .estimators import ESTIMATORS, Pipeline
 
-DR_ESTIMATORS = ("DR_REG", "DR_WLS", "DR_IPW_NR", "DR_EXT_REG", "B_DR_REG", "B_DR_EXT")
-
-# outcome-fit kind implied by each estimator
-_OUTCOME_KIND = {
-    "DR_REG": "REG",
-    "DR_WLS": "WLS",
-    "DR_IPW_NR": "IPW_NR",
-    "DR_EXT_REG": "EXT_REG",
-    "B_DR_REG": "REG",
-    "B_DR_EXT": "REG",
-}
+# estimators that combine a propensity and an outcome fit, in table order
+DR_ESTIMATORS = tuple(
+    name for name, e in ESTIMATORS.items() if e.weighted and e.outcome is not None
+)
 
 _PROPENSITY_METHODS = {
     "LOGISTIC_MLE": None,
@@ -153,15 +145,6 @@ def _check_data(covariates, T, Y):
     return covariates, T.astype(np.int64), Y
 
 
-def _design(covariates: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
-    # ascontiguousarray: column fancy-indexing yields Fortran order, and a
-    # different memory layout changes BLAS rounding, breaking bitwise
-    # agreement with designs built elsewhere from the same columns
-    return np.ascontiguousarray(
-        np.hstack([np.ones((covariates.shape[0], 1)), covariates[:, list(subset)]])
-    )
-
-
 def _check_spec_indices(specs, n_cols: int) -> None:
     for s in specs:
         if max(s.covariates) >= n_cols:
@@ -178,41 +161,16 @@ def _estimate_cell(
     o_spec: ModelSpec,
     estimator: str,
 ) -> float:
-    design_pi = _design(covariates, p_spec.covariates)
-    design_m = _design(covariates, o_spec.covariates)
     view = AnalysisView(
-        design_pi=design_pi,
-        design_m=design_m,
+        design_pi=design_matrix(covariates, p_spec.covariates),
+        design_m=design_matrix(covariates, o_spec.covariates),
         T=T,
         y_observed=np.where(T == 1, Y, np.nan),
     )
-    p_kind = p_spec.kind or "LOGISTIC_MLE"
-    method = _PROPENSITY_METHODS[p_kind]
-    if method is None:
-        pfit = linmod.fit_logistic_propensity(design_pi, T)
-    else:
-        pfit = linmod.fit_inverse_linear(design_pi, T, method)
-    y_masked = view.y_observed
-
-    if estimator == "DR_REG":
-        return mu_aipw(pfit.pi_hat, linmod.fit_outcome_reg(view).m_hat, T, y_masked)
-    if estimator == "DR_WLS":
-        return mu_from_regression(linmod.fit_outcome_wls(view, pfit.pi_hat).m_hat)
-    if estimator == "DR_IPW_NR":
-        return mu_from_regression(linmod.fit_outcome_ipw_nr(view, pfit.pi_hat).m_hat)
-    if estimator == "DR_EXT_REG":
-        return mu_from_regression(linmod.fit_outcome_ext_reg(view, pfit.pi_hat).m_hat)
-    if estimator == "B_DR_REG":
-        return mu_b_dr(pfit.pi_hat, linmod.fit_outcome_reg(view).m_hat, T, y_masked)
-    # B_DR_EXT
-    if p_kind != "LOGISTIC_MLE":
-        raise InvalidArgumentError("B_DR_EXT requires a logistic propensity model")
-    m_reg = linmod.fit_outcome_reg(view)
-    mu_ols = mu_from_regression(m_reg.m_hat)
-    ext = linmod.fit_extended_propensity(
-        pfit, m_reg.m_hat - mu_ols, m_reg, mu_ols, T
-    )
-    return mu_b_dr(ext.pi_hat, m_reg.m_hat, T, y_masked)
+    method = _PROPENSITY_METHODS[p_spec.kind or "LOGISTIC_MLE"]
+    pipe = Pipeline(view, inverse_linear=method)
+    pipe.propensity()  # fit first: its failure ends the cell before any outcome fit
+    return ESTIMATORS[estimator](pipe)
 
 
 def _validate_specs(p_specs, o_specs, estimator):
@@ -227,7 +185,7 @@ def _validate_specs(p_specs, o_specs, estimator):
     for s in p_specs:
         if s.role != "propensity":
             raise InvalidArgumentError("p_specs must all have role 'propensity'")
-    implied = _OUTCOME_KIND[estimator]
+    implied = ESTIMATORS[estimator].outcome
     for s in o_specs:
         if s.role != "outcome":
             raise InvalidArgumentError("o_specs must all have role 'outcome'")
@@ -381,7 +339,7 @@ def homogeneity_test(
     if df == 0:
         p_value = 1.0 if statistic == 0.0 else 0.0
     else:
-        p_value = float(chi2.sf(statistic, df))
+        p_value = float(chdtrc(df, statistic))
     return HomogeneityResult(
         p_value=p_value,
         statistic=statistic,

@@ -133,7 +133,7 @@ def test_criterion_1_identity_suite():
     # extension moment after the one-dimensional solve
     mu_ols = mu_from_regression(reg.m_hat)
     h = reg.m_hat - mu_ols
-    efit = linmod.fit_extended_propensity(pfit, h, reg, mu_ols, view.T)
+    efit = linmod.fit_extended_propensity(pfit, h, view.T)
     g = float(np.mean(((view.T == 1) / efit.pi_hat - 1.0) * h))
     checks.append(("extension moment residual <= 1e-8", abs(g) <= 1e-8))
 

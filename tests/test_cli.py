@@ -1,12 +1,14 @@
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from drmean import cli
 from drmean.dgp import generate_sample
-from drmean.errors import DataError
+from drmean.errors import ConfigError, DataError
 from drmean.estimators import estimate_all
 from drmean.dgp import AnalysisView
 
@@ -171,6 +173,14 @@ class TestSimulateCommand:
         lst.write_text("[1, 2]")
         assert cli.main(["simulate", "--config", str(lst), "--out", str(tmp_path)]) == 2
 
+    def test_duplicate_estimators_exit_2(self, tmp_path):
+        path = run_config(tmp_path, estimators=["OLS", "OLS"])
+        with pytest.raises(ConfigError):
+            cli.load_run_config(path)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert not (out / "results.csv").exists()
+
     def test_default_scenarios_cover_all_four(self, tmp_path):
         cfg = {
             "base_seed": 3,
@@ -241,6 +251,14 @@ class TestEstimateCommand:
     def test_unknown_estimator_exits_2(self, tmp_path, small_sample):
         data = write_sample_csv(tmp_path / "d.csv", small_sample)
         assert cli.main(["estimate", "--data", data, "--estimators", "NOPE"]) == 2
+
+    def test_duplicate_estimator_exits_2(self, tmp_path, small_sample):
+        data = write_sample_csv(tmp_path / "d.csv", small_sample)
+        out = tmp_path / "est.json"
+        rc = cli.main(["estimate", "--data", data, "--estimators", "OLS,HT,OLS",
+                       "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
     def test_missing_data_exits_3(self, tmp_path):
         assert cli.main(["estimate", "--data", str(tmp_path / "no.csv")]) == 3
@@ -396,6 +414,19 @@ class TestDensityCommand:
 
 
 class TestParser:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats dominates a cold start; the CLI needs none of it
+        import subprocess
+        import sys
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys, drmean.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
+
     def test_no_arguments_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])

@@ -182,6 +182,10 @@ class TestEstimateAll:
         with pytest.raises(InvalidArgumentError):
             est.estimate_all(right_view, None, ("OLS", "MYSTERY"))
 
+    def test_duplicate_name_rejected(self, right_view):
+        with pytest.raises(InvalidArgumentError):
+            est.estimate_all(right_view, None, ("OLS", "HT", "OLS"))
+
     def test_full_needs_complete_sample(self, right_view):
         out = est.estimate_all(right_view, None, ("OLS", "FULL"))
         assert out.flags["FULL"] == est.FLAG_FAILED

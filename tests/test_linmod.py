@@ -307,7 +307,7 @@ class TestExtendedPropensity:
         base, m_reg, mu_ols, T, _ = self.quartic_setup()
         assert np.allclose(m_reg.m_hat, [1.0, 2.0, 3.0, 4.0], rtol=1e-10)
         h = m_reg.m_hat - mu_ols
-        fit = linmod.fit_extended_propensity(base, h, m_reg, mu_ols, T)
+        fit = linmod.fit_extended_propensity(base, h, T)
         roots = np.roots([1.0, 0.0, 0.0, 2.0 / 3.0, -1.0 / 3.0])
         u_star = float(
             roots[(np.abs(roots.imag) < 1e-12) & (roots.real > 0)].real[0]
@@ -318,7 +318,7 @@ class TestExtendedPropensity:
     def test_moment_residual_small_after_solve(self):
         base, m_reg, mu_ols, T, _ = self.quartic_setup()
         h = m_reg.m_hat - mu_ols
-        fit = linmod.fit_extended_propensity(base, h, m_reg, mu_ols, T)
+        fit = linmod.fit_extended_propensity(base, h, T)
         g = np.mean(
             ((T == 1) / fit.pi_hat - 1.0) * (m_reg.m_hat - mu_ols)
         )
@@ -329,7 +329,7 @@ class TestExtendedPropensity:
         m_reg = linmod.fit_outcome_reg(wrong_view)
         mu_ols = mu_from_regression(m_reg.m_hat)
         h = m_reg.m_hat - mu_ols
-        ext = linmod.fit_extended_propensity(base, h, m_reg, mu_ols, wrong_view.T)
+        ext = linmod.fit_extended_propensity(base, h, wrong_view.T)
         left = mu_b_dr(ext.pi_hat, m_reg.m_hat, wrong_view.T, wrong_view.y_observed)
         right = mu_ipw_pop(ext.pi_hat, wrong_view.T, wrong_view.y_observed)
         assert abs(left - right) <= 1e-8
@@ -342,29 +342,28 @@ class TestExtendedPropensity:
         base = linmod.fit_logistic_propensity(design_pi, T)
         m_reg = linmod.fit_outcome_reg(view)
         mu_ols = mu_from_regression(m_reg.m_hat)
-        fit = linmod.fit_extended_propensity(
-            base, m_reg.m_hat - mu_ols, m_reg, mu_ols, T
-        )
+        fit = linmod.fit_extended_propensity(base, m_reg.m_hat - mu_ols, T)
         assert fit.phi == 0.0
         assert np.array_equal(fit.pi_hat, base.pi_hat)
 
-    def test_constant_direction_has_no_root(self):
-        base, m_reg, mu_ols, T, _ = self.quartic_setup()
+    def test_one_signed_moment_has_no_root(self):
+        # eta = 0 and h = (1, -1): g(phi) = (exp(-phi) + 1) / 2 > 0
+        design_pi = np.ones((2, 1))
+        T = np.array([1, 0])
+        base = linmod.fit_logistic_propensity(design_pi, T)
         with pytest.raises(NoRootError):
-            linmod.fit_extended_propensity(base, np.zeros(4), m_reg, mu_ols, T)
+            linmod.fit_extended_propensity(base, np.array([1.0, -1.0]), T)
 
     def test_requires_logistic_base(self):
         base, m_reg, mu_ols, T, _ = self.quartic_setup()
         inv = linmod.fit_inverse_linear(np.ones((4, 1)), T, "moment")
         with pytest.raises(InvalidArgumentError):
-            linmod.fit_extended_propensity(
-                inv, m_reg.m_hat - mu_ols, m_reg, mu_ols, T
-            )
+            linmod.fit_extended_propensity(inv, m_reg.m_hat - mu_ols, T)
 
     def test_rejects_mismatched_direction_length(self):
         base, m_reg, mu_ols, T, _ = self.quartic_setup()
         with pytest.raises(InvalidArgumentError):
-            linmod.fit_extended_propensity(base, np.zeros(3), m_reg, mu_ols, T)
+            linmod.fit_extended_propensity(base, np.zeros(3), T)
 
 
 class TestWeightDiagnostics:

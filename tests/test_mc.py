@@ -90,6 +90,13 @@ class TestScenarioSpec:
                 base_seed=-1,
             )
 
+    def test_duplicate_estimators_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            mc.ScenarioSpec(
+                n=10, reps=1, pi_model_correct=True, m_model_correct=True,
+                estimators=("OLS", "OLS"),
+            )
+
 
 SMALL = mc.ScenarioSpec(
     n=60, reps=12, pi_model_correct=False, m_model_correct=False, base_seed=911

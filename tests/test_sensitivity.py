@@ -42,11 +42,16 @@ class TestModelSpec:
 
 
 class TestBuildMatrix:
-    def test_single_cell_matches_estimate_all(self, data600):
+    @pytest.mark.parametrize("estimator", sens.DR_ESTIMATORS)
+    @pytest.mark.parametrize(
+        "p_spec, o_spec", [(PX, OX), (PZ, OZ), (PZ, OX)], ids=["X/X", "Z/Z", "Z/X"]
+    )
+    def test_single_cell_matches_estimate_all(self, data600, p_spec, o_spec, estimator):
+        # one definition per estimator: a cell and estimate_all agree bitwise
         s, cov, T, y = data600
-        estimates, messages = sens.build_matrix(cov, T, y, [PX], [OX], "DR_WLS")
-        view = make_view(s, pi_model_correct=False, m_model_correct=False)
-        want = estimate_all(view, None, ("DR_WLS",)).values["DR_WLS"]
+        estimates, messages = sens.build_matrix(cov, T, y, [p_spec], [o_spec], estimator)
+        view = make_view(s, pi_model_correct=p_spec is PZ, m_model_correct=o_spec is OZ)
+        want = estimate_all(view, None, (estimator,)).values[estimator]
         assert estimates.shape == (1, 1)
         assert estimates[0, 0] == want
         assert messages == {}
