@@ -256,6 +256,9 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[st
     header = [h.strip() for h in rows[0]]
     if "t" not in header or "y" not in header:
         raise DataError(f"{path}: header must contain 't' and 'y' columns")
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise DataError(f"{path}: repeated column name(s) {', '.join(repeated)}")
     t_col, y_col = header.index("t"), header.index("y")
     x_cols = [k for k in range(len(header)) if k not in (t_col, y_col)]
     names = [header[k] for k in x_cols]

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linmod
+from ._util import fsum_col_means
 from .dgp import AnalysisView, FullSample
 from .errors import (
     DrmeanError,
@@ -371,9 +372,7 @@ def mu_ols_identities_check(
     design = np.asarray(view.design_m, dtype=float)
     n = design.shape[0]
     tx = design * resp[:, None].astype(float)
-    moment = np.array(
-        [math.fsum(col) / n for col in (design * ((tx @ inv.alpha) - 1.0)[:, None]).T]
-    )
+    moment = fsum_col_means(design * ((tx @ inv.alpha) - 1.0)[:, None])
     moment_residual = float(np.max(np.abs(moment)))
 
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 from scipy.special import expit
 
 from ._util import fsum_col_means
@@ -396,31 +396,43 @@ def fit_inverse_linear(
     )
 
 
-def _respondent_parts(view: AnalysisView) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fit_on_respondents(
+    view: AnalysisView,
+    appended: np.ndarray | None = None,
+    weight_pi: np.ndarray | None = None,
+) -> OutcomeFit:
+    """Least squares on respondents, with fitted values for every unit.
+
+    appended, if given, is added to design_m as a last column; weight_pi,
+    if given, weights respondent i by 1 / weight_pi[i].  Callers check
+    their pi_hat first.
+    """
     resp = np.asarray(view.T) == 1
     if not resp.any():
         raise SingularDesignError("no respondents to fit on")
     y = np.asarray(view.y_observed, dtype=float)[resp]
     if not np.all(np.isfinite(y)):
         raise InvalidArgumentError("observed outcomes contain non-finite values")
-    return resp, np.asarray(view.design_m, dtype=float)[resp], y
+    design = np.asarray(view.design_m, dtype=float)
+    if appended is not None:
+        design = np.hstack([design, appended[:, None]])
+    weights = None if weight_pi is None else 1.0 / weight_pi[resp]
+    beta, iterations = _wls(design[resp], y, weights)
+    return OutcomeFit(beta, design @ beta, iterations)
 
 
 def fit_outcome_reg(view: AnalysisView) -> OutcomeFit:
     """Unweighted outcome regression on respondents."""
-    resp, a, y = _respondent_parts(view)
-    beta, iterations = _wls(a, y, None)
-    return OutcomeFit(beta, np.asarray(view.design_m, dtype=float) @ beta, iterations)
+    return _fit_on_respondents(view)
 
 
 def fit_outcome_wls(view: AnalysisView, pi_hat: np.ndarray) -> OutcomeFit:
     """Outcome regression on respondents, weighted by 1 / pi_hat."""
-    resp, a, y = _respondent_parts(view)
     pi_hat = np.asarray(pi_hat, dtype=float)
-    if np.any(pi_hat[resp] <= 0) or not np.all(np.isfinite(pi_hat[resp])):
+    pi_resp = pi_hat[np.asarray(view.T) == 1]
+    if np.any(pi_resp <= 0) or not np.all(np.isfinite(pi_resp)):
         raise InvalidWeightError("pi_hat must be finite and positive on respondents")
-    beta, iterations = _wls(a, y, 1.0 / pi_hat[resp])
-    return OutcomeFit(beta, np.asarray(view.design_m, dtype=float) @ beta, iterations)
+    return _fit_on_respondents(view, weight_pi=pi_hat)
 
 
 def fit_outcome_ext_reg(view: AnalysisView, pi_hat: np.ndarray) -> OutcomeFit:
@@ -433,15 +445,7 @@ def fit_outcome_ext_reg(view: AnalysisView, pi_hat: np.ndarray) -> OutcomeFit:
     pi_hat = np.asarray(pi_hat, dtype=float)
     if np.any(pi_hat <= 0) or not np.all(np.isfinite(pi_hat)):
         raise InvalidWeightError("pi_hat must be finite and positive on all units")
-    aug = np.hstack(
-        [np.asarray(view.design_m, dtype=float), (1.0 / pi_hat)[:, None]]
-    )
-    resp = np.asarray(view.T) == 1
-    if not resp.any():
-        raise SingularDesignError("no respondents to fit on")
-    y = np.asarray(view.y_observed, dtype=float)[resp]
-    beta, iterations = _wls(aug[resp], y, None)
-    return OutcomeFit(beta, aug @ beta, iterations)
+    return _fit_on_respondents(view, appended=1.0 / pi_hat)
 
 
 def fit_outcome_ipw_nr(view: AnalysisView, pi_hat: np.ndarray) -> OutcomeFit:
@@ -454,19 +458,7 @@ def fit_outcome_ipw_nr(view: AnalysisView, pi_hat: np.ndarray) -> OutcomeFit:
     pi_hat = np.asarray(pi_hat, dtype=float)
     if np.any(pi_hat <= 0) or np.any(pi_hat >= 1) or not np.all(np.isfinite(pi_hat)):
         raise InvalidWeightError("pi_hat must lie strictly inside (0, 1) on all units")
-    aug = np.hstack([np.asarray(view.design_m, dtype=float), pi_hat[:, None]])
-    resp = np.asarray(view.T) == 1
-    if not resp.any():
-        raise SingularDesignError("no respondents to fit on")
-    y = np.asarray(view.y_observed, dtype=float)[resp]
-    beta, iterations = _wls(aug[resp], y, 1.0 / pi_hat[resp])
-    return OutcomeFit(beta, aug @ beta, iterations)
-
-
-def _sign(x: float) -> int:
-    if math.isnan(x):
-        return 0
-    return (x > 0) - (x < 0)
+    return _fit_on_respondents(view, appended=pi_hat, weight_pi=pi_hat)
 
 
 def fit_extended_propensity(
@@ -474,11 +466,14 @@ def fit_extended_propensity(
 ) -> PropensityFit:
     """Add one coefficient to a logistic fit so that a chosen moment is zero.
 
-    Solves g(phi) = P_n[(T / expit(eta + phi h) - 1) h] = 0 for scalar phi
-    by bracketing and bisection; h is both the direction and the moment
-    weight.  With h = m_hat - P_n[m_hat] for an outcome fit m_hat, the
-    bounded doubly robust estimator built from this fit is a weighted
-    mean of observed outcomes.
+    Solves g(phi) = P_n[(T / expit(eta + phi h) - 1) h] = 0 for scalar phi;
+    h is both the direction and the moment weight.  g is nonincreasing
+    in phi, so the root lies on the side given by the sign of g(0): the
+    search steps out from 0 on that side only, through 1, 2, 4, ... up to
+    PHI_BRACKET_MAX, and Brent's method solves on the first bracket.
+    With h = m_hat - P_n[m_hat] for an outcome fit m_hat, the bounded
+    doubly robust estimator built from this fit is a weighted mean of
+    observed outcomes.
     """
     if base.kind not in (PropensityKind.LOGISTIC_MLE, PropensityKind.LOGISTIC_EXTENDED):
         raise InvalidArgumentError("extension requires a logistic base fit")
@@ -503,40 +498,19 @@ def fit_extended_propensity(
     if abs(g0) <= PHI_GTOL:
         phi_hat = 0.0
     else:
-        lo, hi = -1.0, 1.0
-        glo, ghi = g(lo), g(hi)
-        bracket = None
-        if _sign(glo) * _sign(g0) < 0:
-            bracket = (lo, 0.0, glo, g0)
-        elif _sign(g0) * _sign(ghi) < 0:
-            bracket = (0.0, hi, g0, ghi)
-        else:
-            while bracket is None and (lo > -PHI_BRACKET_MAX or hi < PHI_BRACKET_MAX):
-                lo_new = max(2.0 * lo, -PHI_BRACKET_MAX)
-                hi_new = min(2.0 * hi, PHI_BRACKET_MAX)
-                glo_new, ghi_new = g(lo_new), g(hi_new)
-                if _sign(glo_new) * _sign(glo) < 0:
-                    bracket = (lo_new, lo, glo_new, glo)
-                elif _sign(ghi) * _sign(ghi_new) < 0:
-                    bracket = (hi, hi_new, ghi, ghi_new)
-                lo, hi, glo, ghi = lo_new, hi_new, glo_new, ghi_new
-        if bracket is None:
-            raise NoRootError(
-                f"no sign change for the extension moment in [-{PHI_BRACKET_MAX:g}, "
-                f"{PHI_BRACKET_MAX:g}]"
-            )
-        a, b, ga, gb = bracket
-        while b - a > PHI_XTOL:
-            mid = 0.5 * (a + b)
-            gm = g(mid)
-            if abs(gm) <= PHI_GTOL:
-                a = b = mid
-                break
-            if _sign(ga) * _sign(gm) < 0:
-                b, gb = mid, gm
-            else:
-                a, ga = mid, gm
-        phi_hat = 0.5 * (a + b)
+        a, b = 0.0, math.copysign(1.0, g0)
+        while g(b) * g0 > 0:
+            if abs(b) >= PHI_BRACKET_MAX:
+                raise NoRootError(
+                    f"no sign change for the extension moment between 0 and {b:g}"
+                )
+            a, b = b, math.copysign(min(2.0 * abs(b), PHI_BRACKET_MAX), b)
+        # an exact zero at b is returned by brentq as is
+        phi_hat, result = brentq(
+            g, min(a, b), max(a, b), xtol=PHI_XTOL, full_output=True, disp=False
+        )
+        if not result.converged:
+            raise NonconvergenceError(f"extension solve did not converge: {result.flag}")
 
     eta = base.eta + phi_hat * h
     pi_hat = expit(eta)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import PRNG_NAME, SEED_DERIVATION, derive_seed
+from ._util import derive_seed
 from .dgp import DgpConfig, generate_sample, make_view, reverse_roles
 from .errors import DegenerateInputError, InvalidArgumentError
 from .estimators import ESTIMATOR_NAMES, FLAG_FAILED, check_estimator_names, estimate_all
@@ -80,8 +80,6 @@ class EstimatorSummary:
 class MCSummary:
     scenario: ScenarioSpec
     mu_true: float
-    prng: str
-    seed_derivation: str
     rows: dict[str, EstimatorSummary]
 
 
@@ -103,7 +101,9 @@ def summarize(values: np.ndarray, mu_true: float) -> EstimatorSummary:
         raise InvalidArgumentError("values contain non-finite entries")
     r = values.size
     mean = math.fsum(values) / r
-    bias = mean - mu_true
+    # not mean - mu_true: the rounding of a large mean would swamp a
+    # small bias
+    bias = math.fsum(values - mu_true) / r
     dev = values - mean
     variance = math.fsum(dev * dev) / (r - 1) if r > 1 else math.nan
     mse = math.fsum((values - mu_true) ** 2) / r
@@ -193,13 +193,7 @@ def run_scenario(
         else:
             row = _empty_summary(failures)
         rows[name] = row
-    return MCSummary(
-        scenario=spec,
-        mu_true=cfg.intercept,
-        prng=PRNG_NAME,
-        seed_derivation=SEED_DERIVATION,
-        rows=rows,
-    )
+    return MCSummary(scenario=spec, mu_true=cfg.intercept, rows=rows)
 
 
 def density_points(

@@ -64,6 +64,8 @@ class TestDatasetRoundTrip:
             ("t,y,x1\n1,1.0,spam\n", "covariate 'x1' value 'spam'"),
             ("t,y,x1\n1,inf,0.1\n", "row 2: respondent outcome is not finite"),
             ("a,b\n1,2\n", "header must contain 't' and 'y'"),
+            ("t,y,x1,x1\n1,1.0,0.1,0.2\n", "repeated column name(s) x1"),
+            ("t,y,x1,t\n1,1.0,0.1,0\n", "repeated column name(s) t"),
             ("t,y,x1\n", "no data rows"),
             ("", "empty file"),
         ],

@@ -314,6 +314,8 @@ class TestExtendedPropensity:
         )
         assert abs(fit.phi - 2.0 * math.log(u_star)) < 1e-9
         assert fit.kind is linmod.PropensityKind.LOGISTIC_EXTENDED
+        # pins the solver's cost: 11 evaluations of g here
+        assert fit.iterations <= 20
 
     def test_moment_residual_small_after_solve(self):
         base, m_reg, mu_ols, T, _ = self.quartic_setup()
@@ -347,12 +349,25 @@ class TestExtendedPropensity:
         assert np.array_equal(fit.pi_hat, base.pi_hat)
 
     def test_one_signed_moment_has_no_root(self):
-        # eta = 0 and h = (1, -1): g(phi) = (exp(-phi) + 1) / 2 > 0
+        # eta = 0; h = (1, -1) gives g(phi) = (exp(-phi) + 1) / 2 > 0 and
+        # h = (-1, 1) gives g(phi) = -(exp(phi) + 1) / 2 < 0
         design_pi = np.ones((2, 1))
         T = np.array([1, 0])
         base = linmod.fit_logistic_propensity(design_pi, T)
-        with pytest.raises(NoRootError):
-            linmod.fit_extended_propensity(base, np.array([1.0, -1.0]), T)
+        for h in ([1.0, -1.0], [-1.0, 1.0]):
+            with pytest.raises(NoRootError):
+                linmod.fit_extended_propensity(base, np.array(h), T)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_root_exactly_at_bracket_probe(self, sign):
+        # eta = 0 and h = sign * (1, exp(-1)):
+        # g(phi) = sign * (exp(-sign * phi) - exp(-1)) / 2, zero at phi = sign
+        design_pi = np.ones((2, 1))
+        T = np.array([1, 0])
+        base = linmod.fit_logistic_propensity(design_pi, T)
+        h = sign * np.array([1.0, math.exp(-1.0)])
+        fit = linmod.fit_extended_propensity(base, h, T)
+        assert fit.phi == sign
 
     def test_requires_logistic_base(self):
         base, m_reg, mu_ols, T, _ = self.quartic_setup()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drmean import mc
@@ -51,6 +51,8 @@ class TestSummarize:
         values=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=50),
         mu=st.floats(-1e6, 1e6, allow_nan=False),
     )
+    # a bias of 76 next to a mean near 1e6
+    @example(values=[997670.0, 997581.9999999999], mu=997550.0)
     def test_mse_decomposition(self, values, mu):
         s = mc.summarize(np.array(values), mu)
         r = len(values)
@@ -137,8 +139,6 @@ class TestRunScenario:
     def test_metadata_recorded(self):
         out = mc.run_scenario(SMALL)
         assert out.mu_true == 210.0
-        assert out.prng == "numpy.random.PCG64"
-        assert "splitmix64" in out.seed_derivation
         assert out.scenario is SMALL
 
     def test_mu_true_tracks_config(self):
