@@ -39,4 +39,5 @@ def fsum_col_means(matrix: np.ndarray) -> np.ndarray:
     n = matrix.shape[0]
     if n == 0:
         raise InvalidArgumentError("mean of empty array")
-    return np.array([math.fsum(col) / n for col in matrix.T])
+    # lists, because iterating an array makes a numpy scalar per element
+    return np.array([math.fsum(col) / n for col in matrix.T.tolist()])

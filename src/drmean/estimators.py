@@ -64,14 +64,14 @@ def mu_ht(pi_hat, T, Y) -> float:
     """Unnormalised IPW mean: P_n[T y / pi_hat].  Unbounded."""
     resp, w = _respondent_weights(pi_hat, T)
     y = np.asarray(Y, dtype=float)[resp]
-    return math.fsum(w * y) / len(np.asarray(T))
+    return math.fsum((w * y).tolist()) / len(np.asarray(T))
 
 
 def mu_ipw_pop(pi_hat, T, Y) -> float:
     """Normalised IPW mean, a convex combination of observed outcomes."""
     resp, w = _respondent_weights(pi_hat, T)
     y = np.asarray(Y, dtype=float)[resp]
-    return math.fsum(w * y) / math.fsum(w)
+    return math.fsum((w * y).tolist()) / math.fsum(w.tolist())
 
 
 def mu_aipw(pi_hat, m_hat, T, Y) -> float:
@@ -80,7 +80,8 @@ def mu_aipw(pi_hat, m_hat, T, Y) -> float:
     m_hat = np.asarray(m_hat, dtype=float)
     y = np.asarray(Y, dtype=float)[resp]
     n = len(np.asarray(T))
-    return math.fsum(m_hat) / n + math.fsum(w * (y - m_hat[resp])) / n
+    correction = math.fsum((w * (y - m_hat[resp])).tolist())
+    return math.fsum(m_hat.tolist()) / n + correction / n
 
 
 def mu_b_dr(pi_hat, m_hat, T, Y) -> float:
@@ -94,10 +95,11 @@ def mu_b_dr(pi_hat, m_hat, T, Y) -> float:
     m_hat = np.asarray(m_hat, dtype=float)
     y = np.asarray(Y, dtype=float)[resp]
     n = len(np.asarray(T))
-    denom = math.fsum(w)
+    denom = math.fsum(w.tolist())
     if denom <= 0:
         raise UndefinedEstimatorError("sum of inverse weights is not positive")
-    return math.fsum(m_hat) / n + math.fsum(w * (y - m_hat[resp])) / denom
+    correction = math.fsum((w * (y - m_hat[resp])).tolist())
+    return math.fsum(m_hat.tolist()) / n + correction / denom
 
 
 def mu_from_regression(m_hat) -> float:
@@ -105,7 +107,7 @@ def mu_from_regression(m_hat) -> float:
     m_hat = np.asarray(m_hat, dtype=float)
     if m_hat.size == 0:
         raise UndefinedEstimatorError("no fitted values")
-    return math.fsum(m_hat) / m_hat.size
+    return math.fsum(m_hat.tolist()) / m_hat.size
 
 
 def mu_full(Y) -> float:
@@ -115,7 +117,7 @@ def mu_full(Y) -> float:
         raise UndefinedEstimatorError("no outcomes")
     if not np.all(np.isfinite(Y)):
         raise InvalidArgumentError("complete outcomes contain non-finite values")
-    return math.fsum(Y) / Y.size
+    return math.fsum(Y.tolist()) / Y.size
 
 
 @dataclass
@@ -139,7 +141,9 @@ class Pipeline:
 
     The propensity fit is logistic unless inverse_linear names a method of
     linmod.fit_inverse_linear.  A failed fit is memoised too and re-raised
-    to every estimator that needs it.
+    to every estimator that needs it.  Pipelines on the same design_pi, T
+    and inverse_linear may share one pi_cache dict, so that their
+    propensity model is fitted once for all of them.
     """
 
     def __init__(
@@ -147,6 +151,7 @@ class Pipeline:
         view: AnalysisView,
         full: FullSample | None = None,
         inverse_linear: str | None = None,
+        pi_cache: dict | None = None,
     ):
         self.view = view
         self.full = full
@@ -154,14 +159,16 @@ class Pipeline:
         self.T = np.asarray(view.T)
         self.y = np.asarray(view.y_observed, dtype=float)
         self._cache: dict[str, object] = {}
+        self._pi_cache = self._cache if pi_cache is None else pi_cache
 
-    def _get(self, key: str, build):
-        if key not in self._cache:
+    def _get(self, key: str, build, cache: dict | None = None):
+        cache = self._cache if cache is None else cache
+        if key not in cache:
             try:
-                self._cache[key] = build()
+                cache[key] = build()
             except DrmeanError as exc:
-                self._cache[key] = exc
-        out = self._cache[key]
+                cache[key] = exc
+        out = cache[key]
         if isinstance(out, DrmeanError):
             raise out
         return out
@@ -174,7 +181,7 @@ class Pipeline:
                 self.view.design_pi, self.view.T, self.inverse_linear
             )
 
-        return self._get("pi", build)
+        return self._get("pi", build, self._pi_cache)
 
     def outcome(self, kind: str) -> linmod.OutcomeFit:
         """Outcome fit "REG", "WLS", "EXT_REG" or "IPW_NR" (fit_outcome_<kind>)."""

@@ -3,10 +3,15 @@
 Outcome fits go through one weighted least squares routine and the
 logistic propensity through one Newton routine.  Solves are done on
 column-equilibrated designs via SVD least squares with an explicit rank
-check, followed by iterative refinement driven by compensated (fsum)
-score sums.  The refinement matters: downstream identities are asserted
+check, followed by iterative refinement until the mean score is within
+SCORE_TOL.  The refinement matters: downstream identities are asserted
 to absolute tolerances near 1e-10 on raw-scale designs whose columns
 differ by orders of magnitude.
+
+Each stopping test decides on the exactly rounded (fsum) mean score, but
+sums exactly only the columns that a cheap numpy sum and its rigorous
+error bound leave undecided (_score_within), so the decision, and with
+it every fit, is the same as with exact sums throughout.
 
 Propensity models:
   * logistic maximum likelihood, pi = expit(alpha'x);
@@ -152,6 +157,36 @@ def _assert_full_column_rank(design: np.ndarray) -> None:
         )
 
 
+_U = 2.0**-53  # unit roundoff of float64
+
+
+def _score_within(terms: np.ndarray, tol: float) -> bool:
+    """np.max(np.abs(fsum_col_means(terms))) <= tol, with fewer exact sums.
+
+    A floating-point sum of n terms in any order is within
+    gamma_{n-1} * sum|terms| of the exact sum (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 4.2); e = 2 n u
+    sum|terms| bounds that, the factor 2 covering the rounding of
+    sum|terms| itself.  Columns that the numpy sum and e place certainly
+    within tol need no exact sum; the rest (out of tol, undecided, or
+    with a non-finite bound) are summed exactly and decide.
+    """
+    n = terms.shape[0]
+    if terms.size == 0:
+        return bool(np.max(np.abs(fsum_col_means(terms))) <= tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.abs(terms.sum(axis=0))
+        e = (2.0 * n * _U) * np.abs(terms).sum(axis=0)
+        hi = (s + e) / n
+        lo = (s - e) / n
+    open_ = ~(hi < tol * (1.0 - 4.0 * _U))
+    if not open_.any():
+        return True
+    if np.all(np.isfinite(hi)) and np.any(lo > tol * (1.0 + 4.0 * _U)):
+        return False
+    return bool(np.max(np.abs(fsum_col_means(terms[:, open_]))) <= tol)
+
+
 def _wls(
     design: np.ndarray,
     response: np.ndarray,
@@ -159,8 +194,9 @@ def _wls(
 ) -> tuple[np.ndarray, int]:
     """Weighted least squares.  Returns (coefficients, passes).
 
-    One weighted solve, then refinement passes against the fsum score
-    until max|P_n-score| <= SCORE_TOL or the step stalls.
+    One weighted solve, then refinement passes until the exactly rounded
+    mean score is within SCORE_TOL (certified by _score_within) or the
+    step stalls.
     """
     design, response = _check_design(design, response)
     n = design.shape[0]
@@ -180,8 +216,7 @@ def _wls(
     iterations = 1
     for _ in range(IRLS_MAX_ITER):
         resid = response - design @ beta
-        score = fsum_col_means(design * (w * resid)[:, None])
-        if np.max(np.abs(score)) <= SCORE_TOL:
+        if _score_within(design * (w * resid)[:, None], SCORE_TOL):
             break
         step = _equilibrated_lstsq(design * sw[:, None], resid * sw)
         beta = beta + step
@@ -208,8 +243,7 @@ def _logistic_newton(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarr
         eta = design @ beta
         mu = expit(eta)
         resid = response - mu
-        score = fsum_col_means(design * resid[:, None])
-        if np.max(np.abs(score)) <= SCORE_TOL:
+        if _score_within(design * resid[:, None], SCORE_TOL):
             converged = True
             break
         v = mu * (1.0 - mu)
@@ -484,15 +518,16 @@ def fit_extended_propensity(
     if not np.all(np.isfinite(h)):
         raise InvalidArgumentError("h contains non-finite entries")
     t1 = (T == 1).astype(float)
-    evals = 0
+    # by phi: brentq evaluates the bracket ends the step-out already has
+    values: dict[float, float] = {}
 
     def g(phi: float) -> float:
-        nonlocal evals
-        evals += 1
-        eta = np.clip(base.eta + phi * h, -700.0, 700.0)
-        # T/expit(eta) - 1 = exp(-eta) for respondents, -1 otherwise
-        term = np.where(t1 == 1.0, np.exp(-eta), -1.0)
-        return float(np.mean(term * h))
+        if phi not in values:
+            eta = np.clip(base.eta + phi * h, -700.0, 700.0)
+            # T/expit(eta) - 1 = exp(-eta) for respondents, -1 otherwise
+            term = np.where(t1 == 1.0, np.exp(-eta), -1.0)
+            values[phi] = float(np.mean(term * h))
+        return values[phi]
 
     g0 = g(0.0)
     if abs(g0) <= PHI_GTOL:
@@ -521,5 +556,5 @@ def fit_extended_propensity(
         eta=eta,
         pi_hat=pi_hat,
         diagnostics=weight_diagnostics(pi_hat, T),
-        iterations=evals,
+        iterations=len(values),
     )

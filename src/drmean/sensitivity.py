@@ -160,7 +160,10 @@ def _estimate_cell(
     p_spec: ModelSpec,
     o_spec: ModelSpec,
     estimator: str,
+    pi_cache: dict | None = None,
 ) -> float:
+    """One cell's estimate.  pi_cache, if given, is shared by the cells of
+    one sample and p_spec, which then fit their propensity model once."""
     view = AnalysisView(
         design_pi=design_matrix(covariates, p_spec.covariates),
         design_m=design_matrix(covariates, o_spec.covariates),
@@ -168,7 +171,7 @@ def _estimate_cell(
         y_observed=np.where(T == 1, Y, np.nan),
     )
     method = _PROPENSITY_METHODS[p_spec.kind or "LOGISTIC_MLE"]
-    pipe = Pipeline(view, inverse_linear=method)
+    pipe = Pipeline(view, inverse_linear=method, pi_cache=pi_cache)
     pipe.propensity()  # fit first: its failure ends the cell before any outcome fit
     return ESTIMATORS[estimator](pipe)
 
@@ -207,7 +210,9 @@ def build_matrix(
     """Estimate under every (propensity, outcome) spec pairing.
 
     Returns the (J_p, J_o) estimate matrix with NaN for cells whose fit
-    failed, plus failure messages keyed by cell index.
+    failed, plus failure messages keyed by cell index.  Each row fits its
+    propensity model once; a failed fit gives every cell of the row its
+    message.
     """
     covariates, T, Y = _check_data(covariates, T, Y)
     p_specs, o_specs = _validate_specs(p_specs, o_specs, estimator)
@@ -215,9 +220,12 @@ def build_matrix(
     estimates = np.full((len(p_specs), len(o_specs)), np.nan)
     messages: dict[tuple[int, int], str] = {}
     for i, ps in enumerate(p_specs):
+        pi_cache: dict = {}
         for j, os_ in enumerate(o_specs):
             try:
-                estimates[i, j] = _estimate_cell(covariates, T, Y, ps, os_, estimator)
+                estimates[i, j] = _estimate_cell(
+                    covariates, T, Y, ps, os_, estimator, pi_cache
+                )
             except DrmeanError as exc:
                 messages[(i, j)] = f"{type(exc).__name__}: {exc}"
     return estimates, messages
@@ -238,11 +246,11 @@ def homogeneity_test(
 
     The line holds fixed_spec fixed and varies varying_specs (the other
     role).  Contrasts are first-versus-rest; their covariance comes from
-    boot_reps nonparametric bootstrap draws recomputed per spec.  Cells
-    that fail in a draw discard that draw.  A singular contrast
-    covariance falls back to a pseudoinverse with reduced degrees of
-    freedom and is flagged.  Lines of length one are trivially
-    homogeneous (p = 1).
+    boot_reps nonparametric bootstrap draws recomputed per spec, each
+    propensity spec fitted once per draw.  Cells that fail in a draw
+    discard that draw.  A singular contrast covariance falls back to a
+    pseudoinverse with reduced degrees of freedom and is flagged.  Lines
+    of length one are trivially homogeneous (p = 1).
     """
     covariates, T, Y = _check_data(covariates, T, Y)
     varying_specs = tuple(varying_specs)
@@ -290,10 +298,13 @@ def homogeneity_test(
         idx = rng.integers(0, n, size=n)
         cov_b, t_b, y_b = covariates[idx], T[idx], Y[idx]
         row = np.empty(m)
+        pi_caches: dict[ModelSpec, dict] = {}
         try:
             for k, v in enumerate(varying_specs):
                 ps, os_ = pair(v)
-                row[k] = _estimate_cell(cov_b, t_b, y_b, ps, os_, estimator)
+                row[k] = _estimate_cell(
+                    cov_b, t_b, y_b, ps, os_, estimator, pi_caches.setdefault(ps, {})
+                )
         except DrmeanError:
             failures += 1
             continue

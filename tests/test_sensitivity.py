@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from drmean import linmod
 from drmean import sensitivity as sens
 from drmean.dgp import generate_sample, make_view
-from drmean.errors import InvalidArgumentError
+from drmean.errors import InvalidArgumentError, SingularDesignError
 from drmean.estimators import estimate_all
 
 PZ = sens.ModelSpec(role="propensity", covariates=(0, 1, 2, 3))
@@ -197,6 +198,56 @@ class TestHomogeneity:
         with pytest.raises(InvalidArgumentError):
             sens.homogeneity_test(np.array([210.0, 211.0]), cov, T, y, PZ,
                                   (OZ, OX), "DR_WLS", boot_reps=1)
+
+
+@pytest.fixture
+def logistic_fits(monkeypatch):
+    """Design row counts of every logistic propensity fit made."""
+    fits = []
+    fit = linmod.fit_logistic_propensity
+    monkeypatch.setattr(
+        linmod, "fit_logistic_propensity",
+        lambda design, T: fits.append(len(design)) or fit(design, T),
+    )
+    return fits
+
+
+class TestSharedPropensityFits:
+    def test_line_fits_fixed_propensity_once_per_draw(self, data600, logistic_fits):
+        _, cov, T, y = data600
+        out = sens.homogeneity_test(np.array([210.0, 211.0]), cov, T, y, PZ,
+                                    (OZ, OX), "DR_WLS", boot_reps=25, seed=3)
+        assert out.n_boot_used == 25
+        assert len(logistic_fits) == 25
+
+    def test_matrix_fits_each_propensity_once(self, data600, logistic_fits):
+        _, cov, T, y = data600
+        o_third = sens.ModelSpec(role="outcome", covariates=(0, 5))
+        estimates, messages = sens.build_matrix(
+            cov, T, y, [PZ, PX], [OZ, OX, o_third], "DR_WLS"
+        )
+        assert np.all(np.isfinite(estimates)) and messages == {}
+        assert len(logistic_fits) == 2
+
+    def test_singular_propensity_row(self, data600, logistic_fits):
+        # the failed fit is made once and reported by every cell of its row
+        _, cov, T, y = data600
+        p_singular = sens.ModelSpec(role="propensity", covariates=(0, 0))
+        estimates, messages = sens.build_matrix(
+            cov, T, y, [PZ, p_singular], [OZ, OX], "DR_WLS"
+        )
+        assert len(logistic_fits) == 2
+        assert np.all(np.isfinite(estimates[0])) and np.all(np.isnan(estimates[1]))
+        assert sorted(messages) == [(1, 0), (1, 1)]
+        assert messages[(1, 0)] == messages[(1, 1)]
+        assert messages[(1, 0)].startswith(SingularDesignError.__name__ + ":")
+        out = sens.run_sensitivity(cov, T, y, [PZ, p_singular], [OZ, OX], "DR_WLS",
+                                   boot_reps=25, seed=0)
+        assert out.cell_messages == messages
+        assert math.isnan(out.row_tests[1].p_value)
+        assert out.row_tests[1].n_boot_used == 0
+        assert out.row_tests[1].note.startswith("dropped 2 failed cell(s)")
+        assert all(t.note.startswith("dropped 1 failed cell(s)") for t in out.col_tests)
 
 
 @pytest.fixture(scope="module")
