@@ -284,7 +284,9 @@ def estimate_all(
     """
     names = ESTIMATOR_NAMES if which is None else check_estimator_names(which)
     pipe = Pipeline(view, full)
-    resp, y = pipe.T == 1, pipe.y
+    y_resp = pipe.y[pipe.T == 1]
+    y_resp = y_resp[~np.isnan(y_resp)]
+    lo, hi = (y_resp.min(), y_resp.max()) if y_resp.size else (math.inf, -math.inf)
     values: dict[str, float] = {}
     flags: dict[str, str] = {}
     messages: dict[str, str] = {}
@@ -297,7 +299,7 @@ def estimate_all(
             messages[name] = f"{type(exc).__name__}: {exc}"
             continue
         values[name] = value
-        if resp.any() and np.nanmin(y[resp]) <= value <= np.nanmax(y[resp]):
+        if lo <= value <= hi:
             flags[name] = FLAG_OK
         else:
             flags[name] = FLAG_OUT_OF_RANGE

@@ -1,17 +1,16 @@
 """Weighted linear and logistic fits, plus the propensity models.
 
-Outcome fits go through one weighted least squares routine and the
-logistic propensity through one Newton routine.  Solves are done on
-column-equilibrated designs via SVD least squares with an explicit rank
-check, followed by iterative refinement until the mean score is within
-SCORE_TOL.  The refinement matters: downstream identities are asserted
-to absolute tolerances near 1e-10 on raw-scale designs whose columns
-differ by orders of magnitude.
+Outcome fits go through one weighted least squares routine (_wls): SVD
+least squares on the column-equilibrated design with a rank check, then
+refinement passes until the mean score is within SCORE_TOL.  That matters:
+downstream identities are asserted to absolute tolerances near 1e-10 on
+raw-scale designs whose columns differ by orders of magnitude.  Logistic
+Newton steps solve the p x p weighted Gram matrix of the equilibrated
+design, once Cholesky shows it positive definite (_newton_step).
 
 Each stopping test decides on the exactly rounded (fsum) mean score, but
-sums exactly only the columns that a cheap numpy sum and its rigorous
-error bound leave undecided (_score_within), so the decision, and with
-it every fit, is the same as with exact sums throughout.
+sums exactly only the columns that the mat-vec design.T @ q and its
+rigorous error bound leave undecided (_score_within).
 
 Propensity models:
   * logistic maximum likelihood, pi = expit(alpha'x);
@@ -49,6 +48,7 @@ IRLS_MAX_ITER = 100
 SCORE_TOL = 1e-10      # max-norm of the mean score at convergence
 STEP_TOL = 1e-12       # max-norm of the Newton step at convergence
 RANK_RCOND = 1e-10     # singular values below rcond * smax count as zero
+_U = 2.0**-53          # unit roundoff of float64
 ETA_SEPARATION = 33.0  # |linear predictor| beyond this means separation
 PHI_BRACKET_MAX = 50.0
 PHI_GTOL = 1e-10
@@ -133,58 +133,55 @@ def _check_design(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray,
     return design, response
 
 
+def _equilibrate(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(design / scale, scale), scale_j the root mean square of column j (1 if zero);
+    a column whose squares overflow is first divided by a power of two (exact)."""
+    with np.errstate(over="ignore"):
+        scale = np.sqrt(np.mean(design * design, axis=0))
+    big = ~np.isfinite(scale)
+    if big.any():
+        m = np.ldexp(1.0, np.frexp(np.max(np.abs(design[:, big]), axis=0))[1] - 1)
+        scale[big] = m * np.sqrt(np.mean((design[:, big] / m) ** 2, axis=0))
+    scale[scale == 0.0] = 1.0
+    return design / scale, scale
+
+
+def _check_rank(rank: int, p: int) -> None:
+    if rank < p:
+        raise SingularDesignError(f"rank {rank} < {p} columns at rcond={RANK_RCOND:g}")
+
+
 def _equilibrated_lstsq(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Least squares on a column-equilibrated design, with rank check."""
-    scale = np.sqrt(np.mean(design * design, axis=0))
-    scale[scale == 0.0] = 1.0
-    coef, _, rank, _ = np.linalg.lstsq(design / scale, rhs, rcond=RANK_RCOND)
-    if rank < design.shape[1]:
-        raise SingularDesignError(
-            f"rank {rank} < {design.shape[1]} columns at rcond={RANK_RCOND:g}"
-        )
+    xs, scale = _equilibrate(design)
+    try:
+        coef, _, rank, _ = np.linalg.lstsq(xs, rhs, rcond=RANK_RCOND)
+    except np.linalg.LinAlgError as exc:
+        raise NonconvergenceError(f"least squares failed: {exc}") from None
+    _check_rank(rank, design.shape[1])
     return coef / scale
 
 
-def _assert_full_column_rank(design: np.ndarray) -> None:
-    """Rank check with the lstsq cutoff, for paths that may never solve."""
-    scale = np.sqrt(np.mean(design * design, axis=0))
-    scale[scale == 0.0] = 1.0
-    s = np.linalg.svd(design / scale, compute_uv=False)
-    rank = 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > RANK_RCOND * s[0]))
-    if rank < design.shape[1]:
-        raise SingularDesignError(
-            f"rank {rank} < {design.shape[1]} columns at rcond={RANK_RCOND:g}"
-        )
+def _score_within(design: np.ndarray, q: np.ndarray, tol: float) -> bool:
+    """np.max(np.abs(fsum_col_means(design * q[:, None]))) <= tol, cheaply.
 
-
-_U = 2.0**-53  # unit roundoff of float64
-
-
-def _score_within(terms: np.ndarray, tol: float) -> bool:
-    """np.max(np.abs(fsum_col_means(terms))) <= tol, with fewer exact sums.
-
-    A floating-point sum of n terms in any order is within
-    gamma_{n-1} * sum|terms| of the exact sum (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., sec. 4.2); e = 2 n u
-    sum|terms| bounds that, the factor 2 covering the rounding of
-    sum|terms| itself.  Columns that the numpy sum and e place certainly
-    within tol need no exact sum; the rest (out of tol, undecided, or
-    with a non-finite bound) are summed exactly and decide.
+    The mat-vec design.T @ q, in any order and with or without fused
+    multiply-adds, is within e = 2 (n + 1) u |design|.T @ |q| of the exact
+    sum of the rounded products, the rounding of e included (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1).
+    Only the columns that e leaves open are summed exactly, and decide.
     """
-    n = terms.shape[0]
-    if terms.size == 0:
-        return bool(np.max(np.abs(fsum_col_means(terms))) <= tol)
+    n = design.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        s = np.abs(terms.sum(axis=0))
-        e = (2.0 * n * _U) * np.abs(terms).sum(axis=0)
+        s = np.abs(design.T @ q)
+        e = (2.0 * (n + 1) * _U) * (np.abs(design).T @ np.abs(q))
         hi = (s + e) / n
-        lo = (s - e) / n
     open_ = ~(hi < tol * (1.0 - 4.0 * _U))
     if not open_.any():
         return True
-    if np.all(np.isfinite(hi)) and np.any(lo > tol * (1.0 + 4.0 * _U)):
+    if np.all(np.isfinite(hi)) and np.any((s - e) / n > tol * (1.0 + 4.0 * _U)):
         return False
-    return bool(np.max(np.abs(fsum_col_means(terms[:, open_]))) <= tol)
+    return bool(np.max(np.abs(fsum_col_means(design[:, open_] * q[:, None]))) <= tol)
 
 
 def _wls(
@@ -216,7 +213,7 @@ def _wls(
     iterations = 1
     for _ in range(IRLS_MAX_ITER):
         resid = response - design @ beta
-        if _score_within(design * (w * resid)[:, None], SCORE_TOL):
+        if _score_within(design, w * resid, SCORE_TOL):
             break
         step = _equilibrated_lstsq(design * sw[:, None], resid * sw)
         beta = beta + step
@@ -226,52 +223,62 @@ def _wls(
     return beta, iterations
 
 
+def _newton_step(xs: np.ndarray, v: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """Solve (xs' V xs) d = xs' resid over the rows with v > 0: on the Gram matrix
+    if its Cholesky pivots all exceed sqrt(RANK_RCOND) * the largest, else by lstsq."""
+    live = v > 0
+    gram = (xs.T * v) @ xs
+    try:
+        d = np.diag(np.linalg.cholesky(gram))
+        if d.min() > math.sqrt(RANK_RCOND) * d.max():
+            return np.linalg.solve(gram, xs.T @ (resid * live))
+    except np.linalg.LinAlgError:
+        pass
+    sv = np.sqrt(v[live])
+    return _equilibrated_lstsq(xs[live] * sv[:, None], resid[live] / sv)
+
+
 def _logistic_newton(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, int]:
     """Logistic maximum likelihood.  Returns (coefficients, iterations).
 
-    Newton steps from beta = 0 with the exit rules of _wls, then a
-    separation check on the final linear predictor.
+    Newton steps (_newton_step) from beta = 0 with the exit rules of
+    _wls, then a separation check on the final linear predictor.  The
+    Gram solve squares the condition number, but each step is taken from
+    the current score, so its error slows the iteration without moving
+    the fit (Bjorck, Numerical Methods for Least Squares Problems, 1996).
     """
     design, response = _check_design(design, response)
-    # The rank check must come first: a stationary start (score already
-    # zero at beta = 0) would exit before any solve sees the design.
-    _assert_full_column_rank(design)
+    xs, scale = _equilibrate(design)
+    # rank check first: a stationary start would exit before any solve
+    try:
+        sv = np.linalg.svd(xs, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NonconvergenceError(f"rank check failed: {exc}") from None
+    _check_rank(int(np.sum(sv > RANK_RCOND * sv.max(initial=0.0))), xs.shape[1])
     beta = np.zeros(design.shape[1])
-    converged = False
-    first = True
     for iterations in range(1, IRLS_MAX_ITER + 1):
-        eta = design @ beta
-        mu = expit(eta)
+        mu = expit(design @ beta)
         resid = response - mu
-        if _score_within(design * resid[:, None], SCORE_TOL):
-            converged = True
+        if _score_within(design, resid, SCORE_TOL):
             break
         v = mu * (1.0 - mu)
-        live = v > 0
-        if not live.any():
+        if not np.any(v > 0):
             raise NonconvergenceError("all fitted variances vanished")
-        sv = np.sqrt(v[live])
         try:
-            step = _equilibrated_lstsq(
-                design[live] * sv[:, None], resid[live] / sv
-            )
+            step = _newton_step(xs, v, resid) / scale
         except SingularDesignError:
-            if first:
+            if iterations == 1:
                 raise
             raise NonconvergenceError(
                 "weighted design lost rank during iteration (separation?)"
             ) from None
-        first = False
         beta = beta + step
         if np.max(np.abs(step)) <= STEP_TOL:
-            converged = True
             break
-    if not converged:
+    else:
         raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} iterations")
     if np.max(np.abs(design @ beta)) > ETA_SEPARATION:
-        raise NonconvergenceError(
-            "fitted probabilities pinned at 0/1: data are separated"
-        )
+        raise NonconvergenceError("fitted probabilities pinned at 0/1: data are separated")
     return beta, iterations
 
 
@@ -306,10 +313,14 @@ def _inv_linear_unconstrained(design: np.ndarray, T: np.ndarray) -> tuple[np.nda
     """Solve P_n[(T alpha'x - 1) x] = 0 by linear solve plus refinement."""
     n, p = design.shape
     tx = design * (T == 1)[:, None].astype(float)
-    gram = np.empty((p, p))
-    for j in range(p):
-        gram[j] = fsum_col_means(tx * design[:, j][:, None])
-    target = fsum_col_means(design)
+    with np.errstate(over="ignore"):
+        terms = (design[:, :, None] * tx[:, None, :]).reshape(n, p * p)
+    try:
+        gram, target = fsum_col_means(terms).reshape(p, p), fsum_col_means(design)
+    except (OverflowError, ValueError):  # math.fsum past the float range, or inf - inf
+        gram = np.full((p, p), np.inf)
+    if not np.all(np.isfinite(gram)):
+        raise InvalidArgumentError("moment Gram matrix is not finite")
     alpha = _equilibrated_lstsq(gram, target)
     iterations = 1
     for _ in range(20):
@@ -402,7 +413,6 @@ def fit_inverse_linear(
     fitted values outside (0, 1], which is intentional (its point is the
     algebraic identity it induces, not plausibility of the weights).
     """
-    design = np.asarray(design, dtype=float)
     T = np.asarray(T)
     design, _ = _check_design(design, T.astype(float))
     kinds = {

@@ -22,7 +22,7 @@ from scipy.special import chdtrc
 
 from ._util import derive_seed
 from .dgp import AnalysisView, design_matrix
-from .errors import DrmeanError, InvalidArgumentError
+from .errors import DrmeanError, InvalidArgumentError, NonconvergenceError
 from .estimators import ESTIMATORS, Pipeline
 
 # estimators that combine a propensity and an outcome fit, in table order
@@ -340,9 +340,12 @@ def homogeneity_test(
             note=(note + "; " if note else "") + "all contrasts identically zero",
         )
     sigma_c = np.cov(boot_contrasts.T, ddof=1).reshape(m - 1, m - 1)
-    rank = int(np.linalg.matrix_rank(sigma_c, hermitian=True))
+    try:
+        rank = int(np.linalg.matrix_rank(sigma_c, hermitian=True))
+        pinv = np.linalg.pinv(sigma_c, hermitian=True)
+    except np.linalg.LinAlgError as exc:
+        raise NonconvergenceError(f"contrast covariance: {exc}") from None
     singular = rank < m - 1
-    pinv = np.linalg.pinv(sigma_c, hermitian=True)
     statistic = float(d @ pinv @ d)
     if statistic < 0:  # numerically tiny negatives from the pseudoinverse
         statistic = 0.0

@@ -137,6 +137,17 @@ class TestLogisticPropensity:
         with pytest.raises(SingularDesignError):
             linmod.fit_logistic_propensity(design, T)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("factor", [1e160, 1e300])
+    def test_huge_column_fits(self, factor):
+        # the squares of such a column overflow in the equilibration scale
+        view = make_view(generate_sample(1000, 3), True, True)
+        big = view.design_pi.copy()
+        big[:, 1] *= factor
+        fit = linmod.fit_logistic_propensity(big, view.T)
+        ref = linmod.fit_logistic_propensity(view.design_pi, view.T)
+        assert np.max(np.abs(fit.pi_hat - ref.pi_hat)) <= 1e-12
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fit_needs_no_exact_sum(self, monkeypatch, seed):
         # the error bound of the numpy score sums settles every stopping test
@@ -301,6 +312,19 @@ class TestInverseLinear:
         with pytest.raises(InvalidArgumentError):
             linmod.fit_inverse_linear(np.ones((3, 1)), np.array([1, 0, 1]), "mle")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "cols, factor",
+        [((1,), 1e153), ((1,), 1e160), ((1, 2), 1e160)],
+        ids=["sum-overflows", "product-overflows", "inf-minus-inf"],
+    )
+    def test_unconstrained_gram_out_of_range(self, cols, factor):
+        view = make_view(generate_sample(1000, 3), True, True)
+        design = view.design_pi.copy()
+        design[:, cols] *= factor
+        with pytest.raises(InvalidArgumentError, match="moment Gram matrix"):
+            linmod.fit_inverse_linear(design, view.T, "unconstrained_moment")
+
 
 class TestExtendedPropensity:
     def quartic_setup(self):
@@ -395,6 +419,82 @@ class TestExtendedPropensity:
             linmod.fit_extended_propensity(base, np.zeros(3), T)
 
 
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(linmod, name)
+    monkeypatch.setattr(linmod, name, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+class TestGramNewton:
+    @pytest.mark.parametrize("z", [True, False], ids=["Z", "X"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_well_conditioned_fit_needs_no_lstsq(self, monkeypatch, seed, z):
+        calls = _spy(monkeypatch, "_equilibrated_lstsq")
+        view = make_view(generate_sample(1000, seed), z, z)
+        linmod.fit_logistic_propensity(view.design_pi, view.T)
+        assert calls == []
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6])
+    def test_near_collinear_design_falls_back(self, monkeypatch, eps):
+        s = generate_sample(500, 4)
+        z = s.Z[:, 0]
+        design = np.column_stack([np.ones(s.n), z, z + eps * s.Z[:, 1], s.Z[:, 2]])
+        calls = _spy(monkeypatch, "_equilibrated_lstsq")
+        fit = linmod.fit_logistic_propensity(design, s.T)
+        assert calls
+        monkeypatch.undo()
+
+        def no_cholesky(a):
+            raise np.linalg.LinAlgError("lstsq steps only")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+        ref = linmod.fit_logistic_propensity(design, s.T)
+        assert fit.iterations == ref.iterations
+        assert np.max(np.abs(fit.alpha - ref.alpha)) <= 1e-10 * np.max(np.abs(ref.alpha))
+
+    def test_newton_steps_pinned(self):
+        # the totals of the SVD least squares steps these fits replaced
+        totals = {}
+        for z in (True, False):
+            totals[z] = sum(
+                linmod.fit_logistic_propensity(v.design_pi, v.T).iterations
+                for v in (make_view(generate_sample(1000, s), z, z) for s in range(20))
+            )
+        assert totals == {True: 120, False: 120}
+
+    @pytest.mark.parametrize("name", ["lstsq", "svd"])
+    def test_linalg_error_becomes_drmean_error(self, monkeypatch, name):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, name, fail)
+        with pytest.raises(NonconvergenceError, match="SVD did not converge"):
+            if name == "lstsq":
+                linmod.irls_fit(np.eye(3), np.ones(3))
+            else:
+                linmod.fit_logistic_propensity(np.eye(3), np.array([1, 0, 1]))
+
+
+class TestEquilibrate:
+    def test_scale_is_the_root_mean_square(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            design = rng.standard_normal((40, 4)) * 10.0 ** rng.integers(-150, 150, 4)
+            design[:, rng.integers(4)] = 0.0
+            want = np.sqrt(np.mean(design * design, axis=0))
+            want[want == 0.0] = 1.0
+            xs, scale = linmod._equilibrate(design)
+            assert np.array_equal(scale, want)
+            assert np.array_equal(xs, design / want)
+
+    def test_scale_is_finite_for_huge_columns(self):
+        design = np.array([[1e300, 1.7e308, 0.0], [-1e300, -1.5e308, 0.0]])
+        _, scale = linmod._equilibrate(design)
+        assert scale[0] == 1e300 and scale[2] == 1.0
+        assert scale[1] == pytest.approx(math.sqrt((1.7**2 + 1.5**2) / 2) * 1e308, rel=1e-15)
+
+
 class TestWeightDiagnostics:
     def test_hand_values(self):
         d = linmod.weight_diagnostics(np.array([0.5, 0.1, 0.25]), np.array([1, 0, 1]))
@@ -423,9 +523,11 @@ def exact_within(terms, tol):
 
 
 @st.composite
-def score_terms(draw):
-    """Score-like columns: mixed scales, heavy cancellation, and exact
-    column sums placed within a few ulps of +-tol * n."""
+def score_cases(draw):
+    """(design, q, tol) with score-like products design * q: mixed scales,
+    heavy cancellation, and exact column sums placed within a few ulps of
+    +-tol * n.  q is all ones, random signed powers of two (so that the
+    products keep those exact sums), or standard normal."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     tol = draw(st.sampled_from([1e-10, 1e-13, 3.7e-6, 1.0]))
     pairs = draw(st.integers(0, 30))
@@ -446,22 +548,38 @@ def score_terms(draw):
         x = rng.standard_normal(pairs) * scale
         col = np.concatenate([x, -x, [last]])  # exact sum: last
         cols.append(rng.permutation(col))
-    return np.column_stack(cols), tol
+    terms = np.column_stack(cols)
+    q_kind = draw(st.sampled_from(["ones", "pow2", "normal"]))
+    if q_kind == "ones":
+        return terms, np.ones(n), tol
+    if q_kind == "pow2":
+        q = np.ldexp(rng.choice([-1.0, 1.0], n), rng.integers(-30, 31, n))
+        return terms / q[:, None], q, tol  # design * q == terms exactly
+    return terms, rng.standard_normal(n), tol
 
 
 class TestScoreWithin:
     @settings(max_examples=300, deadline=None)
-    @given(score_terms())
+    @given(score_cases())
     def test_agrees_with_exact_sums(self, case):
-        terms, tol = case
-        assert linmod._score_within(terms, tol) == exact_within(terms, tol)
+        design, q, tol = case
+        want = exact_within(design * q[:, None], tol)
+        assert linmod._score_within(design, q, tol) == want
 
     def test_cancellation_is_summed_exactly(self):
         # the numpy sum is 0, the exact mean is 1/3
-        terms = np.array([[1e16], [1.0], [-1e16]])
-        assert float(np.sum(terms)) == 0.0
-        assert linmod._score_within(terms, 1e-10) is False
+        design = np.array([[1e16], [1.0], [-1e16]])
+        assert float(np.sum(design)) == 0.0
+        assert linmod._score_within(design, np.ones(3), 1e-10) is False
+
+    def test_weights_enter_the_products(self):
+        # products [1e16, 1, -1e16]: the mat-vec is 0, the exact mean 1/3
+        design = np.array([[1e16], [1.0], [1e16]])
+        q = np.array([1.0, 1.0, -1.0])
+        assert float((design.T @ q)[0]) == 0.0
+        assert linmod._score_within(design, q, 1e-10) is False
+        assert linmod._score_within(design, np.array([1.0, 0.0, -1.0]), 1e-10) is True
 
     def test_nan_column_is_not_within(self):
-        terms = np.array([[0.0, np.nan], [0.0, 1.0]])
-        assert linmod._score_within(terms, 1e-10) is False
+        design = np.array([[0.0, np.nan], [0.0, 1.0]])
+        assert linmod._score_within(design, np.ones(2), 1e-10) is False

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from drmean import linmod
+from drmean import errors, linmod
 from drmean import sensitivity as sens
 from drmean.dgp import generate_sample, make_view
-from drmean.errors import InvalidArgumentError, SingularDesignError
+from drmean.errors import InvalidArgumentError, NonconvergenceError, SingularDesignError
 from drmean.estimators import estimate_all
 
 PZ = sens.ModelSpec(role="propensity", covariates=(0, 1, 2, 3))
@@ -292,6 +292,40 @@ class TestRunSensitivity:
         payload = json.loads(json.dumps(out.to_dict()))
         assert payload["estimates"][0][0] is None
         assert "0,0" in payload["cell_messages"]
+
+
+class TestNoForeignExceptions:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_out_of_range_moment_row_fails_alone(self, data600):
+        # the unconstrained moment Gram of a x1e160 column overflows: that
+        # row fails with a DrmeanError and the rest of the run goes on
+        _, cov, T, y = data600
+        cov = cov.copy()
+        cov[:, 0] *= 1e160
+        p_moment = sens.ModelSpec(
+            role="propensity", covariates=(0, 1, 2, 3), kind="INV_LINEAR_UNCONSTRAINED"
+        )
+        out = sens.run_sensitivity(cov, T, y, [PZ, p_moment], [OZ, OX], "DR_WLS",
+                                   boot_reps=25, seed=5)
+        alone = sens.run_sensitivity(cov, T, y, [PZ], [OZ, OX], "DR_WLS",
+                                     boot_reps=25, seed=5)
+        assert sorted(out.cell_messages) == [(1, 0), (1, 1)]
+        for msg in out.cell_messages.values():
+            name = msg.split(":")[0]
+            assert issubclass(getattr(errors, name), errors.DrmeanError)
+        assert np.all(np.isfinite(out.estimates[0]))
+        assert out.row_tests[0].p_value == alone.row_tests[0].p_value
+
+    @pytest.mark.parametrize("name", ["matrix_rank", "pinv"])
+    def test_linalg_error_in_the_wald_test(self, data600, monkeypatch, name):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, name, fail)
+        _, cov, T, y = data600
+        with pytest.raises(NonconvergenceError, match="SVD did not converge"):
+            sens.homogeneity_test(np.array([210.0, 211.0]), cov, T, y, PZ,
+                                  (OZ, OX), "DR_WLS", boot_reps=25, seed=3)
 
 
 class TestSelectModels:
