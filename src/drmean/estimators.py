@@ -46,39 +46,41 @@ FLAG_OUT_OF_RANGE = "out_of_observed_range"
 FLAG_FAILED = "fit_failed"
 
 
-def _respondent_weights(pi_hat, T):
+def _respondents(pi_hat, T, Y):
+    """(resp, 1 / pi_hat[resp], Y[resp]) for resp = (T == 1), all checked."""
     T = np.asarray(T)
     resp = T == 1
     pi_hat = np.asarray(pi_hat, dtype=float)
-    if pi_hat.shape != T.shape:
-        raise InvalidArgumentError("pi_hat length must match T")
+    Y = np.asarray(Y, dtype=float)
+    if pi_hat.shape != T.shape or Y.shape != T.shape:
+        raise InvalidArgumentError("pi_hat and Y lengths must match T")
     if not resp.any():
         raise UndefinedEstimatorError("no respondents")
     pr = pi_hat[resp]
     if np.any(pr <= 0) or not np.all(np.isfinite(pr)):
         raise InvalidWeightError("pi_hat must be finite and positive on respondents")
-    return resp, 1.0 / pr
+    y = Y[resp]
+    if not np.all(np.isfinite(y)):
+        raise InvalidArgumentError("observed outcomes contain non-finite values")
+    return resp, 1.0 / pr, y
 
 
 def mu_ht(pi_hat, T, Y) -> float:
     """Unnormalised IPW mean: P_n[T y / pi_hat].  Unbounded."""
-    resp, w = _respondent_weights(pi_hat, T)
-    y = np.asarray(Y, dtype=float)[resp]
+    _, w, y = _respondents(pi_hat, T, Y)
     return math.fsum((w * y).tolist()) / len(np.asarray(T))
 
 
 def mu_ipw_pop(pi_hat, T, Y) -> float:
     """Normalised IPW mean, a convex combination of observed outcomes."""
-    resp, w = _respondent_weights(pi_hat, T)
-    y = np.asarray(Y, dtype=float)[resp]
+    _, w, y = _respondents(pi_hat, T, Y)
     return math.fsum((w * y).tolist()) / math.fsum(w.tolist())
 
 
 def mu_aipw(pi_hat, m_hat, T, Y) -> float:
     """Augmented IPW: P_n[m_hat] + P_n[T (y - m_hat) / pi_hat]."""
-    resp, w = _respondent_weights(pi_hat, T)
+    resp, w, y = _respondents(pi_hat, T, Y)
     m_hat = np.asarray(m_hat, dtype=float)
-    y = np.asarray(Y, dtype=float)[resp]
     n = len(np.asarray(T))
     correction = math.fsum((w * (y - m_hat[resp])).tolist())
     return math.fsum(m_hat.tolist()) / n + correction / n
@@ -91,9 +93,8 @@ def mu_b_dr(pi_hat, m_hat, T, Y) -> float:
     can never leave [min m_hat, max m_hat] by more than the largest
     absolute residual.
     """
-    resp, w = _respondent_weights(pi_hat, T)
+    resp, w, y = _respondents(pi_hat, T, Y)
     m_hat = np.asarray(m_hat, dtype=float)
-    y = np.asarray(Y, dtype=float)[resp]
     n = len(np.asarray(T))
     denom = math.fsum(w.tolist())
     if denom <= 0:

@@ -8,9 +8,9 @@ raw-scale designs whose columns differ by orders of magnitude.  Logistic
 Newton steps solve the p x p weighted Gram matrix of the equilibrated
 design, once Cholesky shows it positive definite (_newton_step).
 
-Each stopping test decides on the exactly rounded (fsum) mean score, but
-sums exactly only the columns that the mat-vec design.T @ q and its
-rigorous error bound leave undecided (_score_within).
+Both fits stop once the mat-vec score and its rounding error bound can
+no longer prove any column above SCORE_TOL (_score_within, scale-free), and
+raise NonconvergenceError at IRLS_MAX_ITER passes.
 
 Propensity models:
   * logistic maximum likelihood, pi = expit(alpha'x);
@@ -46,7 +46,7 @@ from .errors import (
 
 IRLS_MAX_ITER = 100
 SCORE_TOL = 1e-10      # max-norm of the mean score at convergence
-STEP_TOL = 1e-12       # max-norm of the Newton step at convergence
+STEP_TOL = 1e-12       # inverse-linear solve: step max-norm relative to alpha
 RANK_RCOND = 1e-10     # singular values below rcond * smax count as zero
 _U = 2.0**-53          # unit roundoff of float64
 ETA_SEPARATION = 33.0  # |linear predictor| beyond this means separation
@@ -162,26 +162,23 @@ def _equilibrated_lstsq(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return coef / scale
 
 
-def _score_within(design: np.ndarray, q: np.ndarray, tol: float) -> bool:
-    """np.max(np.abs(fsum_col_means(design * q[:, None]))) <= tol, cheaply.
+def _score_within(
+    design: np.ndarray, q: np.ndarray, q_err: np.ndarray | float, tol: float
+) -> bool:
+    """False only if the mat-vec design.T @ q proves a column's mean above tol.
 
-    The mat-vec design.T @ q, in any order and with or without fused
-    multiply-adds, is within e = 2 (n + 1) u |design|.T @ |q| of the exact
-    sum of the rounded products, the rounding of e included (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1).
-    Only the columns that e leaves open are summed exactly, and decide.
+    design.T @ q, in any order, with or without fused multiply-adds, is within
+    e = |design|.T @ (2 (n + 1) u |q| + q_err) of the exact score, q_err
+    bounding the rounding already in q (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 3.1).  |design.T @ q| - e <= tol n
+    is a componentwise backward-error test (Arioli, Duff & Ruiz, SIAM J.
+    Matrix Anal. Appl. 13, 1992), unchanged when q and q_err are scaled.
     """
     n = design.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.abs(design.T @ q)
-        e = (2.0 * (n + 1) * _U) * (np.abs(design).T @ np.abs(q))
-        hi = (s + e) / n
-    open_ = ~(hi < tol * (1.0 - 4.0 * _U))
-    if not open_.any():
-        return True
-    if np.all(np.isfinite(hi)) and np.any((s - e) / n > tol * (1.0 + 4.0 * _U)):
-        return False
-    return bool(np.max(np.abs(fsum_col_means(design[:, open_] * q[:, None]))) <= tol)
+        e = np.abs(design).T @ ((2.0 * (n + 1) * _U) * np.abs(q) + q_err)
+        return bool(np.all(np.isfinite(e)) and np.all(s - e <= tol * n))
 
 
 def _wls(
@@ -191,12 +188,12 @@ def _wls(
 ) -> tuple[np.ndarray, int]:
     """Weighted least squares.  Returns (coefficients, passes).
 
-    One weighted solve, then refinement passes until the exactly rounded
-    mean score is within SCORE_TOL (certified by _score_within) or the
-    step stalls.
+    One weighted solve, then refinement passes until _score_within stops
+    them (NonconvergenceError after IRLS_MAX_ITER).  y - x'beta can cancel
+    far below |y|, so q_err bounds its rounding by (p + 2) u (|y| + |x||beta|).
     """
     design, response = _check_design(design, response)
-    n = design.shape[0]
+    n, p = design.shape
     if unit_weights is None:
         w = np.ones(n)
     else:
@@ -210,16 +207,14 @@ def _wls(
 
     sw = np.sqrt(w)
     beta = _equilibrated_lstsq(design * sw[:, None], response * sw)
-    iterations = 1
-    for _ in range(IRLS_MAX_ITER):
+    for iterations in range(1, IRLS_MAX_ITER + 1):
         resid = response - design @ beta
-        if _score_within(design, w * resid, SCORE_TOL):
+        q_err = ((p + 2) * _U) * w * (np.abs(response) + np.abs(design) @ np.abs(beta))
+        if _score_within(design, w * resid, q_err, SCORE_TOL):
             break
-        step = _equilibrated_lstsq(design * sw[:, None], resid * sw)
-        beta = beta + step
-        iterations += 1
-        if np.max(np.abs(step)) <= STEP_TOL:
-            break
+        beta = beta + _equilibrated_lstsq(design * sw[:, None], resid * sw)
+    else:
+        raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} passes")
     return beta, iterations
 
 
@@ -241,7 +236,7 @@ def _newton_step(xs: np.ndarray, v: np.ndarray, resid: np.ndarray) -> np.ndarray
 def _logistic_newton(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, int]:
     """Logistic maximum likelihood.  Returns (coefficients, iterations).
 
-    Newton steps (_newton_step) from beta = 0 with the exit rules of
+    Newton steps (_newton_step) from beta = 0 with the stopping rule of
     _wls, then a separation check on the final linear predictor.  The
     Gram solve squares the condition number, but each step is taken from
     the current score, so its error slows the iteration without moving
@@ -259,7 +254,8 @@ def _logistic_newton(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarr
     for iterations in range(1, IRLS_MAX_ITER + 1):
         mu = expit(design @ beta)
         resid = response - mu
-        if _score_within(design, resid, SCORE_TOL):
+        # T - mu is of order one on most units: the |q| term covers its rounding
+        if _score_within(design, resid, 0.0, SCORE_TOL):
             break
         v = mu * (1.0 - mu)
         if not np.any(v > 0):
@@ -273,8 +269,6 @@ def _logistic_newton(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarr
                 "weighted design lost rank during iteration (separation?)"
             ) from None
         beta = beta + step
-        if np.max(np.abs(step)) <= STEP_TOL:
-            break
     else:
         raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} iterations")
     if np.max(np.abs(design @ beta)) > ETA_SEPARATION:
@@ -511,10 +505,11 @@ def fit_extended_propensity(
     """Add one coefficient to a logistic fit so that a chosen moment is zero.
 
     Solves g(phi) = P_n[(T / expit(eta + phi h) - 1) h] = 0 for scalar phi;
-    h is both the direction and the moment weight.  g is nonincreasing
-    in phi, so the root lies on the side given by the sign of g(0): the
-    search steps out from 0 on that side only, through 1, 2, 4, ... up to
-    PHI_BRACKET_MAX, and Brent's method solves on the first bracket.
+    h is both the direction and the moment weight.  The solve runs on h / c,
+    c = 2^floor(log2 max|h|), free of the units of h.  g is nonincreasing in
+    phi, so the search steps out from 0 on the side of sign(g(0)) only,
+    through 1, 2, 4, ... up to PHI_BRACKET_MAX, and Brent's method solves on
+    the first bracket.
     With h = m_hat - P_n[m_hat] for an outcome fit m_hat, the bounded
     doubly robust estimator built from this fit is a weighted mean of
     observed outcomes.
@@ -528,15 +523,17 @@ def fit_extended_propensity(
     if not np.all(np.isfinite(h)):
         raise InvalidArgumentError("h contains non-finite entries")
     t1 = (T == 1).astype(float)
+    c = math.ldexp(1.0, math.frexp(np.max(np.abs(h), initial=0.0))[1] - 1)
+    hn = h / c
     # by phi: brentq evaluates the bracket ends the step-out already has
     values: dict[float, float] = {}
 
     def g(phi: float) -> float:
         if phi not in values:
-            eta = np.clip(base.eta + phi * h, -700.0, 700.0)
+            eta = np.clip(base.eta + phi * hn, -700.0, 700.0)
             # T/expit(eta) - 1 = exp(-eta) for respondents, -1 otherwise
             term = np.where(t1 == 1.0, np.exp(-eta), -1.0)
-            values[phi] = float(np.mean(term * h))
+            values[phi] = float(np.mean(term * hn))
         return values[phi]
 
     g0 = g(0.0)
@@ -557,12 +554,12 @@ def fit_extended_propensity(
         if not result.converged:
             raise NonconvergenceError(f"extension solve did not converge: {result.flag}")
 
-    eta = base.eta + phi_hat * h
+    eta = base.eta + phi_hat * hn
     pi_hat = expit(eta)
     return PropensityFit(
         kind=PropensityKind.LOGISTIC_EXTENDED,
         alpha=base.alpha.copy(),
-        phi=phi_hat,
+        phi=phi_hat / c,
         eta=eta,
         pi_hat=pi_hat,
         diagnostics=weight_diagnostics(pi_hat, T),

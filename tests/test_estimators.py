@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drmean import estimators as est
+from drmean import linmod
 from drmean.dgp import AnalysisView, FullSample, generate_sample, make_view
 from drmean.errors import (
     InvalidArgumentError,
@@ -66,6 +68,8 @@ class TestPointEstimators:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(InvalidArgumentError):
             est.mu_ht(TOY_PI[:3], TOY_T, TOY_Y)
+        with pytest.raises(InvalidArgumentError):
+            est.mu_ht(TOY_PI, TOY_T, TOY_Y[:3])
 
 
 class TestAlgebraicReductions:
@@ -229,6 +233,59 @@ class TestEstimateAll:
         assert out.flags["HT"] == est.FLAG_OUT_OF_RANGE
         assert out.values["HT"] > resp_y.max()
         assert out.flags["OLS"] == est.FLAG_OK
+
+    def test_nonfinite_respondent_outcome_fails_each_estimator(
+        self, sample_1000, right_view
+    ):
+        y = right_view.y_observed.copy()
+        y[int(np.flatnonzero(right_view.T == 1)[0])] = np.nan
+        out = est.estimate_all(dataclasses.replace(right_view, y_observed=y), sample_1000)
+        assert out.flags["FULL"] == est.FLAG_OK
+        for name in (nm for nm in est.ESTIMATOR_NAMES if nm != "FULL"):
+            assert out.flags[name] == est.FLAG_FAILED, name
+            assert "non-finite" in out.messages[name], name
+
+
+@pytest.fixture(scope="module")
+def unit_scale_estimates():
+    """(sample, view, estimate_all values) for seeds 1-3 x the 4 scenarios."""
+    out = []
+    for seed in (1, 2, 3):
+        sample = generate_sample(1000, seed)
+        for pi_ok in (True, False):
+            for m_ok in (True, False):
+                view = make_view(sample, pi_ok, m_ok)
+                out.append((sample, view, est.estimate_all(view, sample).values))
+    return out
+
+
+@pytest.mark.parametrize("b", [0.0, 1e4])
+@pytest.mark.parametrize("a", [2.0**-20, 1e3, 1e6, 2.0**40, -3.0])
+def test_affine_equivariance_in_y(unit_scale_estimates, monkeypatch, a, b):
+    # every estimator maps y -> a y + b to v -> a v + b, HT only for b = 0
+    # (unnormalised weights do not sum to one), and no outcome fit needs
+    # more than 2 passes at any scale
+    passes = []
+    wls = linmod._wls
+
+    def counted(*args):
+        beta, iterations = wls(*args)
+        passes.append(iterations)
+        return beta, iterations
+
+    monkeypatch.setattr(linmod, "_wls", counted)
+    for sample, view, values in unit_scale_estimates:
+        moved = est.estimate_all(
+            dataclasses.replace(view, y_observed=a * view.y_observed + b),
+            dataclasses.replace(sample, Y=a * sample.Y + b),
+        )
+        for name, v in values.items():
+            if name == "HT" and b != 0.0:
+                continue
+            assert np.isfinite(v), name
+            err = abs(moved.values[name] - (a * v + b))
+            assert err <= 1e-12 * (abs(a) * abs(v) + abs(b)), name
+    assert passes and max(passes) <= 2
 
 
 class TestIdentitiesCheck:

@@ -100,6 +100,28 @@ class TestIdentityLink:
         with pytest.raises(InvalidArgumentError):
             linmod.irls_fit(design, np.array([1.0, np.nan, 3.0]))
 
+    @pytest.mark.parametrize("shift", [1e8, 1e12])
+    def test_shifted_response_stops_at_working_precision(self, wrong_view, shift):
+        # y - x'beta cancels 8 to 12 digits of y; the rounding of the
+        # residual itself must count, or no pass meets SCORE_TOL
+        resp = wrong_view.T == 1
+        design, y = wrong_view.design_m[resp], wrong_view.y_observed[resp]
+        beta, passes = linmod._wls(design, y + shift, None)
+        ref = linmod.irls_fit(design, y)
+        assert passes <= 2
+        m_hat, want = wrong_view.design_m @ beta - shift, wrong_view.design_m @ ref
+        assert np.max(np.abs(m_hat - want)) <= 1e-14 * shift
+
+    def test_pass_cap_raises(self, monkeypatch):
+        checks = []
+        monkeypatch.setattr(
+            linmod, "_score_within", lambda *args: checks.append(args) or False
+        )
+        design = np.column_stack([np.ones(4), np.arange(4.0)])
+        with pytest.raises(NonconvergenceError):
+            linmod.irls_fit(design, np.array([1.0, 2.0, 4.0, 3.0]))
+        assert len(checks) == linmod.IRLS_MAX_ITER
+
 
 class TestLogisticPropensity:
     def test_intercept_only_closed_form(self):
@@ -150,14 +172,19 @@ class TestLogisticPropensity:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fit_needs_no_exact_sum(self, monkeypatch, seed):
-        # the error bound of the numpy score sums settles every stopping test
+        # the stopping tests of the logistic fit and of the four outcome fits
+        # on the raw-scale X design decide on the numpy score sums alone
         calls = []
         exact = linmod.fsum_col_means
         monkeypatch.setattr(
             linmod, "fsum_col_means", lambda m: calls.append(m.shape) or exact(m)
         )
-        view = make_view(generate_sample(1000, seed), True, True)
-        linmod.fit_logistic_propensity(view.design_pi, view.T)
+        view = make_view(generate_sample(1000, seed), True, False)
+        pi_hat = linmod.fit_logistic_propensity(view.design_pi, view.T).pi_hat
+        linmod.fit_outcome_reg(view)
+        for fit in (linmod.fit_outcome_wls, linmod.fit_outcome_ext_reg,
+                    linmod.fit_outcome_ipw_nr):
+            fit(view, pi_hat)
         assert calls == []
 
 
@@ -197,6 +224,21 @@ class TestOutcomeFits:
         aug = np.hstack([wrong_view.design_m, pi_fit.pi_hat[:, None]])
         w = 1.0 / pi_fit.pi_hat
         assert self.p_n_score(wrong_view, fit.m_hat, w, aug) <= 1e-10
+
+    @pytest.mark.parametrize("k", [-30, -3, 5, 40])
+    def test_power_of_two_column_scaling(self, wrong_view, pi_fit, k):
+        # the fitted values do not depend on the units of the covariates
+        design = wrong_view.design_m.copy()
+        design[:, 1:] = np.ldexp(design[:, 1:], k)
+        scaled = AnalysisView(wrong_view.design_pi, design, wrong_view.T,
+                              wrong_view.y_observed)
+        for fit, args in [(linmod.fit_outcome_reg, ()),
+                          (linmod.fit_outcome_wls, (pi_fit.pi_hat,)),
+                          (linmod.fit_outcome_ext_reg, (pi_fit.pi_hat,)),
+                          (linmod.fit_outcome_ipw_nr, (pi_fit.pi_hat,))]:
+            want = fit(wrong_view, *args).m_hat
+            got = fit(scaled, *args).m_hat
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_ipw_nr_plugin_equals_imputation_form(self, wrong_view, pi_fit):
         # the appended pi covariate makes the unweighted respondent-mean
@@ -558,28 +600,60 @@ def score_cases(draw):
     return terms, rng.standard_normal(n), tol
 
 
+def rounding_bound(design, q):
+    n = design.shape[0]
+    return 2.0 * (n + 1) * 2.0**-53 * (np.abs(design).T @ np.abs(q))
+
+
 class TestScoreWithin:
     @settings(max_examples=300, deadline=None)
     @given(score_cases())
-    def test_agrees_with_exact_sums(self, case):
+    def test_brackets_the_exact_decision(self, case):
+        # exactly within tol => True => exactly within tol + 2 e / n
         design, q, tol = case
-        want = exact_within(design * q[:, None], tol)
-        assert linmod._score_within(design, q, tol) == want
+        got = linmod._score_within(design, q, 0.0, tol)
+        if exact_within(design * q[:, None], tol):
+            assert got is True
+        if got:
+            means = np.abs(fsum_col_means(design * q[:, None]))
+            assert np.all(means <= tol + 2.0 * rounding_bound(design, q) / len(q))
 
-    def test_cancellation_is_summed_exactly(self):
-        # the numpy sum is 0, the exact mean is 1/3
+    @settings(max_examples=300, deadline=None)
+    @given(score_cases(), st.integers(-60, 60))
+    def test_decision_is_scale_free(self, case, k):
+        design, q, _ = case
+        want = linmod._score_within(design, q, 0.0, 0.0)
+        assert linmod._score_within(design, np.ldexp(q, k), 0.0, 0.0) is want
+
+    def test_cancellation_within_rounding_is_converged(self):
+        # exact means 1/3 and 64/3; the rounding bound e is about 17.8
         design = np.array([[1e16], [1.0], [-1e16]])
-        assert float(np.sum(design)) == 0.0
-        assert linmod._score_within(design, np.ones(3), 1e-10) is False
+        assert rounding_bound(design, np.ones(3))[0] > 1.0
+        assert linmod._score_within(design, np.ones(3), 0.0, 1e-10) is True
+        design[1, 0] = 64.0
+        assert 64.0 - rounding_bound(design, np.ones(3))[0] > 1e-10 * 3
+        assert linmod._score_within(design, np.ones(3), 0.0, 1e-10) is False
 
     def test_weights_enter_the_products(self):
-        # products [1e16, 1, -1e16]: the mat-vec is 0, the exact mean 1/3
-        design = np.array([[1e16], [1.0], [1e16]])
+        # products [1e16, 64, -1e16]: exact mean 64/3, beyond the bound
+        design = np.array([[1e16], [64.0], [1e16]])
         q = np.array([1.0, 1.0, -1.0])
-        assert float((design.T @ q)[0]) == 0.0
-        assert linmod._score_within(design, q, 1e-10) is False
-        assert linmod._score_within(design, np.array([1.0, 0.0, -1.0]), 1e-10) is True
+        assert linmod._score_within(design, q, 0.0, 1e-10) is False
+        q = np.array([1.0, 0.0, -1.0])
+        assert linmod._score_within(design, q, 0.0, 1e-10) is True
 
     def test_nan_column_is_not_within(self):
         design = np.array([[0.0, np.nan], [0.0, 1.0]])
-        assert linmod._score_within(design, np.ones(2), 1e-10) is False
+        assert linmod._score_within(design, np.ones(2), 0.0, 1e-10) is False
+
+    def test_error_in_q_widens_the_bound(self):
+        # mean score 1e-9 > tol, but each q_i may be off by 1e-9
+        design, q = np.ones((2, 1)), np.full(2, 1e-9)
+        assert linmod._score_within(design, q, 0.0, 1e-10) is False
+        assert linmod._score_within(design, q, np.full(2, 1e-9), 1e-10) is True
+
+    def test_infinite_bound_is_not_within(self):
+        # the products cancel exactly, but the bound |design|.T @ q_err overflows
+        design = np.array([[10.0], [10.0]])
+        q_err = np.array([1e308, 1e308])
+        assert linmod._score_within(design, np.array([1.0, -1.0]), q_err, 1e-10) is False
