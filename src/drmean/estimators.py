@@ -65,6 +65,14 @@ def _respondents(pi_hat, T, Y):
     return resp, 1.0 / pr, y
 
 
+def _fitted(m_hat, T) -> np.ndarray:
+    """m_hat as a float array, checked to have one entry per unit."""
+    m_hat = np.asarray(m_hat, dtype=float)
+    if m_hat.shape != np.shape(T):
+        raise InvalidArgumentError("m_hat length must match T")
+    return m_hat
+
+
 def mu_ht(pi_hat, T, Y) -> float:
     """Unnormalised IPW mean: P_n[T y / pi_hat].  Unbounded."""
     _, w, y = _respondents(pi_hat, T, Y)
@@ -80,7 +88,7 @@ def mu_ipw_pop(pi_hat, T, Y) -> float:
 def mu_aipw(pi_hat, m_hat, T, Y) -> float:
     """Augmented IPW: P_n[m_hat] + P_n[T (y - m_hat) / pi_hat]."""
     resp, w, y = _respondents(pi_hat, T, Y)
-    m_hat = np.asarray(m_hat, dtype=float)
+    m_hat = _fitted(m_hat, T)
     n = len(np.asarray(T))
     correction = math.fsum((w * (y - m_hat[resp])).tolist())
     return math.fsum(m_hat.tolist()) / n + correction / n
@@ -94,7 +102,7 @@ def mu_b_dr(pi_hat, m_hat, T, Y) -> float:
     absolute residual.
     """
     resp, w, y = _respondents(pi_hat, T, Y)
-    m_hat = np.asarray(m_hat, dtype=float)
+    m_hat = _fitted(m_hat, T)
     n = len(np.asarray(T))
     denom = math.fsum(w.tolist())
     if denom <= 0:
@@ -141,9 +149,10 @@ class Pipeline:
     """Lazy, memoised model fits shared across the requested estimators.
 
     The propensity fit is logistic unless inverse_linear names a method of
-    linmod.fit_inverse_linear.  A failed fit is memoised too and re-raised
-    to every estimator that needs it.  Pipelines on the same design_pi, T
-    and inverse_linear may share one pi_cache dict, so that their
+    linmod.fit_inverse_linear; a logistic fit starts from the coefficients
+    pi_start, if given.  A failed fit is memoised too and re-raised to
+    every estimator that needs it.  Pipelines on the same design_pi, T,
+    inverse_linear and pi_start may share one pi_cache dict, so that their
     propensity model is fitted once for all of them.
     """
 
@@ -153,10 +162,12 @@ class Pipeline:
         full: FullSample | None = None,
         inverse_linear: str | None = None,
         pi_cache: dict | None = None,
+        pi_start: np.ndarray | None = None,
     ):
         self.view = view
         self.full = full
         self.inverse_linear = inverse_linear
+        self.pi_start = pi_start
         self.T = np.asarray(view.T)
         self.y = np.asarray(view.y_observed, dtype=float)
         self._cache: dict[str, object] = {}
@@ -177,7 +188,9 @@ class Pipeline:
     def propensity(self) -> linmod.PropensityFit:
         def build():
             if self.inverse_linear is None:
-                return linmod.fit_logistic_propensity(self.view.design_pi, self.view.T)
+                return linmod.fit_logistic_propensity(
+                    self.view.design_pi, self.view.T, start=self.pi_start
+                )
             return linmod.fit_inverse_linear(
                 self.view.design_pi, self.view.T, self.inverse_linear
             )

@@ -101,12 +101,12 @@ def weight_diagnostics(pi_hat: np.ndarray, T: np.ndarray) -> WeightDiagnostics:
     """
     pi_hat = np.asarray(pi_hat, dtype=float)
     T = np.asarray(T)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / pi_hat
+        var = float(np.var(inv)) if pi_hat.size else 0.0
     resp = T == 1
     max_resp = float(np.max(inv[resp])) if resp.any() else 0.0
     max_nonresp = float(np.max(inv[~resp])) if (~resp).any() else 0.0
-    var = float(np.var(inv)) if pi_hat.size else 0.0
     return WeightDiagnostics(
         min_pi=float(np.min(pi_hat)),
         max_inv_pi_respondents=max_resp,
@@ -233,14 +233,17 @@ def _newton_step(xs: np.ndarray, v: np.ndarray, resid: np.ndarray) -> np.ndarray
     return _equilibrated_lstsq(xs[live] * sv[:, None], resid[live] / sv)
 
 
-def _logistic_newton(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, int]:
+def _logistic_newton(
+    design: np.ndarray, response: np.ndarray, start: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
     """Logistic maximum likelihood.  Returns (coefficients, iterations).
 
-    Newton steps (_newton_step) from beta = 0 with the stopping rule of
-    _wls, then a separation check on the final linear predictor.  The
-    Gram solve squares the condition number, but each step is taken from
-    the current score, so its error slows the iteration without moving
-    the fit (Bjorck, Numerical Methods for Least Squares Problems, 1996).
+    Newton steps (_newton_step) from start (default 0) with the stopping
+    rule of _wls, then a separation check on the final linear predictor.
+    The Gram solve squares the condition number, but each step is taken
+    from the current score, so its error slows the iteration without
+    moving the fit (Bjorck, Numerical Methods for Least Squares Problems,
+    1996).
     """
     design, response = _check_design(design, response)
     xs, scale = _equilibrate(design)
@@ -250,7 +253,12 @@ def _logistic_newton(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarr
     except np.linalg.LinAlgError as exc:
         raise NonconvergenceError(f"rank check failed: {exc}") from None
     _check_rank(int(np.sum(sv > RANK_RCOND * sv.max(initial=0.0))), xs.shape[1])
-    beta = np.zeros(design.shape[1])
+    if start is None:
+        beta = np.zeros(design.shape[1])
+    else:
+        beta = np.array(start, dtype=float)
+        if beta.shape != (design.shape[1],) or not np.all(np.isfinite(beta)):
+            raise InvalidArgumentError("start must be finite, one entry per column")
     for iterations in range(1, IRLS_MAX_ITER + 1):
         mu = expit(design @ beta)
         resid = response - mu
@@ -286,10 +294,15 @@ def irls_fit(
     return beta
 
 
-def fit_logistic_propensity(design: np.ndarray, T: np.ndarray) -> PropensityFit:
-    """Logistic maximum-likelihood fit of P(T = 1 | x) = expit(alpha'x)."""
+def fit_logistic_propensity(
+    design: np.ndarray, T: np.ndarray, start: np.ndarray | None = None
+) -> PropensityFit:
+    """Logistic maximum-likelihood fit of P(T = 1 | x) = expit(alpha'x).
+
+    Newton's method starts from the coefficients start, or from 0.
+    """
     T = np.asarray(T)
-    alpha, iterations = _logistic_newton(design, T.astype(float))
+    alpha, iterations = _logistic_newton(design, T.astype(float), start)
     eta = np.asarray(design, dtype=float) @ alpha
     pi_hat = expit(eta)
     return PropensityFit(
@@ -381,18 +394,23 @@ def _inv_linear_constrained(
         "fun": lambda alpha: design @ alpha - bound,
         "jac": lambda alpha: design,
     }
-    res = minimize(
-        objective,
-        x0,
-        jac=True,
-        method="SLSQP",
-        constraints=[constraints],
-        options={"maxiter": _OPT_MAX_ITER, "ftol": 1e-14},
-    )
+    # a design with huge entries overflows inside the criterion and inside
+    # SLSQP itself; the outcome is judged by res.status and res.x instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = minimize(
+            objective,
+            x0,
+            jac=True,
+            method="SLSQP",
+            constraints=[constraints],
+            options={"maxiter": _OPT_MAX_ITER, "ftol": 1e-14},
+        )
     if res.status == 4:
         raise InfeasibleConstraintError(res.message)
     if not res.success and res.status != 0:
         raise NonconvergenceError(f"constrained fit failed: {res.message}")
+    if not np.all(np.isfinite(res.x)):
+        raise NonconvergenceError("constrained fit ended at non-finite coefficients")
     return res.x, int(res.nit)
 
 

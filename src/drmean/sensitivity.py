@@ -9,9 +9,11 @@ held-fixed model cannot make the answer invariant to its partner, which
 is evidence against that model.  The selection rule picks the row and
 column with the largest p-values.
 
-All bootstrap resampling is seeded through the same splitmix64
-derivation as the simulation harness, so matrices and p-values are
-reproducible bit for bit.
+Bootstrap draw b resamples the rows with PCG64(derive_seed(seed, b)), the
+splitmix64 derivation of the simulation harness, and is shared by every
+line: it evaluates the whole matrix once, and each line test reads its
+own cells from it.  Matrices and p-values are reproducible bit for bit,
+and a line's p-value does not depend on which other lines are tested.
 """
 
 import math
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
+from . import linmod
 from ._util import derive_seed
 from .dgp import AnalysisView, design_matrix
 from .errors import DrmeanError, InvalidArgumentError, NonconvergenceError
@@ -154,26 +157,50 @@ def _check_spec_indices(specs, n_cols: int) -> None:
 
 
 def _estimate_cell(
-    covariates: np.ndarray,
-    T: np.ndarray,
-    Y: np.ndarray,
+    view: AnalysisView,
     p_spec: ModelSpec,
-    o_spec: ModelSpec,
     estimator: str,
-    pi_cache: dict | None = None,
+    pi_cache: dict,
+    pi_start: np.ndarray | None,
 ) -> float:
-    """One cell's estimate.  pi_cache, if given, is shared by the cells of
-    one sample and p_spec, which then fit their propensity model once."""
-    view = AnalysisView(
-        design_pi=design_matrix(covariates, p_spec.covariates),
-        design_m=design_matrix(covariates, o_spec.covariates),
-        T=T,
-        y_observed=np.where(T == 1, Y, np.nan),
-    )
+    """One cell's estimate on a view of its two specs' designs.  The cells of
+    one sample and p_spec share pi_cache, so their propensity model is
+    fitted once, from pi_start if it is logistic."""
     method = _PROPENSITY_METHODS[p_spec.kind or "LOGISTIC_MLE"]
-    pipe = Pipeline(view, inverse_linear=method, pi_cache=pi_cache)
+    pipe = Pipeline(view, inverse_linear=method, pi_cache=pi_cache, pi_start=pi_start)
     pipe.propensity()  # fit first: its failure ends the cell before any outcome fit
     return ESTIMATORS[estimator](pipe)
+
+
+def _designs(covariates: np.ndarray, specs) -> dict[tuple[int, ...], np.ndarray]:
+    """Each spec's design, keyed by its covariate tuple."""
+    return {s.covariates: design_matrix(covariates, s.covariates) for s in specs}
+
+
+def _estimate_cells(designs, T, y_observed, cells, estimator, starts) -> dict:
+    """Estimate each (p_spec, o_spec) cell on one sample.
+
+    designs holds the sample's design per covariate tuple (see _designs).
+    The cells of one p_spec share its propensity fit, started from
+    starts.get(p_spec).  Returns each cell's estimate, or the DrmeanError
+    it failed with.
+    """
+    pi_caches: dict[ModelSpec, dict] = {}
+    out: dict = {}
+    for ps, os_ in cells:
+        view = AnalysisView(
+            design_pi=designs[ps.covariates],
+            design_m=designs[os_.covariates],
+            T=T,
+            y_observed=y_observed,
+        )
+        try:
+            out[ps, os_] = _estimate_cell(
+                view, ps, estimator, pi_caches.setdefault(ps, {}), starts.get(ps)
+            )
+        except DrmeanError as exc:
+            out[ps, os_] = exc
+    return out
 
 
 def _validate_specs(p_specs, o_specs, estimator):
@@ -210,25 +237,77 @@ def build_matrix(
     """Estimate under every (propensity, outcome) spec pairing.
 
     Returns the (J_p, J_o) estimate matrix with NaN for cells whose fit
-    failed, plus failure messages keyed by cell index.  Each row fits its
-    propensity model once; a failed fit gives every cell of the row its
+    failed, plus failure messages keyed by cell index.  Each propensity
+    spec is fitted once; a failed fit gives every cell of its row its
     message.
     """
     covariates, T, Y = _check_data(covariates, T, Y)
     p_specs, o_specs = _validate_specs(p_specs, o_specs, estimator)
     _check_spec_indices(p_specs + o_specs, covariates.shape[1])
+    cells = [(ps, os_) for ps in p_specs for os_ in o_specs]
+    out = _estimate_cells(
+        _designs(covariates, p_specs + o_specs), T, np.where(T == 1, Y, np.nan),
+        cells, estimator, {},
+    )
     estimates = np.full((len(p_specs), len(o_specs)), np.nan)
     messages: dict[tuple[int, int], str] = {}
     for i, ps in enumerate(p_specs):
-        pi_cache: dict = {}
         for j, os_ in enumerate(o_specs):
-            try:
-                estimates[i, j] = _estimate_cell(
-                    covariates, T, Y, ps, os_, estimator, pi_cache
-                )
-            except DrmeanError as exc:
-                messages[(i, j)] = f"{type(exc).__name__}: {exc}"
+            value = out[ps, os_]
+            if isinstance(value, DrmeanError):
+                messages[(i, j)] = f"{type(value).__name__}: {value}"
+            else:
+                estimates[i, j] = value
     return estimates, messages
+
+
+class _Draws:
+    """The bootstrap draws of one run, shared by all of its line tests.
+
+    Draw b resamples the rows with PCG64(derive_seed(seed, b)) and
+    estimates every cell in cells on the resample.  Each logistic
+    propensity spec starts its draw fits from its full-sample fit, made
+    here once (from zero if that fit fails).  The draws are evaluated on
+    first use, inside the first line test that reads them.
+    """
+
+    def __init__(self, covariates, T, Y, cells, estimator, boot_reps: int, seed: int):
+        self.cells = tuple(dict.fromkeys(cells))
+        self.estimator = estimator
+        self.boot_reps = boot_reps
+        self.seed = seed
+        self._designs = _designs(covariates, {s for cell in self.cells for s in cell})
+        self._T = T
+        self._y = np.where(T == 1, Y, np.nan)
+        p_specs = dict.fromkeys(ps for ps, _ in self.cells)
+        self._starts = {
+            ps: self._start(ps) for ps in p_specs if ps.kind in (None, "LOGISTIC_MLE")
+        }
+        self._draws: list[dict] | None = None
+
+    def _start(self, p_spec: ModelSpec) -> np.ndarray | None:
+        try:
+            return linmod.fit_logistic_propensity(
+                self._designs[p_spec.covariates], self._T
+            ).alpha
+        except DrmeanError:
+            return None
+
+    def draws(self) -> list[dict]:
+        """Per draw, each cell's estimate or the DrmeanError it failed with."""
+        if self._draws is None:
+            n = self._T.shape[0]
+            draws = []
+            for b in range(self.boot_reps):
+                rng = np.random.Generator(np.random.PCG64(derive_seed(self.seed, b)))
+                idx = rng.integers(0, n, size=n)
+                draws.append(_estimate_cells(
+                    {k: d[idx] for k, d in self._designs.items()},
+                    self._T[idx], self._y[idx], self.cells, self.estimator,
+                    self._starts,
+                ))
+            self._draws = draws
+        return self._draws
 
 
 def homogeneity_test(
@@ -241,16 +320,21 @@ def homogeneity_test(
     estimator: str,
     boot_reps: int = 500,
     seed: int = 0,
+    *,
+    _draws: _Draws | None = None,
 ) -> HomogeneityResult:
     """Bootstrap Wald test that a line of estimates shares one value.
 
     The line holds fixed_spec fixed and varies varying_specs (the other
     role).  Contrasts are first-versus-rest; their covariance comes from
     boot_reps nonparametric bootstrap draws recomputed per spec, each
-    propensity spec fitted once per draw.  Cells that fail in a draw
-    discard that draw.  A singular contrast covariance falls back to a
-    pseudoinverse with reduced degrees of freedom and is flagged.  Lines
-    of length one are trivially homogeneous (p = 1).
+    propensity spec fitted once per draw.  Draw b resamples with
+    PCG64(derive_seed(seed, b)); run_sensitivity passes the draws it
+    shares between all of its lines as _draws, and this test on the same
+    line and seed equals its line test bit for bit.  A draw in which one of
+    the line's cells fails is discarded for this line.  A singular contrast
+    covariance falls back to a pseudoinverse with reduced degrees of freedom
+    and is flagged.  Lines of length one are trivially homogeneous (p = 1).
     """
     covariates, T, Y = _check_data(covariates, T, Y)
     varying_specs = tuple(varying_specs)
@@ -290,25 +374,17 @@ def homogeneity_test(
             note=note or ("single-cell line" if m == 1 else "empty line"),
         )
 
-    n = covariates.shape[0]
-    rng = np.random.Generator(np.random.PCG64(seed))
+    cells = [pair(v) for v in varying_specs]
+    if _draws is None:
+        _draws = _Draws(covariates, T, Y, cells, estimator, boot_reps, seed)
     boot_rows = []
     failures = 0
-    for _ in range(boot_reps):
-        idx = rng.integers(0, n, size=n)
-        cov_b, t_b, y_b = covariates[idx], T[idx], Y[idx]
-        row = np.empty(m)
-        pi_caches: dict[ModelSpec, dict] = {}
-        try:
-            for k, v in enumerate(varying_specs):
-                ps, os_ = pair(v)
-                row[k] = _estimate_cell(
-                    cov_b, t_b, y_b, ps, os_, estimator, pi_caches.setdefault(ps, {})
-                )
-        except DrmeanError:
+    for draw in _draws.draws():
+        row = [draw[c] for c in cells]
+        if any(isinstance(v, DrmeanError) for v in row):
             failures += 1
-            continue
-        boot_rows.append(row)
+        else:
+            boot_rows.append(row)
     used = len(boot_rows)
     if used < max(_MIN_BOOT_USED, m + 1):
         return HomogeneityResult(
@@ -409,23 +485,27 @@ def run_sensitivity(
 ) -> SensitivityMatrix:
     """Full sensitivity pass: matrix, line tests, spreads, selection.
 
-    Each line test gets its own derived seed, so adding a row does not
-    change the p-values of existing rows.
+    Draw b is shared by every line: it evaluates every cell whose
+    full-sample estimate is finite once, and each line test reads its own
+    cells.  A line's test equals homogeneity_test(..., seed=seed) on that
+    line, so adding a row does not change the p-values of existing lines.
     """
     covariates, T, Y = _check_data(covariates, T, Y)
     p_specs, o_specs = _validate_specs(p_specs, o_specs, estimator)
     estimates, messages = build_matrix(covariates, T, Y, p_specs, o_specs, estimator)
+    kept = [(p_specs[i], o_specs[j]) for i, j in zip(*np.nonzero(np.isfinite(estimates)))]
+    draws = _Draws(covariates, T, Y, kept, estimator, boot_reps, seed)
     row_tests = [
         homogeneity_test(
             estimates[i, :], covariates, T, Y, p_specs[i], o_specs, estimator,
-            boot_reps=boot_reps, seed=derive_seed(seed, i),
+            boot_reps=boot_reps, seed=seed, _draws=draws,
         )
         for i in range(len(p_specs))
     ]
     col_tests = [
         homogeneity_test(
             estimates[:, j], covariates, T, Y, o_specs[j], p_specs, estimator,
-            boot_reps=boot_reps, seed=derive_seed(seed, len(p_specs) + j),
+            boot_reps=boot_reps, seed=seed, _draws=draws,
         )
         for j in range(len(o_specs))
     ]

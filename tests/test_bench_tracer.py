@@ -54,3 +54,23 @@ def test_tracer_records_every_wrapped_layer(layers):
     counters = tracer.counters()
     assert counters["pi_fits_in_draws"] > 0
     assert counters["newton_steps.total"] > 0
+
+
+def test_shared_draws_fit_each_propensity_once_per_draw(layers):
+    # a 2x2 run evaluates each draw once for its four lines: 2 propensity
+    # fits per draw, over 4 lines x 3 draws counted by the bench
+    sample = dgp.generate_sample(300, 5)
+    cov = np.hstack([sample.Z, sample.X])
+    y = np.where(sample.T == 1, sample.Y, np.nan)
+    z, x = (0, 1, 2, 3), (4, 5, 6, 7)
+    with layers.Tracer() as tracer:
+        run_sensitivity(
+            cov, sample.T, y,
+            [sens.ModelSpec("propensity", z), sens.ModelSpec("propensity", x)],
+            [sens.ModelSpec("outcome", z), sens.ModelSpec("outcome", x)],
+            "DR_WLS", boot_reps=3, seed=1,
+        )
+    counters = tracer.counters()
+    assert counters["pi_fits_in_draws"] == 6
+    assert counters["boot_draws"] == 12
+    assert tracer.count_metrics()["sensitivity.pi_fits_per_draw"] == 0.5

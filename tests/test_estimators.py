@@ -71,6 +71,13 @@ class TestPointEstimators:
         with pytest.raises(InvalidArgumentError):
             est.mu_ht(TOY_PI, TOY_T, TOY_Y[:3])
 
+    @pytest.mark.parametrize("fn", [est.mu_aipw, est.mu_b_dr])
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_m_hat_length_must_match(self, fn, length):
+        T = np.array([1, 0, 1])
+        with pytest.raises(InvalidArgumentError, match="m_hat length must match T"):
+            fn(np.full(3, 0.5), np.ones(length), T, np.array([1.0, np.nan, 2.0]))
+
 
 class TestAlgebraicReductions:
     def test_aipw_with_zero_m_is_ht(self):

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drmean import linmod
+from drmean import errors, linmod
 from drmean._util import fsum_col_means
 from drmean.dgp import AnalysisView, generate_sample, make_view
 from drmean.errors import (
+    DrmeanError,
     InvalidArgumentError,
     InvalidWeightError,
     NoRootError,
     NonconvergenceError,
     SingularDesignError,
 )
-from drmean.estimators import mu_b_dr, mu_from_regression, mu_ipw_pop
+from drmean.estimators import estimate_all, mu_b_dr, mu_from_regression, mu_ipw_pop
 
 
 def view_from(design_m, T, y_full, design_pi=None):
@@ -169,6 +170,23 @@ class TestLogisticPropensity:
         fit = linmod.fit_logistic_propensity(big, view.T)
         ref = linmod.fit_logistic_propensity(view.design_pi, view.T)
         assert np.max(np.abs(fit.pi_hat - ref.pi_hat)) <= 1e-12
+
+    @pytest.mark.parametrize("z", [True, False], ids=["Z", "X"])
+    def test_warm_start_reaches_the_same_fit(self, z):
+        # started from the fit of another sample, as in the bootstrap
+        start = make_view(generate_sample(1000, 1), z, z)
+        view = make_view(generate_sample(1000, 2), z, z)
+        alpha0 = linmod.fit_logistic_propensity(start.design_pi, start.T).alpha
+        cold = linmod.fit_logistic_propensity(view.design_pi, view.T)
+        warm = linmod.fit_logistic_propensity(view.design_pi, view.T, start=alpha0)
+        assert warm.iterations < cold.iterations
+        assert np.max(np.abs(warm.pi_hat - cold.pi_hat)) <= 1e-9
+
+    @pytest.mark.parametrize("start", [np.zeros(4), np.full(5, np.nan)],
+                             ids=["length", "nan"])
+    def test_bad_start_rejected(self, right_view, start):
+        with pytest.raises(InvalidArgumentError, match="start"):
+            linmod.fit_logistic_propensity(right_view.design_pi, right_view.T, start)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fit_needs_no_exact_sum(self, monkeypatch, seed):
@@ -366,6 +384,37 @@ class TestInverseLinear:
         design[:, cols] *= factor
         with pytest.raises(InvalidArgumentError, match="moment Gram matrix"):
             linmod.fit_inverse_linear(design, view.T, "unconstrained_moment")
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("factor", [1e150, 1e160, 1e300])
+    @pytest.mark.parametrize("z", [True, False], ids=["Z", "X"])
+    def test_huge_design_fits_or_fails_cleanly(self, z, factor):
+        # every inverse-linear fit, and estimate_all, on a design_m column
+        # scaled far out: finite coefficients or a DrmeanError, no warning
+        s = generate_sample(1000, 3)
+        view = make_view(s, z, z)
+        design = view.design_m.copy()
+        design[:, 1] *= factor
+        for method in ("likelihood", "moment", "unconstrained_moment"):
+            try:
+                fit = linmod.fit_inverse_linear(design, view.T, method)
+            except DrmeanError:
+                continue
+            assert np.all(np.isfinite(fit.alpha)), method
+        big = AnalysisView(design.copy(), design, view.T, view.y_observed)
+        out = estimate_all(big, s)
+        for name, msg in out.messages.items():
+            assert issubclass(getattr(errors, msg.split(":")[0]), DrmeanError), name
+
+    def test_non_finite_slsqp_result_raises(self, monkeypatch, wrong_view):
+        class Result:
+            x = np.full(5, np.nan)
+            status, success, nit, message = 0, True, 3, "done"
+
+        monkeypatch.setattr(linmod, "minimize", lambda *a, **k: Result())
+        with pytest.raises(NonconvergenceError, match="non-finite"):
+            linmod.fit_inverse_linear(wrong_view.design_pi, wrong_view.T, "moment")
 
 
 class TestExtendedPropensity:

@@ -207,18 +207,19 @@ def logistic_fits(monkeypatch):
     fit = linmod.fit_logistic_propensity
     monkeypatch.setattr(
         linmod, "fit_logistic_propensity",
-        lambda design, T: fits.append(len(design)) or fit(design, T),
+        lambda design, T, start=None: fits.append(len(design)) or fit(design, T, start),
     )
     return fits
 
 
 class TestSharedPropensityFits:
     def test_line_fits_fixed_propensity_once_per_draw(self, data600, logistic_fits):
+        # once per draw, plus the full-sample fit that the draw fits start from
         _, cov, T, y = data600
         out = sens.homogeneity_test(np.array([210.0, 211.0]), cov, T, y, PZ,
                                     (OZ, OX), "DR_WLS", boot_reps=25, seed=3)
         assert out.n_boot_used == 25
-        assert len(logistic_fits) == 25
+        assert len(logistic_fits) == 25 + 1
 
     def test_matrix_fits_each_propensity_once(self, data600, logistic_fits):
         _, cov, T, y = data600
@@ -292,6 +293,86 @@ class TestRunSensitivity:
         payload = json.loads(json.dumps(out.to_dict()))
         assert payload["estimates"][0][0] is None
         assert "0,0" in payload["cell_messages"]
+
+
+class TestSharedDraws:
+    """Every line of a run reads its cells from one shared set of draws."""
+
+    def test_line_tests_equal_standalone_tests(self, data600, result):
+        _, cov, T, y = data600
+        for i, ps in enumerate((PZ, PX)):
+            alone = sens.homogeneity_test(result.estimates[i, :], cov, T, y, ps,
+                                          (OZ, OX), "DR_WLS", boot_reps=60, seed=11)
+            assert alone == result.row_tests[i]
+        for j, os_ in enumerate((OZ, OX)):
+            alone = sens.homogeneity_test(result.estimates[:, j], cov, T, y, os_,
+                                          (PZ, PX), "DR_WLS", boot_reps=60, seed=11)
+            assert alone == result.col_tests[j]
+
+    def test_draw_fits_start_from_the_full_sample_fit(self, data600, monkeypatch):
+        _, cov, T, y = data600
+        calls = []
+        fit = linmod.fit_logistic_propensity
+
+        def spy(design, T, start=None):
+            out = fit(design, T, start)
+            calls.append((start, out.alpha))
+            return out
+
+        monkeypatch.setattr(linmod, "fit_logistic_propensity", spy)
+        sens.homogeneity_test(np.array([210.0, 211.0]), cov, T, y, PZ, (OZ, OX),
+                              "DR_WLS", boot_reps=5, seed=3)
+        (first, alpha), *draws = calls
+        assert first is None and len(draws) == 5
+        assert all(np.array_equal(start, alpha) for start, _ in draws)
+
+    def test_adding_a_row_leaves_row_tests_unchanged(self, data600):
+        _, cov, T, y = data600
+        p_third = sens.ModelSpec(role="propensity", covariates=(0, 5))
+        two = sens.run_sensitivity(cov, T, y, [PZ, PX], [OZ, OX], "DR_WLS",
+                                   boot_reps=30, seed=4)
+        three = sens.run_sensitivity(cov, T, y, [PZ, PX, p_third], [OZ, OX],
+                                     "DR_WLS", boot_reps=30, seed=4)
+        assert three.row_tests[:2] == two.row_tests
+
+    def test_failing_cell_discards_draws_of_its_lines_only(self, data600, monkeypatch):
+        # cell (p_small, o_small) is the only one whose designs have 4 and 3
+        # columns; it fails in the draws whose respondent count has the
+        # other parity than the full sample's
+        _, cov, T, y = data600
+        p_small = sens.ModelSpec(role="propensity", covariates=(4, 5, 6))
+        o_small = sens.ModelSpec(role="outcome", covariates=(4, 5))
+
+        def run():
+            return sens.run_sensitivity(cov, T, y, [PZ, p_small], [OZ, o_small],
+                                        "DR_WLS", boot_reps=40, seed=8)
+
+        clean = run()
+        fit = linmod.fit_outcome_wls
+
+        def flaky(view, pi_hat):
+            if (view.design_pi.shape[1], view.design_m.shape[1]) == (4, 3) and (
+                    int(view.T.sum()) % 2 != int(T.sum()) % 2):
+                raise NonconvergenceError("injected")
+            return fit(view, pi_hat)
+
+        monkeypatch.setattr(linmod, "fit_outcome_wls", flaky)
+        out = run()
+        assert out.cell_messages == {}
+        hit = out.row_tests[1]
+        assert 0 < hit.boot_failures < 40
+        assert hit.n_boot_used == 40 - hit.boot_failures
+        assert out.col_tests[1].boot_failures == hit.boot_failures
+        assert clean.row_tests[1].boot_failures == clean.col_tests[1].boot_failures == 0
+        assert out.row_tests[0] == clean.row_tests[0]
+        assert out.col_tests[0] == clean.col_tests[0]
+        assert out.row_tests[0].n_boot_used == out.col_tests[0].n_boot_used == 40
+
+    def test_two_runs_in_one_process_agree(self, data600, result):
+        _, cov, T, y = data600
+        again = sens.run_sensitivity(cov, T, y, [PZ, PX], [OZ, OX], "DR_WLS",
+                                     boot_reps=60, seed=11)
+        assert json.dumps(again.to_dict()) == json.dumps(result.to_dict())
 
 
 class TestNoForeignExceptions:
