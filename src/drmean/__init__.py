@@ -68,6 +68,7 @@ from .mc import (
     ScenarioSpec,
     density_points,
     run_scenario,
+    run_scenarios,
     summarize,
 )
 from .sensitivity import (
@@ -132,6 +133,7 @@ __all__ = [
     "mu_ols_identities_check",
     "reverse_roles",
     "run_scenario",
+    "run_scenarios",
     "run_sensitivity",
     "select_models",
     "summarize",

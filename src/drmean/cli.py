@@ -39,7 +39,8 @@ from ._util import PRNG_NAME, SEED_DERIVATION
 from .dgp import AnalysisView, DgpConfig, design_matrix
 from .errors import ConfigError, DataError, DrmeanError, InvalidArgumentError
 from .estimators import ESTIMATOR_NAMES, check_estimator_names, estimate_all
-from .mc import QUANTILE_LEVELS, ScenarioSpec, run_scenario
+# run_scenario is unused here, but bench/layers.py wraps cli.run_scenario
+from .mc import QUANTILE_LEVELS, ScenarioSpec, run_scenario, run_scenarios  # noqa: F401
 from .sensitivity import DR_ESTIMATORS, ModelSpec, run_sensitivity
 from .mc import density_points
 
@@ -144,6 +145,8 @@ def load_run_config(path: str) -> RunConfig:
         and all(isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in sizes),
         "sample_sizes must be a nonempty list of integers >= 2",
     )
+    repeated = sorted({n for n in sizes if sizes.count(n) > 1})
+    _require(not repeated, f"sample_sizes repeats {', '.join(map(str, repeated))}")
     scenarios_raw = raw.get(
         "scenarios",
         [
@@ -163,7 +166,9 @@ def load_run_config(path: str) -> RunConfig:
             isinstance(sc.get("pi_correct"), bool) and isinstance(sc.get("m_correct"), bool),
             f"scenarios[{k}] requires boolean pi_correct and m_correct",
         )
-        scenarios.append((sc["pi_correct"], sc["m_correct"]))
+        pair = (sc["pi_correct"], sc["m_correct"])
+        _require(pair not in scenarios, f"scenarios[{k}] repeats an earlier scenario")
+        scenarios.append(pair)
     reverse = raw.get("reverse_roles", False)
     _require(isinstance(reverse, bool), "reverse_roles must be a boolean")
     estimators = raw.get("estimators", list(ESTIMATOR_NAMES))
@@ -353,24 +358,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     reverse = config.reverse_roles or args.reverse
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summaries = []
+    specs = [
+        ScenarioSpec(
+            n=n,
+            reps=config.reps,
+            pi_model_correct=pi_correct,
+            m_model_correct=m_correct,
+            reverse=reverse,
+            base_seed=config.base_seed,
+            estimators=config.estimators,
+        )
+        for pi_correct, m_correct in config.scenarios
+        for n in config.sample_sizes
+    ]
+    summaries = run_scenarios(specs, config.dgp, workers=args.workers)
     failure_counts: dict[str, int] = {}
-    for pi_correct, m_correct in config.scenarios:
-        for n in config.sample_sizes:
-            spec = ScenarioSpec(
-                n=n,
-                reps=config.reps,
-                pi_model_correct=pi_correct,
-                m_model_correct=m_correct,
-                reverse=reverse,
-                base_seed=config.base_seed,
-                estimators=config.estimators,
-            )
-            summary = run_scenario(spec, config.dgp, workers=args.workers)
-            summaries.append(summary)
-            for name, row in summary.rows.items():
-                if row.failures:
-                    failure_counts[f"{spec.label()}:n={n}:{name}"] = row.failures
+    for summary in summaries:
+        spec = summary.scenario
+        for name, row in summary.rows.items():
+            if row.failures:
+                failure_counts[f"{spec.label()}:n={spec.n}:{name}"] = row.failures
     (out_dir / "results.csv").write_text(results_csv_text(summaries))
     metadata = {
         "package_version": __version__,

@@ -2,9 +2,11 @@
 
 Replication r draws its own PCG64 seed from the scenario's base seed
 (see _util.derive_seed), so any subset of replications can be recomputed
-in isolation and worker processes need no shared stream.  Results are
-reduced in replication order regardless of how many workers ran, which
-makes summaries bit-identical across worker counts.
+in isolation and worker processes need no shared stream.  run_scenarios
+puts the replications of all its scenarios into one task list, served by
+a single process pool, and reduces each scenario's results in
+replication order regardless of how many workers ran, which makes
+summaries bit-identical across worker counts.
 
 Failures are per estimator, not per replication: a replicate where only
 the weighted fits blow up still contributes its OLS and FULL values.
@@ -159,41 +161,61 @@ def _replicate(args: tuple[int, ScenarioSpec, DgpConfig]) -> dict[str, float | N
     }
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    cfg: DgpConfig | None = None,
-    workers: int = 1,
-) -> MCSummary:
-    """Run all replications of a scenario and summarise per estimator.
-
-    workers > 1 farms replications out to a process pool; the reduction
-    still walks results in replication order, so the summary does not
-    depend on the worker count.
-    """
-    if cfg is None:
-        cfg = DgpConfig()
-    if workers < 1:
-        raise InvalidArgumentError("workers must be at least 1")
-    tasks = [(r, spec, cfg) for r in range(spec.reps)]
-    if workers == 1 or spec.reps == 1:
-        results = [_replicate(t) for t in tasks]
-    else:
-        ctx = multiprocessing.get_context()
-        chunk = max(1, spec.reps // (4 * workers))
-        with ctx.Pool(workers) as pool:
-            results = pool.map(_replicate, tasks, chunksize=chunk)
-
+def _reduce(spec: ScenarioSpec, results: list, mu_true: float) -> MCSummary:
+    """Summarise one scenario's replication results, in replication order."""
     rows: dict[str, EstimatorSummary] = {}
     for name in spec.estimators:
         vals = [res[name] for res in results if res[name] is not None]
         failures = spec.reps - len(vals)
         if vals:
-            row = summarize(np.array(vals), mu_true=cfg.intercept)
+            row = summarize(np.array(vals), mu_true=mu_true)
             row.failures = failures
         else:
             row = _empty_summary(failures)
         rows[name] = row
-    return MCSummary(scenario=spec, mu_true=cfg.intercept, rows=rows)
+    return MCSummary(scenario=spec, mu_true=mu_true, rows=rows)
+
+
+def run_scenarios(
+    specs,
+    cfg: DgpConfig | None = None,
+    workers: int = 1,
+) -> list[MCSummary]:
+    """Run all replications of every scenario; one summary per spec, in order.
+
+    workers > 1 farms the replications of all scenarios out to one
+    process pool as a single task list, so no worker waits for the end of
+    a scenario; the summaries do not depend on the worker count.
+    """
+    if cfg is None:
+        cfg = DgpConfig()
+    if workers < 1:
+        raise InvalidArgumentError("workers must be at least 1")
+    specs = list(specs)
+    tasks = [(r, spec, cfg) for spec in specs for r in range(spec.reps)]
+    if workers == 1 or len(tasks) <= 1:
+        results = [_replicate(t) for t in tasks]
+    else:
+        ctx = multiprocessing.get_context()
+        chunk = max(1, len(tasks) // (4 * workers))
+        with ctx.Pool(min(workers, len(tasks))) as pool:
+            results = pool.map(_replicate, tasks, chunksize=chunk)
+    summaries = []
+    start = 0
+    for spec in specs:
+        summaries.append(_reduce(spec, results[start : start + spec.reps], cfg.intercept))
+        start += spec.reps
+    return summaries
+
+
+def run_scenario(
+    spec: ScenarioSpec,
+    cfg: DgpConfig | None = None,
+    workers: int = 1,
+) -> MCSummary:
+    """Run all replications of one scenario and summarise per estimator:
+    run_scenarios on the single spec."""
+    return run_scenarios([spec], cfg, workers)[0]
 
 
 def density_points(

@@ -172,20 +172,29 @@ def _estimate_cell(
     return ESTIMATORS[estimator](pipe)
 
 
-def _designs(covariates: np.ndarray, specs) -> dict[tuple[int, ...], np.ndarray]:
-    """Each spec's design, keyed by its covariate tuple."""
-    return {s.covariates: design_matrix(covariates, s.covariates) for s in specs}
+class _Sample:
+    """The full sample as the cells see it: each spec's design, keyed by its
+    covariate tuple, the masked outcomes, and per propensity spec the
+    pi_cache of its full-sample fit once build_matrix has made it."""
+
+    def __init__(self, covariates: np.ndarray, T: np.ndarray, Y: np.ndarray, specs):
+        self.designs = {s.covariates: design_matrix(covariates, s.covariates) for s in specs}
+        self.T = T
+        self.y = np.where(T == 1, Y, np.nan)
+        self.pi_caches: dict[ModelSpec, dict] = {}
 
 
-def _estimate_cells(designs, T, y_observed, cells, estimator, starts) -> dict:
+def _estimate_cells(designs, T, y_observed, cells, estimator, starts, pi_caches=None) -> dict:
     """Estimate each (p_spec, o_spec) cell on one sample.
 
-    designs holds the sample's design per covariate tuple (see _designs).
+    designs holds the sample's design per covariate tuple (see _Sample).
     The cells of one p_spec share its propensity fit, started from
-    starts.get(p_spec).  Returns each cell's estimate, or the DrmeanError
-    it failed with.
+    starts.get(p_spec) and memoised in pi_caches[p_spec] (a fresh dict
+    unless pi_caches is given).  Returns each cell's estimate, or the
+    DrmeanError it failed with.
     """
-    pi_caches: dict[ModelSpec, dict] = {}
+    if pi_caches is None:
+        pi_caches = {}
     out: dict = {}
     for ps, os_ in cells:
         view = AnalysisView(
@@ -233,21 +242,25 @@ def build_matrix(
     p_specs,
     o_specs,
     estimator: str,
+    *,
+    _sample: _Sample | None = None,
 ) -> tuple[np.ndarray, dict[tuple[int, int], str]]:
     """Estimate under every (propensity, outcome) spec pairing.
 
     Returns the (J_p, J_o) estimate matrix with NaN for cells whose fit
     failed, plus failure messages keyed by cell index.  Each propensity
     spec is fitted once; a failed fit gives every cell of its row its
-    message.
+    message.  run_sensitivity passes the _Sample of the same data, whose
+    designs this uses and whose pi_caches keep the fits for the bootstrap.
     """
     covariates, T, Y = _check_data(covariates, T, Y)
     p_specs, o_specs = _validate_specs(p_specs, o_specs, estimator)
     _check_spec_indices(p_specs + o_specs, covariates.shape[1])
+    if _sample is None:
+        _sample = _Sample(covariates, T, Y, p_specs + o_specs)
     cells = [(ps, os_) for ps in p_specs for os_ in o_specs]
     out = _estimate_cells(
-        _designs(covariates, p_specs + o_specs), T, np.where(T == 1, Y, np.nan),
-        cells, estimator, {},
+        _sample.designs, _sample.T, _sample.y, cells, estimator, {}, _sample.pi_caches
     )
     estimates = np.full((len(p_specs), len(o_specs)), np.nan)
     messages: dict[tuple[int, int], str] = {}
@@ -264,34 +277,38 @@ def build_matrix(
 class _Draws:
     """The bootstrap draws of one run, shared by all of its line tests.
 
-    Draw b resamples the rows with PCG64(derive_seed(seed, b)) and
-    estimates every cell in cells on the resample.  Each logistic
-    propensity spec starts its draw fits from its full-sample fit, made
-    here once (from zero if that fit fails).  The draws are evaluated on
-    first use, inside the first line test that reads them.
+    Draw b resamples the rows of sample with PCG64(derive_seed(seed, b))
+    and estimates every cell in cells on the resample.  Each logistic
+    propensity spec starts its draw fits from its full-sample fit: the one
+    build_matrix left in sample.pi_caches, else one made here (from zero
+    if that fit fails).  The draws are evaluated on first use, inside the
+    first line test that reads them.
     """
 
-    def __init__(self, covariates, T, Y, cells, estimator, boot_reps: int, seed: int):
+    def __init__(self, sample: _Sample, cells, estimator, boot_reps: int, seed: int):
         self.cells = tuple(dict.fromkeys(cells))
         self.estimator = estimator
         self.boot_reps = boot_reps
         self.seed = seed
-        self._designs = _designs(covariates, {s for cell in self.cells for s in cell})
-        self._T = T
-        self._y = np.where(T == 1, Y, np.nan)
+        used = {s.covariates for cell in self.cells for s in cell}
+        self._designs = {k: d for k, d in sample.designs.items() if k in used}
+        self._T = sample.T
+        self._y = sample.y
         p_specs = dict.fromkeys(ps for ps, _ in self.cells)
         self._starts = {
-            ps: self._start(ps) for ps in p_specs if ps.kind in (None, "LOGISTIC_MLE")
+            ps: self._start(sample, ps) for ps in p_specs if ps.kind in (None, "LOGISTIC_MLE")
         }
         self._draws: list[dict] | None = None
 
-    def _start(self, p_spec: ModelSpec) -> np.ndarray | None:
-        try:
-            return linmod.fit_logistic_propensity(
-                self._designs[p_spec.covariates], self._T
-            ).alpha
-        except DrmeanError:
-            return None
+    def _start(self, sample: _Sample, p_spec: ModelSpec) -> np.ndarray | None:
+        # "pi" is the key Pipeline.propensity memoises its fit under
+        fit = sample.pi_caches.get(p_spec, {}).get("pi")
+        if fit is None:
+            try:
+                fit = linmod.fit_logistic_propensity(sample.designs[p_spec.covariates], sample.T)
+            except DrmeanError as exc:
+                fit = exc
+        return None if isinstance(fit, DrmeanError) else fit.alpha
 
     def draws(self) -> list[dict]:
         """Per draw, each cell's estimate or the DrmeanError it failed with."""
@@ -376,7 +393,8 @@ def homogeneity_test(
 
     cells = [pair(v) for v in varying_specs]
     if _draws is None:
-        _draws = _Draws(covariates, T, Y, cells, estimator, boot_reps, seed)
+        sample = _Sample(covariates, T, Y, {s for cell in cells for s in cell})
+        _draws = _Draws(sample, cells, estimator, boot_reps, seed)
     boot_rows = []
     failures = 0
     for draw in _draws.draws():
@@ -492,9 +510,13 @@ def run_sensitivity(
     """
     covariates, T, Y = _check_data(covariates, T, Y)
     p_specs, o_specs = _validate_specs(p_specs, o_specs, estimator)
-    estimates, messages = build_matrix(covariates, T, Y, p_specs, o_specs, estimator)
+    _check_spec_indices(p_specs + o_specs, covariates.shape[1])
+    sample = _Sample(covariates, T, Y, p_specs + o_specs)
+    estimates, messages = build_matrix(
+        covariates, T, Y, p_specs, o_specs, estimator, _sample=sample
+    )
     kept = [(p_specs[i], o_specs[j]) for i, j in zip(*np.nonzero(np.isfinite(estimates)))]
-    draws = _Draws(covariates, T, Y, kept, estimator, boot_reps, seed)
+    draws = _Draws(sample, kept, estimator, boot_reps, seed)
     row_tests = [
         homogeneity_test(
             estimates[i, :], covariates, T, Y, p_specs[i], o_specs, estimator,

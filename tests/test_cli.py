@@ -183,6 +183,30 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 2
         assert not (out / "results.csv").exists()
 
+    def test_repeated_sample_size_exits_2(self, tmp_path, capsys):
+        # a repeat would rerun every replication and write its rows twice
+        path = run_config(tmp_path, sample_sizes=[50, 60, 50], estimators=["OLS"])
+        with pytest.raises(ConfigError):
+            cli.load_run_config(path)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert "sample_sizes repeats 50" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_repeated_scenario_exits_2(self, tmp_path, capsys):
+        both_right = {"pi_correct": True, "m_correct": True}
+        path = run_config(
+            tmp_path,
+            scenarios=[both_right, {"pi_correct": False, "m_correct": True}, both_right],
+            estimators=["OLS"],
+        )
+        with pytest.raises(ConfigError):
+            cli.load_run_config(path)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert "scenarios[2] repeats" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     def test_default_scenarios_cover_all_four(self, tmp_path):
         cfg = {
             "base_seed": 3,

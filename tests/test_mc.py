@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drmean import mc
+from drmean import cli, mc
 from drmean.dgp import DgpConfig
 from drmean.errors import DegenerateInputError, InvalidArgumentError
 
@@ -176,6 +176,61 @@ class TestRunScenario:
     def test_worker_validation(self):
         with pytest.raises(InvalidArgumentError):
             mc.run_scenario(SMALL, workers=0)
+
+
+MIXED = (
+    SMALL,
+    mc.ScenarioSpec(n=40, reps=5, pi_model_correct=True, m_model_correct=False,
+                    reverse=True, base_seed=911, estimators=("DR_WLS", "OLS")),
+    mc.ScenarioSpec(n=80, reps=1, pi_model_correct=True, m_model_correct=True,
+                    base_seed=4, estimators=("FULL",)),
+    mc.ScenarioSpec(n=6, reps=7, pi_model_correct=False, m_model_correct=True,
+                    base_seed=5),
+)
+
+
+class TestRunScenarios:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_equals_one_run_per_scenario(self, workers):
+        alone = [mc.run_scenario(spec) for spec in MIXED]
+        together = mc.run_scenarios(MIXED, workers=workers)
+        assert len(together) == len(MIXED)
+        for a, b in zip(alone, together):
+            assert b.scenario is a.scenario and b.mu_true == a.mu_true
+            assert list(b.rows) == list(a.rows)
+            assert rows_equal(a.rows, b.rows)
+
+    def test_no_specs(self):
+        assert mc.run_scenarios([], workers=2) == []
+
+    def test_simulate_starts_one_pool(self, tmp_path, monkeypatch):
+        pools = []
+        get_context = mc.multiprocessing.get_context
+
+        def counting_get_context(*args, **kwargs):
+            ctx = get_context(*args, **kwargs)
+
+            class Counting:
+                def __getattr__(self, name):
+                    return getattr(ctx, name)
+
+                def Pool(self, *pool_args, **pool_kwargs):
+                    pools.append(pool_args)
+                    return ctx.Pool(*pool_args, **pool_kwargs)
+
+            return Counting()
+
+        monkeypatch.setattr(mc.multiprocessing, "get_context", counting_get_context)
+        config = tmp_path / "config.json"
+        config.write_text(
+            '{"base_seed": 1, "reps": 3, "sample_sizes": [30, 40], "estimators": ["OLS"]}'
+        )
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "o"),
+                       "--workers", "2"])
+        assert rc == 0
+        assert pools == [(2,)]
+        rows = (tmp_path / "o" / "results.csv").read_text().splitlines()
+        assert len(rows) == 1 + 4 * 2
 
 
 @pytest.fixture(scope="module")
