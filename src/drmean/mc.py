@@ -184,8 +184,10 @@ def run_scenarios(
     """Run all replications of every scenario; one summary per spec, in order.
 
     workers > 1 farms the replications of all scenarios out to one
-    process pool as a single task list, so no worker waits for the end of
-    a scenario; the summaries do not depend on the worker count.
+    process pool as a single task list.  A chunk holds at most a quarter
+    of one worker's share of the smallest scenario, so chunks of a costly
+    large-n scenario stay small and the pool's tail stays short when
+    sizes are mixed.  The summaries do not depend on the worker count.
     """
     if cfg is None:
         cfg = DgpConfig()
@@ -197,7 +199,7 @@ def run_scenarios(
         results = [_replicate(t) for t in tasks]
     else:
         ctx = multiprocessing.get_context()
-        chunk = max(1, len(tasks) // (4 * workers))
+        chunk = max(1, min(spec.reps for spec in specs) // (4 * workers))
         with ctx.Pool(min(workers, len(tasks))) as pool:
             results = pool.map(_replicate, tasks, chunksize=chunk)
     summaries = []

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from . import linmod
 from ._util import derive_seed
 from .dgp import AnalysisView, design_matrix
 from .errors import DrmeanError, InvalidArgumentError, NonconvergenceError
@@ -184,17 +183,14 @@ class _Sample:
         self.pi_caches: dict[ModelSpec, dict] = {}
 
 
-def _estimate_cells(designs, T, y_observed, cells, estimator, starts, pi_caches=None) -> dict:
+def _estimate_cells(designs, T, y_observed, cells, estimator, starts, pi_caches) -> dict:
     """Estimate each (p_spec, o_spec) cell on one sample.
 
     designs holds the sample's design per covariate tuple (see _Sample).
     The cells of one p_spec share its propensity fit, started from
-    starts.get(p_spec) and memoised in pi_caches[p_spec] (a fresh dict
-    unless pi_caches is given).  Returns each cell's estimate, or the
-    DrmeanError it failed with.
+    starts.get(p_spec) and memoised in pi_caches[p_spec].  Returns each
+    cell's estimate, or the DrmeanError it failed with.
     """
-    if pi_caches is None:
-        pi_caches = {}
     out: dict = {}
     for ps, os_ in cells:
         view = AnalysisView(
@@ -250,13 +246,14 @@ def build_matrix(
     Returns the (J_p, J_o) estimate matrix with NaN for cells whose fit
     failed, plus failure messages keyed by cell index.  Each propensity
     spec is fitted once; a failed fit gives every cell of its row its
-    message.  run_sensitivity passes the _Sample of the same data, whose
-    designs this uses and whose pi_caches keep the fits for the bootstrap.
+    message.  run_sensitivity passes the _Sample of the same data, built
+    after its own spec-index check; this uses its designs, and its
+    pi_caches keep the fits for the bootstrap.
     """
     covariates, T, Y = _check_data(covariates, T, Y)
     p_specs, o_specs = _validate_specs(p_specs, o_specs, estimator)
-    _check_spec_indices(p_specs + o_specs, covariates.shape[1])
     if _sample is None:
+        _check_spec_indices(p_specs + o_specs, covariates.shape[1])
         _sample = _Sample(covariates, T, Y, p_specs + o_specs)
     cells = [(ps, os_) for ps in p_specs for os_ in o_specs]
     out = _estimate_cells(
@@ -279,10 +276,11 @@ class _Draws:
 
     Draw b resamples the rows of sample with PCG64(derive_seed(seed, b))
     and estimates every cell in cells on the resample.  Each logistic
-    propensity spec starts its draw fits from its full-sample fit: the one
-    build_matrix left in sample.pi_caches, else one made here (from zero
-    if that fit fails).  The draws are evaluated on first use, inside the
-    first line test that reads them.
+    propensity spec starts its draw fits from its full-sample fit, read
+    through a Pipeline on sample.pi_caches: the one build_matrix left
+    there, else one made and kept there now (from zero if that fit
+    fails).  The draws are evaluated on first use, inside the first line
+    test that reads them.
     """
 
     def __init__(self, sample: _Sample, cells, estimator, boot_reps: int, seed: int):
@@ -301,14 +299,15 @@ class _Draws:
         self._draws: list[dict] | None = None
 
     def _start(self, sample: _Sample, p_spec: ModelSpec) -> np.ndarray | None:
-        # "pi" is the key Pipeline.propensity memoises its fit under
-        fit = sample.pi_caches.get(p_spec, {}).get("pi")
-        if fit is None:
-            try:
-                fit = linmod.fit_logistic_propensity(sample.designs[p_spec.covariates], sample.T)
-            except DrmeanError as exc:
-                fit = exc
-        return None if isinstance(fit, DrmeanError) else fit.alpha
+        d = sample.designs[p_spec.covariates]
+        pipe = Pipeline(
+            AnalysisView(design_pi=d, design_m=d, T=sample.T, y_observed=sample.y),
+            pi_cache=sample.pi_caches.setdefault(p_spec, {}),
+        )
+        try:
+            return pipe.propensity().alpha
+        except DrmeanError:
+            return None
 
     def draws(self) -> list[dict]:
         """Per draw, each cell's estimate or the DrmeanError it failed with."""
@@ -321,7 +320,7 @@ class _Draws:
                 draws.append(_estimate_cells(
                     {k: d[idx] for k, d in self._designs.items()},
                     self._T[idx], self._y[idx], self.cells, self.estimator,
-                    self._starts,
+                    self._starts, {},
                 ))
             self._draws = draws
         return self._draws

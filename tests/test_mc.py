@@ -203,6 +203,41 @@ class TestRunScenarios:
     def test_no_specs(self):
         assert mc.run_scenarios([], workers=2) == []
 
+    def test_chunks_sized_by_smallest_scenario(self, monkeypatch):
+        # chunks of the large scenario stay as small as the small one's, so
+        # one costly chunk cannot hold up the end of a mixed-size run
+        chunksizes = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                chunksizes.append(chunksize)
+                return [fn(t) for t in tasks]
+
+        class InProcessContext:
+            Pool = InProcessPool
+
+        specs = [
+            mc.ScenarioSpec(n=30, reps=16, pi_model_correct=True, m_model_correct=True,
+                            base_seed=3, estimators=("OLS",)),
+            mc.ScenarioSpec(n=90, reps=64, pi_model_correct=False, m_model_correct=True,
+                            base_seed=3, estimators=("OLS",)),
+        ]
+        alone = [mc.run_scenario(spec) for spec in specs]
+        monkeypatch.setattr(mc.multiprocessing, "get_context", lambda: InProcessContext())
+        together = mc.run_scenarios(specs, workers=2)
+        assert chunksizes == [16 // (4 * 2)]
+        for a, b in zip(alone, together):
+            assert rows_equal(a.rows, b.rows)
+
     def test_simulate_starts_one_pool(self, tmp_path, monkeypatch):
         pools = []
         get_context = mc.multiprocessing.get_context
