@@ -354,6 +354,8 @@ def results_csv_text(summaries: list) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     config = load_run_config(args.config)
     reverse = config.reverse_roles or args.reverse
     out_dir = Path(args.out)

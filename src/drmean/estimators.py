@@ -14,9 +14,16 @@ change spelling:
   B_DR_EXT    bounded form under the one-parameter extended propensity
   FULL        mean of the complete outcomes (simulation reference)
 
-ESTIMATORS below is the single definition of each estimator: the outcome
-fit it needs and how it combines the fits.  estimate_all and the
-sensitivity cells both evaluate it on a Pipeline of memoised fits.
+Each formula is written once (_ht, _ipw_pop, _aipw, _b_dr, _plug_in), on
+the respondent terms of a propensity fit (_Respondents: 1 / pi_hat and y
+on respondents, the sums of w and w y) and the terms of an outcome fit
+(_Fitted: m_hat and its sum).  The public mu_* functions build those
+terms from their arguments.  ESTIMATORS is the single definition of each
+estimator: the outcome fit it needs and how it combines the fits.
+estimate_all and the sensitivity cells both evaluate it on a Pipeline,
+which memoises the fits and their terms, so one replication checks each
+propensity fit's respondents once and takes each shared exact sum once.
+The weight diagnostics of estimate_all come from the base fit alone.
 
 The three plug-in doubly robust forms (DR_WLS, DR_IPW_NR, DR_EXT_REG)
 coincide with their augmented-IPW counterparts because each fit zeroes
@@ -28,6 +35,7 @@ of the fitted values.
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +73,7 @@ def _respondents(pi_hat, T, Y):
     return resp, 1.0 / pr, y
 
 
-def _fitted(m_hat, T) -> np.ndarray:
+def _check_fitted(m_hat, T) -> np.ndarray:
     """m_hat as a float array, checked to have one entry per unit."""
     m_hat = np.asarray(m_hat, dtype=float)
     if m_hat.shape != np.shape(T):
@@ -73,25 +81,85 @@ def _fitted(m_hat, T) -> np.ndarray:
     return m_hat
 
 
+class _Respondents:
+    """The respondent terms of one propensity fit, checked by _respondents.
+
+    resp, w = 1 / pi_hat[resp] and y = Y[resp] over n units, with the
+    exact sums of w and of w y that several estimators read, each taken
+    on first use.
+    """
+
+    def __init__(self, pi_hat, T, Y):
+        self.resp, self.w, self.y = _respondents(pi_hat, T, Y)
+        self.n = len(self.resp)
+
+    @cached_property
+    def w_sum(self) -> float:
+        return math.fsum(self.w.tolist())
+
+    @cached_property
+    def wy_sum(self) -> float:
+        return math.fsum((self.w * self.y).tolist())
+
+    def residual_sum(self, fitted: "_Fitted") -> float:
+        """Exact sum of w (y - m_hat) over respondents."""
+        return math.fsum((self.w * (self.y - fitted.m_hat[self.resp])).tolist())
+
+
+class _Fitted:
+    """Fitted values m_hat as a float array, with their exact sum taken on first use."""
+
+    def __init__(self, m_hat):
+        self.m_hat = np.asarray(m_hat, dtype=float)
+
+    @cached_property
+    def total(self) -> float:
+        return math.fsum(self.m_hat.tolist())
+
+
+# Each estimator's formula, written once: the public mu_* functions and
+# ESTIMATORS both evaluate these on _Respondents and _Fitted terms.
+
+
+def _ht(r: _Respondents) -> float:
+    return r.wy_sum / r.n
+
+
+def _ipw_pop(r: _Respondents) -> float:
+    return r.wy_sum / r.w_sum
+
+
+def _aipw(r: _Respondents, f: _Fitted) -> float:
+    correction = r.residual_sum(f)
+    return f.total / r.n + correction / r.n
+
+
+def _b_dr(r: _Respondents, f: _Fitted) -> float:
+    if r.w_sum <= 0:
+        raise UndefinedEstimatorError("sum of inverse weights is not positive")
+    correction = r.residual_sum(f)
+    return f.total / r.n + correction / r.w_sum
+
+
+def _plug_in(f: _Fitted) -> float:
+    if f.m_hat.size == 0:
+        raise UndefinedEstimatorError("no fitted values")
+    return f.total / f.m_hat.size
+
+
 def mu_ht(pi_hat, T, Y) -> float:
     """Unnormalised IPW mean: P_n[T y / pi_hat].  Unbounded."""
-    _, w, y = _respondents(pi_hat, T, Y)
-    return math.fsum((w * y).tolist()) / len(np.asarray(T))
+    return _ht(_Respondents(pi_hat, T, Y))
 
 
 def mu_ipw_pop(pi_hat, T, Y) -> float:
     """Normalised IPW mean, a convex combination of observed outcomes."""
-    _, w, y = _respondents(pi_hat, T, Y)
-    return math.fsum((w * y).tolist()) / math.fsum(w.tolist())
+    return _ipw_pop(_Respondents(pi_hat, T, Y))
 
 
 def mu_aipw(pi_hat, m_hat, T, Y) -> float:
     """Augmented IPW: P_n[m_hat] + P_n[T (y - m_hat) / pi_hat]."""
-    resp, w, y = _respondents(pi_hat, T, Y)
-    m_hat = _fitted(m_hat, T)
-    n = len(np.asarray(T))
-    correction = math.fsum((w * (y - m_hat[resp])).tolist())
-    return math.fsum(m_hat.tolist()) / n + correction / n
+    return _aipw(_Respondents(pi_hat, T, Y), _Fitted(_check_fitted(m_hat, T)))
 
 
 def mu_b_dr(pi_hat, m_hat, T, Y) -> float:
@@ -101,22 +169,12 @@ def mu_b_dr(pi_hat, m_hat, T, Y) -> float:
     can never leave [min m_hat, max m_hat] by more than the largest
     absolute residual.
     """
-    resp, w, y = _respondents(pi_hat, T, Y)
-    m_hat = _fitted(m_hat, T)
-    n = len(np.asarray(T))
-    denom = math.fsum(w.tolist())
-    if denom <= 0:
-        raise UndefinedEstimatorError("sum of inverse weights is not positive")
-    correction = math.fsum((w * (y - m_hat[resp])).tolist())
-    return math.fsum(m_hat.tolist()) / n + correction / denom
+    return _b_dr(_Respondents(pi_hat, T, Y), _Fitted(_check_fitted(m_hat, T)))
 
 
 def mu_from_regression(m_hat) -> float:
     """Plug-in mean of fitted values: P_n[m_hat]."""
-    m_hat = np.asarray(m_hat, dtype=float)
-    if m_hat.size == 0:
-        raise UndefinedEstimatorError("no fitted values")
-    return math.fsum(m_hat.tolist()) / m_hat.size
+    return _plug_in(_Fitted(m_hat))
 
 
 def mu_full(Y) -> float:
@@ -146,14 +204,20 @@ class EstimateSet:
 
 
 class Pipeline:
-    """Lazy, memoised model fits shared across the requested estimators.
+    """Lazy, memoised model fits and respondent terms shared across the
+    requested estimators.
 
     The propensity fit is logistic unless inverse_linear names a method of
     linmod.fit_inverse_linear; a logistic fit starts from the coefficients
-    pi_start, if given.  A failed fit is memoised too and re-raised to
-    every estimator that needs it.  Pipelines on the same design_pi, T,
-    inverse_linear and pi_start may share one pi_cache dict, so that their
-    propensity model is fitted once for all of them.
+    pi_start, if given.  Beside the fits, one replication's respondent
+    algebra is memoised too: the checked respondent terms of the base and
+    of the extended propensity fit, with their sums of w and w y
+    (respondents), and the sum of each outcome fit's fitted values
+    (fitted).  A failure is memoised as well and re-raised, with its
+    class and message, to every estimator that needs it.  Pipelines on
+    the same design_pi, T, inverse_linear and pi_start may share one
+    pi_cache dict, so that their propensity model is fitted once for all
+    of them.
     """
 
     def __init__(
@@ -208,20 +272,32 @@ class Pipeline:
 
         return self._get(kind, build)
 
+    def fitted(self, kind: str) -> _Fitted:
+        """The fitted values of outcome(kind), with their memoised sum."""
+        return self._get(f"{kind} fitted", lambda: _Fitted(self.outcome(kind).m_hat))
+
     def extended(self) -> linmod.PropensityFit:
         """Logistic fit extended along the centred unweighted regression."""
 
         def build():
             if self.inverse_linear is not None:
                 raise InvalidArgumentError("B_DR_EXT requires a logistic propensity model")
-            m_hat = self.outcome("REG").m_hat
-            h = m_hat - mu_from_regression(m_hat)
+            reg = self.fitted("REG")
+            h = reg.m_hat - _plug_in(reg)
             return linmod.fit_extended_propensity(self.propensity(), h, self.view.T)
 
         return self._get("extended", build)
 
+    def respondents(self, extended: bool = False) -> _Respondents:
+        """The respondent terms of propensity(), or of extended() if extended."""
+        fit = self.extended if extended else self.propensity
+        return self._get(
+            f"{'extended' if extended else 'pi'} respondents",
+            lambda: _Respondents(fit().pi_hat, self.T, self.y),
+        )
 
-def _full_sample_mean(pipe: Pipeline, m_hat) -> float:
+
+def _full_sample_mean(pipe: Pipeline, fitted) -> float:
     if pipe.full is None:
         raise UndefinedEstimatorError("complete outcomes unavailable")
     return mu_full(pipe.full.Y)
@@ -231,42 +307,47 @@ def _full_sample_mean(pipe: Pipeline, m_hat) -> float:
 class Estimator:
     """One estimator: the fits it needs and how it combines them.
 
-    combine(pipeline, m_hat) gets m_hat as a thunk for the fitted values
-    of the outcome fit, so that each estimator asks for its fits in its
-    own order and the first failing fit is the one reported.
+    combine(pipeline, fitted) gets fitted as a thunk for the outcome fit's
+    _Fitted terms, so that each estimator asks for its fits in its own
+    order and the first failing fit is the one reported.
     """
 
     outcome: str | None  # outcome fit kind, a Pipeline.outcome key
     weighted: bool       # needs a propensity fit
-    combine: Callable[[Pipeline, Callable[[], np.ndarray]], float]
+    combine: Callable[[Pipeline, Callable[[], _Fitted]], float]
 
     def __call__(self, pipe: Pipeline) -> float:
-        return self.combine(pipe, lambda: pipe.outcome(self.outcome).m_hat)
+        return self.combine(pipe, lambda: pipe.fitted(self.outcome))
 
 
-def _plug_in(pipe, m_hat):
-    return mu_from_regression(m_hat())
+def _plug_in_estimate(pipe, fitted):
+    return _plug_in(fitted())
+
+
+def _augmented(formula, extended: bool = False):
+    """combine for formula(respondents, fitted): the propensity fit first,
+    then the outcome fit, then the respondent check, as in the standalone
+    mu_* call on those fits."""
+
+    def combine(pipe, fitted):
+        (pipe.extended if extended else pipe.propensity)()
+        f = fitted()
+        return formula(pipe.respondents(extended), f)
+
+    return combine
 
 
 # The order is the output order of every table and CSV.
 ESTIMATORS: dict[str, Estimator] = {
-    "OLS": Estimator("REG", False, _plug_in),
-    "HT": Estimator(None, True, lambda p, m: mu_ht(p.propensity().pi_hat, p.T, p.y)),
-    "IPW_POP": Estimator(
-        None, True, lambda p, m: mu_ipw_pop(p.propensity().pi_hat, p.T, p.y)
-    ),
-    "DR_REG": Estimator(
-        "REG", True, lambda p, m: mu_aipw(p.propensity().pi_hat, m(), p.T, p.y)
-    ),
-    "DR_WLS": Estimator("WLS", True, _plug_in),
-    "DR_IPW_NR": Estimator("IPW_NR", True, _plug_in),
-    "DR_EXT_REG": Estimator("EXT_REG", True, _plug_in),
-    "B_DR_REG": Estimator(
-        "REG", True, lambda p, m: mu_b_dr(p.propensity().pi_hat, m(), p.T, p.y)
-    ),
-    "B_DR_EXT": Estimator(
-        "REG", True, lambda p, m: mu_b_dr(p.extended().pi_hat, m(), p.T, p.y)
-    ),
+    "OLS": Estimator("REG", False, _plug_in_estimate),
+    "HT": Estimator(None, True, lambda p, f: _ht(p.respondents())),
+    "IPW_POP": Estimator(None, True, lambda p, f: _ipw_pop(p.respondents())),
+    "DR_REG": Estimator("REG", True, _augmented(_aipw)),
+    "DR_WLS": Estimator("WLS", True, _plug_in_estimate),
+    "DR_IPW_NR": Estimator("IPW_NR", True, _plug_in_estimate),
+    "DR_EXT_REG": Estimator("EXT_REG", True, _plug_in_estimate),
+    "B_DR_REG": Estimator("REG", True, _augmented(_b_dr)),
+    "B_DR_EXT": Estimator("REG", True, _augmented(_b_dr, extended=True)),
     "FULL": Estimator(None, False, _full_sample_mean),
 }
 
@@ -320,7 +401,7 @@ def estimate_all(
 
     diagnostics = None
     try:
-        diagnostics = pipe.propensity().diagnostics
+        diagnostics = linmod.weight_diagnostics(pipe.propensity().pi_hat, pipe.T)
     except DrmeanError:
         pass
     return EstimateSet(values=values, flags=flags, messages=messages, diagnostics=diagnostics)

@@ -77,12 +77,15 @@ class WeightDiagnostics:
 
 @dataclass
 class PropensityFit:
+    """A fitted propensity model.  It carries no weight summaries: callers
+    that report them call weight_diagnostics(pi_hat, T) themselves, as
+    estimators.estimate_all does for the base fit only."""
+
     kind: PropensityKind
     alpha: np.ndarray       # coefficients of the base model
     phi: float | None       # extension coefficient, when applicable
     eta: np.ndarray         # per-unit linear predictor (alpha'x [+ phi h])
     pi_hat: np.ndarray      # per-unit fitted response probability
-    diagnostics: WeightDiagnostics
     iterations: int
 
 
@@ -163,7 +166,11 @@ def _equilibrated_lstsq(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _score_within(
-    design: np.ndarray, q: np.ndarray, q_err: np.ndarray | float, tol: float
+    design: np.ndarray,
+    q: np.ndarray,
+    q_err: np.ndarray | float,
+    tol: float,
+    abs_design: np.ndarray | None = None,
 ) -> bool:
     """False only if the mat-vec design.T @ q proves a column's mean above tol.
 
@@ -173,11 +180,14 @@ def _score_within(
     Numerical Algorithms, 2nd ed., sec. 3.1).  |design.T @ q| - e <= tol n
     is a componentwise backward-error test (Arioli, Duff & Ruiz, SIAM J.
     Matrix Anal. Appl. 13, 1992), unchanged when q and q_err are scaled.
+    abs_design, if given, is np.abs(design), taken once by a caller's loop.
     """
     n = design.shape[0]
+    if abs_design is None:
+        abs_design = np.abs(design)
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.abs(design.T @ q)
-        e = np.abs(design).T @ ((2.0 * (n + 1) * _U) * np.abs(q) + q_err)
+        e = abs_design.T @ ((2.0 * (n + 1) * _U) * np.abs(q) + q_err)
         return bool(np.all(np.isfinite(e)) and np.all(s - e <= tol * n))
 
 
@@ -206,11 +216,12 @@ def _wls(
             raise InvalidWeightError("all unit weights are zero")
 
     sw = np.sqrt(w)
+    abs_design = np.abs(design)
     beta = _equilibrated_lstsq(design * sw[:, None], response * sw)
     for iterations in range(1, IRLS_MAX_ITER + 1):
         resid = response - design @ beta
-        q_err = ((p + 2) * _U) * w * (np.abs(response) + np.abs(design) @ np.abs(beta))
-        if _score_within(design, w * resid, q_err, SCORE_TOL):
+        q_err = ((p + 2) * _U) * w * (np.abs(response) + abs_design @ np.abs(beta))
+        if _score_within(design, w * resid, q_err, SCORE_TOL, abs_design):
             break
         beta = beta + _equilibrated_lstsq(design * sw[:, None], resid * sw)
     else:
@@ -259,11 +270,12 @@ def _logistic_newton(
         beta = np.array(start, dtype=float)
         if beta.shape != (design.shape[1],) or not np.all(np.isfinite(beta)):
             raise InvalidArgumentError("start must be finite, one entry per column")
+    abs_design = np.abs(design)
     for iterations in range(1, IRLS_MAX_ITER + 1):
         mu = expit(design @ beta)
         resid = response - mu
         # T - mu is of order one on most units: the |q| term covers its rounding
-        if _score_within(design, resid, 0.0, SCORE_TOL):
+        if _score_within(design, resid, 0.0, SCORE_TOL, abs_design):
             break
         v = mu * (1.0 - mu)
         if not np.any(v > 0):
@@ -311,7 +323,6 @@ def fit_logistic_propensity(
         phi=None,
         eta=eta,
         pi_hat=pi_hat,
-        diagnostics=weight_diagnostics(pi_hat, T),
         iterations=iterations,
     )
 
@@ -447,7 +458,6 @@ def fit_inverse_linear(
         phi=None,
         eta=eta,
         pi_hat=pi_hat,
-        diagnostics=weight_diagnostics(pi_hat, T),
         iterations=iterations,
     )
 
@@ -580,6 +590,5 @@ def fit_extended_propensity(
         phi=phi_hat / c,
         eta=eta,
         pi_hat=pi_hat,
-        diagnostics=weight_diagnostics(pi_hat, T),
         iterations=len(values),
     )

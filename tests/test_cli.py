@@ -175,6 +175,15 @@ class TestSimulateCommand:
         lst.write_text("[1, 2]")
         assert cli.main(["simulate", "--config", str(lst), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2_before_output(self, tmp_path, capsys, workers):
+        out = tmp_path / "o"
+        rc = cli.main(["simulate", "--config", run_config(tmp_path), "--out", str(out),
+                       "--workers", workers])
+        assert rc == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicate_estimators_exit_2(self, tmp_path):
         path = run_config(tmp_path, estimators=["OLS", "OLS"])
         with pytest.raises(ConfigError):

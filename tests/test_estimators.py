@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from drmean import estimators as est
 from drmean import linmod
-from drmean.dgp import AnalysisView, FullSample, generate_sample, make_view
+from drmean.dgp import AnalysisView, FullSample, generate_sample, make_view, reverse_roles
 from drmean.errors import (
+    DrmeanError,
     InvalidArgumentError,
     InvalidWeightError,
     UndefinedEstimatorError,
@@ -251,6 +252,112 @@ class TestEstimateAll:
         for name in (nm for nm in est.ESTIMATOR_NAMES if nm != "FULL"):
             assert out.flags[name] == est.FLAG_FAILED, name
             assert "non-finite" in out.messages[name], name
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class and message of the DrmeanError it raised."""
+    try:
+        return fn(*args)
+    except DrmeanError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestOneDefinition:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "pi_ok, m_ok, reverse",
+        [(True, True, False), (True, False, False), (False, True, False),
+         (False, False, False), (False, False, True)],
+    )
+    def test_estimate_all_equals_public_functions(self, seed, pi_ok, m_ok, reverse):
+        # each estimate_all value is the public mu_* function on the same fits
+        sample = generate_sample(1000, seed)
+        if reverse:
+            sample = reverse_roles(sample)
+        view = make_view(sample, pi_ok, m_ok)
+        out = est.estimate_all(view, sample)
+        pipe = est.Pipeline(view, sample)
+        T, y = view.T, view.y_observed
+        pi = pipe.propensity().pi_hat
+        m = {kind: pipe.outcome(kind).m_hat for kind in ("REG", "WLS", "IPW_NR", "EXT_REG")}
+        want = {
+            "OLS": _outcome(est.mu_from_regression, m["REG"]),
+            "HT": _outcome(est.mu_ht, pi, T, y),
+            "IPW_POP": _outcome(est.mu_ipw_pop, pi, T, y),
+            "DR_REG": _outcome(est.mu_aipw, pi, m["REG"], T, y),
+            "DR_WLS": _outcome(est.mu_from_regression, m["WLS"]),
+            "DR_IPW_NR": _outcome(est.mu_from_regression, m["IPW_NR"]),
+            "DR_EXT_REG": _outcome(est.mu_from_regression, m["EXT_REG"]),
+            "B_DR_REG": _outcome(est.mu_b_dr, pi, m["REG"], T, y),
+            "B_DR_EXT": _outcome(est.mu_b_dr, pipe.extended().pi_hat, m["REG"], T, y),
+            "FULL": _outcome(est.mu_full, sample.Y),
+        }
+        got = {nm: out.messages.get(nm, out.values[nm]) for nm in est.ESTIMATOR_NAMES}
+        assert got == want
+
+    def test_work_per_estimate_all(self, sample_1000, right_view, monkeypatch):
+        # one respondent check per propensity fit, one diagnostics call, and
+        # each exact sum that several estimators read taken once
+        calls = {"respondents": 0, "diagnostics": 0, "fsum": 0}
+
+        def spy(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(est, "_respondents", spy("respondents", est._respondents))
+        monkeypatch.setattr(
+            linmod, "weight_diagnostics", spy("diagnostics", linmod.weight_diagnostics)
+        )
+        monkeypatch.setattr(math, "fsum", spy("fsum", math.fsum))
+        out = est.estimate_all(right_view, sample_1000)
+        assert out.messages == {}
+        assert calls["respondents"] <= 2
+        assert calls["diagnostics"] == 1
+        assert calls["fsum"] == 11
+
+    def test_failed_respondent_check_memoised(self, monkeypatch):
+        # the unconstrained inverse-linear fit puts pi_hat < 0 on the first
+        # respondent: the check runs once, and every estimator that reads it
+        # reports the standalone call's failure, while OLS and FULL still
+        # report their values
+        x = np.array([-3.0, -1.0, 0.0, 1.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0])
+        T = np.array([1, 1, 1, 1, 1, 0, 0, 0, 0, 0])
+        y_full = np.array([1.0, 3.0, 2.0, 5.0, 4.0, 6.0, 7.0, 6.5, 8.0, 7.5])
+        design = np.column_stack([np.ones_like(x), x])
+        view = AnalysisView(design_pi=design, design_m=design, T=T,
+                            y_observed=np.where(T == 1, y_full, np.nan))
+        full = FullSample(n=10, Z=np.zeros((10, 4)), X=np.zeros((10, 4)),
+                          pi_true=np.full(10, 0.5), T=T, Y=y_full)
+        pipe = est.Pipeline(view, full, inverse_linear="unconstrained_moment")
+        pi = pipe.propensity().pi_hat
+        assert pi[0] < 0
+        m_reg = linmod.fit_outcome_reg(view).m_hat
+        standalone = {
+            "HT": lambda: est.mu_ht(pi, T, view.y_observed),
+            "IPW_POP": lambda: est.mu_ipw_pop(pi, T, view.y_observed),
+            "DR_REG": lambda: est.mu_aipw(pi, m_reg, T, view.y_observed),
+            "B_DR_REG": lambda: est.mu_b_dr(pi, m_reg, T, view.y_observed),
+        }
+        checks = []
+        respondents = est._respondents
+        monkeypatch.setattr(
+            est, "_respondents", lambda *args: checks.append(args) or respondents(*args)
+        )
+        raised = []
+        for name in standalone:
+            with pytest.raises(InvalidWeightError) as exc:
+                est.ESTIMATORS[name](pipe)
+            raised.append(exc.value)
+        assert len(checks) == 1
+        assert all(exc is raised[0] for exc in raised)
+        for call in standalone.values():
+            with pytest.raises(InvalidWeightError) as want:
+                call()
+            assert (type(want.value), str(want.value)) == (type(raised[0]), str(raised[0]))
+        assert est.ESTIMATORS["OLS"](pipe) == est.mu_from_regression(m_reg)
+        assert est.ESTIMATORS["FULL"](pipe) == est.mu_full(y_full)
 
 
 @pytest.fixture(scope="module")

@@ -600,9 +600,10 @@ class TestWeightDiagnostics:
         d = linmod.weight_diagnostics(np.array([0.5, 0.5]), np.array([0, 0]))
         assert d.max_inv_pi_respondents == 0.0
 
-    def test_attached_to_propensity_fit(self, wrong_view):
+    def test_reported_for_base_propensity_fit(self, wrong_view):
         fit = linmod.fit_logistic_propensity(wrong_view.design_pi, wrong_view.T)
-        d = fit.diagnostics
+        d = estimate_all(wrong_view).diagnostics
+        assert d == linmod.weight_diagnostics(fit.pi_hat, wrong_view.T)
         assert 0.0 < d.min_pi < 1.0
         assert d.max_inv_pi_respondents > 1.0
         assert d.max_inv_pi_nonrespondents > 1.0
