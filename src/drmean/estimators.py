@@ -16,14 +16,18 @@ change spelling:
 
 Each formula is written once (_ht, _ipw_pop, _aipw, _b_dr, _plug_in), on
 the respondent terms of a propensity fit (_Respondents: 1 / pi_hat and y
-on respondents, the sums of w and w y) and the terms of an outcome fit
-(_Fitted: m_hat and its sum).  The public mu_* functions build those
-terms from their arguments.  ESTIMATORS is the single definition of each
+on respondents, the sums of w and w y), the terms of an outcome fit
+(_Fitted: m_hat and its sum) and, for the augmented forms, the exact
+residual correction sum.  The public mu_* functions build those terms
+from their arguments.  ESTIMATORS is the single definition of each
 estimator: the outcome fit it needs and how it combines the fits.
 estimate_all and the sensitivity cells both evaluate it on a Pipeline,
 which memoises the fits and their terms, so one replication checks each
 propensity fit's respondents once and takes each shared exact sum once.
 The weight diagnostics of estimate_all come from the base fit alone.
+Pipelines on one sample may share the fits that depend on one design
+only (see Pipeline), which is how mc evaluates the scenarios of a
+replication and the sensitivity cells of a propensity spec.
 
 The three plug-in doubly robust forms (DR_WLS, DR_IPW_NR, DR_EXT_REG)
 coincide with their augmented-IPW counterparts because each fit zeroes
@@ -129,15 +133,15 @@ def _ipw_pop(r: _Respondents) -> float:
     return r.wy_sum / r.w_sum
 
 
-def _aipw(r: _Respondents, f: _Fitted) -> float:
-    correction = r.residual_sum(f)
+def _aipw(r: _Respondents, f: _Fitted, correction: float) -> float:
+    """correction is r.residual_sum(f)."""
     return f.total / r.n + correction / r.n
 
 
-def _b_dr(r: _Respondents, f: _Fitted) -> float:
+def _b_dr(r: _Respondents, f: _Fitted, correction: float) -> float:
+    """correction is r.residual_sum(f)."""
     if r.w_sum <= 0:
         raise UndefinedEstimatorError("sum of inverse weights is not positive")
-    correction = r.residual_sum(f)
     return f.total / r.n + correction / r.w_sum
 
 
@@ -159,7 +163,8 @@ def mu_ipw_pop(pi_hat, T, Y) -> float:
 
 def mu_aipw(pi_hat, m_hat, T, Y) -> float:
     """Augmented IPW: P_n[m_hat] + P_n[T (y - m_hat) / pi_hat]."""
-    return _aipw(_Respondents(pi_hat, T, Y), _Fitted(_check_fitted(m_hat, T)))
+    r, f = _Respondents(pi_hat, T, Y), _Fitted(_check_fitted(m_hat, T))
+    return _aipw(r, f, r.residual_sum(f))
 
 
 def mu_b_dr(pi_hat, m_hat, T, Y) -> float:
@@ -169,7 +174,8 @@ def mu_b_dr(pi_hat, m_hat, T, Y) -> float:
     can never leave [min m_hat, max m_hat] by more than the largest
     absolute residual.
     """
-    return _b_dr(_Respondents(pi_hat, T, Y), _Fitted(_check_fitted(m_hat, T)))
+    r, f = _Respondents(pi_hat, T, Y), _Fitted(_check_fitted(m_hat, T))
+    return _b_dr(r, f, r.residual_sum(f))
 
 
 def mu_from_regression(m_hat) -> float:
@@ -212,12 +218,21 @@ class Pipeline:
     pi_start, if given.  Beside the fits, one replication's respondent
     algebra is memoised too: the checked respondent terms of the base and
     of the extended propensity fit, with their sums of w and w y
-    (respondents), and the sum of each outcome fit's fitted values
-    (fitted).  A failure is memoised as well and re-raised, with its
-    class and message, to every estimator that needs it.  Pipelines on
-    the same design_pi, T, inverse_linear and pi_start may share one
-    pi_cache dict, so that their propensity model is fitted once for all
-    of them.
+    (respondents), the sum of each outcome fit's fitted values (fitted),
+    the residual correction sum of each (propensity fit, outcome fit)
+    pair (residual_sum) and the base fit's weight diagnostics.  A failure
+    is memoised as well and re-raised, with its class and message, to
+    every estimator that needs it.
+
+    A shared cache holds only entries that depend on what all of its
+    sharers have in common.  Pipelines on the same design_pi, T, y,
+    inverse_linear and pi_start may share one pi_cache dict: it holds the
+    base propensity fit, its respondent terms and its weight diagnostics.
+    Pipelines on the same design_m, T and y may share one m_cache dict: it
+    holds the unweighted outcome fit "REG" and its fitted values.
+    Everything that depends on both designs (the weighted outcome fits,
+    the extended fit and its respondents, the residual sums) stays in the
+    pipeline's own cache.
     """
 
     def __init__(
@@ -227,6 +242,7 @@ class Pipeline:
         inverse_linear: str | None = None,
         pi_cache: dict | None = None,
         pi_start: np.ndarray | None = None,
+        m_cache: dict | None = None,
     ):
         self.view = view
         self.full = full
@@ -236,6 +252,7 @@ class Pipeline:
         self.y = np.asarray(view.y_observed, dtype=float)
         self._cache: dict[str, object] = {}
         self._pi_cache = self._cache if pi_cache is None else pi_cache
+        self._m_cache = self._cache if m_cache is None else m_cache
 
     def _get(self, key: str, build, cache: dict | None = None):
         cache = self._cache if cache is None else cache
@@ -249,6 +266,9 @@ class Pipeline:
             raise out
         return out
 
+    def _outcome_cache(self, kind: str) -> dict:
+        return self._m_cache if kind == "REG" else self._cache
+
     def propensity(self) -> linmod.PropensityFit:
         def build():
             if self.inverse_linear is None:
@@ -261,6 +281,14 @@ class Pipeline:
 
         return self._get("pi", build, self._pi_cache)
 
+    def diagnostics(self) -> linmod.WeightDiagnostics:
+        """Weight diagnostics of propensity()."""
+        return self._get(
+            "pi diagnostics",
+            lambda: linmod.weight_diagnostics(self.propensity().pi_hat, self.T),
+            self._pi_cache,
+        )
+
     def outcome(self, kind: str) -> linmod.OutcomeFit:
         """Outcome fit "REG", "WLS", "EXT_REG" or "IPW_NR" (fit_outcome_<kind>)."""
 
@@ -270,11 +298,15 @@ class Pipeline:
                 return fit(self.view)
             return fit(self.view, self.propensity().pi_hat)
 
-        return self._get(kind, build)
+        return self._get(kind, build, self._outcome_cache(kind))
 
     def fitted(self, kind: str) -> _Fitted:
         """The fitted values of outcome(kind), with their memoised sum."""
-        return self._get(f"{kind} fitted", lambda: _Fitted(self.outcome(kind).m_hat))
+        return self._get(
+            f"{kind} fitted",
+            lambda: _Fitted(self.outcome(kind).m_hat),
+            self._outcome_cache(kind),
+        )
 
     def extended(self) -> linmod.PropensityFit:
         """Logistic fit extended along the centred unweighted regression."""
@@ -290,14 +322,25 @@ class Pipeline:
 
     def respondents(self, extended: bool = False) -> _Respondents:
         """The respondent terms of propensity(), or of extended() if extended."""
-        fit = self.extended if extended else self.propensity
+        if extended:
+            fit, cache = self.extended, self._cache
+        else:
+            fit, cache = self.propensity, self._pi_cache
         return self._get(
             f"{'extended' if extended else 'pi'} respondents",
             lambda: _Respondents(fit().pi_hat, self.T, self.y),
+            cache,
+        )
+
+    def residual_sum(self, kind: str, extended: bool = False) -> float:
+        """respondents(extended).residual_sum(fitted(kind)), taken once."""
+        return self._get(
+            f"{'extended' if extended else 'pi'} residual {kind}",
+            lambda: self.respondents(extended).residual_sum(self.fitted(kind)),
         )
 
 
-def _full_sample_mean(pipe: Pipeline, fitted) -> float:
+def _full_sample_mean(pipe: Pipeline, kind) -> float:
     if pipe.full is None:
         raise UndefinedEstimatorError("complete outcomes unavailable")
     return mu_full(pipe.full.Y)
@@ -307,32 +350,32 @@ def _full_sample_mean(pipe: Pipeline, fitted) -> float:
 class Estimator:
     """One estimator: the fits it needs and how it combines them.
 
-    combine(pipeline, fitted) gets fitted as a thunk for the outcome fit's
-    _Fitted terms, so that each estimator asks for its fits in its own
-    order and the first failing fit is the one reported.
+    combine(pipeline, outcome) asks the pipeline for the fits it needs in
+    its own order, so that the first failing fit is the one reported.
     """
 
     outcome: str | None  # outcome fit kind, a Pipeline.outcome key
     weighted: bool       # needs a propensity fit
-    combine: Callable[[Pipeline, Callable[[], _Fitted]], float]
+    combine: Callable[[Pipeline, str | None], float]
 
     def __call__(self, pipe: Pipeline) -> float:
-        return self.combine(pipe, lambda: pipe.fitted(self.outcome))
+        return self.combine(pipe, self.outcome)
 
 
-def _plug_in_estimate(pipe, fitted):
-    return _plug_in(fitted())
+def _plug_in_estimate(pipe, kind):
+    return _plug_in(pipe.fitted(kind))
 
 
 def _augmented(formula, extended: bool = False):
-    """combine for formula(respondents, fitted): the propensity fit first,
-    then the outcome fit, then the respondent check, as in the standalone
-    mu_* call on those fits."""
+    """combine for formula(respondents, fitted, correction): the propensity
+    fit first, then the outcome fit, then the respondent check, as in the
+    standalone mu_* call on those fits."""
 
-    def combine(pipe, fitted):
+    def combine(pipe, kind):
         (pipe.extended if extended else pipe.propensity)()
-        f = fitted()
-        return formula(pipe.respondents(extended), f)
+        f = pipe.fitted(kind)
+        r = pipe.respondents(extended)
+        return formula(r, f, pipe.residual_sum(kind, extended))
 
     return combine
 
@@ -340,8 +383,8 @@ def _augmented(formula, extended: bool = False):
 # The order is the output order of every table and CSV.
 ESTIMATORS: dict[str, Estimator] = {
     "OLS": Estimator("REG", False, _plug_in_estimate),
-    "HT": Estimator(None, True, lambda p, f: _ht(p.respondents())),
-    "IPW_POP": Estimator(None, True, lambda p, f: _ipw_pop(p.respondents())),
+    "HT": Estimator(None, True, lambda p, kind: _ht(p.respondents())),
+    "IPW_POP": Estimator(None, True, lambda p, kind: _ipw_pop(p.respondents())),
     "DR_REG": Estimator("REG", True, _augmented(_aipw)),
     "DR_WLS": Estimator("WLS", True, _plug_in_estimate),
     "DR_IPW_NR": Estimator("IPW_NR", True, _plug_in_estimate),
@@ -370,15 +413,20 @@ def estimate_all(
     view: AnalysisView,
     full: FullSample | None = None,
     which: tuple[str, ...] | None = None,
+    *,
+    _pi_cache: dict | None = None,
+    _m_cache: dict | None = None,
 ) -> EstimateSet:
     """Compute the requested estimators on one analysis view.
 
     Model fits are shared and each failure is isolated: a propensity fit
     that diverges marks every weighted estimator as failed but leaves OLS
-    (and FULL, when a complete sample is supplied) intact.
+    (and FULL, when a complete sample is supplied) intact.  mc passes the
+    views of one sample the Pipeline caches they share as _pi_cache and
+    _m_cache; the result equals the call without them.
     """
     names = ESTIMATOR_NAMES if which is None else check_estimator_names(which)
-    pipe = Pipeline(view, full)
+    pipe = Pipeline(view, full, pi_cache=_pi_cache, m_cache=_m_cache)
     y_resp = pipe.y[pipe.T == 1]
     y_resp = y_resp[~np.isnan(y_resp)]
     lo, hi = (y_resp.min(), y_resp.max()) if y_resp.size else (math.inf, -math.inf)
@@ -401,7 +449,7 @@ def estimate_all(
 
     diagnostics = None
     try:
-        diagnostics = linmod.weight_diagnostics(pipe.propensity().pi_hat, pipe.T)
+        diagnostics = pipe.diagnostics()
     except DrmeanError:
         pass
     return EstimateSet(values=values, flags=flags, messages=messages, diagnostics=diagnostics)

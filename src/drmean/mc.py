@@ -2,11 +2,17 @@
 
 Replication r draws its own PCG64 seed from the scenario's base seed
 (see _util.derive_seed), so any subset of replications can be recomputed
-in isolation and worker processes need no shared stream.  run_scenarios
-puts the replications of all its scenarios into one task list, served by
-a single process pool, and reduces each scenario's results in
-replication order regardless of how many workers ran, which makes
-summaries bit-identical across worker counts.
+in isolation and worker processes need no shared stream.  Scenarios of
+one size, base seed and role reversal therefore draw the same sample in
+replication r, and one task evaluates them all on it: the sample is
+drawn once, and each fit that depends on the sample and one design only
+(the propensity fit on Z or X, with its respondent terms and weight
+diagnostics, and the unweighted outcome fit) is computed once for the
+scenarios that use that design.  run_scenarios puts the replications of
+all its scenarios into one task list, served by a single process pool,
+and reduces each scenario's results in replication order regardless of
+how many workers ran, which makes summaries bit-identical across worker
+counts.
 
 Failures are per estimator, not per replication: a replicate where only
 the weighted fits blow up still contributes its OLS and FULL values.
@@ -148,17 +154,33 @@ def _empty_summary(failures: int) -> EstimatorSummary:
     )
 
 
-def _replicate(args: tuple[int, ScenarioSpec, DgpConfig]) -> dict[str, float | None]:
-    r, spec, cfg = args
-    sample = generate_sample(spec.n, derive_seed(spec.base_seed, r), cfg)
-    if spec.reverse:
+def _replicate(
+    args: tuple[int, tuple[ScenarioSpec, ...], DgpConfig],
+) -> list[dict[str, float | None]]:
+    """Replication r of a group of specs that share n, base_seed and
+    reverse: one result dict per spec, in order."""
+    r, specs, cfg = args
+    first = specs[0]
+    sample = generate_sample(first.n, derive_seed(first.base_seed, r), cfg)
+    if first.reverse:
         sample = reverse_roles(sample)
-    view = make_view(sample, spec.pi_model_correct, spec.m_model_correct)
-    result = estimate_all(view, sample, spec.estimators)
-    return {
-        name: (None if result.flags[name] == FLAG_FAILED else result.values[name])
-        for name in spec.estimators
-    }
+    pi_caches: dict[bool, dict] = {}
+    m_caches: dict[bool, dict] = {}
+    out = []
+    for spec in specs:
+        view = make_view(sample, spec.pi_model_correct, spec.m_model_correct)
+        result = estimate_all(
+            view,
+            sample,
+            spec.estimators,
+            _pi_cache=pi_caches.setdefault(spec.pi_model_correct, {}),
+            _m_cache=m_caches.setdefault(spec.m_model_correct, {}),
+        )
+        out.append({
+            name: (None if result.flags[name] == FLAG_FAILED else result.values[name])
+            for name in spec.estimators
+        })
+    return out
 
 
 def _reduce(spec: ScenarioSpec, results: list, mu_true: float) -> MCSummary:
@@ -183,18 +205,30 @@ def run_scenarios(
 ) -> list[MCSummary]:
     """Run all replications of every scenario; one summary per spec, in order.
 
-    workers > 1 farms the replications of all scenarios out to one
-    process pool as a single task list.  A chunk holds at most a quarter
-    of one worker's share of the smallest scenario, so chunks of a costly
-    large-n scenario stay small and the pool's tail stays short when
-    sizes are mixed.  The summaries do not depend on the worker count.
+    Specs that share n, base_seed and reverse form a group, and a task is
+    one replication r of one group: the group's specs with more than r
+    reps, evaluated on one shared sample (see _replicate).  workers > 1
+    farms the tasks of all groups out to one process pool as a single
+    task list.  A chunk holds at most a quarter of one worker's share of
+    the smallest scenario, so chunks of a costly large-n group stay small
+    and the pool's tail stays short when sizes are mixed.  The summaries
+    do not depend on the worker count.
     """
     if cfg is None:
         cfg = DgpConfig()
     if workers < 1:
         raise InvalidArgumentError("workers must be at least 1")
     specs = list(specs)
-    tasks = [(r, spec, cfg) for spec in specs for r in range(spec.reps)]
+    groups: dict[tuple, list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.n, spec.base_seed, spec.reverse), []).append(i)
+    tasks = []
+    members = []  # the spec indices of each task, in task order
+    for group in groups.values():
+        for r in range(max(specs[i].reps for i in group)):
+            live = [i for i in group if specs[i].reps > r]
+            tasks.append((r, tuple(specs[i] for i in live), cfg))
+            members.append(live)
     if workers == 1 or len(tasks) <= 1:
         results = [_replicate(t) for t in tasks]
     else:
@@ -202,12 +236,11 @@ def run_scenarios(
         chunk = max(1, min(spec.reps for spec in specs) // (4 * workers))
         with ctx.Pool(min(workers, len(tasks))) as pool:
             results = pool.map(_replicate, tasks, chunksize=chunk)
-    summaries = []
-    start = 0
-    for spec in specs:
-        summaries.append(_reduce(spec, results[start : start + spec.reps], cfg.intercept))
-        start += spec.reps
-    return summaries
+    per_spec: list[list] = [[] for _ in specs]
+    for live, task_results in zip(members, results):
+        for i, res in zip(live, task_results):
+            per_spec[i].append(res)
+    return [_reduce(spec, res, cfg.intercept) for spec, res in zip(specs, per_spec)]
 
 
 def run_scenario(

@@ -297,7 +297,8 @@ class TestOneDefinition:
 
     def test_work_per_estimate_all(self, sample_1000, right_view, monkeypatch):
         # one respondent check per propensity fit, one diagnostics call, and
-        # each exact sum that several estimators read taken once
+        # each exact sum that several estimators read taken once: DR_REG
+        # and B_DR_REG share one residual correction sum
         calls = {"respondents": 0, "diagnostics": 0, "fsum": 0}
 
         def spy(key, fn):
@@ -315,7 +316,16 @@ class TestOneDefinition:
         assert out.messages == {}
         assert calls["respondents"] <= 2
         assert calls["diagnostics"] == 1
-        assert calls["fsum"] == 11
+        assert calls["fsum"] == 10
+
+    def test_shared_caches_hold_single_design_terms(self, sample_1000):
+        # the caches mc shares between the scenarios of one sample hold
+        # only what depends on one design, T and y
+        pi_cache, m_cache = {}, {}
+        est.estimate_all(make_view(sample_1000, True, False), sample_1000,
+                         _pi_cache=pi_cache, _m_cache=m_cache)
+        assert set(pi_cache) == {"pi", "pi respondents", "pi diagnostics"}
+        assert set(m_cache) == {"REG", "REG fitted"}
 
     def test_failed_respondent_check_memoised(self, monkeypatch):
         # the unconstrained inverse-linear fit puts pi_hat < 0 on the first

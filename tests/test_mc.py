@@ -1,12 +1,16 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drmean import cli, mc
-from drmean.dgp import DgpConfig
+from drmean import cli, linmod, mc
+from drmean import estimators as est
+from drmean._util import derive_seed
+from drmean.dgp import DgpConfig, generate_sample, make_view, reverse_roles
 from drmean.errors import DegenerateInputError, InvalidArgumentError
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -131,9 +135,11 @@ class TestRunScenario:
         assert rows_equal(a.rows, b.rows)
 
     def test_replication_recomputable_in_isolation(self):
+        # a task is one replication of a group of specs on one sample
         cfg = DgpConfig()
-        batch = [mc._replicate((r, SMALL, cfg)) for r in range(SMALL.reps)]
-        alone = mc._replicate((7, SMALL, cfg))
+        group = (SMALL, dataclasses.replace(SMALL, pi_model_correct=True))
+        batch = [mc._replicate((r, group, cfg)) for r in range(SMALL.reps)]
+        alone = mc._replicate((7, group, cfg))
         assert alone == batch[7]
 
     def test_metadata_recorded(self):
@@ -186,6 +192,19 @@ MIXED = (
                     base_seed=4, estimators=("FULL",)),
     mc.ScenarioSpec(n=6, reps=7, pi_model_correct=False, m_model_correct=True,
                     base_seed=5),
+    # each shares n, base_seed and reverse with a spec above, so they run
+    # on the same samples, with unequal reps
+    mc.ScenarioSpec(n=60, reps=9, pi_model_correct=True, m_model_correct=False,
+                    base_seed=911, estimators=("B_DR_REG", "OLS", "DR_REG")),
+    mc.ScenarioSpec(n=40, reps=8, pi_model_correct=False, m_model_correct=False,
+                    reverse=True, base_seed=911),
+    mc.ScenarioSpec(n=6, reps=4, pi_model_correct=False, m_model_correct=False,
+                    base_seed=5),
+    mc.ScenarioSpec(n=60, reps=12, pi_model_correct=True, m_model_correct=True,
+                    base_seed=911, estimators=("HT", "FULL")),
+    # a second base seed at n=60
+    mc.ScenarioSpec(n=60, reps=5, pi_model_correct=True, m_model_correct=True,
+                    base_seed=3),
 )
 
 
@@ -266,6 +285,103 @@ class TestRunScenarios:
         assert pools == [(2,)]
         rows = (tmp_path / "o" / "results.csv").read_text().splitlines()
         assert len(rows) == 1 + 4 * 2
+
+
+def four_scenarios(n, reps, base_seed, reverse=False):
+    """The four model-correctness scenarios of one size: one group."""
+    return tuple(
+        mc.ScenarioSpec(n=n, reps=reps, pi_model_correct=p, m_model_correct=m,
+                        reverse=reverse, base_seed=base_seed)
+        for p in (True, False) for m in (True, False)
+    )
+
+
+def as_compared(result):
+    """An EstimateSet's values, flags, messages and diagnostics; repr keeps
+    NaN values comparable and every float exact."""
+    return repr(result.values), result.flags, result.messages, repr(result.diagnostics)
+
+
+class TestSharedReplication:
+    """Scenarios of one size, base seed and reversal share each
+    replication's sample and its single-design fits."""
+
+    def test_work_per_replication(self, monkeypatch):
+        # one sample per replication; one fit per distinct propensity and
+        # unweighted outcome design (Z and X); the fits that need both
+        # designs once per scenario
+        reps = 3
+        calls = Counter()
+
+        def spy(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(mc, "generate_sample")
+        for name in ("fit_logistic_propensity", "fit_outcome_reg", "weight_diagnostics",
+                     "fit_outcome_wls", "fit_outcome_ipw_nr", "fit_outcome_ext_reg",
+                     "fit_extended_propensity"):
+            spy(linmod, name)
+        out = mc.run_scenarios(four_scenarios(200, reps, base_seed=7))
+        assert all(row.failures == 0 for summary in out for row in summary.rows.values())
+        assert calls == {
+            "generate_sample": reps,
+            "fit_logistic_propensity": 2 * reps,
+            "fit_outcome_reg": 2 * reps,
+            "weight_diagnostics": 2 * reps,
+            "fit_outcome_wls": 4 * reps,
+            "fit_outcome_ipw_nr": 4 * reps,
+            "fit_outcome_ext_reg": 4 * reps,
+            "fit_extended_propensity": 4 * reps,
+        }
+
+    @pytest.mark.parametrize("n, base_seed, reps, reverse", [
+        (200, 1, 3, False),
+        (200, 2, 3, True),
+        (1000, 3, 2, False),
+        (10, 5, 10, False),  # most fits fail
+    ])
+    def test_equals_standalone_estimate_all(self, monkeypatch, n, base_seed, reps, reverse):
+        # each scenario's EstimateSet in a shared replication equals
+        # estimate_all on its own view with no shared caches
+        group = four_scenarios(n, reps, base_seed, reverse)
+        cfg = DgpConfig()
+        shared = []
+        estimate_all = mc.estimate_all
+
+        def recording(*args, **kwargs):
+            shared.append(estimate_all(*args, **kwargs))
+            return shared[-1]
+
+        monkeypatch.setattr(mc, "estimate_all", recording)
+        pi_fits = []
+        fit_logistic = linmod.fit_logistic_propensity
+        monkeypatch.setattr(linmod, "fit_logistic_propensity",
+                            lambda *a, **k: pi_fits.append(a) or fit_logistic(*a, **k))
+        shared_failures = 0
+        for r in range(reps):
+            shared.clear()
+            pi_fits.clear()
+            mc._replicate((r, group, cfg))
+            assert len(pi_fits) == 2  # a failed fit is not retried either
+            sample = generate_sample(n, derive_seed(base_seed, r), cfg)
+            if reverse:
+                sample = reverse_roles(sample)
+            assert len(shared) == len(group)
+            for spec, got in zip(group, shared):
+                view = make_view(sample, spec.pi_model_correct, spec.m_model_correct)
+                want = est.estimate_all(view, sample, spec.estimators)
+                assert as_compared(got) == as_compared(want), (r, spec.label())
+            # specs 0 and 1 share the Z propensity fit, 2 and 3 the X one
+            ht = [got.messages.get("HT") for got in shared]
+            shared_failures += sum(ht[k] is not None and ht[k] == ht[k + 1] for k in (0, 2))
+        # with n = 10 a failed propensity fit reaches both of its sharers
+        assert shared_failures > 0 if n == 10 else shared_failures == 0
 
 
 @pytest.fixture(scope="module")
