@@ -148,18 +148,31 @@ def make_view(
     sample: FullSample,
     pi_model_correct: bool,
     m_model_correct: bool,
+    *,
+    _parts: dict | None = None,
 ) -> AnalysisView:
     """Build the analyst's view of a sample.
 
     A correct model regresses on [1, Z]; a misspecified one on [1, X].
-    Outcomes are masked to NaN wherever T == 0.
+    Outcomes are masked to NaN wherever T == 0.  Only the designs the view
+    uses are built.  mc passes the views of one sample a shared _parts
+    dict: they then share each design, the copy of T and the masked
+    outcomes, and equal the views built without it.
     """
-    ones = np.ones((sample.n, 1))
-    design_z = np.hstack([ones, sample.Z])
-    design_x = np.hstack([ones, sample.X])
+    parts = {} if _parts is None else _parts
+
+    def design(correct: bool) -> np.ndarray:
+        if correct not in parts:
+            covariates = sample.Z if correct else sample.X
+            parts[correct] = np.hstack([np.ones((sample.n, 1)), covariates])
+        return parts[correct]
+
+    if "T" not in parts:
+        parts["T"] = sample.T.copy()
+        parts["y"] = np.where(sample.T == 1, sample.Y, np.nan)
     return AnalysisView(
-        design_pi=design_z if pi_model_correct else design_x,
-        design_m=design_z if m_model_correct else design_x,
-        T=sample.T.copy(),
-        y_observed=np.where(sample.T == 1, sample.Y, np.nan),
+        design_pi=design(pi_model_correct),
+        design_m=design(m_model_correct),
+        T=parts["T"],
+        y_observed=parts["y"],
     )

@@ -200,7 +200,9 @@ class EstimateSet:
     flags[name] is "ok", "out_of_observed_range" (value defined but
     outside the respondent outcome range) or "fit_failed"; messages
     carries the failure reason for the last case.  values has an entry
-    for every requested name, NaN when the fit failed.
+    for every requested name, NaN when the fit failed.  diagnostics
+    describes the base propensity fit's weights; it is None when that fit
+    failed or when no requested estimator is weighted.
     """
 
     values: dict[str, float]
@@ -229,7 +231,8 @@ class Pipeline:
     inverse_linear and pi_start may share one pi_cache dict: it holds the
     base propensity fit, its respondent terms and its weight diagnostics.
     Pipelines on the same design_m, T and y may share one m_cache dict: it
-    holds the unweighted outcome fit "REG" and its fitted values.
+    holds the checked respondent design of every outcome fit ("design"),
+    the unweighted outcome fit "REG" and its fitted values.
     Everything that depends on both designs (the weighted outcome fits,
     the extended fit and its respondents, the residual sums) stays in the
     pipeline's own cache.
@@ -289,14 +292,20 @@ class Pipeline:
             self._pi_cache,
         )
 
+    def respondent_design(self) -> linmod.RespondentDesign:
+        """The respondent rows of design_m, checked once for every outcome fit."""
+        return self._get("design", lambda: linmod.RespondentDesign(self.view), self._m_cache)
+
     def outcome(self, kind: str) -> linmod.OutcomeFit:
-        """Outcome fit "REG", "WLS", "EXT_REG" or "IPW_NR" (fit_outcome_<kind>)."""
+        """Outcome fit "REG", "WLS", "EXT_REG" or "IPW_NR" (fit_outcome_<kind>).
+
+        The propensity fit comes first, then respondent_design(), then the
+        fit's own checks of pi_hat."""
 
         def build():
             fit = getattr(linmod, f"fit_outcome_{kind.lower()}")
-            if kind == "REG":
-                return fit(self.view)
-            return fit(self.view, self.propensity().pi_hat)
+            args = () if kind == "REG" else (self.propensity().pi_hat,)
+            return fit(self.view, *args, _design=self.respondent_design())
 
         return self._get(kind, build, self._outcome_cache(kind))
 
@@ -421,9 +430,12 @@ def estimate_all(
 
     Model fits are shared and each failure is isolated: a propensity fit
     that diverges marks every weighted estimator as failed but leaves OLS
-    (and FULL, when a complete sample is supplied) intact.  mc passes the
-    views of one sample the Pipeline caches they share as _pi_cache and
-    _m_cache; the result equals the call without them.
+    (and FULL, when a complete sample is supplied) intact.  The weight
+    diagnostics of the propensity fit are reported only when a requested
+    estimator is weighted; otherwise no propensity model is fitted and
+    diagnostics is None.  mc passes the views of one sample the Pipeline
+    caches they share as _pi_cache and _m_cache; the result equals the call
+    without them.
     """
     names = ESTIMATOR_NAMES if which is None else check_estimator_names(which)
     pipe = Pipeline(view, full, pi_cache=_pi_cache, m_cache=_m_cache)
@@ -448,10 +460,11 @@ def estimate_all(
             flags[name] = FLAG_OUT_OF_RANGE
 
     diagnostics = None
-    try:
-        diagnostics = pipe.diagnostics()
-    except DrmeanError:
-        pass
+    if any(ESTIMATORS[name].weighted for name in names):
+        try:
+            diagnostics = pipe.diagnostics()
+        except DrmeanError:
+            pass
     return EstimateSet(values=values, flags=flags, messages=messages, diagnostics=diagnostics)
 
 

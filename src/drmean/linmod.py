@@ -1,12 +1,14 @@
 """Weighted linear and logistic fits, plus the propensity models.
 
-Outcome fits go through one weighted least squares routine (_wls): SVD
-least squares on the column-equilibrated design with a rank check, then
-refinement passes until the mean score is within SCORE_TOL.  That matters:
+Outcome fits go through one weighted least squares routine (_wls): a solve
+on the Gram matrix of the column-equilibrated weighted design, once
+Cholesky shows it well enough conditioned (else SVD least squares with a
+rank check), one corrected semi-normal-equations step, then refinement
+passes until the mean score is within SCORE_TOL.  That matters:
 downstream identities are asserted to absolute tolerances near 1e-10 on
 raw-scale designs whose columns differ by orders of magnitude.  Logistic
 Newton steps solve the p x p weighted Gram matrix of the equilibrated
-design, once Cholesky shows it positive definite (_newton_step).
+design under the same Cholesky test (_newton_step).
 
 Both fits stop once the mat-vec score and its rounding error bound can
 no longer prove any column above SCORE_TOL (_score_within, scale-free), and
@@ -18,11 +20,14 @@ Propensity models:
     likelihood, by a constrained moment criterion, or by solving the
     unconstrained moment equation P_n[(T alpha'x - 1) x] = 0 exactly;
   * a one-parameter logistic extension expit(alpha'x + phi h) whose phi
-    solves P_n[(T / pi - 1) h] = 0 for a caller-chosen direction h.
+    solves P_n[(T / pi - 1) h] = 0 for a caller-chosen direction h, by a
+    safeguarded Newton method.
 
 Outcome fits are computed on respondents only and return fitted values
 for every unit.  The four variants differ in weighting and in whether a
 function of the fitted propensity is appended as an extra covariate.
+They share one RespondentDesign per outcome design: its respondent rows,
+checked once.
 """
 
 import enum
@@ -30,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 from scipy.special import expit
 
 from ._util import fsum_col_means
@@ -52,7 +56,7 @@ _U = 2.0**-53          # unit roundoff of float64
 ETA_SEPARATION = 33.0  # |linear predictor| beyond this means separation
 PHI_BRACKET_MAX = 50.0
 PHI_GTOL = 1e-10
-PHI_XTOL = 1e-12
+PHI_XTOL = 1e-12       # relative accuracy of the extension coefficient
 _CONSTRAINT_DELTA = 1e-6
 _OPT_MAX_ITER = 10_000
 
@@ -125,15 +129,17 @@ def _check_design(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray,
         raise InvalidArgumentError("design must be 2-d")
     if response.shape != (design.shape[0],):
         raise InvalidArgumentError("response length must match design rows")
-    if design.shape[0] < design.shape[1]:
-        raise SingularDesignError(
-            f"{design.shape[0]} rows cannot identify {design.shape[1]} coefficients"
-        )
+    _check_identifiable(*design.shape)
     if not np.all(np.isfinite(design)):
         raise InvalidArgumentError("design contains non-finite entries")
     if not np.all(np.isfinite(response)):
         raise InvalidArgumentError("response contains non-finite entries")
     return design, response
+
+
+def _check_identifiable(rows: int, cols: int) -> None:
+    if rows < cols:
+        raise SingularDesignError(f"{rows} rows cannot identify {cols} coefficients")
 
 
 def _equilibrate(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,22 +197,70 @@ def _score_within(
         return bool(np.all(np.isfinite(e)) and np.all(s - e <= tol * n))
 
 
+def _pivots_pass(gram: np.ndarray) -> bool:
+    """True if Cholesky shows gram positive definite with every pivot above
+    sqrt(RANK_RCOND) times the largest."""
+    try:
+        d = np.linalg.cholesky(gram).diagonal()
+    except np.linalg.LinAlgError:
+        return False
+    return bool(d.min() > math.sqrt(RANK_RCOND) * d.max())
+
+
+def _gram_solver(design: np.ndarray, w: np.ndarray | None):
+    """solve(r), the c that minimizes sum w (r - design c)^2 (w = 1 if None),
+    from the inverse of the weighted Gram matrix scaled to unit diagonal,
+    which is the Gram matrix of the column-equilibrated weighted design; or
+    None if that matrix is not finite or fails _pivots_pass."""
+    wx = design.T if w is None else design.T * w
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gram = wx @ design
+        d = 1.0 / np.sqrt(gram.diagonal())
+        gram = gram * d * d[:, None]
+        if not _pivots_pass(gram):
+            return None
+    try:
+        inverse = np.linalg.inv(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NonconvergenceError(f"normal equations failed: {exc}") from None
+    return lambda r: d * (inverse @ (d * (wx @ r)))
+
+
+def _lstsq_solver(design: np.ndarray, w: np.ndarray | None):
+    """solve(r) as in _gram_solver, by SVD least squares (_equilibrated_lstsq)."""
+    sw = np.ones(design.shape[0]) if w is None else np.sqrt(w)
+    xs = design * sw[:, None]
+    return lambda r: _equilibrated_lstsq(xs, r * sw)
+
+
 def _wls(
     design: np.ndarray,
     response: np.ndarray,
     unit_weights: np.ndarray | None,
+    abs_design: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Weighted least squares.  Returns (coefficients, passes).
 
-    One weighted solve, then refinement passes until _score_within stops
-    them (NonconvergenceError after IRLS_MAX_ITER).  y - x'beta can cancel
-    far below |y|, so q_err bounds its rounding by (p + 2) u (|y| + |x||beta|).
+    Each pass solves on the Gram matrix of the column-equilibrated weighted
+    design (_gram_solver) when it passes the Cholesky test of _newton_step;
+    else (a rank-deficient or ill-conditioned design) every pass is SVD
+    least squares, whose rank check names the rank.  The Gram matrix
+    squares the condition number, so the first solve is always followed by
+    a second on its residual, the corrected semi-normal equations (Bjorck,
+    Linear Algebra Appl. 88/89, 1987); refinement passes follow until
+    _score_within stops them (NonconvergenceError after IRLS_MAX_ITER score
+    checks).  passes counts every solve.  y - x'beta can cancel far below
+    |y|, so q_err bounds its rounding by (p + 2) u (|y| + |x||beta|).
+
+    abs_design, if given, is np.abs(design) for a design and response that
+    passed _check_design (see RespondentDesign).
     """
-    design, response = _check_design(design, response)
+    if abs_design is None:
+        design, response = _check_design(design, response)
+        abs_design = np.abs(design)
     n, p = design.shape
-    if unit_weights is None:
-        w = np.ones(n)
-    else:
+    w = None
+    if unit_weights is not None:
         w = np.asarray(unit_weights, dtype=float)
         if w.shape != (n,):
             raise InvalidArgumentError("unit_weights length must match design rows")
@@ -215,31 +269,31 @@ def _wls(
         if not np.any(w > 0):
             raise InvalidWeightError("all unit weights are zero")
 
-    sw = np.sqrt(w)
-    abs_design = np.abs(design)
-    beta = _equilibrated_lstsq(design * sw[:, None], response * sw)
-    for iterations in range(1, IRLS_MAX_ITER + 1):
+    solve = _gram_solver(design, w) or _lstsq_solver(design, w)
+    beta = solve(response)
+    beta = beta + solve(response - design @ beta)
+    for iterations in range(2, IRLS_MAX_ITER + 2):
         resid = response - design @ beta
-        q_err = ((p + 2) * _U) * w * (np.abs(response) + abs_design @ np.abs(beta))
-        if _score_within(design, w * resid, q_err, SCORE_TOL, abs_design):
+        q_err = ((p + 2) * _U) * (np.abs(response) + abs_design @ np.abs(beta))
+        q, q_err = (resid, q_err) if w is None else (w * resid, w * q_err)
+        if _score_within(design, q, q_err, SCORE_TOL, abs_design):
             break
-        beta = beta + _equilibrated_lstsq(design * sw[:, None], resid * sw)
+        beta = beta + solve(resid)
     else:
-        raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} passes")
+        raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} score checks")
     return beta, iterations
 
 
 def _newton_step(xs: np.ndarray, v: np.ndarray, resid: np.ndarray) -> np.ndarray:
     """Solve (xs' V xs) d = xs' resid over the rows with v > 0: on the Gram matrix
-    if its Cholesky pivots all exceed sqrt(RANK_RCOND) * the largest, else by lstsq."""
+    if it passes _pivots_pass, else by lstsq."""
     live = v > 0
     gram = (xs.T * v) @ xs
-    try:
-        d = np.diag(np.linalg.cholesky(gram))
-        if d.min() > math.sqrt(RANK_RCOND) * d.max():
+    if _pivots_pass(gram):
+        try:
             return np.linalg.solve(gram, xs.T @ (resid * live))
-    except np.linalg.LinAlgError:
-        pass
+        except np.linalg.LinAlgError:
+            pass
     sv = np.sqrt(v[live])
     return _equilibrated_lstsq(xs[live] * sv[:, None], resid[live] / sv)
 
@@ -353,6 +407,15 @@ def _inv_linear_unconstrained(design: np.ndarray, T: np.ndarray) -> tuple[np.nda
     return alpha, iterations
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first use: only the constrained
+    inverse-linear fits need it, and its import would add about a third to
+    the start of the command line."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 def _inv_linear_constrained(
     design: np.ndarray, T: np.ndarray, method: str
 ) -> tuple[np.ndarray, int]:
@@ -462,46 +525,79 @@ def fit_inverse_linear(
     )
 
 
-def _fit_on_respondents(
-    view: AnalysisView,
-    appended: np.ndarray | None = None,
-    weight_pi: np.ndarray | None = None,
-) -> OutcomeFit:
-    """Least squares on respondents, with fitted values for every unit.
+class RespondentDesign:
+    """The outcome design of a view on its respondents, checked once.
 
-    appended, if given, is added to design_m as a last column; weight_pi,
-    if given, weights respondent i by 1 / weight_pi[i].  Callers check
-    their pi_hat first.
+    Holds resp = (T == 1), the full design_m (for the fitted values of every
+    unit), its respondent rows with their absolute values (for _wls) and the
+    respondent outcomes.  The outcome fits on one design_m, T and y_observed
+    can share one instance.
     """
-    resp = np.asarray(view.T) == 1
-    if not resp.any():
-        raise SingularDesignError("no respondents to fit on")
-    y = np.asarray(view.y_observed, dtype=float)[resp]
-    if not np.all(np.isfinite(y)):
-        raise InvalidArgumentError("observed outcomes contain non-finite values")
-    design = np.asarray(view.design_m, dtype=float)
-    if appended is not None:
-        design = np.hstack([design, appended[:, None]])
-    weights = None if weight_pi is None else 1.0 / weight_pi[resp]
-    beta, iterations = _wls(design[resp], y, weights)
-    return OutcomeFit(beta, design @ beta, iterations)
+
+    def __init__(self, view: AnalysisView):
+        resp = np.asarray(view.T) == 1
+        if not resp.any():
+            raise SingularDesignError("no respondents to fit on")
+        y = np.asarray(view.y_observed, dtype=float)[resp]
+        if not np.all(np.isfinite(y)):
+            raise InvalidArgumentError("observed outcomes contain non-finite values")
+        self.resp = resp
+        self.design = np.asarray(view.design_m, dtype=float)
+        self.rows, self.y = _check_design(self.design[resp], y)
+        self.abs_rows = np.abs(self.rows)
+
+    def fit(
+        self, appended: np.ndarray | None = None, weight_pi: np.ndarray | None = None
+    ) -> OutcomeFit:
+        """Least squares on respondents, with fitted values for every unit.
+
+        appended, if given, is added to the design as a last column (on the
+        respondent rows only); weight_pi, if given, weights respondent i by
+        1 / weight_pi[i].  Callers check their pi_hat first.
+        """
+        rows, abs_rows = self.rows, self.abs_rows
+        if appended is not None:
+            col = appended[self.resp]
+            _check_identifiable(rows.shape[0], rows.shape[1] + 1)
+            if not np.all(np.isfinite(col)):
+                raise InvalidArgumentError("design contains non-finite entries")
+            rows = np.hstack([rows, col[:, None]])
+            abs_rows = np.abs(rows)
+        weights = None if weight_pi is None else 1.0 / weight_pi[self.resp]
+        beta, iterations = _wls(rows, self.y, weights, abs_rows)
+        if appended is None:
+            m_hat = self.design @ beta
+        else:
+            m_hat = self.design @ beta[:-1] + appended * beta[-1]
+        return OutcomeFit(beta, m_hat, iterations)
 
 
-def fit_outcome_reg(view: AnalysisView) -> OutcomeFit:
-    """Unweighted outcome regression on respondents."""
-    return _fit_on_respondents(view)
+def fit_outcome_reg(
+    view: AnalysisView, *, _design: RespondentDesign | None = None
+) -> OutcomeFit:
+    """Unweighted outcome regression on respondents.
+
+    Each fit_outcome_* takes the keyword-only _design, the RespondentDesign
+    of view, which estimators.Pipeline shares between fits; the result
+    equals the call without it.
+    """
+    return (_design or RespondentDesign(view)).fit()
 
 
-def fit_outcome_wls(view: AnalysisView, pi_hat: np.ndarray) -> OutcomeFit:
+def fit_outcome_wls(
+    view: AnalysisView, pi_hat: np.ndarray, *, _design: RespondentDesign | None = None
+) -> OutcomeFit:
     """Outcome regression on respondents, weighted by 1 / pi_hat."""
     pi_hat = np.asarray(pi_hat, dtype=float)
     pi_resp = pi_hat[np.asarray(view.T) == 1]
     if np.any(pi_resp <= 0) or not np.all(np.isfinite(pi_resp)):
         raise InvalidWeightError("pi_hat must be finite and positive on respondents")
-    return _fit_on_respondents(view, weight_pi=pi_hat)
+    return (_design or RespondentDesign(view)).fit(weight_pi=pi_hat)
 
 
-def fit_outcome_ext_reg(view: AnalysisView, pi_hat: np.ndarray) -> OutcomeFit:
+def fit_outcome_ext_reg(
+    view: AnalysisView, pi_hat: np.ndarray, *, _design: RespondentDesign | None = None
+) -> OutcomeFit:
     """Unweighted regression with 1 / pi_hat appended as a covariate.
 
     pi_hat must be positive on all units because the appended column is
@@ -511,10 +607,12 @@ def fit_outcome_ext_reg(view: AnalysisView, pi_hat: np.ndarray) -> OutcomeFit:
     pi_hat = np.asarray(pi_hat, dtype=float)
     if np.any(pi_hat <= 0) or not np.all(np.isfinite(pi_hat)):
         raise InvalidWeightError("pi_hat must be finite and positive on all units")
-    return _fit_on_respondents(view, appended=1.0 / pi_hat)
+    return (_design or RespondentDesign(view)).fit(appended=1.0 / pi_hat)
 
 
-def fit_outcome_ipw_nr(view: AnalysisView, pi_hat: np.ndarray) -> OutcomeFit:
+def fit_outcome_ipw_nr(
+    view: AnalysisView, pi_hat: np.ndarray, *, _design: RespondentDesign | None = None
+) -> OutcomeFit:
     """Regression weighted by 1 / pi_hat with pi_hat appended as covariate.
 
     The fitted values satisfy both the inverse-weighted and the
@@ -524,7 +622,77 @@ def fit_outcome_ipw_nr(view: AnalysisView, pi_hat: np.ndarray) -> OutcomeFit:
     pi_hat = np.asarray(pi_hat, dtype=float)
     if np.any(pi_hat <= 0) or np.any(pi_hat >= 1) or not np.all(np.isfinite(pi_hat)):
         raise InvalidWeightError("pi_hat must lie strictly inside (0, 1) on all units")
-    return _fit_on_respondents(view, appended=pi_hat, weight_pi=pi_hat)
+    return (_design or RespondentDesign(view)).fit(appended=pi_hat, weight_pi=pi_hat)
+
+
+def _extension_root(gd, g0: float, d0: float) -> float:
+    """The root of the extension moment g, given gd(phi) = (g(phi), g'(phi))
+    and g0 = g(0) != 0, d0 = g'(0).
+
+    The first Newton iterate from 0 is kept if it lies within
+    PHI_BRACKET_MAX.  If it does not change the sign of g, probes at 1, 2,
+    4, ... up to PHI_BRACKET_MAX step out on the side of sign(g0) until one
+    does (NoRootError if none does).  Inside the bracket, Newton steps start
+    from the end with the smaller |g|, then from each new point; a step that
+    would leave the bracket or is over half the step before last becomes
+    bisection (rtsafe, Press et al., Numerical Recipes, 3rd ed., sec. 9.4).
+    The direction h / c of g is below 2 in absolute value, so |g''| <= 2|g'|
+    and over a distance t |g'| changes by a factor of at most e^(2t): a
+    Newton step of length t <= 0.005 lands within 1.06 t^2 of the root.  The
+    solve returns the new phi once 2 t^2, or t for a bisection step, is at
+    most PHI_XTOL * max(|phi|, PHI_XTOL), or at an exact zero of g.
+    """
+
+    def pinned(error: float, phi: float) -> bool:
+        return error <= PHI_XTOL * max(abs(phi), PHI_XTOL)
+
+    s = math.copysign(1.0, g0)
+    lo, hi = (0.0, g0, d0), None  # (phi, g, g'): g has the sign of g0 at lo, not at hi
+    newton = -g0 / d0 if d0 < 0 else math.nan
+    if pinned(2.0 * newton * newton, newton):
+        return newton
+    trial = newton if abs(newton) < PHI_BRACKET_MAX else None
+    probe = 1.0
+    while hi is None:
+        if trial is None:
+            if abs(lo[0]) >= PHI_BRACKET_MAX:
+                raise NoRootError(
+                    "no sign change for the extension moment between 0 and "
+                    f"{s * PHI_BRACKET_MAX:g}"
+                )
+            while probe <= abs(lo[0]):
+                probe *= 2.0
+            trial = s * min(probe, PHI_BRACKET_MAX)
+        point = (trial, *gd(trial))
+        trial = None
+        if point[1] == 0.0:
+            return point[0]
+        if math.copysign(1.0, point[1]) == s:
+            lo = point
+        else:
+            hi = point
+
+    x, gx, dx = min(lo, hi, key=lambda point: abs(point[1]))
+    step_old = step = abs(hi[0] - lo[0])
+    for _ in range(IRLS_MAX_ITER):
+        a, b = sorted((lo[0], hi[0]))
+        newton = x - gx / dx if dx < 0 else math.nan
+        move = abs(newton - x)
+        bisect = not (a <= newton <= b and 2.0 * move <= step_old)
+        if bisect:
+            move = 0.5 * (b - a)
+            newton = a + move
+        step_old, step = step, move
+        if pinned(move if bisect else 2.0 * move * move, newton):
+            return newton
+        x, (gx, dx) = newton, gd(newton)
+        if gx == 0.0:
+            return x
+        if math.copysign(1.0, gx) == s:
+            lo = (x, gx, dx)
+        else:
+            hi = (x, gx, dx)
+    raise NonconvergenceError(f"extension solve did not converge in {IRLS_MAX_ITER} steps")
 
 
 def fit_extended_propensity(
@@ -534,10 +702,12 @@ def fit_extended_propensity(
 
     Solves g(phi) = P_n[(T / expit(eta + phi h) - 1) h] = 0 for scalar phi;
     h is both the direction and the moment weight.  The solve runs on h / c,
-    c = 2^floor(log2 max|h|), free of the units of h.  g is nonincreasing in
-    phi, so the search steps out from 0 on the side of sign(g(0)) only,
-    through 1, 2, 4, ... up to PHI_BRACKET_MAX, and Brent's method solves on
-    the first bracket.
+    c = 2^floor(log2 max|h|), free of the units of h.  g is nonincreasing,
+    g'(phi) = -P_n[T exp(-eta - phi h) h^2], and both come from one
+    exponential per respondent; the nonrespondents add the constant
+    -P_n[(1 - T) h].  |g(0)| <= PHI_GTOL gives phi = 0; otherwise a
+    safeguarded Newton method finds the root (_extension_root).
+    iterations counts the distinct evaluations of g.
     With h = m_hat - P_n[m_hat] for an outcome fit m_hat, the bounded
     doubly robust estimator built from this fit is a weighted mean of
     observed outcomes.
@@ -550,38 +720,24 @@ def fit_extended_propensity(
         raise InvalidArgumentError("h must have one entry per unit")
     if not np.all(np.isfinite(h)):
         raise InvalidArgumentError("h contains non-finite entries")
-    t1 = (T == 1).astype(float)
+    resp = T == 1
     c = math.ldexp(1.0, math.frexp(np.max(np.abs(h), initial=0.0))[1] - 1)
     hn = h / c
-    # by phi: brentq evaluates the bracket ends the step-out already has
-    values: dict[float, float] = {}
+    n = hn.size
+    eta_r, h_r = base.eta[resp], hn[resp]
+    h2_r = h_r * h_r
+    h_nonresp = float(np.sum(hn[~resp]))
+    evaluations = 0
 
-    def g(phi: float) -> float:
-        if phi not in values:
-            eta = np.clip(base.eta + phi * hn, -700.0, 700.0)
-            # T/expit(eta) - 1 = exp(-eta) for respondents, -1 otherwise
-            term = np.where(t1 == 1.0, np.exp(-eta), -1.0)
-            values[phi] = float(np.mean(term * hn))
-        return values[phi]
+    def gd(phi: float) -> tuple[float, float]:
+        # T/expit(eta) - 1 = exp(-eta) for respondents, -1 otherwise
+        nonlocal evaluations
+        evaluations += 1
+        e = np.exp(-np.clip(eta_r + phi * h_r, -700.0, 700.0))
+        return (float(e @ h_r) - h_nonresp) / n, -float(e @ h2_r) / n
 
-    g0 = g(0.0)
-    if abs(g0) <= PHI_GTOL:
-        phi_hat = 0.0
-    else:
-        a, b = 0.0, math.copysign(1.0, g0)
-        while g(b) * g0 > 0:
-            if abs(b) >= PHI_BRACKET_MAX:
-                raise NoRootError(
-                    f"no sign change for the extension moment between 0 and {b:g}"
-                )
-            a, b = b, math.copysign(min(2.0 * abs(b), PHI_BRACKET_MAX), b)
-        # an exact zero at b is returned by brentq as is
-        phi_hat, result = brentq(
-            g, min(a, b), max(a, b), xtol=PHI_XTOL, full_output=True, disp=False
-        )
-        if not result.converged:
-            raise NonconvergenceError(f"extension solve did not converge: {result.flag}")
-
+    g0, d0 = gd(0.0)
+    phi_hat = 0.0 if abs(g0) <= PHI_GTOL else _extension_root(gd, g0, d0)
     eta = base.eta + phi_hat * hn
     pi_hat = expit(eta)
     return PropensityFit(
@@ -590,5 +746,5 @@ def fit_extended_propensity(
         phi=phi_hat / c,
         eta=eta,
         pi_hat=pi_hat,
-        iterations=len(values),
+        iterations=evaluations,
     )

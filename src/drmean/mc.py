@@ -5,14 +5,15 @@ Replication r draws its own PCG64 seed from the scenario's base seed
 in isolation and worker processes need no shared stream.  Scenarios of
 one size, base seed and role reversal therefore draw the same sample in
 replication r, and one task evaluates them all on it: the sample is
-drawn once, and each fit that depends on the sample and one design only
-(the propensity fit on Z or X, with its respondent terms and weight
-diagnostics, and the unweighted outcome fit) is computed once for the
-scenarios that use that design.  run_scenarios puts the replications of
-all its scenarios into one task list, served by a single process pool,
-and reduces each scenario's results in replication order regardless of
-how many workers ran, which makes summaries bit-identical across worker
-counts.
+drawn once, each design [1, Z] or [1, X] is built once, and each fit that
+depends on the sample and one design only (the propensity fit on Z or X,
+with its respondent terms and weight diagnostics, and the checked
+respondent rows of the outcome design with the unweighted outcome fit)
+is computed once for the scenarios that use that design.  run_scenarios
+puts the replications of all its scenarios into one task list, served by
+a single process pool, and reduces each scenario's results in replication
+order regardless of how many workers ran, which makes summaries
+bit-identical across worker counts.
 
 Failures are per estimator, not per replication: a replicate where only
 the weighted fits blow up still contributes its OLS and FULL values.
@@ -164,11 +165,12 @@ def _replicate(
     sample = generate_sample(first.n, derive_seed(first.base_seed, r), cfg)
     if first.reverse:
         sample = reverse_roles(sample)
+    parts: dict = {}
     pi_caches: dict[bool, dict] = {}
     m_caches: dict[bool, dict] = {}
     out = []
     for spec in specs:
-        view = make_view(sample, spec.pi_model_correct, spec.m_model_correct)
+        view = make_view(sample, spec.pi_model_correct, spec.m_model_correct, _parts=parts)
         result = estimate_all(
             view,
             sample,

@@ -161,12 +161,16 @@ def _estimate_cell(
     estimator: str,
     pi_cache: dict,
     pi_start: np.ndarray | None,
+    m_cache: dict,
 ) -> float:
     """One cell's estimate on a view of its two specs' designs.  The cells of
     one sample and p_spec share pi_cache, so their propensity model is
-    fitted once, from pi_start if it is logistic."""
+    fitted once, from pi_start if it is logistic; the cells of one sample
+    and outcome design share m_cache (see Pipeline)."""
     method = _PROPENSITY_METHODS[p_spec.kind or "LOGISTIC_MLE"]
-    pipe = Pipeline(view, inverse_linear=method, pi_cache=pi_cache, pi_start=pi_start)
+    pipe = Pipeline(
+        view, inverse_linear=method, pi_cache=pi_cache, pi_start=pi_start, m_cache=m_cache
+    )
     pipe.propensity()  # fit first: its failure ends the cell before any outcome fit
     return ESTIMATORS[estimator](pipe)
 
@@ -188,10 +192,12 @@ def _estimate_cells(designs, T, y_observed, cells, estimator, starts, pi_caches)
 
     designs holds the sample's design per covariate tuple (see _Sample).
     The cells of one p_spec share its propensity fit, started from
-    starts.get(p_spec) and memoised in pi_caches[p_spec].  Returns each
-    cell's estimate, or the DrmeanError it failed with.
+    starts.get(p_spec) and memoised in pi_caches[p_spec]; the cells of one
+    outcome design share its respondent design and unweighted fit.  Returns
+    each cell's estimate, or the DrmeanError it failed with.
     """
     out: dict = {}
+    m_caches: dict[tuple[int, ...], dict] = {}
     for ps, os_ in cells:
         view = AnalysisView(
             design_pi=designs[ps.covariates],
@@ -201,7 +207,8 @@ def _estimate_cells(designs, T, y_observed, cells, estimator, starts, pi_caches)
         )
         try:
             out[ps, os_] = _estimate_cell(
-                view, ps, estimator, pi_caches.setdefault(ps, {}), starts.get(ps)
+                view, ps, estimator, pi_caches.setdefault(ps, {}), starts.get(ps),
+                m_caches.setdefault(os_.covariates, {}),
             )
         except DrmeanError as exc:
             out[ps, os_] = exc

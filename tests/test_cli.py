@@ -268,6 +268,14 @@ class TestEstimateCommand:
         assert payload["values"]["FULL"] is None
         assert payload["flags"]["FULL"] == "fit_failed"
 
+    def test_unweighted_request_reports_no_weight_diagnostics(self, tmp_path,
+                                                              small_sample):
+        data = write_sample_csv(tmp_path / "d.csv", small_sample)
+        out = tmp_path / "est.json"
+        assert cli.main(["estimate", "--data", data, "--estimators", "OLS",
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["weight_diagnostics"] is None
+
     def test_column_selection(self, tmp_path, small_sample):
         data = write_sample_csv(tmp_path / "d.csv", small_sample)
         out = tmp_path / "est.json"
@@ -456,6 +464,19 @@ class TestParser:
 
         src = str(Path(cli.__file__).resolve().parents[1])
         code = "import sys, drmean.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # only the constrained inverse-linear fits need SLSQP, imported on use
+        import subprocess
+        import sys
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys, drmean.cli; print('scipy.optimize' in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src},

@@ -159,6 +159,24 @@ class TestMakeView:
         assert np.array_equal(v.design_pi[:, 1:], sample_1000.Z)
         assert np.array_equal(v.design_m[:, 1:], sample_1000.X)
 
+    def test_shared_parts_build_each_array_once(self, sample_1000):
+        # the views of one sample share their designs, T and masked y, and
+        # equal the views built alone
+        parts = {}
+        views = {
+            (p, m): dgp.make_view(sample_1000, p, m, _parts=parts)
+            for p in (True, False) for m in (True, False)
+        }
+        assert len(parts) == 4  # [1, Z], [1, X], T, y
+        for (p, m), view in views.items():
+            alone = dgp.make_view(sample_1000, p, m)
+            for name in ("design_pi", "design_m", "T", "y_observed"):
+                got, want = getattr(view, name), getattr(alone, name)
+                assert got.flags.c_contiguous and want.flags.c_contiguous
+                assert np.array_equal(got, want, equal_nan=True), name
+            assert view.design_pi is views[(p, not m)].design_pi
+            assert view.T is views[(True, True)].T
+
     def test_outcomes_masked_to_nan(self, sample_1000, right_view):
         resp = sample_1000.T == 1
         assert np.array_equal(right_view.y_observed[resp], sample_1000.Y[resp])

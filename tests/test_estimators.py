@@ -198,6 +198,20 @@ class TestEstimateAll:
         with pytest.raises(InvalidArgumentError):
             est.estimate_all(right_view, None, ("OLS", "HT", "OLS"))
 
+    def test_unweighted_request_fits_no_propensity_model(
+        self, monkeypatch, sample_1000, right_view
+    ):
+        # diagnostics describe the propensity fit's weights, which no
+        # requested estimator uses here
+        fits = []
+        fit = linmod.fit_logistic_propensity
+        monkeypatch.setattr(linmod, "fit_logistic_propensity",
+                            lambda *a, **k: fits.append(a) or fit(*a, **k))
+        out = est.estimate_all(right_view, sample_1000, ("OLS", "FULL"))
+        assert fits == []
+        assert out.diagnostics is None
+        assert set(out.flags.values()) == {est.FLAG_OK}
+
     def test_full_needs_complete_sample(self, right_view):
         out = est.estimate_all(right_view, None, ("OLS", "FULL"))
         assert out.flags["FULL"] == est.FLAG_FAILED
@@ -325,7 +339,7 @@ class TestOneDefinition:
         est.estimate_all(make_view(sample_1000, True, False), sample_1000,
                          _pi_cache=pi_cache, _m_cache=m_cache)
         assert set(pi_cache) == {"pi", "pi respondents", "pi diagnostics"}
-        assert set(m_cache) == {"REG", "REG fitted"}
+        assert set(m_cache) == {"design", "REG", "REG fitted"}
 
     def test_failed_respondent_check_memoised(self, monkeypatch):
         # the unconstrained inverse-linear fit puts pi_hat < 0 on the first

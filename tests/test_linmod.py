@@ -487,6 +487,14 @@ class TestExtendedPropensity:
             with pytest.raises(NoRootError):
                 linmod.fit_extended_propensity(base, np.array(h), T)
 
+    def test_flat_moment_has_no_root(self):
+        # h = 0 on the respondent: g(phi) = -1/2 for every phi, g' = 0
+        design_pi = np.ones((2, 1))
+        T = np.array([1, 0])
+        base = linmod.fit_logistic_propensity(design_pi, T)
+        with pytest.raises(NoRootError):
+            linmod.fit_extended_propensity(base, np.array([0.0, 1.0]), T)
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_root_exactly_at_bracket_probe(self, sign):
         # eta = 0 and h = sign * (1, exp(-1)):
@@ -554,17 +562,95 @@ class TestGramNewton:
             )
         assert totals == {True: 120, False: 120}
 
-    @pytest.mark.parametrize("name", ["lstsq", "svd"])
+    @pytest.mark.parametrize("name", ["inv", "lstsq", "svd"])
     def test_linalg_error_becomes_drmean_error(self, monkeypatch, name):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, name, fail)
+        if name == "lstsq":  # a failed Cholesky test sends the outcome solve to lstsq
+            monkeypatch.setattr(np.linalg, "cholesky", fail)
         with pytest.raises(NonconvergenceError, match="SVD did not converge"):
-            if name == "lstsq":
-                linmod.irls_fit(np.eye(3), np.ones(3))
-            else:
+            if name == "svd":
                 linmod.fit_logistic_propensity(np.eye(3), np.array([1, 0, 1]))
+            else:
+                linmod.irls_fit(np.eye(3), np.ones(3))
+
+
+class TestGramOutcomeSolve:
+    FITS = [("reg", False), ("wls", True), ("ext_reg", True), ("ipw_nr", True)]
+
+    @pytest.mark.parametrize("kind, weighted", FITS)
+    def test_gram_and_lstsq_paths_agree(self, monkeypatch, wrong_view, pi_fit, kind,
+                                        weighted):
+        fit = getattr(linmod, f"fit_outcome_{kind}")
+        args = (pi_fit.pi_hat,) if weighted else ()
+        calls = _spy(monkeypatch, "_equilibrated_lstsq")
+        gram = fit(wrong_view, *args)
+        assert calls == []
+        monkeypatch.setattr(linmod, "_gram_solver", lambda design, w: None)
+        ref = fit(wrong_view, *args)
+        assert calls
+        err = np.max(np.abs(gram.m_hat - ref.m_hat))
+        assert err <= 1e-12 * np.max(np.abs(ref.m_hat))
+        assert gram.iterations == ref.iterations == 2
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-7])
+    def test_near_collinear_design_falls_back(self, monkeypatch, eps):
+        s = generate_sample(500, 4)
+        z = s.Z[:, 0]
+        design = np.column_stack([np.ones(s.n), z, z + eps * s.Z[:, 1], s.Z[:, 2]])
+        view = view_from(design, s.T, s.Y)
+        calls = _spy(monkeypatch, "_equilibrated_lstsq")
+        fit = linmod.fit_outcome_reg(view)
+        assert len(calls) == fit.iterations == 2
+
+    def test_shared_design_gives_the_same_fit(self, wrong_view, pi_fit):
+        design = linmod.RespondentDesign(wrong_view)
+        for kind, weighted in self.FITS:
+            fit = getattr(linmod, f"fit_outcome_{kind}")
+            args = (pi_fit.pi_hat,) if weighted else ()
+            shared = fit(wrong_view, *args, _design=design)
+            alone = fit(wrong_view, *args)
+            assert np.array_equal(shared.beta, alone.beta), kind
+            assert np.array_equal(shared.m_hat, alone.m_hat), kind
+
+
+class TestNewtonExtension:
+    @pytest.fixture(scope="class")
+    def solves(self):
+        # 20 samples: the Z and X views of ten n = 1000 draws, each extended
+        # along its centred unweighted regression
+        out = []
+        for seed in range(10):
+            sample = generate_sample(1000, seed)
+            for z in (True, False):
+                view = make_view(sample, z, z)
+                base = linmod.fit_logistic_propensity(view.design_pi, view.T)
+                m_hat = linmod.fit_outcome_reg(view).m_hat
+                h = m_hat - np.mean(m_hat)
+                out.append((base, h, view.T,
+                            linmod.fit_extended_propensity(base, h, view.T)))
+        return out
+
+    def test_phi_matches_brent_reference(self, solves):
+        from scipy.optimize import brentq
+
+        for base, h, T, fit in solves:
+            resp = T == 1
+
+            def g(phi):
+                return float(np.mean(np.where(resp, np.exp(-(base.eta + phi * h)), -1.0) * h))
+
+            b = math.copysign(1.0, g(0.0)) / np.max(np.abs(h))
+            while g(b) * g(0.0) > 0:
+                b *= 2.0
+            ref = brentq(g, min(0.0, b), max(0.0, b), xtol=1e-300,
+                         rtol=4 * np.finfo(float).eps)
+            assert abs(fit.phi - ref) <= 1e-12 * abs(ref)
+
+    def test_few_g_evaluations(self, solves):
+        assert np.mean([fit.iterations for *_, fit in solves]) <= 5
 
 
 class TestEquilibrate:

@@ -66,6 +66,23 @@ class TestBuildMatrix:
         assert np.all(np.isfinite(estimates))
         assert messages == {}
 
+    def test_cells_of_one_outcome_design_share_its_fits(self, monkeypatch, data600):
+        # 2 x 2 cells: one respondent design and one unweighted fit per
+        # outcome spec, one weighted fit per cell
+        _, cov, T, y = data600
+        calls = []
+        for name in ("RespondentDesign", "fit_outcome_reg", "fit_outcome_wls"):
+            real = getattr(linmod, name)
+            monkeypatch.setattr(linmod, name, lambda *a, _real=real, _name=name, **k:
+                                calls.append(_name) or _real(*a, **k))
+        for estimator, weighted in (("DR_REG", "fit_outcome_reg"),
+                                    ("DR_WLS", "fit_outcome_wls")):
+            calls.clear()
+            estimates, _ = sens.build_matrix(cov, T, y, [PZ, PX], [OZ, OX], estimator)
+            assert np.all(np.isfinite(estimates))
+            assert calls.count("RespondentDesign") == 2
+            assert calls.count(weighted) == (2 if weighted == "fit_outcome_reg" else 4)
+
     def test_cell_failure_is_isolated(self, data600):
         _, cov, T, y = data600
         pz_inv = sens.ModelSpec(
@@ -350,11 +367,11 @@ class TestSharedDraws:
         clean = run()
         fit = linmod.fit_outcome_wls
 
-        def flaky(view, pi_hat):
+        def flaky(view, pi_hat, **kwargs):
             if (view.design_pi.shape[1], view.design_m.shape[1]) == (4, 3) and (
                     int(view.T.sum()) % 2 != int(T.sum()) % 2):
                 raise NonconvergenceError("injected")
-            return fit(view, pi_hat)
+            return fit(view, pi_hat, **kwargs)
 
         monkeypatch.setattr(linmod, "fit_outcome_wls", flaky)
         out = run()
