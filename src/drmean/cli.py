@@ -40,9 +40,10 @@ from .dgp import AnalysisView, DgpConfig, design_matrix
 from .errors import ConfigError, DataError, DrmeanError, InvalidArgumentError
 from .estimators import ESTIMATOR_NAMES, check_estimator_names, estimate_all
 # run_scenario is unused here, but bench/layers.py wraps cli.run_scenario
-from .mc import QUANTILE_LEVELS, ScenarioSpec, run_scenario, run_scenarios  # noqa: F401
+from .mc import (  # noqa: F401
+    QUANTILE_LEVELS, ScenarioSpec, density_points, run_scenario, run_scenarios,
+)
 from .sensitivity import DR_ESTIMATORS, ModelSpec, run_sensitivity
-from .mc import density_points
 
 RESULT_COLUMNS = (
     "scenario",
@@ -611,9 +612,11 @@ def cmd_density(args: argparse.Namespace) -> int:
         try:
             bandwidth = float(args.bandwidth)
         except ValueError:
+            bandwidth = math.nan
+        if not math.isfinite(bandwidth):
             raise ConfigError(
                 f"--bandwidth must be 'auto' or a positive number, got {args.bandwidth!r}"
-            ) from None
+            )
     else:
         bandwidth = "auto"
     try:

@@ -25,9 +25,10 @@ estimate_all and the sensitivity cells both evaluate it on a Pipeline,
 which memoises the fits and their terms, so one replication checks each
 propensity fit's respondents once and takes each shared exact sum once.
 The weight diagnostics of estimate_all come from the base fit alone.
-Pipelines on one sample may share the fits that depend on one design
-only (see Pipeline), which is how mc evaluates the scenarios of a
-replication and the sensitivity cells of a propensity spec.
+Pipelines on one sample may share a memo of the fits that depend on one
+design only, keyed by that design's identity (see Pipeline): mc shares
+one between the scenarios of a replication, sensitivity between the
+cells of one sample.
 
 The three plug-in doubly robust forms (DR_WLS, DR_IPW_NR, DR_EXT_REG)
 coincide with their augmented-IPW counterparts because each fit zeroes
@@ -226,16 +227,16 @@ class Pipeline:
     is memoised as well and re-raised, with its class and message, to
     every estimator that needs it.
 
-    A shared cache holds only entries that depend on what all of its
-    sharers have in common.  Pipelines on the same design_pi, T, y,
-    inverse_linear and pi_start may share one pi_cache dict: it holds the
-    base propensity fit, its respondent terms and its weight diagnostics.
-    Pipelines on the same design_m, T and y may share one m_cache dict: it
-    holds the checked respondent design of every outcome fit ("design"),
-    the unweighted outcome fit "REG" and its fitted values.
-    Everything that depends on both designs (the weighted outcome fits,
-    the extended fit and its respondents, the residual sums) stays in the
-    pipeline's own cache.
+    Pipelines on one sample (one T and y) may share one memo dict, which
+    keys what they share by the identity of the arrays they are handed.
+    memo[(id(design_pi), inverse_linear, id(pi_start))] holds the base
+    propensity fit, its respondent terms and its weight diagnostics;
+    memo[id(design_m)] holds the checked respondent design of every
+    outcome fit ("design"), the unweighted fit "REG" and its fitted values.
+    Each keeps the arrays of its key ("anchor"), so no id is reused while
+    the memo lives.  What depends on both designs (the weighted outcome
+    fits, the extended fit and its respondents, the residual sums) stays
+    in the pipeline's own cache.
     """
 
     def __init__(
@@ -243,9 +244,8 @@ class Pipeline:
         view: AnalysisView,
         full: FullSample | None = None,
         inverse_linear: str | None = None,
-        pi_cache: dict | None = None,
         pi_start: np.ndarray | None = None,
-        m_cache: dict | None = None,
+        memo: dict | None = None,
     ):
         self.view = view
         self.full = full
@@ -254,8 +254,10 @@ class Pipeline:
         self.T = np.asarray(view.T)
         self.y = np.asarray(view.y_observed, dtype=float)
         self._cache: dict[str, object] = {}
-        self._pi_cache = self._cache if pi_cache is None else pi_cache
-        self._m_cache = self._cache if m_cache is None else m_cache
+        memo = {} if memo is None else memo
+        pi_key = (id(view.design_pi), inverse_linear, id(pi_start))
+        self._pi_shared = memo.setdefault(pi_key, {"anchor": (view.design_pi, pi_start)})
+        self._m_shared = memo.setdefault(id(view.design_m), {"anchor": view.design_m})
 
     def _get(self, key: str, build, cache: dict | None = None):
         cache = self._cache if cache is None else cache
@@ -270,7 +272,7 @@ class Pipeline:
         return out
 
     def _outcome_cache(self, kind: str) -> dict:
-        return self._m_cache if kind == "REG" else self._cache
+        return self._m_shared if kind == "REG" else self._cache
 
     def propensity(self) -> linmod.PropensityFit:
         def build():
@@ -282,19 +284,19 @@ class Pipeline:
                 self.view.design_pi, self.view.T, self.inverse_linear
             )
 
-        return self._get("pi", build, self._pi_cache)
+        return self._get("pi", build, self._pi_shared)
 
     def diagnostics(self) -> linmod.WeightDiagnostics:
         """Weight diagnostics of propensity()."""
         return self._get(
             "pi diagnostics",
             lambda: linmod.weight_diagnostics(self.propensity().pi_hat, self.T),
-            self._pi_cache,
+            self._pi_shared,
         )
 
     def respondent_design(self) -> linmod.RespondentDesign:
         """The respondent rows of design_m, checked once for every outcome fit."""
-        return self._get("design", lambda: linmod.RespondentDesign(self.view), self._m_cache)
+        return self._get("design", lambda: linmod.RespondentDesign(self.view), self._m_shared)
 
     def outcome(self, kind: str) -> linmod.OutcomeFit:
         """Outcome fit "REG", "WLS", "EXT_REG" or "IPW_NR" (fit_outcome_<kind>).
@@ -334,7 +336,7 @@ class Pipeline:
         if extended:
             fit, cache = self.extended, self._cache
         else:
-            fit, cache = self.propensity, self._pi_cache
+            fit, cache = self.propensity, self._pi_shared
         return self._get(
             f"{'extended' if extended else 'pi'} respondents",
             lambda: _Respondents(fit().pi_hat, self.T, self.y),
@@ -423,8 +425,7 @@ def estimate_all(
     full: FullSample | None = None,
     which: tuple[str, ...] | None = None,
     *,
-    _pi_cache: dict | None = None,
-    _m_cache: dict | None = None,
+    _memo: dict | None = None,
 ) -> EstimateSet:
     """Compute the requested estimators on one analysis view.
 
@@ -434,11 +435,10 @@ def estimate_all(
     diagnostics of the propensity fit are reported only when a requested
     estimator is weighted; otherwise no propensity model is fitted and
     diagnostics is None.  mc passes the views of one sample the Pipeline
-    caches they share as _pi_cache and _m_cache; the result equals the call
-    without them.
+    memo they share as _memo; the result equals the call without it.
     """
     names = ESTIMATOR_NAMES if which is None else check_estimator_names(which)
-    pipe = Pipeline(view, full, pi_cache=_pi_cache, m_cache=_m_cache)
+    pipe = Pipeline(view, full, memo=_memo)
     y_resp = pipe.y[pipe.T == 1]
     y_resp = y_resp[~np.isnan(y_resp)]
     lo, hi = (y_resp.min(), y_resp.max()) if y_resp.size else (math.inf, -math.inf)

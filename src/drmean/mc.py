@@ -5,15 +5,16 @@ Replication r draws its own PCG64 seed from the scenario's base seed
 in isolation and worker processes need no shared stream.  Scenarios of
 one size, base seed and role reversal therefore draw the same sample in
 replication r, and one task evaluates them all on it: the sample is
-drawn once, each design [1, Z] or [1, X] is built once, and each fit that
-depends on the sample and one design only (the propensity fit on Z or X,
-with its respondent terms and weight diagnostics, and the checked
-respondent rows of the outcome design with the unweighted outcome fit)
-is computed once for the scenarios that use that design.  run_scenarios
-puts the replications of all its scenarios into one task list, served by
-a single process pool, and reduces each scenario's results in replication
-order regardless of how many workers ran, which makes summaries
-bit-identical across worker counts.
+drawn once, each design [1, Z] or [1, X] is built once, and through one
+Pipeline memo each fit that depends on the sample and one design only
+(the propensity fit on Z or X, with its respondent terms and weight
+diagnostics, and the checked respondent rows of the outcome design with
+the unweighted outcome fit) is computed once for the scenarios that use
+that design.  run_scenarios puts the
+replications of all its scenarios into one task list, served by a single
+process pool, and reduces each scenario's results in replication order
+regardless of how many workers ran, which makes summaries bit-identical
+across worker counts.
 
 Failures are per estimator, not per replication: a replicate where only
 the weighted fits blow up still contributes its OLS and FULL values.
@@ -159,25 +160,19 @@ def _replicate(
     args: tuple[int, tuple[ScenarioSpec, ...], DgpConfig],
 ) -> list[dict[str, float | None]]:
     """Replication r of a group of specs that share n, base_seed and
-    reverse: one result dict per spec, in order."""
+    reverse: one result dict per spec, in order.  The specs' views share
+    their designs and one Pipeline memo, which shares the fits."""
     r, specs, cfg = args
     first = specs[0]
     sample = generate_sample(first.n, derive_seed(first.base_seed, r), cfg)
     if first.reverse:
         sample = reverse_roles(sample)
     parts: dict = {}
-    pi_caches: dict[bool, dict] = {}
-    m_caches: dict[bool, dict] = {}
+    memo: dict = {}
     out = []
     for spec in specs:
         view = make_view(sample, spec.pi_model_correct, spec.m_model_correct, _parts=parts)
-        result = estimate_all(
-            view,
-            sample,
-            spec.estimators,
-            _pi_cache=pi_caches.setdefault(spec.pi_model_correct, {}),
-            _m_cache=m_caches.setdefault(spec.m_model_correct, {}),
-        )
+        result = estimate_all(view, sample, spec.estimators, _memo=memo)
         out.append({
             name: (None if result.flags[name] == FLAG_FAILED else result.values[name])
             for name in spec.estimators
@@ -262,10 +257,12 @@ def density_points(
 ) -> DensitySeries:
     """Gaussian kernel density of a sample on a fixed 512-point grid.
 
-    The grid spans [min, max] padded by three bandwidths.  "auto" uses
-    0.9 * min(sd, IQR / 1.34) * m**(-1/5); if the IQR is zero the sd
-    alone is used.  clip_quantile in (0, 0.5) drops values outside the
-    [q, 1 - q] sample quantiles before anything else is computed.
+    The grid spans [min, max] padded by three bandwidths; if its ends or
+    the kernel's normalising constant overflow, DegenerateInputError is
+    raised.  "auto" uses 0.9 * min(sd, IQR / 1.34) * m**(-1/5); if the IQR
+    is zero the sd alone is used.  clip_quantile in (0, 0.5) drops values
+    outside the [q, 1 - q] sample quantiles before anything else is
+    computed.
     """
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
@@ -281,18 +278,22 @@ def density_points(
     if isinstance(bandwidth, str):
         if bandwidth != "auto":
             raise InvalidArgumentError(f"unknown bandwidth rule {bandwidth!r}")
-        sd = float(np.std(values, ddof=1))
-        q25, q75 = np.percentile(values, [25, 75])
-        spread = min(sd, (q75 - q25) / 1.34) if q75 > q25 else sd
-        bw = 0.9 * spread * m ** (-0.2)
+        with np.errstate(over="ignore"):  # an overflow fails the grid check below
+            sd = float(np.std(values, ddof=1))
+            q25, q75 = np.percentile(values, [25, 75])
+            spread = min(sd, (q75 - q25) / 1.34) if q75 > q25 else sd
+            bw = float(0.9 * spread * m ** (-0.2))
         if bw <= 0:
             raise DegenerateInputError("automatic bandwidth collapsed to zero")
     else:
         bw = float(bandwidth)
-        if not bw > 0:
-            raise InvalidArgumentError("bandwidth must be positive")
-    grid = np.linspace(np.min(values) - 3 * bw, np.max(values) + 3 * bw, 512)
+        if not 0 < bw < math.inf:
+            raise InvalidArgumentError("bandwidth must be positive and finite")
+    lo, hi = float(np.min(values)) - 3 * bw, float(np.max(values)) + 3 * bw
     norm = 1.0 / (m * bw * math.sqrt(2 * math.pi))
+    if not np.isfinite([lo, hi, norm]).all():
+        raise DegenerateInputError(f"the density grid overflows at bandwidth {bw!r}")
+    grid = np.linspace(lo, hi, 512)
     density = np.empty(512)
     step = max(1, int(5e6 // max(m, 1)))
     for start in range(0, 512, step):

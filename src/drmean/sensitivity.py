@@ -159,45 +159,41 @@ def _estimate_cell(
     view: AnalysisView,
     p_spec: ModelSpec,
     estimator: str,
-    pi_cache: dict,
     pi_start: np.ndarray | None,
-    m_cache: dict,
+    memo: dict,
 ) -> float:
-    """One cell's estimate on a view of its two specs' designs.  The cells of
-    one sample and p_spec share pi_cache, so their propensity model is
-    fitted once, from pi_start if it is logistic; the cells of one sample
-    and outcome design share m_cache (see Pipeline)."""
+    """One cell's estimate on a view of its two specs' designs, its logistic
+    propensity fit started from pi_start.  The cells of one sample share
+    memo (see Pipeline)."""
     method = _PROPENSITY_METHODS[p_spec.kind or "LOGISTIC_MLE"]
-    pipe = Pipeline(
-        view, inverse_linear=method, pi_cache=pi_cache, pi_start=pi_start, m_cache=m_cache
-    )
+    pipe = Pipeline(view, inverse_linear=method, pi_start=pi_start, memo=memo)
     pipe.propensity()  # fit first: its failure ends the cell before any outcome fit
     return ESTIMATORS[estimator](pipe)
 
 
 class _Sample:
     """The full sample as the cells see it: each spec's design, keyed by its
-    covariate tuple, the masked outcomes, and per propensity spec the
-    pi_cache of its full-sample fit once build_matrix has made it."""
+    covariate tuple, the masked outcomes, and the Pipeline memo of the
+    full-sample fits, which build_matrix fills and the bootstrap reads."""
 
     def __init__(self, covariates: np.ndarray, T: np.ndarray, Y: np.ndarray, specs):
         self.designs = {s.covariates: design_matrix(covariates, s.covariates) for s in specs}
         self.T = T
         self.y = np.where(T == 1, Y, np.nan)
-        self.pi_caches: dict[ModelSpec, dict] = {}
+        self.memo: dict = {}
 
 
-def _estimate_cells(designs, T, y_observed, cells, estimator, starts, pi_caches) -> dict:
+def _estimate_cells(designs, T, y_observed, cells, estimator, starts, memo) -> dict:
     """Estimate each (p_spec, o_spec) cell on one sample.
 
-    designs holds the sample's design per covariate tuple (see _Sample).
-    The cells of one p_spec share its propensity fit, started from
-    starts.get(p_spec) and memoised in pi_caches[p_spec]; the cells of one
-    outcome design share its respondent design and unweighted fit.  Returns
-    each cell's estimate, or the DrmeanError it failed with.
+    designs holds the sample's design per covariate tuple (see _Sample), so
+    the cells of one covariate tuple see one array and, through the shared
+    memo, share its fits: a propensity model is fitted once per design,
+    method and start (starts.get(p_spec)), and an outcome design's
+    respondent design and unweighted fit are made once.  Returns each
+    cell's estimate, or the DrmeanError it failed with.
     """
     out: dict = {}
-    m_caches: dict[tuple[int, ...], dict] = {}
     for ps, os_ in cells:
         view = AnalysisView(
             design_pi=designs[ps.covariates],
@@ -206,10 +202,7 @@ def _estimate_cells(designs, T, y_observed, cells, estimator, starts, pi_caches)
             y_observed=y_observed,
         )
         try:
-            out[ps, os_] = _estimate_cell(
-                view, ps, estimator, pi_caches.setdefault(ps, {}), starts.get(ps),
-                m_caches.setdefault(os_.covariates, {}),
-            )
+            out[ps, os_] = _estimate_cell(view, ps, estimator, starts.get(ps), memo)
         except DrmeanError as exc:
             out[ps, os_] = exc
     return out
@@ -254,8 +247,8 @@ def build_matrix(
     failed, plus failure messages keyed by cell index.  Each propensity
     spec is fitted once; a failed fit gives every cell of its row its
     message.  run_sensitivity passes the _Sample of the same data, built
-    after its own spec-index check; this uses its designs, and its
-    pi_caches keep the fits for the bootstrap.
+    after its own spec-index check; this uses its designs, and its memo
+    keeps the fits for the bootstrap.
     """
     covariates, T, Y = _check_data(covariates, T, Y)
     p_specs, o_specs = _validate_specs(p_specs, o_specs, estimator)
@@ -264,7 +257,7 @@ def build_matrix(
         _sample = _Sample(covariates, T, Y, p_specs + o_specs)
     cells = [(ps, os_) for ps in p_specs for os_ in o_specs]
     out = _estimate_cells(
-        _sample.designs, _sample.T, _sample.y, cells, estimator, {}, _sample.pi_caches
+        _sample.designs, _sample.T, _sample.y, cells, estimator, {}, _sample.memo
     )
     estimates = np.full((len(p_specs), len(o_specs)), np.nan)
     messages: dict[tuple[int, int], str] = {}
@@ -282,12 +275,13 @@ class _Draws:
     """The bootstrap draws of one run, shared by all of its line tests.
 
     Draw b resamples the rows of sample with PCG64(derive_seed(seed, b))
-    and estimates every cell in cells on the resample.  Each logistic
-    propensity spec starts its draw fits from its full-sample fit, read
-    through a Pipeline on sample.pi_caches: the one build_matrix left
-    there, else one made and kept there now (from zero if that fit
-    fails).  The draws are evaluated on first use, inside the first line
-    test that reads them.
+    and estimates every cell in cells on the resample, with one memo per
+    draw.  Each logistic propensity spec starts its draw fits from its
+    full-sample fit, read through a Pipeline on sample.memo: the one
+    build_matrix left there, else one made and kept there now (from zero
+    if that fit fails).  Logistic specs on one design therefore get the
+    same start array and share one fit per draw.  The draws are evaluated
+    on first use, inside the first line test that reads them.
     """
 
     def __init__(self, sample: _Sample, cells, estimator, boot_reps: int, seed: int):
@@ -309,7 +303,7 @@ class _Draws:
         d = sample.designs[p_spec.covariates]
         pipe = Pipeline(
             AnalysisView(design_pi=d, design_m=d, T=sample.T, y_observed=sample.y),
-            pi_cache=sample.pi_caches.setdefault(p_spec, {}),
+            memo=sample.memo,
         )
         try:
             return pipe.propensity().alpha

@@ -441,6 +441,21 @@ class TestDensityCommand:
     def test_bad_bandwidth_exits_2(self, values_csv):
         assert cli.main(["density", "--data", values_csv, "--bandwidth", "wide"]) == 2
 
+    @pytest.mark.parametrize("bandwidth", ["inf", "nan"])
+    def test_non_finite_bandwidth_exits_2(self, values_csv, tmp_path, bandwidth):
+        out = tmp_path / "d.csv"
+        assert cli.main(["density", "--data", values_csv, "--bandwidth", bandwidth,
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_overflowing_grid_exits_3(self, tmp_path):
+        # finite values whose padded grid would overflow to NaN rows
+        path = tmp_path / "huge.csv"
+        path.write_text("value\n-1e308\n0\n5e307\n1e308\n")
+        out = tmp_path / "d.csv"
+        assert cli.main(["density", "--data", str(path), "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_degenerate_data_exits_3(self, tmp_path):
         path = tmp_path / "const.csv"
         path.write_text("value\n4.0\n4.0\n4.0\n")

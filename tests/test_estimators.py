@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,8 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drmean import estimators as est
-from drmean import linmod
-from drmean.dgp import AnalysisView, FullSample, generate_sample, make_view, reverse_roles
+from drmean import linmod, mc
+from drmean.dgp import (
+    AnalysisView,
+    DgpConfig,
+    FullSample,
+    generate_sample,
+    make_view,
+    reverse_roles,
+)
 from drmean.errors import (
     DrmeanError,
     InvalidArgumentError,
@@ -332,14 +341,77 @@ class TestOneDefinition:
         assert calls["diagnostics"] == 1
         assert calls["fsum"] == 10
 
-    def test_shared_caches_hold_single_design_terms(self, sample_1000):
-        # the caches mc shares between the scenarios of one sample hold
-        # only what depends on one design, T and y
-        pi_cache, m_cache = {}, {}
-        est.estimate_all(make_view(sample_1000, True, False), sample_1000,
-                         _pi_cache=pi_cache, _m_cache=m_cache)
-        assert set(pi_cache) == {"pi", "pi respondents", "pi diagnostics"}
-        assert set(m_cache) == {"design", "REG", "REG fitted"}
+    def test_shared_caches_hold_single_design_terms(self, sample_1000, monkeypatch):
+        # the memo mc shares between the scenarios of one sample holds one
+        # cache per propensity design and one per outcome design, each with
+        # only what depends on that design, T and y, beside its anchor
+        view = make_view(sample_1000, True, False)
+        memo = {}
+        est.estimate_all(view, sample_1000, _memo=memo)
+        assert {key: set(cache) for key, cache in memo.items()} == {
+            (id(view.design_pi), None, id(None)):
+                {"anchor", "pi", "pi respondents", "pi diagnostics"},
+            id(view.design_m): {"anchor", "design", "REG", "REG fitted"},
+        }
+        memos = []
+        estimate_all = mc.estimate_all
+
+        def recording(*args, _memo, **kwargs):
+            memos.append(_memo)
+            return estimate_all(*args, _memo=_memo, **kwargs)
+
+        monkeypatch.setattr(mc, "estimate_all", recording)
+        specs = tuple(mc.ScenarioSpec(n=200, reps=1, pi_model_correct=p, m_model_correct=m)
+                      for p in (True, False) for m in (True, False))
+        mc._replicate((0, specs, DgpConfig()))
+        assert len(memos) == 4 and all(m is memos[0] for m in memos)
+        assert len(memos[0]) == 4  # Z and X, as propensity and as outcome design
+        keys = set().union(*memos[0].values())
+        assert keys == {"anchor", "pi", "pi respondents", "pi diagnostics",
+                        "design", "REG", "REG fitted"}
+
+    def test_memo_shares_only_identical_inputs(self, sample_1000, monkeypatch):
+        # sharing follows array identity: equal values in distinct arrays,
+        # another start array or another method share no propensity fit
+        fits = []
+        fit_logistic = linmod.fit_logistic_propensity
+        monkeypatch.setattr(linmod, "fit_logistic_propensity",
+                            lambda *a, **k: fits.append(a) or fit_logistic(*a, **k))
+        view = make_view(sample_1000, True, True)
+        twin = dataclasses.replace(view, design_pi=view.design_pi.copy(),
+                                   design_m=view.design_m.copy())
+        memo = {}
+        one = est.estimate_all(view, sample_1000, ("OLS", "HT"), _memo=memo)
+        two = est.estimate_all(twin, sample_1000, ("OLS", "HT"), _memo=memo)
+        assert len(fits) == 2 and len(memo) == 4
+        assert one.values == two.values
+
+        fits.clear()
+        memo = {}
+        start = np.zeros(view.design_pi.shape[1])
+        pipes = [est.Pipeline(view, memo=memo),
+                 est.Pipeline(view, pi_start=start, memo=memo),
+                 est.Pipeline(view, pi_start=start.copy(), memo=memo),
+                 est.Pipeline(view, inverse_linear="moment", memo=memo)]
+        fitted = [pipe.propensity() for pipe in pipes]
+        assert len(fits) == 3
+        assert len({id(f) for f in fitted}) == 4
+        assert est.Pipeline(view, pi_start=start, memo=memo).propensity() is fitted[1]
+        assert len(fits) == 3
+
+    def test_memo_keeps_its_designs_alive(self, sample_1000):
+        # a memo entry keeps the arrays its key names, so their ids cannot
+        # be reused by other arrays while the memo lives
+        view = make_view(sample_1000, False, True)
+        refs = [weakref.ref(view.design_pi), weakref.ref(view.design_m)]
+        memo = {}
+        est.estimate_all(view, None, ("HT",), _memo=memo)
+        del view
+        gc.collect()
+        assert all(ref() is not None for ref in refs)
+        del memo
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
     def test_failed_respondent_check_memoised(self, monkeypatch):
         # the unconstrained inverse-linear fit puts pi_hat < 0 on the first

@@ -442,5 +442,21 @@ class TestDensity:
         with pytest.raises(InvalidArgumentError):
             mc.density_points(np.array([1.0, math.inf]))
 
+    @pytest.mark.parametrize("bandwidth", [math.inf, math.nan])
+    def test_non_finite_bandwidth_rejected(self, bimodal, bandwidth):
+        with pytest.raises(InvalidArgumentError):
+            mc.density_points(bimodal, bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("values, bandwidth", [
+        # finite data whose automatic bandwidth pads the grid past the
+        # largest double, and a subnormal bandwidth whose kernel
+        # normalising constant overflows
+        ([-1e308, 0.0, 5e307, 1e308], "auto"),
+        ([0.0, 1.0, 2.0], 1e-320),
+    ])
+    def test_overflowing_grid_rejected(self, values, bandwidth):
+        with pytest.raises(DegenerateInputError):
+            mc.density_points(np.array(values), bandwidth=bandwidth)
+
     def test_quantile_levels_fixed(self):
         assert mc.QUANTILE_LEVELS == (1, 5, 25, 50, 75, 95, 99)

@@ -247,6 +247,19 @@ class TestSharedPropensityFits:
         assert np.all(np.isfinite(estimates)) and messages == {}
         assert len(logistic_fits) == 2
 
+    def test_equivalent_propensity_specs_share_one_fit(self, data600, logistic_fits):
+        # no kind and an explicit LOGISTIC_MLE name one model on one design:
+        # one full-sample fit and one fit per draw serve both rows
+        _, cov, T, y = data600
+        p_named = sens.ModelSpec(role="propensity", covariates=PZ.covariates,
+                                 kind="LOGISTIC_MLE")
+        out = sens.run_sensitivity(cov, T, y, [PZ, p_named], [OZ, OX], "DR_WLS",
+                                   boot_reps=25, seed=2)
+        assert len(logistic_fits) == 25 + 1
+        assert out.estimates[0].tobytes() == out.estimates[1].tobytes()
+        assert out.row_tests[0].n_boot_used == 25
+        assert repr(out.row_tests[0]) == repr(out.row_tests[1])
+
     def test_singular_propensity_row(self, data600, logistic_fits):
         # the failed fit is made once and reported by every cell of its row
         _, cov, T, y = data600
