@@ -613,7 +613,7 @@ def cmd_density(args: argparse.Namespace) -> int:
             bandwidth = float(args.bandwidth)
         except ValueError:
             bandwidth = math.nan
-        if not math.isfinite(bandwidth):
+        if not 0.0 < bandwidth < math.inf:
             raise ConfigError(
                 f"--bandwidth must be 'auto' or a positive number, got {args.bandwidth!r}"
             )

@@ -10,15 +10,16 @@ raw-scale designs whose columns differ by orders of magnitude.  Logistic
 Newton steps solve the p x p weighted Gram matrix of the equilibrated
 design under the same Cholesky test (_newton_step).
 
-Both fits stop once the mat-vec score and its rounding error bound can
-no longer prove any column above SCORE_TOL (_score_within, scale-free), and
-raise NonconvergenceError at IRLS_MAX_ITER passes.
+Every Newton-type fit decides rank in its step solve, stops by
+_score_within (scale-free) and raises NonconvergenceError at
+IRLS_MAX_ITER passes.  Its first step always runs, so a start that
+already meets the test takes one null step.
 
 Propensity models:
   * logistic maximum likelihood, pi = expit(alpha'x);
   * inverse-linear, pi = 1 / (alpha'x), fit by constrained maximum
     likelihood, by a constrained moment criterion, or by solving the
-    unconstrained moment equation P_n[(T alpha'x - 1) x] = 0 exactly;
+    unconstrained moment equation P_n[(T alpha'x - 1) x] = 0;
   * a one-parameter logistic extension expit(alpha'x + phi h) whose phi
     solves P_n[(T / pi - 1) h] = 0 for a caller-chosen direction h, by a
     safeguarded Newton method.
@@ -50,7 +51,6 @@ from .errors import (
 
 IRLS_MAX_ITER = 100
 SCORE_TOL = 1e-10      # max-norm of the mean score at convergence
-STEP_TOL = 1e-12       # inverse-linear solve: step max-norm relative to alpha
 RANK_RCOND = 1e-10     # singular values below rcond * smax count as zero
 _U = 2.0**-53          # unit roundoff of float64
 ETA_SEPARATION = 33.0  # |linear predictor| beyond this means separation
@@ -305,19 +305,14 @@ def _logistic_newton(
 
     Newton steps (_newton_step) from start (default 0) with the stopping
     rule of _wls, then a separation check on the final linear predictor.
-    The Gram solve squares the condition number, but each step is taken
-    from the current score, so its error slows the iteration without
-    moving the fit (Bjorck, Numerical Methods for Least Squares Problems,
-    1996).
+    The first step's solve is the rank check, so a start that already
+    meets the test takes one null step.  The Gram solve squares the
+    condition number, but each step is taken from the current score, so
+    its error slows the iteration without moving the fit (Bjorck,
+    Numerical Methods for Least Squares Problems, 1996).
     """
     design, response = _check_design(design, response)
     xs, scale = _equilibrate(design)
-    # rank check first: a stationary start would exit before any solve
-    try:
-        sv = np.linalg.svd(xs, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NonconvergenceError(f"rank check failed: {exc}") from None
-    _check_rank(int(np.sum(sv > RANK_RCOND * sv.max(initial=0.0))), xs.shape[1])
     if start is None:
         beta = np.zeros(design.shape[1])
     else:
@@ -329,7 +324,7 @@ def _logistic_newton(
         mu = expit(design @ beta)
         resid = response - mu
         # T - mu is of order one on most units: the |q| term covers its rounding
-        if _score_within(design, resid, 0.0, SCORE_TOL, abs_design):
+        if iterations > 1 and _score_within(design, resid, 0.0, SCORE_TOL, abs_design):
             break
         v = mu * (1.0 - mu)
         if not np.any(v > 0):
@@ -382,28 +377,29 @@ def fit_logistic_propensity(
 
 
 def _inv_linear_unconstrained(design: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solve P_n[(T alpha'x - 1) x] = 0 by linear solve plus refinement."""
-    n, p = design.shape
-    tx = design * (T == 1)[:, None].astype(float)
-    with np.errstate(over="ignore"):
-        terms = (design[:, :, None] * tx[:, None, :]).reshape(n, p * p)
-    try:
-        gram, target = fsum_col_means(terms).reshape(p, p), fsum_col_means(design)
-    except (OverflowError, ValueError):  # math.fsum past the float range, or inf - inf
-        gram = np.full((p, p), np.inf)
+    """Solve the linear P_n[(T alpha'x - 1) x] = 0 by Newton steps from 0,
+    stopped as in _wls, on the respondent Gram matrix scaled to unit
+    diagonal as in _gram_solver (_equilibrated_lstsq checks its rank), so
+    a column rescaled by a power of two leaves alpha'x bit for bit as is."""
+    p = design.shape[1]
+    t = (T == 1).astype(float)
+    rows = design[T == 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = rows.T @ rows
     if not np.all(np.isfinite(gram)):
         raise InvalidArgumentError("moment Gram matrix is not finite")
-    alpha = _equilibrated_lstsq(gram, target)
-    iterations = 1
-    for _ in range(20):
-        score = fsum_col_means(design * ((tx @ alpha) - 1.0)[:, None])
-        if np.max(np.abs(score)) <= 1e-13:
+    d = 1.0 / np.sqrt(np.where(gram.diagonal() > 0, gram.diagonal(), 1.0))
+    gram = gram * d * d[:, None]
+    abs_design = np.abs(design)
+    alpha = np.zeros(p)
+    for iterations in range(1, IRLS_MAX_ITER + 1):
+        q = t * (design @ alpha) - 1.0
+        q_err = ((p + 2) * _U) * t * (1.0 + abs_design @ np.abs(alpha))
+        if iterations > 1 and _score_within(design, q, q_err, SCORE_TOL, abs_design):
             break
-        step = _equilibrated_lstsq(gram, -score)
-        alpha = alpha + step
-        iterations += 1
-        if np.max(np.abs(step)) <= STEP_TOL * max(1.0, np.max(np.abs(alpha))):
-            break
+        alpha = alpha - d * _equilibrated_lstsq(gram, d * (design.T @ q))
+    else:
+        raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} iterations")
     return alpha, iterations
 
 
@@ -510,6 +506,12 @@ def fit_inverse_linear(
         raise InvalidArgumentError(f"unknown method {method!r}")
     if method == "unconstrained_moment":
         alpha, iterations = _inv_linear_unconstrained(design, T)
+    elif method == "likelihood":
+        # the likelihood depends on alpha'x only: fit on columns divided
+        # by a power of two near their rms (exact), free of their units
+        s = np.ldexp(1.0, np.frexp(_equilibrate(design)[1])[1] - 1)
+        alpha, iterations = _inv_linear_constrained(design / s, T, method)
+        alpha = alpha / s
     else:
         alpha, iterations = _inv_linear_constrained(design, T, method)
     eta = design @ alpha

@@ -22,6 +22,7 @@ the weighted fits blow up still contributes its OLS and FULL values.
 
 import math
 import multiprocessing
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,11 @@ class ScenarioSpec:
     estimators: tuple[str, ...] = ESTIMATOR_NAMES
 
     def __post_init__(self) -> None:
+        for name in ("n", "reps", "base_seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise InvalidArgumentError(f"{name} must be an integer") from None
         if self.n < 2:
             raise InvalidArgumentError("n must be at least 2")
         if self.reps < 1:

@@ -17,6 +17,7 @@ and a line's p-value does not depend on which other lines are tested.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +59,15 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.role not in ("propensity", "outcome"):
             raise InvalidArgumentError(f"unknown role {self.role!r}")
-        if len(self.covariates) == 0:
+        try:
+            covariates = tuple(map(operator.index, self.covariates))
+        except TypeError:
+            raise InvalidArgumentError("covariate indices must be integers") from None
+        if len(covariates) == 0:
             raise InvalidArgumentError("covariates must be a nonempty index tuple")
-        if any(int(c) != c or c < 0 for c in self.covariates):
+        if min(covariates) < 0:
             raise InvalidArgumentError("covariate indices must be nonnegative integers")
+        object.__setattr__(self, "covariates", covariates)
         if self.role == "propensity" and self.kind is not None:
             if self.kind not in _PROPENSITY_METHODS:
                 raise InvalidArgumentError(f"unknown propensity kind {self.kind!r}")

@@ -34,11 +34,11 @@ def test_tracer_records_every_wrapped_layer(layers):
     z = (0, 1, 2, 3)
     with layers.Tracer() as tracer:
         estimate_all(dgp.make_view(sample, True, True), sample)
-        # the unconstrained inverse-linear fit sums its moments exactly
+        # the inverse-linear likelihood fit sums its gradient exactly
         run_sensitivity(
             cov, sample.T, y,
             [sens.ModelSpec("propensity", z),
-             sens.ModelSpec("propensity", z, "INV_LINEAR_UNCONSTRAINED")],
+             sens.ModelSpec("propensity", z, "INV_LINEAR_ML")],
             [sens.ModelSpec("outcome", z), sens.ModelSpec("outcome", (4, 5, 6, 7))],
             "DR_WLS", boot_reps=3, seed=1,
         )

@@ -441,7 +441,7 @@ class TestDensityCommand:
     def test_bad_bandwidth_exits_2(self, values_csv):
         assert cli.main(["density", "--data", values_csv, "--bandwidth", "wide"]) == 2
 
-    @pytest.mark.parametrize("bandwidth", ["inf", "nan"])
+    @pytest.mark.parametrize("bandwidth", ["inf", "nan", "-1", "0"])
     def test_non_finite_bandwidth_exits_2(self, values_csv, tmp_path, bandwidth):
         out = tmp_path / "d.csv"
         assert cli.main(["density", "--data", values_csv, "--bandwidth", bandwidth,

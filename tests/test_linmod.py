@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,18 @@ class TestLogisticPropensity:
         warm = linmod.fit_logistic_propensity(view.design_pi, view.T, start=alpha0)
         assert warm.iterations < cold.iterations
         assert np.max(np.abs(warm.pi_hat - cold.pi_hat)) <= 1e-9
+
+    def test_stationary_start_still_checks_rank(self, right_view):
+        # the first Newton step always runs, and its solve is the rank check
+        fit = linmod.fit_logistic_propensity(right_view.design_pi, right_view.T)
+        again = linmod.fit_logistic_propensity(right_view.design_pi, right_view.T,
+                                               start=fit.alpha)
+        assert again.iterations == 2
+        assert np.max(np.abs(again.pi_hat - fit.pi_hat)) <= 1e-12
+        doubled = np.column_stack([right_view.design_pi, right_view.design_pi[:, 1]])
+        with pytest.raises(SingularDesignError):
+            linmod.fit_logistic_propensity(doubled, right_view.T,
+                                           start=np.append(fit.alpha, 0.0))
 
     @pytest.mark.parametrize("start", [np.zeros(4), np.full(5, np.nan)],
                              ids=["length", "nan"])
@@ -407,6 +420,38 @@ class TestInverseLinear:
         for name, msg in out.messages.items():
             assert issubclass(getattr(errors, msg.split(":")[0]), DrmeanError), name
 
+    @pytest.mark.parametrize("method", ["unconstrained_moment", "likelihood"])
+    @pytest.mark.parametrize("n", [200, 1000])
+    @pytest.mark.parametrize("z", [True, False], ids=["Z", "X"])
+    def test_fit_is_free_of_column_units(self, method, n, z):
+        # multiplying a column by a power of two is exact, so pi_hat is too
+        view = make_view(generate_sample(n, 6), z, z)
+        ref = linmod.fit_inverse_linear(view.design_pi, view.T, method)
+        for k in (-30, -20, -10, 10, 20, 30):
+            design = view.design_pi.copy()
+            design[:, 1:] *= 2.0**k
+            fit = linmod.fit_inverse_linear(design, view.T, method)
+            assert np.array_equal(fit.pi_hat, ref.pi_hat), k
+            assert fit.iterations == ref.iterations, k
+
+    def test_unconstrained_raises_at_its_cap(self, monkeypatch, wrong_view):
+        monkeypatch.setattr(linmod, "_score_within", lambda *args: False)
+        with pytest.raises(NonconvergenceError, match="no convergence"):
+            linmod.fit_inverse_linear(wrong_view.design_pi, wrong_view.T,
+                                      "unconstrained_moment")
+
+    def test_unconstrained_memory_is_a_few_designs(self):
+        # the fit needs a few n-vectors and one copy of the design, not n p^2 terms
+        view = make_view(generate_sample(200_000, 8), True, True)
+        design, T = view.design_pi, view.T
+        tracemalloc.start()
+        try:
+            linmod.fit_inverse_linear(design, T, "unconstrained_moment")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * design.nbytes
+
     def test_non_finite_slsqp_result_raises(self, monkeypatch, wrong_view):
         class Result:
             x = np.full(5, np.nan)
@@ -562,16 +607,16 @@ class TestGramNewton:
             )
         assert totals == {True: 120, False: 120}
 
-    @pytest.mark.parametrize("name", ["inv", "lstsq", "svd"])
+    @pytest.mark.parametrize("name", ["inv", "lstsq", "logistic"])
     def test_linalg_error_becomes_drmean_error(self, monkeypatch, name):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(np.linalg, name, fail)
-        if name == "lstsq":  # a failed Cholesky test sends the outcome solve to lstsq
+        monkeypatch.setattr(np.linalg, "inv" if name == "inv" else "lstsq", fail)
+        if name != "inv":  # a failed Cholesky test sends the solve to lstsq
             monkeypatch.setattr(np.linalg, "cholesky", fail)
         with pytest.raises(NonconvergenceError, match="SVD did not converge"):
-            if name == "svd":
+            if name == "logistic":
                 linmod.fit_logistic_propensity(np.eye(3), np.array([1, 0, 1]))
             else:
                 linmod.irls_fit(np.eye(3), np.ones(3))

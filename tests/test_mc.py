@@ -96,6 +96,21 @@ class TestScenarioSpec:
                 base_seed=-1,
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 200.5), ("reps", 2.5), ("base_seed", 1.5), ("n", "200"), ("base_seed", None)],
+    )
+    def test_non_integer_fields_rejected(self, field, value):
+        kwargs = {"n": 200, "reps": 2, "pi_model_correct": True, "m_model_correct": True}
+        with pytest.raises(InvalidArgumentError, match=f"{field} must be an integer"):
+            mc.ScenarioSpec(**{**kwargs, field: value})
+
+    def test_integer_fields_stored_as_ints(self):
+        spec = mc.ScenarioSpec(n=np.int64(200), reps=np.int32(2), pi_model_correct=True,
+                               m_model_correct=True, base_seed=np.uint64(7))
+        assert (spec.n, spec.reps, spec.base_seed) == (200, 2, 7)
+        assert all(type(v) is int for v in (spec.n, spec.reps, spec.base_seed))
+
     def test_duplicate_estimators_rejected(self):
         with pytest.raises(InvalidArgumentError):
             mc.ScenarioSpec(

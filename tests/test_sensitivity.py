@@ -41,6 +41,24 @@ class TestModelSpec:
         with pytest.raises(InvalidArgumentError):
             sens.ModelSpec(role="propensity", covariates=(0,), kind="PROBIT")
 
+    @pytest.mark.parametrize(
+        "covariates",
+        [(math.nan,), ("a",), (None,), (1.0, 2.0), (0, 1.5), 3, "01"],
+        ids=["nan", "str", "none", "floats", "fraction", "scalar", "string"],
+    )
+    def test_non_integer_indices_rejected(self, covariates):
+        with pytest.raises(InvalidArgumentError, match="must be integers"):
+            sens.ModelSpec(role="outcome", covariates=covariates)
+
+    @pytest.mark.parametrize("covariates", [[0, 3], tuple(np.arange(0, 4, 3)), range(0, 4, 3)],
+                             ids=["list", "numpy", "range"])
+    def test_indices_stored_as_a_tuple_of_ints(self, covariates):
+        spec = sens.ModelSpec(role="outcome", covariates=covariates)
+        assert spec.covariates == (0, 3)
+        assert all(type(c) is int for c in spec.covariates)
+        assert hash(spec) == hash(sens.ModelSpec(role="outcome", covariates=(0, 3)))
+        assert json.dumps(spec.covariates) == "[0, 3]"
+
 
 class TestBuildMatrix:
     @pytest.mark.parametrize("estimator", sens.DR_ESTIMATORS)
