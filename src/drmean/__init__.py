@@ -59,7 +59,6 @@ from .linmod import (
     fit_outcome_ipw_nr,
     fit_outcome_reg,
     fit_outcome_wls,
-    irls_fit,
 )
 from .mc import (
     DensitySeries,
@@ -122,7 +121,6 @@ __all__ = [
     "fit_outcome_wls",
     "generate_sample",
     "homogeneity_test",
-    "irls_fit",
     "make_view",
     "mu_aipw",
     "mu_b_dr",

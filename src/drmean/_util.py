@@ -1,6 +1,7 @@
-"""Shared numeric helpers: seed derivation and compensated means."""
+"""Shared helpers: integer arguments, seed derivation and compensated means."""
 
 import math
+import operator
 
 import numpy as np
 
@@ -16,6 +17,15 @@ SEED_DERIVATION = "splitmix64(base_seed + (rep_index + 1) * 0x9E3779B97F4A7C15)"
 PRNG_NAME = "numpy.random.PCG64"
 
 
+def check_int(value, name: str) -> int:
+    """value as a Python int by operator.index, so numpy integers pass and
+    floats do not; InvalidArgumentError naming name otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer") from None
+
+
 def derive_seed(base_seed: int, index: int) -> int:
     """Derive the 64-bit seed for replication ``index`` from ``base_seed``.
 
@@ -23,11 +33,12 @@ def derive_seed(base_seed: int, index: int) -> int:
     so that neighbouring indices land far apart in seed space.  Pure integer
     arithmetic, identical on every platform.
     """
+    base_seed, index = check_int(base_seed, "base_seed"), check_int(index, "index")
     if index < 0:
         raise InvalidArgumentError("index must be nonnegative")
     if base_seed < 0:
         raise InvalidArgumentError("base_seed must be nonnegative")
-    x = (int(base_seed) + (int(index) + 1) * _GOLDEN) & _MASK64
+    x = (base_seed + (index + 1) * _GOLDEN) & _MASK64
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
     return (x ^ (x >> 31)) & _MASK64

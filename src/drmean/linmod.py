@@ -3,17 +3,18 @@
 Outcome fits go through one weighted least squares routine (_wls): a solve
 on the Gram matrix of the column-equilibrated weighted design, once
 Cholesky shows it well enough conditioned (else SVD least squares with a
-rank check), one corrected semi-normal-equations step, then refinement
-passes until the mean score is within SCORE_TOL.  That matters:
-downstream identities are asserted to absolute tolerances near 1e-10 on
-raw-scale designs whose columns differ by orders of magnitude.  Logistic
-Newton steps solve the p x p weighted Gram matrix of the equilibrated
-design under the same Cholesky test (_newton_step).
+rank check), then corrected semi-normal-equations steps on the residual.
+Logistic Newton steps solve the p x p weighted Gram matrix of the
+equilibrated design under the same Cholesky test (_newton_step).
 
-Every Newton-type fit decides rank in its step solve, stops by
-_score_within (scale-free) and raises NonconvergenceError at
-IRLS_MAX_ITER passes.  Its first step always runs, so a start that
-already meets the test takes one null step.
+Every Newton-type fit decides rank in its step solve and stops by one
+rule (_settled): after the step that moves no unit's fitted linear
+predictor x'beta by more than a tolerance, ETA_STEP_TOL for the logistic
+alpha'x, which is free of units, and FIT_STEP_RTOL times max |x'beta| for
+the linear solves.  The change x'step does not depend on the units of
+the columns, so neither does the stop, and a non-finite step or fit never
+passes it.  A fit that has not stopped after IRLS_MAX_ITER solves raises
+NonconvergenceError.
 
 Propensity models:
   * logistic maximum likelihood, pi = expit(alpha'x);
@@ -50,9 +51,9 @@ from .errors import (
 )
 
 IRLS_MAX_ITER = 100
-SCORE_TOL = 1e-10      # max-norm of the mean score at convergence
+ETA_STEP_TOL = 1e-6    # logistic: the last step moves no alpha'x by more
+FIT_STEP_RTOL = 2.0**-26  # least squares: ... by more than this times max |x'beta|
 RANK_RCOND = 1e-10     # singular values below rcond * smax count as zero
-_U = 2.0**-53          # unit roundoff of float64
 ETA_SEPARATION = 33.0  # |linear predictor| beyond this means separation
 PHI_BRACKET_MAX = 50.0
 PHI_GTOL = 1e-10
@@ -97,7 +98,7 @@ class PropensityFit:
 class OutcomeFit:
     beta: np.ndarray        # appended covariate's coefficient last, if any
     m_hat: np.ndarray       # fitted outcome mean for every unit
-    iterations: int         # solve plus refinement passes
+    iterations: int         # solves: the first plus its corrections
 
 
 def weight_diagnostics(pi_hat: np.ndarray, T: np.ndarray) -> WeightDiagnostics:
@@ -171,30 +172,10 @@ def _equilibrated_lstsq(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return coef / scale
 
 
-def _score_within(
-    design: np.ndarray,
-    q: np.ndarray,
-    q_err: np.ndarray | float,
-    tol: float,
-    abs_design: np.ndarray | None = None,
-) -> bool:
-    """False only if the mat-vec design.T @ q proves a column's mean above tol.
-
-    design.T @ q, in any order, with or without fused multiply-adds, is within
-    e = |design|.T @ (2 (n + 1) u |q| + q_err) of the exact score, q_err
-    bounding the rounding already in q (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., sec. 3.1).  |design.T @ q| - e <= tol n
-    is a componentwise backward-error test (Arioli, Duff & Ruiz, SIAM J.
-    Matrix Anal. Appl. 13, 1992), unchanged when q and q_err are scaled.
-    abs_design, if given, is np.abs(design), taken once by a caller's loop.
-    """
-    n = design.shape[0]
-    if abs_design is None:
-        abs_design = np.abs(design)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = np.abs(design.T @ q)
-        e = abs_design.T @ ((2.0 * (n + 1) * _U) * np.abs(q) + q_err)
-        return bool(np.all(np.isfinite(e)) and np.all(s - e <= tol * n))
+def _settled(change: np.ndarray, tol: float) -> bool:
+    """The stop of every Newton-type fit: max |change| <= tol, where change
+    is x'step on each row.  False if change or tol is not finite."""
+    return bool(np.max(np.abs(change)) <= tol < math.inf)
 
 
 def _pivots_pass(gram: np.ndarray) -> bool:
@@ -211,14 +192,14 @@ def _gram_solver(design: np.ndarray, w: np.ndarray | None):
     """solve(r), the c that minimizes sum w (r - design c)^2 (w = 1 if None),
     from the inverse of the weighted Gram matrix scaled to unit diagonal,
     which is the Gram matrix of the column-equilibrated weighted design; or
-    None if that matrix is not finite or fails _pivots_pass."""
+    None if that matrix is not finite or fails _pivots_pass.  Called under
+    the errstate of _wls."""
     wx = design.T if w is None else design.T * w
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        gram = wx @ design
-        d = 1.0 / np.sqrt(gram.diagonal())
-        gram = gram * d * d[:, None]
-        if not _pivots_pass(gram):
-            return None
+    gram = wx @ design
+    d = 1.0 / np.sqrt(gram.diagonal())
+    gram = gram * d * d[:, None]
+    if not _pivots_pass(gram):
+        return None
     try:
         inverse = np.linalg.inv(gram)
     except np.linalg.LinAlgError as exc:
@@ -234,31 +215,24 @@ def _lstsq_solver(design: np.ndarray, w: np.ndarray | None):
 
 
 def _wls(
-    design: np.ndarray,
-    response: np.ndarray,
-    unit_weights: np.ndarray | None,
-    abs_design: np.ndarray | None = None,
+    design: np.ndarray, response: np.ndarray, unit_weights: np.ndarray | None
 ) -> tuple[np.ndarray, int]:
-    """Weighted least squares.  Returns (coefficients, passes).
+    """Weighted least squares on a finite design and response (RespondentDesign
+    checks them).  Returns (coefficients, passes), passes counting solves.
 
     Each pass solves on the Gram matrix of the column-equilibrated weighted
     design (_gram_solver) when it passes the Cholesky test of _newton_step;
     else (a rank-deficient or ill-conditioned design) every pass is SVD
     least squares, whose rank check names the rank.  The Gram matrix
-    squares the condition number, so the first solve is always followed by
-    a second on its residual, the corrected semi-normal equations (Bjorck,
-    Linear Algebra Appl. 88/89, 1987); refinement passes follow until
-    _score_within stops them (NonconvergenceError after IRLS_MAX_ITER score
-    checks).  passes counts every solve.  y - x'beta can cancel far below
-    |y|, so q_err bounds its rounding by (p + 2) u (|y| + |x||beta|).
-
-    abs_design, if given, is np.abs(design) for a design and response that
-    passed _check_design (see RespondentDesign).
+    squares the condition number, so the first solve is followed by
+    corrected semi-normal-equations steps on its residual (Bjorck, Linear
+    Algebra Appl. 88/89, 1987) until one moves the fit x'beta by at most
+    FIT_STEP_RTOL max |x'beta|: the next correction would then be at
+    rounding level (NonconvergenceError after IRLS_MAX_ITER solves).  The
+    whole solve runs under one errstate, so a fit that overflows fails the
+    stop instead of printing a warning.
     """
-    if abs_design is None:
-        design, response = _check_design(design, response)
-        abs_design = np.abs(design)
-    n, p = design.shape
+    n = design.shape[0]
     w = None
     if unit_weights is not None:
         w = np.asarray(unit_weights, dtype=float)
@@ -268,20 +242,18 @@ def _wls(
             raise InvalidWeightError("unit weights must be finite and nonnegative")
         if not np.any(w > 0):
             raise InvalidWeightError("all unit weights are zero")
-
-    solve = _gram_solver(design, w) or _lstsq_solver(design, w)
-    beta = solve(response)
-    beta = beta + solve(response - design @ beta)
-    for iterations in range(2, IRLS_MAX_ITER + 2):
-        resid = response - design @ beta
-        q_err = ((p + 2) * _U) * (np.abs(response) + abs_design @ np.abs(beta))
-        q, q_err = (resid, q_err) if w is None else (w * resid, w * q_err)
-        if _score_within(design, q, q_err, SCORE_TOL, abs_design):
-            break
-        beta = beta + solve(resid)
-    else:
-        raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} score checks")
-    return beta, iterations
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        solve = _gram_solver(design, w) or _lstsq_solver(design, w)
+        beta = solve(response)
+        for passes in range(2, IRLS_MAX_ITER + 1):
+            step = solve(response - design @ beta)
+            beta = beta + step
+            level = np.max(np.abs(design @ beta))
+            if _settled(design @ step, FIT_STEP_RTOL * level):
+                return beta, passes
+            if not level < math.inf:
+                raise NonconvergenceError("least squares fit is not finite")
+    raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} solves")
 
 
 def _newton_step(xs: np.ndarray, v: np.ndarray, resid: np.ndarray) -> np.ndarray:
@@ -300,16 +272,17 @@ def _newton_step(xs: np.ndarray, v: np.ndarray, resid: np.ndarray) -> np.ndarray
 
 def _logistic_newton(
     design: np.ndarray, response: np.ndarray, start: np.ndarray | None = None
-) -> tuple[np.ndarray, int]:
-    """Logistic maximum likelihood.  Returns (coefficients, iterations).
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Logistic maximum likelihood.  Returns (coefficients, linear predictor,
+    Newton steps).
 
-    Newton steps (_newton_step) from start (default 0) with the stopping
-    rule of _wls, then a separation check on the final linear predictor.
-    The first step's solve is the rank check, so a start that already
-    meets the test takes one null step.  The Gram solve squares the
-    condition number, but each step is taken from the current score, so
-    its error slows the iteration without moving the fit (Bjorck,
-    Numerical Methods for Least Squares Problems, 1996).
+    Newton steps (_newton_step) from start (default 0) until one moves no
+    alpha'x by more than ETA_STEP_TOL (_settled), then a separation check
+    on the final linear predictor.  The first step always runs, and its
+    solve is the rank check.  The Gram solve squares the condition number,
+    but each step is taken from the current score, so its error slows the
+    iteration without moving the fit (Bjorck, Numerical Methods for Least
+    Squares Problems, 1996).
     """
     design, response = _check_design(design, response)
     xs, scale = _equilibrate(design)
@@ -319,18 +292,13 @@ def _logistic_newton(
         beta = np.array(start, dtype=float)
         if beta.shape != (design.shape[1],) or not np.all(np.isfinite(beta)):
             raise InvalidArgumentError("start must be finite, one entry per column")
-    abs_design = np.abs(design)
     for iterations in range(1, IRLS_MAX_ITER + 1):
         mu = expit(design @ beta)
-        resid = response - mu
-        # T - mu is of order one on most units: the |q| term covers its rounding
-        if iterations > 1 and _score_within(design, resid, 0.0, SCORE_TOL, abs_design):
-            break
         v = mu * (1.0 - mu)
         if not np.any(v > 0):
             raise NonconvergenceError("all fitted variances vanished")
         try:
-            step = _newton_step(xs, v, resid) / scale
+            step = _newton_step(xs, v, response - mu) / scale
         except SingularDesignError:
             if iterations == 1:
                 raise
@@ -338,21 +306,14 @@ def _logistic_newton(
                 "weighted design lost rank during iteration (separation?)"
             ) from None
         beta = beta + step
+        if _settled(design @ step, ETA_STEP_TOL):
+            break
     else:
         raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} iterations")
-    if np.max(np.abs(design @ beta)) > ETA_SEPARATION:
+    eta = design @ beta
+    if np.max(np.abs(eta)) > ETA_SEPARATION:
         raise NonconvergenceError("fitted probabilities pinned at 0/1: data are separated")
-    return beta, iterations
-
-
-def irls_fit(
-    design: np.ndarray,
-    response: np.ndarray,
-    unit_weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Weighted least-squares regression coefficients."""
-    beta, _ = _wls(design, response, unit_weights)
-    return beta
+    return beta, eta, iterations
 
 
 def fit_logistic_propensity(
@@ -360,28 +321,26 @@ def fit_logistic_propensity(
 ) -> PropensityFit:
     """Logistic maximum-likelihood fit of P(T = 1 | x) = expit(alpha'x).
 
-    Newton's method starts from the coefficients start, or from 0.
+    Newton's method starts from the coefficients start, or from 0;
+    iterations counts its steps.
     """
     T = np.asarray(T)
-    alpha, iterations = _logistic_newton(design, T.astype(float), start)
-    eta = np.asarray(design, dtype=float) @ alpha
-    pi_hat = expit(eta)
+    alpha, eta, iterations = _logistic_newton(design, T.astype(float), start)
     return PropensityFit(
         kind=PropensityKind.LOGISTIC_MLE,
         alpha=alpha,
         phi=None,
         eta=eta,
-        pi_hat=pi_hat,
+        pi_hat=expit(eta),
         iterations=iterations,
     )
 
 
 def _inv_linear_unconstrained(design: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, int]:
     """Solve the linear P_n[(T alpha'x - 1) x] = 0 by Newton steps from 0,
-    stopped as in _wls, on the respondent Gram matrix scaled to unit
+    stopped as _wls stops, on the respondent Gram matrix scaled to unit
     diagonal as in _gram_solver (_equilibrated_lstsq checks its rank), so
     a column rescaled by a power of two leaves alpha'x bit for bit as is."""
-    p = design.shape[1]
     t = (T == 1).astype(float)
     rows = design[T == 1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -390,17 +349,14 @@ def _inv_linear_unconstrained(design: np.ndarray, T: np.ndarray) -> tuple[np.nda
         raise InvalidArgumentError("moment Gram matrix is not finite")
     d = 1.0 / np.sqrt(np.where(gram.diagonal() > 0, gram.diagonal(), 1.0))
     gram = gram * d * d[:, None]
-    abs_design = np.abs(design)
-    alpha = np.zeros(p)
+    alpha = np.zeros(design.shape[1])
     for iterations in range(1, IRLS_MAX_ITER + 1):
         q = t * (design @ alpha) - 1.0
-        q_err = ((p + 2) * _U) * t * (1.0 + abs_design @ np.abs(alpha))
-        if iterations > 1 and _score_within(design, q, q_err, SCORE_TOL, abs_design):
-            break
-        alpha = alpha - d * _equilibrated_lstsq(gram, d * (design.T @ q))
-    else:
-        raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} iterations")
-    return alpha, iterations
+        step = d * _equilibrated_lstsq(gram, d * (design.T @ q))
+        alpha = alpha - step
+        if _settled(design @ step, FIT_STEP_RTOL * np.max(np.abs(design @ alpha))):
+            return alpha, iterations
+    raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} iterations")
 
 
 def minimize(*args, **kwargs):
@@ -531,9 +487,8 @@ class RespondentDesign:
     """The outcome design of a view on its respondents, checked once.
 
     Holds resp = (T == 1), the full design_m (for the fitted values of every
-    unit), its respondent rows with their absolute values (for _wls) and the
-    respondent outcomes.  The outcome fits on one design_m, T and y_observed
-    can share one instance.
+    unit), its respondent rows and the respondent outcomes.  The outcome
+    fits on one design_m, T and y_observed can share one instance.
     """
 
     def __init__(self, view: AnalysisView):
@@ -546,7 +501,6 @@ class RespondentDesign:
         self.resp = resp
         self.design = np.asarray(view.design_m, dtype=float)
         self.rows, self.y = _check_design(self.design[resp], y)
-        self.abs_rows = np.abs(self.rows)
 
     def fit(
         self, appended: np.ndarray | None = None, weight_pi: np.ndarray | None = None
@@ -557,16 +511,15 @@ class RespondentDesign:
         respondent rows only); weight_pi, if given, weights respondent i by
         1 / weight_pi[i].  Callers check their pi_hat first.
         """
-        rows, abs_rows = self.rows, self.abs_rows
+        rows = self.rows
         if appended is not None:
             col = appended[self.resp]
             _check_identifiable(rows.shape[0], rows.shape[1] + 1)
             if not np.all(np.isfinite(col)):
                 raise InvalidArgumentError("design contains non-finite entries")
             rows = np.hstack([rows, col[:, None]])
-            abs_rows = np.abs(rows)
         weights = None if weight_pi is None else 1.0 / weight_pi[self.resp]
-        beta, iterations = _wls(rows, self.y, weights, abs_rows)
+        beta, iterations = _wls(rows, self.y, weights)
         if appended is None:
             m_hat = self.design @ beta
         else:

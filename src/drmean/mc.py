@@ -22,12 +22,11 @@ the weighted fits blow up still contributes its OLS and FULL values.
 
 import math
 import multiprocessing
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import derive_seed
+from ._util import check_int, derive_seed
 from .dgp import DgpConfig, generate_sample, make_view, reverse_roles
 from .errors import DegenerateInputError, InvalidArgumentError
 from .estimators import ESTIMATOR_NAMES, FLAG_FAILED, check_estimator_names, estimate_all
@@ -49,10 +48,7 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         for name in ("n", "reps", "base_seed"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise InvalidArgumentError(f"{name} must be an integer") from None
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
         if self.n < 2:
             raise InvalidArgumentError("n must be at least 2")
         if self.reps < 1:
@@ -219,6 +215,7 @@ def run_scenarios(
     """
     if cfg is None:
         cfg = DgpConfig()
+    workers = check_int(workers, "workers")
     if workers < 1:
         raise InvalidArgumentError("workers must be at least 1")
     specs = list(specs)

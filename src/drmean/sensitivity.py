@@ -17,13 +17,12 @@ and a line's p-value does not depend on which other lines are tested.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtrc
 
-from ._util import derive_seed
+from ._util import check_int, derive_seed
 from .dgp import AnalysisView, design_matrix
 from .errors import DrmeanError, InvalidArgumentError, NonconvergenceError
 from .estimators import ESTIMATORS, Pipeline
@@ -60,9 +59,10 @@ class ModelSpec:
         if self.role not in ("propensity", "outcome"):
             raise InvalidArgumentError(f"unknown role {self.role!r}")
         try:
-            covariates = tuple(map(operator.index, self.covariates))
+            covariates = tuple(self.covariates)
         except TypeError:
-            raise InvalidArgumentError("covariate indices must be integers") from None
+            raise InvalidArgumentError("covariates must be a tuple of integers") from None
+        covariates = tuple(check_int(c, "a covariate index") for c in covariates)
         if len(covariates) == 0:
             raise InvalidArgumentError("covariates must be a nonempty index tuple")
         if min(covariates) < 0:
@@ -365,6 +365,7 @@ def homogeneity_test(
     m = len(varying_specs)
     if line.shape != (m,):
         raise InvalidArgumentError("estimates_line length must match varying_specs")
+    boot_reps, seed = check_int(boot_reps, "boot_reps"), check_int(seed, "seed")
     if boot_reps < 2:
         raise InvalidArgumentError("boot_reps must be at least 2")
     def pair(v: ModelSpec) -> tuple[ModelSpec, ModelSpec]:
@@ -515,6 +516,7 @@ def run_sensitivity(
     line, so adding a row does not change the p-values of existing lines.
     """
     covariates, T, Y = _check_data(covariates, T, Y)
+    boot_reps, seed = check_int(boot_reps, "boot_reps"), check_int(seed, "seed")
     p_specs, o_specs = _validate_specs(p_specs, o_specs, estimator)
     _check_spec_indices(p_specs + o_specs, covariates.shape[1])
     sample = _Sample(covariates, T, Y, p_specs + o_specs)

@@ -1,10 +1,12 @@
 """End-to-end acceptance checks for the benchmark reproduction.
 
-Each test covers one numbered criterion and prints a single
+Each criterion test covers one numbered criterion and prints a single
 "ACCEPTANCE k ... PASS/FAIL" line (visible with pytest -s); the assert
 carries the failing sub-checks.  The Monte Carlo criteria run five
-scenarios at n = 1000 with 1000 replications each, so this module takes
-around a minute; everything is deterministic under the pinned seed.
+scenarios at n = 1000 with 1000 replications each: the four of one group
+through one run_scenarios call, which shares their samples and fits, and
+the reversed one alone.  Everything is deterministic under the pinned
+seed.
 """
 
 import math
@@ -31,41 +33,57 @@ REPS = 1000
 DR_NAMES = ("DR_REG", "DR_WLS", "DR_IPW_NR", "DR_EXT_REG", "B_DR_REG", "B_DR_EXT")
 
 
-def _run(pi_correct, m_correct, reverse=False):
-    spec = mc.ScenarioSpec(
+def _spec(pi_correct, m_correct, reverse=False, reps=REPS):
+    return mc.ScenarioSpec(
         n=N,
-        reps=REPS,
+        reps=reps,
         pi_model_correct=pi_correct,
         m_model_correct=m_correct,
         reverse=reverse,
         base_seed=ACCEPT_SEED,
     )
-    return mc.run_scenario(spec)
+
+
+# the four scenarios of Kang & Schafer's table, (pi_correct, m_correct)
+PAIRS = ((True, True), (True, False), (False, True), (False, False))
 
 
 @pytest.fixture(scope="module")
-def both_right():
-    return _run(True, True)
+def grid():
+    # one run_scenarios call: the four scenarios share each replication's
+    # sample and single-design fits, and their values equal standalone
+    # runs (test_grid_equals_standalone_runs)
+    return dict(zip(PAIRS, mc.run_scenarios([_spec(*pair) for pair in PAIRS])))
 
 
 @pytest.fixture(scope="module")
-def pi_right_m_wrong():
-    return _run(True, False)
+def both_right(grid):
+    return grid[True, True]
 
 
 @pytest.fixture(scope="module")
-def pi_wrong_m_right():
-    return _run(False, True)
+def pi_right_m_wrong(grid):
+    return grid[True, False]
 
 
 @pytest.fixture(scope="module")
-def both_wrong():
-    return _run(False, False)
+def pi_wrong_m_right(grid):
+    return grid[False, True]
+
+
+@pytest.fixture(scope="module")
+def both_wrong(grid):
+    return grid[False, False]
 
 
 @pytest.fixture(scope="module")
 def reversed_both_wrong():
-    return _run(False, False, reverse=True)
+    return mc.run_scenario(_spec(False, False, reverse=True))
+
+
+def test_grid_equals_standalone_runs():
+    specs = [_spec(*pair, reps=5) for pair in PAIRS]
+    assert mc.run_scenarios(specs) == [mc.run_scenario(spec) for spec in specs]
 
 
 def _verdict(number, description, checks):

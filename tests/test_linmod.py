@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drmean import errors, linmod
-from drmean._util import fsum_col_means
 from drmean.dgp import AnalysisView, generate_sample, make_view
 from drmean.errors import (
     DrmeanError,
@@ -37,7 +37,7 @@ class TestIdentityLink:
     def test_ols_hand_solution(self):
         design = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
         y = np.array([1.0, 2.0, 4.0])
-        beta = linmod.irls_fit(design, y)
+        beta, _ = linmod._wls(design, y, None)
         assert np.allclose(beta, [5.0 / 6.0, 3.0 / 2.0], rtol=1e-12)
         assert np.allclose(np.array([1.0, 3.0]) @ beta, 16.0 / 3.0, rtol=1e-12)
 
@@ -45,14 +45,14 @@ class TestIdentityLink:
         design = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
         y = np.array([1.0, 2.0, 4.0])
         w = np.array([4.0, 2.0, 1.0])
-        beta = linmod.irls_fit(design, y, unit_weights=w)
+        beta, _ = linmod._wls(design, y, w)
         assert np.allclose(beta, [12.0 / 13.0, 18.0 / 13.0], rtol=1e-12)
 
     def test_exact_fit_recovers_coefficients(self):
         rng = np.random.default_rng(5)
         design = np.column_stack([np.ones(30), rng.normal(size=(30, 3))])
         beta0 = np.array([2.0, -1.0, 0.5, 3.0])
-        beta = linmod.irls_fit(design, design @ beta0)
+        beta, _ = linmod._wls(design, design @ beta0, None)
         assert np.allclose(beta, beta0, rtol=1e-10)
 
     @settings(max_examples=40, deadline=None)
@@ -65,64 +65,63 @@ class TestIdentityLink:
         design = np.column_stack([np.ones(12), rng.normal(size=12)])
         y = rng.normal(size=12)
         w = rng.uniform(0.1, 5.0, size=12)
-        b1 = linmod.irls_fit(design, y, unit_weights=w)
-        b2 = linmod.irls_fit(design, y, unit_weights=w * scale)
+        b1, _ = linmod._wls(design, y, w)
+        b2, _ = linmod._wls(design, y, w * scale)
         assert np.allclose(b1, b2, rtol=1e-9)
 
     def test_zero_weight_rows_ignored(self):
         design = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 9.0]])
         y = np.array([1.0, 2.0, 4.0, 500.0])
         w = np.array([1.0, 1.0, 1.0, 0.0])
-        beta = linmod.irls_fit(design, y, unit_weights=w)
+        beta, _ = linmod._wls(design, y, w)
         assert np.allclose(beta, [5.0 / 6.0, 3.0 / 2.0], rtol=1e-10)
 
     def test_duplicate_column_raises(self):
         design = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SingularDesignError):
-            linmod.irls_fit(design, np.array([1.0, 2.0, 3.0]))
+            linmod._wls(design, np.array([1.0, 2.0, 3.0]), None)
 
     def test_more_columns_than_rows_raises(self):
-        with pytest.raises(SingularDesignError):
-            linmod.irls_fit(np.ones((2, 3)), np.array([1.0, 2.0]))
+        with pytest.raises(SingularDesignError, match="cannot identify"):
+            linmod.fit_outcome_reg(view_from(np.ones((2, 3)), np.ones(2, dtype=int),
+                                             np.array([1.0, 2.0])))
+        with pytest.raises(SingularDesignError, match="rank"):
+            linmod._wls(np.ones((2, 3)), np.array([1.0, 2.0]), None)
 
     def test_negative_weight_raises(self):
         design = np.ones((3, 1))
         with pytest.raises(InvalidWeightError):
-            linmod.irls_fit(design, np.array([1.0, 2.0, 3.0]),
-                            unit_weights=np.array([1.0, -1.0, 1.0]))
+            linmod._wls(design, np.array([1.0, 2.0, 3.0]), np.array([1.0, -1.0, 1.0]))
 
     def test_all_zero_weights_raise(self):
         design = np.ones((3, 1))
         with pytest.raises(InvalidWeightError):
-            linmod.irls_fit(design, np.array([1.0, 2.0, 3.0]),
-                            unit_weights=np.zeros(3))
+            linmod._wls(design, np.array([1.0, 2.0, 3.0]), np.zeros(3))
 
     def test_nonfinite_response_raises(self):
-        design = np.ones((3, 1))
+        view = view_from(np.ones((3, 1)), np.ones(3, dtype=int), np.array([1.0, np.nan, 3.0]))
         with pytest.raises(InvalidArgumentError):
-            linmod.irls_fit(design, np.array([1.0, np.nan, 3.0]))
+            linmod.fit_outcome_reg(view)
 
     @pytest.mark.parametrize("shift", [1e8, 1e12])
     def test_shifted_response_stops_at_working_precision(self, wrong_view, shift):
-        # y - x'beta cancels 8 to 12 digits of y; the rounding of the
-        # residual itself must count, or no pass meets SCORE_TOL
+        # y - x'beta cancels 8 to 12 digits of y; the stop is relative to
+        # the fit, so the shift does not ask for more passes
         resp = wrong_view.T == 1
         design, y = wrong_view.design_m[resp], wrong_view.y_observed[resp]
         beta, passes = linmod._wls(design, y + shift, None)
-        ref = linmod.irls_fit(design, y)
+        ref, _ = linmod._wls(design, y, None)
         assert passes <= 2
         m_hat, want = wrong_view.design_m @ beta - shift, wrong_view.design_m @ ref
         assert np.max(np.abs(m_hat - want)) <= 1e-14 * shift
 
     def test_pass_cap_raises(self, monkeypatch):
-        checks = []
-        monkeypatch.setattr(
-            linmod, "_score_within", lambda *args: checks.append(args) or False
-        )
+        # a tolerance no step meets: the fit stops at IRLS_MAX_ITER solves
+        monkeypatch.setattr(linmod, "FIT_STEP_RTOL", -1.0)
         design = np.column_stack([np.ones(4), np.arange(4.0)])
-        with pytest.raises(NonconvergenceError):
-            linmod.irls_fit(design, np.array([1.0, 2.0, 4.0, 3.0]))
-        assert len(checks) == linmod.IRLS_MAX_ITER
+        with pytest.raises(NonconvergenceError,
+                           match=f"no convergence in {linmod.IRLS_MAX_ITER} solves"):
+            linmod._wls(design, np.array([1.0, 2.0, 4.0, 3.0]), None)
 
 
 class TestLogisticPropensity:
@@ -188,7 +187,7 @@ class TestLogisticPropensity:
         fit = linmod.fit_logistic_propensity(right_view.design_pi, right_view.T)
         again = linmod.fit_logistic_propensity(right_view.design_pi, right_view.T,
                                                start=fit.alpha)
-        assert again.iterations == 2
+        assert again.iterations == 1
         assert np.max(np.abs(again.pi_hat - fit.pi_hat)) <= 1e-12
         doubled = np.column_stack([right_view.design_pi, right_view.design_pi[:, 1]])
         with pytest.raises(SingularDesignError):
@@ -203,8 +202,8 @@ class TestLogisticPropensity:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fit_needs_no_exact_sum(self, monkeypatch, seed):
-        # the stopping tests of the logistic fit and of the four outcome fits
-        # on the raw-scale X design decide on the numpy score sums alone
+        # the logistic fit and the four outcome fits on the raw-scale X
+        # design stop on numpy mat-vecs alone
         calls = []
         exact = linmod.fsum_col_means
         monkeypatch.setattr(
@@ -435,10 +434,12 @@ class TestInverseLinear:
             assert fit.iterations == ref.iterations, k
 
     def test_unconstrained_raises_at_its_cap(self, monkeypatch, wrong_view):
-        monkeypatch.setattr(linmod, "_score_within", lambda *args: False)
+        monkeypatch.setattr(linmod, "FIT_STEP_RTOL", -1.0)
+        solves = _spy(monkeypatch, "_equilibrated_lstsq")
         with pytest.raises(NonconvergenceError, match="no convergence"):
             linmod.fit_inverse_linear(wrong_view.design_pi, wrong_view.T,
                                       "unconstrained_moment")
+        assert len(solves) == linmod.IRLS_MAX_ITER
 
     def test_unconstrained_memory_is_a_few_designs(self):
         # the fit needs a few n-vectors and one copy of the design, not n p^2 terms
@@ -598,14 +599,14 @@ class TestGramNewton:
         assert np.max(np.abs(fit.alpha - ref.alpha)) <= 1e-10 * np.max(np.abs(ref.alpha))
 
     def test_newton_steps_pinned(self):
-        # the totals of the SVD least squares steps these fits replaced
+        # Newton solves over 20 fits each
         totals = {}
         for z in (True, False):
             totals[z] = sum(
                 linmod.fit_logistic_propensity(v.design_pi, v.T).iterations
                 for v in (make_view(generate_sample(1000, s), z, z) for s in range(20))
             )
-        assert totals == {True: 120, False: 120}
+        assert totals == {True: 101, False: 114}
 
     @pytest.mark.parametrize("name", ["inv", "lstsq", "logistic"])
     def test_linalg_error_becomes_drmean_error(self, monkeypatch, name):
@@ -619,7 +620,7 @@ class TestGramNewton:
             if name == "logistic":
                 linmod.fit_logistic_propensity(np.eye(3), np.array([1, 0, 1]))
             else:
-                linmod.irls_fit(np.eye(3), np.ones(3))
+                linmod._wls(np.eye(3), np.ones(3), None)
 
 
 class TestGramOutcomeSolve:
@@ -741,100 +742,96 @@ class TestWeightDiagnostics:
         assert d.var_inv_pi > 0.0
 
 
-def exact_within(terms, tol):
-    return bool(np.max(np.abs(fsum_col_means(terms))) <= tol)
+class TestStepStop:
+    """Every Newton-type fit stops after the step that moves no x'beta by
+    more than its tolerance, a rule free of the columns' units."""
 
+    @pytest.fixture(scope="class")
+    def estimates(self):
+        out = []
+        for n, seed in ((200, 0), (200, 1), (1000, 0)):
+            sample = generate_sample(n, seed)
+            for z in (True, False):
+                view = make_view(sample, z, z)
+                out.append((sample, view, estimate_all(view, sample)))
+        return out
 
-@st.composite
-def score_cases(draw):
-    """(design, q, tol) with score-like products design * q: mixed scales,
-    heavy cancellation, and exact column sums placed within a few ulps of
-    +-tol * n.  q is all ones, random signed powers of two (so that the
-    products keep those exact sums), or standard normal."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    tol = draw(st.sampled_from([1e-10, 1e-13, 3.7e-6, 1.0]))
-    pairs = draw(st.integers(0, 30))
-    n = 2 * pairs + 1
-    cols = []
-    for _ in range(draw(st.integers(1, 4))):
-        scale = 10.0 ** draw(st.integers(-12, 16))
-        kind = draw(st.sampled_from(["plain", "cancel", "edge"]))
-        if kind == "plain":
-            cols.append(rng.standard_normal(n) * scale)
-            continue
-        if kind == "cancel":
-            last = rng.uniform(-2.0, 2.0) * tol * n
-        else:
-            last = draw(st.sampled_from([-1.0, 1.0])) * tol * n
-            for _ in range(draw(st.integers(0, 3))):
-                last = np.nextafter(last, draw(st.sampled_from([-np.inf, np.inf])))
-        x = rng.standard_normal(pairs) * scale
-        col = np.concatenate([x, -x, [last]])  # exact sum: last
-        cols.append(rng.permutation(col))
-    terms = np.column_stack(cols)
-    q_kind = draw(st.sampled_from(["ones", "pow2", "normal"]))
-    if q_kind == "ones":
-        return terms, np.ones(n), tol
-    if q_kind == "pow2":
-        q = np.ldexp(rng.choice([-1.0, 1.0], n), rng.integers(-30, 31, n))
-        return terms / q[:, None], q, tol  # design * q == terms exactly
-    return terms, rng.standard_normal(n), tol
+    @staticmethod
+    def moved(sample, view, ref, field, design):
+        got = estimate_all(dataclasses.replace(view, **{field: design}), sample)
+        assert got.flags == ref.flags
+        return max(abs(got.values[k] - v) / abs(v) for k, v in ref.values.items())
 
+    @pytest.mark.parametrize("field", ["design_pi", "design_m"])
+    def test_power_of_two_column_scaling_moves_no_bit(self, estimates, field):
+        for sample, view, ref in estimates:
+            for j in range(1, getattr(view, field).shape[1]):
+                for k in (-20, -10, 10, 20):
+                    design = getattr(view, field).copy()
+                    design[:, j] = np.ldexp(design[:, j], k)
+                    assert self.moved(sample, view, ref, field, design) == 0.0, (j, k)
 
-def rounding_bound(design, q):
-    n = design.shape[0]
-    return 2.0 * (n + 1) * 2.0**-53 * (np.abs(design).T @ np.abs(q))
+    @pytest.mark.parametrize("field", ["design_pi", "design_m"])
+    def test_other_units_agree_to_rounding(self, estimates, field):
+        # a column times 1000, and an invertible affine map of the
+        # non-intercept columns (condition number 3.3)
+        a = np.array([[2.0, 0.5, 0.0, 0.0], [0.0, 1.0, -0.5, 0.0],
+                      [0.0, 0.0, 3.0, 0.5], [0.5, 0.0, 0.0, 1.0]])
+        b = np.array([1.0, -2.0, 0.5, 3.0])
+        for sample, view, ref in estimates:
+            base = getattr(view, field)
+            for j in range(1, base.shape[1]):
+                design = base.copy()
+                design[:, j] *= 1000.0
+                assert self.moved(sample, view, ref, field, design) <= 1e-13, j
+            design = base.copy()
+            design[:, 1:] = base[:, 1:] @ a + b
+            assert self.moved(sample, view, ref, field, design) <= 1e-13
 
+    def test_probe_scores_at_rounding_level(self):
+        # the mean scores of 32 logistic fits, in the units of the raw
+        # designs, end at rounding level whatever those units
+        worst = 0.0
+        for n in (200, 1000):
+            for seed in range(8):
+                sample = generate_sample(n, seed)
+                for z in (True, False):
+                    view = make_view(sample, z, z)
+                    fit = linmod.fit_logistic_propensity(view.design_pi, view.T)
+                    resid = view.T - fit.pi_hat
+                    worst = max(worst, max(abs(math.fsum(col * resid)) / n
+                                           for col in view.design_pi.T))
+        assert worst <= 1e-12
 
-class TestScoreWithin:
-    @settings(max_examples=300, deadline=None)
-    @given(score_cases())
-    def test_brackets_the_exact_decision(self, case):
-        # exactly within tol => True => exactly within tol + 2 e / n
-        design, q, tol = case
-        got = linmod._score_within(design, q, 0.0, tol)
-        if exact_within(design * q[:, None], tol):
-            assert got is True
-        if got:
-            means = np.abs(fsum_col_means(design * q[:, None]))
-            assert np.all(means <= tol + 2.0 * rounding_bound(design, q) / len(q))
+    @pytest.mark.parametrize("kind", ["logistic", "reg", "wls", "ext_reg", "ipw_nr"])
+    def test_every_fit_raises_at_its_cap(self, monkeypatch, wrong_view, pi_fit, kind):
+        # a negative tolerance, which no step meets
+        monkeypatch.setattr(linmod, "ETA_STEP_TOL", -1.0)
+        monkeypatch.setattr(linmod, "FIT_STEP_RTOL", -1.0)
+        solves = _spy(monkeypatch, "_newton_step" if kind == "logistic" else
+                      "_equilibrated_lstsq")
+        if kind != "logistic":  # count every outcome solve on the lstsq path
+            monkeypatch.setattr(linmod, "_gram_solver", lambda design, w: None)
+        with pytest.raises(NonconvergenceError, match="no convergence in 100"):
+            if kind == "logistic":
+                linmod.fit_logistic_propensity(wrong_view.design_pi, wrong_view.T)
+            else:
+                args = () if kind == "reg" else (pi_fit.pi_hat,)
+                getattr(linmod, f"fit_outcome_{kind}")(wrong_view, *args)
+        assert len(solves) == linmod.IRLS_MAX_ITER
 
-    @settings(max_examples=300, deadline=None)
-    @given(score_cases(), st.integers(-60, 60))
-    def test_decision_is_scale_free(self, case, k):
-        design, q, _ = case
-        want = linmod._score_within(design, q, 0.0, 0.0)
-        assert linmod._score_within(design, np.ldexp(q, k), 0.0, 0.0) is want
-
-    def test_cancellation_within_rounding_is_converged(self):
-        # exact means 1/3 and 64/3; the rounding bound e is about 17.8
-        design = np.array([[1e16], [1.0], [-1e16]])
-        assert rounding_bound(design, np.ones(3))[0] > 1.0
-        assert linmod._score_within(design, np.ones(3), 0.0, 1e-10) is True
-        design[1, 0] = 64.0
-        assert 64.0 - rounding_bound(design, np.ones(3))[0] > 1e-10 * 3
-        assert linmod._score_within(design, np.ones(3), 0.0, 1e-10) is False
-
-    def test_weights_enter_the_products(self):
-        # products [1e16, 64, -1e16]: exact mean 64/3, beyond the bound
-        design = np.array([[1e16], [64.0], [1e16]])
-        q = np.array([1.0, 1.0, -1.0])
-        assert linmod._score_within(design, q, 0.0, 1e-10) is False
-        q = np.array([1.0, 0.0, -1.0])
-        assert linmod._score_within(design, q, 0.0, 1e-10) is True
-
-    def test_nan_column_is_not_within(self):
-        design = np.array([[0.0, np.nan], [0.0, 1.0]])
-        assert linmod._score_within(design, np.ones(2), 0.0, 1e-10) is False
-
-    def test_error_in_q_widens_the_bound(self):
-        # mean score 1e-9 > tol, but each q_i may be off by 1e-9
-        design, q = np.ones((2, 1)), np.full(2, 1e-9)
-        assert linmod._score_within(design, q, 0.0, 1e-10) is False
-        assert linmod._score_within(design, q, np.full(2, 1e-9), 1e-10) is True
-
-    def test_infinite_bound_is_not_within(self):
-        # the products cancel exactly, but the bound |design|.T @ q_err overflows
-        design = np.array([[10.0], [10.0]])
-        q_err = np.array([1e308, 1e308])
-        assert linmod._score_within(design, np.array([1.0, -1.0]), q_err, 1e-10) is False
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("factor", [1e300, 1e304, 1e305])
+    @pytest.mark.parametrize("z", [True, False], ids=["Z", "X"])
+    def test_huge_outcomes_fit_or_fail_cleanly(self, z, factor):
+        # X'y overflows from about 1e303 on: a DrmeanError, no warning
+        view = make_view(generate_sample(1000, 3), z, z)
+        pi_hat = linmod.fit_logistic_propensity(view.design_pi, view.T).pi_hat
+        big = dataclasses.replace(view, y_observed=view.y_observed * factor)
+        for kind in ("reg", "wls", "ext_reg", "ipw_nr"):
+            args = () if kind == "reg" else (pi_hat,)
+            try:
+                fit = getattr(linmod, f"fit_outcome_{kind}")(big, *args)
+            except DrmeanError:
+                continue
+            assert np.all(np.isfinite(fit.m_hat)), kind

@@ -198,6 +198,11 @@ class TestRunScenario:
         with pytest.raises(InvalidArgumentError):
             mc.run_scenario(SMALL, workers=0)
 
+    @pytest.mark.parametrize("workers", [1.5, "2", None])
+    def test_non_integer_workers_rejected(self, workers):
+        with pytest.raises(InvalidArgumentError, match="workers must be an integer"):
+            mc.run_scenario(SMALL, workers=workers)
+
 
 MIXED = (
     SMALL,

@@ -47,7 +47,8 @@ class TestModelSpec:
         ids=["nan", "str", "none", "floats", "fraction", "scalar", "string"],
     )
     def test_non_integer_indices_rejected(self, covariates):
-        with pytest.raises(InvalidArgumentError, match="must be integers"):
+        with pytest.raises(InvalidArgumentError,
+                           match="must be (an integer|a tuple of integers)"):
             sens.ModelSpec(role="outcome", covariates=covariates)
 
     @pytest.mark.parametrize("covariates", [[0, 3], tuple(np.arange(0, 4, 3)), range(0, 4, 3)],
@@ -234,6 +235,14 @@ class TestHomogeneity:
             sens.homogeneity_test(np.array([210.0, 211.0]), cov, T, y, PZ,
                                   (OZ, OX), "DR_WLS", boot_reps=1)
 
+    @pytest.mark.parametrize("name, value", [("seed", 1.5), ("boot_reps", 20.5),
+                                             ("seed", "1")])
+    def test_non_integer_arguments_rejected(self, data600, name, value):
+        _, cov, T, y = data600
+        with pytest.raises(InvalidArgumentError, match=f"{name} must be an integer"):
+            sens.homogeneity_test(np.array([210.0, 211.0]), cov, T, y, PZ,
+                                  (OZ, OX), "DR_WLS", **{name: value})
+
 
 @pytest.fixture
 def logistic_fits(monkeypatch):
@@ -330,6 +339,21 @@ class TestRunSensitivity:
         assert len(back["estimates"]) == 2
         assert back["estimator"] == "DR_WLS"
         assert back["boot_reps"] == 60
+
+    @pytest.mark.parametrize("name, value", [("seed", 1.5), ("boot_reps", 20.5),
+                                             ("boot_reps", None)])
+    def test_non_integer_arguments_rejected(self, data600, name, value):
+        _, cov, T, y = data600
+        with pytest.raises(InvalidArgumentError, match=f"{name} must be an integer"):
+            sens.run_sensitivity(cov, T, y, [PZ], [OZ, OX], "DR_WLS",
+                                 **{"boot_reps": 20, "seed": 1, name: value})
+
+    def test_integer_arguments_stored_as_ints(self, data600):
+        _, cov, T, y = data600
+        out = sens.run_sensitivity(cov, T, y, [PZ], [OZ], "DR_WLS",
+                                   boot_reps=np.int64(20), seed=np.uint8(1))
+        assert type(out.boot_reps) is int and type(out.seed) is int
+        assert json.dumps(out.to_dict()["seed"]) == "1"
 
     def test_nan_cells_serialise_as_null(self, data600):
         _, cov, T, y = data600

@@ -35,6 +35,15 @@ class TestDeriveSeed:
         with pytest.raises(InvalidArgumentError):
             _util.derive_seed(-1, 0)
 
+    @pytest.mark.parametrize("args", [(1.5, 0), (1, 2.0), ("1", 0)],
+                             ids=["float-base", "float-index", "str-base"])
+    def test_non_integer_arguments_rejected(self, args):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            _util.derive_seed(*args)
+
+    def test_numpy_integers_accepted(self):
+        assert _util.derive_seed(np.uint64(7), np.int32(3)) == _util.derive_seed(7, 3)
+
 
 class TestFsumReductions:
     def test_fsum_col_means_matches_per_column(self):
