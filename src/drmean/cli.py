@@ -29,7 +29,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,24 +46,8 @@ from .mc import (  # noqa: F401
 from .sensitivity import DR_ESTIMATORS, ModelSpec, run_sensitivity
 
 RESULT_COLUMNS = (
-    "scenario",
-    "n",
-    "reps",
-    "estimator",
-    "bias",
-    "var",
-    "mse",
-    "skewness",
-    "q01",
-    "q05",
-    "q25",
-    "q50",
-    "q75",
-    "q95",
-    "q99",
-    "min",
-    "max",
-    "failures",
+    "scenario", "n", "reps", "estimator", "bias", "var", "mse", "skewness",
+    *(f"q{q:02d}" for q in QUANTILE_LEVELS), "min", "max", "failures",
 )
 
 _DGP_KEYS = {"intercept", "slope", "z_star_weights", "propensity_coefficients", "noise_sd"}
@@ -109,6 +93,25 @@ def _load_json(path: str, what: str) -> dict:
     return obj
 
 
+def _int_field(raw: dict, key: str, minimum: int, default: int | None = None) -> int:
+    """raw[key], or default if the key is absent (required if default is None),
+    checked to be a JSON integer of at least minimum."""
+    _require(key in raw or default is not None, f"config requires {key}")
+    value = raw.get(key, default)
+    _require(
+        isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
+        f"{key} must be an integer >= {minimum}",
+    )
+    return value
+
+
+def _number(value, where: str) -> int | float:
+    """value, checked to be a JSON number in the float range (ConfigError)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    _require(number and abs(value) <= sys.float_info.max, f"{where} must be a finite number")
+    return value
+
+
 def _estimator_names(names) -> tuple[str, ...]:
     try:
         return check_estimator_names(names)
@@ -118,28 +121,12 @@ def _estimator_names(names) -> tuple[str, ...]:
 
 def load_run_config(path: str) -> RunConfig:
     raw = _load_json(path, "config")
-    allowed = {
-        "base_seed",
-        "reps",
-        "sample_sizes",
-        "scenarios",
-        "reverse_roles",
-        "estimators",
-        "dgp",
-    }
+    allowed = {"base_seed", "reps", "sample_sizes", "scenarios", "reverse_roles",
+               "estimators", "dgp"}
     _no_unknown_keys(raw, allowed, "config")
-    _require("base_seed" in raw, "config requires base_seed")
-    _require("reps" in raw, "config requires reps")
+    base_seed = _int_field(raw, "base_seed", 0)
+    reps = _int_field(raw, "reps", 1)
     _require("sample_sizes" in raw, "config requires sample_sizes")
-    base_seed = raw["base_seed"]
-    _require(
-        isinstance(base_seed, int) and not isinstance(base_seed, bool)
-        and base_seed >= 0,
-        "base_seed must be a nonnegative integer",
-    )
-    reps = raw["reps"]
-    _require(isinstance(reps, int) and not isinstance(reps, bool) and reps >= 1,
-             "reps must be an integer >= 1")
     sizes = raw["sample_sizes"]
     _require(
         isinstance(sizes, list) and sizes
@@ -148,15 +135,9 @@ def load_run_config(path: str) -> RunConfig:
     )
     repeated = sorted({n for n in sizes if sizes.count(n) > 1})
     _require(not repeated, f"sample_sizes repeats {', '.join(map(str, repeated))}")
-    scenarios_raw = raw.get(
-        "scenarios",
-        [
-            {"pi_correct": True, "m_correct": True},
-            {"pi_correct": True, "m_correct": False},
-            {"pi_correct": False, "m_correct": True},
-            {"pi_correct": False, "m_correct": False},
-        ],
-    )
+    scenarios_raw = raw.get("scenarios", [
+        {"pi_correct": p, "m_correct": m} for p in (True, False) for m in (True, False)
+    ])
     _require(isinstance(scenarios_raw, list) and scenarios_raw,
              "scenarios must be a nonempty list")
     scenarios = []
@@ -182,11 +163,14 @@ def load_run_config(path: str) -> RunConfig:
     dgp_raw = raw.get("dgp", {})
     _require(isinstance(dgp_raw, dict), "dgp must be an object")
     _no_unknown_keys(dgp_raw, _DGP_KEYS, "dgp")
-    kwargs = dict(dgp_raw)
-    for key in ("z_star_weights", "propensity_coefficients"):
-        if key in kwargs:
-            _require(isinstance(kwargs[key], list), f"dgp.{key} must be a list")
-            kwargs[key] = tuple(float(v) for v in kwargs[key])
+    kwargs = {}
+    for key, value in dgp_raw.items():
+        if key in ("z_star_weights", "propensity_coefficients"):
+            _require(isinstance(value, list), f"dgp.{key} must be a list")
+            kwargs[key] = tuple(float(_number(v, f"dgp.{key}[{i}]"))
+                                for i, v in enumerate(value))
+        else:
+            kwargs[key] = _number(value, f"dgp.{key}")
     try:
         dgp_cfg = DgpConfig(**kwargs)
     except DrmeanError as exc:
@@ -212,8 +196,8 @@ def _sha256_of(obj: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+def _write_text(path: str, text: str) -> None:
+    if path == "-":
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
@@ -228,20 +212,16 @@ def _json_clean(x):
 # ---------------------------------------------------------------- datasets
 
 
-def write_dataset(path: str, T, Y, covariates, names: list[str] | None = None) -> None:
-    """Write a dataset CSV (t, y, covariates); y is blank where t == 0."""
-    T = np.asarray(T)
-    Y = np.asarray(Y, dtype=float)
-    covariates = np.asarray(covariates, dtype=float)
-    p = covariates.shape[1]
-    if names is None:
-        names = [f"x{j + 1}" for j in range(p)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "y"] + list(names))
-        for i in range(len(T)):
-            y_cell = _fmt(Y[i]) if T[i] == 1 else ""
-            writer.writerow([str(int(T[i])), y_cell] + [_fmt(v) for v in covariates[i]])
+def _finite(cell: str, what: str) -> float:
+    """cell as a finite float; DataError "<what> <cell> is not numeric" or
+    "<what> is not finite" otherwise."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataError(f"{what} {cell!r} is not numeric") from None
+    if not math.isfinite(value):
+        raise DataError(f"{what} is not finite")
+    return value
 
 
 def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
@@ -279,33 +259,16 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[st
         t = int(cell)
         y_cell = row[y_col].strip()
         if t == 1:
-            try:
-                y = float(y_cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {lineno}: respondent outcome {y_cell!r} is not numeric"
-                ) from None
-            if not math.isfinite(y):
-                raise DataError(f"{path}: row {lineno}: respondent outcome is not finite")
+            y = _finite(y_cell, f"{path}: row {lineno}: respondent outcome")
         else:
-            if y_cell:
-                ignored_y += 1
+            ignored_y += bool(y_cell)
             y = math.nan
-        xs = []
-        for k in x_cols:
-            try:
-                v = float(row[k])
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {lineno}: covariate {header[k]!r} value {row[k]!r} "
-                    "is not numeric"
-                ) from None
-            if not math.isfinite(v):
-                raise DataError(f"{path}: row {lineno}: covariate {header[k]!r} is not finite")
-            xs.append(v)
         t_vals.append(t)
         y_vals.append(y)
-        x_vals.append(xs)
+        x_vals.append([
+            _finite(row[k], f"{path}: row {lineno}: covariate {header[k]!r} value")
+            for k in x_cols
+        ])
     if not t_vals:
         raise DataError(f"{path}: no data rows")
     if ignored_y:
@@ -358,7 +321,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     config = load_run_config(args.config)
-    reverse = config.reverse_roles or args.reverse
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     specs = [
@@ -367,7 +329,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             reps=config.reps,
             pi_model_correct=pi_correct,
             m_model_correct=m_correct,
-            reverse=reverse,
+            reverse=config.reverse_roles,
             base_seed=config.base_seed,
             estimators=config.estimators,
         )
@@ -387,7 +349,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "prng": PRNG_NAME,
         "seed_derivation": SEED_DERIVATION,
         "base_seed": config.base_seed,
-        "reverse_roles": reverse,
+        "reverse_roles": config.reverse_roles,
         "mu_true": summaries[0].mu_true,
         "config": config.raw,
         "config_sha256": _sha256_of(config.raw),
@@ -436,12 +398,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "messages": result.messages,
         "weight_diagnostics": None
         if diag is None
-        else {
-            "min_pi": _json_clean(diag.min_pi),
-            "max_inv_pi_respondents": _json_clean(diag.max_inv_pi_respondents),
-            "max_inv_pi_nonrespondents": _json_clean(diag.max_inv_pi_nonrespondents),
-            "var_inv_pi": _json_clean(diag.var_inv_pi),
-        },
+        else {k: _json_clean(v) for k, v in asdict(diag).items()},
         "metadata": {
             "package_version": __version__,
             "n": int(len(T)),
@@ -467,16 +424,8 @@ def load_sensitivity_config(path: str, names: list[str]) -> dict:
         raw["estimator"] in DR_ESTIMATORS,
         f"estimator must be one of {', '.join(DR_ESTIMATORS)}",
     )
-    boot_reps = raw.get("boot_reps", 500)
-    _require(
-        isinstance(boot_reps, int) and not isinstance(boot_reps, bool) and boot_reps >= 2,
-        "boot_reps must be an integer >= 2",
-    )
-    seed = raw.get("seed", 0)
-    _require(
-        isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-        "seed must be a nonnegative integer",
-    )
+    boot_reps = _int_field(raw, "boot_reps", 2, default=500)
+    seed = _int_field(raw, "seed", 0, default=0)
 
     def parse_models(key: str, role: str) -> tuple[ModelSpec, ...]:
         _require(key in raw, f"config requires {key}")
@@ -580,27 +529,17 @@ def read_values(path: str, column: str | None) -> np.ndarray:
             idx = 0
         else:
             raise DataError(f"{path}: specify --column (candidates: {', '.join(names)})")
-        body = rows[1:]
     else:
         if column is not None:
             raise DataError(f"{path}: file has no header to look up {column!r}")
         if len(header) != 1:
             raise DataError(f"{path}: headerless input must have exactly one column")
         idx = 0
-        body = rows
     values = []
-    start = 2 if has_header else 1
-    for lineno, row in enumerate(body, start=start):
+    for lineno, row in enumerate(rows[has_header:], start=1 + has_header):
         if idx >= len(row):
             raise DataError(f"{path}: row {lineno} has no field {idx + 1}")
-        cell = row[idx].strip()
-        try:
-            v = float(cell)
-        except ValueError:
-            raise DataError(f"{path}: row {lineno}: {cell!r} is not numeric") from None
-        if not math.isfinite(v):
-            raise DataError(f"{path}: row {lineno}: value is not finite")
-        values.append(v)
+        values.append(_finite(row[idx].strip(), f"{path}: row {lineno}: value"))
     if not values:
         raise DataError(f"{path}: no values")
     return np.array(values)
@@ -608,17 +547,16 @@ def read_values(path: str, column: str | None) -> np.ndarray:
 
 def cmd_density(args: argparse.Namespace) -> int:
     values = read_values(args.data, args.column)
-    if args.bandwidth != "auto":
+    bandwidth = args.bandwidth
+    if bandwidth != "auto":
         try:
-            bandwidth = float(args.bandwidth)
+            bandwidth = float(bandwidth)
         except ValueError:
             bandwidth = math.nan
         if not 0.0 < bandwidth < math.inf:
             raise ConfigError(
                 f"--bandwidth must be 'auto' or a positive number, got {args.bandwidth!r}"
             )
-    else:
-        bandwidth = "auto"
     try:
         series = density_points(values, bandwidth, args.clip_quantile)
     except DrmeanError as exc:
@@ -652,9 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="JSON run configuration")
     p_sim.add_argument("--out", default=".", help="output directory")
     p_sim.add_argument("--workers", type=int, default=1, help="worker processes")
-    p_sim.add_argument(
-        "--reverse", action="store_true", help="swap respondent and nonrespondent roles"
-    )
     p_sim.set_defaults(func=cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="estimate the outcome mean on a dataset")

@@ -45,7 +45,6 @@ from functools import cached_property
 import numpy as np
 
 from . import linmod
-from ._util import fsum_col_means
 from .dgp import AnalysisView, FullSample
 from .errors import (
     DrmeanError,
@@ -58,6 +57,11 @@ FLAG_OK = "ok"
 FLAG_OUT_OF_RANGE = "out_of_observed_range"
 FLAG_FAILED = "fit_failed"
 
+# mu_ols_identities_check: random coefficient draws, their seed, and the tolerance
+IDENTITIES_ALPHAS = 3
+IDENTITIES_SEED = 0
+IDENTITIES_TOL = 1e-8
+
 
 def _respondents(pi_hat, T, Y):
     """(resp, 1 / pi_hat[resp], Y[resp]) for resp = (T == 1), all checked."""
@@ -69,13 +73,26 @@ def _respondents(pi_hat, T, Y):
         raise InvalidArgumentError("pi_hat and Y lengths must match T")
     if not resp.any():
         raise UndefinedEstimatorError("no respondents")
-    pr = pi_hat[resp]
-    if np.any(pr <= 0) or not np.all(np.isfinite(pr)):
+    with np.errstate(divide="ignore", over="ignore"):
+        w = 1.0 / pi_hat[resp]
+    if not np.all((w > 0) & (w < math.inf)):
         raise InvalidWeightError("pi_hat must be finite and positive on respondents")
     y = Y[resp]
     if not np.all(np.isfinite(y)):
         raise InvalidArgumentError("observed outcomes contain non-finite values")
-    return resp, 1.0 / pr, y
+    return resp, w, y
+
+
+def _fsum(terms: np.ndarray) -> float:
+    """math.fsum of terms; UndefinedEstimatorError if a term or the sum is
+    not finite.  Callers make terms that may overflow under np.errstate."""
+    try:
+        total = math.fsum(terms.tolist())
+    except (OverflowError, ValueError):  # inf - inf raises ValueError
+        total = math.nan
+    if not math.isfinite(total):
+        raise UndefinedEstimatorError("an exact sum overflows")
+    return total
 
 
 def _check_fitted(m_hat, T) -> np.ndarray:
@@ -100,15 +117,17 @@ class _Respondents:
 
     @cached_property
     def w_sum(self) -> float:
-        return math.fsum(self.w.tolist())
+        return _fsum(self.w)
 
     @cached_property
     def wy_sum(self) -> float:
-        return math.fsum((self.w * self.y).tolist())
+        with np.errstate(over="ignore"):
+            return _fsum(self.w * self.y)
 
     def residual_sum(self, fitted: "_Fitted") -> float:
         """Exact sum of w (y - m_hat) over respondents."""
-        return math.fsum((self.w * (self.y - fitted.m_hat[self.resp])).tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _fsum(self.w * (self.y - fitted.m_hat[self.resp]))
 
 
 class _Fitted:
@@ -119,7 +138,7 @@ class _Fitted:
 
     @cached_property
     def total(self) -> float:
-        return math.fsum(self.m_hat.tolist())
+        return _fsum(self.m_hat)
 
 
 # Each estimator's formula, written once: the public mu_* functions and
@@ -191,7 +210,7 @@ def mu_full(Y) -> float:
         raise UndefinedEstimatorError("no outcomes")
     if not np.all(np.isfinite(Y)):
         raise InvalidArgumentError("complete outcomes contain non-finite values")
-    return math.fsum(Y.tolist()) / Y.size
+    return _fsum(Y) / Y.size
 
 
 @dataclass
@@ -483,76 +502,57 @@ class IdentitiesReport:
     reason: str = ""
 
 
-def mu_ols_identities_check(
-    view: AnalysisView,
-    n_random_alphas: int = 3,
-    seed: int = 0,
-    tol: float = 1e-8,
-) -> IdentitiesReport:
+def mu_ols_identities_check(view: AnalysisView) -> IdentitiesReport:
     """Verify that OLS is itself an inverse-linear weighted mean.
 
     Fits the unconstrained inverse-linear response model on the outcome
     design and checks (a) the plug-in OLS mean equals the bounded
     weighted mean sum(T a'x y) / sum(T a'x) at the fitted alpha, and (b)
     the respondent residuals of the outcome fit are orthogonal to a'x
-    for random coefficient draws.  Returns a report instead of raising
-    when the moment system is singular, since the check is advisory.
+    for IDENTITIES_ALPHAS random coefficient draws (PCG64 seeded with
+    IDENTITIES_SEED), each to within IDENTITIES_TOL.  Returns a report
+    instead of raising when the moment system is singular, since the
+    check is advisory.
     """
     m_fit = linmod.fit_outcome_reg(view)
     mu_ols = mu_from_regression(m_fit.m_hat)
+
+    def skipped(reason: str) -> IdentitiesReport:
+        nan = math.nan
+        return IdentitiesReport(
+            mu_ols, nan, nan, [], nan, IDENTITIES_TOL, False, skipped=True, reason=reason
+        )
+
     try:
         inv = linmod.fit_inverse_linear(view.design_m, view.T, "unconstrained_moment")
     except DrmeanError as exc:
-        return IdentitiesReport(
-            mu_ols=mu_ols,
-            bounded_ht=math.nan,
-            abs_difference=math.nan,
-            eq_weighted_residuals=[],
-            moment_residual=math.nan,
-            tol=tol,
-            passed=False,
-            skipped=True,
-            reason=f"{type(exc).__name__}: {exc}",
-        )
-    T = np.asarray(view.T)
-    resp = T == 1
+        return skipped(f"{type(exc).__name__}: {exc}")
+    resp = np.asarray(view.T) == 1
     y = np.asarray(view.y_observed, dtype=float)[resp]
     s = inv.eta[resp]  # alpha'x on respondents
-    denom = math.fsum(s)
+    denom = _fsum(s)
     if denom == 0:
-        return IdentitiesReport(
-            mu_ols=mu_ols,
-            bounded_ht=math.nan,
-            abs_difference=math.nan,
-            eq_weighted_residuals=[],
-            moment_residual=math.nan,
-            tol=tol,
-            passed=False,
-            skipped=True,
-            reason="weighted mean undefined: sum of alpha'x vanishes",
-        )
-    bounded_ht = math.fsum(s * y) / denom
-    diff = abs(mu_ols - bounded_ht)
-
+        return skipped("weighted mean undefined: sum of alpha'x vanishes")
     design = np.asarray(view.design_m, dtype=float)
     n = design.shape[0]
-    tx = design * resp[:, None].astype(float)
-    moment = fsum_col_means(design * ((tx @ inv.alpha) - 1.0)[:, None])
-    moment_residual = float(np.max(np.abs(moment)))
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    resid = y - m_fit.m_hat[resp]
-    residuals = []
-    for _ in range(n_random_alphas):
-        a = rng.standard_normal(design.shape[1])
-        residuals.append(abs(math.fsum((design[resp] @ a) * resid) / n))
-    passed = diff <= tol and all(r <= tol for r in residuals)
+    rng = np.random.Generator(np.random.PCG64(IDENTITIES_SEED))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounded_ht = _fsum(s * y) / denom
+        moments = design * ((design * resp[:, None]) @ inv.alpha - 1.0)[:, None]
+        moment_residual = max(abs(_fsum(col)) for col in moments.T) / n
+        resid = y - m_fit.m_hat[resp]
+        residuals = [
+            abs(_fsum((design[resp] @ rng.standard_normal(design.shape[1])) * resid) / n)
+            for _ in range(IDENTITIES_ALPHAS)
+        ]
+    diff = abs(mu_ols - bounded_ht)
+    passed = diff <= IDENTITIES_TOL and all(r <= IDENTITIES_TOL for r in residuals)
     return IdentitiesReport(
         mu_ols=mu_ols,
         bounded_ht=bounded_ht,
         abs_difference=diff,
         eq_weighted_residuals=residuals,
         moment_residual=moment_residual,
-        tol=tol,
+        tol=IDENTITIES_TOL,
         passed=passed,
     )

@@ -55,6 +55,7 @@ ETA_STEP_TOL = 1e-6    # logistic: the last step moves no alpha'x by more
 FIT_STEP_RTOL = 2.0**-26  # least squares: ... by more than this times max |x'beta|
 RANK_RCOND = 1e-10     # singular values below rcond * smax count as zero
 ETA_SEPARATION = 33.0  # |linear predictor| beyond this means separation
+_SEPARATED = "fitted probabilities pinned at 0/1: data are separated"
 PHI_BRACKET_MAX = 50.0
 PHI_GTOL = 1e-10
 PHI_XTOL = 1e-12       # relative accuracy of the extension coefficient
@@ -164,6 +165,9 @@ def _check_rank(rank: int, p: int) -> None:
 def _equilibrated_lstsq(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Least squares on a column-equilibrated design, with rank check."""
     xs, scale = _equilibrate(design)
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(rhs))):
+        # LAPACK would print a complaint and return NaN
+        raise NonconvergenceError("least squares input is not finite")
     try:
         coef, _, rank, _ = np.linalg.lstsq(xs, rhs, rcond=RANK_RCOND)
     except np.linalg.LinAlgError as exc:
@@ -278,11 +282,12 @@ def _logistic_newton(
 
     Newton steps (_newton_step) from start (default 0) until one moves no
     alpha'x by more than ETA_STEP_TOL (_settled), then a separation check
-    on the final linear predictor.  The first step always runs, and its
-    solve is the rank check.  The Gram solve squares the condition number,
-    but each step is taken from the current score, so its error slows the
-    iteration without moving the fit (Bjorck, Numerical Methods for Least
-    Squares Problems, 1996).
+    on the final linear predictor; a fit that fails with some |alpha'x| >
+    ETA_SEPARATION is reported as separated.  The first step always runs,
+    and its solve is the rank check.  The Gram solve squares the condition
+    number, but each step is taken from the current score, so its error
+    slows the iteration without moving the fit (Bjorck, Numerical Methods
+    for Least Squares Problems, 1996).
     """
     design, response = _check_design(design, response)
     xs, scale = _equilibrate(design)
@@ -292,18 +297,25 @@ def _logistic_newton(
         beta = np.array(start, dtype=float)
         if beta.shape != (design.shape[1],) or not np.all(np.isfinite(beta)):
             raise InvalidArgumentError("start must be finite, one entry per column")
+
+    def stalled(eta: np.ndarray, reason: str) -> NonconvergenceError:
+        """The failure for reason, named as separation if max |eta| shows it."""
+        separated = np.max(np.abs(eta)) > ETA_SEPARATION
+        return NonconvergenceError(_SEPARATED if separated else reason)
+
     for iterations in range(1, IRLS_MAX_ITER + 1):
-        mu = expit(design @ beta)
+        eta = design @ beta
+        mu = expit(eta)
         v = mu * (1.0 - mu)
         if not np.any(v > 0):
-            raise NonconvergenceError("all fitted variances vanished")
+            raise stalled(eta, "all fitted variances vanished")
         try:
             step = _newton_step(xs, v, response - mu) / scale
         except SingularDesignError:
             if iterations == 1:
                 raise
-            raise NonconvergenceError(
-                "weighted design lost rank during iteration (separation?)"
+            raise stalled(
+                eta, "weighted design lost rank during iteration (separation?)"
             ) from None
         beta = beta + step
         if _settled(design @ step, ETA_STEP_TOL):
@@ -312,7 +324,7 @@ def _logistic_newton(
         raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} iterations")
     eta = design @ beta
     if np.max(np.abs(eta)) > ETA_SEPARATION:
-        raise NonconvergenceError("fitted probabilities pinned at 0/1: data are separated")
+        raise NonconvergenceError(_SEPARATED)
     return beta, eta, iterations
 
 
@@ -421,16 +433,20 @@ def _inv_linear_constrained(
         "jac": lambda alpha: design,
     }
     # a design with huge entries overflows inside the criterion and inside
-    # SLSQP itself; the outcome is judged by res.status and res.x instead
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = minimize(
-            objective,
-            x0,
-            jac=True,
-            method="SLSQP",
-            constraints=[constraints],
-            options={"maxiter": _OPT_MAX_ITER, "ftol": 1e-14},
-        )
+    # SLSQP itself; the outcome is judged by res.status and res.x instead,
+    # or by the OverflowError (or inf - inf ValueError) of an exact sum
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = minimize(
+                objective,
+                x0,
+                jac=True,
+                method="SLSQP",
+                constraints=[constraints],
+                options={"maxiter": _OPT_MAX_ITER, "ftol": 1e-14},
+            )
+    except (OverflowError, ValueError) as exc:
+        raise NonconvergenceError(f"constrained fit overflowed: {exc}") from None
     if res.status == 4:
         raise InfeasibleConstraintError(res.message)
     if not res.success and res.status != 0:
@@ -487,8 +503,10 @@ class RespondentDesign:
     """The outcome design of a view on its respondents, checked once.
 
     Holds resp = (T == 1), the full design_m (for the fitted values of every
-    unit), its respondent rows and the respondent outcomes.  The outcome
-    fits on one design_m, T and y_observed can share one instance.
+    unit), its respondent rows and the respondent outcomes divided by
+    y_scale, the power of two with y_scale <= max |y| < 2 y_scale (exact),
+    so that no sum X'y overflows; fit scales its results back.  The
+    outcome fits on one design_m, T and y_observed can share one instance.
     """
 
     def __init__(self, view: AnalysisView):
@@ -500,7 +518,9 @@ class RespondentDesign:
             raise InvalidArgumentError("observed outcomes contain non-finite values")
         self.resp = resp
         self.design = np.asarray(view.design_m, dtype=float)
-        self.rows, self.y = _check_design(self.design[resp], y)
+        self.rows, y = _check_design(self.design[resp], y)
+        self.y_scale = math.ldexp(1.0, math.frexp(np.max(np.abs(y)))[1] - 1)
+        self.y = y / self.y_scale
 
     def fit(
         self, appended: np.ndarray | None = None, weight_pi: np.ndarray | None = None
@@ -518,12 +538,17 @@ class RespondentDesign:
             if not np.all(np.isfinite(col)):
                 raise InvalidArgumentError("design contains non-finite entries")
             rows = np.hstack([rows, col[:, None]])
-        weights = None if weight_pi is None else 1.0 / weight_pi[self.resp]
-        beta, iterations = _wls(rows, self.y, weights)
-        if appended is None:
-            m_hat = self.design @ beta
-        else:
-            m_hat = self.design @ beta[:-1] + appended * beta[-1]
+        # _wls rejects an infinite weight, and a non-finite beta makes m_hat so
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = None if weight_pi is None else 1.0 / weight_pi[self.resp]
+            beta, iterations = _wls(rows, self.y, weights)
+            if appended is None:
+                m_hat = self.design @ beta
+            else:
+                m_hat = self.design @ beta[:-1] + appended * beta[-1]
+            beta, m_hat = beta * self.y_scale, m_hat * self.y_scale
+        if not np.isfinite(m_hat).all():
+            raise NonconvergenceError("least squares fit is not finite")
         return OutcomeFit(beta, m_hat, iterations)
 
 
@@ -559,10 +584,11 @@ def fit_outcome_ext_reg(
     needed to predict for nonrespondents too.  A constant pi_hat makes
     the appended column collinear with the intercept and the fit fails.
     """
-    pi_hat = np.asarray(pi_hat, dtype=float)
-    if np.any(pi_hat <= 0) or not np.all(np.isfinite(pi_hat)):
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_pi = 1.0 / np.asarray(pi_hat, dtype=float)
+    if not np.all((inv_pi > 0) & (inv_pi < math.inf)):
         raise InvalidWeightError("pi_hat must be finite and positive on all units")
-    return (_design or RespondentDesign(view)).fit(appended=1.0 / pi_hat)
+    return (_design or RespondentDesign(view)).fit(appended=inv_pi)
 
 
 def fit_outcome_ipw_nr(

@@ -105,29 +105,37 @@ class DensitySeries:
 
 
 def summarize(values: np.ndarray, mu_true: float) -> EstimatorSummary:
-    """Summary statistics of a vector of estimates against the truth."""
+    """Summary statistics of a vector of estimates against the truth.
+
+    DegenerateInputError if a moment or quantile overflows."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise InvalidArgumentError("no values to summarise")
-    if not np.all(np.isfinite(values)):
-        raise InvalidArgumentError("values contain non-finite entries")
+    if not np.all(np.isfinite(values)) or not math.isfinite(mu_true):
+        raise InvalidArgumentError("values and mu_true must be finite")
     r = values.size
-    mean = math.fsum(values) / r
-    # not mean - mu_true: the rounding of a large mean would swamp a
-    # small bias
-    bias = math.fsum(values - mu_true) / r
-    dev = values - mean
-    variance = math.fsum(dev * dev) / (r - 1) if r > 1 else math.nan
-    mse = math.fsum((values - mu_true) ** 2) / r
-    m2 = math.fsum(dev * dev) / r
-    if m2 == 0.0:
-        skewness = 0.0
-    else:
-        # standardise first: m3 / m2**1.5 underflows when the spread is
-        # tiny.  Cube by multiplication; array ** 3 is not sign-symmetric.
-        z = dev / math.sqrt(m2)
-        skewness = math.fsum(z * z * z) / r
-    qs = np.percentile(values, QUANTILE_LEVELS)  # linear interpolation
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            mean = math.fsum(values) / r
+            # not mean - mu_true: the rounding of a large mean would swamp
+            # a small bias
+            bias = math.fsum(values - mu_true) / r
+            dev = values - mean
+            squares = math.fsum(dev * dev)
+            variance = squares / (r - 1) if r > 1 else math.nan
+            mse = math.fsum((values - mu_true) ** 2) / r
+            m2 = squares / r
+            if m2 == 0.0:
+                skewness = 0.0
+            else:
+                # standardise first: m3 / m2**1.5 underflows when the spread
+                # is tiny.  Cube by multiplication; array ** 3 is not
+                # sign-symmetric.
+                z = dev / math.sqrt(m2)
+                skewness = math.fsum(z * z * z) / r
+            qs = np.percentile(values, QUANTILE_LEVELS)  # linear interpolation
+    except (OverflowError, FloatingPointError):
+        raise DegenerateInputError("the summary statistics overflow") from None
     return EstimatorSummary(
         n_used=r,
         failures=0,

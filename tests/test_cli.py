@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -19,7 +20,13 @@ def small_sample():
 
 
 def write_sample_csv(path, sample):
-    cli.write_dataset(str(path), sample.T, sample.Y, sample.X)
+    """Write sample as a dataset CSV (t, y, x1...); y is blank where t == 0."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t", "y"] + [f"x{j + 1}" for j in range(sample.X.shape[1])])
+        for t, y, xs in zip(sample.T, sample.Y, sample.X):
+            y_cell = repr(float(y)) if t == 1 else ""
+            writer.writerow([str(int(t)), y_cell] + [repr(float(v)) for v in xs])
     return str(path)
 
 
@@ -78,6 +85,19 @@ class TestDatasetRoundTrip:
         assert "bad.csv" in str(err.value)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize(
+        "body, fragment",
+        [
+            ("t,y,x1\n1,1.0,nan\n", "row 2: covariate 'x1' value is not finite"),
+            ("t,y,x1\n0,,-inf\n", "row 2: covariate 'x1' value is not finite"),
+        ],
+    )
+    def test_non_finite_covariate_named(self, tmp_path, body, fragment):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        with pytest.raises(DataError, match=fragment):
+            cli.read_dataset(str(path))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             cli.read_dataset(str(tmp_path / "absent.csv"))
@@ -121,15 +141,45 @@ class TestSimulateCommand:
         assert isinstance(meta["failure_counts"], dict)
 
     def test_reverse_flag_changes_labels(self, tmp_path):
-        cfg = run_config(tmp_path)
+        cfg = run_config(tmp_path, reverse_roles=True)
         out = tmp_path / "rev"
-        assert cli.main(
-            ["simulate", "--config", cfg, "--out", str(out), "--reverse"]
-        ) == 0
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         text = (out / "results.csv").read_text()
         assert "pi_wrong_m_wrong_reversed" in text
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["reverse_roles"] is True
+
+    def test_reverse_roles_is_the_one_switch(self, tmp_path, capsys):
+        # a reversed run records a config, and a hash, of its own
+        cfg = run_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "r"),
+                      "--reverse"])
+        assert exc.value.code == 2
+        hashes = []
+        for reverse in (False, True):
+            out = tmp_path / f"rev_{reverse}"
+            cfg = run_config(tmp_path, reverse_roles=reverse)
+            assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            hashes.append(json.loads((out / "metadata.json").read_text())["config_sha256"])
+        assert hashes[0] != hashes[1]
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"base_seed": None}, "config requires base_seed"),
+            ({"reps": None}, "config requires reps"),
+            ({"base_seed": -1}, "base_seed must be an integer >= 0"),
+            ({"reps": 2.0}, "reps must be an integer >= 1"),
+        ],
+    )
+    def test_integer_keys_name_their_bound(self, tmp_path, capsys, overrides, message):
+        cfg = json.loads(Path(run_config(tmp_path)).read_text())
+        cfg.update(overrides)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+        assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "overrides",
@@ -163,6 +213,22 @@ class TestSimulateCommand:
         path.write_text(json.dumps(cfg))
         rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "dgp, message",
+        [
+            ({"z_star_weights": ["a", 1, 1, 1]}, "dgp.z_star_weights[0] must be a finite"),
+            ({"noise_sd": "x"}, "dgp.noise_sd must be a finite number"),
+            ({"slope": None}, "dgp.slope must be a finite number"),
+            ({"intercept": 10**400}, "dgp.intercept must be a finite number"),
+        ],
+    )
+    def test_non_numeric_dgp_values_exit_2(self, tmp_path, capsys, dgp, message):
+        # these ended in a ValueError or TypeError traceback
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", run_config(tmp_path, dgp=dgp),
+                         "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_and_invalid_config_files(self, tmp_path):
         rc = cli.main(["simulate", "--config", str(tmp_path / "none.json"),
@@ -365,6 +431,22 @@ class TestSensitivityCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         assert cli.main(["sensitivity", "--data", data, "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"boot_reps": 2.5}, "boot_reps must be an integer >= 2"),
+            ({"seed": True}, "seed must be an integer >= 0"),
+        ],
+    )
+    def test_integer_keys_name_their_bound(self, setup, capsys, patch, message):
+        data, _, tmp_path = setup
+        cfg = json.loads((tmp_path / "sens.json").read_text())
+        cfg.update(patch)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert cli.main(["sensitivity", "--data", data, "--config", str(bad)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_outcome_kind_conflict_exits_2(self, setup):
         data, _, tmp_path = setup

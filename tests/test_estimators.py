@@ -56,6 +56,18 @@ class TestPointEstimators:
     def test_full(self):
         assert est.mu_full(np.array([1.0, 2.0, 5.0, 3.0])) == 11.0 / 4.0
 
+    def test_overflowing_sums_are_undefined(self):
+        # w y and the exact sum of the outcomes overflow the float range
+        with pytest.raises(UndefinedEstimatorError, match="overflow"):
+            est.mu_ht(np.array([1e-10, 0.5]), np.array([1, 1]), np.array([1e300, 1.0]))
+        with pytest.raises(UndefinedEstimatorError, match="overflow"):
+            est.mu_full(np.array([1e308, 1e308]))
+
+    def test_weight_overflow_is_invalid(self):
+        # pi_hat is positive, but 1 / pi_hat overflows
+        with pytest.raises(InvalidWeightError):
+            est.mu_ipw_pop(np.array([1e-310, 0.5]), np.array([1, 1]), np.array([1.0, 2.0]))
+
     def test_no_respondents_rejected(self):
         with pytest.raises(UndefinedEstimatorError):
             est.mu_ht(TOY_PI, np.zeros(4, dtype=int), TOY_Y)

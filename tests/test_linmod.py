@@ -154,6 +154,18 @@ class TestLogisticPropensity:
         with pytest.raises(NonconvergenceError):
             linmod.fit_logistic_propensity(design, T)
 
+    def test_separation_is_named_when_the_weighted_design_loses_rank(self):
+        design = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+        with pytest.raises(NonconvergenceError, match="data are separated"):
+            linmod.fit_logistic_propensity(design, np.array([0, 0, 1, 1]))
+
+    def test_separation_is_named_on_a_separated_sample(self):
+        s = generate_sample(1000, 3)
+        design = np.hstack([np.ones((s.n, 1)), s.Z])
+        T = (s.Z[:, 0] > 0).astype(np.int64)
+        with pytest.raises(NonconvergenceError, match="data are separated"):
+            linmod.fit_logistic_propensity(design, T)
+
     def test_singular_design_raises(self):
         design = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
         T = np.array([0, 1, 0, 1])
@@ -270,6 +282,32 @@ class TestOutcomeFits:
             got = fit(scaled, *args).m_hat
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("k", [-60, -7, 9, 60])
+    def test_power_of_two_outcome_scaling(self, wrong_view, pi_fit, k):
+        # y x 2^k gives beta x 2^k bit for bit
+        scaled = AnalysisView(wrong_view.design_pi, wrong_view.design_m, wrong_view.T,
+                              np.ldexp(wrong_view.y_observed, k))
+        for fit, args in [(linmod.fit_outcome_reg, ()),
+                          (linmod.fit_outcome_wls, (pi_fit.pi_hat,)),
+                          (linmod.fit_outcome_ext_reg, (pi_fit.pi_hat,)),
+                          (linmod.fit_outcome_ipw_nr, (pi_fit.pi_hat,))]:
+            want, got = fit(wrong_view, *args), fit(scaled, *args)
+            assert np.array_equal(got.beta, np.ldexp(want.beta, k))
+            assert np.array_equal(got.m_hat, np.ldexp(want.m_hat, k))
+
+    def test_outcomes_near_the_top_of_the_float_range_fit(self):
+        # X'y overflowed here, though every fit is representable
+        view = make_view(generate_sample(1000, 3), True, True)
+        huge = AnalysisView(view.design_pi, view.design_m, view.T, view.y_observed * 1e305)
+        pi_hat = linmod.fit_logistic_propensity(view.design_pi, view.T).pi_hat
+        for fit, args in [(linmod.fit_outcome_reg, ()),
+                          (linmod.fit_outcome_wls, (pi_hat,)),
+                          (linmod.fit_outcome_ext_reg, (pi_hat,)),
+                          (linmod.fit_outcome_ipw_nr, (pi_hat,))]:
+            want = fit(view, *args).m_hat * 1e305
+            got = fit(huge, *args).m_hat
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_ipw_nr_plugin_equals_imputation_form(self, wrong_view, pi_fit):
         # the appended pi covariate makes the unweighted respondent-mean
         # moment hold too, so imputing only nonrespondents gives the same
@@ -319,6 +357,26 @@ class TestOutcomeFits:
         pi[0] = 1.0
         with pytest.raises(InvalidWeightError):
             linmod.fit_outcome_ipw_nr(wrong_view, pi)
+
+    @pytest.mark.parametrize("fit", [linmod.fit_outcome_wls, linmod.fit_outcome_ext_reg,
+                                     linmod.fit_outcome_ipw_nr])
+    def test_pi_whose_inverse_overflows_is_invalid(self, wrong_view, fit):
+        # 1e-310 is positive, but 1 / 1e-310 overflows
+        pi_hat = np.full(len(wrong_view.T), 0.5)
+        pi_hat[np.flatnonzero(wrong_view.T == 1)[0]] = 1e-310
+        with pytest.raises(InvalidWeightError):
+            fit(wrong_view, pi_hat)
+
+    def test_overflowing_weighted_design_fails_quietly(self, capfd):
+        # the weighted design overflows; LAPACK printed a complaint for each
+        # of its scalings before the fit failed
+        design = np.column_stack([np.ones(6), np.arange(6) * 1e200])
+        pi_hat = np.full(6, 0.5)
+        pi_hat[2] = 1e-250
+        view = view_from(design, np.ones(6, dtype=np.int64), np.arange(6.0))
+        with pytest.raises(NonconvergenceError, match="not finite"):
+            linmod.fit_outcome_wls(view, pi_hat)
+        assert capfd.readouterr() == ("", "")
 
     def test_ext_reg_constant_pi_collinear(self, wrong_view):
         pi = np.full(len(wrong_view.T), 0.4)
@@ -432,6 +490,12 @@ class TestInverseLinear:
             fit = linmod.fit_inverse_linear(design, view.T, method)
             assert np.array_equal(fit.pi_hat, ref.pi_hat), k
             assert fit.iterations == ref.iterations, k
+
+    def test_overflowing_moment_criterion_is_nonconvergence(self):
+        # the exact sums of SLSQP's moment criterion overflow on this design
+        design = np.array([[1.0, 1.2e62]] * 3)
+        with pytest.raises(NonconvergenceError, match="overflow"):
+            linmod.fit_inverse_linear(design, np.array([0, 1, 1]), "moment")
 
     def test_unconstrained_raises_at_its_cap(self, monkeypatch, wrong_view):
         monkeypatch.setattr(linmod, "FIT_STEP_RTOL", -1.0)

@@ -64,6 +64,11 @@ class TestSummarize:
         rhs = s.bias**2 + s.variance * (r - 1) / r
         assert np.isclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("values", [[1e200, -1e200], [1e308, 1e308]])
+    def test_overflowing_moments_are_degenerate(self, values):
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            mc.summarize(np.array(values), 0.0)
+
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(InvalidArgumentError):
             mc.summarize(np.array([]), 0.0)

@@ -469,6 +469,17 @@ class TestNoForeignExceptions:
         assert np.all(np.isfinite(out.estimates[0]))
         assert out.row_tests[0].p_value == alone.row_tests[0].p_value
 
+    def test_overflowing_moment_fit_fails_its_cell(self):
+        # the SLSQP moment criterion overflows: the cell fails, the pass goes on
+        p_moment = sens.ModelSpec(role="propensity", covariates=(0,),
+                                  kind="INV_LINEAR_MOMENT")
+        out = sens.run_sensitivity(
+            np.full((3, 1), 1.2e62), np.array([0, 1, 1]), np.array([np.nan, 1.0, 2.0]),
+            [p_moment], [sens.ModelSpec(role="outcome", covariates=(0,))], "DR_WLS",
+            boot_reps=2,
+        )
+        assert out.cell_messages[0, 0].startswith("NonconvergenceError")
+
     @pytest.mark.parametrize("name", ["matrix_rank", "pinv"])
     def test_linalg_error_in_the_wald_test(self, data600, monkeypatch, name):
         def fail(*args, **kwargs):
