@@ -26,6 +26,15 @@ def check_int(value, name: str) -> int:
         raise InvalidArgumentError(f"{name} must be an integer") from None
 
 
+def check_seed(value, name: str) -> int:
+    """value as a Python int in [0, 2**64), the range of seeds derive_seed
+    mixes without wrapping; InvalidArgumentError naming name otherwise."""
+    value = check_int(value, name)
+    if not 0 <= value <= _MASK64:
+        raise InvalidArgumentError(f"{name} must be in [0, 2**64)")
+    return value
+
+
 def derive_seed(base_seed: int, index: int) -> int:
     """Derive the 64-bit seed for replication ``index`` from ``base_seed``.
 
@@ -33,11 +42,9 @@ def derive_seed(base_seed: int, index: int) -> int:
     so that neighbouring indices land far apart in seed space.  Pure integer
     arithmetic, identical on every platform.
     """
-    base_seed, index = check_int(base_seed, "base_seed"), check_int(index, "index")
+    base_seed, index = check_seed(base_seed, "base_seed"), check_int(index, "index")
     if index < 0:
         raise InvalidArgumentError("index must be nonnegative")
-    if base_seed < 0:
-        raise InvalidArgumentError("base_seed must be nonnegative")
     x = (base_seed + (index + 1) * _GOLDEN) & _MASK64
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64

@@ -29,7 +29,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,29 +43,12 @@ from .estimators import ESTIMATOR_NAMES, check_estimator_names, estimate_all
 from .mc import (  # noqa: F401
     QUANTILE_LEVELS, ScenarioSpec, density_points, run_scenario, run_scenarios,
 )
-from .sensitivity import DR_ESTIMATORS, ModelSpec, run_sensitivity
+from .sensitivity import ModelSpec, run_sensitivity
 
 RESULT_COLUMNS = (
     "scenario", "n", "reps", "estimator", "bias", "var", "mse", "skewness",
     *(f"q{q:02d}" for q in QUANTILE_LEVELS), "min", "max", "failures",
 )
-
-_DGP_KEYS = {"intercept", "slope", "z_star_weights", "propensity_coefficients", "noise_sd"}
-
-
-@dataclass
-class RunConfig:
-    """Validated simulate configuration."""
-
-    base_seed: int
-    reps: int
-    sample_sizes: tuple[int, ...]
-    scenarios: tuple[tuple[bool, bool], ...]  # (pi_correct, m_correct)
-    reverse_roles: bool
-    estimators: tuple[str, ...]
-    dgp: DgpConfig
-    raw: dict
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -105,21 +88,10 @@ def _int_field(raw: dict, key: str, minimum: int, default: int | None = None) ->
     return value
 
 
-def _number(value, where: str) -> int | float:
-    """value, checked to be a JSON number in the float range (ConfigError)."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    _require(number and abs(value) <= sys.float_info.max, f"{where} must be a finite number")
-    return value
-
-
-def _estimator_names(names) -> tuple[str, ...]:
-    try:
-        return check_estimator_names(names)
-    except InvalidArgumentError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def load_run_config(path: str) -> RunConfig:
+def load_run_config(path: str) -> tuple[list[ScenarioSpec], DgpConfig, dict]:
+    """Parse a simulate config: the ScenarioSpecs to run (each sample size
+    within each scenario, in config order), the DgpConfig and the parsed
+    JSON.  ConfigError if any part is invalid."""
     raw = _load_json(path, "config")
     allowed = {"base_seed", "reps", "sample_sizes", "scenarios", "reverse_roles",
                "estimators", "dgp"}
@@ -159,32 +131,24 @@ def load_run_config(path: str) -> RunConfig:
         and all(isinstance(e, str) for e in estimators),
         "estimators must be a nonempty list of names",
     )
-    estimators = _estimator_names(estimators)
     dgp_raw = raw.get("dgp", {})
     _require(isinstance(dgp_raw, dict), "dgp must be an object")
-    _no_unknown_keys(dgp_raw, _DGP_KEYS, "dgp")
-    kwargs = {}
-    for key, value in dgp_raw.items():
-        if key in ("z_star_weights", "propensity_coefficients"):
-            _require(isinstance(value, list), f"dgp.{key} must be a list")
-            kwargs[key] = tuple(float(_number(v, f"dgp.{key}[{i}]"))
-                                for i, v in enumerate(value))
-        else:
-            kwargs[key] = _number(value, f"dgp.{key}")
+    _no_unknown_keys(dgp_raw, {f.name for f in fields(DgpConfig)}, "dgp")
     try:
-        dgp_cfg = DgpConfig(**kwargs)
-    except DrmeanError as exc:
-        raise ConfigError(f"invalid dgp settings: {exc}") from None
-    return RunConfig(
-        base_seed=base_seed,
-        reps=reps,
-        sample_sizes=tuple(sizes),
-        scenarios=tuple(scenarios),
-        reverse_roles=reverse,
-        estimators=estimators,
-        dgp=dgp_cfg,
-        raw=raw,
-    )
+        dgp = DgpConfig(**dgp_raw)
+    except InvalidArgumentError as exc:  # its messages begin with the setting's name
+        raise ConfigError(f"invalid dgp settings: dgp.{exc}") from None
+    try:
+        specs = [
+            ScenarioSpec(n=n, reps=reps, pi_model_correct=pi_correct,
+                         m_model_correct=m_correct, reverse=reverse,
+                         base_seed=base_seed, estimators=tuple(estimators))
+            for pi_correct, m_correct in scenarios
+            for n in sizes
+        ]
+    except InvalidArgumentError as exc:
+        raise ConfigError(str(exc)) from None
+    return specs, dgp, raw
 
 
 def _fmt(x: float) -> str:
@@ -224,22 +188,30 @@ def _finite(cell: str, what: str) -> float:
     return value
 
 
-def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """Read a dataset CSV.  Returns (T, Y with NaN where missing, X, names).
-
-    Outcome values supplied on nonrespondent rows are ignored with a
-    single warning on stderr; every other malformedness is a DataError
-    naming the offending row.
-    """
+def _csv_rows(path: str) -> list[tuple[int, list[str]]]:
+    """The rows of the CSV file at path that hold a nonblank cell, each
+    with its line number in the file.  DataError if the file cannot be
+    read or has no such row."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
+            rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read data {path}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+    return rows
+
+
+def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """Read a dataset CSV.  Returns (T, Y with NaN where missing, X, names).
+
+    Blank lines are skipped.  Outcome values supplied on nonrespondent
+    rows are ignored with a single warning on stderr; every other
+    malformedness is a DataError naming the file line of the offending row.
+    """
+    rows = _csv_rows(path)
+    header = [h.strip() for h in rows[0][1]]
     if "t" not in header or "y" not in header:
         raise DataError(f"{path}: header must contain 't' and 'y' columns")
     repeated = sorted({h for h in header if header.count(h) > 1})
@@ -250,7 +222,7 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[st
     names = [header[k] for k in x_cols]
     t_vals, y_vals, x_vals = [], [], []
     ignored_y = 0
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise DataError(f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}")
         cell = row[t_col].strip()
@@ -276,12 +248,7 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[st
             f"warning: ignored outcome values on {ignored_y} nonrespondent row(s)",
             file=sys.stderr,
         )
-    return (
-        np.array(t_vals, dtype=np.int64),
-        np.array(y_vals),
-        np.array(x_vals),
-        names,
-    )
+    return np.array(t_vals, dtype=np.int64), np.array(y_vals), np.array(x_vals), names
 
 
 def _file_sha256(path: str) -> str:
@@ -320,23 +287,10 @@ def results_csv_text(summaries: list) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    config = load_run_config(args.config)
+    specs, dgp, raw = load_run_config(args.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    specs = [
-        ScenarioSpec(
-            n=n,
-            reps=config.reps,
-            pi_model_correct=pi_correct,
-            m_model_correct=m_correct,
-            reverse=config.reverse_roles,
-            base_seed=config.base_seed,
-            estimators=config.estimators,
-        )
-        for pi_correct, m_correct in config.scenarios
-        for n in config.sample_sizes
-    ]
-    summaries = run_scenarios(specs, config.dgp, workers=args.workers)
+    summaries = run_scenarios(specs, dgp, workers=args.workers)
     failure_counts: dict[str, int] = {}
     for summary in summaries:
         spec = summary.scenario
@@ -348,11 +302,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "package_version": __version__,
         "prng": PRNG_NAME,
         "seed_derivation": SEED_DERIVATION,
-        "base_seed": config.base_seed,
-        "reverse_roles": config.reverse_roles,
+        "base_seed": specs[0].base_seed,
+        "reverse_roles": specs[0].reverse,
         "mu_true": summaries[0].mu_true,
-        "config": config.raw,
-        "config_sha256": _sha256_of(config.raw),
+        "config": raw,
+        "config_sha256": _sha256_of(raw),
         "failure_counts": failure_counts,
     }
     (out_dir / "metadata.json").write_text(
@@ -383,7 +337,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.estimators is None:
         which = tuple(nm for nm in ESTIMATOR_NAMES if nm != "FULL")
     else:
-        which = _estimator_names(s.strip() for s in args.estimators.split(",") if s.strip())
+        try:
+            which = check_estimator_names(
+                s.strip() for s in args.estimators.split(",") if s.strip())
+        except InvalidArgumentError as exc:
+            raise ConfigError(str(exc)) from None
     view = AnalysisView(
         design_pi=design_matrix(X, pi_idx),
         design_m=design_matrix(X, m_idx),
@@ -415,17 +373,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------- sensitivity
 
 
-def load_sensitivity_config(path: str, names: list[str]) -> dict:
+def load_sensitivity_config(path: str, names: list[str]) -> tuple[dict, dict]:
+    """Parse a sensitivity config whose models name columns of names:
+    run_sensitivity's keyword arguments, which it checks further, and the
+    parsed JSON.  ConfigError if the JSON is malformed."""
     raw = _load_json(path, "config")
     allowed = {"estimator", "boot_reps", "seed", "propensity_models", "outcome_models"}
     _no_unknown_keys(raw, allowed, "config")
     _require("estimator" in raw, "config requires estimator")
-    _require(
-        raw["estimator"] in DR_ESTIMATORS,
-        f"estimator must be one of {', '.join(DR_ESTIMATORS)}",
-    )
-    boot_reps = _int_field(raw, "boot_reps", 2, default=500)
-    seed = _int_field(raw, "seed", 0, default=0)
 
     def parse_models(key: str, role: str) -> tuple[ModelSpec, ...]:
         _require(key in raw, f"config requires {key}")
@@ -452,42 +407,33 @@ def load_sensitivity_config(path: str, names: list[str]) -> dict:
                         kind=kind,
                     )
                 )
-            except DrmeanError as exc:
+            except InvalidArgumentError as exc:
                 raise ConfigError(f"{key}[{k}]: {exc}") from None
         return tuple(specs)
 
-    return {
+    kwargs = {
+        "boot_reps": _int_field(raw, "boot_reps", 2, default=500),
+        "seed": _int_field(raw, "seed", 0, default=0),
         "estimator": raw["estimator"],
-        "boot_reps": boot_reps,
-        "seed": seed,
         "p_specs": parse_models("propensity_models", "propensity"),
         "o_specs": parse_models("outcome_models", "outcome"),
-        "raw": raw,
     }
+    return kwargs, raw
 
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     T, Y, X, names = read_dataset(args.data)
-    config = load_sensitivity_config(args.config, names)
+    kwargs, raw = load_sensitivity_config(args.config, names)
     try:
-        matrix = run_sensitivity(
-            X,
-            T,
-            Y,
-            config["p_specs"],
-            config["o_specs"],
-            config["estimator"],
-            boot_reps=config["boot_reps"],
-            seed=config["seed"],
-        )
-    except DrmeanError as exc:
+        matrix = run_sensitivity(X, T, Y, **kwargs)
+    except InvalidArgumentError as exc:  # the config's settings; fits fail with others
         raise ConfigError(str(exc)) from None
     payload = matrix.to_dict()
     payload["metadata"] = {
         "package_version": __version__,
         "prng": PRNG_NAME,
         "seed_derivation": SEED_DERIVATION,
-        "config_sha256": _sha256_of(config["raw"]),
+        "config_sha256": _sha256_of(raw),
         "data_sha256": _file_sha256(args.data),
         "covariate_names": names,
     }
@@ -499,14 +445,9 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 
 
 def read_values(path: str, column: str | None) -> np.ndarray:
-    """Read a numeric column from a CSV (header optional for one column)."""
-    try:
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    except OSError as exc:
-        raise DataError(f"cannot read data {path}: {exc}") from None
-    if not rows:
-        raise DataError(f"{path}: empty file")
+    """Read a numeric column from a CSV (header optional for one column).
+    Blank lines are skipped; errors name the file line of their row."""
+    rows = _csv_rows(path)
 
     def is_number(cell: str) -> bool:
         try:
@@ -515,7 +456,7 @@ def read_values(path: str, column: str | None) -> np.ndarray:
         except ValueError:
             return False
 
-    header = rows[0]
+    header = rows[0][1]
     has_header = not all(is_number(c) for c in header if c.strip())
     if has_header:
         names = [h.strip() for h in header]
@@ -536,7 +477,7 @@ def read_values(path: str, column: str | None) -> np.ndarray:
             raise DataError(f"{path}: headerless input must have exactly one column")
         idx = 0
     values = []
-    for lineno, row in enumerate(rows[has_header:], start=1 + has_header):
+    for lineno, row in rows[has_header:]:
         if idx >= len(row):
             raise DataError(f"{path}: row {lineno} has no field {idx + 1}")
         values.append(_finite(row[idx].strip(), f"{path}: row {lineno}: value"))

@@ -13,15 +13,28 @@ draw), and normals come from the inverse CDF, so no rejection step can
 desynchronise the stream.
 """
 
+import math
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.special import expit, ndtri
 
+from ._util import check_int
 from .errors import InvalidArgumentError
 
 _BASE_WEIGHTS = (2.0, 1.0, 1.0, 1.0)
 _BASE_PROPENSITY = (0.0, -1.0, 0.5, -0.25, -0.1)
+
+
+def _finite(value, name: str) -> float:
+    """value as a float if it is a finite real number, not a bool."""
+    real = isinstance(value, Real) and not isinstance(value, bool)
+    if not (real and -sys.float_info.max <= value <= sys.float_info.max):
+        raise InvalidArgumentError(f"{name} must be a finite number")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -31,7 +44,9 @@ class DgpConfig:
     Defaults reproduce the standard benchmark: Y has mean 210, the outcome
     signal is 13.7 * (2 Z1 + Z2 + Z3 + Z4), unit-variance Gaussian noise,
     and response probability expit(-Z1 + 0.5 Z2 - 0.25 Z3 - 0.1 Z4) with
-    zero intercept (propensity_coefficients[0]).
+    zero intercept (propensity_coefficients[0]).  Every value must be a
+    finite real number (the two sequences are kept as tuples of floats),
+    and no draw's outcome or propensity logit may overflow.
     """
 
     intercept: float = 210.0
@@ -41,14 +56,26 @@ class DgpConfig:
     noise_sd: float = 1.0
 
     def __post_init__(self) -> None:
-        if len(self.z_star_weights) != 4:
-            raise InvalidArgumentError("z_star_weights must have length 4")
-        if len(self.propensity_coefficients) != 5:
-            raise InvalidArgumentError(
-                "propensity_coefficients must have length 5 (intercept first)"
-            )
-        if not self.noise_sd > 0:
+        for name, length in (("z_star_weights", 4), ("propensity_coefficients", 5)):
+            values = getattr(self, name)
+            if not isinstance(values, (Sequence, np.ndarray)) or len(values) != length:
+                raise InvalidArgumentError(f"{name} must hold {length} numbers")
+            values = tuple(_finite(v, f"{name}[{i}]") for i, v in enumerate(values))
+            object.__setattr__(self, name, values)
+        a, b, sd = (_finite(getattr(self, k), k) for k in ("intercept", "slope", "noise_sd"))
+        if not sd > 0:
             raise InvalidArgumentError("noise_sd must be positive")
+        # |Z| and |eps| stay below 38 (their uniforms are floored at 1e-300), so
+        # these bound |Y| and |logit| over all draws; NaN (0 * inf) fails too
+        w, c = self.z_star_weights, self.propensity_coefficients
+        y_bound = abs(a) + abs(b) * (38.0 * sum(map(abs, w))) + 38.0 * sd
+        logit_bound = abs(c[0]) + 38.0 * sum(map(abs, c[1:]))
+        if not math.isfinite(y_bound):
+            raise InvalidArgumentError(
+                "intercept, slope, z_star_weights and noise_sd overflow the outcome of some draws")
+        if not math.isfinite(logit_bound):
+            raise InvalidArgumentError(
+                "propensity_coefficients overflow the propensity logit of some draws")
 
 
 @dataclass
@@ -97,8 +124,11 @@ def transform_covariates(Z: np.ndarray) -> np.ndarray:
 
 def generate_sample(n: int, seed: int, cfg: DgpConfig | None = None) -> FullSample:
     """Draw a sample of size n, fully determined by (n, seed, cfg)."""
+    n, seed = check_int(n, "n"), check_int(seed, "seed")
     if n < 1:
         raise InvalidArgumentError("n must be at least 1")
+    if seed < 0:
+        raise InvalidArgumentError("seed must be nonnegative")
     if cfg is None:
         cfg = DgpConfig()
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_int, derive_seed
+from ._util import check_int, check_seed, derive_seed
 from .dgp import DgpConfig, generate_sample, make_view, reverse_roles
 from .errors import DegenerateInputError, InvalidArgumentError
 from .estimators import ESTIMATOR_NAMES, FLAG_FAILED, check_estimator_names, estimate_all
@@ -47,14 +47,12 @@ class ScenarioSpec:
     estimators: tuple[str, ...] = ESTIMATOR_NAMES
 
     def __post_init__(self) -> None:
-        for name in ("n", "reps", "base_seed"):
-            object.__setattr__(self, name, check_int(getattr(self, name), name))
+        for name, check in (("n", check_int), ("reps", check_int), ("base_seed", check_seed)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
         if self.n < 2:
             raise InvalidArgumentError("n must be at least 2")
         if self.reps < 1:
             raise InvalidArgumentError("reps must be at least 1")
-        if self.base_seed < 0:
-            raise InvalidArgumentError("base_seed must be nonnegative")
         check_estimator_names(self.estimators)
 
     def label(self) -> str:

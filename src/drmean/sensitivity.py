@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from ._util import check_int, derive_seed
+from ._util import check_int, check_seed, derive_seed
 from .dgp import AnalysisView, design_matrix
 from .errors import DrmeanError, InvalidArgumentError, NonconvergenceError
 from .estimators import ESTIMATORS, Pipeline
@@ -137,28 +137,12 @@ class SensitivityMatrix:
         }
 
 
-def _check_data(covariates, T, Y):
-    covariates = np.asarray(covariates, dtype=float)
-    T = np.asarray(T)
-    Y = np.asarray(Y, dtype=float)
-    if covariates.ndim != 2:
-        raise InvalidArgumentError("covariates must be 2-d")
-    n = covariates.shape[0]
-    if T.shape != (n,) or Y.shape != (n,):
-        raise InvalidArgumentError("T and Y must have one entry per row of covariates")
-    if not np.all((T == 0) | (T == 1)):
-        raise InvalidArgumentError("T must be 0/1")
-    if not np.all(np.isfinite(Y[T == 1])):
-        raise InvalidArgumentError("respondent outcomes must be finite")
-    return covariates, T.astype(np.int64), Y
-
-
-def _check_spec_indices(specs, n_cols: int) -> None:
-    for s in specs:
-        if max(s.covariates) >= n_cols:
-            raise InvalidArgumentError(
-                f"covariate index {max(s.covariates)} out of range for {n_cols} columns"
-            )
+def _check_draws(boot_reps, seed) -> tuple[int, int]:
+    """boot_reps (at least 2) and seed (in [0, 2**64)) as checked ints."""
+    boot_reps, seed = check_int(boot_reps, "boot_reps"), check_seed(seed, "seed")
+    if boot_reps < 2:
+        raise InvalidArgumentError("boot_reps must be at least 2")
+    return boot_reps, seed
 
 
 def _estimate_cell(
@@ -180,12 +164,30 @@ def _estimate_cell(
 class _Sample:
     """The full sample as the cells see it: each spec's design, keyed by its
     covariate tuple, the masked outcomes, and the Pipeline memo of the
-    full-sample fits, which build_matrix fills and the bootstrap reads."""
+    full-sample fits, which build_matrix fills and the bootstrap reads.
+    It is the one check of the data and the specs' column indices."""
 
-    def __init__(self, covariates: np.ndarray, T: np.ndarray, Y: np.ndarray, specs):
+    def __init__(self, covariates, T, Y, specs):
+        covariates = np.asarray(covariates, dtype=float)
+        T = np.asarray(T)
+        Y = np.asarray(Y, dtype=float)
+        if covariates.ndim != 2:
+            raise InvalidArgumentError("covariates must be 2-d")
+        n, n_cols = covariates.shape
+        if T.shape != (n,) or Y.shape != (n,):
+            raise InvalidArgumentError("T and Y must have one entry per row of covariates")
+        if not np.all((T == 0) | (T == 1)):
+            raise InvalidArgumentError("T must be 0/1")
+        if not np.all(np.isfinite(Y[T == 1])):
+            raise InvalidArgumentError("respondent outcomes must be finite")
+        for s in specs:
+            if max(s.covariates) >= n_cols:
+                raise InvalidArgumentError(
+                    f"covariate index {max(s.covariates)} out of range for {n_cols} columns"
+                )
         self.designs = {s.covariates: design_matrix(covariates, s.covariates) for s in specs}
-        self.T = T
-        self.y = np.where(T == 1, Y, np.nan)
+        self.T = T.astype(np.int64)
+        self.y = np.where(self.T == 1, Y, np.nan)
         self.memo: dict = {}
 
 
@@ -252,14 +254,12 @@ def build_matrix(
     Returns the (J_p, J_o) estimate matrix with NaN for cells whose fit
     failed, plus failure messages keyed by cell index.  Each propensity
     spec is fitted once; a failed fit gives every cell of its row its
-    message.  run_sensitivity passes the _Sample of the same data, built
-    after its own spec-index check; this uses its designs, and its memo
-    keeps the fits for the bootstrap.
+    message.  run_sensitivity passes its checked spec tuples and the
+    _Sample of the same data, which this does not check again: it uses
+    its designs, and its memo keeps the fits for the bootstrap.
     """
-    covariates, T, Y = _check_data(covariates, T, Y)
-    p_specs, o_specs = _validate_specs(p_specs, o_specs, estimator)
     if _sample is None:
-        _check_spec_indices(p_specs + o_specs, covariates.shape[1])
+        p_specs, o_specs = _validate_specs(p_specs, o_specs, estimator)
         _sample = _Sample(covariates, T, Y, p_specs + o_specs)
     cells = [(ps, os_) for ps in p_specs for os_ in o_specs]
     out = _estimate_cells(
@@ -353,32 +353,32 @@ def homogeneity_test(
     boot_reps nonparametric bootstrap draws recomputed per spec, each
     propensity spec fitted once per draw.  Draw b resamples with
     PCG64(derive_seed(seed, b)); run_sensitivity passes the draws it
-    shares between all of its lines as _draws, and this test on the same
-    line and seed equals its line test bit for bit.  A draw in which one of
-    the line's cells fails is discarded for this line.  A singular contrast
-    covariance falls back to a pseudoinverse with reduced degrees of freedom
-    and is flagged.  Lines of length one are trivially homogeneous (p = 1).
+    shares between all of its lines as _draws, with a line it has checked,
+    and this test on the same line and seed equals its line test bit for
+    bit.  A draw in which one of the line's cells fails is discarded for
+    this line.  A singular contrast covariance falls back to a
+    pseudoinverse with reduced degrees of freedom and is flagged.  Lines
+    of length one are trivially homogeneous (p = 1).
     """
-    covariates, T, Y = _check_data(covariates, T, Y)
     varying_specs = tuple(varying_specs)
     line = np.asarray(estimates_line, dtype=float)
     m = len(varying_specs)
-    if line.shape != (m,):
-        raise InvalidArgumentError("estimates_line length must match varying_specs")
-    boot_reps, seed = check_int(boot_reps, "boot_reps"), check_int(seed, "seed")
-    if boot_reps < 2:
-        raise InvalidArgumentError("boot_reps must be at least 2")
+
     def pair(v: ModelSpec) -> tuple[ModelSpec, ModelSpec]:
         if fixed_spec.role == "propensity":
             return fixed_spec, v
         return v, fixed_spec
 
-    for v in varying_specs:
-        if v.role == fixed_spec.role:
-            raise InvalidArgumentError("varying specs must have the opposite role")
-        ps, os_ = pair(v)
-        _validate_specs((ps,), (os_,), estimator)
-    _check_spec_indices((fixed_spec,) + varying_specs, covariates.shape[1])
+    if _draws is None:
+        if line.shape != (m,):
+            raise InvalidArgumentError("estimates_line length must match varying_specs")
+        boot_reps, seed = _check_draws(boot_reps, seed)
+        for v in varying_specs:
+            if v.role == fixed_spec.role:
+                raise InvalidArgumentError("varying specs must have the opposite role")
+            ps, os_ = pair(v)
+            _validate_specs((ps,), (os_,), estimator)
+        sample = _Sample(covariates, T, Y, (fixed_spec,) + varying_specs)
 
     keep = np.isfinite(line)
     note = ""
@@ -400,7 +400,6 @@ def homogeneity_test(
 
     cells = [pair(v) for v in varying_specs]
     if _draws is None:
-        sample = _Sample(covariates, T, Y, {s for cell in cells for s in cell})
         _draws = _Draws(sample, cells, estimator, boot_reps, seed)
     boot_rows = []
     failures = 0
@@ -514,11 +513,10 @@ def run_sensitivity(
     full-sample estimate is finite once, and each line test reads its own
     cells.  A line's test equals homogeneity_test(..., seed=seed) on that
     line, so adding a row does not change the p-values of existing lines.
+    Every argument is checked before the first fit.
     """
-    covariates, T, Y = _check_data(covariates, T, Y)
-    boot_reps, seed = check_int(boot_reps, "boot_reps"), check_int(seed, "seed")
+    boot_reps, seed = _check_draws(boot_reps, seed)
     p_specs, o_specs = _validate_specs(p_specs, o_specs, estimator)
-    _check_spec_indices(p_specs + o_specs, covariates.shape[1])
     sample = _Sample(covariates, T, Y, p_specs + o_specs)
     estimates, messages = build_matrix(
         covariates, T, Y, p_specs, o_specs, estimator, _sample=sample

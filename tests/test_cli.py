@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drmean import cli
+from drmean import cli, sensitivity
 from drmean.dgp import generate_sample
-from drmean.errors import ConfigError, DataError
+from drmean.errors import ConfigError, DataError, NonconvergenceError
 from drmean.estimators import estimate_all
 from drmean.dgp import AnalysisView
 
@@ -101,6 +101,30 @@ class TestDatasetRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             cli.read_dataset(str(tmp_path / "absent.csv"))
+
+    def test_blank_lines_skipped_and_file_lines_named(self, tmp_path):
+        # a blank line failed with "row 3 has 0 fields, expected 3"
+        path = tmp_path / "gaps.csv"
+        path.write_text("\nt,y,x1\n1,2.5,0.1\n\n , ,\n0,,0.2\n1,3.5,spam\n")
+        with pytest.raises(DataError, match="row 7: covariate 'x1' value 'spam'"):
+            cli.read_dataset(str(path))
+        path.write_text("\nt,y,x1\n1,2.5,0.1\n\n , ,\n0,,0.2\n")
+        T, Y, X, names = cli.read_dataset(str(path))
+        assert T.tolist() == [1, 0] and X.tolist() == [[0.1], [0.2]] and names == ["x1"]
+
+    @pytest.mark.parametrize("body", ["\n\n", " , \n"])
+    def test_blank_file_is_empty(self, tmp_path, body):
+        path = tmp_path / "blank.csv"
+        path.write_text(body)
+        with pytest.raises(DataError, match="empty file"):
+            cli.read_dataset(str(path))
+
+    def test_undecodable_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"t,y,x1\n1,\xff\xfe,0.1\n")
+        with pytest.raises(DataError):
+            cli.read_dataset(str(path))
+        assert cli.main(["density", "--data", str(path)]) == 3
 
 
 class TestSimulateCommand:
@@ -229,6 +253,35 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", run_config(tmp_path, dgp=dgp),
                          "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_base_seed_beyond_64_bits_exits_2(self, tmp_path, capsys):
+        # derive_seed masked it: base_seed 2**64 + 3 replayed base_seed 3
+        out = tmp_path / "o"
+        cfg = run_config(tmp_path, base_seed=2**64 + 3)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "base_seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "dgp",
+        [{"z_star_weights": [1e308, 1e308, 1, 1]}, {"slope": 1e307},
+         {"propensity_coefficients": [0, 0, 0, 0, 1e308]}],
+    )
+    def test_overflowing_dgp_exits_2(self, tmp_path, capsys, dgp):
+        # these ran with a RuntimeWarning: overflow and exited 0
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", run_config(tmp_path, dgp=dgp),
+                         "--out", str(out)]) == 2
+        assert "invalid dgp settings: dgp." in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dgp_override_runs_and_records_mu_true(self, tmp_path):
+        dgp = {"intercept": 10, "z_star_weights": [1, 2, 0.5, 1], "noise_sd": 3}
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", run_config(tmp_path, dgp=dgp),
+                         "--out", str(out)]) == 0
+        assert json.loads((out / "metadata.json").read_text())["mu_true"] == 10
 
     def test_missing_and_invalid_config_files(self, tmp_path):
         rc = cli.main(["simulate", "--config", str(tmp_path / "none.json"),
@@ -372,6 +425,21 @@ class TestEstimateCommand:
     def test_missing_data_exits_3(self, tmp_path):
         assert cli.main(["estimate", "--data", str(tmp_path / "no.csv")]) == 3
 
+    def test_blank_lines_skipped(self, tmp_path, small_sample):
+        # a blank line exited 3 with "row 3 has 0 fields, expected 3"
+        data = write_sample_csv(tmp_path / "d.csv", small_sample)
+        lines = Path(data).read_text().splitlines(keepends=True)
+        gaps = tmp_path / "gaps.csv"
+        gaps.write_text("".join(lines[:2] + ["\n"] + lines[2:] + ["\n"]))
+        payloads = []
+        for path in (data, gaps):
+            out = tmp_path / "est.json"
+            assert cli.main(["estimate", "--data", str(path), "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            del payload["metadata"]["data_sha256"]
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+
 
 class TestSensitivityCommand:
     @pytest.fixture()
@@ -447,6 +515,28 @@ class TestSensitivityCommand:
         bad.write_text(json.dumps(cfg))
         assert cli.main(["sensitivity", "--data", data, "--config", str(bad)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_seed_beyond_64_bits_exits_2(self, setup, capsys):
+        data, _, tmp_path = setup
+        cfg = json.loads((tmp_path / "sens.json").read_text())
+        cfg["seed"] = 2**64
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert cli.main(["sensitivity", "--data", data, "--config", str(bad)]) == 2
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+
+    def test_estimation_failure_exits_1(self, setup, monkeypatch, capsys):
+        # a failed fit is no configuration problem: it exited 2
+        def fail(*args, **kwargs):
+            raise NonconvergenceError("contrast covariance: SVD did not converge")
+
+        monkeypatch.setattr(sensitivity, "homogeneity_test", fail)
+        data, cfg, tmp_path = setup
+        out = tmp_path / "s.json"
+        assert cli.main(["sensitivity", "--data", data, "--config", cfg,
+                         "--out", str(out)]) == 1
+        assert "contrast covariance" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_outcome_kind_conflict_exits_2(self, setup):
         data, _, tmp_path = setup
@@ -546,6 +636,17 @@ class TestDensityCommand:
     def test_bad_clip_exits_3(self, values_csv):
         assert cli.main(["density", "--data", values_csv, "--clip-quantile",
                          "0.9"]) == 3
+
+    def test_blank_lines_skipped_and_file_lines_named(self, tmp_path, capsys):
+        # "pear" is on line 5; the message named row 4
+        path = tmp_path / "gaps.csv"
+        path.write_text("value\n1.0\n\n2.0\npear\n")
+        assert cli.main(["density", "--data", str(path)]) == 3
+        assert "row 5: value 'pear'" in capsys.readouterr().err
+        with pytest.raises(DataError, match="row 5: value 'pear'"):
+            cli.read_values(str(path), None)
+        path.write_text("value\n1.0\n\n2.0\n \n")
+        assert cli.read_values(str(path), None).tolist() == [1.0, 2.0]
 
     def test_nonnumeric_value_exits_3(self, tmp_path):
         path = tmp_path / "junk.csv"

@@ -32,6 +32,47 @@ class TestConfigValidation:
         with pytest.raises(InvalidArgumentError):
             dgp.generate_sample(0, 1)
 
+    @pytest.mark.parametrize(
+        "settings",
+        [{"noise_sd": "x"}, {"intercept": "x"}, {"slope": None}, {"intercept": True},
+         {"noise_sd": math.inf}, {"slope": math.nan}, {"intercept": 10**400},
+         {"z_star_weights": 3}, {"z_star_weights": (1.0, 1.0, "a", 1.0)},
+         {"propensity_coefficients": (0.0, None, 0.0, 0.0, 0.0)}],
+    )
+    def test_non_finite_or_non_numeric_settings_rejected(self, settings):
+        # these raised TypeError, or passed and failed in generate_sample
+        with pytest.raises(InvalidArgumentError, match="must be a finite number|must hold"):
+            dgp.DgpConfig(**settings)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{"z_star_weights": (1e308, 1e308, 1.0, 1.0)}, {"slope": 1e307},
+         {"intercept": 1.7e308, "noise_sd": 1e307}, {"slope": 0.0, "z_star_weights": (1e308,) * 4},
+         {"propensity_coefficients": (0.0, 1e307, 0.0, 0.0, 0.0)}],
+    )
+    def test_settings_that_can_overflow_a_draw_rejected(self, settings):
+        with pytest.raises(InvalidArgumentError, match="overflow"):
+            dgp.DgpConfig(**settings)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_accepted_settings_draw_finite_samples(self):
+        # 38 bounds |Z| and |eps|: these settings sit just inside the float range
+        cfg = dgp.DgpConfig(slope=9e305, propensity_coefficients=(0.0, 1e306, 0.0, 0.0, 0.0))
+        s = dgp.generate_sample(200, 5, cfg)
+        assert np.all(np.isfinite(s.Y)) and np.all(np.isfinite(s.pi_true))
+
+    def test_sequences_stored_as_float_tuples(self):
+        cfg = dgp.DgpConfig(z_star_weights=[2, 1, 1, 1], propensity_coefficients=np.zeros(5))
+        assert cfg.z_star_weights == (2.0, 1.0, 1.0, 1.0)
+        assert all(type(v) is float for v in cfg.z_star_weights + cfg.propensity_coefficients)
+        ints = dgp.generate_sample(50, 3, dgp.DgpConfig(z_star_weights=(2, 1, 1, 1)))
+        assert ints.Y.tobytes() == dgp.generate_sample(50, 3).Y.tobytes()
+
+    @pytest.mark.parametrize("n, seed", [(1.5, 1), (10, 1.5), (10, -1), ("10", 1)])
+    def test_size_and_seed_checked(self, n, seed):
+        with pytest.raises(InvalidArgumentError):
+            dgp.generate_sample(n, seed)
+
 
 class TestTransform:
     def test_hand_values_at_zero(self):

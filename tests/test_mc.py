@@ -101,6 +101,14 @@ class TestScenarioSpec:
                 base_seed=-1,
             )
 
+    def test_base_seed_beyond_64_bits_rejected(self):
+        with pytest.raises(InvalidArgumentError, match=r"base_seed must be in \[0, 2\*\*64\)"):
+            mc.ScenarioSpec(n=10, reps=1, pi_model_correct=True, m_model_correct=True,
+                            base_seed=2**64)
+        spec = mc.ScenarioSpec(n=10, reps=1, pi_model_correct=True, m_model_correct=True,
+                               base_seed=2**64 - 1)
+        assert spec.base_seed == 2**64 - 1
+
     @pytest.mark.parametrize(
         "field, value",
         [("n", 200.5), ("reps", 2.5), ("base_seed", 1.5), ("n", "200"), ("base_seed", None)],

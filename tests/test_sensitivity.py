@@ -243,6 +243,12 @@ class TestHomogeneity:
             sens.homogeneity_test(np.array([210.0, 211.0]), cov, T, y, PZ,
                                   (OZ, OX), "DR_WLS", **{name: value})
 
+    def test_seed_beyond_64_bits_rejected(self, data600):
+        _, cov, T, y = data600
+        with pytest.raises(InvalidArgumentError, match=r"seed must be in \[0, 2\*\*64\)"):
+            sens.homogeneity_test(np.array([210.0, 211.0]), cov, T, y, PZ,
+                                  (OZ, OX), "DR_WLS", seed=2**64)
+
 
 @pytest.fixture
 def logistic_fits(monkeypatch):
@@ -347,6 +353,36 @@ class TestRunSensitivity:
         with pytest.raises(InvalidArgumentError, match=f"{name} must be an integer"):
             sens.run_sensitivity(cov, T, y, [PZ], [OZ, OX], "DR_WLS",
                                  **{"boot_reps": 20, "seed": 1, name: value})
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [({"seed": -1}, r"seed must be in \[0, 2\*\*64\)"),
+         ({"seed": 2**64}, r"seed must be in \[0, 2\*\*64\)"),
+         ({"boot_reps": 1}, "boot_reps must be at least 2")],
+        ids=["negative-seed", "seed-2**64", "one-draw"],
+    )
+    def test_draw_settings_checked_before_any_fit(self, data600, logistic_fits,
+                                                  settings, message):
+        # these failed only after build_matrix had fitted every cell
+        _, cov, T, y = data600
+        with pytest.raises(InvalidArgumentError, match=message):
+            sens.run_sensitivity(cov, T, y, [PZ, PX], [OZ, OX], "DR_WLS",
+                                 **{"boot_reps": 20, "seed": 1, **settings})
+        assert logistic_fits == []
+
+    def test_inputs_checked_once(self, data600, monkeypatch):
+        # one spec check and one data and index check for the whole run
+        _, cov, T, y = data600
+        calls = []
+        for name in ("_validate_specs", "_check_draws"):
+            real = getattr(sens, name)
+            monkeypatch.setattr(sens, name, lambda *a, _real=real, _name=name:
+                                calls.append(_name) or _real(*a))
+        sample_init = sens._Sample.__init__
+        monkeypatch.setattr(sens._Sample, "__init__", lambda self, *a:
+                            calls.append("_Sample") or sample_init(self, *a))
+        sens.run_sensitivity(cov, T, y, [PZ, PX], [OZ, OX], "DR_WLS", boot_reps=5, seed=1)
+        assert sorted(calls) == ["_Sample", "_check_draws", "_validate_specs"]
 
     def test_integer_arguments_stored_as_ints(self, data600):
         _, cov, T, y = data600

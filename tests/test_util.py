@@ -35,6 +35,12 @@ class TestDeriveSeed:
         with pytest.raises(InvalidArgumentError):
             _util.derive_seed(-1, 0)
 
+    @pytest.mark.parametrize("base", [2**64, 2**64 + 3, 2**70])
+    def test_base_beyond_64_bits_rejected(self, base):
+        # masked to 64 bits, base 2**64 + k replayed the runs of base k
+        with pytest.raises(InvalidArgumentError, match=r"base_seed must be in \[0, 2\*\*64\)"):
+            _util.derive_seed(base, 3)
+
     @pytest.mark.parametrize("args", [(1.5, 0), (1, 2.0), ("1", 0)],
                              ids=["float-base", "float-index", "str-base"])
     def test_non_integer_arguments_rejected(self, args):
