@@ -1,4 +1,4 @@
-"""Shared helpers: integer arguments, seed derivation and compensated means."""
+"""Shared helpers: argument checks, seed derivation and compensated means."""
 
 import math
 import operator
@@ -17,13 +17,28 @@ SEED_DERIVATION = "splitmix64(base_seed + (rep_index + 1) * 0x9E3779B97F4A7C15)"
 PRNG_NAME = "numpy.random.PCG64"
 
 
-def check_int(value, name: str) -> int:
+def check_int(value, name: str, minimum: int | None = None) -> int:
     """value as a Python int by operator.index, so numpy integers pass and
-    floats do not; InvalidArgumentError naming name otherwise."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidArgumentError(f"{name} must be an integer") from None
+    floats and bools do not, and at least minimum if that is given;
+    InvalidArgumentError "<name> must be an integer[ >= minimum]" otherwise."""
+    if not isinstance(value, bool):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if minimum is None or value >= minimum:
+                return value
+    bound = "" if minimum is None else f" >= {minimum}"
+    raise InvalidArgumentError(f"{name} must be an integer{bound}")
+
+
+def check_response(T) -> np.ndarray:
+    """T as an array, checked to be 1-d with every entry 0 or 1."""
+    T = np.asarray(T)
+    if T.ndim != 1 or np.count_nonzero(T == 1) + np.count_nonzero(T == 0) != T.size:
+        raise InvalidArgumentError("T must be a 1-d array of 0/1 response indicators")
+    return T
 
 
 def check_seed(value, name: str) -> int:
@@ -42,9 +57,7 @@ def derive_seed(base_seed: int, index: int) -> int:
     so that neighbouring indices land far apart in seed space.  Pure integer
     arithmetic, identical on every platform.
     """
-    base_seed, index = check_seed(base_seed, "base_seed"), check_int(index, "index")
-    if index < 0:
-        raise InvalidArgumentError("index must be nonnegative")
+    base_seed, index = check_seed(base_seed, "base_seed"), check_int(index, "index", 0)
     x = (base_seed + (index + 1) * _GOLDEN) & _MASK64
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import PRNG_NAME, SEED_DERIVATION
+from ._util import PRNG_NAME, SEED_DERIVATION, check_int
 from .dgp import AnalysisView, DgpConfig, design_matrix
 from .errors import ConfigError, DataError, DrmeanError, InvalidArgumentError
 from .estimators import ESTIMATOR_NAMES, check_estimator_names, estimate_all
@@ -78,14 +78,12 @@ def _load_json(path: str, what: str) -> dict:
 
 def _int_field(raw: dict, key: str, minimum: int, default: int | None = None) -> int:
     """raw[key], or default if the key is absent (required if default is None),
-    checked to be a JSON integer of at least minimum."""
+    checked to be an integer of at least minimum by _util.check_int."""
     _require(key in raw or default is not None, f"config requires {key}")
-    value = raw.get(key, default)
-    _require(
-        isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
-        f"{key} must be an integer >= {minimum}",
-    )
-    return value
+    try:
+        return check_int(raw.get(key, default), key, minimum)
+    except InvalidArgumentError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_run_config(path: str) -> tuple[list[ScenarioSpec], DgpConfig, dict]:
@@ -397,14 +395,12 @@ def load_sensitivity_config(path: str, names: list[str]) -> tuple[dict, dict]:
             )
             missing = [c for c in cols if c not in names]
             _require(not missing, f"{key}[{k}]: unknown column(s) {', '.join(missing)}")
-            kind = spec.get("kind")
-            _require(kind is None or isinstance(kind, str), f"{key}[{k}].kind must be a string")
             try:
                 specs.append(
                     ModelSpec(
                         role=role,
                         covariates=tuple(names.index(c) for c in cols),
-                        kind=kind,
+                        kind=spec.get("kind"),
                     )
                 )
             except InvalidArgumentError as exc:

@@ -124,11 +124,7 @@ def transform_covariates(Z: np.ndarray) -> np.ndarray:
 
 def generate_sample(n: int, seed: int, cfg: DgpConfig | None = None) -> FullSample:
     """Draw a sample of size n, fully determined by (n, seed, cfg)."""
-    n, seed = check_int(n, "n"), check_int(seed, "seed")
-    if n < 1:
-        raise InvalidArgumentError("n must be at least 1")
-    if seed < 0:
-        raise InvalidArgumentError("seed must be nonnegative")
+    n, seed = check_int(n, "n", 1), check_int(seed, "seed", 0)
     if cfg is None:
         cfg = DgpConfig()
     rng = np.random.Generator(np.random.PCG64(seed))

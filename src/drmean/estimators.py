@@ -45,6 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linmod
+from ._util import check_response
 from .dgp import AnalysisView, FullSample
 from .errors import (
     DrmeanError,
@@ -65,7 +66,7 @@ IDENTITIES_TOL = 1e-8
 
 def _respondents(pi_hat, T, Y):
     """(resp, 1 / pi_hat[resp], Y[resp]) for resp = (T == 1), all checked."""
-    T = np.asarray(T)
+    T = check_response(T)
     resp = T == 1
     pi_hat = np.asarray(pi_hat, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -428,9 +429,13 @@ ESTIMATOR_NAMES = tuple(ESTIMATORS)
 
 
 def check_estimator_names(names) -> tuple[str, ...]:
-    """names as a tuple; InvalidArgumentError if any is unknown or repeated."""
-    names = tuple(names)
-    bad = [nm for nm in names if nm not in ESTIMATORS]
+    """names as a tuple; InvalidArgumentError if names is not a collection
+    of strings or one of them is unknown or repeated."""
+    try:
+        names = tuple(names)
+    except TypeError:
+        raise InvalidArgumentError("estimator names must be a collection of strings") from None
+    bad = [nm for nm in names if not isinstance(nm, str) or nm not in ESTIMATORS]
     if bad:
         raise InvalidArgumentError(f"unknown estimator name(s): {', '.join(map(str, bad))}")
     repeated = sorted({nm for nm in names if names.count(nm) > 1})

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from ._util import fsum_col_means
+from ._util import check_response, fsum_col_means
 from .dgp import AnalysisView
 from .errors import (
     InfeasibleConstraintError,
@@ -69,6 +69,14 @@ class PropensityKind(enum.Enum):
     INV_LINEAR_MOMENT = "INV_LINEAR_MOMENT"
     INV_LINEAR_UNCONSTRAINED = "INV_LINEAR_UNCONSTRAINED"
     LOGISTIC_EXTENDED = "LOGISTIC_EXTENDED"
+
+
+#: the kind of fit each fit_inverse_linear method makes
+INV_LINEAR_METHODS = {
+    "likelihood": PropensityKind.INV_LINEAR_ML,
+    "moment": PropensityKind.INV_LINEAR_MOMENT,
+    "unconstrained_moment": PropensityKind.INV_LINEAR_UNCONSTRAINED,
+}
 
 
 @dataclass
@@ -109,7 +117,7 @@ def weight_diagnostics(pi_hat: np.ndarray, T: np.ndarray) -> WeightDiagnostics:
     the summaries can be infinite; callers decide whether that is fatal.
     """
     pi_hat = np.asarray(pi_hat, dtype=float)
-    T = np.asarray(T)
+    T = check_response(T)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / pi_hat
         var = float(np.var(inv)) if pi_hat.size else 0.0
@@ -336,7 +344,7 @@ def fit_logistic_propensity(
     Newton's method starts from the coefficients start, or from 0;
     iterations counts its steps.
     """
-    T = np.asarray(T)
+    T = check_response(T)
     alpha, eta, iterations = _logistic_newton(design, T.astype(float), start)
     return PropensityFit(
         kind=PropensityKind.LOGISTIC_MLE,
@@ -467,15 +475,10 @@ def fit_inverse_linear(
     fitted values outside (0, 1], which is intentional (its point is the
     algebraic identity it induces, not plausibility of the weights).
     """
-    T = np.asarray(T)
-    design, _ = _check_design(design, T.astype(float))
-    kinds = {
-        "likelihood": PropensityKind.INV_LINEAR_ML,
-        "moment": PropensityKind.INV_LINEAR_MOMENT,
-        "unconstrained_moment": PropensityKind.INV_LINEAR_UNCONSTRAINED,
-    }
-    if method not in kinds:
+    if not isinstance(method, str) or method not in INV_LINEAR_METHODS:
         raise InvalidArgumentError(f"unknown method {method!r}")
+    T = check_response(T)
+    design, _ = _check_design(design, T.astype(float))
     if method == "unconstrained_moment":
         alpha, iterations = _inv_linear_unconstrained(design, T)
     elif method == "likelihood":
@@ -490,7 +493,7 @@ def fit_inverse_linear(
     with np.errstate(divide="ignore"):
         pi_hat = 1.0 / eta
     return PropensityFit(
-        kind=kinds[method],
+        kind=INV_LINEAR_METHODS[method],
         alpha=alpha,
         phi=None,
         eta=eta,
@@ -510,7 +513,7 @@ class RespondentDesign:
     """
 
     def __init__(self, view: AnalysisView):
-        resp = np.asarray(view.T) == 1
+        resp = check_response(view.T) == 1
         if not resp.any():
             raise SingularDesignError("no respondents to fit on")
         y = np.asarray(view.y_observed, dtype=float)[resp]
@@ -695,10 +698,10 @@ def fit_extended_propensity(
     """
     if base.kind not in (PropensityKind.LOGISTIC_MLE, PropensityKind.LOGISTIC_EXTENDED):
         raise InvalidArgumentError("extension requires a logistic base fit")
-    T = np.asarray(T)
+    T = check_response(T)
     h = np.asarray(h, dtype=float)
-    if h.shape != base.eta.shape:
-        raise InvalidArgumentError("h must have one entry per unit")
+    if h.shape != base.eta.shape or T.shape != h.shape:
+        raise InvalidArgumentError("h and T must have one entry per unit")
     if not np.all(np.isfinite(h)):
         raise InvalidArgumentError("h contains non-finite entries")
     resp = T == 1

@@ -47,13 +47,13 @@ class ScenarioSpec:
     estimators: tuple[str, ...] = ESTIMATOR_NAMES
 
     def __post_init__(self) -> None:
-        for name, check in (("n", check_int), ("reps", check_int), ("base_seed", check_seed)):
-            object.__setattr__(self, name, check(getattr(self, name), name))
-        if self.n < 2:
-            raise InvalidArgumentError("n must be at least 2")
-        if self.reps < 1:
-            raise InvalidArgumentError("reps must be at least 1")
-        check_estimator_names(self.estimators)
+        object.__setattr__(self, "n", check_int(self.n, "n", 2))
+        object.__setattr__(self, "reps", check_int(self.reps, "reps", 1))
+        object.__setattr__(self, "base_seed", check_seed(self.base_seed, "base_seed"))
+        object.__setattr__(self, "estimators", check_estimator_names(self.estimators))
+        for name in ("pi_model_correct", "m_model_correct", "reverse"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise InvalidArgumentError(f"{name} must be a boolean")
 
     def label(self) -> str:
         tag = (
@@ -221,9 +221,7 @@ def run_scenarios(
     """
     if cfg is None:
         cfg = DgpConfig()
-    workers = check_int(workers, "workers")
-    if workers < 1:
-        raise InvalidArgumentError("workers must be at least 1")
+    workers = check_int(workers, "workers", 1)
     specs = list(specs)
     groups: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):

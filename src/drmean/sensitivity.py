@@ -17,26 +17,26 @@ and a line's p-value does not depend on which other lines are tested.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import chdtrc
 
-from ._util import check_int, check_seed, derive_seed
+from ._util import check_int, check_response, check_seed, derive_seed
 from .dgp import AnalysisView, design_matrix
 from .errors import DrmeanError, InvalidArgumentError, NonconvergenceError
 from .estimators import ESTIMATORS, Pipeline
+from .linmod import INV_LINEAR_METHODS
 
 # estimators that combine a propensity and an outcome fit, in table order
 DR_ESTIMATORS = tuple(
     name for name, e in ESTIMATORS.items() if e.weighted and e.outcome is not None
 )
 
+# each propensity kind's fit_inverse_linear method, None for the logistic fit
 _PROPENSITY_METHODS = {
     "LOGISTIC_MLE": None,
-    "INV_LINEAR_ML": "likelihood",
-    "INV_LINEAR_MOMENT": "moment",
-    "INV_LINEAR_UNCONSTRAINED": "unconstrained_moment",
+    **{kind.value: method for method, kind in INV_LINEAR_METHODS.items()},
 }
 
 _MIN_BOOT_USED = 20
@@ -62,15 +62,14 @@ class ModelSpec:
             covariates = tuple(self.covariates)
         except TypeError:
             raise InvalidArgumentError("covariates must be a tuple of integers") from None
-        covariates = tuple(check_int(c, "a covariate index") for c in covariates)
+        covariates = tuple(check_int(c, "a covariate index", 0) for c in covariates)
         if len(covariates) == 0:
             raise InvalidArgumentError("covariates must be a nonempty index tuple")
-        if min(covariates) < 0:
-            raise InvalidArgumentError("covariate indices must be nonnegative integers")
         object.__setattr__(self, "covariates", covariates)
-        if self.role == "propensity" and self.kind is not None:
-            if self.kind not in _PROPENSITY_METHODS:
-                raise InvalidArgumentError(f"unknown propensity kind {self.kind!r}")
+        if self.kind is not None and not isinstance(self.kind, str):
+            raise InvalidArgumentError(f"kind must be a string, not {self.kind!r}")
+        if self.role == "propensity" and self.kind not in (None, *_PROPENSITY_METHODS):
+            raise InvalidArgumentError(f"unknown propensity kind {self.kind!r}")
 
 
 @dataclass
@@ -102,22 +101,15 @@ class SensitivityMatrix:
     seed: int
 
     def to_dict(self) -> dict:
-        def clean(x: float) -> float | None:
-            return None if (x is None or math.isnan(x)) else float(x)
+        def clean(x):
+            """x, or None for a NaN float."""
+            return None if isinstance(x, float) and math.isnan(x) else x
 
         def spec_dict(s: ModelSpec) -> dict:
-            return {"role": s.role, "covariates": list(s.covariates), "kind": s.kind}
+            return {**asdict(s), "covariates": list(s.covariates)}
 
         def test_dict(t: HomogeneityResult) -> dict:
-            return {
-                "p_value": clean(t.p_value),
-                "statistic": clean(t.statistic),
-                "df": t.df,
-                "n_boot_used": t.n_boot_used,
-                "boot_failures": t.boot_failures,
-                "singular": t.singular,
-                "note": t.note,
-            }
+            return {k: clean(v) for k, v in asdict(t).items()}
 
         return {
             "estimator": self.estimator,
@@ -139,10 +131,7 @@ class SensitivityMatrix:
 
 def _check_draws(boot_reps, seed) -> tuple[int, int]:
     """boot_reps (at least 2) and seed (in [0, 2**64)) as checked ints."""
-    boot_reps, seed = check_int(boot_reps, "boot_reps"), check_seed(seed, "seed")
-    if boot_reps < 2:
-        raise InvalidArgumentError("boot_reps must be at least 2")
-    return boot_reps, seed
+    return check_int(boot_reps, "boot_reps", 2), check_seed(seed, "seed")
 
 
 def _estimate_cell(
@@ -165,26 +154,31 @@ class _Sample:
     """The full sample as the cells see it: each spec's design, keyed by its
     covariate tuple, the masked outcomes, and the Pipeline memo of the
     full-sample fits, which build_matrix fills and the bootstrap reads.
-    It is the one check of the data and the specs' column indices."""
+    It is the one check of the data and the specs' column indices, and of
+    the columns they use, which must be finite."""
 
     def __init__(self, covariates, T, Y, specs):
-        covariates = np.asarray(covariates, dtype=float)
-        T = np.asarray(T)
-        Y = np.asarray(Y, dtype=float)
+        try:
+            covariates, Y = np.asarray(covariates, dtype=float), np.asarray(Y, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidArgumentError("covariates and Y must be numeric arrays") from None
+        T = check_response(T)
         if covariates.ndim != 2:
             raise InvalidArgumentError("covariates must be 2-d")
         n, n_cols = covariates.shape
         if T.shape != (n,) or Y.shape != (n,):
             raise InvalidArgumentError("T and Y must have one entry per row of covariates")
-        if not np.all((T == 0) | (T == 1)):
-            raise InvalidArgumentError("T must be 0/1")
         if not np.all(np.isfinite(Y[T == 1])):
             raise InvalidArgumentError("respondent outcomes must be finite")
-        for s in specs:
-            if max(s.covariates) >= n_cols:
-                raise InvalidArgumentError(
-                    f"covariate index {max(s.covariates)} out of range for {n_cols} columns"
-                )
+        used = sorted({c for s in specs for c in s.covariates})
+        if used[-1] >= n_cols:
+            raise InvalidArgumentError(
+                f"covariate index {used[-1]} out of range for {n_cols} columns")
+        finite = np.isfinite(covariates[:, used]).all(axis=0)
+        if not finite.all():
+            raise InvalidArgumentError(
+                f"covariate column {used[int(np.argmin(finite))]} holds non-finite values"
+            )
         self.designs = {s.covariates: design_matrix(covariates, s.covariates) for s in specs}
         self.T = T.astype(np.int64)
         self.y = np.where(self.T == 1, Y, np.nan)
@@ -217,12 +211,9 @@ def _estimate_cells(designs, T, y_observed, cells, estimator, starts, memo) -> d
 
 
 def _validate_specs(p_specs, o_specs, estimator):
-    p_specs = tuple(p_specs)
-    o_specs = tuple(o_specs)
+    p_specs, o_specs = tuple(p_specs), tuple(o_specs)
     if estimator not in DR_ESTIMATORS:
-        raise InvalidArgumentError(
-            f"estimator must be doubly robust, one of {DR_ESTIMATORS}"
-        )
+        raise InvalidArgumentError(f"estimator must be doubly robust, one of {DR_ESTIMATORS}")
     if not p_specs or not o_specs:
         raise InvalidArgumentError("need at least one spec per role")
     for s in p_specs:
@@ -280,25 +271,23 @@ def build_matrix(
 class _Draws:
     """The bootstrap draws of one run, shared by all of its line tests.
 
-    Draw b resamples the rows of sample with PCG64(derive_seed(seed, b))
-    and estimates every cell in cells on the resample, with one memo per
-    draw.  Each logistic propensity spec starts its draw fits from its
-    full-sample fit, read through a Pipeline on sample.memo: the one
-    build_matrix left there, else one made and kept there now (from zero
-    if that fit fails).  Logistic specs on one design therefore get the
-    same start array and share one fit per draw.  The draws are evaluated
-    on first use, inside the first line test that reads them.
+    Draw b resamples the rows of sample, with the designs that cells use
+    only, by PCG64(derive_seed(seed, b)) and estimates every cell in cells
+    on the resample, with one memo per draw.  Each logistic propensity
+    spec starts its draw fits from its full-sample fit, read through a
+    Pipeline on sample.memo: the one build_matrix left there, else one made
+    and kept there now (from zero if that fit fails).  Logistic specs on
+    one design therefore get the same start array and share one fit per
+    draw.  The draws are evaluated on first use, inside the first line
+    test that reads them.
     """
 
     def __init__(self, sample: _Sample, cells, estimator, boot_reps: int, seed: int):
+        self.sample = sample
         self.cells = tuple(dict.fromkeys(cells))
         self.estimator = estimator
         self.boot_reps = boot_reps
         self.seed = seed
-        used = {s.covariates for cell in self.cells for s in cell}
-        self._designs = {k: d for k, d in sample.designs.items() if k in used}
-        self._T = sample.T
-        self._y = sample.y
         p_specs = dict.fromkeys(ps for ps, _ in self.cells)
         self._starts = {
             ps: self._start(sample, ps) for ps in p_specs if ps.kind in (None, "LOGISTIC_MLE")
@@ -319,14 +308,15 @@ class _Draws:
     def draws(self) -> list[dict]:
         """Per draw, each cell's estimate or the DrmeanError it failed with."""
         if self._draws is None:
-            n = self._T.shape[0]
+            sample, n = self.sample, self.sample.T.shape[0]
+            used = dict.fromkeys(s.covariates for cell in self.cells for s in cell)
             draws = []
             for b in range(self.boot_reps):
                 rng = np.random.Generator(np.random.PCG64(derive_seed(self.seed, b)))
                 idx = rng.integers(0, n, size=n)
                 draws.append(_estimate_cells(
-                    {k: d[idx] for k, d in self._designs.items()},
-                    self._T[idx], self._y[idx], self.cells, self.estimator,
+                    {k: sample.designs[k][idx] for k in used},
+                    sample.T[idx], sample.y[idx], self.cells, self.estimator,
                     self._starts, {},
                 ))
             self._draws = draws
@@ -523,22 +513,18 @@ def run_sensitivity(
     )
     kept = [(p_specs[i], o_specs[j]) for i, j in zip(*np.nonzero(np.isfinite(estimates)))]
     draws = _Draws(sample, kept, estimator, boot_reps, seed)
-    row_tests = [
-        homogeneity_test(
-            estimates[i, :], covariates, T, Y, p_specs[i], o_specs, estimator,
-            boot_reps=boot_reps, seed=seed, _draws=draws,
-        )
-        for i in range(len(p_specs))
-    ]
-    col_tests = [
-        homogeneity_test(
-            estimates[:, j], covariates, T, Y, o_specs[j], p_specs, estimator,
-            boot_reps=boot_reps, seed=seed, _draws=draws,
-        )
-        for j in range(len(o_specs))
-    ]
-    row_spread = np.array([_spread(estimates[i, :]) for i in range(len(p_specs))])
-    col_spread = np.array([_spread(estimates[:, j]) for j in range(len(o_specs))])
+
+    def line_tests(lines, fixed_specs, varying_specs):
+        """The test and the spread of each line; line k holds fixed_specs[k]."""
+        tests = [
+            homogeneity_test(line, covariates, T, Y, fixed, varying_specs, estimator,
+                             boot_reps=boot_reps, seed=seed, _draws=draws)
+            for line, fixed in zip(lines, fixed_specs)
+        ]
+        return tests, np.array([_spread(line) for line in lines])
+
+    row_tests, row_spread = line_tests(estimates, p_specs, o_specs)
+    col_tests, col_spread = line_tests(estimates.T, o_specs, p_specs)
     selection = select_models(row_tests, col_tests, row_spread, col_spread)
     return SensitivityMatrix(
         estimator=estimator,

@@ -105,6 +105,15 @@ class TestTransform:
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("n, seed, message",
+                             [(True, 1, "n must be an integer >= 1"),
+                              (0, 1, "n must be an integer >= 1"),
+                              (10, True, "seed must be an integer >= 0"),
+                              (10, -1, "seed must be an integer >= 0")])
+    def test_bad_size_or_seed_rejected(self, n, seed, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            dgp.generate_sample(n, seed)
+
     def test_bitwise_determinism(self):
         a = dgp.generate_sample(250, 7)
         b = dgp.generate_sample(250, 7)

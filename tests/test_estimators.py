@@ -100,6 +100,17 @@ class TestPointEstimators:
         with pytest.raises(InvalidArgumentError, match="m_hat length must match T"):
             fn(np.full(3, 0.5), np.ones(length), T, np.array([1.0, np.nan, 2.0]))
 
+    @pytest.mark.parametrize("T", [[1, 1, 0, 2], [1, 0.5, 0, 1], [[1, 1, 0, 1]]],
+                             ids=["two", "half", "2-d"])
+    def test_response_indicators_must_be_zero_or_one(self, T):
+        # mu_ht with T = 2 returned a value
+        for call in (lambda: est.mu_ht(TOY_PI, T, TOY_Y),
+                     lambda: est.mu_ipw_pop(TOY_PI, T, TOY_Y),
+                     lambda: est.mu_aipw(TOY_PI, TOY_M, T, TOY_Y),
+                     lambda: est.mu_b_dr(TOY_PI, TOY_M, T, TOY_Y)):
+            with pytest.raises(InvalidArgumentError, match="T must be a 1-d array of 0/1"):
+                call()
+
 
 class TestAlgebraicReductions:
     def test_aipw_with_zero_m_is_ht(self):
@@ -218,6 +229,23 @@ class TestEstimateAll:
     def test_duplicate_name_rejected(self, right_view):
         with pytest.raises(InvalidArgumentError):
             est.estimate_all(right_view, None, ("OLS", "HT", "OLS"))
+
+    @pytest.mark.parametrize("which", [[["OLS"]], ["OLS", 1], 1.5, "OLS"],
+                             ids=["list-name", "int-name", "scalar", "string"])
+    def test_names_must_be_a_collection_of_strings(self, right_view, which):
+        # a list name raised TypeError: unhashable type: 'list'
+        with pytest.raises(InvalidArgumentError, match="estimator"):
+            est.estimate_all(right_view, None, which)
+
+    def test_response_indicators_must_be_zero_or_one(self):
+        # T[:5] = 2 gave ten values and no message
+        sample = generate_sample(300, 1)
+        view = make_view(sample, True, True)
+        view.T[:5] = 2
+        out = est.estimate_all(view, sample)
+        assert out.flags.pop("FULL") == est.FLAG_OK
+        assert set(out.flags.values()) == {est.FLAG_FAILED}
+        assert all("T must be a 1-d array of 0/1" in m for m in out.messages.values())
 
     def test_unweighted_request_fits_no_propensity_model(
         self, monkeypatch, sample_1000, right_view

@@ -385,6 +385,13 @@ class TestOutcomeFits:
 
 
 class TestInverseLinear:
+    @pytest.mark.parametrize("method", [[1], None, 1, "MOMENT"])
+    def test_unknown_method_rejected(self, method):
+        # a list method raised TypeError: unhashable type: 'list'
+        design = np.column_stack([np.ones(4), [0.0, 1.0, 3.0, 8.0]])
+        with pytest.raises(InvalidArgumentError, match="unknown method"):
+            linmod.fit_inverse_linear(design, np.array([1, 1, 1, 0]), method)
+
     def test_unconstrained_hand_solution(self):
         design = np.column_stack([np.ones(4), [0.0, 1.0, 3.0, 8.0]])
         T = np.array([1, 1, 1, 0])
@@ -780,6 +787,48 @@ class TestEquilibrate:
         _, scale = linmod._equilibrate(design)
         assert scale[0] == 1e300 and scale[2] == 1.0
         assert scale[1] == pytest.approx(math.sqrt((1.7**2 + 1.5**2) / 2) * 1e308, rel=1e-15)
+
+
+class TestResponseIndicators:
+    """Every public fit and weight summary rejects a T that is not 0/1."""
+
+    @pytest.fixture(params=[2, 0.5], ids=["two", "half"])
+    def case(self, request, sample_1000):
+        # the logistic fit with T = 2 or 0.5 reported convergence
+        view = make_view(sample_1000, True, True)
+        T = view.T.astype(float)
+        T[:5] = request.param
+        return view, T
+
+    def fits(self, view, T):
+        design = view.design_pi
+        base = linmod.fit_logistic_propensity(design, view.T)
+        bad_view = AnalysisView(design, design, T, view.y_observed)
+        pi_hat = np.full(len(T), 0.5)
+        return {
+            "logistic": lambda: linmod.fit_logistic_propensity(design, T),
+            **{method: lambda method=method: linmod.fit_inverse_linear(design, T, method)
+               for method in linmod.INV_LINEAR_METHODS},
+            "extended": lambda: linmod.fit_extended_propensity(base, base.eta, T),
+            "diagnostics": lambda: linmod.weight_diagnostics(base.pi_hat, T),
+            "reg": lambda: linmod.fit_outcome_reg(bad_view),
+            "wls": lambda: linmod.fit_outcome_wls(bad_view, pi_hat),
+            "ipw_nr": lambda: linmod.fit_outcome_ipw_nr(bad_view, pi_hat),
+            "ext_reg": lambda: linmod.fit_outcome_ext_reg(bad_view, pi_hat),
+        }
+
+    @pytest.mark.parametrize("name", ["logistic", *linmod.INV_LINEAR_METHODS, "extended",
+                                      "diagnostics", "reg", "wls", "ipw_nr", "ext_reg"])
+    def test_rejected(self, case, name):
+        with pytest.raises(InvalidArgumentError, match="T must be a 1-d array of 0/1"):
+            self.fits(*case)[name]()
+
+    def test_extension_needs_one_indicator_per_unit(self, sample_1000):
+        # a short T raised numpy's IndexError
+        view = make_view(sample_1000, True, True)
+        base = linmod.fit_logistic_propensity(view.design_pi, view.T)
+        with pytest.raises(InvalidArgumentError, match="one entry per unit"):
+            linmod.fit_extended_propensity(base, base.eta, view.T[:-1])
 
 
 class TestWeightDiagnostics:

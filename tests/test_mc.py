@@ -131,6 +131,44 @@ class TestScenarioSpec:
                 estimators=("OLS", "OLS"),
             )
 
+    @pytest.mark.parametrize("field, value, message",
+                             [("reps", True, "reps must be an integer >= 1"),
+                              ("n", True, "n must be an integer >= 2"),
+                              ("n", 1, "n must be an integer >= 2"),
+                              ("base_seed", False, "base_seed must be an integer")])
+    def test_bool_and_small_counts_rejected(self, field, value, message):
+        # reps=True ran one replication
+        kwargs = {"n": 200, "reps": 2, "pi_model_correct": True, "m_model_correct": True}
+        with pytest.raises(InvalidArgumentError, match=message):
+            mc.ScenarioSpec(**{**kwargs, field: value})
+
+    @pytest.mark.parametrize("field", ["pi_model_correct", "m_model_correct", "reverse"])
+    @pytest.mark.parametrize("value", ["no", 0, 1, None, [True]])
+    def test_flags_must_be_booleans(self, field, value):
+        # pi_model_correct="no" ran, and was labelled as, the correct model
+        kwargs = {"n": 100, "reps": 3, "pi_model_correct": True, "m_model_correct": False,
+                  "base_seed": 1}
+        with pytest.raises(InvalidArgumentError, match=f"{field} must be a boolean"):
+            mc.ScenarioSpec(**{**kwargs, field: value})
+
+    def test_numpy_bool_flags_accepted(self):
+        spec = mc.ScenarioSpec(n=10, reps=1, pi_model_correct=np.True_,
+                               m_model_correct=np.False_, reverse=np.bool_(True))
+        assert spec.label() == "pi_right_m_wrong_reversed"
+
+    @pytest.mark.parametrize("estimators", [(["OLS"],), (1,), 5, None],
+                             ids=["list-name", "int-name", "scalar", "none"])
+    def test_estimator_names_must_be_strings(self, estimators):
+        # a list name raised TypeError: unhashable type: 'list'
+        with pytest.raises(InvalidArgumentError, match="estimator"):
+            mc.ScenarioSpec(n=10, reps=1, pi_model_correct=True, m_model_correct=True,
+                            estimators=estimators)
+
+    def test_estimator_names_stored_as_a_tuple(self):
+        spec = mc.ScenarioSpec(n=10, reps=1, pi_model_correct=True, m_model_correct=True,
+                               estimators=["OLS", "HT"])
+        assert spec.estimators == ("OLS", "HT")
+
 
 SMALL = mc.ScenarioSpec(
     n=60, reps=12, pi_model_correct=False, m_model_correct=False, base_seed=911
@@ -214,6 +252,11 @@ class TestRunScenario:
     @pytest.mark.parametrize("workers", [1.5, "2", None])
     def test_non_integer_workers_rejected(self, workers):
         with pytest.raises(InvalidArgumentError, match="workers must be an integer"):
+            mc.run_scenario(SMALL, workers=workers)
+
+    @pytest.mark.parametrize("workers", [True, 0, -1])
+    def test_bool_and_small_worker_counts_rejected(self, workers):
+        with pytest.raises(InvalidArgumentError, match="workers must be an integer >= 1"):
             mc.run_scenario(SMALL, workers=workers)
 
 

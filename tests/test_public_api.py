@@ -8,7 +8,10 @@ only with the package's own errors: it never warns and never raises an
 exception of another type.  The same holds for the command line: fed
 configs whose values are bools, floats, strings, null, negatives, seeds
 beyond 64 bits and overflowing generator settings, it returns an exit code
-of 0 to 3.
+of 0 to 3.  The scalar arguments of the library (counts, seeds, flags,
+names and methods), fed bools, floats, strings, lists, None and negative
+numbers, raise nothing but DrmeanErrors, and a bool never passes for a
+count nor anything else for a flag.
 """
 
 import json
@@ -250,3 +253,78 @@ def test_simulate_cli_returns_an_exit_code(workdir, config):
 @example({**SENSITIVITY, "boot_reps": 1})
 def test_sensitivity_cli_returns_an_exit_code(workdir, config):
     run_cli(workdir, "sensitivity", config)
+
+
+# scalar arguments of the wrong type or range, beside small valid counts
+ARGUMENTS = st.one_of(
+    st.sampled_from((True, False, np.True_, 1.5, math.nan, -1, -(2**70), "x", "OLS",
+                     "likelihood", "LOGISTIC_MLE", None, [], [1], [True], ["OLS"], [["OLS"]])),
+    st.integers(0, 3),
+)
+SPEC = {"n": 10, "reps": 1, "pi_model_correct": True, "m_model_correct": False,
+        "estimators": ("OLS", "DR_WLS")}
+
+
+def scalar_targets() -> dict:
+    """Per name, (the call on one scalar argument, what the argument is): an
+    "int" that a bool must not pass for, a "flag" that only a bool passes
+    for, or "other"."""
+    sample = drmean.generate_sample(40, 5)
+    cov = np.hstack([sample.Z, sample.X])
+    y = np.where(sample.T == 1, sample.Y, np.nan)
+    view = drmean.make_view(sample, True, True)
+    pz, oz = ModelSpec("propensity", (0, 1, 2, 3)), ModelSpec("outcome", (0, 1, 2, 3))
+
+    def scenario(field):
+        return lambda v: drmean.run_scenario(drmean.ScenarioSpec(**{**SPEC, field: v}))
+
+    def model_spec(field):
+        base = {"role": "propensity", "covariates": (0,), "kind": None}
+        return lambda v: hash(ModelSpec(**{**base, field: v}))
+
+    def sensitivity(**kwargs):
+        return drmean.run_sensitivity(cov, sample.T, y, [pz], [oz], "DR_WLS",
+                                      **{"boot_reps": 2, "seed": 0, **kwargs})
+
+    # one task: workers never starts a pool
+    one_task = drmean.ScenarioSpec(**SPEC)
+    return {
+        **{f"ScenarioSpec.{f}": (scenario(f), "int") for f in ("n", "reps", "base_seed")},
+        **{f"ScenarioSpec.{f}": (scenario(f), "flag")
+           for f in ("pi_model_correct", "m_model_correct", "reverse")},
+        "ScenarioSpec.estimators": (scenario("estimators"), "other"),
+        **{f"ModelSpec.{f}": (model_spec(f), "other") for f in ("role", "covariates", "kind")},
+        "run_scenarios.workers": (
+            lambda v: drmean.run_scenarios([one_task], workers=v), "int"),
+        "generate_sample.n": (lambda v: drmean.generate_sample(v, 1), "int"),
+        "generate_sample.seed": (lambda v: drmean.generate_sample(5, v), "int"),
+        "run_sensitivity.boot_reps": (lambda v: sensitivity(boot_reps=v), "int"),
+        "run_sensitivity.seed": (lambda v: sensitivity(seed=v), "int"),
+        "estimate_all.which": (lambda v: drmean.estimate_all(view, sample, v), "other"),
+        "fit_inverse_linear.method": (
+            lambda v: drmean.fit_inverse_linear(view.design_pi, view.T, v), "other"),
+    }
+
+
+SCALAR_TARGETS = scalar_targets()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SCALAR_TARGETS)), ARGUMENTS)
+# each ran, or raised a TypeError, before the checks of this argument
+@example("ScenarioSpec.reps", True)
+@example("ScenarioSpec.pi_model_correct", "no")
+@example("ModelSpec.covariates", (True,))
+@example("ModelSpec.kind", [1])
+@example("ScenarioSpec.estimators", (["OLS"],))
+@example("estimate_all.which", [["OLS"]])
+@example("fit_inverse_linear.method", [1])
+def test_scalar_arguments_raise_only_drmean_errors(name, value):
+    target, kind = SCALAR_TARGETS[name]
+    if (kind == "int" and isinstance(value, (bool, np.bool_))
+            or kind == "flag" and not isinstance(value, (bool, np.bool_))):
+        with warnings.catch_warnings(), pytest.raises(DrmeanError):
+            warnings.simplefilter("error")
+            target(value)
+    else:
+        call(target, value)

@@ -41,6 +41,26 @@ class TestModelSpec:
         with pytest.raises(InvalidArgumentError):
             sens.ModelSpec(role="propensity", covariates=(0,), kind="PROBIT")
 
+    def test_bool_index_rejected(self):
+        # (True,) read column 1
+        with pytest.raises(InvalidArgumentError, match="must be an integer >= 0"):
+            sens.ModelSpec(role="outcome", covariates=(True,))
+
+    @pytest.mark.parametrize("role", ["propensity", "outcome"])
+    @pytest.mark.parametrize("kind", [[1], 1, {"LOGISTIC_MLE"}])
+    def test_non_string_kind_rejected(self, role, kind):
+        # a list kind raised TypeError: unhashable type: 'list'
+        with pytest.raises(InvalidArgumentError, match="kind must be a string"):
+            sens.ModelSpec(role=role, covariates=(0,), kind=kind)
+
+    def test_every_kind_has_its_fit(self):
+        assert sens._PROPENSITY_METHODS == {
+            "LOGISTIC_MLE": None,
+            "INV_LINEAR_ML": "likelihood",
+            "INV_LINEAR_MOMENT": "moment",
+            "INV_LINEAR_UNCONSTRAINED": "unconstrained_moment",
+        }
+
     @pytest.mark.parametrize(
         "covariates",
         [(math.nan,), ("a",), (None,), (1.0, 2.0), (0, 1.5), 3, "01"],
@@ -358,7 +378,7 @@ class TestRunSensitivity:
         "settings, message",
         [({"seed": -1}, r"seed must be in \[0, 2\*\*64\)"),
          ({"seed": 2**64}, r"seed must be in \[0, 2\*\*64\)"),
-         ({"boot_reps": 1}, "boot_reps must be at least 2")],
+         ({"boot_reps": 1}, "boot_reps must be an integer >= 2")],
         ids=["negative-seed", "seed-2**64", "one-draw"],
     )
     def test_draw_settings_checked_before_any_fit(self, data600, logistic_fits,
@@ -383,6 +403,42 @@ class TestRunSensitivity:
                             calls.append("_Sample") or sample_init(self, *a))
         sens.run_sensitivity(cov, T, y, [PZ, PX], [OZ, OX], "DR_WLS", boot_reps=5, seed=1)
         assert sorted(calls) == ["_Sample", "_check_draws", "_validate_specs"]
+
+    def test_non_finite_used_covariate_rejected_before_any_fit(self, logistic_fits):
+        # every cell failed with "design contains non-finite entries"
+        sample = generate_sample(100, 1)
+        cov = np.hstack([sample.Z, sample.X])
+        cov[3, 0] = np.inf
+        y = np.where(sample.T == 1, sample.Y, np.nan)
+        with pytest.raises(InvalidArgumentError, match="covariate column 0 holds non-finite"):
+            sens.run_sensitivity(cov, sample.T, y, [PZ, PX], [OZ, OX], "DR_WLS",
+                                 boot_reps=2, seed=1)
+        assert logistic_fits == []
+
+    def test_non_finite_unused_covariate_allowed(self):
+        sample = generate_sample(100, 1)
+        cov = np.hstack([sample.Z, sample.X])
+        y = np.where(sample.T == 1, sample.Y, np.nan)
+        want = sens.run_sensitivity(cov, sample.T, y, [PX], [OX], "DR_WLS", boot_reps=2, seed=1)
+        cov[3, 0] = np.inf
+        got = sens.run_sensitivity(cov, sample.T, y, [PX], [OX], "DR_WLS", boot_reps=2, seed=1)
+        assert got.to_dict() == want.to_dict()
+        assert np.isfinite(got.estimates).all()
+
+    @pytest.mark.parametrize("cov", [np.full((100, 8), "a"), [[0.0] * 8] * 99 + [[0.0]]],
+                             ids=["strings", "ragged"])
+    def test_non_numeric_covariates_rejected(self, cov):
+        # numpy's ValueError escaped
+        sample = generate_sample(100, 1)
+        y = np.where(sample.T == 1, sample.Y, np.nan)
+        with pytest.raises(InvalidArgumentError, match="must be numeric"):
+            sens.run_sensitivity(cov, sample.T, y, [PZ], [OZ], "DR_WLS", boot_reps=2)
+
+    def test_to_dict_keys_follow_the_dataclasses(self, result):
+        payload = result.to_dict()
+        assert list(payload["propensity_models"][0]) == ["role", "covariates", "kind"]
+        assert list(payload["row_tests"][0]) == [
+            "p_value", "statistic", "df", "n_boot_used", "boot_failures", "singular", "note"]
 
     def test_integer_arguments_stored_as_ints(self, data600):
         _, cov, T, y = data600

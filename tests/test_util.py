@@ -51,6 +51,43 @@ class TestDeriveSeed:
         assert _util.derive_seed(np.uint64(7), np.int32(3)) == _util.derive_seed(7, 3)
 
 
+class TestCheckInt:
+    @pytest.mark.parametrize("value", [True, False, np.True_, 1.0, "1", None, -1],
+                             ids=["true", "false", "numpy-bool", "float", "str", "none",
+                                  "below"])
+    def test_rejected_with_the_bound(self, value):
+        with pytest.raises(InvalidArgumentError, match=r"^k must be an integer >= 0$"):
+            _util.check_int(value, "k", 0)
+
+    def test_no_bound(self):
+        assert _util.check_int(-5, "k") == -5
+        with pytest.raises(InvalidArgumentError, match=r"^k must be an integer$"):
+            _util.check_int(True, "k")
+
+    def test_numpy_integer_at_the_bound_passes(self):
+        value = _util.check_int(np.int32(3), "k", 3)
+        assert value == 3 and type(value) is int
+
+    def test_bool_index_rejected(self):
+        # derive_seed(0, True) was derive_seed(0, 1)
+        with pytest.raises(InvalidArgumentError, match="index must be an integer >= 0"):
+            _util.derive_seed(0, True)
+
+
+class TestCheckResponse:
+    @pytest.mark.parametrize("T", [[0, 1, 1], [0.0, 1.0], [True, False], []],
+                             ids=["int", "float", "bool", "empty"])
+    def test_zero_one_vectors_pass(self, T):
+        assert np.array_equal(_util.check_response(T), np.asarray(T))
+
+    @pytest.mark.parametrize("T", [[0, 2], [0.5, 1.0], [math.nan, 1.0], [[0, 1]], 1,
+                                   ["0", "1"]],
+                             ids=["two", "half", "nan", "2-d", "scalar", "strings"])
+    def test_others_rejected(self, T):
+        with pytest.raises(InvalidArgumentError, match="T must be a 1-d array of 0/1"):
+            _util.check_response(T)
+
+
 class TestFsumReductions:
     def test_fsum_col_means_matches_per_column(self):
         rng = np.random.default_rng(4)
