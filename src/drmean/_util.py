@@ -1,4 +1,5 @@
-"""Shared helpers: argument checks, seed derivation and compensated means."""
+"""Shared helpers: argument checks, seed derivation, compensated means and
+the JSON null of an undefined value."""
 
 import math
 import operator
@@ -39,6 +40,29 @@ def check_response(T) -> np.ndarray:
     if T.ndim != 1 or np.count_nonzero(T == 1) + np.count_nonzero(T == 0) != T.size:
         raise InvalidArgumentError("T must be a 1-d array of 0/1 response indicators")
     return T
+
+
+def check_units(values, T, name: str) -> np.ndarray:
+    """values as a float array with one entry per unit, shaped as T;
+    InvalidArgumentError "<name> length must match T" otherwise."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != np.shape(T):
+        raise InvalidArgumentError(f"{name} length must match T")
+    return values
+
+
+def check_vector(values, name: str) -> np.ndarray:
+    """values as a 1-d float array; InvalidArgumentError "<name> must be 1-d"
+    otherwise."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise InvalidArgumentError(f"{name} must be 1-d")
+    return values
+
+
+def nan_to_none(x):
+    """x, or None for a NaN float: how JSON output writes an undefined value."""
+    return None if isinstance(x, float) and math.isnan(x) else x
 
 
 def check_seed(value, name: str) -> int:

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import PRNG_NAME, SEED_DERIVATION, check_int
+from ._util import PRNG_NAME, SEED_DERIVATION, check_int, nan_to_none
 from .dgp import AnalysisView, DgpConfig, design_matrix
 from .errors import ConfigError, DataError, DrmeanError, InvalidArgumentError
 from .estimators import ESTIMATOR_NAMES, check_estimator_names, estimate_all
@@ -163,12 +163,6 @@ def _write_text(path: str, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
-
-
-def _json_clean(x):
-    if isinstance(x, float) and math.isnan(x):
-        return None
-    return x
 
 
 # ---------------------------------------------------------------- datasets
@@ -349,12 +343,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     result = estimate_all(view, None, which)
     diag = result.diagnostics
     payload = {
-        "values": {k: _json_clean(v) for k, v in result.values.items()},
+        "values": {k: nan_to_none(v) for k, v in result.values.items()},
         "flags": result.flags,
         "messages": result.messages,
         "weight_diagnostics": None
         if diag is None
-        else {k: _json_clean(v) for k, v in asdict(diag).items()},
+        else {k: nan_to_none(v) for k, v in asdict(diag).items()},
         "metadata": {
             "package_version": __version__,
             "n": int(len(T)),

@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linmod
-from ._util import check_response
+from ._util import check_response, check_units, check_vector
 from .dgp import AnalysisView, FullSample
 from .errors import (
     DrmeanError,
@@ -68,10 +68,7 @@ def _respondents(pi_hat, T, Y):
     """(resp, 1 / pi_hat[resp], Y[resp]) for resp = (T == 1), all checked."""
     T = check_response(T)
     resp = T == 1
-    pi_hat = np.asarray(pi_hat, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if pi_hat.shape != T.shape or Y.shape != T.shape:
-        raise InvalidArgumentError("pi_hat and Y lengths must match T")
+    pi_hat, Y = check_units(pi_hat, T, "pi_hat"), check_units(Y, T, "Y")
     if not resp.any():
         raise UndefinedEstimatorError("no respondents")
     with np.errstate(divide="ignore", over="ignore"):
@@ -94,14 +91,6 @@ def _fsum(terms: np.ndarray) -> float:
     if not math.isfinite(total):
         raise UndefinedEstimatorError("an exact sum overflows")
     return total
-
-
-def _check_fitted(m_hat, T) -> np.ndarray:
-    """m_hat as a float array, checked to have one entry per unit."""
-    m_hat = np.asarray(m_hat, dtype=float)
-    if m_hat.shape != np.shape(T):
-        raise InvalidArgumentError("m_hat length must match T")
-    return m_hat
 
 
 class _Respondents:
@@ -184,7 +173,7 @@ def mu_ipw_pop(pi_hat, T, Y) -> float:
 
 def mu_aipw(pi_hat, m_hat, T, Y) -> float:
     """Augmented IPW: P_n[m_hat] + P_n[T (y - m_hat) / pi_hat]."""
-    r, f = _Respondents(pi_hat, T, Y), _Fitted(_check_fitted(m_hat, T))
+    r, f = _Respondents(pi_hat, T, Y), _Fitted(check_units(m_hat, T, "m_hat"))
     return _aipw(r, f, r.residual_sum(f))
 
 
@@ -195,18 +184,18 @@ def mu_b_dr(pi_hat, m_hat, T, Y) -> float:
     can never leave [min m_hat, max m_hat] by more than the largest
     absolute residual.
     """
-    r, f = _Respondents(pi_hat, T, Y), _Fitted(_check_fitted(m_hat, T))
+    r, f = _Respondents(pi_hat, T, Y), _Fitted(check_units(m_hat, T, "m_hat"))
     return _b_dr(r, f, r.residual_sum(f))
 
 
 def mu_from_regression(m_hat) -> float:
     """Plug-in mean of fitted values: P_n[m_hat]."""
-    return _plug_in(_Fitted(m_hat))
+    return _plug_in(_Fitted(check_vector(m_hat, "m_hat")))
 
 
 def mu_full(Y) -> float:
     """Mean of the complete outcomes (available in simulation only)."""
-    Y = np.asarray(Y, dtype=float)
+    Y = check_vector(Y, "Y")
     if Y.size == 0:
         raise UndefinedEstimatorError("no outcomes")
     if not np.all(np.isfinite(Y)):
@@ -463,7 +452,9 @@ def estimate_all(
     """
     names = ESTIMATOR_NAMES if which is None else check_estimator_names(which)
     pipe = Pipeline(view, full, memo=_memo)
-    y_resp = pipe.y[pipe.T == 1]
+    # no observed range if y_observed and T disagree: every estimator that
+    # reads them fails on that
+    y_resp = pipe.y[pipe.T == 1] if pipe.y.shape == pipe.T.shape else np.empty(0)
     y_resp = y_resp[~np.isnan(y_resp)]
     lo, hi = (y_resp.min(), y_resp.max()) if y_resp.size else (math.inf, -math.inf)
     values: dict[str, float] = {}

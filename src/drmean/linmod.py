@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from ._util import check_response, fsum_col_means
+from ._util import check_response, check_units, fsum_col_means
 from .dgp import AnalysisView
 from .errors import (
     InfeasibleConstraintError,
@@ -116,8 +116,8 @@ def weight_diagnostics(pi_hat: np.ndarray, T: np.ndarray) -> WeightDiagnostics:
     Groups with no members report 0 for their max.  With any pi_hat <= 0
     the summaries can be infinite; callers decide whether that is fatal.
     """
-    pi_hat = np.asarray(pi_hat, dtype=float)
     T = check_response(T)
+    pi_hat = check_units(pi_hat, T, "pi_hat")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / pi_hat
         var = float(np.var(inv)) if pi_hat.size else 0.0
@@ -513,14 +513,17 @@ class RespondentDesign:
     """
 
     def __init__(self, view: AnalysisView):
-        resp = check_response(view.T) == 1
+        T = check_response(view.T)
+        resp = T == 1
         if not resp.any():
             raise SingularDesignError("no respondents to fit on")
-        y = np.asarray(view.y_observed, dtype=float)[resp]
+        y = check_units(view.y_observed, T, "y_observed")[resp]
         if not np.all(np.isfinite(y)):
             raise InvalidArgumentError("observed outcomes contain non-finite values")
         self.resp = resp
         self.design = np.asarray(view.design_m, dtype=float)
+        if self.design.shape[:1] != T.shape:
+            raise InvalidArgumentError("design_m rows must match T")
         self.rows, y = _check_design(self.design[resp], y)
         self.y_scale = math.ldexp(1.0, math.frexp(np.max(np.abs(y)))[1] - 1)
         self.y = y / self.y_scale
@@ -571,7 +574,7 @@ def fit_outcome_wls(
     view: AnalysisView, pi_hat: np.ndarray, *, _design: RespondentDesign | None = None
 ) -> OutcomeFit:
     """Outcome regression on respondents, weighted by 1 / pi_hat."""
-    pi_hat = np.asarray(pi_hat, dtype=float)
+    pi_hat = check_units(pi_hat, view.T, "pi_hat")
     pi_resp = pi_hat[np.asarray(view.T) == 1]
     if np.any(pi_resp <= 0) or not np.all(np.isfinite(pi_resp)):
         raise InvalidWeightError("pi_hat must be finite and positive on respondents")
@@ -587,8 +590,9 @@ def fit_outcome_ext_reg(
     needed to predict for nonrespondents too.  A constant pi_hat makes
     the appended column collinear with the intercept and the fit fails.
     """
+    pi_hat = check_units(pi_hat, view.T, "pi_hat")
     with np.errstate(divide="ignore", over="ignore"):
-        inv_pi = 1.0 / np.asarray(pi_hat, dtype=float)
+        inv_pi = 1.0 / pi_hat
     if not np.all((inv_pi > 0) & (inv_pi < math.inf)):
         raise InvalidWeightError("pi_hat must be finite and positive on all units")
     return (_design or RespondentDesign(view)).fit(appended=inv_pi)
@@ -603,7 +607,7 @@ def fit_outcome_ipw_nr(
     unweighted respondent moment conditions, so the plug-in mean
     P_n[m_hat] equals P_n[T y + (1 - T) m_hat].
     """
-    pi_hat = np.asarray(pi_hat, dtype=float)
+    pi_hat = check_units(pi_hat, view.T, "pi_hat")
     if np.any(pi_hat <= 0) or np.any(pi_hat >= 1) or not np.all(np.isfinite(pi_hat)):
         raise InvalidWeightError("pi_hat must lie strictly inside (0, 1) on all units")
     return (_design or RespondentDesign(view)).fit(appended=pi_hat, weight_pi=pi_hat)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_int, check_seed, derive_seed
+from ._util import check_int, check_seed, check_vector, derive_seed
 from .dgp import DgpConfig, generate_sample, make_view, reverse_roles
 from .errors import DegenerateInputError, InvalidArgumentError
 from .estimators import ESTIMATOR_NAMES, FLAG_FAILED, check_estimator_names, estimate_all
@@ -106,7 +106,7 @@ def summarize(values: np.ndarray, mu_true: float) -> EstimatorSummary:
     """Summary statistics of a vector of estimates against the truth.
 
     DegenerateInputError if a moment or quantile overflows."""
-    values = np.asarray(values, dtype=float)
+    values = check_vector(values, "values")
     if values.size == 0:
         raise InvalidArgumentError("no values to summarise")
     if not np.all(np.isfinite(values)) or not math.isfinite(mu_true):
@@ -271,7 +271,7 @@ def density_points(
     outside the [q, 1 - q] sample quantiles before anything else is
     computed.
     """
-    values = np.asarray(values, dtype=float)
+    values = check_vector(values, "values")
     if not np.all(np.isfinite(values)):
         raise InvalidArgumentError("values contain non-finite entries")
     if clip_quantile is not None:

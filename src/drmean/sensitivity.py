@@ -18,11 +18,12 @@ and a line's p-value does not depend on which other lines are tested.
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import chdtrc
 
-from ._util import check_int, check_response, check_seed, derive_seed
+from ._util import check_int, check_response, check_seed, derive_seed, nan_to_none
 from .dgp import AnalysisView, design_matrix
 from .errors import DrmeanError, InvalidArgumentError, NonconvergenceError
 from .estimators import ESTIMATORS, Pipeline
@@ -101,28 +102,24 @@ class SensitivityMatrix:
     seed: int
 
     def to_dict(self) -> dict:
-        def clean(x):
-            """x, or None for a NaN float."""
-            return None if isinstance(x, float) and math.isnan(x) else x
-
         def spec_dict(s: ModelSpec) -> dict:
             return {**asdict(s), "covariates": list(s.covariates)}
 
         def test_dict(t: HomogeneityResult) -> dict:
-            return {k: clean(v) for k, v in asdict(t).items()}
+            return {k: nan_to_none(v) for k, v in asdict(t).items()}
 
         return {
             "estimator": self.estimator,
             "propensity_models": [spec_dict(s) for s in self.p_specs],
             "outcome_models": [spec_dict(s) for s in self.o_specs],
-            "estimates": [[clean(v) for v in row] for row in self.estimates.tolist()],
+            "estimates": [[nan_to_none(v) for v in row] for row in self.estimates.tolist()],
             "cell_messages": {
                 f"{i},{j}": msg for (i, j), msg in sorted(self.cell_messages.items())
             },
             "row_tests": [test_dict(t) for t in self.row_tests],
             "col_tests": [test_dict(t) for t in self.col_tests],
-            "row_spread": [clean(v) for v in self.row_spread.tolist()],
-            "col_spread": [clean(v) for v in self.col_spread.tolist()],
+            "row_spread": [nan_to_none(v) for v in self.row_spread.tolist()],
+            "col_spread": [nan_to_none(v) for v in self.col_spread.tolist()],
             "selection": {"propensity": self.selection[0], "outcome": self.selection[1]},
             "boot_reps": self.boot_reps,
             "seed": self.seed,
@@ -210,8 +207,16 @@ def _estimate_cells(designs, T, y_observed, cells, estimator, starts, memo) -> d
     return out
 
 
+def _check_specs(specs, name: str) -> tuple[ModelSpec, ...]:
+    """specs as a tuple; InvalidArgumentError unless it holds ModelSpecs only."""
+    specs = tuple(specs) if np.iterable(specs) else (None,)
+    if not all(isinstance(s, ModelSpec) for s in specs):
+        raise InvalidArgumentError(f"{name} must be a collection of ModelSpecs")
+    return specs
+
+
 def _validate_specs(p_specs, o_specs, estimator):
-    p_specs, o_specs = tuple(p_specs), tuple(o_specs)
+    p_specs, o_specs = _check_specs(p_specs, "p_specs"), _check_specs(o_specs, "o_specs")
     if estimator not in DR_ESTIMATORS:
         raise InvalidArgumentError(f"estimator must be doubly robust, one of {DR_ESTIMATORS}")
     if not p_specs or not o_specs:
@@ -278,8 +283,8 @@ class _Draws:
     Pipeline on sample.memo: the one build_matrix left there, else one made
     and kept there now (from zero if that fit fails).  Logistic specs on
     one design therefore get the same start array and share one fit per
-    draw.  The draws are evaluated on first use, inside the first line
-    test that reads them.
+    draw.  Building one fits nothing: the starts and the draws are made
+    on the first read of draws, inside the first line test.
     """
 
     def __init__(self, sample: _Sample, cells, estimator, boot_reps: int, seed: int):
@@ -288,39 +293,30 @@ class _Draws:
         self.estimator = estimator
         self.boot_reps = boot_reps
         self.seed = seed
-        p_specs = dict.fromkeys(ps for ps, _ in self.cells)
-        self._starts = {
-            ps: self._start(sample, ps) for ps in p_specs if ps.kind in (None, "LOGISTIC_MLE")
-        }
-        self._draws: list[dict] | None = None
 
-    def _start(self, sample: _Sample, p_spec: ModelSpec) -> np.ndarray | None:
-        d = sample.designs[p_spec.covariates]
-        pipe = Pipeline(
-            AnalysisView(design_pi=d, design_m=d, T=sample.T, y_observed=sample.y),
-            memo=sample.memo,
-        )
-        try:
-            return pipe.propensity().alpha
-        except DrmeanError:
-            return None
-
+    @cached_property
     def draws(self) -> list[dict]:
         """Per draw, each cell's estimate or the DrmeanError it failed with."""
-        if self._draws is None:
-            sample, n = self.sample, self.sample.T.shape[0]
-            used = dict.fromkeys(s.covariates for cell in self.cells for s in cell)
-            draws = []
-            for b in range(self.boot_reps):
-                rng = np.random.Generator(np.random.PCG64(derive_seed(self.seed, b)))
-                idx = rng.integers(0, n, size=n)
-                draws.append(_estimate_cells(
-                    {k: sample.designs[k][idx] for k in used},
-                    sample.T[idx], sample.y[idx], self.cells, self.estimator,
-                    self._starts, {},
-                ))
-            self._draws = draws
-        return self._draws
+        sample, n = self.sample, self.sample.T.shape[0]
+        starts = {}
+        for ps in dict.fromkeys(ps for ps, _ in self.cells):
+            if ps.kind in (None, "LOGISTIC_MLE"):
+                d = sample.designs[ps.covariates]
+                view = AnalysisView(design_pi=d, design_m=d, T=sample.T, y_observed=sample.y)
+                try:
+                    starts[ps] = Pipeline(view, memo=sample.memo).propensity().alpha
+                except DrmeanError:
+                    pass
+        used = dict.fromkeys(s.covariates for cell in self.cells for s in cell)
+        draws = []
+        for b in range(self.boot_reps):
+            rng = np.random.Generator(np.random.PCG64(derive_seed(self.seed, b)))
+            idx = rng.integers(0, n, size=n)
+            draws.append(_estimate_cells(
+                {k: sample.designs[k][idx] for k in used},
+                sample.T[idx], sample.y[idx], self.cells, self.estimator, starts, {},
+            ))
+        return draws
 
 
 def homogeneity_test(
@@ -350,66 +346,47 @@ def homogeneity_test(
     pseudoinverse with reduced degrees of freedom and is flagged.  Lines
     of length one are trivially homogeneous (p = 1).
     """
-    varying_specs = tuple(varying_specs)
     line = np.asarray(estimates_line, dtype=float)
-    m = len(varying_specs)
 
     def pair(v: ModelSpec) -> tuple[ModelSpec, ModelSpec]:
-        if fixed_spec.role == "propensity":
-            return fixed_spec, v
-        return v, fixed_spec
+        return (fixed_spec, v) if fixed_spec.role == "propensity" else (v, fixed_spec)
 
     if _draws is None:
-        if line.shape != (m,):
+        varying_specs = _check_specs(varying_specs, "varying_specs")
+        if line.shape != (len(varying_specs),):
             raise InvalidArgumentError("estimates_line length must match varying_specs")
         boot_reps, seed = _check_draws(boot_reps, seed)
+        if not isinstance(fixed_spec, ModelSpec):
+            raise InvalidArgumentError("fixed_spec must be a ModelSpec")
         for v in varying_specs:
             if v.role == fixed_spec.role:
                 raise InvalidArgumentError("varying specs must have the opposite role")
             ps, os_ = pair(v)
             _validate_specs((ps,), (os_,), estimator)
         sample = _Sample(covariates, T, Y, (fixed_spec,) + varying_specs)
+        finite = [pair(v) for v, x in zip(varying_specs, line) if math.isfinite(x)]
+        _draws = _Draws(sample, finite, estimator, boot_reps, seed)
 
     keep = np.isfinite(line)
-    note = ""
-    if not keep.all():
-        note = f"dropped {int((~keep).sum())} failed cell(s) from the line"
-        line = line[keep]
-        varying_specs = tuple(v for v, k in zip(varying_specs, keep) if k)
-        m = len(varying_specs)
-    if m <= 1:
-        return HomogeneityResult(
-            p_value=1.0 if m == 1 else math.nan,
-            statistic=0.0,
-            df=0,
-            n_boot_used=0,
-            boot_failures=0,
-            singular=False,
-            note=note or ("single-cell line" if m == 1 else "empty line"),
-        )
+    dropped = "" if keep.all() else f"dropped {int((~keep).sum())} failed cell(s) from the line"
+    line = line[keep]
+    cells = [pair(v) for v, k in zip(varying_specs, keep) if k]
+    m = len(cells)
+    used = failures = 0
 
-    cells = [pair(v) for v in varying_specs]
-    if _draws is None:
-        _draws = _Draws(sample, cells, estimator, boot_reps, seed)
-    boot_rows = []
-    failures = 0
-    for draw in _draws.draws():
-        row = [draw[c] for c in cells]
-        if any(isinstance(v, DrmeanError) for v in row):
-            failures += 1
-        else:
-            boot_rows.append(row)
-    used = len(boot_rows)
+    def result(p_value, statistic, note="", df=0, singular=False):
+        """The result with the draw counts so far, note after the dropped-cell note."""
+        note = "; ".join(filter(None, (dropped, note)))
+        return HomogeneityResult(p_value, statistic, df, used, failures, singular, note)
+
+    if m <= 1:
+        trivial = "single-cell line" if m == 1 else "empty line"
+        return result(1.0 if m == 1 else math.nan, 0.0, "" if dropped else trivial)
+    rows = [[draw[c] for c in cells] for draw in _draws.draws]
+    boot_rows = [r for r in rows if not any(isinstance(v, DrmeanError) for v in r)]
+    used, failures = len(boot_rows), len(rows) - len(boot_rows)
     if used < max(_MIN_BOOT_USED, m + 1):
-        return HomogeneityResult(
-            p_value=math.nan,
-            statistic=math.nan,
-            df=0,
-            n_boot_used=used,
-            boot_failures=failures,
-            singular=False,
-            note=(note + "; " if note else "") + "too few successful bootstrap draws",
-        )
+        return result(math.nan, math.nan, "too few successful bootstrap draws")
     boot = np.asarray(boot_rows)
 
     contrast = np.zeros((m - 1, m))
@@ -420,39 +397,20 @@ def homogeneity_test(
     if np.all(d == 0.0) and np.all(boot_contrasts == 0.0):
         # identical estimates in the data and every draw: homogeneous by
         # construction, exact unit p-value
-        return HomogeneityResult(
-            p_value=1.0,
-            statistic=0.0,
-            df=m - 1,
-            n_boot_used=used,
-            boot_failures=failures,
-            singular=True,
-            note=(note + "; " if note else "") + "all contrasts identically zero",
-        )
+        return result(1.0, 0.0, "all contrasts identically zero", df=m - 1, singular=True)
     sigma_c = np.cov(boot_contrasts.T, ddof=1).reshape(m - 1, m - 1)
     try:
         rank = int(np.linalg.matrix_rank(sigma_c, hermitian=True))
         pinv = np.linalg.pinv(sigma_c, hermitian=True)
     except np.linalg.LinAlgError as exc:
         raise NonconvergenceError(f"contrast covariance: {exc}") from None
-    singular = rank < m - 1
-    statistic = float(d @ pinv @ d)
-    if statistic < 0:  # numerically tiny negatives from the pseudoinverse
-        statistic = 0.0
-    df = rank
-    if df == 0:
+    # max clamps numerically tiny negatives from the pseudoinverse, keeping NaN
+    statistic = max(float(d @ pinv @ d), 0.0)
+    if rank == 0:
         p_value = 1.0 if statistic == 0.0 else 0.0
     else:
-        p_value = float(chdtrc(df, statistic))
-    return HomogeneityResult(
-        p_value=p_value,
-        statistic=statistic,
-        df=df,
-        n_boot_used=used,
-        boot_failures=failures,
-        singular=singular,
-        note=note,
-    )
+        p_value = float(chdtrc(rank, statistic))
+    return result(p_value, statistic, df=rank, singular=rank < m - 1)
 
 
 def _spread(values: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -565,3 +566,42 @@ class TestIdentitiesCheck:
         assert rep.skipped
         assert not rep.passed
         assert "vanishes" in rep.reason
+
+
+class TestUnitArrays:
+    """Per-unit arrays must have T's shape and plain value vectors must be
+    1-d; each of these raised a foreign IndexError or TypeError."""
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        return generate_sample(50, 1)
+
+    @pytest.fixture(scope="class")
+    def view(self, sample):
+        return make_view(sample, True, True)
+
+    def test_mismatch_names_the_array(self):
+        with pytest.raises(InvalidArgumentError, match="pi_hat length must match T"):
+            est.mu_ht(TOY_PI[:3], TOY_T, TOY_Y)
+        with pytest.raises(InvalidArgumentError, match="Y length must match T"):
+            est.mu_ipw_pop(TOY_PI, TOY_T, TOY_Y[:, None])
+
+    def test_estimate_all_isolates_a_short_outcome_array(self, sample, view):
+        short = dataclasses.replace(view, y_observed=view.y_observed[:-1])
+        out = est.estimate_all(short, sample)
+        assert out.values["FULL"] == est.mu_full(sample.Y)
+        failed = set(est.ESTIMATOR_NAMES) - {"FULL"}
+        assert {name for name, flag in out.flags.items() if flag == est.FLAG_FAILED} == failed
+        for name in failed:
+            assert re.fullmatch("InvalidArgumentError: (y_observed|Y) length must match T",
+                                out.messages[name])
+
+    def test_identities_check_rejects_short_t(self, view):
+        short = dataclasses.replace(view, T=view.T[:-1], y_observed=view.y_observed[:-1])
+        with pytest.raises(InvalidArgumentError, match="design_m rows must match T"):
+            est.mu_ols_identities_check(short)
+
+    @pytest.mark.parametrize("fn", [est.mu_full, est.mu_from_regression])
+    def test_value_vectors_must_be_1d(self, fn):
+        with pytest.raises(InvalidArgumentError, match="must be 1-d"):
+            fn(np.ones((3, 2)))

@@ -948,3 +948,40 @@ class TestStepStop:
             except DrmeanError:
                 continue
             assert np.all(np.isfinite(fit.m_hat)), kind
+
+
+class TestUnitArrays:
+    """A per-unit array whose shape differs from T's is rejected by name; each
+    of these raised numpy's IndexError or ValueError."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        view = make_view(generate_sample(50, 1), True, True)
+        pi = linmod.fit_logistic_propensity(view.design_pi, view.T).pi_hat
+        return view, pi
+
+    def test_weight_diagnostics(self, case):
+        view, pi = case
+        with pytest.raises(InvalidArgumentError, match="pi_hat length must match T"):
+            linmod.weight_diagnostics(pi[:-1], view.T)
+
+    @pytest.mark.parametrize("fit", [linmod.fit_outcome_wls, linmod.fit_outcome_ext_reg,
+                                     linmod.fit_outcome_ipw_nr])
+    @pytest.mark.parametrize("shape", ["short", "column"])
+    def test_weighted_outcome_fits(self, case, fit, shape):
+        view, pi = case
+        bad = pi[:-1] if shape == "short" else pi[:, None]
+        with pytest.raises(InvalidArgumentError, match="pi_hat length must match T"):
+            fit(view, bad)
+
+    def test_outcome_rows_must_match_t(self, case):
+        view, _ = case
+        short = AnalysisView(view.design_pi, view.design_m, view.T[:-1], view.y_observed[:-1])
+        with pytest.raises(InvalidArgumentError, match="design_m rows must match T"):
+            linmod.fit_outcome_reg(short)
+
+    def test_outcomes_must_match_t(self, case):
+        view, _ = case
+        short_y = dataclasses.replace(view, y_observed=view.y_observed[:-1])
+        with pytest.raises(InvalidArgumentError, match="y_observed length must match T"):
+            linmod.RespondentDesign(short_y)

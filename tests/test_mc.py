@@ -536,3 +536,14 @@ class TestDensity:
 
     def test_quantile_levels_fixed(self):
         assert mc.QUANTILE_LEVELS == (1, 5, 25, 50, 75, 95, 99)
+
+
+class TestValueVectors:
+    # each raised numpy's TypeError or ValueError
+    def test_summarize_needs_1d_values(self):
+        with pytest.raises(InvalidArgumentError, match="values must be 1-d"):
+            mc.summarize(np.ones((3, 2)), 0.0)
+
+    def test_density_needs_1d_values(self):
+        with pytest.raises(InvalidArgumentError, match="values must be 1-d"):
+            mc.density_points(np.arange(6.0).reshape(3, 2))

@@ -11,9 +11,12 @@ beyond 64 bits and overflowing generator settings, it returns an exit code
 of 0 to 3.  The scalar arguments of the library (counts, seeds, flags,
 names and methods), fed bools, floats, strings, lists, None and negative
 numbers, raise nothing but DrmeanErrors, and a bool never passes for a
-count nor anything else for a flag.
+count nor anything else for a flag.  So do per-unit arrays of the wrong
+shape (one entry short or long, a column, 2-d or 0-d), and sensitivity
+specs that are not ModelSpecs are always rejected.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -328,3 +331,105 @@ def test_scalar_arguments_raise_only_drmean_errors(name, value):
             target(value)
     else:
         call(target, value)
+
+
+# per-unit arrays of the wrong shape
+BAD_SHAPES = {
+    "short": lambda a: a[:-1],
+    "long": lambda a: np.concatenate([a, a[:1]]),
+    "column": lambda a: np.expand_dims(a, -1),
+    "pairs": lambda a: a[: len(a) // 2 * 2].reshape(len(a) // 2, 2, *a.shape[1:]),
+    "0-d": lambda a: np.asarray(a.flat[0]),
+}
+
+
+def one_bad(f, args, k, **kwargs):
+    """The call f(*args, **kwargs) with args[k] passed through a BAD_SHAPES function."""
+    return lambda bad: f(*args[:k], bad(args[k]), *args[k + 1:], **kwargs)
+
+
+def array_targets() -> dict:
+    """Per "<function>.<argument>", the call on that argument of the wrong shape."""
+    sample = drmean.generate_sample(40, 5)
+    view = drmean.make_view(sample, False, True)
+    T, y, pi = view.T, view.y_observed, np.full(40, 0.5)
+    m_hat = np.where(T == 1, y, 1.0)
+    cov = np.hstack([sample.Z, sample.X])
+    pz, oz = ModelSpec("propensity", (0, 1, 2, 3)), ModelSpec("outcome", (0, 1, 2, 3))
+
+    def in_view(f, *fields):
+        """f on the view with fields passed through a BAD_SHAPES function."""
+        return lambda bad: f(dataclasses.replace(
+            view, **{name: bad(getattr(view, name)) for name in fields}))
+
+    targets = {
+        **{f"estimate_all.{name}": in_view(lambda v: drmean.estimate_all(v, sample), name)
+           for name in ("design_pi", "design_m", "T", "y_observed")},
+        **{f"{f.__name__}.T,y_observed": in_view(f, "T", "y_observed")
+           for f in (drmean.fit_outcome_reg, drmean.mu_ols_identities_check)},
+        **{f"{f.__name__}.pi_hat": one_bad(f, (view, pi), 1)
+           for f in (drmean.fit_outcome_wls, drmean.fit_outcome_ext_reg,
+                     drmean.fit_outcome_ipw_nr)},
+        "weight_diagnostics.pi_hat": one_bad(drmean.linmod.weight_diagnostics, (pi, T), 0),
+        "weight_diagnostics.T": one_bad(drmean.linmod.weight_diagnostics, (pi, T), 1),
+        "mu_from_regression.m_hat": one_bad(drmean.mu_from_regression, (m_hat,), 0),
+        "mu_full.Y": one_bad(drmean.mu_full, (sample.Y,), 0),
+        "summarize.values": one_bad(drmean.summarize, (sample.Y, 0.0), 0),
+        "density_points.values": one_bad(drmean.density_points, (sample.Y,), 0),
+        **{f"run_sensitivity.{name}": one_bad(drmean.run_sensitivity,
+                                              (cov, T, y, [pz], [oz], "DR_WLS"), k, boot_reps=2)
+           for k, name in ((1, "T"), (2, "Y"))},
+    }
+    values = {"pi_hat": pi, "m_hat": m_hat, "T": T, "Y": y}
+    for mu, names in ((drmean.mu_ht, "pi_hat T Y"), (drmean.mu_ipw_pop, "pi_hat T Y"),
+                      (drmean.mu_aipw, "pi_hat m_hat T Y"), (drmean.mu_b_dr, "pi_hat m_hat T Y")):
+        args = [values[name] for name in names.split()]
+        for k, name in enumerate(names.split()):
+            targets[f"{mu.__name__}.{name}"] = one_bad(mu, args, k)
+    return targets
+
+
+ARRAY_TARGETS = array_targets()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(ARRAY_TARGETS)), st.sampled_from(sorted(BAD_SHAPES)))
+# each raised numpy's IndexError, ValueError or TypeError
+@example("weight_diagnostics.pi_hat", "short")
+@example("fit_outcome_wls.pi_hat", "short")
+@example("fit_outcome_ext_reg.pi_hat", "short")
+@example("fit_outcome_ext_reg.pi_hat", "column")
+@example("fit_outcome_ipw_nr.pi_hat", "column")
+@example("estimate_all.y_observed", "short")
+@example("fit_outcome_reg.T,y_observed", "short")
+@example("mu_ols_identities_check.T,y_observed", "short")
+@example("mu_full.Y", "pairs")
+@example("mu_from_regression.m_hat", "pairs")
+@example("summarize.values", "pairs")
+@example("density_points.values", "pairs")
+def test_arrays_of_the_wrong_shape_raise_only_drmean_errors(name, shape):
+    call(ARRAY_TARGETS[name], BAD_SHAPES[shape])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(("p_specs", "o_specs", "fixed_spec", "varying_specs")),
+       st.sampled_from((1, [1], "x", None, [None], [[1]], (1, 2))))
+# each raised AttributeError: 'int' object has no attribute 'role'
+@example("p_specs", [1])
+@example("varying_specs", [1, 2])
+def test_specs_that_are_not_model_specs_are_rejected(argument, value):
+    sample = drmean.generate_sample(40, 5)
+    cov, y = np.hstack([sample.Z, sample.X]), np.where(sample.T == 1, sample.Y, np.nan)
+    specs = {"p_specs": [ModelSpec("propensity", (0, 1))], "o_specs": [ModelSpec("outcome", (2,))],
+             "fixed_spec": ModelSpec("propensity", (0, 1)),
+             "varying_specs": (ModelSpec("outcome", (2,)), ModelSpec("outcome", (3,)))}
+    specs[argument] = value
+    with warnings.catch_warnings(), pytest.raises(DrmeanError):
+        warnings.simplefilter("error")
+        if argument in ("p_specs", "o_specs"):
+            drmean.run_sensitivity(cov, sample.T, y, specs["p_specs"], specs["o_specs"],
+                                   "DR_WLS", boot_reps=2)
+        else:
+            drmean.homogeneity_test(np.array([1.0, 2.0]), cov, sample.T, y,
+                                    specs["fixed_spec"], specs["varying_specs"], "DR_WLS",
+                                    boot_reps=2)

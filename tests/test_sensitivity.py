@@ -609,3 +609,35 @@ class TestSelectModels:
         sel = sens.select_models(rows, [self.mk(1.0)], np.array([0.0, 5.0]),
                                  np.array([0.0]))
         assert sel == (1, 0)
+
+
+class TestSpecTypes:
+    # each raised AttributeError: 'int' object has no attribute 'role'
+    @pytest.mark.parametrize("p_specs, o_specs, name",
+                             [([1], [OZ], "p_specs"), ([PZ], [OZ, 2], "o_specs"),
+                              (PZ, [OZ], "p_specs")], ids=["int", "int-outcome", "bare-spec"])
+    def test_run_sensitivity_needs_model_specs(self, data600, logistic_fits,
+                                               p_specs, o_specs, name):
+        _, cov, T, y = data600
+        with pytest.raises(InvalidArgumentError, match=f"{name} must be a collection of"):
+            sens.run_sensitivity(cov, T, y, p_specs, o_specs, "DR_WLS", boot_reps=5)
+        assert logistic_fits == []
+
+    def test_line_test_needs_model_specs(self, data600):
+        _, cov, T, y = data600
+        with pytest.raises(InvalidArgumentError, match="varying_specs must be a collection"):
+            sens.homogeneity_test(np.array([210.0, 211.0]), cov, T, y, PZ, [1, 2], "DR_WLS")
+        with pytest.raises(InvalidArgumentError, match="fixed_spec must be a ModelSpec"):
+            sens.homogeneity_test(np.array([210.0, 211.0]), cov, T, y, 1, (OZ, OX), "DR_WLS")
+
+
+class TestLazyDraws:
+    def test_nothing_is_fitted_before_the_draws_are_read(self, data600, logistic_fits):
+        _, cov, T, y = data600
+        sample = sens._Sample(cov, T, y, (PZ, OZ, OX))
+        draws = sens._Draws(sample, [(PZ, OZ), (PZ, OX)], "DR_WLS", 4, 3)
+        assert logistic_fits == []
+        first = draws.draws
+        # the start fit, then one fit per draw, and nothing on a second read
+        assert len(logistic_fits) == 1 + 4
+        assert draws.draws is first and len(logistic_fits) == 1 + 4

@@ -96,3 +96,25 @@ class TestFsumReductions:
         want = np.array([math.fsum(a[:, j]) / 37 for j in range(5)])
         assert got.shape == (5,)
         assert np.array_equal(got, want)
+
+
+class TestUnitArrays:
+    def test_check_units_returns_floats_shaped_as_t(self):
+        out = _util.check_units([1, 2, 3], np.array([0, 1, 1]), "pi_hat")
+        assert out.dtype == float and out.shape == (3,)
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0], [2.0], [3.0]],
+                                        1.0], ids=["short", "long", "column", "0-d"])
+    def test_check_units_rejects_other_shapes(self, values):
+        with pytest.raises(InvalidArgumentError, match="pi_hat length must match T"):
+            _util.check_units(values, np.array([0, 1, 1]), "pi_hat")
+
+    def test_check_vector(self):
+        assert _util.check_vector([1, 2], "values").dtype == float
+        for values in (np.ones((3, 2)), 1.0):
+            with pytest.raises(InvalidArgumentError, match="values must be 1-d"):
+                _util.check_vector(values, "values")
+
+    def test_nan_to_none(self):
+        assert _util.nan_to_none(math.nan) is None
+        assert [_util.nan_to_none(v) for v in (1.5, math.inf, 2, "x")] == [1.5, math.inf, 2, "x"]
