@@ -61,11 +61,9 @@ from .linmod import (
     fit_outcome_wls,
 )
 from .mc import (
-    DensitySeries,
     EstimatorSummary,
     MCSummary,
     ScenarioSpec,
-    density_points,
     run_scenario,
     run_scenarios,
     summarize,
@@ -86,7 +84,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "DegenerateInputError",
-    "DensitySeries",
     "DgpConfig",
     "DrmeanError",
     "DR_ESTIMATORS",
@@ -110,7 +107,6 @@ __all__ = [
     "UndefinedEstimatorError",
     "WeightDiagnostics",
     "build_matrix",
-    "density_points",
     "estimate_all",
     "fit_extended_propensity",
     "fit_inverse_linear",

@@ -34,9 +34,22 @@ def check_int(value, name: str, minimum: int | None = None) -> int:
     raise InvalidArgumentError(f"{name} must be an integer{bound}")
 
 
+def as_array(values, name: str, dtype=float) -> np.ndarray:
+    """values as an array of dtype (float, or numpy's own choice for None);
+    InvalidArgumentError "<name> must be numeric" if they are complex, which
+    numpy would cast with a warning, or numpy cannot convert them, as for
+    text or ragged nesting."""
+    try:
+        if np.iscomplexobj(values):
+            raise TypeError
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"{name} must be numeric") from None
+
+
 def check_response(T) -> np.ndarray:
     """T as an array, checked to be 1-d with every entry 0 or 1."""
-    T = np.asarray(T)
+    T = as_array(T, "T", None)
     if T.ndim != 1 or np.count_nonzero(T == 1) + np.count_nonzero(T == 0) != T.size:
         raise InvalidArgumentError("T must be a 1-d array of 0/1 response indicators")
     return T
@@ -45,7 +58,7 @@ def check_response(T) -> np.ndarray:
 def check_units(values, T, name: str) -> np.ndarray:
     """values as a float array with one entry per unit, shaped as T;
     InvalidArgumentError "<name> length must match T" otherwise."""
-    values = np.asarray(values, dtype=float)
+    values = as_array(values, name)
     if values.shape != np.shape(T):
         raise InvalidArgumentError(f"{name} length must match T")
     return values
@@ -54,7 +67,7 @@ def check_units(values, T, name: str) -> np.ndarray:
 def check_vector(values, name: str) -> np.ndarray:
     """values as a 1-d float array; InvalidArgumentError "<name> must be 1-d"
     otherwise."""
-    values = np.asarray(values, dtype=float)
+    values = as_array(values, name)
     if values.ndim != 1:
         raise InvalidArgumentError(f"{name} must be 1-d")
     return values

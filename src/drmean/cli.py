@@ -5,7 +5,6 @@ Subcommands:
                results.csv and metadata.json into the output directory
   estimate     run the estimator suite once on a dataset CSV
   sensitivity  estimate under a grid of model specs with homogeneity tests
-  density      kernel density series for a column of values
 
 Dataset CSV format ("t", "y", then covariate columns, header required):
 t is 0/1, y may be blank where t is 0, covariates must be numeric
@@ -40,9 +39,7 @@ from .dgp import AnalysisView, DgpConfig, design_matrix
 from .errors import ConfigError, DataError, DrmeanError, InvalidArgumentError
 from .estimators import ESTIMATOR_NAMES, check_estimator_names, estimate_all
 # run_scenario is unused here, but bench/layers.py wraps cli.run_scenario
-from .mc import (  # noqa: F401
-    QUANTILE_LEVELS, ScenarioSpec, density_points, run_scenario, run_scenarios,
-)
+from .mc import QUANTILE_LEVELS, ScenarioSpec, run_scenario, run_scenarios  # noqa: F401
 from .sensitivity import ModelSpec, run_sensitivity
 
 RESULT_COLUMNS = (
@@ -431,81 +428,6 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     return 0
 
 
-# ----------------------------------------------------------------- density
-
-
-def read_values(path: str, column: str | None) -> np.ndarray:
-    """Read a numeric column from a CSV (header optional for one column).
-    Blank lines are skipped; errors name the file line of their row."""
-    rows = _csv_rows(path)
-
-    def is_number(cell: str) -> bool:
-        try:
-            float(cell)
-            return True
-        except ValueError:
-            return False
-
-    header = rows[0][1]
-    has_header = not all(is_number(c) for c in header if c.strip())
-    if has_header:
-        names = [h.strip() for h in header]
-        if column is not None:
-            if column not in names:
-                raise DataError(f"{path}: no column named {column!r}")
-            idx = names.index(column)
-        elif "value" in names:
-            idx = names.index("value")
-        elif len(names) == 1:
-            idx = 0
-        else:
-            raise DataError(f"{path}: specify --column (candidates: {', '.join(names)})")
-    else:
-        if column is not None:
-            raise DataError(f"{path}: file has no header to look up {column!r}")
-        if len(header) != 1:
-            raise DataError(f"{path}: headerless input must have exactly one column")
-        idx = 0
-    values = []
-    for lineno, row in rows[has_header:]:
-        if idx >= len(row):
-            raise DataError(f"{path}: row {lineno} has no field {idx + 1}")
-        values.append(_finite(row[idx].strip(), f"{path}: row {lineno}: value"))
-    if not values:
-        raise DataError(f"{path}: no values")
-    return np.array(values)
-
-
-def cmd_density(args: argparse.Namespace) -> int:
-    values = read_values(args.data, args.column)
-    bandwidth = args.bandwidth
-    if bandwidth != "auto":
-        try:
-            bandwidth = float(bandwidth)
-        except ValueError:
-            bandwidth = math.nan
-        if not 0.0 < bandwidth < math.inf:
-            raise ConfigError(
-                f"--bandwidth must be 'auto' or a positive number, got {args.bandwidth!r}"
-            )
-    try:
-        series = density_points(values, bandwidth, args.clip_quantile)
-    except DrmeanError as exc:
-        raise DataError(str(exc)) from None
-    buf = io.StringIO()
-    buf.write(f"# package_version={__version__}\n")
-    buf.write(f"# bandwidth={_fmt(series.bandwidth)}\n")
-    clip = "" if series.clip_quantile is None else _fmt(series.clip_quantile)
-    buf.write(f"# clip_quantile={clip}\n")
-    buf.write(f"# n_used={series.n_used}\n")
-    buf.write(f"# data_sha256={_file_sha256(args.data)}\n")
-    buf.write("grid,density\n")
-    for g, d in zip(series.grid, series.density):
-        buf.write(f"{_fmt(g)},{_fmt(d)}\n")
-    _write_text(args.out, buf.getvalue())
-    return 0
-
-
 # -------------------------------------------------------------------- main
 
 
@@ -537,14 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sens.add_argument("--out", default="-", help="output JSON path (default stdout)")
     p_sens.set_defaults(func=cmd_sensitivity)
 
-    p_den = sub.add_parser("density", help="kernel density series for sampled values")
-    p_den.add_argument("--data", required=True, help="CSV holding the values")
-    p_den.add_argument("--column", default=None, help="column name to read")
-    p_den.add_argument("--bandwidth", default="auto", help="'auto' or a positive number")
-    p_den.add_argument("--clip-quantile", type=float, default=None,
-                       help="drop values outside [q, 1-q] first")
-    p_den.add_argument("--out", default="-", help="output CSV path (default stdout)")
-    p_den.set_defaults(func=cmd_density)
     return parser
 
 

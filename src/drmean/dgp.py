@@ -22,7 +22,7 @@ from numbers import Real
 import numpy as np
 from scipy.special import expit, ndtri
 
-from ._util import check_int
+from ._util import as_array, check_int
 from .errors import InvalidArgumentError
 
 _BASE_WEIGHTS = (2.0, 1.0, 1.0, 1.0)
@@ -112,7 +112,7 @@ def transform_covariates(Z: np.ndarray) -> np.ndarray:
         X3 = (Z1 * Z3 / 25 + 0.6) ** 3
         X4 = (Z2 + Z4 + 20) ** 2
     """
-    Z = np.asarray(Z, dtype=float)
+    Z = as_array(Z, "Z")
     if Z.ndim != 2 or Z.shape[1] != 4:
         raise InvalidArgumentError("Z must have shape (n, 4)")
     x1 = np.exp(Z[:, 0] / 2.0)

@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linmod
-from ._util import check_response, check_units, check_vector
+from ._util import as_array, check_response, check_units, check_vector
 from .dgp import AnalysisView, FullSample
 from .errors import (
     DrmeanError,
@@ -260,8 +260,8 @@ class Pipeline:
         self.full = full
         self.inverse_linear = inverse_linear
         self.pi_start = pi_start
-        self.T = np.asarray(view.T)
-        self.y = np.asarray(view.y_observed, dtype=float)
+        self.T = as_array(view.T, "T", None)
+        self.y = as_array(view.y_observed, "y_observed")
         self._cache: dict[str, object] = {}
         memo = {} if memo is None else memo
         pi_key = (id(view.design_pi), inverse_linear, id(pi_start))

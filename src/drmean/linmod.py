@@ -19,8 +19,8 @@ NonconvergenceError.
 Propensity models:
   * logistic maximum likelihood, pi = expit(alpha'x);
   * inverse-linear, pi = 1 / (alpha'x), fit by constrained maximum
-    likelihood, by a constrained moment criterion, or by solving the
-    unconstrained moment equation P_n[(T alpha'x - 1) x] = 0;
+    likelihood or by solving the unconstrained moment equation
+    P_n[(T alpha'x - 1) x] = 0;
   * a one-parameter logistic extension expit(alpha'x + phi h) whose phi
     solves P_n[(T / pi - 1) h] = 0 for a caller-chosen direction h, by a
     safeguarded Newton method.
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from ._util import check_response, check_units, fsum_col_means
+from ._util import as_array, check_response, check_units, fsum_col_means
 from .dgp import AnalysisView
 from .errors import (
     InfeasibleConstraintError,
@@ -66,7 +66,6 @@ _OPT_MAX_ITER = 10_000
 class PropensityKind(enum.Enum):
     LOGISTIC_MLE = "LOGISTIC_MLE"
     INV_LINEAR_ML = "INV_LINEAR_ML"
-    INV_LINEAR_MOMENT = "INV_LINEAR_MOMENT"
     INV_LINEAR_UNCONSTRAINED = "INV_LINEAR_UNCONSTRAINED"
     LOGISTIC_EXTENDED = "LOGISTIC_EXTENDED"
 
@@ -74,7 +73,6 @@ class PropensityKind(enum.Enum):
 #: the kind of fit each fit_inverse_linear method makes
 INV_LINEAR_METHODS = {
     "likelihood": PropensityKind.INV_LINEAR_ML,
-    "moment": PropensityKind.INV_LINEAR_MOMENT,
     "unconstrained_moment": PropensityKind.INV_LINEAR_UNCONSTRAINED,
 }
 
@@ -133,8 +131,7 @@ def weight_diagnostics(pi_hat: np.ndarray, T: np.ndarray) -> WeightDiagnostics:
 
 
 def _check_design(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    design = np.asarray(design, dtype=float)
-    response = np.asarray(response, dtype=float)
+    design, response = as_array(design, "design"), as_array(response, "response")
     if design.ndim != 2:
         raise InvalidArgumentError("design must be 2-d")
     if response.shape != (design.shape[0],):
@@ -380,61 +377,41 @@ def _inv_linear_unconstrained(design: np.ndarray, T: np.ndarray) -> tuple[np.nda
 
 
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first use: only the constrained
-    inverse-linear fits need it, and its import would add about a third to
-    the start of the command line."""
+    """scipy.optimize.minimize, imported on first use: only the likelihood
+    fit needs it, and its import would add about a third to the start of
+    the command line."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)
 
 
-def _inv_linear_constrained(
-    design: np.ndarray, T: np.ndarray, method: str
-) -> tuple[np.ndarray, int]:
-    """Constrained inverse-linear fits via SLSQP with analytic gradients.
+def _inv_linear_likelihood(design: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, int]:
+    """Constrained inverse-linear maximum likelihood via SLSQP with analytic
+    gradients: minimize -P_n[T log pi + (1 - T) log(1 - pi)] subject to
+    alpha'x_i >= 1 + delta, which keeps both logs finite.
 
-    likelihood: minimize -P_n[T log pi + (1 - T) log(1 - pi)] subject to
-    alpha'x_i >= 1 + delta (keeps both logs finite).  moment: minimize
-    ||P_n[(T alpha'x - 1) x]||^2 subject to alpha'x_i >= delta.
+    The likelihood depends on alpha'x only, so the fit runs on the columns
+    divided by a power of two near their rms (exact), free of their units.
     """
-    n, p = design.shape
-    t = (np.asarray(T) == 1).astype(float)
+    scale = np.ldexp(1.0, np.frexp(_equilibrate(design)[1])[1] - 1)
+    design = design / scale
+    t = (T == 1).astype(float)
+    bound = 1.0 + _CONSTRAINT_DELTA
 
-    if method == "likelihood":
-        bound = 1.0 + _CONSTRAINT_DELTA
+    def objective(alpha):
+        s = design @ alpha
+        if np.any(s <= bound - 1e-12):
+            s = np.maximum(s, bound)
+        val = np.mean(np.log(s) - (1.0 - t) * np.log(s - 1.0))
+        grad = fsum_col_means(design * (1.0 / s - (1.0 - t) / (s - 1.0))[:, None])
+        return val, grad
 
-        def objective(alpha):
-            s = design @ alpha
-            if np.any(s <= bound - 1e-12):
-                s = np.maximum(s, bound)
-            val = np.mean(np.log(s) - (1.0 - t) * np.log(s - 1.0))
-            grad = fsum_col_means(
-                design * (1.0 / s - (1.0 - t) / (s - 1.0))[:, None]
-            )
-            return val, grad
-
-        x0 = np.zeros(p)
-        x0[0] = 2.0 / np.min(design[:, 0]) if np.all(design[:, 0] > 0) else 0.0
-        if np.any(design @ x0 < bound):
-            raise InfeasibleConstraintError(
-                "no feasible starting point for the likelihood constraints"
-            )
-    else:
-        bound = _CONSTRAINT_DELTA
-        tx = design * t[:, None]
-
-        def objective(alpha):
-            m = fsum_col_means(design * ((tx @ alpha) - 1.0)[:, None])
-            jac = (tx.T @ design) / n
-            return float(m @ m), 2.0 * (jac.T @ m)
-
-        x0 = np.zeros(p)
-        x0[0] = 1.0 if np.all(design[:, 0] > 0) else 0.0
-        if np.any(design @ x0 < bound):
-            raise InfeasibleConstraintError(
-                "no feasible starting point for the moment constraints"
-            )
-
+    x0 = np.zeros(design.shape[1])
+    x0[0] = 2.0 / np.min(design[:, 0]) if np.all(design[:, 0] > 0) else 0.0
+    if np.any(design @ x0 < bound):
+        raise InfeasibleConstraintError(
+            "no feasible starting point for the likelihood constraints"
+        )
     constraints = {
         "type": "ineq",
         "fun": lambda alpha: design @ alpha - bound,
@@ -461,7 +438,7 @@ def _inv_linear_constrained(
         raise NonconvergenceError(f"constrained fit failed: {res.message}")
     if not np.all(np.isfinite(res.x)):
         raise NonconvergenceError("constrained fit ended at non-finite coefficients")
-    return res.x, int(res.nit)
+    return res.x / scale, int(res.nit)
 
 
 def fit_inverse_linear(
@@ -469,26 +446,20 @@ def fit_inverse_linear(
 ) -> PropensityFit:
     """Fit the inverse-linear response model pi(x) = 1 / (alpha'x).
 
-    method is one of "likelihood", "moment", "unconstrained_moment".  The
-    constrained variants keep alpha'x_i away from the region where the
-    criterion is undefined; the unconstrained moment solve can produce
-    fitted values outside (0, 1], which is intentional (its point is the
-    algebraic identity it induces, not plausibility of the weights).
+    method is "likelihood" or "unconstrained_moment".  The likelihood fit
+    keeps alpha'x_i away from the region where its criterion is undefined;
+    the unconstrained moment solve can produce fitted values outside
+    (0, 1], which is intentional (its point is the algebraic identity it
+    induces, not plausibility of the weights).
     """
     if not isinstance(method, str) or method not in INV_LINEAR_METHODS:
         raise InvalidArgumentError(f"unknown method {method!r}")
     T = check_response(T)
     design, _ = _check_design(design, T.astype(float))
-    if method == "unconstrained_moment":
-        alpha, iterations = _inv_linear_unconstrained(design, T)
-    elif method == "likelihood":
-        # the likelihood depends on alpha'x only: fit on columns divided
-        # by a power of two near their rms (exact), free of their units
-        s = np.ldexp(1.0, np.frexp(_equilibrate(design)[1])[1] - 1)
-        alpha, iterations = _inv_linear_constrained(design / s, T, method)
-        alpha = alpha / s
+    if method == "likelihood":
+        alpha, iterations = _inv_linear_likelihood(design, T)
     else:
-        alpha, iterations = _inv_linear_constrained(design, T, method)
+        alpha, iterations = _inv_linear_unconstrained(design, T)
     eta = design @ alpha
     with np.errstate(divide="ignore"):
         pi_hat = 1.0 / eta
@@ -521,7 +492,7 @@ class RespondentDesign:
         if not np.all(np.isfinite(y)):
             raise InvalidArgumentError("observed outcomes contain non-finite values")
         self.resp = resp
-        self.design = np.asarray(view.design_m, dtype=float)
+        self.design = as_array(view.design_m, "design_m")
         if self.design.shape[:1] != T.shape:
             raise InvalidArgumentError("design_m rows must match T")
         self.rows, y = _check_design(self.design[resp], y)
@@ -703,7 +674,7 @@ def fit_extended_propensity(
     if base.kind not in (PropensityKind.LOGISTIC_MLE, PropensityKind.LOGISTIC_EXTENDED):
         raise InvalidArgumentError("extension requires a logistic base fit")
     T = check_response(T)
-    h = np.asarray(h, dtype=float)
+    h = as_array(h, "h")
     if h.shape != base.eta.shape or T.shape != h.shape:
         raise InvalidArgumentError("h and T must have one entry per unit")
     if not np.all(np.isfinite(h)):

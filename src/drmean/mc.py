@@ -1,4 +1,4 @@
-"""Monte Carlo harness: replicate, summarise, and density utilities.
+"""Monte Carlo harness: replicate and summarise.
 
 Replication r draws its own PCG64 seed from the scenario's base seed
 (see _util.derive_seed), so any subset of replications can be recomputed
@@ -91,15 +91,6 @@ class MCSummary:
     scenario: ScenarioSpec
     mu_true: float
     rows: dict[str, EstimatorSummary]
-
-
-@dataclass
-class DensitySeries:
-    grid: np.ndarray
-    density: np.ndarray
-    bandwidth: float
-    n_used: int
-    clip_quantile: float | None = None
 
 
 def summarize(values: np.ndarray, mu_true: float) -> EstimatorSummary:
@@ -255,63 +246,3 @@ def run_scenario(
     """Run all replications of one scenario and summarise per estimator:
     run_scenarios on the single spec."""
     return run_scenarios([spec], cfg, workers)[0]
-
-
-def density_points(
-    values: np.ndarray,
-    bandwidth: float | str = "auto",
-    clip_quantile: float | None = None,
-) -> DensitySeries:
-    """Gaussian kernel density of a sample on a fixed 512-point grid.
-
-    The grid spans [min, max] padded by three bandwidths; if its ends or
-    the kernel's normalising constant overflow, DegenerateInputError is
-    raised.  "auto" uses 0.9 * min(sd, IQR / 1.34) * m**(-1/5); if the IQR
-    is zero the sd alone is used.  clip_quantile in (0, 0.5) drops values
-    outside the [q, 1 - q] sample quantiles before anything else is
-    computed.
-    """
-    values = check_vector(values, "values")
-    if not np.all(np.isfinite(values)):
-        raise InvalidArgumentError("values contain non-finite entries")
-    if clip_quantile is not None:
-        if not 0.0 < clip_quantile < 0.5:
-            raise InvalidArgumentError("clip_quantile must lie in (0, 0.5)")
-        lo, hi = np.percentile(values, [100 * clip_quantile, 100 * (1 - clip_quantile)])
-        values = values[(values >= lo) & (values <= hi)]
-    m = values.size
-    if m < 2 or np.min(values) == np.max(values):
-        raise DegenerateInputError("need at least two distinct values")
-    if isinstance(bandwidth, str):
-        if bandwidth != "auto":
-            raise InvalidArgumentError(f"unknown bandwidth rule {bandwidth!r}")
-        with np.errstate(over="ignore"):  # an overflow fails the grid check below
-            sd = float(np.std(values, ddof=1))
-            q25, q75 = np.percentile(values, [25, 75])
-            spread = min(sd, (q75 - q25) / 1.34) if q75 > q25 else sd
-            bw = float(0.9 * spread * m ** (-0.2))
-        if bw <= 0:
-            raise DegenerateInputError("automatic bandwidth collapsed to zero")
-    else:
-        bw = float(bandwidth)
-        if not 0 < bw < math.inf:
-            raise InvalidArgumentError("bandwidth must be positive and finite")
-    lo, hi = float(np.min(values)) - 3 * bw, float(np.max(values)) + 3 * bw
-    norm = 1.0 / (m * bw * math.sqrt(2 * math.pi))
-    if not np.isfinite([lo, hi, norm]).all():
-        raise DegenerateInputError(f"the density grid overflows at bandwidth {bw!r}")
-    grid = np.linspace(lo, hi, 512)
-    density = np.empty(512)
-    step = max(1, int(5e6 // max(m, 1)))
-    for start in range(0, 512, step):
-        block = grid[start : start + step, None]
-        density[start : start + step] = norm * np.sum(
-            np.exp(-0.5 * ((block - values[None, :]) / bw) ** 2), axis=1
-        )
-    return DensitySeries(
-        grid=grid,
-        density=density,
-        bandwidth=bw,
-        n_used=m,
-        clip_quantile=clip_quantile,
-    )

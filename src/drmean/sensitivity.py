@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import chdtrc
 
-from ._util import check_int, check_response, check_seed, derive_seed, nan_to_none
+from ._util import as_array, check_int, check_response, check_seed, derive_seed, nan_to_none
 from .dgp import AnalysisView, design_matrix
 from .errors import DrmeanError, InvalidArgumentError, NonconvergenceError
 from .estimators import ESTIMATORS, Pipeline
@@ -155,10 +155,7 @@ class _Sample:
     the columns they use, which must be finite."""
 
     def __init__(self, covariates, T, Y, specs):
-        try:
-            covariates, Y = np.asarray(covariates, dtype=float), np.asarray(Y, dtype=float)
-        except (TypeError, ValueError):
-            raise InvalidArgumentError("covariates and Y must be numeric arrays") from None
+        covariates, Y = as_array(covariates, "covariates"), as_array(Y, "Y")
         T = check_response(T)
         if covariates.ndim != 2:
             raise InvalidArgumentError("covariates must be 2-d")
@@ -215,12 +212,11 @@ def _check_specs(specs, name: str) -> tuple[ModelSpec, ...]:
     return specs
 
 
-def _validate_specs(p_specs, o_specs, estimator):
-    p_specs, o_specs = _check_specs(p_specs, "p_specs"), _check_specs(o_specs, "o_specs")
+def _check_roles(p_specs, o_specs, estimator) -> None:
+    """InvalidArgumentError unless estimator is doubly robust, p_specs are
+    propensity specs and o_specs outcome specs whose kind agrees with it."""
     if estimator not in DR_ESTIMATORS:
         raise InvalidArgumentError(f"estimator must be doubly robust, one of {DR_ESTIMATORS}")
-    if not p_specs or not o_specs:
-        raise InvalidArgumentError("need at least one spec per role")
     for s in p_specs:
         if s.role != "propensity":
             raise InvalidArgumentError("p_specs must all have role 'propensity'")
@@ -232,6 +228,13 @@ def _validate_specs(p_specs, o_specs, estimator):
             raise InvalidArgumentError(
                 f"outcome kind {s.kind!r} conflicts with {estimator} (implies {implied!r})"
             )
+
+
+def _validate_specs(p_specs, o_specs, estimator):
+    p_specs, o_specs = _check_specs(p_specs, "p_specs"), _check_specs(o_specs, "o_specs")
+    _check_roles(p_specs, o_specs, estimator)
+    if not p_specs or not o_specs:
+        raise InvalidArgumentError("need at least one spec per role")
     return p_specs, o_specs
 
 
@@ -346,7 +349,7 @@ def homogeneity_test(
     pseudoinverse with reduced degrees of freedom and is flagged.  Lines
     of length one are trivially homogeneous (p = 1).
     """
-    line = np.asarray(estimates_line, dtype=float)
+    line = as_array(estimates_line, "estimates_line")
 
     def pair(v: ModelSpec) -> tuple[ModelSpec, ModelSpec]:
         return (fixed_spec, v) if fixed_spec.role == "propensity" else (v, fixed_spec)
@@ -358,11 +361,13 @@ def homogeneity_test(
         boot_reps, seed = _check_draws(boot_reps, seed)
         if not isinstance(fixed_spec, ModelSpec):
             raise InvalidArgumentError("fixed_spec must be a ModelSpec")
-        for v in varying_specs:
-            if v.role == fixed_spec.role:
-                raise InvalidArgumentError("varying specs must have the opposite role")
-            ps, os_ = pair(v)
-            _validate_specs((ps,), (os_,), estimator)
+        if any(v.role == fixed_spec.role for v in varying_specs):
+            raise InvalidArgumentError("varying specs must have the opposite role")
+        # one check of the whole line, so an empty line is checked too
+        if fixed_spec.role == "propensity":
+            _check_roles((fixed_spec,), varying_specs, estimator)
+        else:
+            _check_roles(varying_specs, (fixed_spec,), estimator)
         sample = _Sample(covariates, T, Y, (fixed_spec,) + varying_specs)
         finite = [pair(v) for v, x in zip(varying_specs, line) if math.isfinite(x)]
         _draws = _Draws(sample, finite, estimator, boot_reps, seed)

@@ -124,7 +124,7 @@ class TestDatasetRoundTrip:
         path.write_bytes(b"t,y,x1\n1,\xff\xfe,0.1\n")
         with pytest.raises(DataError):
             cli.read_dataset(str(path))
-        assert cli.main(["density", "--data", str(path)]) == 3
+        assert cli.main(["estimate", "--data", str(path)]) == 3
 
 
 class TestSimulateCommand:
@@ -548,112 +548,6 @@ class TestSensitivityCommand:
         assert cli.main(["sensitivity", "--data", data, "--config", str(bad)]) == 2
 
 
-class TestDensityCommand:
-    @pytest.fixture()
-    def values_csv(self, tmp_path):
-        rng = np.random.default_rng(2)
-        path = tmp_path / "v.csv"
-        path.write_text(
-            "value\n" + "\n".join(repr(float(v)) for v in rng.normal(size=80)) + "\n"
-        )
-        return str(path)
-
-    def test_output_shape_and_determinism(self, values_csv, tmp_path):
-        out1, out2 = tmp_path / "d1.csv", tmp_path / "d2.csv"
-        assert cli.main(["density", "--data", values_csv, "--out", str(out1)]) == 0
-        assert cli.main(["density", "--data", values_csv, "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        lines = out1.read_text().splitlines()
-        headers = [ln for ln in lines if ln.startswith("#")]
-        assert len(headers) == 5
-        assert headers[0].startswith("# package_version=")
-        assert any(ln.startswith("# bandwidth=") for ln in headers)
-        assert any(ln.startswith("# n_used=80") for ln in headers)
-        assert any(ln.startswith("# data_sha256=") for ln in headers)
-        body = lines[len(headers):]
-        assert body[0] == "grid,density"
-        assert len(body) == 1 + 512
-        g, d = body[1].split(",")
-        float(g), float(d)
-
-    def test_explicit_bandwidth_recorded(self, values_csv, tmp_path):
-        out = tmp_path / "d.csv"
-        assert cli.main(["density", "--data", values_csv, "--bandwidth", "2.0",
-                         "--out", str(out)]) == 0
-        assert "# bandwidth=2.0\n" in out.read_text()
-
-    def test_clip_quantile_recorded(self, values_csv, tmp_path):
-        out = tmp_path / "d.csv"
-        assert cli.main(["density", "--data", values_csv, "--clip-quantile",
-                         "0.05", "--out", str(out)]) == 0
-        text = out.read_text()
-        assert "# clip_quantile=0.05\n" in text
-        assert "# n_used=72\n" in text  # 80 values minus 10% clipped
-
-    def test_headerless_single_column(self, tmp_path):
-        path = tmp_path / "raw.csv"
-        path.write_text("1.0\n2.0\n3.5\n2.2\n")
-        assert cli.main(["density", "--data", str(path), "--out",
-                         str(tmp_path / "o.csv")]) == 0
-
-    def test_named_column(self, tmp_path):
-        path = tmp_path / "multi.csv"
-        path.write_text("a,b\n1.0,5.0\n2.0,6.0\n3.0,7.5\n")
-        assert cli.main(["density", "--data", str(path), "--column", "b",
-                         "--out", str(tmp_path / "o.csv")]) == 0
-
-    def test_ambiguous_columns_exit_3(self, tmp_path):
-        path = tmp_path / "multi.csv"
-        path.write_text("a,b\n1.0,5.0\n2.0,6.0\n")
-        assert cli.main(["density", "--data", str(path)]) == 3
-
-    def test_unknown_column_exits_3(self, values_csv):
-        assert cli.main(["density", "--data", values_csv, "--column", "w"]) == 3
-
-    def test_bad_bandwidth_exits_2(self, values_csv):
-        assert cli.main(["density", "--data", values_csv, "--bandwidth", "wide"]) == 2
-
-    @pytest.mark.parametrize("bandwidth", ["inf", "nan", "-1", "0"])
-    def test_non_finite_bandwidth_exits_2(self, values_csv, tmp_path, bandwidth):
-        out = tmp_path / "d.csv"
-        assert cli.main(["density", "--data", values_csv, "--bandwidth", bandwidth,
-                         "--out", str(out)]) == 2
-        assert not out.exists()
-
-    def test_overflowing_grid_exits_3(self, tmp_path):
-        # finite values whose padded grid would overflow to NaN rows
-        path = tmp_path / "huge.csv"
-        path.write_text("value\n-1e308\n0\n5e307\n1e308\n")
-        out = tmp_path / "d.csv"
-        assert cli.main(["density", "--data", str(path), "--out", str(out)]) == 3
-        assert not out.exists()
-
-    def test_degenerate_data_exits_3(self, tmp_path):
-        path = tmp_path / "const.csv"
-        path.write_text("value\n4.0\n4.0\n4.0\n")
-        assert cli.main(["density", "--data", path.as_posix()]) == 3
-
-    def test_bad_clip_exits_3(self, values_csv):
-        assert cli.main(["density", "--data", values_csv, "--clip-quantile",
-                         "0.9"]) == 3
-
-    def test_blank_lines_skipped_and_file_lines_named(self, tmp_path, capsys):
-        # "pear" is on line 5; the message named row 4
-        path = tmp_path / "gaps.csv"
-        path.write_text("value\n1.0\n\n2.0\npear\n")
-        assert cli.main(["density", "--data", str(path)]) == 3
-        assert "row 5: value 'pear'" in capsys.readouterr().err
-        with pytest.raises(DataError, match="row 5: value 'pear'"):
-            cli.read_values(str(path), None)
-        path.write_text("value\n1.0\n\n2.0\n \n")
-        assert cli.read_values(str(path), None).tolist() == [1.0, 2.0]
-
-    def test_nonnumeric_value_exits_3(self, tmp_path):
-        path = tmp_path / "junk.csv"
-        path.write_text("value\n1.0\npear\n")
-        assert cli.main(["density", "--data", str(path)]) == 3
-
-
 class TestParser:
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats dominates a cold start; the CLI needs none of it
@@ -669,7 +563,7 @@ class TestParser:
         assert out.stdout.strip() == "False"
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # only the constrained inverse-linear fits need SLSQP, imported on use
+        # only the inverse-linear likelihood fit needs SLSQP, imported on use
         import subprocess
         import sys
 

@@ -102,6 +102,9 @@ class TestTransform:
     def test_rejects_wrong_shape(self):
         with pytest.raises(InvalidArgumentError):
             dgp.transform_covariates(np.zeros((3, 3)))
+        # a ragged nesting raised numpy's ValueError
+        with pytest.raises(InvalidArgumentError, match="Z must be numeric"):
+            dgp.transform_covariates([[0.0] * 4, [0.0] * 3])
 
 
 class TestGenerate:

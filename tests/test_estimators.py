@@ -433,7 +433,7 @@ class TestOneDefinition:
         pipes = [est.Pipeline(view, memo=memo),
                  est.Pipeline(view, pi_start=start, memo=memo),
                  est.Pipeline(view, pi_start=start.copy(), memo=memo),
-                 est.Pipeline(view, inverse_linear="moment", memo=memo)]
+                 est.Pipeline(view, inverse_linear="likelihood", memo=memo)]
         fitted = [pipe.propensity() for pipe in pipes]
         assert len(fits) == 3
         assert len({id(f) for f in fitted}) == 4

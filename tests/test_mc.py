@@ -13,8 +13,6 @@ from drmean._util import derive_seed
 from drmean.dgp import DgpConfig, generate_sample, make_view, reverse_roles
 from drmean.errors import DegenerateInputError, InvalidArgumentError
 
-trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 
 class TestSummarize:
     def test_three_point_example(self):
@@ -74,6 +72,9 @@ class TestSummarize:
             mc.summarize(np.array([]), 0.0)
         with pytest.raises(InvalidArgumentError):
             mc.summarize(np.array([1.0, math.nan]), 0.0)
+
+    def test_quantile_levels_fixed(self):
+        assert mc.QUANTILE_LEVELS == (1, 5, 25, 50, 75, 95, 99)
 
 
 class TestScenarioSpec:
@@ -460,90 +461,8 @@ class TestSharedReplication:
         assert shared_failures > 0 if n == 10 else shared_failures == 0
 
 
-@pytest.fixture(scope="module")
-def bimodal():
-    rng = np.random.default_rng(17)
-    return np.concatenate([rng.normal(0.0, 1.0, 400), rng.normal(6.0, 0.5, 200)])
-
-
-class TestDensity:
-
-    def test_grid_span_and_normalisation(self, bimodal):
-        s = mc.density_points(bimodal)
-        assert s.grid.shape == (512,)
-        assert s.density.shape == (512,)
-        assert s.grid[0] == pytest.approx(bimodal.min() - 3 * s.bandwidth)
-        assert s.grid[-1] == pytest.approx(bimodal.max() + 3 * s.bandwidth)
-        assert np.all(s.density >= 0.0)
-        assert abs(trapezoid(s.density, s.grid) - 1.0) < 0.01
-
-    def test_taller_mode_located(self, bimodal):
-        s = mc.density_points(bimodal)
-        assert abs(s.grid[int(np.argmax(s.density))]) < 0.5
-
-    def test_automatic_bandwidth_formula(self, bimodal):
-        s = mc.density_points(bimodal)
-        sd = float(np.std(bimodal, ddof=1))
-        q25, q75 = np.percentile(bimodal, [25, 75])
-        want = 0.9 * min(sd, (q75 - q25) / 1.34) * bimodal.size ** (-0.2)
-        assert np.isclose(s.bandwidth, want, rtol=1e-12)
-
-    def test_explicit_bandwidth(self, bimodal):
-        s = mc.density_points(bimodal, bandwidth=2.5)
-        assert s.bandwidth == 2.5
-        narrow = mc.density_points(bimodal, bandwidth=0.25)
-        assert narrow.density.max() > s.density.max()
-
-    def test_clip_removes_outlier(self):
-        rng = np.random.default_rng(23)
-        values = np.concatenate([rng.normal(size=99), [1e6]])
-        s = mc.density_points(values, clip_quantile=0.02)
-        assert s.n_used < 100
-        assert s.grid[-1] < 1e5
-        assert s.clip_quantile == 0.02
-
-    def test_degenerate_inputs_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            mc.density_points(np.array([3.0, 3.0, 3.0]))
-        with pytest.raises(DegenerateInputError):
-            mc.density_points(np.array([3.0]))
-
-    def test_bad_arguments_rejected(self, bimodal):
-        with pytest.raises(InvalidArgumentError):
-            mc.density_points(bimodal, bandwidth=-1.0)
-        with pytest.raises(InvalidArgumentError):
-            mc.density_points(bimodal, bandwidth="silverman")
-        with pytest.raises(InvalidArgumentError):
-            mc.density_points(bimodal, clip_quantile=0.7)
-        with pytest.raises(InvalidArgumentError):
-            mc.density_points(np.array([1.0, math.inf]))
-
-    @pytest.mark.parametrize("bandwidth", [math.inf, math.nan])
-    def test_non_finite_bandwidth_rejected(self, bimodal, bandwidth):
-        with pytest.raises(InvalidArgumentError):
-            mc.density_points(bimodal, bandwidth=bandwidth)
-
-    @pytest.mark.parametrize("values, bandwidth", [
-        # finite data whose automatic bandwidth pads the grid past the
-        # largest double, and a subnormal bandwidth whose kernel
-        # normalising constant overflows
-        ([-1e308, 0.0, 5e307, 1e308], "auto"),
-        ([0.0, 1.0, 2.0], 1e-320),
-    ])
-    def test_overflowing_grid_rejected(self, values, bandwidth):
-        with pytest.raises(DegenerateInputError):
-            mc.density_points(np.array(values), bandwidth=bandwidth)
-
-    def test_quantile_levels_fixed(self):
-        assert mc.QUANTILE_LEVELS == (1, 5, 25, 50, 75, 95, 99)
-
-
 class TestValueVectors:
     # each raised numpy's TypeError or ValueError
     def test_summarize_needs_1d_values(self):
         with pytest.raises(InvalidArgumentError, match="values must be 1-d"):
             mc.summarize(np.ones((3, 2)), 0.0)
-
-    def test_density_needs_1d_values(self):
-        with pytest.raises(InvalidArgumentError, match="values must be 1-d"):
-            mc.density_points(np.arange(6.0).reshape(3, 2))

@@ -12,8 +12,9 @@ of 0 to 3.  The scalar arguments of the library (counts, seeds, flags,
 names and methods), fed bools, floats, strings, lists, None and negative
 numbers, raise nothing but DrmeanErrors, and a bool never passes for a
 count nor anything else for a flag.  So do per-unit arrays of the wrong
-shape (one entry short or long, a column, 2-d or 0-d), and sensitivity
-specs that are not ModelSpecs are always rejected.
+shape (one entry short or long, a column, 2-d or 0-d) or of text, complex
+values or ragged lists, and sensitivity specs that are not ModelSpecs are
+always rejected, as are the spellings of removed features.
 """
 
 import dataclasses
@@ -27,10 +28,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import drmean
-from drmean import AnalysisView, DrmeanError, ModelSpec, cli
+from drmean import AnalysisView, DrmeanError, InvalidArgumentError, ModelSpec, cli
 
-PROPENSITY_KINDS = ("LOGISTIC_MLE", "INV_LINEAR_ML", "INV_LINEAR_MOMENT",
-                    "INV_LINEAR_UNCONSTRAINED")
+PROPENSITY_KINDS = ("LOGISTIC_MLE", "INV_LINEAR_ML", "INV_LINEAR_UNCONSTRAINED")
 
 
 def call(f, *args, **kwargs):
@@ -67,7 +67,8 @@ def _case(covariates, T, y):
     return np.array(covariates, dtype=float), T, np.array(y), np.full(len(T), 0.5), True
 
 
-# SLSQP's exact moment sums overflowed on this design: [1, 1.2e62] on every row
+# [1, 1.2e62] on every row: a constant column far from unit scale, on which
+# the exact sums of an SLSQP criterion overflowed
 INV_LINEAR_OVERFLOW = _case(np.full((3, 1), 1.2e62), [0, 1, 1], [0.0, 1.0, 2.0])
 
 
@@ -88,7 +89,7 @@ def test_fits_and_estimators_raise_only_drmean_errors(case):
     logistic = call(drmean.fit_logistic_propensity, design, T)
     if logistic is not None:
         call(drmean.fit_extended_propensity, logistic, X[:, 0], T)
-    for method in ("likelihood", "moment", "unconstrained_moment"):
+    for method in drmean.linmod.INV_LINEAR_METHODS:
         call(drmean.fit_inverse_linear, design, T, method)
     reg = call(drmean.fit_outcome_reg, view)
     for fit in (drmean.fit_outcome_wls, drmean.fit_outcome_ext_reg,
@@ -102,7 +103,6 @@ def test_fits_and_estimators_raise_only_drmean_errors(case):
     call(drmean.mu_from_regression, m_hat)
     call(drmean.mu_full, y)
     call(drmean.summarize, y, 0.0)
-    call(drmean.density_points, y)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -258,6 +258,25 @@ def test_sensitivity_cli_returns_an_exit_code(workdir, config):
     run_cli(workdir, "sensitivity", config)
 
 
+@pytest.mark.parametrize("removed", ["moment", "INV_LINEAR_MOMENT", "sensitivity kind",
+                                     "density"])
+def test_removed_spellings_are_rejected(workdir, removed):
+    # the constrained moment fit and the density subcommand are gone
+    if removed == "moment":
+        with pytest.raises(InvalidArgumentError, match="unknown method 'moment'"):
+            drmean.fit_inverse_linear(np.ones((4, 1)), np.array([1, 1, 1, 0]), "moment")
+    elif removed == "INV_LINEAR_MOMENT":
+        with pytest.raises(InvalidArgumentError, match="unknown propensity kind"):
+            ModelSpec("propensity", (0,), "INV_LINEAR_MOMENT")
+    elif removed == "sensitivity kind":
+        models = [{"covariates": ["x1"], "kind": "INV_LINEAR_MOMENT"}]
+        assert run_cli(workdir, "sensitivity", {**SENSITIVITY, "propensity_models": models}) == 2
+    else:
+        with pytest.raises(SystemExit) as exit_:  # argparse's usage error
+            cli.main(["density", "--data", str(workdir / "data.csv")])
+        assert exit_.value.code == 2
+
+
 # scalar arguments of the wrong type or range, beside small valid counts
 ARGUMENTS = st.one_of(
     st.sampled_from((True, False, np.True_, 1.5, math.nan, -1, -(2**70), "x", "OLS",
@@ -333,13 +352,16 @@ def test_scalar_arguments_raise_only_drmean_errors(name, value):
         call(target, value)
 
 
-# per-unit arrays of the wrong shape
+# per-unit arrays of the wrong shape, and of the right shape but not numbers
 BAD_SHAPES = {
     "short": lambda a: a[:-1],
     "long": lambda a: np.concatenate([a, a[:1]]),
     "column": lambda a: np.expand_dims(a, -1),
     "pairs": lambda a: a[: len(a) // 2 * 2].reshape(len(a) // 2, 2, *a.shape[1:]),
     "0-d": lambda a: np.asarray(a.flat[0]),
+    "text": lambda a: np.full(a.shape, "a"),
+    "ragged": lambda a: [a[:1].tolist(), a[:2].tolist()],
+    "complex": lambda a: a + 1j,
 }
 
 
@@ -370,12 +392,13 @@ def array_targets() -> dict:
         **{f"{f.__name__}.pi_hat": one_bad(f, (view, pi), 1)
            for f in (drmean.fit_outcome_wls, drmean.fit_outcome_ext_reg,
                      drmean.fit_outcome_ipw_nr)},
+        "fit_logistic_propensity.design": one_bad(drmean.fit_logistic_propensity,
+                                                  (view.design_pi, T), 0),
         "weight_diagnostics.pi_hat": one_bad(drmean.linmod.weight_diagnostics, (pi, T), 0),
         "weight_diagnostics.T": one_bad(drmean.linmod.weight_diagnostics, (pi, T), 1),
         "mu_from_regression.m_hat": one_bad(drmean.mu_from_regression, (m_hat,), 0),
         "mu_full.Y": one_bad(drmean.mu_full, (sample.Y,), 0),
         "summarize.values": one_bad(drmean.summarize, (sample.Y, 0.0), 0),
-        "density_points.values": one_bad(drmean.density_points, (sample.Y,), 0),
         **{f"run_sensitivity.{name}": one_bad(drmean.run_sensitivity,
                                               (cov, T, y, [pz], [oz], "DR_WLS"), k, boot_reps=2)
            for k, name in ((1, "T"), (2, "Y"))},
@@ -406,7 +429,14 @@ ARRAY_TARGETS = array_targets()
 @example("mu_full.Y", "pairs")
 @example("mu_from_regression.m_hat", "pairs")
 @example("summarize.values", "pairs")
-@example("density_points.values", "pairs")
+# each raised numpy's ValueError
+@example("mu_ht.pi_hat", "text")
+@example("mu_full.Y", "ragged")
+@example("summarize.values", "text")
+@example("fit_logistic_propensity.design", "text")
+# each warned that the imaginary part was discarded
+@example("mu_full.Y", "complex")
+@example("fit_logistic_propensity.design", "complex")
 def test_arrays_of_the_wrong_shape_raise_only_drmean_errors(name, shape):
     call(ARRAY_TARGETS[name], BAD_SHAPES[shape])
 

@@ -57,7 +57,6 @@ class TestModelSpec:
         assert sens._PROPENSITY_METHODS == {
             "LOGISTIC_MLE": None,
             "INV_LINEAR_ML": "likelihood",
-            "INV_LINEAR_MOMENT": "moment",
             "INV_LINEAR_UNCONSTRAINED": "unconstrained_moment",
         }
 
@@ -209,6 +208,23 @@ class TestHomogeneity:
                                     "DR_WLS", boot_reps=60, seed=9)
         assert np.isclose(fwd.statistic, rev.statistic, rtol=1e-12)
         assert np.isclose(fwd.p_value, rev.p_value, rtol=1e-12)
+
+    @pytest.mark.parametrize("fixed, estimator, message", [
+        (sens.ModelSpec("propensity", (0,)), "NOPE", "doubly robust"),
+        (sens.ModelSpec("outcome", (0,), "WLS"), "DR_REG", "conflicts with DR_REG"),
+    ], ids=["estimator", "outcome-kind"])
+    def test_empty_line_checks_its_estimator(self, data600, fixed, estimator, message):
+        # with no varying specs neither was checked: p = nan, "empty line"
+        _, cov, T, y = data600
+        with pytest.raises(InvalidArgumentError, match=message):
+            sens.homogeneity_test(np.array([]), cov, T, y, fixed, (), estimator)
+
+    def test_empty_line_is_untestable(self, data600):
+        _, cov, T, y = data600
+        out = sens.homogeneity_test(np.array([]), cov, T, y, sens.ModelSpec("propensity", (0,)),
+                                    (), "DR_WLS")
+        assert math.isnan(out.p_value)
+        assert out.note == "empty line"
 
     def test_single_spec_line_trivially_homogeneous(self, data600):
         _, cov, T, y = data600
@@ -561,16 +577,20 @@ class TestNoForeignExceptions:
         assert np.all(np.isfinite(out.estimates[0]))
         assert out.row_tests[0].p_value == alone.row_tests[0].p_value
 
-    def test_overflowing_moment_fit_fails_its_cell(self):
-        # the SLSQP moment criterion overflows: the cell fails, the pass goes on
-        p_moment = sens.ModelSpec(role="propensity", covariates=(0,),
-                                  kind="INV_LINEAR_MOMENT")
+    def test_overflowing_likelihood_fit_fails_its_cell(self):
+        # SLSQP fails on the likelihood of a +-1e300 column: that cell
+        # fails, and the row beside it still gets its estimate
+        p_ml = sens.ModelSpec(role="propensity", covariates=(0,), kind="INV_LINEAR_ML")
+        p_unconstrained = sens.ModelSpec(role="propensity", covariates=(1,),
+                                         kind="INV_LINEAR_UNCONSTRAINED")
         out = sens.run_sensitivity(
-            np.full((3, 1), 1.2e62), np.array([0, 1, 1]), np.array([np.nan, 1.0, 2.0]),
-            [p_moment], [sens.ModelSpec(role="outcome", covariates=(0,))], "DR_WLS",
-            boot_reps=2,
+            np.array([[1e300, 0.5], [-1e300, 1.0], [2.0, 3.0]]), np.array([0, 1, 1]),
+            np.array([np.nan, 1.0, 2.0]), [p_ml, p_unconstrained],
+            [sens.ModelSpec(role="outcome", covariates=(1,))], "DR_WLS", boot_reps=2,
         )
-        assert out.cell_messages[0, 0].startswith("NonconvergenceError")
+        assert list(out.cell_messages) == [(0, 0)]
+        assert out.cell_messages[0, 0].startswith("NonconvergenceError: constrained fit")
+        assert np.isfinite(out.estimates[1, 0])
 
     @pytest.mark.parametrize("name", ["matrix_rank", "pinv"])
     def test_linalg_error_in_the_wald_test(self, data600, monkeypatch, name):

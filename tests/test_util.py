@@ -115,6 +115,21 @@ class TestUnitArrays:
             with pytest.raises(InvalidArgumentError, match="values must be 1-d"):
                 _util.check_vector(values, "values")
 
+    @pytest.mark.parametrize("values", [["a", "b", "c"], [[1.0], [1.0, 2.0], [3.0]],
+                                        [{}, 1.0, 2.0], [1.0, 2.0, 1j]],
+                             ids=["text", "ragged", "object", "complex"])
+    def test_non_numeric_values_rejected(self, values):
+        # numpy's ValueError or TypeError escaped, or its ComplexWarning
+        T = np.array([0, 1, 1])
+        with pytest.raises(InvalidArgumentError, match="pi_hat must be numeric"):
+            _util.check_units(values, T, "pi_hat")
+        with pytest.raises(InvalidArgumentError, match="values must be numeric"):
+            _util.check_vector(values, "values")
+
+    def test_ragged_response_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="T must be numeric"):
+            _util.check_response([[0], [0, 1]])
+
     def test_nan_to_none(self):
         assert _util.nan_to_none(math.nan) is None
         assert [_util.nan_to_none(v) for v in (1.5, math.inf, 2, "x")] == [1.5, math.inf, 2, "x"]
