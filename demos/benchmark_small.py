@@ -12,6 +12,7 @@ of that so it finishes in a few seconds.
 import argparse
 
 from drmean import ScenarioSpec, run_scenarios
+from drmean.dgp import MU_TRUE
 
 SCENARIOS = [
     (True, True, False),
@@ -43,7 +44,7 @@ def main():
     ]
     for out in run_scenarios(specs, workers=args.workers):
         print(f"\n{out.scenario.label()}  (n={args.n}, reps={args.reps}, "
-              f"truth={out.mu_true})")
+              f"truth={MU_TRUE})")
         print(f"  {'estimator':<12} {'bias':>8} {'variance':>10} "
               f"{'mse':>10} {'fails':>6}")
         for name, row in out.rows.items():

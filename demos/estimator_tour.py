@@ -7,8 +7,6 @@ show why the normalised and plug-in forms stay calm while the raw
 inverse-weighted mean does not.
 """
 
-import numpy as np
-
 from drmean import (
     estimate_all,
     generate_sample,

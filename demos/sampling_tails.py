@@ -9,6 +9,7 @@ the top quantiles, the maximum and the skewness all show.
 """
 
 from drmean import ScenarioSpec, run_scenario
+from drmean.dgp import MU_TRUE
 from drmean.mc import QUANTILE_LEVELS
 
 N = 200
@@ -20,7 +21,7 @@ def main():
     spec = ScenarioSpec(n=N, reps=REPS, pi_model_correct=False, m_model_correct=False,
                         base_seed=1_000, estimators=NAMES)
     summary = run_scenario(spec)
-    print(f"n = {N}, {REPS} replications, both models wrong, true mean {summary.mu_true:g}\n")
+    print(f"n = {N}, {REPS} replications, both models wrong, true mean {MU_TRUE:g}\n")
     columns = [f"q{q:02d}" for q in QUANTILE_LEVELS] + ["min", "max", "skew"]
     print(f"{'':>8}" + "".join(f"{c:>9}" for c in columns))
     for name in NAMES:

@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 
 from .dgp import (
     AnalysisView,
-    DgpConfig,
     FullSample,
     generate_sample,
     make_view,
@@ -84,7 +83,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "DegenerateInputError",
-    "DgpConfig",
     "DrmeanError",
     "DR_ESTIMATORS",
     "ESTIMATOR_NAMES",

@@ -34,6 +34,14 @@ def check_int(value, name: str, minimum: int | None = None) -> int:
     raise InvalidArgumentError(f"{name} must be an integer{bound}")
 
 
+def check_collection(items, cls: type, name: str) -> tuple:
+    """items as a tuple; InvalidArgumentError unless they are instances of cls."""
+    items = tuple(items) if np.iterable(items) else (None,)
+    if not all(isinstance(item, cls) for item in items):
+        raise InvalidArgumentError(f"{name} must be a collection of {cls.__name__}s")
+    return items
+
+
 def as_array(values, name: str, dtype=float) -> np.ndarray:
     """values as an array of dtype (float, or numpy's own choice for None);
     InvalidArgumentError "<name> must be numeric" if they are complex, which

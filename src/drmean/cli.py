@@ -17,8 +17,8 @@ Floats are written with repr (shortest round-trip form) and files use
 "\n" line endings, so identical inputs give byte-identical outputs on
 any platform and with any worker count.
 
-Exit codes: 0 success, 1 estimation failure, 2 configuration problem,
-3 data problem.
+Exit codes: 0 success, 1 estimation failure, 2 configuration problem
+(an --out that cannot be written included), 3 data problem.
 """
 
 import argparse
@@ -28,18 +28,20 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, fields
+from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from ._util import PRNG_NAME, SEED_DERIVATION, check_int, nan_to_none
-from .dgp import AnalysisView, DgpConfig, design_matrix
+from .dgp import MU_TRUE, AnalysisView, design_matrix
 from .errors import ConfigError, DataError, DrmeanError, InvalidArgumentError
 from .estimators import ESTIMATOR_NAMES, check_estimator_names, estimate_all
-# run_scenario is unused here, but bench/layers.py wraps cli.run_scenario
-from .mc import QUANTILE_LEVELS, ScenarioSpec, run_scenario, run_scenarios  # noqa: F401
+from .mc import QUANTILE_LEVELS, ScenarioSpec, run_scenarios
+# unused here, but bench/layers.py wraps cli.run_scenario
+from .mc import run_scenario  # noqa: F401
 from .sensitivity import ModelSpec, run_sensitivity
 
 RESULT_COLUMNS = (
@@ -83,13 +85,12 @@ def _int_field(raw: dict, key: str, minimum: int, default: int | None = None) ->
         raise ConfigError(str(exc)) from None
 
 
-def load_run_config(path: str) -> tuple[list[ScenarioSpec], DgpConfig, dict]:
-    """Parse a simulate config: the ScenarioSpecs to run (each sample size
-    within each scenario, in config order), the DgpConfig and the parsed
-    JSON.  ConfigError if any part is invalid."""
+def load_run_config(path: str) -> tuple[list[ScenarioSpec], dict]:
+    """Parse a simulate config into the ScenarioSpecs to run (each sample size
+    within each scenario, in config order) and the parsed JSON; ConfigError
+    if any part is invalid."""
     raw = _load_json(path, "config")
-    allowed = {"base_seed", "reps", "sample_sizes", "scenarios", "reverse_roles",
-               "estimators", "dgp"}
+    allowed = {"base_seed", "reps", "sample_sizes", "scenarios", "reverse_roles", "estimators"}
     _no_unknown_keys(raw, allowed, "config")
     base_seed = _int_field(raw, "base_seed", 0)
     reps = _int_field(raw, "reps", 1)
@@ -126,13 +127,6 @@ def load_run_config(path: str) -> tuple[list[ScenarioSpec], DgpConfig, dict]:
         and all(isinstance(e, str) for e in estimators),
         "estimators must be a nonempty list of names",
     )
-    dgp_raw = raw.get("dgp", {})
-    _require(isinstance(dgp_raw, dict), "dgp must be an object")
-    _no_unknown_keys(dgp_raw, {f.name for f in fields(DgpConfig)}, "dgp")
-    try:
-        dgp = DgpConfig(**dgp_raw)
-    except InvalidArgumentError as exc:  # its messages begin with the setting's name
-        raise ConfigError(f"invalid dgp settings: dgp.{exc}") from None
     try:
         specs = [
             ScenarioSpec(n=n, reps=reps, pi_model_correct=pi_correct,
@@ -143,7 +137,7 @@ def load_run_config(path: str) -> tuple[list[ScenarioSpec], DgpConfig, dict]:
         ]
     except InvalidArgumentError as exc:
         raise ConfigError(str(exc)) from None
-    return specs, dgp, raw
+    return specs, raw
 
 
 def _fmt(x: float) -> str:
@@ -155,10 +149,21 @@ def _sha256_of(obj: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _write_text(path: str, text: str) -> None:
+@contextmanager
+def _writing(path):
+    """Turn an OSError in the block into ConfigError "cannot write <path>: <reason>"."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write_text(path, text: str) -> None:
+    """text into the file at path, or onto stdout if path is "-"."""
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    with _writing(path):
         Path(path).write_text(text)
 
 
@@ -276,31 +281,30 @@ def results_csv_text(summaries: list) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    specs, dgp, raw = load_run_config(args.config)
+    specs, raw = load_run_config(args.config)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summaries = run_scenarios(specs, dgp, workers=args.workers)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    summaries = run_scenarios(specs, workers=args.workers)
     failure_counts: dict[str, int] = {}
     for summary in summaries:
         spec = summary.scenario
         for name, row in summary.rows.items():
             if row.failures:
                 failure_counts[f"{spec.label()}:n={spec.n}:{name}"] = row.failures
-    (out_dir / "results.csv").write_text(results_csv_text(summaries))
+    _write_text(out_dir / "results.csv", results_csv_text(summaries))
     metadata = {
         "package_version": __version__,
         "prng": PRNG_NAME,
         "seed_derivation": SEED_DERIVATION,
         "base_seed": specs[0].base_seed,
         "reverse_roles": specs[0].reverse,
-        "mu_true": summaries[0].mu_true,
+        "mu_true": MU_TRUE,
         "config": raw,
         "config_sha256": _sha256_of(raw),
         "failure_counts": failure_counts,
     }
-    (out_dir / "metadata.json").write_text(
-        json.dumps(metadata, indent=2, sort_keys=True) + "\n"
-    )
+    _write_text(out_dir / "metadata.json", json.dumps(metadata, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -6,18 +6,19 @@ probability is logistic in Z, and nonlinear transforms X of Z.  Analyses
 that regress on Z use correctly specified models; analyses that regress
 on X use misspecified ones, although X carries the same information.
 
-Reproducibility contract: a (n, seed, config) triple fixes every array
-bit for bit.  Each unit consumes six uniforms from a PCG64 stream in a
-fixed order (four for Z, one for the outcome noise, one for the response
+Reproducibility contract: an (n, seed) pair fixes every array bit for
+bit.  Each unit consumes six uniforms from a PCG64 stream in a fixed
+order (four for Z, one for the outcome noise, one for the response
 draw), and normals come from the inverse CDF, so no rejection step can
 desynchronise the stream.
+
+The design is Kang & Schafer's (Statist. Sci. 22(4), 2007):
+
+    Y = 210 + 13.7 (2 Z1 + Z2 + Z3 + Z4) + eps,  eps ~ N(0, 1)
+    logit pi = -Z1 + 0.5 Z2 - 0.25 Z3 - 0.1 Z4
 """
 
-import math
-import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 from scipy.special import expit, ndtri
@@ -25,57 +26,7 @@ from scipy.special import expit, ndtri
 from ._util import as_array, check_int
 from .errors import InvalidArgumentError
 
-_BASE_WEIGHTS = (2.0, 1.0, 1.0, 1.0)
-_BASE_PROPENSITY = (0.0, -1.0, 0.5, -0.25, -0.1)
-
-
-def _finite(value, name: str) -> float:
-    """value as a float if it is a finite real number, not a bool."""
-    real = isinstance(value, Real) and not isinstance(value, bool)
-    if not (real and -sys.float_info.max <= value <= sys.float_info.max):
-        raise InvalidArgumentError(f"{name} must be a finite number")
-    return float(value)
-
-
-@dataclass(frozen=True)
-class DgpConfig:
-    """Parameters of the generating process.
-
-    Defaults reproduce the standard benchmark: Y has mean 210, the outcome
-    signal is 13.7 * (2 Z1 + Z2 + Z3 + Z4), unit-variance Gaussian noise,
-    and response probability expit(-Z1 + 0.5 Z2 - 0.25 Z3 - 0.1 Z4) with
-    zero intercept (propensity_coefficients[0]).  Every value must be a
-    finite real number (the two sequences are kept as tuples of floats),
-    and no draw's outcome or propensity logit may overflow.
-    """
-
-    intercept: float = 210.0
-    slope: float = 13.7
-    z_star_weights: tuple[float, ...] = _BASE_WEIGHTS
-    propensity_coefficients: tuple[float, ...] = _BASE_PROPENSITY
-    noise_sd: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name, length in (("z_star_weights", 4), ("propensity_coefficients", 5)):
-            values = getattr(self, name)
-            if not isinstance(values, (Sequence, np.ndarray)) or len(values) != length:
-                raise InvalidArgumentError(f"{name} must hold {length} numbers")
-            values = tuple(_finite(v, f"{name}[{i}]") for i, v in enumerate(values))
-            object.__setattr__(self, name, values)
-        a, b, sd = (_finite(getattr(self, k), k) for k in ("intercept", "slope", "noise_sd"))
-        if not sd > 0:
-            raise InvalidArgumentError("noise_sd must be positive")
-        # |Z| and |eps| stay below 38 (their uniforms are floored at 1e-300), so
-        # these bound |Y| and |logit| over all draws; NaN (0 * inf) fails too
-        w, c = self.z_star_weights, self.propensity_coefficients
-        y_bound = abs(a) + abs(b) * (38.0 * sum(map(abs, w))) + 38.0 * sd
-        logit_bound = abs(c[0]) + 38.0 * sum(map(abs, c[1:]))
-        if not math.isfinite(y_bound):
-            raise InvalidArgumentError(
-                "intercept, slope, z_star_weights and noise_sd overflow the outcome of some draws")
-        if not math.isfinite(logit_bound):
-            raise InvalidArgumentError(
-                "propensity_coefficients overflow the propensity logit of some draws")
+MU_TRUE = 210.0  # the population mean of Y
 
 
 @dataclass
@@ -122,21 +73,17 @@ def transform_covariates(Z: np.ndarray) -> np.ndarray:
     return np.column_stack([x1, x2, x3, x4])
 
 
-def generate_sample(n: int, seed: int, cfg: DgpConfig | None = None) -> FullSample:
-    """Draw a sample of size n, fully determined by (n, seed, cfg)."""
+def generate_sample(n: int, seed: int) -> FullSample:
+    """Draw a sample of size n, fully determined by (n, seed)."""
     n, seed = check_int(n, "n", 1), check_int(seed, "seed", 0)
-    if cfg is None:
-        cfg = DgpConfig()
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random((n, 6))
     # random() can return exactly 0, where ndtri gives -inf
     u[:, :5] = np.maximum(u[:, :5], 1e-300)
     Z = ndtri(u[:, :4])
     eps = ndtri(u[:, 4])
-    weights = np.asarray(cfg.z_star_weights)
-    Y = cfg.intercept + cfg.slope * (Z @ weights) + cfg.noise_sd * eps
-    coef = np.asarray(cfg.propensity_coefficients)
-    pi_true = expit(coef[0] + Z @ coef[1:])
+    Y = MU_TRUE + 13.7 * (Z @ np.array([2.0, 1.0, 1.0, 1.0])) + eps
+    pi_true = expit(Z @ np.array([-1.0, 0.5, -0.25, -0.1]))
     T = (u[:, 5] < pi_true).astype(np.int64)
     X = transform_covariates(Z)
     return FullSample(n=n, Z=Z, X=X, pi_true=pi_true, T=T, Y=Y)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_int, check_seed, check_vector, derive_seed
-from .dgp import DgpConfig, generate_sample, make_view, reverse_roles
+from ._util import check_collection, check_int, check_seed, check_vector, derive_seed
+from .dgp import MU_TRUE, generate_sample, make_view, reverse_roles
 from .errors import DegenerateInputError, InvalidArgumentError
 from .estimators import ESTIMATOR_NAMES, FLAG_FAILED, check_estimator_names, estimate_all
 
@@ -89,7 +89,6 @@ class EstimatorSummary:
 @dataclass
 class MCSummary:
     scenario: ScenarioSpec
-    mu_true: float
     rows: dict[str, EstimatorSummary]
 
 
@@ -155,15 +154,13 @@ def _empty_summary(failures: int) -> EstimatorSummary:
     )
 
 
-def _replicate(
-    args: tuple[int, tuple[ScenarioSpec, ...], DgpConfig],
-) -> list[dict[str, float | None]]:
+def _replicate(args: tuple[int, tuple[ScenarioSpec, ...]]) -> list[dict[str, float | None]]:
     """Replication r of a group of specs that share n, base_seed and
     reverse: one result dict per spec, in order.  The specs' views share
     their designs and one Pipeline memo, which shares the fits."""
-    r, specs, cfg = args
+    r, specs = args
     first = specs[0]
-    sample = generate_sample(first.n, derive_seed(first.base_seed, r), cfg)
+    sample = generate_sample(first.n, derive_seed(first.base_seed, r))
     if first.reverse:
         sample = reverse_roles(sample)
     parts: dict = {}
@@ -179,26 +176,22 @@ def _replicate(
     return out
 
 
-def _reduce(spec: ScenarioSpec, results: list, mu_true: float) -> MCSummary:
+def _reduce(spec: ScenarioSpec, results: list) -> MCSummary:
     """Summarise one scenario's replication results, in replication order."""
     rows: dict[str, EstimatorSummary] = {}
     for name in spec.estimators:
         vals = [res[name] for res in results if res[name] is not None]
         failures = spec.reps - len(vals)
         if vals:
-            row = summarize(np.array(vals), mu_true=mu_true)
+            row = summarize(np.array(vals), mu_true=MU_TRUE)
             row.failures = failures
         else:
             row = _empty_summary(failures)
         rows[name] = row
-    return MCSummary(scenario=spec, mu_true=mu_true, rows=rows)
+    return MCSummary(scenario=spec, rows=rows)
 
 
-def run_scenarios(
-    specs,
-    cfg: DgpConfig | None = None,
-    workers: int = 1,
-) -> list[MCSummary]:
+def run_scenarios(specs, workers: int = 1) -> list[MCSummary]:
     """Run all replications of every scenario; one summary per spec, in order.
 
     Specs that share n, base_seed and reverse form a group, and a task is
@@ -208,12 +201,11 @@ def run_scenarios(
     task list.  A chunk holds at most a quarter of one worker's share of
     the smallest scenario, so chunks of a costly large-n group stay small
     and the pool's tail stays short when sizes are mixed.  The summaries
-    do not depend on the worker count.
+    do not depend on the worker count.  InvalidArgumentError unless specs
+    is a collection of ScenarioSpecs.
     """
-    if cfg is None:
-        cfg = DgpConfig()
+    specs = check_collection(specs, ScenarioSpec, "specs")
     workers = check_int(workers, "workers", 1)
-    specs = list(specs)
     groups: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
         groups.setdefault((spec.n, spec.base_seed, spec.reverse), []).append(i)
@@ -222,7 +214,7 @@ def run_scenarios(
     for group in groups.values():
         for r in range(max(specs[i].reps for i in group)):
             live = [i for i in group if specs[i].reps > r]
-            tasks.append((r, tuple(specs[i] for i in live), cfg))
+            tasks.append((r, tuple(specs[i] for i in live)))
             members.append(live)
     if workers == 1 or len(tasks) <= 1:
         results = [_replicate(t) for t in tasks]
@@ -235,14 +227,10 @@ def run_scenarios(
     for live, task_results in zip(members, results):
         for i, res in zip(live, task_results):
             per_spec[i].append(res)
-    return [_reduce(spec, res, cfg.intercept) for spec, res in zip(specs, per_spec)]
+    return [_reduce(spec, res) for spec, res in zip(specs, per_spec)]
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    cfg: DgpConfig | None = None,
-    workers: int = 1,
-) -> MCSummary:
+def run_scenario(spec: ScenarioSpec, workers: int = 1) -> MCSummary:
     """Run all replications of one scenario and summarise per estimator:
     run_scenarios on the single spec."""
-    return run_scenarios([spec], cfg, workers)[0]
+    return run_scenarios([spec], workers)[0]

@@ -23,7 +23,9 @@ from functools import cached_property
 import numpy as np
 from scipy.special import chdtrc
 
-from ._util import as_array, check_int, check_response, check_seed, derive_seed, nan_to_none
+from ._util import (
+    as_array, check_collection, check_int, check_response, check_seed, derive_seed, nan_to_none,
+)
 from .dgp import AnalysisView, design_matrix
 from .errors import DrmeanError, InvalidArgumentError, NonconvergenceError
 from .estimators import ESTIMATORS, Pipeline
@@ -204,14 +206,6 @@ def _estimate_cells(designs, T, y_observed, cells, estimator, starts, memo) -> d
     return out
 
 
-def _check_specs(specs, name: str) -> tuple[ModelSpec, ...]:
-    """specs as a tuple; InvalidArgumentError unless it holds ModelSpecs only."""
-    specs = tuple(specs) if np.iterable(specs) else (None,)
-    if not all(isinstance(s, ModelSpec) for s in specs):
-        raise InvalidArgumentError(f"{name} must be a collection of ModelSpecs")
-    return specs
-
-
 def _check_roles(p_specs, o_specs, estimator) -> None:
     """InvalidArgumentError unless estimator is doubly robust, p_specs are
     propensity specs and o_specs outcome specs whose kind agrees with it."""
@@ -231,7 +225,8 @@ def _check_roles(p_specs, o_specs, estimator) -> None:
 
 
 def _validate_specs(p_specs, o_specs, estimator):
-    p_specs, o_specs = _check_specs(p_specs, "p_specs"), _check_specs(o_specs, "o_specs")
+    p_specs = check_collection(p_specs, ModelSpec, "p_specs")
+    o_specs = check_collection(o_specs, ModelSpec, "o_specs")
     _check_roles(p_specs, o_specs, estimator)
     if not p_specs or not o_specs:
         raise InvalidArgumentError("need at least one spec per role")
@@ -355,7 +350,7 @@ def homogeneity_test(
         return (fixed_spec, v) if fixed_spec.role == "propensity" else (v, fixed_spec)
 
     if _draws is None:
-        varying_specs = _check_specs(varying_specs, "varying_specs")
+        varying_specs = check_collection(varying_specs, ModelSpec, "varying_specs")
         if line.shape != (len(varying_specs),):
             raise InvalidArgumentError("estimates_line length must match varying_specs")
         boot_reps, seed = _check_draws(boot_reps, seed)

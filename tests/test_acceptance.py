@@ -18,7 +18,6 @@ import pytest
 from drmean import cli, linmod, mc, sensitivity as sens
 from drmean.dgp import generate_sample, make_view
 from drmean.estimators import (
-    estimate_all,
     mu_aipw,
     mu_b_dr,
     mu_from_regression,

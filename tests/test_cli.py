@@ -238,21 +238,13 @@ class TestSimulateCommand:
         rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    @pytest.mark.parametrize(
-        "dgp, message",
-        [
-            ({"z_star_weights": ["a", 1, 1, 1]}, "dgp.z_star_weights[0] must be a finite"),
-            ({"noise_sd": "x"}, "dgp.noise_sd must be a finite number"),
-            ({"slope": None}, "dgp.slope must be a finite number"),
-            ({"intercept": 10**400}, "dgp.intercept must be a finite number"),
-        ],
-    )
-    def test_non_numeric_dgp_values_exit_2(self, tmp_path, capsys, dgp, message):
-        # these ended in a ValueError or TypeError traceback
+    def test_dgp_settings_are_unknown_keys(self, tmp_path, capsys):
+        # the generator runs Kang & Schafer's design only; no config sets it
         out = tmp_path / "o"
-        assert cli.main(["simulate", "--config", run_config(tmp_path, dgp=dgp),
-                         "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        path = run_config(tmp_path, dgp={"intercept": 10})
+        assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert "unknown key(s) in config: dgp" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_base_seed_beyond_64_bits_exits_2(self, tmp_path, capsys):
         # derive_seed masked it: base_seed 2**64 + 3 replayed base_seed 3
@@ -261,27 +253,6 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         assert "base_seed must be in [0, 2**64)" in capsys.readouterr().err
         assert not out.exists()
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "dgp",
-        [{"z_star_weights": [1e308, 1e308, 1, 1]}, {"slope": 1e307},
-         {"propensity_coefficients": [0, 0, 0, 0, 1e308]}],
-    )
-    def test_overflowing_dgp_exits_2(self, tmp_path, capsys, dgp):
-        # these ran with a RuntimeWarning: overflow and exited 0
-        out = tmp_path / "o"
-        assert cli.main(["simulate", "--config", run_config(tmp_path, dgp=dgp),
-                         "--out", str(out)]) == 2
-        assert "invalid dgp settings: dgp." in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_dgp_override_runs_and_records_mu_true(self, tmp_path):
-        dgp = {"intercept": 10, "z_star_weights": [1, 2, 0.5, 1], "noise_sd": 3}
-        out = tmp_path / "o"
-        assert cli.main(["simulate", "--config", run_config(tmp_path, dgp=dgp),
-                         "--out", str(out)]) == 0
-        assert json.loads((out / "metadata.json").read_text())["mu_true"] == 10
 
     def test_missing_and_invalid_config_files(self, tmp_path):
         rc = cli.main(["simulate", "--config", str(tmp_path / "none.json"),
@@ -546,6 +517,30 @@ class TestSensitivityCommand:
         bad = tmp_path / "conflict.json"
         bad.write_text(json.dumps(cfg))
         assert cli.main(["sensitivity", "--data", data, "--config", str(bad)]) == 2
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "sensitivity"])
+    def test_out_inside_a_regular_file_exits_2(self, tmp_path, capsys, small_sample, command):
+        # these ended in a FileNotFoundError or NotADirectoryError traceback,
+        # estimate and sensitivity after all their estimation was done
+        data = write_sample_csv(tmp_path / "d.csv", small_sample)
+        sens = tmp_path / "sens.json"
+        sens.write_text(json.dumps({
+            "estimator": "DR_WLS", "boot_reps": 2,
+            "propensity_models": [{"covariates": ["x1", "x2"]}],
+            "outcome_models": [{"covariates": ["x1"]}],
+        }))
+        out = f"{data}/sub"
+        args = {
+            "simulate": ["--config", run_config(tmp_path)],
+            "estimate": ["--data", data],
+            "sensitivity": ["--data", data, "--config", str(sens)],
+        }[command]
+        assert cli.main([command, *args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}") and "Traceback" not in err
+        assert Path(data).is_file()
 
 
 class TestParser:

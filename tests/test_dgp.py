@@ -4,69 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit, ndtri
 
 from drmean import dgp
 from drmean.errors import InvalidArgumentError
 
 
 class TestConfigValidation:
-    def test_defaults_valid(self):
-        cfg = dgp.DgpConfig()
-        assert cfg.intercept == 210.0
-        assert cfg.slope == 13.7
-        assert cfg.noise_sd == 1.0
-
-    def test_bad_weights_length(self):
-        with pytest.raises(InvalidArgumentError):
-            dgp.DgpConfig(z_star_weights=(1.0, 2.0))
-
-    def test_bad_propensity_length(self):
-        with pytest.raises(InvalidArgumentError):
-            dgp.DgpConfig(propensity_coefficients=(0.0, 1.0))
-
-    def test_nonpositive_noise(self):
-        with pytest.raises(InvalidArgumentError):
-            dgp.DgpConfig(noise_sd=0.0)
+    """generate_sample's own arguments: the design itself is fixed."""
 
     def test_n_at_least_one(self):
         with pytest.raises(InvalidArgumentError):
             dgp.generate_sample(0, 1)
-
-    @pytest.mark.parametrize(
-        "settings",
-        [{"noise_sd": "x"}, {"intercept": "x"}, {"slope": None}, {"intercept": True},
-         {"noise_sd": math.inf}, {"slope": math.nan}, {"intercept": 10**400},
-         {"z_star_weights": 3}, {"z_star_weights": (1.0, 1.0, "a", 1.0)},
-         {"propensity_coefficients": (0.0, None, 0.0, 0.0, 0.0)}],
-    )
-    def test_non_finite_or_non_numeric_settings_rejected(self, settings):
-        # these raised TypeError, or passed and failed in generate_sample
-        with pytest.raises(InvalidArgumentError, match="must be a finite number|must hold"):
-            dgp.DgpConfig(**settings)
-
-    @pytest.mark.parametrize(
-        "settings",
-        [{"z_star_weights": (1e308, 1e308, 1.0, 1.0)}, {"slope": 1e307},
-         {"intercept": 1.7e308, "noise_sd": 1e307}, {"slope": 0.0, "z_star_weights": (1e308,) * 4},
-         {"propensity_coefficients": (0.0, 1e307, 0.0, 0.0, 0.0)}],
-    )
-    def test_settings_that_can_overflow_a_draw_rejected(self, settings):
-        with pytest.raises(InvalidArgumentError, match="overflow"):
-            dgp.DgpConfig(**settings)
-
-    @pytest.mark.filterwarnings("error")
-    def test_largest_accepted_settings_draw_finite_samples(self):
-        # 38 bounds |Z| and |eps|: these settings sit just inside the float range
-        cfg = dgp.DgpConfig(slope=9e305, propensity_coefficients=(0.0, 1e306, 0.0, 0.0, 0.0))
-        s = dgp.generate_sample(200, 5, cfg)
-        assert np.all(np.isfinite(s.Y)) and np.all(np.isfinite(s.pi_true))
-
-    def test_sequences_stored_as_float_tuples(self):
-        cfg = dgp.DgpConfig(z_star_weights=[2, 1, 1, 1], propensity_coefficients=np.zeros(5))
-        assert cfg.z_star_weights == (2.0, 1.0, 1.0, 1.0)
-        assert all(type(v) is float for v in cfg.z_star_weights + cfg.propensity_coefficients)
-        ints = dgp.generate_sample(50, 3, dgp.DgpConfig(z_star_weights=(2, 1, 1, 1)))
-        assert ints.Y.tobytes() == dgp.generate_sample(50, 3).Y.tobytes()
 
     @pytest.mark.parametrize("n, seed", [(1.5, 1), (10, 1.5), (10, -1), ("10", 1)])
     def test_size_and_seed_checked(self, n, seed):
@@ -153,15 +102,24 @@ class TestGenerate:
         eta = s.Z @ np.array([-1.0, 0.5, -0.25, -0.1])
         assert np.allclose(s.pi_true, 1.0 / (1.0 + np.exp(-eta)), rtol=1e-12)
 
-    def test_config_shifts_mean(self):
-        cfg = dgp.DgpConfig(intercept=5.0, slope=0.0, noise_sd=1e-12)
-        s = dgp.generate_sample(100, 3, cfg)
-        assert np.allclose(s.Y, 5.0, atol=1e-9)
-
-    def test_config_propensity_saturation(self):
-        cfg = dgp.DgpConfig(propensity_coefficients=(50.0, 0.0, 0.0, 0.0, 0.0))
-        s = dgp.generate_sample(200, 3, cfg)
-        assert np.all(s.T == 1)
+    @pytest.mark.parametrize("n, seed", [(1, 0), (1, 9), (7, 3), (250, 7), (1000, 2**63)])
+    def test_design_formulas_bit_for_bit(self, n, seed):
+        # Kang & Schafer's design on the raw stream: six uniforms per unit,
+        # the first five floored at 1e-300, normals by the inverse CDF.  The
+        # weighted sums are matrix-vector products, as in the generator:
+        # BLAS may round a sum of four products unlike left-to-right addition.
+        u = np.random.Generator(np.random.PCG64(seed)).random((n, 6))
+        u[:, :5] = np.maximum(u[:, :5], 1e-300)
+        Z, eps = ndtri(u[:, :4]), ndtri(u[:, 4])
+        Y = 210.0 + 13.7 * (Z @ np.array([2.0, 1.0, 1.0, 1.0])) + eps
+        pi = expit(Z @ np.array([-1.0, 0.5, -0.25, -0.1]))
+        s = dgp.generate_sample(n, seed)
+        want = {"Z": Z, "X": dgp.transform_covariates(Z), "pi_true": pi,
+                "T": (u[:, 5] < pi).astype(np.int64), "Y": Y}
+        for name, array in want.items():
+            got = getattr(s, name)
+            assert got.dtype == array.dtype and got.tobytes() == array.tobytes(), name
+        assert s.n == n and dgp.MU_TRUE == 210.0
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 40), seed=st.integers(0, 2**63 - 1))

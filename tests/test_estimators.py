@@ -13,7 +13,6 @@ from drmean import estimators as est
 from drmean import linmod, mc
 from drmean.dgp import (
     AnalysisView,
-    DgpConfig,
     FullSample,
     generate_sample,
     make_view,
@@ -404,7 +403,7 @@ class TestOneDefinition:
         monkeypatch.setattr(mc, "estimate_all", recording)
         specs = tuple(mc.ScenarioSpec(n=200, reps=1, pi_model_correct=p, m_model_correct=m)
                       for p in (True, False) for m in (True, False))
-        mc._replicate((0, specs, DgpConfig()))
+        mc._replicate((0, specs))
         assert len(memos) == 4 and all(m is memos[0] for m in memos)
         assert len(memos[0]) == 4  # Z and X, as propensity and as outcome design
         keys = set().union(*memos[0].values())

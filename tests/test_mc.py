@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from drmean import cli, linmod, mc
 from drmean import estimators as est
 from drmean._util import derive_seed
-from drmean.dgp import DgpConfig, generate_sample, make_view, reverse_roles
+from drmean.dgp import generate_sample, make_view, reverse_roles
 from drmean.errors import DegenerateInputError, InvalidArgumentError
 
 
@@ -203,26 +203,14 @@ class TestRunScenario:
 
     def test_replication_recomputable_in_isolation(self):
         # a task is one replication of a group of specs on one sample
-        cfg = DgpConfig()
         group = (SMALL, dataclasses.replace(SMALL, pi_model_correct=True))
-        batch = [mc._replicate((r, group, cfg)) for r in range(SMALL.reps)]
-        alone = mc._replicate((7, group, cfg))
+        batch = [mc._replicate((r, group)) for r in range(SMALL.reps)]
+        alone = mc._replicate((7, group))
         assert alone == batch[7]
 
     def test_metadata_recorded(self):
         out = mc.run_scenario(SMALL)
-        assert out.mu_true == 210.0
         assert out.scenario is SMALL
-
-    def test_mu_true_tracks_config(self):
-        cfg = DgpConfig(intercept=50.0, slope=0.0)
-        spec = mc.ScenarioSpec(
-            n=40, reps=5, pi_model_correct=True, m_model_correct=True, base_seed=2,
-            estimators=("OLS", "FULL"),
-        )
-        out = mc.run_scenario(spec, cfg)
-        assert out.mu_true == 50.0
-        assert abs(out.rows["FULL"].bias) < 0.5
 
     def test_failures_counted_per_estimator(self):
         # n close to the column count: many replications cannot fit the
@@ -292,7 +280,7 @@ class TestRunScenarios:
         together = mc.run_scenarios(MIXED, workers=workers)
         assert len(together) == len(MIXED)
         for a, b in zip(alone, together):
-            assert b.scenario is a.scenario and b.mu_true == a.mu_true
+            assert b.scenario is a.scenario
             assert list(b.rows) == list(a.rows)
             assert rows_equal(a.rows, b.rows)
 
@@ -427,7 +415,6 @@ class TestSharedReplication:
         # each scenario's EstimateSet in a shared replication equals
         # estimate_all on its own view with no shared caches
         group = four_scenarios(n, reps, base_seed, reverse)
-        cfg = DgpConfig()
         shared = []
         estimate_all = mc.estimate_all
 
@@ -444,9 +431,9 @@ class TestSharedReplication:
         for r in range(reps):
             shared.clear()
             pi_fits.clear()
-            mc._replicate((r, group, cfg))
+            mc._replicate((r, group))
             assert len(pi_fits) == 2  # a failed fit is not retried either
-            sample = generate_sample(n, derive_seed(base_seed, r), cfg)
+            sample = generate_sample(n, derive_seed(base_seed, r))
             if reverse:
                 sample = reverse_roles(sample)
             assert len(shared) == len(group)

@@ -6,15 +6,14 @@ scaled by up to 1e+-200 (some of them constant), outcomes scaled by up to
 1e+-300, and samples in which every unit responded.  A call may fail, but
 only with the package's own errors: it never warns and never raises an
 exception of another type.  The same holds for the command line: fed
-configs whose values are bools, floats, strings, null, negatives, seeds
-beyond 64 bits and overflowing generator settings, it returns an exit code
-of 0 to 3.  The scalar arguments of the library (counts, seeds, flags,
+configs whose values are bools, floats, strings, null, negatives and
+seeds beyond 64 bits, it returns an exit code of 0 to 3.  The scalar arguments of the library (counts, seeds, flags,
 names and methods), fed bools, floats, strings, lists, None and negative
 numbers, raise nothing but DrmeanErrors, and a bool never passes for a
 count nor anything else for a flag.  So do per-unit arrays of the wrong
 shape (one entry short or long, a column, 2-d or 0-d) or of text, complex
-values or ragged lists, and sensitivity specs that are not ModelSpecs are
-always rejected, as are the spellings of removed features.
+values or ragged lists, and scenario and sensitivity specs of another type
+are always rejected, as are the spellings of removed features.
 """
 
 import dataclasses
@@ -121,7 +120,6 @@ def test_sensitivity_raises_only_drmean_errors(case, estimator, boot_reps):
 # valid replication or draw count
 JUNK = st.sampled_from((True, 1.5, -1, 0, "x", None, [], {}, math.nan))
 BAD_SEEDS = st.one_of(st.sampled_from((2**64, 2**64 + 3)), JUNK)
-BAD_NUMBERS = st.one_of(st.sampled_from((1e308, -1e308, 1e307, 10**400, math.inf)), JUNK)
 NAMES = st.sampled_from(("x1", "x2", "x3", "x4"))
 
 
@@ -139,14 +137,6 @@ def one_bad(draw, valid: dict, bad: dict) -> dict:
     return config
 
 
-def dgp_settings(number, sd, weight, coefficient):
-    return st.fixed_dictionaries({}, optional={
-        "intercept": number, "slope": number, "noise_sd": sd,
-        "z_star_weights": st.lists(weight, min_size=4, max_size=4),
-        "propensity_coefficients": st.lists(coefficient, min_size=5, max_size=5),
-    })
-
-
 SIMULATE_CONFIGS = one_bad(
     {
         "base_seed": st.integers(0, 2**64 - 1),
@@ -156,8 +146,6 @@ SIMULATE_CONFIGS = one_bad(
             {"pi_correct": st.booleans(), "m_correct": st.booleans()}), 1, 2),
         "reverse_roles": st.booleans(),
         "estimators": lists(st.sampled_from(drmean.ESTIMATOR_NAMES), 1, 4),
-        "dgp": dgp_settings(st.floats(-1e3, 1e3), st.floats(0.1, 10.0),
-                            st.floats(-10.0, 10.0), st.floats(-3.0, 3.0)),
     },
     {
         "base_seed": BAD_SEEDS,
@@ -167,8 +155,6 @@ SIMULATE_CONFIGS = one_bad(
             {"pi_correct": JUNK}, optional={"m_correct": st.booleans()}), 1, 2)),
         "reverse_roles": JUNK,
         "estimators": st.one_of(JUNK, lists(st.sampled_from(("NOPE", "OLS", 1)), 1, 3)),
-        "dgp": st.one_of(JUNK, dgp_settings(BAD_NUMBERS, BAD_NUMBERS, BAD_NUMBERS,
-                                            BAD_NUMBERS)),
     },
 )
 
@@ -241,10 +227,6 @@ SENSITIVITY = {"estimator": "DR_WLS", "boot_reps": 2,
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(SIMULATE_CONFIGS)
 @example({**SIMULATE, "base_seed": 2**64})
-@example({**SIMULATE, "dgp": {"z_star_weights": [1e308, 1e308, 1, 1]}})
-@example({**SIMULATE, "dgp": {"noise_sd": "x"}})
-@example({**SIMULATE, "dgp": {"intercept": "x"}})
-@example({**SIMULATE, "dgp": {"slope": None}})
 def test_simulate_cli_returns_an_exit_code(workdir, config):
     run_cli(workdir, "simulate", config)
 
@@ -463,3 +445,14 @@ def test_specs_that_are_not_model_specs_are_rejected(argument, value):
             drmean.homogeneity_test(np.array([1.0, 2.0]), cov, sample.T, y,
                                     specs["fixed_spec"], specs["varying_specs"], "DR_WLS",
                                     boot_reps=2)
+
+
+@pytest.mark.parametrize("value", [[1], 1, None, "x", [None], [[1]],
+                                   [drmean.ScenarioSpec(**SPEC), 1]])
+@pytest.mark.parametrize("runner", ["run_scenarios", "run_scenario"])
+def test_specs_that_are_not_scenario_specs_are_rejected(runner, value):
+    # each raised AttributeError or TypeError
+    with warnings.catch_warnings(), pytest.raises(
+            InvalidArgumentError, match="specs must be a collection of ScenarioSpecs"):
+        warnings.simplefilter("error")
+        getattr(drmean, runner)(value)
