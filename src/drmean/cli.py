@@ -158,6 +158,18 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _check_out(path: str) -> None:
+    """ConfigError "cannot write <path>: <reason>" if path, other than "-",
+    is a directory or its parent is not one.  estimate and sensitivity
+    check --out so before they estimate anything."""
+    if path == "-":
+        return
+    if Path(path).is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    if not Path(path).parent.is_dir():
+        raise ConfigError(f"cannot write {path}: its parent is not a directory")
+
+
 def _write_text(path, text: str) -> None:
     """text into the file at path, or onto stdout if path is "-"."""
     if path == "-":
@@ -311,12 +323,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- estimate
 
 
+def _listed(spec: str, what: str, noun: str) -> list[str]:
+    """The nonblank comma-separated entries of spec; ConfigError if there is none."""
+    wanted = [s.strip() for s in spec.split(",") if s.strip()]
+    if not wanted:
+        raise ConfigError(f"{what} must name at least one {noun}")
+    return wanted
+
+
 def _select_columns(names: list[str], spec: str | None, what: str) -> list[int]:
     if spec is None:
         return list(range(len(names)))
-    wanted = [s.strip() for s in spec.split(",") if s.strip()]
-    if not wanted:
-        raise ConfigError(f"{what} must name at least one column")
+    wanted = _listed(spec, what, "column")
     missing = [w for w in wanted if w not in names]
     if missing:
         raise ConfigError(f"{what}: unknown column(s) {', '.join(missing)}")
@@ -331,10 +349,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         which = tuple(nm for nm in ESTIMATOR_NAMES if nm != "FULL")
     else:
         try:
-            which = check_estimator_names(
-                s.strip() for s in args.estimators.split(",") if s.strip())
+            which = check_estimator_names(_listed(args.estimators, "--estimators", "estimator"))
         except InvalidArgumentError as exc:
             raise ConfigError(str(exc)) from None
+    _check_out(args.out)
     view = AnalysisView(
         design_pi=design_matrix(X, pi_idx),
         design_m=design_matrix(X, m_idx),
@@ -415,6 +433,7 @@ def load_sensitivity_config(path: str, names: list[str]) -> tuple[dict, dict]:
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     T, Y, X, names = read_dataset(args.data)
     kwargs, raw = load_sensitivity_config(args.config, names)
+    _check_out(args.out)
     try:
         matrix = run_sensitivity(X, T, Y, **kwargs)
     except InvalidArgumentError as exc:  # the config's settings; fits fail with others

@@ -130,8 +130,9 @@ def make_view(
     Outcomes are masked to NaN wherever T == 0.  Only the designs the view
     uses are built.  mc passes the views of one sample a shared _parts
     dict: they then share each design, the copy of T and the masked
-    outcomes, so a Pipeline memo (keyed by design identity) shares their
-    fits, and equal the views built without it.
+    outcomes, so a Pipeline memo, whose keys name the designs each entry
+    depends on, shares every fit on the designs they share, and equal the
+    views built without it.
     """
     parts = {} if _parts is None else _parts
 

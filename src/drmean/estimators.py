@@ -25,10 +25,10 @@ estimate_all and the sensitivity cells both evaluate it on a Pipeline,
 which memoises the fits and their terms, so one replication checks each
 propensity fit's respondents once and takes each shared exact sum once.
 The weight diagnostics of estimate_all come from the base fit alone.
-Pipelines on one sample may share a memo of the fits that depend on one
-design only, keyed by that design's identity (see Pipeline): mc shares
-one between the scenarios of a replication, sensitivity between the
-cells of one sample.
+Each memo entry is keyed by the inputs it depends on (see Pipeline), so
+Pipelines on one sample that share a memo share every fit and sum whose
+inputs they share: mc shares one between the scenarios of a
+replication, sensitivity between the cells of one sample.
 
 The three plug-in doubly robust forms (DR_WLS, DR_IPW_NR, DR_EXT_REG)
 coincide with their augmented-IPW counterparts because each fit zeroes
@@ -227,25 +227,21 @@ class Pipeline:
 
     The propensity fit is logistic unless inverse_linear names a method of
     linmod.fit_inverse_linear; a logistic fit starts from the coefficients
-    pi_start, if given.  Beside the fits, one replication's respondent
-    algebra is memoised too: the checked respondent terms of the base and
-    of the extended propensity fit, with their sums of w and w y
-    (respondents), the sum of each outcome fit's fitted values (fitted),
-    the residual correction sum of each (propensity fit, outcome fit)
-    pair (residual_sum) and the base fit's weight diagnostics.  A failure
-    is memoised as well and re-raised, with its class and message, to
-    every estimator that needs it.
+    pi_start, if given.  Beside the fits, memo holds the checked respondent
+    terms of the base and of the extended propensity fit (respondents), the
+    sum of each outcome fit's fitted values (fitted), each residual
+    correction sum (residual_sum) and the base fit's weight diagnostics.
+    A failure is memoised as well and re-raised, with its class and
+    message, to every estimator that needs it.
 
-    Pipelines on one sample (one T and y) may share one memo dict, which
-    keys what they share by the identity of the arrays they are handed.
-    memo[(id(design_pi), inverse_linear, id(pi_start))] holds the base
-    propensity fit, its respondent terms and its weight diagnostics;
-    memo[id(design_m)] holds the checked respondent design of every
-    outcome fit ("design"), the unweighted fit "REG" and its fitted values.
-    Each keeps the arrays of its key ("anchor"), so no id is reused while
-    the memo lives.  What depends on both designs (the weighted outcome
-    fits, the extended fit and its respondents, the residual sums) stays
-    in the pipeline's own cache.
+    Each entry's key names the inputs it depends on, by the identity of
+    the arrays the pipeline is handed: the pi part (id(design_pi),
+    inverse_linear, id(pi_start)) for the propensity fit, its respondents
+    and diagnostics; the m part id(design_m) for the respondent design and
+    the unweighted fit "REG"; both parts for the rest.  Pipelines on one
+    sample (one T and y) may share one memo, and then every entry whose
+    inputs they share.  memo["arrays"] keeps the arrays that keys name
+    alive, so no id is reused while the memo lives.
     """
 
     def __init__(
@@ -262,50 +258,46 @@ class Pipeline:
         self.pi_start = pi_start
         self.T = as_array(view.T, "T", None)
         self.y = as_array(view.y_observed, "y_observed")
-        self._cache: dict[str, object] = {}
-        memo = {} if memo is None else memo
-        pi_key = (id(view.design_pi), inverse_linear, id(pi_start))
-        self._pi_shared = memo.setdefault(pi_key, {"anchor": (view.design_pi, pi_start)})
-        self._m_shared = memo.setdefault(id(view.design_m), {"anchor": view.design_m})
+        self._memo = {} if memo is None else memo
+        self._memo.setdefault("arrays", []).append((view.design_pi, view.design_m, pi_start))
+        self._pi = (id(view.design_pi), inverse_linear, id(pi_start))
+        self._m = id(view.design_m)
+        self._both = (self._pi, self._m)
 
-    def _get(self, key: str, build, cache: dict | None = None):
-        cache = self._cache if cache is None else cache
-        if key not in cache:
+    def _get(self, key: tuple, build):
+        memo = self._memo
+        if key not in memo:
             try:
-                cache[key] = build()
+                memo[key] = build()
             except DrmeanError as exc:
-                cache[key] = exc
-        out = cache[key]
+                memo[key] = exc
+        out = memo[key]
         if isinstance(out, DrmeanError):
             raise out
         return out
 
-    def _outcome_cache(self, kind: str) -> dict:
-        return self._m_shared if kind == "REG" else self._cache
+    def _inputs(self, kind: str):  # the key part outcome(kind) depends on
+        return self._m if kind == "REG" else self._both
 
     def propensity(self) -> linmod.PropensityFit:
         def build():
+            design, T = self.view.design_pi, self.view.T
             if self.inverse_linear is None:
-                return linmod.fit_logistic_propensity(
-                    self.view.design_pi, self.view.T, start=self.pi_start
-                )
-            return linmod.fit_inverse_linear(
-                self.view.design_pi, self.view.T, self.inverse_linear
-            )
+                return linmod.fit_logistic_propensity(design, T, start=self.pi_start)
+            return linmod.fit_inverse_linear(design, T, self.inverse_linear)
 
-        return self._get("pi", build, self._pi_shared)
+        return self._get((self._pi, "pi"), build)
 
     def diagnostics(self) -> linmod.WeightDiagnostics:
         """Weight diagnostics of propensity()."""
         return self._get(
-            "pi diagnostics",
+            (self._pi, "diagnostics"),
             lambda: linmod.weight_diagnostics(self.propensity().pi_hat, self.T),
-            self._pi_shared,
         )
 
     def respondent_design(self) -> linmod.RespondentDesign:
         """The respondent rows of design_m, checked once for every outcome fit."""
-        return self._get("design", lambda: linmod.RespondentDesign(self.view), self._m_shared)
+        return self._get((self._m, "design"), lambda: linmod.RespondentDesign(self.view))
 
     def outcome(self, kind: str) -> linmod.OutcomeFit:
         """Outcome fit "REG", "WLS", "EXT_REG" or "IPW_NR" (fit_outcome_<kind>).
@@ -318,15 +310,12 @@ class Pipeline:
             args = () if kind == "REG" else (self.propensity().pi_hat,)
             return fit(self.view, *args, _design=self.respondent_design())
 
-        return self._get(kind, build, self._outcome_cache(kind))
+        return self._get((self._inputs(kind), kind), build)
 
     def fitted(self, kind: str) -> _Fitted:
         """The fitted values of outcome(kind), with their memoised sum."""
-        return self._get(
-            f"{kind} fitted",
-            lambda: _Fitted(self.outcome(kind).m_hat),
-            self._outcome_cache(kind),
-        )
+        key = (self._inputs(kind), kind, "fitted")
+        return self._get(key, lambda: _Fitted(self.outcome(kind).m_hat))
 
     def extended(self) -> linmod.PropensityFit:
         """Logistic fit extended along the centred unweighted regression."""
@@ -338,24 +327,18 @@ class Pipeline:
             h = reg.m_hat - _plug_in(reg)
             return linmod.fit_extended_propensity(self.propensity(), h, self.view.T)
 
-        return self._get("extended", build)
+        return self._get((self._both, "extended"), build)
 
     def respondents(self, extended: bool = False) -> _Respondents:
         """The respondent terms of propensity(), or of extended() if extended."""
-        if extended:
-            fit, cache = self.extended, self._cache
-        else:
-            fit, cache = self.propensity, self._pi_shared
-        return self._get(
-            f"{'extended' if extended else 'pi'} respondents",
-            lambda: _Respondents(fit().pi_hat, self.T, self.y),
-            cache,
-        )
+        fit = self.extended if extended else self.propensity
+        key = (self._both, "extended respondents") if extended else (self._pi, "respondents")
+        return self._get(key, lambda: _Respondents(fit().pi_hat, self.T, self.y))
 
     def residual_sum(self, kind: str, extended: bool = False) -> float:
         """respondents(extended).residual_sum(fitted(kind)), taken once."""
         return self._get(
-            f"{'extended' if extended else 'pi'} residual {kind}",
+            (self._both, "residual", kind, extended),
             lambda: self.respondents(extended).residual_sum(self.fitted(kind)),
         )
 

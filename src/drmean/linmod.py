@@ -299,7 +299,7 @@ def _logistic_newton(
     if start is None:
         beta = np.zeros(design.shape[1])
     else:
-        beta = np.array(start, dtype=float)
+        beta = as_array(start, "start")
         if beta.shape != (design.shape[1],) or not np.all(np.isfinite(beta)):
             raise InvalidArgumentError("start must be finite, one entry per column")
 

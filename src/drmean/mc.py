@@ -5,12 +5,13 @@ Replication r draws its own PCG64 seed from the scenario's base seed
 in isolation and worker processes need no shared stream.  Scenarios of
 one size, base seed and role reversal therefore draw the same sample in
 replication r, and one task evaluates them all on it: the sample is
-drawn once, each design [1, Z] or [1, X] is built once, and through one
-Pipeline memo each fit that depends on the sample and one design only
-(the propensity fit on Z or X, with its respondent terms and weight
-diagnostics, and the checked respondent rows of the outcome design with
-the unweighted outcome fit) is computed once for the scenarios that use
-that design.  run_scenarios puts the
+drawn once, each design [1, Z] or [1, X] is built once, and the
+scenarios share one Pipeline memo, whose every entry is keyed by the
+designs it depends on.  So each fit is computed once for the scenarios
+whose designs it reads: the propensity fit on Z or X with its respondent
+terms and weight diagnostics, the checked respondent rows of an outcome
+design with the unweighted outcome fit, and, for a (propensity, outcome)
+design pair, the fits and sums that need both.  run_scenarios puts the
 replications of all its scenarios into one task list, served by a single
 process pool, and reduces each scenario's results in replication order
 regardless of how many workers ran, which makes summaries bit-identical
@@ -26,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_collection, check_int, check_seed, check_vector, derive_seed
+from ._util import (
+    as_array, check_collection, check_int, check_seed, check_vector, derive_seed,
+)
 from .dgp import MU_TRUE, generate_sample, make_view, reverse_roles
 from .errors import DegenerateInputError, InvalidArgumentError
 from .estimators import ESTIMATOR_NAMES, FLAG_FAILED, check_estimator_names, estimate_all
@@ -96,9 +99,12 @@ def summarize(values: np.ndarray, mu_true: float) -> EstimatorSummary:
     """Summary statistics of a vector of estimates against the truth.
 
     DegenerateInputError if a moment or quantile overflows."""
-    values = check_vector(values, "values")
+    values, mu_true = check_vector(values, "values"), as_array(mu_true, "mu_true")
     if values.size == 0:
         raise InvalidArgumentError("no values to summarise")
+    if mu_true.ndim != 0:
+        raise InvalidArgumentError("mu_true must be a number")
+    mu_true = float(mu_true)
     if not np.all(np.isfinite(values)) or not math.isfinite(mu_true):
         raise InvalidArgumentError("values and mu_true must be finite")
     r = values.size
@@ -157,7 +163,8 @@ def _empty_summary(failures: int) -> EstimatorSummary:
 def _replicate(args: tuple[int, tuple[ScenarioSpec, ...]]) -> list[dict[str, float | None]]:
     """Replication r of a group of specs that share n, base_seed and
     reverse: one result dict per spec, in order.  The specs' views share
-    their designs and one Pipeline memo, which shares the fits."""
+    their designs and one Pipeline memo, so each fit is made once for all
+    the specs whose designs it depends on."""
     r, specs = args
     first = specs[0]
     sample = generate_sample(first.n, derive_seed(first.base_seed, r))

@@ -24,7 +24,8 @@ import numpy as np
 from scipy.special import chdtrc
 
 from ._util import (
-    as_array, check_collection, check_int, check_response, check_seed, derive_seed, nan_to_none,
+    as_array, check_collection, check_int, check_response, check_seed, check_vector,
+    derive_seed, nan_to_none,
 )
 from .dgp import AnalysisView, design_matrix
 from .errors import DrmeanError, InvalidArgumentError, NonconvergenceError
@@ -49,9 +50,9 @@ _MIN_BOOT_USED = 20
 class ModelSpec:
     """A candidate model: which covariate columns it uses, and how it fits.
 
-    role is "propensity" or "outcome".  kind defaults by role: logistic
-    maximum likelihood for propensity models, while for outcome models it
-    is fixed by the estimator and may only be stated redundantly.
+    role is "propensity" or "outcome".  kind names a propensity model's
+    fit, logistic maximum likelihood by default.  The estimator fixes the
+    outcome fit, so an outcome model takes no kind.
     """
 
     role: str
@@ -71,6 +72,9 @@ class ModelSpec:
         object.__setattr__(self, "covariates", covariates)
         if self.kind is not None and not isinstance(self.kind, str):
             raise InvalidArgumentError(f"kind must be a string, not {self.kind!r}")
+        if self.role == "outcome" and self.kind is not None:
+            raise InvalidArgumentError(
+                f"an outcome model takes no kind ({self.kind!r}): its estimator fixes the fit")
         if self.role == "propensity" and self.kind not in (None, *_PROPENSITY_METHODS):
             raise InvalidArgumentError(f"unknown propensity kind {self.kind!r}")
 
@@ -142,7 +146,7 @@ def _estimate_cell(
 ) -> float:
     """One cell's estimate on a view of its two specs' designs, its logistic
     propensity fit started from pi_start.  The cells of one sample share
-    memo (see Pipeline)."""
+    memo, so they share each fit whose inputs they share (see Pipeline)."""
     method = _PROPENSITY_METHODS[p_spec.kind or "LOGISTIC_MLE"]
     pipe = Pipeline(view, inverse_linear=method, pi_start=pi_start, memo=memo)
     pipe.propensity()  # fit first: its failure ends the cell before any outcome fit
@@ -186,10 +190,12 @@ def _estimate_cells(designs, T, y_observed, cells, estimator, starts, memo) -> d
 
     designs holds the sample's design per covariate tuple (see _Sample), so
     the cells of one covariate tuple see one array and, through the shared
-    memo, share its fits: a propensity model is fitted once per design,
-    method and start (starts.get(p_spec)), and an outcome design's
-    respondent design and unweighted fit are made once.  Returns each
-    cell's estimate, or the DrmeanError it failed with.
+    memo, whose keys name the inputs of each fit, share its fits: a
+    propensity model is fitted once per design, method and start
+    (starts.get(p_spec)), an outcome design's respondent design and
+    unweighted fit once, and a weighted outcome fit once per propensity
+    key and outcome design, so equivalent propensity specs share it too.
+    Returns each cell's estimate, or the DrmeanError it failed with.
     """
     out: dict = {}
     for ps, os_ in cells:
@@ -208,20 +214,15 @@ def _estimate_cells(designs, T, y_observed, cells, estimator, starts, memo) -> d
 
 def _check_roles(p_specs, o_specs, estimator) -> None:
     """InvalidArgumentError unless estimator is doubly robust, p_specs are
-    propensity specs and o_specs outcome specs whose kind agrees with it."""
+    propensity specs and o_specs outcome specs."""
     if estimator not in DR_ESTIMATORS:
         raise InvalidArgumentError(f"estimator must be doubly robust, one of {DR_ESTIMATORS}")
     for s in p_specs:
         if s.role != "propensity":
             raise InvalidArgumentError("p_specs must all have role 'propensity'")
-    implied = ESTIMATORS[estimator].outcome
     for s in o_specs:
         if s.role != "outcome":
             raise InvalidArgumentError("o_specs must all have role 'outcome'")
-        if s.kind is not None and s.kind != implied:
-            raise InvalidArgumentError(
-                f"outcome kind {s.kind!r} conflicts with {estimator} (implies {implied!r})"
-            )
 
 
 def _validate_specs(p_specs, o_specs, estimator):
@@ -280,9 +281,10 @@ class _Draws:
     spec starts its draw fits from its full-sample fit, read through a
     Pipeline on sample.memo: the one build_matrix left there, else one made
     and kept there now (from zero if that fit fails).  Logistic specs on
-    one design therefore get the same start array and share one fit per
-    draw.  Building one fits nothing: the starts and the draws are made
-    on the first read of draws, inside the first line test.
+    one design therefore get the same start array, and so the same memo
+    keys: they share one propensity fit per draw, and every fit and sum
+    that depends on it.  Building one fits nothing: the starts and the
+    draws are made on the first read of draws, inside the first line test.
     """
 
     def __init__(self, sample: _Sample, cells, estimator, boot_reps: int, seed: int):
@@ -430,7 +432,17 @@ def select_models(
 
     Ties on p-value break toward the smaller spread of the line, then
     the lower index.  NaN p-values (untestable lines) always lose.
+    InvalidArgumentError unless there are tests of both roles, each
+    with one spread.
     """
+    row_tests = check_collection(row_tests, HomogeneityResult, "row_tests")
+    col_tests = check_collection(col_tests, HomogeneityResult, "col_tests")
+    row_spread = check_vector(row_spread, "row_spread")
+    col_spread = check_vector(col_spread, "col_spread")
+    if not row_tests or not col_tests:
+        raise InvalidArgumentError("need at least one row and one column test")
+    if row_spread.shape != (len(row_tests),) or col_spread.shape != (len(col_tests),):
+        raise InvalidArgumentError("need one spread per line test")
 
     def best(tests: list[HomogeneityResult], spreads: np.ndarray) -> int:
         def key(i: int) -> tuple:

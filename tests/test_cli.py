@@ -385,6 +385,16 @@ class TestEstimateCommand:
         data = write_sample_csv(tmp_path / "d.csv", small_sample)
         assert cli.main(["estimate", "--data", data, "--estimators", "NOPE"]) == 2
 
+    @pytest.mark.parametrize("listed", [",", " , ,", ""])
+    def test_no_estimator_named_exits_2(self, tmp_path, small_sample, capsys, listed):
+        # "," ran no estimator, wrote "values": {} and exited 0
+        data = write_sample_csv(tmp_path / "d.csv", small_sample)
+        out = tmp_path / "est.json"
+        rc = cli.main(["estimate", "--data", data, "--estimators", listed, "--out", str(out)])
+        assert rc == 2
+        assert "--estimators must name at least one estimator" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicate_estimator_exits_2(self, tmp_path, small_sample):
         data = write_sample_csv(tmp_path / "d.csv", small_sample)
         out = tmp_path / "est.json"
@@ -509,7 +519,7 @@ class TestSensitivityCommand:
         assert "contrast covariance" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_outcome_kind_conflict_exits_2(self, setup):
+    def test_outcome_kind_conflict_exits_2(self, setup, capsys):
         data, _, tmp_path = setup
         cfg = json.loads((tmp_path / "sens.json").read_text())
         cfg["estimator"] = "DR_REG"
@@ -517,13 +527,17 @@ class TestSensitivityCommand:
         bad = tmp_path / "conflict.json"
         bad.write_text(json.dumps(cfg))
         assert cli.main(["sensitivity", "--data", data, "--config", str(bad)]) == 2
+        assert "outcome_models[0]: an outcome model takes no kind" in capsys.readouterr().err
 
 
 class TestUnwritableOutput:
-    @pytest.mark.parametrize("command", ["simulate", "estimate", "sensitivity"])
-    def test_out_inside_a_regular_file_exits_2(self, tmp_path, capsys, small_sample, command):
-        # these ended in a FileNotFoundError or NotADirectoryError traceback,
-        # estimate and sensitivity after all their estimation was done
+    @pytest.fixture()
+    def command_args(self, tmp_path, small_sample, monkeypatch):
+        """(data path, the arguments of each command but --out, the names of
+        the engine calls that ran), with every engine call stubbed out."""
+        ran = []
+        for name in ("run_scenarios", "estimate_all", "run_sensitivity"):
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: ran.append(_name))
         data = write_sample_csv(tmp_path / "d.csv", small_sample)
         sens = tmp_path / "sens.json"
         sens.write_text(json.dumps({
@@ -531,16 +545,34 @@ class TestUnwritableOutput:
             "propensity_models": [{"covariates": ["x1", "x2"]}],
             "outcome_models": [{"covariates": ["x1"]}],
         }))
-        out = f"{data}/sub"
-        args = {
+        return data, {
             "simulate": ["--config", run_config(tmp_path)],
             "estimate": ["--data", data],
             "sensitivity": ["--data", data, "--config", str(sens)],
-        }[command]
-        assert cli.main([command, *args, "--out", out]) == 2
+        }, ran
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "sensitivity"])
+    def test_out_inside_a_regular_file_exits_2(self, capsys, command, command_args):
+        # these ended in a FileNotFoundError or NotADirectoryError traceback,
+        # estimate and sensitivity after all their estimation was done; now
+        # each exits before it estimates anything
+        data, args, ran = command_args
+        out = f"{data}/sub"
+        assert cli.main([command, *args[command], "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}") and "Traceback" not in err
         assert Path(data).is_file()
+        assert ran == []
+
+    @pytest.mark.parametrize("command", ["estimate", "sensitivity"])
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_out_exits_2_before_estimating(self, tmp_path, capsys, command, where,
+                                                      command_args):
+        _, args, ran = command_args
+        out = str(tmp_path) if where == "directory" else str(tmp_path / "no" / "o.json")
+        assert cli.main([command, *args[command], "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+        assert ran == [] and not (tmp_path / "no").exists()
 
 
 class TestParser:

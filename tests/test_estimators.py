@@ -25,6 +25,23 @@ from drmean.errors import (
     UndefinedEstimatorError,
 )
 
+# the linmod calls a Pipeline makes, each memoised once per key
+PIPELINE_FITS = ("fit_logistic_propensity", "weight_diagnostics", "RespondentDesign",
+                 "fit_outcome_reg", "fit_outcome_wls", "fit_outcome_ipw_nr",
+                 "fit_outcome_ext_reg", "fit_extended_propensity")
+
+
+def count_calls(monkeypatch, module, names) -> dict:
+    """The number of calls to each of module's names from now on, by name."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, _name=name, _real=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    return counts
+
+
 # one fully worked example shared by the point-estimator tests:
 # units (respondent?, pi_hat, y, m_hat)
 TOY_T = np.array([1, 1, 0, 1])
@@ -381,52 +398,34 @@ class TestOneDefinition:
         assert calls["diagnostics"] == 1
         assert calls["fsum"] == 10
 
-    def test_shared_caches_hold_single_design_terms(self, sample_1000, monkeypatch):
-        # the memo mc shares between the scenarios of one sample holds one
-        # cache per propensity design and one per outcome design, each with
-        # only what depends on that design, T and y, beside its anchor
-        view = make_view(sample_1000, True, False)
-        memo = {}
-        est.estimate_all(view, sample_1000, _memo=memo)
-        assert {key: set(cache) for key, cache in memo.items()} == {
-            (id(view.design_pi), None, id(None)):
-                {"anchor", "pi", "pi respondents", "pi diagnostics"},
-            id(view.design_m): {"anchor", "design", "REG", "REG fitted"},
-        }
-        memos = []
-        estimate_all = mc.estimate_all
-
-        def recording(*args, _memo, **kwargs):
-            memos.append(_memo)
-            return estimate_all(*args, _memo=_memo, **kwargs)
-
-        monkeypatch.setattr(mc, "estimate_all", recording)
-        specs = tuple(mc.ScenarioSpec(n=200, reps=1, pi_model_correct=p, m_model_correct=m)
-                      for p in (True, False) for m in (True, False))
-        mc._replicate((0, specs))
-        assert len(memos) == 4 and all(m is memos[0] for m in memos)
-        assert len(memos[0]) == 4  # Z and X, as propensity and as outcome design
-        keys = set().union(*memos[0].values())
-        assert keys == {"anchor", "pi", "pi respondents", "pi diagnostics",
-                        "design", "REG", "REG fitted"}
+    def test_shared_caches_hold_single_design_terms(self, monkeypatch):
+        # the memo mc shares between the four scenarios of one replication
+        # fits each of Z and X once as propensity and once as outcome design,
+        # and each (propensity, outcome) design pair once where both are read
+        fits = count_calls(monkeypatch, linmod, PIPELINE_FITS)
+        specs = [mc.ScenarioSpec(n=200, reps=2, pi_model_correct=p, m_model_correct=m)
+                 for p in (True, False) for m in (True, False)]
+        summaries = mc.run_scenarios(specs)
+        assert all(row.failures == 0 for s in summaries for row in s.rows.values())
+        per_design = {"fit_logistic_propensity": 2, "weight_diagnostics": 2,
+                      "RespondentDesign": 2, "fit_outcome_reg": 2}
+        per_pair = {name: 4 for name in PIPELINE_FITS if name not in per_design}
+        assert fits == {name: 2 * k for name, k in {**per_design, **per_pair}.items()}
 
     def test_memo_shares_only_identical_inputs(self, sample_1000, monkeypatch):
         # sharing follows array identity: equal values in distinct arrays,
-        # another start array or another method share no propensity fit
-        fits = []
-        fit_logistic = linmod.fit_logistic_propensity
-        monkeypatch.setattr(linmod, "fit_logistic_propensity",
-                            lambda *a, **k: fits.append(a) or fit_logistic(*a, **k))
+        # another start array or another method share no fit
+        fits = count_calls(monkeypatch, linmod, PIPELINE_FITS)
         view = make_view(sample_1000, True, True)
         twin = dataclasses.replace(view, design_pi=view.design_pi.copy(),
                                    design_m=view.design_m.copy())
         memo = {}
         one = est.estimate_all(view, sample_1000, ("OLS", "HT"), _memo=memo)
         two = est.estimate_all(twin, sample_1000, ("OLS", "HT"), _memo=memo)
-        assert len(fits) == 2 and len(memo) == 4
         assert one.values == two.values
+        for name in ("fit_logistic_propensity", "RespondentDesign", "fit_outcome_reg"):
+            assert fits[name] == 2
 
-        fits.clear()
         memo = {}
         start = np.zeros(view.design_pi.shape[1])
         pipes = [est.Pipeline(view, memo=memo),
@@ -434,10 +433,14 @@ class TestOneDefinition:
                  est.Pipeline(view, pi_start=start.copy(), memo=memo),
                  est.Pipeline(view, inverse_linear="likelihood", memo=memo)]
         fitted = [pipe.propensity() for pipe in pipes]
-        assert len(fits) == 3
-        assert len({id(f) for f in fitted}) == 4
-        assert est.Pipeline(view, pi_start=start, memo=memo).propensity() is fitted[1]
-        assert len(fits) == 3
+        weighted = [pipe.outcome("WLS") for pipe in pipes]
+        assert fits["fit_logistic_propensity"] == 2 + 3
+        assert fits["fit_outcome_wls"] == 4
+        assert len({id(f) for f in fitted}) == len({id(f) for f in weighted}) == 4
+        again = est.Pipeline(view, pi_start=start, memo=memo)
+        assert again.propensity() is fitted[1] and again.outcome("WLS") is weighted[1]
+        assert fits["fit_logistic_propensity"] == 2 + 3
+        assert fits["fit_outcome_wls"] == 4
 
     def test_memo_keeps_its_designs_alive(self, sample_1000):
         # a memo entry keeps the arrays its key names, so their ids cannot

@@ -7,13 +7,16 @@ scaled by up to 1e+-200 (some of them constant), outcomes scaled by up to
 only with the package's own errors: it never warns and never raises an
 exception of another type.  The same holds for the command line: fed
 configs whose values are bools, floats, strings, null, negatives and
-seeds beyond 64 bits, it returns an exit code of 0 to 3.  The scalar arguments of the library (counts, seeds, flags,
-names and methods), fed bools, floats, strings, lists, None and negative
-numbers, raise nothing but DrmeanErrors, and a bool never passes for a
-count nor anything else for a flag.  So do per-unit arrays of the wrong
-shape (one entry short or long, a column, 2-d or 0-d) or of text, complex
-values or ragged lists, and scenario and sensitivity specs of another type
-are always rejected, as are the spellings of removed features.
+seeds beyond 64 bits, it returns an exit code of 0 to 3.  The scalar
+arguments of the library (counts, seeds, flags, names, methods, a
+summary's truth and a selection's line tests), fed bools, floats,
+strings, lists, None and negative numbers, raise nothing but
+DrmeanErrors, and a bool never passes for a count nor anything else for
+a flag.  So do per-unit arrays (and start coefficients and line spreads)
+of the wrong shape (one entry short or long, a column, 2-d or 0-d) or of
+text, complex values or ragged lists, and scenario and sensitivity specs
+of another type are always rejected, as are the spellings of removed
+features.
 """
 
 import dataclasses
@@ -114,6 +117,10 @@ def test_sensitivity_raises_only_drmean_errors(case, estimator, boot_reps):
     o_specs = [ModelSpec("outcome", cols) for cols in dict.fromkeys([(0,), every])]
     call(drmean.run_sensitivity, X, T, np.where(T == 1, y, np.nan), p_specs, o_specs,
          estimator, boot_reps=boot_reps, seed=0)
+
+
+# one line test's result, for select_models
+LINE_TEST = drmean.HomogeneityResult(0.5, 1.0, 1, 20, 0, False)
 
 
 # values of the wrong type or range; no large integer, which would be a
@@ -292,6 +299,7 @@ def scalar_targets() -> dict:
 
     # one task: workers never starts a pool
     one_task = drmean.ScenarioSpec(**SPEC)
+    line = [LINE_TEST, LINE_TEST]
     return {
         **{f"ScenarioSpec.{f}": (scenario(f), "int") for f in ("n", "reps", "base_seed")},
         **{f"ScenarioSpec.{f}": (scenario(f), "flag")
@@ -307,6 +315,11 @@ def scalar_targets() -> dict:
         "estimate_all.which": (lambda v: drmean.estimate_all(view, sample, v), "other"),
         "fit_inverse_linear.method": (
             lambda v: drmean.fit_inverse_linear(view.design_pi, view.T, v), "other"),
+        "summarize.mu_true": (lambda v: drmean.summarize(sample.Y, v), "other"),
+        "select_models.row_tests": (
+            lambda v: drmean.select_models(v, line, np.ones(2), np.ones(2)), "other"),
+        "select_models.col_tests": (
+            lambda v: drmean.select_models(line, v, np.ones(2), np.ones(2)), "other"),
     }
 
 
@@ -323,6 +336,11 @@ SCALAR_TARGETS = scalar_targets()
 @example("ScenarioSpec.estimators", (["OLS"],))
 @example("estimate_all.which", [["OLS"]])
 @example("fit_inverse_linear.method", [1])
+# each raised TypeError, ValueError or AttributeError
+@example("summarize.mu_true", "x")
+@example("summarize.mu_true", None)
+@example("select_models.row_tests", [])
+@example("select_models.col_tests", [1])
 def test_scalar_arguments_raise_only_drmean_errors(name, value):
     target, kind = SCALAR_TARGETS[name]
     if (kind == "int" and isinstance(value, (bool, np.bool_))
@@ -360,6 +378,7 @@ def array_targets() -> dict:
     m_hat = np.where(T == 1, y, 1.0)
     cov = np.hstack([sample.Z, sample.X])
     pz, oz = ModelSpec("propensity", (0, 1, 2, 3)), ModelSpec("outcome", (0, 1, 2, 3))
+    spread = np.array([1.0, 0.5, 2.0, 0.5])
 
     def in_view(f, *fields):
         """f on the view with fields passed through a BAD_SHAPES function."""
@@ -376,6 +395,11 @@ def array_targets() -> dict:
                      drmean.fit_outcome_ipw_nr)},
         "fit_logistic_propensity.design": one_bad(drmean.fit_logistic_propensity,
                                                   (view.design_pi, T), 0),
+        "fit_logistic_propensity.start": one_bad(
+            drmean.fit_logistic_propensity, (view.design_pi, T, np.zeros(5)), 2),
+        **{f"select_models.{name}": one_bad(
+            drmean.select_models, ([LINE_TEST] * 4, [LINE_TEST] * 4, spread, spread), k)
+           for k, name in ((2, "row_spread"), (3, "col_spread"))},
         "weight_diagnostics.pi_hat": one_bad(drmean.linmod.weight_diagnostics, (pi, T), 0),
         "weight_diagnostics.T": one_bad(drmean.linmod.weight_diagnostics, (pi, T), 1),
         "mu_from_regression.m_hat": one_bad(drmean.mu_from_regression, (m_hat,), 0),
@@ -419,6 +443,10 @@ ARRAY_TARGETS = array_targets()
 # each warned that the imaginary part was discarded
 @example("mu_full.Y", "complex")
 @example("fit_logistic_propensity.design", "complex")
+# each raised numpy's ValueError or IndexError
+@example("fit_logistic_propensity.start", "text")
+@example("select_models.row_spread", "short")
+@example("select_models.col_spread", "pairs")
 def test_arrays_of_the_wrong_shape_raise_only_drmean_errors(name, shape):
     call(ARRAY_TARGETS[name], BAD_SHAPES[shape])
 
@@ -456,3 +484,25 @@ def test_specs_that_are_not_scenario_specs_are_rejected(runner, value):
             InvalidArgumentError, match="specs must be a collection of ScenarioSpecs"):
         warnings.simplefilter("error")
         getattr(drmean, runner)(value)
+
+
+@pytest.mark.parametrize("target", [
+    "logistic start", "summarize text", "summarize None", "select empty", "select spreads",
+    "select non-results",
+])
+def test_unchecked_inputs_raise_invalid_argument(target):
+    # each escaped as ValueError, TypeError, IndexError or AttributeError
+    design, T = np.column_stack([np.ones(4), np.arange(4.0)]), np.array([1, 0, 1, 1])
+    calls = {
+        "logistic start": lambda: drmean.fit_logistic_propensity(design, T, start="ab"),
+        "summarize text": lambda: drmean.summarize(np.ones(3), "x"),
+        "summarize None": lambda: drmean.summarize(np.ones(3), None),
+        "select empty": lambda: drmean.select_models([], [], np.array([]), np.array([])),
+        "select spreads": lambda: drmean.select_models(
+            [LINE_TEST], [LINE_TEST], np.ones(2), np.ones(1)),
+        "select non-results": lambda: drmean.select_models(
+            [1], [1], np.ones(1), np.ones(1)),
+    }
+    with warnings.catch_warnings(), pytest.raises(InvalidArgumentError):
+        warnings.simplefilter("error")
+        calls[target]()

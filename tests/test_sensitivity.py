@@ -37,6 +37,12 @@ class TestModelSpec:
         with pytest.raises(InvalidArgumentError):
             sens.ModelSpec(role="outcome", covariates=(0, -1))
 
+    @pytest.mark.parametrize("kind", ["REG", "WLS", "EXT_REG", "IPW_NR"])
+    def test_outcome_kind_rejected(self, kind):
+        # the estimator fixes the outcome fit: a kind could only restate it
+        with pytest.raises(InvalidArgumentError, match="outcome model takes no kind"):
+            sens.ModelSpec(role="outcome", covariates=(0,), kind=kind)
+
     def test_unknown_propensity_kind(self):
         with pytest.raises(InvalidArgumentError):
             sens.ModelSpec(role="propensity", covariates=(0,), kind="PROBIT")
@@ -144,9 +150,10 @@ class TestBuildMatrix:
             sens.build_matrix(cov, T, y, [OZ], [OZ], "DR_WLS")
 
     def test_outcome_kind_conflict_rejected(self, data600):
+        # the estimator fixes the outcome fit, so an outcome spec takes no kind
         _, cov, T, y = data600
-        bad = sens.ModelSpec(role="outcome", covariates=(0,), kind="WLS")
         with pytest.raises(InvalidArgumentError):
+            bad = sens.ModelSpec(role="outcome", covariates=(0,), kind="WLS")
             sens.build_matrix(cov, T, y, [PZ], [bad], "DR_REG")
 
     def test_out_of_range_index_rejected(self, data600):
@@ -210,14 +217,15 @@ class TestHomogeneity:
         assert np.isclose(fwd.p_value, rev.p_value, rtol=1e-12)
 
     @pytest.mark.parametrize("fixed, estimator, message", [
-        (sens.ModelSpec("propensity", (0,)), "NOPE", "doubly robust"),
-        (sens.ModelSpec("outcome", (0,), "WLS"), "DR_REG", "conflicts with DR_REG"),
+        (("propensity", (0,)), "NOPE", "doubly robust"),
+        (("outcome", (0,), "WLS"), "DR_REG", "outcome model takes no kind"),
     ], ids=["estimator", "outcome-kind"])
     def test_empty_line_checks_its_estimator(self, data600, fixed, estimator, message):
         # with no varying specs neither was checked: p = nan, "empty line"
         _, cov, T, y = data600
         with pytest.raises(InvalidArgumentError, match=message):
-            sens.homogeneity_test(np.array([]), cov, T, y, fixed, (), estimator)
+            sens.homogeneity_test(np.array([]), cov, T, y, sens.ModelSpec(*fixed), (),
+                                  estimator)
 
     def test_empty_line_is_untestable(self, data600):
         _, cov, T, y = data600
@@ -328,6 +336,21 @@ class TestSharedPropensityFits:
         assert out.estimates[0].tobytes() == out.estimates[1].tobytes()
         assert out.row_tests[0].n_boot_used == 25
         assert repr(out.row_tests[0]) == repr(out.row_tests[1])
+
+    def test_equivalent_propensity_specs_share_one_outcome_fit(self, data600, monkeypatch):
+        # the two rows also share each weighted outcome fit: one per outcome
+        # spec on the full sample and in each draw, where each row fitted its own
+        _, cov, T, y = data600
+        fits = []
+        fit = linmod.fit_outcome_wls
+        monkeypatch.setattr(linmod, "fit_outcome_wls",
+                            lambda *a, **k: fits.append(1) or fit(*a, **k))
+        p_named = sens.ModelSpec(role="propensity", covariates=PZ.covariates,
+                                 kind="LOGISTIC_MLE")
+        out = sens.run_sensitivity(cov, T, y, [PZ, p_named], [OZ, OX], "DR_WLS",
+                                   boot_reps=25, seed=2)
+        assert out.estimates[0].tobytes() == out.estimates[1].tobytes()
+        assert len(fits) == (25 + 1) * 2
 
     def test_singular_propensity_row(self, data600, logistic_fits):
         # the failed fit is made once and reported by every cell of its row
