@@ -34,6 +34,14 @@ def check_int(value, name: str, minimum: int | None = None) -> int:
     raise InvalidArgumentError(f"{name} must be an integer{bound}")
 
 
+def check_flag(value, name: str) -> bool:
+    """value as a Python bool if it is a bool or numpy bool, so no other
+    truthy value passes; InvalidArgumentError "<name> must be a boolean" else."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidArgumentError(f"{name} must be a boolean")
+    return bool(value)
+
+
 def check_collection(items, cls: type, name: str) -> tuple:
     """items as a tuple; InvalidArgumentError unless they are instances of cls."""
     items = tuple(items) if np.iterable(items) else (None,)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, ndtri
 
-from ._util import as_array, check_int
+from ._util import as_array, check_flag, check_int
 from .errors import InvalidArgumentError
 
 MU_TRUE = 210.0  # the population mean of Y
@@ -126,7 +126,8 @@ def make_view(
 ) -> AnalysisView:
     """Build the analyst's view of a sample.
 
-    A correct model regresses on [1, Z]; a misspecified one on [1, X].
+    A correct model regresses on [1, Z]; a misspecified one on [1, X]
+    (design_matrix); each flag must be a boolean.
     Outcomes are masked to NaN wherever T == 0.  Only the designs the view
     uses are built.  mc passes the views of one sample a shared _parts
     dict: they then share each design, the copy of T and the masked
@@ -134,12 +135,14 @@ def make_view(
     depends on, shares every fit on the designs they share, and equal the
     views built without it.
     """
+    pi_model_correct = check_flag(pi_model_correct, "pi_model_correct")
+    m_model_correct = check_flag(m_model_correct, "m_model_correct")
     parts = {} if _parts is None else _parts
 
     def design(correct: bool) -> np.ndarray:
         if correct not in parts:
             covariates = sample.Z if correct else sample.X
-            parts[correct] = np.hstack([np.ones((sample.n, 1)), covariates])
+            parts[correct] = design_matrix(covariates, range(covariates.shape[1]))
         return parts[correct]
 
     if "T" not in parts:

@@ -64,23 +64,6 @@ IDENTITIES_SEED = 0
 IDENTITIES_TOL = 1e-8
 
 
-def _respondents(pi_hat, T, Y):
-    """(resp, 1 / pi_hat[resp], Y[resp]) for resp = (T == 1), all checked."""
-    T = check_response(T)
-    resp = T == 1
-    pi_hat, Y = check_units(pi_hat, T, "pi_hat"), check_units(Y, T, "Y")
-    if not resp.any():
-        raise UndefinedEstimatorError("no respondents")
-    with np.errstate(divide="ignore", over="ignore"):
-        w = 1.0 / pi_hat[resp]
-    if not np.all((w > 0) & (w < math.inf)):
-        raise InvalidWeightError("pi_hat must be finite and positive on respondents")
-    y = Y[resp]
-    if not np.all(np.isfinite(y)):
-        raise InvalidArgumentError("observed outcomes contain non-finite values")
-    return resp, w, y
-
-
 def _fsum(terms: np.ndarray) -> float:
     """math.fsum of terms; UndefinedEstimatorError if a term or the sum is
     not finite.  Callers make terms that may overflow under np.errstate."""
@@ -94,16 +77,27 @@ def _fsum(terms: np.ndarray) -> float:
 
 
 class _Respondents:
-    """The respondent terms of one propensity fit, checked by _respondents.
+    """The respondent terms of one propensity fit, checked once.
 
-    resp, w = 1 / pi_hat[resp] and y = Y[resp] over n units, with the
-    exact sums of w and of w y that several estimators read, each taken
-    on first use.
+    resp = (T == 1), w = 1 / pi_hat[resp] and y = Y[resp] over n units,
+    with the exact sums of w and of w y that several estimators read, each
+    taken on first use.
     """
 
     def __init__(self, pi_hat, T, Y):
-        self.resp, self.w, self.y = _respondents(pi_hat, T, Y)
-        self.n = len(self.resp)
+        T = check_response(T)
+        resp = T == 1
+        pi_hat, Y = check_units(pi_hat, T, "pi_hat"), check_units(Y, T, "Y")
+        if not resp.any():
+            raise UndefinedEstimatorError("no respondents")
+        with np.errstate(divide="ignore", over="ignore"):
+            w = 1.0 / pi_hat[resp]
+        if not np.all((w > 0) & (w < math.inf)):
+            raise InvalidWeightError("pi_hat must be finite and positive on respondents")
+        y = Y[resp]
+        if not np.all(np.isfinite(y)):
+            raise InvalidArgumentError("observed outcomes contain non-finite values")
+        self.resp, self.w, self.y, self.n = resp, w, y, len(resp)
 
     @cached_property
     def w_sum(self) -> float:
@@ -273,7 +267,7 @@ class Pipeline:
                 memo[key] = exc
         out = memo[key]
         if isinstance(out, DrmeanError):
-            raise out
+            raise out.with_traceback(None)  # not every earlier read's frames too
         return out
 
     def _inputs(self, kind: str):  # the key part outcome(kind) depends on
@@ -318,14 +312,19 @@ class Pipeline:
         return self._get(key, lambda: _Fitted(self.outcome(kind).m_hat))
 
     def extended(self) -> linmod.PropensityFit:
-        """Logistic fit extended along the centred unweighted regression."""
+        """Logistic fit extended along the centred unweighted regression.
+
+        Like every weighted estimator's fits, it asks for propensity()
+        first, then checks that the model is logistic, then fits "REG":
+        when several fail, the propensity failure is the one reported."""
 
         def build():
+            base = self.propensity()
             if self.inverse_linear is not None:
                 raise InvalidArgumentError("B_DR_EXT requires a logistic propensity model")
             reg = self.fitted("REG")
             h = reg.m_hat - _plug_in(reg)
-            return linmod.fit_extended_propensity(self.propensity(), h, self.view.T)
+            return linmod.fit_extended_propensity(base, h, self.view.T)
 
         return self._get((self._both, "extended"), build)
 

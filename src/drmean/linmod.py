@@ -111,14 +111,17 @@ class OutcomeFit:
 def weight_diagnostics(pi_hat: np.ndarray, T: np.ndarray) -> WeightDiagnostics:
     """Inverse-weight summaries split by response status.
 
-    Groups with no members report 0 for their max.  With any pi_hat <= 0
-    the summaries can be infinite; callers decide whether that is fatal.
+    Groups with no members report 0 for their max; no units at all is an
+    InvalidArgumentError.  With any pi_hat <= 0 the summaries can be
+    infinite; callers decide whether that is fatal.
     """
     T = check_response(T)
     pi_hat = check_units(pi_hat, T, "pi_hat")
+    if T.size == 0:
+        raise InvalidArgumentError("T and pi_hat hold no units to summarise")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / pi_hat
-        var = float(np.var(inv)) if pi_hat.size else 0.0
+        var = float(np.var(inv))
     resp = T == 1
     max_resp = float(np.max(inv[resp])) if resp.any() else 0.0
     max_nonresp = float(np.max(inv[~resp])) if (~resp).any() else 0.0
@@ -136,7 +139,9 @@ def _check_design(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray,
         raise InvalidArgumentError("design must be 2-d")
     if response.shape != (design.shape[0],):
         raise InvalidArgumentError("response length must match design rows")
-    _check_identifiable(*design.shape)
+    if design.shape[0] < design.shape[1]:
+        raise SingularDesignError(
+            f"{design.shape[0]} rows cannot identify {design.shape[1]} coefficients")
     if not np.all(np.isfinite(design)):
         raise InvalidArgumentError("design contains non-finite entries")
     if not np.all(np.isfinite(response)):
@@ -144,27 +149,24 @@ def _check_design(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray,
     return design, response
 
 
-def _check_identifiable(rows: int, cols: int) -> None:
-    if rows < cols:
-        raise SingularDesignError(f"{rows} rows cannot identify {cols} coefficients")
+def _pow2(x):
+    """The power of two p with p <= |x| < 2p, elementwise (0.5 for 0).  A
+    division by it is exact, so every fit that rescales by one leaves its
+    result free of the units of the data, bit for bit."""
+    return np.ldexp(1.0, np.frexp(x)[1] - 1)
 
 
 def _equilibrate(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(design / scale, scale), scale_j the root mean square of column j (1 if zero);
-    a column whose squares overflow is first divided by a power of two (exact)."""
+    a column whose squares overflow is first divided by _pow2 of its largest entry."""
     with np.errstate(over="ignore"):
         scale = np.sqrt(np.mean(design * design, axis=0))
     big = ~np.isfinite(scale)
     if big.any():
-        m = np.ldexp(1.0, np.frexp(np.max(np.abs(design[:, big]), axis=0))[1] - 1)
+        m = _pow2(np.max(np.abs(design[:, big]), axis=0))
         scale[big] = m * np.sqrt(np.mean((design[:, big] / m) ** 2, axis=0))
     scale[scale == 0.0] = 1.0
     return design / scale, scale
-
-
-def _check_rank(rank: int, p: int) -> None:
-    if rank < p:
-        raise SingularDesignError(f"rank {rank} < {p} columns at rcond={RANK_RCOND:g}")
 
 
 def _equilibrated_lstsq(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -177,7 +179,9 @@ def _equilibrated_lstsq(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         coef, _, rank, _ = np.linalg.lstsq(xs, rhs, rcond=RANK_RCOND)
     except np.linalg.LinAlgError as exc:
         raise NonconvergenceError(f"least squares failed: {exc}") from None
-    _check_rank(rank, design.shape[1])
+    if rank < design.shape[1]:
+        raise SingularDesignError(
+            f"rank {rank} < {design.shape[1]} columns at rcond={RANK_RCOND:g}")
     return coef / scale
 
 
@@ -279,28 +283,29 @@ def _newton_step(xs: np.ndarray, v: np.ndarray, resid: np.ndarray) -> np.ndarray
     return _equilibrated_lstsq(xs[live] * sv[:, None], resid[live] / sv)
 
 
-def _logistic_newton(
-    design: np.ndarray, response: np.ndarray, start: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Logistic maximum likelihood.  Returns (coefficients, linear predictor,
-    Newton steps).
+def fit_logistic_propensity(
+    design: np.ndarray, T: np.ndarray, start: np.ndarray | None = None
+) -> PropensityFit:
+    """Logistic maximum-likelihood fit of P(T = 1 | x) = expit(alpha'x).
 
-    Newton steps (_newton_step) from start (default 0) until one moves no
-    alpha'x by more than ETA_STEP_TOL (_settled), then a separation check
-    on the final linear predictor; a fit that fails with some |alpha'x| >
-    ETA_SEPARATION is reported as separated.  The first step always runs,
-    and its solve is the rank check.  The Gram solve squares the condition
-    number, but each step is taken from the current score, so its error
-    slows the iteration without moving the fit (Bjorck, Numerical Methods
-    for Least Squares Problems, 1996).
+    Newton steps (_newton_step) from the coefficients start, or from 0,
+    until one moves no alpha'x by more than ETA_STEP_TOL (_settled), then
+    a separation check on the final linear predictor; a fit that fails
+    with some |alpha'x| > ETA_SEPARATION is reported as separated.  The
+    first step always runs, and its solve is the rank check.  The Gram
+    solve squares the condition number, but each step is taken from the
+    current score, so its error slows the iteration without moving the
+    fit (Bjorck, Numerical Methods for Least Squares Problems, 1996).
+    iterations counts the steps.
     """
-    design, response = _check_design(design, response)
+    T = check_response(T)
+    design, response = _check_design(design, T.astype(float))
     xs, scale = _equilibrate(design)
     if start is None:
-        beta = np.zeros(design.shape[1])
+        alpha = np.zeros(design.shape[1])
     else:
-        beta = as_array(start, "start")
-        if beta.shape != (design.shape[1],) or not np.all(np.isfinite(beta)):
+        alpha = as_array(start, "start")
+        if alpha.shape != (design.shape[1],) or not np.all(np.isfinite(alpha)):
             raise InvalidArgumentError("start must be finite, one entry per column")
 
     def stalled(eta: np.ndarray, reason: str) -> NonconvergenceError:
@@ -309,7 +314,7 @@ def _logistic_newton(
         return NonconvergenceError(_SEPARATED if separated else reason)
 
     for iterations in range(1, IRLS_MAX_ITER + 1):
-        eta = design @ beta
+        eta = design @ alpha
         mu = expit(eta)
         v = mu * (1.0 - mu)
         if not np.any(v > 0):
@@ -322,27 +327,14 @@ def _logistic_newton(
             raise stalled(
                 eta, "weighted design lost rank during iteration (separation?)"
             ) from None
-        beta = beta + step
+        alpha = alpha + step
         if _settled(design @ step, ETA_STEP_TOL):
             break
     else:
         raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} iterations")
-    eta = design @ beta
+    eta = design @ alpha
     if np.max(np.abs(eta)) > ETA_SEPARATION:
         raise NonconvergenceError(_SEPARATED)
-    return beta, eta, iterations
-
-
-def fit_logistic_propensity(
-    design: np.ndarray, T: np.ndarray, start: np.ndarray | None = None
-) -> PropensityFit:
-    """Logistic maximum-likelihood fit of P(T = 1 | x) = expit(alpha'x).
-
-    Newton's method starts from the coefficients start, or from 0;
-    iterations counts its steps.
-    """
-    T = check_response(T)
-    alpha, eta, iterations = _logistic_newton(design, T.astype(float), start)
     return PropensityFit(
         kind=PropensityKind.LOGISTIC_MLE,
         alpha=alpha,
@@ -391,9 +383,9 @@ def _inv_linear_likelihood(design: np.ndarray, T: np.ndarray) -> tuple[np.ndarra
     alpha'x_i >= 1 + delta, which keeps both logs finite.
 
     The likelihood depends on alpha'x only, so the fit runs on the columns
-    divided by a power of two near their rms (exact), free of their units.
+    divided by _pow2 of their rms (exact), free of their units.
     """
-    scale = np.ldexp(1.0, np.frexp(_equilibrate(design)[1])[1] - 1)
+    scale = _pow2(_equilibrate(design)[1])
     design = design / scale
     t = (T == 1).astype(float)
     bound = 1.0 + _CONSTRAINT_DELTA
@@ -478,9 +470,10 @@ class RespondentDesign:
 
     Holds resp = (T == 1), the full design_m (for the fitted values of every
     unit), its respondent rows and the respondent outcomes divided by
-    y_scale, the power of two with y_scale <= max |y| < 2 y_scale (exact),
-    so that no sum X'y overflows; fit scales its results back.  The
-    outcome fits on one design_m, T and y_observed can share one instance.
+    y_scale = _pow2(max |y|) (exact), so that no sum X'y overflows; fit
+    scales its results back.  _check_design checks the rows and outcomes.
+    The outcome fits on one design_m, T and y_observed can share one
+    instance.
     """
 
     def __init__(self, view: AnalysisView):
@@ -489,14 +482,12 @@ class RespondentDesign:
         if not resp.any():
             raise SingularDesignError("no respondents to fit on")
         y = check_units(view.y_observed, T, "y_observed")[resp]
-        if not np.all(np.isfinite(y)):
-            raise InvalidArgumentError("observed outcomes contain non-finite values")
         self.resp = resp
         self.design = as_array(view.design_m, "design_m")
         if self.design.shape[:1] != T.shape:
             raise InvalidArgumentError("design_m rows must match T")
         self.rows, y = _check_design(self.design[resp], y)
-        self.y_scale = math.ldexp(1.0, math.frexp(np.max(np.abs(y)))[1] - 1)
+        self.y_scale = _pow2(np.max(np.abs(y)))
         self.y = y / self.y_scale
 
     def fit(
@@ -510,11 +501,7 @@ class RespondentDesign:
         """
         rows = self.rows
         if appended is not None:
-            col = appended[self.resp]
-            _check_identifiable(rows.shape[0], rows.shape[1] + 1)
-            if not np.all(np.isfinite(col)):
-                raise InvalidArgumentError("design contains non-finite entries")
-            rows = np.hstack([rows, col[:, None]])
+            rows, _ = _check_design(np.hstack([rows, appended[self.resp][:, None]]), self.y)
         # _wls rejects an infinite weight, and a non-finite beta makes m_hat so
         with np.errstate(over="ignore", invalid="ignore"):
             weights = None if weight_pi is None else 1.0 / weight_pi[self.resp]
@@ -661,7 +648,7 @@ def fit_extended_propensity(
 
     Solves g(phi) = P_n[(T / expit(eta + phi h) - 1) h] = 0 for scalar phi;
     h is both the direction and the moment weight.  The solve runs on h / c,
-    c = 2^floor(log2 max|h|), free of the units of h.  g is nonincreasing,
+    c = _pow2(max |h|), free of the units of h.  g is nonincreasing,
     g'(phi) = -P_n[T exp(-eta - phi h) h^2], and both come from one
     exponential per respondent; the nonrespondents add the constant
     -P_n[(1 - T) h].  |g(0)| <= PHI_GTOL gives phi = 0; otherwise a
@@ -680,7 +667,7 @@ def fit_extended_propensity(
     if not np.all(np.isfinite(h)):
         raise InvalidArgumentError("h contains non-finite entries")
     resp = T == 1
-    c = math.ldexp(1.0, math.frexp(np.max(np.abs(h), initial=0.0))[1] - 1)
+    c = _pow2(np.max(np.abs(h), initial=0.0))
     hn = h / c
     n = hn.size
     eta_r, h_r = base.eta[resp], hn[resp]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import (
-    as_array, check_collection, check_int, check_seed, check_vector, derive_seed,
+    as_array, check_collection, check_flag, check_int, check_seed, check_vector, derive_seed,
 )
 from .dgp import MU_TRUE, generate_sample, make_view, reverse_roles
 from .errors import DegenerateInputError, InvalidArgumentError
@@ -54,9 +54,10 @@ class ScenarioSpec:
         object.__setattr__(self, "reps", check_int(self.reps, "reps", 1))
         object.__setattr__(self, "base_seed", check_seed(self.base_seed, "base_seed"))
         object.__setattr__(self, "estimators", check_estimator_names(self.estimators))
+        if not self.estimators:
+            raise InvalidArgumentError("estimators must name at least one estimator")
         for name in ("pi_model_correct", "m_model_correct", "reverse"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise InvalidArgumentError(f"{name} must be a boolean")
+            object.__setattr__(self, name, check_flag(getattr(self, name), name))
 
     def label(self) -> str:
         tag = (

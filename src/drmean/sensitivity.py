@@ -146,10 +146,11 @@ def _estimate_cell(
 ) -> float:
     """One cell's estimate on a view of its two specs' designs, its logistic
     propensity fit started from pi_start.  The cells of one sample share
-    memo, so they share each fit whose inputs they share (see Pipeline)."""
+    memo, so they share each fit whose inputs they share (see Pipeline).
+    The estimator fits the propensity model first, as in estimate_all, so
+    its failure ends the cell before any outcome fit."""
     method = _PROPENSITY_METHODS[p_spec.kind or "LOGISTIC_MLE"]
     pipe = Pipeline(view, inverse_linear=method, pi_start=pi_start, memo=memo)
-    pipe.propensity()  # fit first: its failure ends the cell before any outcome fit
     return ESTIMATORS[estimator](pipe)
 
 
@@ -391,11 +392,8 @@ def homogeneity_test(
         return result(math.nan, math.nan, "too few successful bootstrap draws")
     boot = np.asarray(boot_rows)
 
-    contrast = np.zeros((m - 1, m))
-    contrast[:, 0] = 1.0
-    contrast[np.arange(m - 1), np.arange(1, m)] = -1.0
-    d = contrast @ line
-    boot_contrasts = boot @ contrast.T
+    d = line[0] - line[1:]
+    boot_contrasts = boot[:, :1] - boot[:, 1:]
     if np.all(d == 0.0) and np.all(boot_contrasts == 0.0):
         # identical estimates in the data and every draw: homogeneous by
         # construction, exact unit p-value

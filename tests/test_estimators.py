@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import re
+import traceback
 import weakref
 
 import numpy as np
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 
 from drmean import estimators as est
 from drmean import linmod, mc
+from drmean import sensitivity as sens
 from drmean.dgp import (
     AnalysisView,
     FullSample,
+    design_matrix,
     generate_sample,
     make_view,
     reverse_roles,
@@ -22,6 +25,7 @@ from drmean.errors import (
     DrmeanError,
     InvalidArgumentError,
     InvalidWeightError,
+    NonconvergenceError,
     UndefinedEstimatorError,
 )
 
@@ -342,6 +346,15 @@ def _outcome(fn, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
+def separated_covariates():
+    """(covariates [x, c, c], T, y masked where T is 0) on 12 units: x
+    separates T exactly, and the last two columns are equal."""
+    x = np.arange(1.0, 13.0)
+    T = (x > 6).astype(np.int64)
+    c = np.sin(x)
+    return np.column_stack([x, c, c]), T, np.where(T == 1, 2.0 * c + x, np.nan)
+
+
 class TestOneDefinition:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -387,7 +400,7 @@ class TestOneDefinition:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(est, "_respondents", spy("respondents", est._respondents))
+        monkeypatch.setattr(est, "_Respondents", spy("respondents", est._Respondents))
         monkeypatch.setattr(
             linmod, "weight_diagnostics", spy("diagnostics", linmod.weight_diagnostics)
         )
@@ -480,9 +493,9 @@ class TestOneDefinition:
             "B_DR_REG": lambda: est.mu_b_dr(pi, m_reg, T, view.y_observed),
         }
         checks = []
-        respondents = est._respondents
+        respondents = est._Respondents
         monkeypatch.setattr(
-            est, "_respondents", lambda *args: checks.append(args) or respondents(*args)
+            est, "_Respondents", lambda *args: checks.append(args) or respondents(*args)
         )
         raised = []
         for name in standalone:
@@ -497,6 +510,39 @@ class TestOneDefinition:
             assert (type(want.value), str(want.value)) == (type(raised[0]), str(raised[0]))
         assert est.ESTIMATORS["OLS"](pipe) == est.mu_from_regression(m_reg)
         assert est.ESTIMATORS["FULL"](pipe) == est.mu_full(y_full)
+
+    def test_weighted_estimators_fit_the_propensity_model_first(self):
+        # the propensity design separates T and the outcome design repeats
+        # a column: every weighted estimator reports the separation, in
+        # estimate_all and in a sensitivity cell alike (B_DR_EXT in
+        # estimate_all reported the rank failure of its outcome fit)
+        covariates, T, y = separated_covariates()
+        view = AnalysisView(design_matrix(covariates, [0]), design_matrix(covariates, [1, 2]),
+                            T, y)
+        out = est.estimate_all(view)
+        assert out.messages["OLS"].startswith("SingularDesignError: rank 2 < 3")
+        assert "separated" in out.messages["B_DR_REG"]
+        weighted = [name for name, e in est.ESTIMATORS.items() if e.weighted]
+        assert {out.messages[name] for name in weighted} == {out.messages["B_DR_REG"]}
+        _, messages = sens.build_matrix(
+            covariates, T, y, [sens.ModelSpec("propensity", (0,))],
+            [sens.ModelSpec("outcome", (1, 2))], "B_DR_EXT")
+        assert messages == {(0, 0): out.messages["B_DR_EXT"]}
+
+    def test_memoised_failure_keeps_its_traceback_depth(self):
+        # each read re-raised the stored exception, whose traceback kept
+        # the frames of every earlier read: 7, 10, 13, 16, then 19 frames
+        covariates, T, y = separated_covariates()
+        design = design_matrix(covariates, [0])
+        view = AnalysisView(design, design, T, y)
+        memo, depths, raised = {}, [], []
+        for _ in range(5):
+            with pytest.raises(NonconvergenceError, match="separated") as exc:
+                est.Pipeline(view, memo=memo).propensity()
+            depths.append(len(traceback.extract_tb(exc.value.__traceback__)))
+            raised.append(exc.value)
+        assert len(set(depths)) == 1
+        assert all(e is raised[0] for e in raised)
 
 
 @pytest.fixture(scope="module")

@@ -833,6 +833,11 @@ class TestWeightDiagnostics:
         d = linmod.weight_diagnostics(np.array([0.5, 0.5]), np.array([0, 0]))
         assert d.max_inv_pi_respondents == 0.0
 
+    def test_zero_units_rejected(self):
+        # numpy's ValueError: zero-size array to reduction operation minimum
+        with pytest.raises(InvalidArgumentError, match="T and pi_hat hold no units"):
+            linmod.weight_diagnostics(np.array([]), np.array([], dtype=np.int64))
+
     def test_reported_for_base_propensity_fit(self, wrong_view):
         fit = linmod.fit_logistic_propensity(wrong_view.design_pi, wrong_view.T)
         d = estimate_all(wrong_view).diagnostics

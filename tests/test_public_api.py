@@ -11,12 +11,12 @@ seeds beyond 64 bits, it returns an exit code of 0 to 3.  The scalar
 arguments of the library (counts, seeds, flags, names, methods, a
 summary's truth and a selection's line tests), fed bools, floats,
 strings, lists, None and negative numbers, raise nothing but
-DrmeanErrors, and a bool never passes for a count nor anything else for
-a flag.  So do per-unit arrays (and start coefficients and line spreads)
-of the wrong shape (one entry short or long, a column, 2-d or 0-d) or of
-text, complex values or ragged lists, and scenario and sensitivity specs
-of another type are always rejected, as are the spellings of removed
-features.
+DrmeanErrors; a bool never passes for a count nor anything else for a
+flag, and a scenario never runs without an estimator.  So do per-unit
+arrays (and start coefficients and line spreads) of the wrong shape (one
+entry short or long, a column, 2-d or 0-d) or of text, complex values or
+ragged lists, and scenario and sensitivity specs of another type are
+always rejected, as are the spellings of removed features.
 """
 
 import dataclasses
@@ -279,7 +279,7 @@ SPEC = {"n": 10, "reps": 1, "pi_model_correct": True, "m_model_correct": False,
 def scalar_targets() -> dict:
     """Per name, (the call on one scalar argument, what the argument is): an
     "int" that a bool must not pass for, a "flag" that only a bool passes
-    for, or "other"."""
+    for, "names" that must not be empty, or "other"."""
     sample = drmean.generate_sample(40, 5)
     cov = np.hstack([sample.Z, sample.X])
     y = np.where(sample.T == 1, sample.Y, np.nan)
@@ -304,7 +304,9 @@ def scalar_targets() -> dict:
         **{f"ScenarioSpec.{f}": (scenario(f), "int") for f in ("n", "reps", "base_seed")},
         **{f"ScenarioSpec.{f}": (scenario(f), "flag")
            for f in ("pi_model_correct", "m_model_correct", "reverse")},
-        "ScenarioSpec.estimators": (scenario("estimators"), "other"),
+        "ScenarioSpec.estimators": (scenario("estimators"), "names"),
+        "make_view.pi_model_correct": (lambda v: drmean.make_view(sample, v, True), "flag"),
+        "make_view.m_model_correct": (lambda v: drmean.make_view(sample, True, v), "flag"),
         **{f"ModelSpec.{f}": (model_spec(f), "other") for f in ("role", "covariates", "kind")},
         "run_scenarios.workers": (
             lambda v: drmean.run_scenarios([one_task], workers=v), "int"),
@@ -331,6 +333,10 @@ SCALAR_TARGETS = scalar_targets()
 # each ran, or raised a TypeError, before the checks of this argument
 @example("ScenarioSpec.reps", True)
 @example("ScenarioSpec.pi_model_correct", "no")
+# each ran: a truthy flag passed for True, and no estimator was summarised
+@example("make_view.pi_model_correct", "yes")
+@example("make_view.m_model_correct", [1])
+@example("ScenarioSpec.estimators", ())
 @example("ModelSpec.covariates", (True,))
 @example("ModelSpec.kind", [1])
 @example("ScenarioSpec.estimators", (["OLS"],))
@@ -344,7 +350,8 @@ SCALAR_TARGETS = scalar_targets()
 def test_scalar_arguments_raise_only_drmean_errors(name, value):
     target, kind = SCALAR_TARGETS[name]
     if (kind == "int" and isinstance(value, (bool, np.bool_))
-            or kind == "flag" and not isinstance(value, (bool, np.bool_))):
+            or kind == "flag" and not isinstance(value, (bool, np.bool_))
+            or kind == "names" and isinstance(value, (tuple, list)) and not value):
         with warnings.catch_warnings(), pytest.raises(DrmeanError):
             warnings.simplefilter("error")
             target(value)
