@@ -1,12 +1,13 @@
-"""Shared helpers: argument checks, seed derivation, compensated means and
-the JSON null of an undefined value."""
+"""Shared helpers: argument checks, seed derivation, compensated means,
+the JSON null of an undefined value and an ordered map over processes."""
 
 import math
+import multiprocessing
 import operator
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import DrmeanError, InvalidArgumentError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -80,6 +81,15 @@ def check_units(values, T, name: str) -> np.ndarray:
     return values
 
 
+def check_observed(y: np.ndarray) -> np.ndarray:
+    """y, the respondent outcomes; InvalidArgumentError "observed outcomes
+    contain non-finite values" unless every entry is finite.  The one check
+    of respondent outcomes, for the estimators' terms and the outcome fits."""
+    if not np.all(np.isfinite(y)):
+        raise InvalidArgumentError("observed outcomes contain non-finite values")
+    return y
+
+
 def check_vector(values, name: str) -> np.ndarray:
     """values as a 1-d float array; InvalidArgumentError "<name> must be 1-d"
     otherwise."""
@@ -125,3 +135,62 @@ def fsum_col_means(matrix: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError("mean of empty array")
     # lists, because iterating an array makes a numpy scalar per element
     return np.array([math.fsum(col) / n for col in matrix.T.tolist()])
+
+
+def _run_share(fn, share: list, conn) -> None:
+    """A child's part of ordered_map: send (True, results) or (False, the
+    exception fn raised) and close the pipe."""
+    try:
+        message = (True, [fn(t) for t in share])
+    except Exception as exc:
+        message = (False, exc)
+    with conn:
+        conn.send(message)
+
+
+def ordered_map(fn, tasks, workers: int) -> list:
+    """[fn(t) for t in tasks], computed by k = min(workers, len(tasks))
+    processes.
+
+    Share j is tasks[j::k], so each process gets every k-th task.  This
+    process computes share 0; each other share runs in one daemon child of
+    the default start method, which sends back over a one-way pipe its
+    results or the exception fn raised, and that exception is raised here
+    (the first in share order).  Under spawn or forkserver each child
+    imports fn's module first, so fn and the tasks must pickle.  A child
+    that exits without sending raises DrmeanError naming its exit code.  No
+    child outlives the call.
+    """
+    tasks = list(tasks)
+    k = min(workers, len(tasks))
+    if k <= 1:
+        return [fn(t) for t in tasks]
+    ctx = multiprocessing.get_context()
+    children = []
+    try:
+        for j in range(1, k):
+            receive, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_run_share, args=(fn, tasks[j::k], send), daemon=True)
+            child.start()
+            send.close()  # the child's copy is then the only one
+            children.append((child, receive))
+        out = [None] * len(tasks)
+        out[0::k] = [fn(t) for t in tasks[0::k]]
+        for j, (child, receive) in enumerate(children, 1):
+            try:
+                ok, value = receive.recv()
+            except (EOFError, OSError):  # the child's end closed before it sent
+                child.join()
+                raise DrmeanError(f"worker process exited with code {child.exitcode} "
+                                  "before sending its results") from None
+            if not ok:
+                raise value
+            out[j::k] = value
+        return out
+    finally:
+        for child, receive in children:
+            receive.close()
+            if child.is_alive():
+                child.terminate()
+        for child, _ in children:
+            child.join()

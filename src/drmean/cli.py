@@ -465,7 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run benchmark scenarios from a config")
     p_sim.add_argument("--config", required=True, help="JSON run configuration")
     p_sim.add_argument("--out", default=".", help="output directory")
-    p_sim.add_argument("--workers", type=int, default=1, help="worker processes")
+    p_sim.add_argument("--workers", type=int, default=1,
+                       help="processes that compute the replications, this one "
+                       "included, in interleaved shares (under spawn or forkserver "
+                       "each child imports drmean first)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="estimate the outcome mean on a dataset")

@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linmod
-from ._util import as_array, check_response, check_units, check_vector
+from ._util import as_array, check_observed, check_response, check_units, check_vector
 from .dgp import AnalysisView, FullSample
 from .errors import (
     DrmeanError,
@@ -94,10 +94,7 @@ class _Respondents:
             w = 1.0 / pi_hat[resp]
         if not np.all((w > 0) & (w < math.inf)):
             raise InvalidWeightError("pi_hat must be finite and positive on respondents")
-        y = Y[resp]
-        if not np.all(np.isfinite(y)):
-            raise InvalidArgumentError("observed outcomes contain non-finite values")
-        self.resp, self.w, self.y, self.n = resp, w, y, len(resp)
+        self.resp, self.w, self.y, self.n = resp, w, check_observed(Y[resp]), len(resp)
 
     @cached_property
     def w_sum(self) -> float:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from ._util import as_array, check_response, check_units, fsum_col_means
+from ._util import as_array, check_observed, check_response, check_units, fsum_col_means
 from .dgp import AnalysisView
 from .errors import (
     InfeasibleConstraintError,
@@ -144,8 +144,6 @@ def _check_design(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray,
             f"{design.shape[0]} rows cannot identify {design.shape[1]} coefficients")
     if not np.all(np.isfinite(design)):
         raise InvalidArgumentError("design contains non-finite entries")
-    if not np.all(np.isfinite(response)):
-        raise InvalidArgumentError("response contains non-finite entries")
     return design, response
 
 
@@ -471,9 +469,9 @@ class RespondentDesign:
     Holds resp = (T == 1), the full design_m (for the fitted values of every
     unit), its respondent rows and the respondent outcomes divided by
     y_scale = _pow2(max |y|) (exact), so that no sum X'y overflows; fit
-    scales its results back.  _check_design checks the rows and outcomes.
-    The outcome fits on one design_m, T and y_observed can share one
-    instance.
+    scales its results back.  _check_design checks the rows, then
+    check_observed the outcomes.  The outcome fits on one design_m, T and
+    y_observed can share one instance.
     """
 
     def __init__(self, view: AnalysisView):
@@ -487,6 +485,7 @@ class RespondentDesign:
         if self.design.shape[:1] != T.shape:
             raise InvalidArgumentError("design_m rows must match T")
         self.rows, y = _check_design(self.design[resp], y)
+        y = check_observed(y)
         self.y_scale = _pow2(np.max(np.abs(y)))
         self.y = y / self.y_scale
 

@@ -12,23 +12,24 @@ whose designs it reads: the propensity fit on Z or X with its respondent
 terms and weight diagnostics, the checked respondent rows of an outcome
 design with the unweighted outcome fit, and, for a (propensity, outcome)
 design pair, the fits and sums that need both.  run_scenarios puts the
-replications of all its scenarios into one task list, served by a single
-process pool, and reduces each scenario's results in replication order
-regardless of how many workers ran, which makes summaries bit-identical
-across worker counts.
+replications of all its scenarios into one task list, which its workers
+processes, this one included, compute in interleaved shares (see
+_util.ordered_map), and reduces each scenario's results in replication
+order regardless of how many processes ran, which makes summaries
+bit-identical across worker counts.
 
 Failures are per estimator, not per replication: a replicate where only
 the weighted fits blow up still contributes its OLS and FULL values.
 """
 
 import math
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import (
     as_array, check_collection, check_flag, check_int, check_seed, check_vector, derive_seed,
+    ordered_map,
 )
 from .dgp import MU_TRUE, generate_sample, make_view, reverse_roles
 from .errors import DegenerateInputError, InvalidArgumentError
@@ -204,11 +205,11 @@ def run_scenarios(specs, workers: int = 1) -> list[MCSummary]:
 
     Specs that share n, base_seed and reverse form a group, and a task is
     one replication r of one group: the group's specs with more than r
-    reps, evaluated on one shared sample (see _replicate).  workers > 1
-    farms the tasks of all groups out to one process pool as a single
-    task list.  A chunk holds at most a quarter of one worker's share of
-    the smallest scenario, so chunks of a costly large-n group stay small
-    and the pool's tail stays short when sizes are mixed.  The summaries
+    reps, evaluated on one shared sample (see _replicate).  The tasks of
+    all groups form one list, and workers processes, this one included,
+    compute every workers-th task of it (see _util.ordered_map), so each
+    process gets its share of every group and mixed sizes balance.  Under
+    spawn or forkserver each child imports drmean first.  The summaries
     do not depend on the worker count.  InvalidArgumentError unless specs
     is a collection of ScenarioSpecs.
     """
@@ -224,13 +225,7 @@ def run_scenarios(specs, workers: int = 1) -> list[MCSummary]:
             live = [i for i in group if specs[i].reps > r]
             tasks.append((r, tuple(specs[i] for i in live)))
             members.append(live)
-    if workers == 1 or len(tasks) <= 1:
-        results = [_replicate(t) for t in tasks]
-    else:
-        ctx = multiprocessing.get_context()
-        chunk = max(1, min(spec.reps for spec in specs) // (4 * workers))
-        with ctx.Pool(min(workers, len(tasks))) as pool:
-            results = pool.map(_replicate, tasks, chunksize=chunk)
+    results = ordered_map(_replicate, tasks, workers)
     per_spec: list[list] = [[] for _ in specs]
     for live, task_results in zip(members, results):
         for i, res in zip(live, task_results):

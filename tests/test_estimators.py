@@ -337,6 +337,19 @@ class TestEstimateAll:
             assert out.flags[name] == est.FLAG_FAILED, name
             assert "non-finite" in out.messages[name], name
 
+    def test_infinite_respondent_outcome_named_once(self):
+        # one check of the respondent outcomes, so one text whichever fit
+        # or respondent term an estimator reads first
+        sample = generate_sample(200, 1)
+        view = make_view(sample, True, True)
+        y = view.y_observed.copy()
+        y[int(np.flatnonzero(view.T == 1)[0])] = np.inf
+        out = est.estimate_all(dataclasses.replace(view, y_observed=y), sample)
+        names = [nm for nm in est.ESTIMATOR_NAMES if nm != "FULL"]
+        assert len(names) == 9
+        assert {out.messages[nm] for nm in names} == {
+            "InvalidArgumentError: observed outcomes contain non-finite values"}
+
 
 def _outcome(fn, *args):
     """fn(*args), or the class and message of the DrmeanError it raised."""

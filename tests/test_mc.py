@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import multiprocessing
+import os
 from collections import Counter
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drmean import cli, linmod, mc
+from drmean import _util, cli, linmod, mc
 from drmean import estimators as est
 from drmean._util import derive_seed
 from drmean.dgp import generate_sample, make_view, reverse_roles
@@ -287,69 +289,121 @@ class TestRunScenarios:
     def test_no_specs(self):
         assert mc.run_scenarios([], workers=2) == []
 
-    def test_chunks_sized_by_smallest_scenario(self, monkeypatch):
-        # chunks of the large scenario stay as small as the small one's, so
-        # one costly chunk cannot hold up the end of a mixed-size run
-        chunksizes = []
+    def test_each_process_takes_every_kth_task_of_each_group(self, monkeypatch):
+        # interleaved shares: within every group, the task of replication r
+        # and that of r + k run in one process, and k successive ones in k
+        # processes, so mixed sizes balance whatever the group order
+        seen = []
 
-        class InProcessPool:
-            def __init__(self, processes):
-                pass
+        def spy(fn, tasks, workers):
+            seen.extend(_util.ordered_map(_pid_and_group, tasks, workers))
+            return _util.ordered_map(fn, tasks, workers)
 
-            def __enter__(self):
-                return self
+        monkeypatch.setattr(mc, "ordered_map", spy)
+        k = 3
+        together = mc.run_scenarios(MIXED, workers=k)
+        groups: dict = {}
+        for pid, key, r in seen:
+            groups.setdefault(key, []).append((r, pid))
+        assert len(groups) == 5
+        for key, runs in groups.items():
+            pids = [pid for _, pid in sorted(runs)]
+            assert pids[k:] == pids[:-k], key
+            assert len(set(pids[:k])) == min(k, len(pids)), key
+        assert len({pid for pid, _, _ in seen}) == k
+        assert os.getpid() in {pid for pid, _, _ in seen}
+        for spec, summary in zip(MIXED, together):
+            assert rows_equal(mc.run_scenario(spec).rows, summary.rows)
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize):
-                chunksizes.append(chunksize)
-                return [fn(t) for t in tasks]
-
-        class InProcessContext:
-            Pool = InProcessPool
-
-        specs = [
-            mc.ScenarioSpec(n=30, reps=16, pi_model_correct=True, m_model_correct=True,
-                            base_seed=3, estimators=("OLS",)),
-            mc.ScenarioSpec(n=90, reps=64, pi_model_correct=False, m_model_correct=True,
-                            base_seed=3, estimators=("OLS",)),
-        ]
-        alone = [mc.run_scenario(spec) for spec in specs]
-        monkeypatch.setattr(mc.multiprocessing, "get_context", lambda: InProcessContext())
-        together = mc.run_scenarios(specs, workers=2)
-        assert chunksizes == [16 // (4 * 2)]
-        for a, b in zip(alone, together):
-            assert rows_equal(a.rows, b.rows)
-
-    def test_simulate_starts_one_pool(self, tmp_path, monkeypatch):
-        pools = []
-        get_context = mc.multiprocessing.get_context
-
-        def counting_get_context(*args, **kwargs):
-            ctx = get_context(*args, **kwargs)
-
-            class Counting:
-                def __getattr__(self, name):
-                    return getattr(ctx, name)
-
-                def Pool(self, *pool_args, **pool_kwargs):
-                    pools.append(pool_args)
-                    return ctx.Pool(*pool_args, **pool_kwargs)
-
-            return Counting()
-
-        monkeypatch.setattr(mc.multiprocessing, "get_context", counting_get_context)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_simulate_starts_one_child_per_extra_worker(self, tmp_path, monkeypatch,
+                                                        workers):
+        started = count_children(monkeypatch)
         config = tmp_path / "config.json"
         config.write_text(
             '{"base_seed": 1, "reps": 3, "sample_sizes": [30, 40], "estimators": ["OLS"]}'
         )
+        out = tmp_path / "o"
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(out),
+                       "--workers", str(workers)])
+        assert rc == 0
+        assert len(started) == workers - 1
+        assert multiprocessing.active_children() == []
+        rows = (out / "results.csv").read_text().splitlines()
+        assert len(rows) == 1 + 4 * 2
+
+    def test_no_child_outlives_a_failed_run(self, monkeypatch):
+        monkeypatch.setattr(mc, "_replicate", _fail_in_child)
+        with pytest.raises(ZeroDivisionError, match="replication 1"):
+            mc.run_scenarios([SMALL], workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_simulate_exits_1_when_a_child_dies(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(mc, "_replicate", _exit_in_child)
+        config = tmp_path / "config.json"
+        config.write_text('{"base_seed": 1, "reps": 4, "sample_sizes": [30]}')
         rc = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "o"),
                        "--workers", "2"])
-        assert rc == 0
-        assert pools == [(2,)]
-        rows = (tmp_path / "o" / "results.csv").read_text().splitlines()
-        assert len(rows) == 1 + 4 * 2
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: worker process exited with code 3 before sending its results\n"
+        assert multiprocessing.active_children() == []
+
+    def test_spawned_children_give_the_same_summaries(self, monkeypatch):
+        # spawn and forkserver children import drmean afresh and receive
+        # _replicate and the tasks pickled
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: get_context("spawn"))
+        specs = MIXED[:2]
+        together = mc.run_scenarios(specs, workers=2)
+        for spec, summary in zip(specs, together):
+            assert rows_equal(mc.run_scenario(spec).rows, summary.rows)
+        assert multiprocessing.active_children() == []
+
+
+def _pid_and_group(task):
+    """The process that ran a task, the task's group and its replication."""
+    r, specs = task
+    return os.getpid(), (specs[0].n, specs[0].base_seed, specs[0].reverse), r
+
+
+_REPLICATE = mc._replicate
+
+
+def _fail_in_child(task):
+    if multiprocessing.parent_process() is not None:
+        raise ZeroDivisionError(f"replication {task[0]}")
+    return _REPLICATE(task)
+
+
+def _exit_in_child(task):
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return _REPLICATE(task)
+
+
+def count_children(monkeypatch) -> list:
+    """Patch the default multiprocessing context so that each child process
+    it makes is recorded; returns the list of their shares."""
+    started = []
+    get_context = multiprocessing.get_context
+
+    def counting_get_context(*args, **kwargs):
+        ctx = get_context(*args, **kwargs)
+
+        class Counting:
+            def __getattr__(self, name):
+                return getattr(ctx, name)
+
+            def Process(self, *proc_args, **proc_kwargs):
+                started.append(proc_kwargs["args"][1])
+                return ctx.Process(*proc_args, **proc_kwargs)
+
+        return Counting()
+
+    monkeypatch.setattr(multiprocessing, "get_context", counting_get_context)
+    return started
 
 
 def four_scenarios(n, reps, base_seed, reverse=False):

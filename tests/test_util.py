@@ -1,10 +1,14 @@
+import functools
 import math
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
 
 from drmean import _util
-from drmean.errors import InvalidArgumentError
+from drmean.errors import DrmeanError, InvalidArgumentError, SingularDesignError
 
 
 class TestDeriveSeed:
@@ -133,3 +137,90 @@ class TestUnitArrays:
     def test_nan_to_none(self):
         assert _util.nan_to_none(math.nan) is None
         assert [_util.nan_to_none(v) for v in (1.5, math.inf, 2, "x")] == [1.5, math.inf, 2, "x"]
+
+
+def _square(t):
+    return t * t
+
+
+def _pid(t):
+    return os.getpid(), t
+
+
+def _raise_in_child(task):
+    """task is (exception class, message): raised in a child process only."""
+    cls, message = task
+    if multiprocessing.parent_process() is not None:
+        raise cls(message)
+    return message
+
+
+def _exit_in_child(task):
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return task
+
+
+def _fail_here_sleep_in_child(task):
+    if multiprocessing.parent_process() is None:
+        raise ValueError("share 0 failed")
+    time.sleep(60)
+    return task
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n_tasks", [0, 1, 2, 4, 7])
+    def test_equals_the_serial_map(self, workers, n_tasks):
+        # workers > len(tasks) included: one process per task at most
+        tasks = list(range(n_tasks))
+        assert _util.ordered_map(_square, tasks, workers) == [t * t for t in tasks]
+        assert multiprocessing.active_children() == []
+
+    def test_share_j_is_every_kth_task_from_task_j(self):
+        out = _util.ordered_map(_pid, range(11), 3)
+        assert [t for _, t in out] == list(range(11))
+        pids = [pid for pid, _ in out]
+        assert pids[0] == os.getpid()
+        assert pids[3:] == pids[:-3]
+        assert len(set(pids)) == 3
+
+    def test_more_workers_than_tasks_use_one_process_per_task(self):
+        out = _util.ordered_map(_pid, [2, 3], 8)
+        assert [t for _, t in out] == [2, 3]
+        assert out[0][0] == os.getpid() != out[1][0]
+
+    @pytest.mark.parametrize("cls", [InvalidArgumentError, SingularDesignError,
+                                     ZeroDivisionError, KeyError])
+    def test_child_exception_raised_with_its_class_and_message(self, cls):
+        tasks = [(cls, "first"), (cls, "second: 2 > 1"), (cls, "third")]
+        with pytest.raises(cls) as info:
+            _util.ordered_map(_raise_in_child, tasks, 2)
+        assert type(info.value) is cls
+        assert info.value.args == ("second: 2 > 1",)
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_exits_without_sending(self):
+        with pytest.raises(DrmeanError, match="exited with code 3 before sending"):
+            _util.ordered_map(_exit_in_child, [0, 1, 2, 3], 2)
+        assert multiprocessing.active_children() == []
+
+    def test_failure_here_stops_the_children(self):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="share 0 failed"):
+            _util.ordered_map(_fail_here_sleep_in_child, range(6), 3)
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_children_under_spawn(self, monkeypatch):
+        # a spawned child imports drmean afresh and receives fn, its share
+        # and the pipe pickled
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: get_context("spawn"))
+        seeds = functools.partial(_util.derive_seed, 5)
+        assert _util.ordered_map(seeds, range(5), 2) == [seeds(i) for i in range(5)]
+        check = functools.partial(_util.check_int, name="x", minimum=0)
+        with pytest.raises(InvalidArgumentError, match=r"^x must be an integer >= 0$"):
+            _util.ordered_map(check, [0, -1], 2)
+        assert multiprocessing.active_children() == []
