@@ -1,4 +1,4 @@
-"""Shared helpers: argument checks, seed derivation, compensated means,
+"""Shared helpers: argument checks, seed derivation, exact sums and means,
 the JSON null of an undefined value and an ordered map over processes."""
 
 import math
@@ -85,7 +85,7 @@ def check_observed(y: np.ndarray) -> np.ndarray:
     """y, the respondent outcomes; InvalidArgumentError "observed outcomes
     contain non-finite values" unless every entry is finite.  The one check
     of respondent outcomes, for the estimators' terms and the outcome fits."""
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise InvalidArgumentError("observed outcomes contain non-finite values")
     return y
 
@@ -127,14 +127,22 @@ def derive_seed(base_seed: int, index: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+def exact_sum(a) -> float:
+    """The correctly rounded sum of a 1-d float array (a strided view too),
+    by math.fsum over its buffer: the same double as math.fsum(a.tolist()),
+    without a list of Python floats first.  OverflowError if it overflows,
+    ValueError for inf - inf, as math.fsum raises them.  Every exact sum of
+    the package is taken here."""
+    return math.fsum(memoryview(np.asarray(a, dtype=float)))
+
+
 def fsum_col_means(matrix: np.ndarray) -> np.ndarray:
-    """Column means of a 2-d array, each accumulated with math.fsum."""
+    """Column means of a 2-d array, each an exact_sum divided by the rows."""
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
     if n == 0:
         raise InvalidArgumentError("mean of empty array")
-    # lists, because iterating an array makes a numpy scalar per element
-    return np.array([math.fsum(col) / n for col in matrix.T.tolist()])
+    return np.array([exact_sum(col) / n for col in matrix.T])
 
 
 def _run_share(fn, share: list, conn) -> None:

@@ -23,12 +23,18 @@ from their arguments.  ESTIMATORS is the single definition of each
 estimator: the outcome fit it needs and how it combines the fits.
 estimate_all and the sensitivity cells both evaluate it on a Pipeline,
 which memoises the fits and their terms, so one replication checks each
-propensity fit's respondents once and takes each shared exact sum once.
-The weight diagnostics of estimate_all come from the base fit alone.
-Each memo entry is keyed by the inputs it depends on (see Pipeline), so
-Pipelines on one sample that share a memo share every fit and sum whose
-inputs they share: mc shares one between the scenarios of a
-replication, sensitivity between the cells of one sample.
+propensity fit's respondents once and takes each shared exact sum once,
+FULL's sum of the complete outcomes included.  The weight diagnostics of
+estimate_all come from the base fit alone.  Each memo entry is keyed by
+the inputs it depends on (see Pipeline), so Pipelines on one sample that
+share a memo share every fit and sum whose inputs they share: mc shares
+one between the scenarios of a replication, sensitivity between the
+cells of one sample.
+
+Every exact sum is _util.exact_sum: math.fsum read straight from the
+array's buffer.  fsum rounds correctly (Shewchuk, Discrete Comput. Geom.
+18, 1997), so its result is the one double nearest the true sum of the
+terms, whatever route the terms take to it.
 
 The three plug-in doubly robust forms (DR_WLS, DR_IPW_NR, DR_EXT_REG)
 coincide with their augmented-IPW counterparts because each fit zeroes
@@ -45,7 +51,9 @@ from functools import cached_property
 import numpy as np
 
 from . import linmod
-from ._util import as_array, check_observed, check_response, check_units, check_vector
+from ._util import (
+    as_array, check_observed, check_response, check_units, check_vector, exact_sum,
+)
 from .dgp import AnalysisView, FullSample
 from .errors import (
     DrmeanError,
@@ -65,10 +73,10 @@ IDENTITIES_TOL = 1e-8
 
 
 def _fsum(terms: np.ndarray) -> float:
-    """math.fsum of terms; UndefinedEstimatorError if a term or the sum is
+    """exact_sum of terms; UndefinedEstimatorError if a term or the sum is
     not finite.  Callers make terms that may overflow under np.errstate."""
     try:
-        total = math.fsum(terms.tolist())
+        total = exact_sum(terms)
     except (OverflowError, ValueError):  # inf - inf raises ValueError
         total = math.nan
     if not math.isfinite(total):
@@ -92,7 +100,7 @@ class _Respondents:
             raise UndefinedEstimatorError("no respondents")
         with np.errstate(divide="ignore", over="ignore"):
             w = 1.0 / pi_hat[resp]
-        if not np.all((w > 0) & (w < math.inf)):
+        if not ((w > 0) & (w < math.inf)).all():
             raise InvalidWeightError("pi_hat must be finite and positive on respondents")
         self.resp, self.w, self.y, self.n = resp, w, check_observed(Y[resp]), len(resp)
 
@@ -189,7 +197,7 @@ def mu_full(Y) -> float:
     Y = check_vector(Y, "Y")
     if Y.size == 0:
         raise UndefinedEstimatorError("no outcomes")
-    if not np.all(np.isfinite(Y)):
+    if not np.isfinite(Y).all():
         raise InvalidArgumentError("complete outcomes contain non-finite values")
     return _fsum(Y) / Y.size
 
@@ -221,18 +229,19 @@ class Pipeline:
     pi_start, if given.  Beside the fits, memo holds the checked respondent
     terms of the base and of the extended propensity fit (respondents), the
     sum of each outcome fit's fitted values (fitted), each residual
-    correction sum (residual_sum) and the base fit's weight diagnostics.
-    A failure is memoised as well and re-raised, with its class and
-    message, to every estimator that needs it.
+    correction sum (residual_sum), the base fit's weight diagnostics and
+    the mean of the complete outcomes (full_mean).  A failure is memoised
+    as well and re-raised, with its class and message, to every estimator
+    that needs it.
 
     Each entry's key names the inputs it depends on, by the identity of
     the arrays the pipeline is handed: the pi part (id(design_pi),
     inverse_linear, id(pi_start)) for the propensity fit, its respondents
     and diagnostics; the m part id(design_m) for the respondent design and
-    the unweighted fit "REG"; both parts for the rest.  Pipelines on one
-    sample (one T and y) may share one memo, and then every entry whose
-    inputs they share.  memo["arrays"] keeps the arrays that keys name
-    alive, so no id is reused while the memo lives.
+    the unweighted fit "REG"; id(full.Y) for full_mean; both parts for the
+    rest.  Pipelines on one sample (one T and y) may share one memo, and
+    then every entry whose inputs they share.  memo["arrays"] keeps the
+    arrays that keys name alive, so no id is reused while the memo lives.
     """
 
     def __init__(
@@ -250,7 +259,9 @@ class Pipeline:
         self.T = as_array(view.T, "T", None)
         self.y = as_array(view.y_observed, "y_observed")
         self._memo = {} if memo is None else memo
-        self._memo.setdefault("arrays", []).append((view.design_pi, view.design_m, pi_start))
+        y_full = None if full is None else full.Y
+        self._memo.setdefault("arrays", []).append(
+            (view.design_pi, view.design_m, pi_start, y_full))
         self._pi = (id(view.design_pi), inverse_linear, id(pi_start))
         self._m = id(view.design_m)
         self._both = (self._pi, self._m)
@@ -338,11 +349,12 @@ class Pipeline:
             lambda: self.respondents(extended).residual_sum(self.fitted(kind)),
         )
 
-
-def _full_sample_mean(pipe: Pipeline, kind) -> float:
-    if pipe.full is None:
-        raise UndefinedEstimatorError("complete outcomes unavailable")
-    return mu_full(pipe.full.Y)
+    def full_mean(self) -> float:
+        """mu_full of the complete outcomes full.Y, taken once per array Y."""
+        if self.full is None:
+            raise UndefinedEstimatorError("complete outcomes unavailable")
+        Y = self.full.Y
+        return self._get((id(Y), "full"), lambda: mu_full(Y))
 
 
 @dataclass(frozen=True)
@@ -390,7 +402,7 @@ ESTIMATORS: dict[str, Estimator] = {
     "DR_EXT_REG": Estimator("EXT_REG", True, _plug_in_estimate),
     "B_DR_REG": Estimator("REG", True, _augmented(_b_dr)),
     "B_DR_EXT": Estimator("REG", True, _augmented(_b_dr, extended=True)),
-    "FULL": Estimator(None, False, _full_sample_mean),
+    "FULL": Estimator(None, False, lambda p, kind: p.full_mean()),
 }
 
 ESTIMATOR_NAMES = tuple(ESTIMATORS)
@@ -471,7 +483,6 @@ class IdentitiesReport:
     abs_difference: float
     eq_weighted_residuals: list[float]  # |P_n[T (a'x)(y - m_hat)]| per draw
     moment_residual: float              # max |P_n[(T alpha'x - 1) x]|
-    tol: float
     passed: bool
     skipped: bool = False
     reason: str = ""
@@ -494,9 +505,7 @@ def mu_ols_identities_check(view: AnalysisView) -> IdentitiesReport:
 
     def skipped(reason: str) -> IdentitiesReport:
         nan = math.nan
-        return IdentitiesReport(
-            mu_ols, nan, nan, [], nan, IDENTITIES_TOL, False, skipped=True, reason=reason
-        )
+        return IdentitiesReport(mu_ols, nan, nan, [], nan, False, skipped=True, reason=reason)
 
     try:
         inv = linmod.fit_inverse_linear(view.design_m, view.T, "unconstrained_moment")
@@ -528,6 +537,5 @@ def mu_ols_identities_check(view: AnalysisView) -> IdentitiesReport:
         abs_difference=diff,
         eq_weighted_residuals=residuals,
         moment_residual=moment_residual,
-        tol=IDENTITIES_TOL,
         passed=passed,
     )

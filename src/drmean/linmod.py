@@ -121,12 +121,12 @@ def weight_diagnostics(pi_hat: np.ndarray, T: np.ndarray) -> WeightDiagnostics:
         raise InvalidArgumentError("T and pi_hat hold no units to summarise")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / pi_hat
-        var = float(np.var(inv))
+        var = float(inv.var())
     resp = T == 1
-    max_resp = float(np.max(inv[resp])) if resp.any() else 0.0
-    max_nonresp = float(np.max(inv[~resp])) if (~resp).any() else 0.0
+    max_resp = float(inv[resp].max()) if resp.any() else 0.0
+    max_nonresp = float(inv[~resp].max()) if (~resp).any() else 0.0
     return WeightDiagnostics(
-        min_pi=float(np.min(pi_hat)),
+        min_pi=float(pi_hat.min()),
         max_inv_pi_respondents=max_resp,
         max_inv_pi_nonrespondents=max_nonresp,
         var_inv_pi=var,
@@ -142,7 +142,7 @@ def _check_design(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray,
     if design.shape[0] < design.shape[1]:
         raise SingularDesignError(
             f"{design.shape[0]} rows cannot identify {design.shape[1]} coefficients")
-    if not np.all(np.isfinite(design)):
+    if not np.isfinite(design).all():
         raise InvalidArgumentError("design contains non-finite entries")
     return design, response
 
@@ -161,7 +161,7 @@ def _equilibrate(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scale = np.sqrt(np.mean(design * design, axis=0))
     big = ~np.isfinite(scale)
     if big.any():
-        m = _pow2(np.max(np.abs(design[:, big]), axis=0))
+        m = _pow2(np.abs(design[:, big]).max(axis=0))
         scale[big] = m * np.sqrt(np.mean((design[:, big] / m) ** 2, axis=0))
     scale[scale == 0.0] = 1.0
     return design / scale, scale
@@ -170,7 +170,7 @@ def _equilibrate(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _equilibrated_lstsq(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Least squares on a column-equilibrated design, with rank check."""
     xs, scale = _equilibrate(design)
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(rhs))):
+    if not (np.isfinite(xs).all() and np.isfinite(rhs).all()):
         # LAPACK would print a complaint and return NaN
         raise NonconvergenceError("least squares input is not finite")
     try:
@@ -186,7 +186,7 @@ def _equilibrated_lstsq(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _settled(change: np.ndarray, tol: float) -> bool:
     """The stop of every Newton-type fit: max |change| <= tol, where change
     is x'step on each row.  False if change or tol is not finite."""
-    return bool(np.max(np.abs(change)) <= tol < math.inf)
+    return bool(np.abs(change).max() <= tol < math.inf)
 
 
 def _pivots_pass(gram: np.ndarray) -> bool:
@@ -249,9 +249,9 @@ def _wls(
         w = np.asarray(unit_weights, dtype=float)
         if w.shape != (n,):
             raise InvalidArgumentError("unit_weights length must match design rows")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
+        if not np.isfinite(w).all() or (w < 0).any():
             raise InvalidWeightError("unit weights must be finite and nonnegative")
-        if not np.any(w > 0):
+        if not (w > 0).any():
             raise InvalidWeightError("all unit weights are zero")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         solve = _gram_solver(design, w) or _lstsq_solver(design, w)
@@ -259,7 +259,7 @@ def _wls(
         for passes in range(2, IRLS_MAX_ITER + 1):
             step = solve(response - design @ beta)
             beta = beta + step
-            level = np.max(np.abs(design @ beta))
+            level = np.abs(design @ beta).max()
             if _settled(design @ step, FIT_STEP_RTOL * level):
                 return beta, passes
             if not level < math.inf:
@@ -303,19 +303,19 @@ def fit_logistic_propensity(
         alpha = np.zeros(design.shape[1])
     else:
         alpha = as_array(start, "start")
-        if alpha.shape != (design.shape[1],) or not np.all(np.isfinite(alpha)):
+        if alpha.shape != (design.shape[1],) or not np.isfinite(alpha).all():
             raise InvalidArgumentError("start must be finite, one entry per column")
 
     def stalled(eta: np.ndarray, reason: str) -> NonconvergenceError:
         """The failure for reason, named as separation if max |eta| shows it."""
-        separated = np.max(np.abs(eta)) > ETA_SEPARATION
+        separated = np.abs(eta).max() > ETA_SEPARATION
         return NonconvergenceError(_SEPARATED if separated else reason)
 
     for iterations in range(1, IRLS_MAX_ITER + 1):
         eta = design @ alpha
         mu = expit(eta)
         v = mu * (1.0 - mu)
-        if not np.any(v > 0):
+        if not (v > 0).any():
             raise stalled(eta, "all fitted variances vanished")
         try:
             step = _newton_step(xs, v, response - mu) / scale
@@ -331,7 +331,7 @@ def fit_logistic_propensity(
     else:
         raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} iterations")
     eta = design @ alpha
-    if np.max(np.abs(eta)) > ETA_SEPARATION:
+    if np.abs(eta).max() > ETA_SEPARATION:
         raise NonconvergenceError(_SEPARATED)
     return PropensityFit(
         kind=PropensityKind.LOGISTIC_MLE,
@@ -352,7 +352,7 @@ def _inv_linear_unconstrained(design: np.ndarray, T: np.ndarray) -> tuple[np.nda
     rows = design[T == 1]
     with np.errstate(over="ignore", invalid="ignore"):
         gram = rows.T @ rows
-    if not np.all(np.isfinite(gram)):
+    if not np.isfinite(gram).all():
         raise InvalidArgumentError("moment Gram matrix is not finite")
     d = 1.0 / np.sqrt(np.where(gram.diagonal() > 0, gram.diagonal(), 1.0))
     gram = gram * d * d[:, None]
@@ -361,7 +361,7 @@ def _inv_linear_unconstrained(design: np.ndarray, T: np.ndarray) -> tuple[np.nda
         q = t * (design @ alpha) - 1.0
         step = d * _equilibrated_lstsq(gram, d * (design.T @ q))
         alpha = alpha - step
-        if _settled(design @ step, FIT_STEP_RTOL * np.max(np.abs(design @ alpha))):
+        if _settled(design @ step, FIT_STEP_RTOL * np.abs(design @ alpha).max()):
             return alpha, iterations
     raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} iterations")
 
@@ -390,15 +390,15 @@ def _inv_linear_likelihood(design: np.ndarray, T: np.ndarray) -> tuple[np.ndarra
 
     def objective(alpha):
         s = design @ alpha
-        if np.any(s <= bound - 1e-12):
+        if (s <= bound - 1e-12).any():
             s = np.maximum(s, bound)
         val = np.mean(np.log(s) - (1.0 - t) * np.log(s - 1.0))
         grad = fsum_col_means(design * (1.0 / s - (1.0 - t) / (s - 1.0))[:, None])
         return val, grad
 
     x0 = np.zeros(design.shape[1])
-    x0[0] = 2.0 / np.min(design[:, 0]) if np.all(design[:, 0] > 0) else 0.0
-    if np.any(design @ x0 < bound):
+    x0[0] = 2.0 / design[:, 0].min() if (design[:, 0] > 0).all() else 0.0
+    if (design @ x0 < bound).any():
         raise InfeasibleConstraintError(
             "no feasible starting point for the likelihood constraints"
         )
@@ -426,7 +426,7 @@ def _inv_linear_likelihood(design: np.ndarray, T: np.ndarray) -> tuple[np.ndarra
         raise InfeasibleConstraintError(res.message)
     if not res.success and res.status != 0:
         raise NonconvergenceError(f"constrained fit failed: {res.message}")
-    if not np.all(np.isfinite(res.x)):
+    if not np.isfinite(res.x).all():
         raise NonconvergenceError("constrained fit ended at non-finite coefficients")
     return res.x / scale, int(res.nit)
 
@@ -486,7 +486,7 @@ class RespondentDesign:
             raise InvalidArgumentError("design_m rows must match T")
         self.rows, y = _check_design(self.design[resp], y)
         y = check_observed(y)
-        self.y_scale = _pow2(np.max(np.abs(y)))
+        self.y_scale = _pow2(np.abs(y).max())
         self.y = y / self.y_scale
 
     def fit(
@@ -533,7 +533,7 @@ def fit_outcome_wls(
     """Outcome regression on respondents, weighted by 1 / pi_hat."""
     pi_hat = check_units(pi_hat, view.T, "pi_hat")
     pi_resp = pi_hat[np.asarray(view.T) == 1]
-    if np.any(pi_resp <= 0) or not np.all(np.isfinite(pi_resp)):
+    if (pi_resp <= 0).any() or not np.isfinite(pi_resp).all():
         raise InvalidWeightError("pi_hat must be finite and positive on respondents")
     return (_design or RespondentDesign(view)).fit(weight_pi=pi_hat)
 
@@ -550,7 +550,7 @@ def fit_outcome_ext_reg(
     pi_hat = check_units(pi_hat, view.T, "pi_hat")
     with np.errstate(divide="ignore", over="ignore"):
         inv_pi = 1.0 / pi_hat
-    if not np.all((inv_pi > 0) & (inv_pi < math.inf)):
+    if not ((inv_pi > 0) & (inv_pi < math.inf)).all():
         raise InvalidWeightError("pi_hat must be finite and positive on all units")
     return (_design or RespondentDesign(view)).fit(appended=inv_pi)
 
@@ -565,7 +565,7 @@ def fit_outcome_ipw_nr(
     P_n[m_hat] equals P_n[T y + (1 - T) m_hat].
     """
     pi_hat = check_units(pi_hat, view.T, "pi_hat")
-    if np.any(pi_hat <= 0) or np.any(pi_hat >= 1) or not np.all(np.isfinite(pi_hat)):
+    if (pi_hat <= 0).any() or (pi_hat >= 1).any() or not np.isfinite(pi_hat).all():
         raise InvalidWeightError("pi_hat must lie strictly inside (0, 1) on all units")
     return (_design or RespondentDesign(view)).fit(appended=pi_hat, weight_pi=pi_hat)
 
@@ -663,10 +663,10 @@ def fit_extended_propensity(
     h = as_array(h, "h")
     if h.shape != base.eta.shape or T.shape != h.shape:
         raise InvalidArgumentError("h and T must have one entry per unit")
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise InvalidArgumentError("h contains non-finite entries")
     resp = T == 1
-    c = _pow2(np.max(np.abs(h), initial=0.0))
+    c = _pow2(np.abs(h).max(initial=0.0))
     hn = h / c
     n = hn.size
     eta_r, h_r = base.eta[resp], hn[resp]

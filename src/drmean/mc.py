@@ -29,7 +29,7 @@ import numpy as np
 
 from ._util import (
     as_array, check_collection, check_flag, check_int, check_seed, check_vector, derive_seed,
-    ordered_map,
+    exact_sum, ordered_map,
 )
 from .dgp import MU_TRUE, generate_sample, make_view, reverse_roles
 from .errors import DegenerateInputError, InvalidArgumentError
@@ -107,19 +107,19 @@ def summarize(values: np.ndarray, mu_true: float) -> EstimatorSummary:
     if mu_true.ndim != 0:
         raise InvalidArgumentError("mu_true must be a number")
     mu_true = float(mu_true)
-    if not np.all(np.isfinite(values)) or not math.isfinite(mu_true):
+    if not np.isfinite(values).all() or not math.isfinite(mu_true):
         raise InvalidArgumentError("values and mu_true must be finite")
     r = values.size
     try:
         with np.errstate(over="raise", invalid="raise"):
-            mean = math.fsum(values) / r
+            mean = exact_sum(values) / r
             # not mean - mu_true: the rounding of a large mean would swamp
             # a small bias
-            bias = math.fsum(values - mu_true) / r
+            bias = exact_sum(values - mu_true) / r
             dev = values - mean
-            squares = math.fsum(dev * dev)
+            squares = exact_sum(dev * dev)
             variance = squares / (r - 1) if r > 1 else math.nan
-            mse = math.fsum((values - mu_true) ** 2) / r
+            mse = exact_sum((values - mu_true) ** 2) / r
             m2 = squares / r
             if m2 == 0.0:
                 skewness = 0.0
@@ -128,7 +128,7 @@ def summarize(values: np.ndarray, mu_true: float) -> EstimatorSummary:
                 # is tiny.  Cube by multiplication; array ** 3 is not
                 # sign-symmetric.
                 z = dev / math.sqrt(m2)
-                skewness = math.fsum(z * z * z) / r
+                skewness = exact_sum(z * z * z) / r
             qs = np.percentile(values, QUANTILE_LEVELS)  # linear interpolation
     except (OverflowError, FloatingPointError):
         raise DegenerateInputError("the summary statistics overflow") from None
@@ -141,8 +141,8 @@ def summarize(values: np.ndarray, mu_true: float) -> EstimatorSummary:
         mse=mse,
         skewness=skewness,
         quantiles=dict(zip(QUANTILE_LEVELS, (float(q) for q in qs))),
-        minimum=float(np.min(values)),
-        maximum=float(np.max(values)),
+        minimum=float(values.min()),
+        maximum=float(values.max()),
     )
 
 

@@ -24,8 +24,8 @@ import numpy as np
 from scipy.special import chdtrc
 
 from ._util import (
-    as_array, check_collection, check_int, check_response, check_seed, check_vector,
-    derive_seed, nan_to_none,
+    as_array, check_collection, check_int, check_observed, check_response, check_seed,
+    check_vector, derive_seed, nan_to_none,
 )
 from .dgp import AnalysisView, design_matrix
 from .errors import DrmeanError, InvalidArgumentError, NonconvergenceError
@@ -169,8 +169,7 @@ class _Sample:
         n, n_cols = covariates.shape
         if T.shape != (n,) or Y.shape != (n,):
             raise InvalidArgumentError("T and Y must have one entry per row of covariates")
-        if not np.all(np.isfinite(Y[T == 1])):
-            raise InvalidArgumentError("respondent outcomes must be finite")
+        check_observed(Y[T == 1])
         used = sorted({c for s in specs for c in s.covariates})
         if used[-1] >= n_cols:
             raise InvalidArgumentError(

@@ -424,6 +424,26 @@ class TestOneDefinition:
         assert calls["diagnostics"] == 1
         assert calls["fsum"] == 10
 
+    def test_scenarios_sharing_a_memo_sum_full_once(self, sample_1000, monkeypatch):
+        # FULL's exact sum is keyed by the complete outcome array, so the
+        # four scenarios of one replication take it once, as mc runs them
+        want = est.mu_full(sample_1000.Y)
+        full_sums = []
+        fsum = est._fsum
+
+        def spy(terms):
+            full_sums.append(terms is sample_1000.Y)
+            return fsum(terms)
+
+        monkeypatch.setattr(est, "_fsum", spy)
+        parts, memo = {}, {}
+        for pi_ok in (True, False):
+            for m_ok in (True, False):
+                view = make_view(sample_1000, pi_ok, m_ok, _parts=parts)
+                out = est.estimate_all(view, sample_1000, _memo=memo)
+                assert out.values["FULL"] == want
+        assert full_sums.count(True) == 1
+
     def test_shared_caches_hold_single_design_terms(self, monkeypatch):
         # the memo mc shares between the four scenarios of one replication
         # fits each of Z and X once as propensity and once as outcome design,

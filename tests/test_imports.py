@@ -1,10 +1,13 @@
-"""Every imported name is used: an AST scan of src/, tests/ and demos/.
+"""AST scans that stand in for a linter, which the package does not ship.
 
-No linter ships with the package, so this test is the unused-import
-check.  A name counts as used if it appears anywhere in its module as a
-name (an attribute chain starts with one) or in the module's __all__,
-which covers the re-exports of __init__.py.  An import on a line marked
-"# noqa: F401" is kept on purpose and not checked.
+Every imported name is used, in src/, tests/ and demos/.  A name counts
+as used if it appears anywhere in its module as a name (an attribute
+chain starts with one) or in the module's __all__, which covers the
+re-exports of __init__.py.  An import on a line marked "# noqa: F401" is
+kept on purpose and not checked.
+
+In src/, math.fsum is named only inside _util.exact_sum, the one exact
+sum of the package.
 """
 
 import ast
@@ -53,3 +56,37 @@ def test_the_scan_finds_an_unused_import(tmp_path):
     path.write_text("import os\nimport sys  # noqa: F401\nfrom math import pi, tau\n"
                     "__all__ = ['tau']\n")
     assert unused_imports(path) == ["1: os", "3: pi"]
+
+
+def fsum_uses(path: Path) -> list[tuple[int, str]]:
+    """(line, enclosing function or "<module>") for each math.fsum in path:
+    the attribute math.fsum or an import of fsum from math."""
+    uses = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        named = (isinstance(node, ast.Attribute) and node.attr == "fsum"
+                 and isinstance(node.value, ast.Name) and node.value.id == "math")
+        imported = (isinstance(node, ast.ImportFrom) and node.module == "math"
+                    and any(alias.name == "fsum" for alias in node.names))
+        if named or imported:
+            uses.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return uses
+
+
+def test_math_fsum_only_in_exact_sum():
+    uses = [(p.relative_to(ROOT).as_posix(), where) for p in FILES
+            if p.relative_to(ROOT).parts[0] == "src" for _, where in fsum_uses(p)]
+    assert uses == [("src/drmean/_util.py", "exact_sum")]
+
+
+def test_the_scan_finds_math_fsum(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import math\nfrom math import fsum\n\n\ndef f(a):\n"
+                    "    return math.fsum(a) + fsum(a)\n")
+    assert fsum_uses(path) == [(2, "<module>"), (6, "f")]

@@ -454,6 +454,19 @@ class TestRunSensitivity:
                                  boot_reps=2, seed=1)
         assert logistic_fits == []
 
+    def test_infinite_respondent_outcome_named_as_in_estimate_all(self, logistic_fits):
+        # _util.check_observed is the one check of respondent outcomes, so
+        # the sensitivity pass names the fault as estimate_all does
+        sample = generate_sample(100, 1)
+        cov = np.hstack([sample.Z, sample.X])
+        y = np.where(sample.T == 1, sample.Y, np.nan)
+        y[np.flatnonzero(sample.T == 1)[0]] = np.inf
+        with pytest.raises(InvalidArgumentError,
+                           match="^observed outcomes contain non-finite values$"):
+            sens.run_sensitivity(cov, sample.T, y, [PZ, PX], [OZ, OX], "DR_WLS",
+                                 boot_reps=2, seed=1)
+        assert logistic_fits == []
+
     def test_non_finite_unused_covariate_allowed(self):
         sample = generate_sample(100, 1)
         cov = np.hstack([sample.Z, sample.X])

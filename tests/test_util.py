@@ -6,9 +6,17 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from drmean import _util
-from drmean.errors import DrmeanError, InvalidArgumentError, SingularDesignError
+from drmean import _util, estimators, mc
+from drmean.errors import (
+    DegenerateInputError,
+    DrmeanError,
+    InvalidArgumentError,
+    SingularDesignError,
+    UndefinedEstimatorError,
+)
 
 
 class TestDeriveSeed:
@@ -92,6 +100,15 @@ class TestCheckResponse:
             _util.check_response(T)
 
 
+def fsum_outcome(fsum, a):
+    """fsum(a) to the bit (float.hex tells signed zeros and NaN apart), or
+    the class of the exception it raised."""
+    try:
+        return fsum(a).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
 class TestFsumReductions:
     def test_fsum_col_means_matches_per_column(self):
         rng = np.random.default_rng(4)
@@ -100,6 +117,34 @@ class TestFsumReductions:
         want = np.array([math.fsum(a[:, j]) / 37 for j in range(5)])
         assert got.shape == (5,)
         assert np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), max_size=24))
+    @example([])
+    @example([-0.0])
+    @example([-0.0, -0.0, 0.0])
+    @example([5e-324, -5e-324, 5e-324, 2.2250738585072014e-308])
+    @example([1e308, 1e-300, -1e308, 3.0, 1e308, -1e308])
+    @example([1e308, 1e308, -1e308, -1e308])
+    @example([math.inf, -math.inf])
+    def test_exact_sum_is_fsum_of_the_list(self, values):
+        # the same double as math.fsum of the Python floats, or the same
+        # exception, for a contiguous array and for strided views of it
+        a = np.array(values, dtype=float)
+        matrix = a[: a.size // 2 * 2].reshape(-1, 2)
+        views = [a, a[::2], a[::-1], *matrix.T, *matrix]  # strided columns, contiguous rows
+        for view in views:
+            want = fsum_outcome(math.fsum, view.tolist())
+            assert fsum_outcome(_util.exact_sum, view) == want
+
+    def test_an_overflowing_sum_is_named_by_its_caller(self):
+        huge = np.array([1e308, 1e308])
+        with pytest.raises(OverflowError):
+            _util.exact_sum(huge)
+        with pytest.raises(UndefinedEstimatorError, match="an exact sum overflows"):
+            estimators._fsum(huge)
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            mc.summarize(huge, 0.0)
 
 
 class TestUnitArrays:
