@@ -27,7 +27,6 @@ from .errors import (
     DataError,
     DegenerateInputError,
     DrmeanError,
-    InfeasibleConstraintError,
     InvalidArgumentError,
     InvalidWeightError,
     NoRootError,
@@ -90,7 +89,6 @@ __all__ = [
     "EstimatorSummary",
     "FullSample",
     "HomogeneityResult",
-    "InfeasibleConstraintError",
     "InvalidArgumentError",
     "InvalidWeightError",
     "MCSummary",

@@ -28,10 +28,6 @@ class InvalidWeightError(DrmeanError):
     """Unit weights or fitted probabilities violate a positivity requirement."""
 
 
-class InfeasibleConstraintError(DrmeanError):
-    """Constrained fit has no feasible point."""
-
-
 class NoRootError(DrmeanError):
     """Scalar root search exhausted its bracket without a sign change."""
 

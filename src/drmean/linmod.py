@@ -18,9 +18,9 @@ NonconvergenceError.
 
 Propensity models:
   * logistic maximum likelihood, pi = expit(alpha'x);
-  * inverse-linear, pi = 1 / (alpha'x), fit by constrained maximum
-    likelihood or by solving the unconstrained moment equation
-    P_n[(T alpha'x - 1) x] = 0;
+  * inverse-linear, pi = 1 / (alpha'x), fit by solving the unconstrained
+    moment equation P_n[(T alpha'x - 1) x] = 0, under which OLS is a
+    doubly robust mean;
   * a one-parameter logistic extension expit(alpha'x + phi h) whose phi
     solves P_n[(T / pi - 1) h] = 0 for a caller-chosen direction h, by a
     safeguarded Newton method.
@@ -39,10 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from ._util import as_array, check_observed, check_response, check_units, fsum_col_means
+from ._util import as_array, check_observed, check_response, check_units
+# no fit here sums exactly; bench/layers.py wraps linmod.fsum_col_means, so
+# a traced run needs the name
+from ._util import fsum_col_means  # noqa: F401
 from .dgp import AnalysisView
 from .errors import (
-    InfeasibleConstraintError,
     InvalidArgumentError,
     InvalidWeightError,
     NonconvergenceError,
@@ -59,20 +61,16 @@ _SEPARATED = "fitted probabilities pinned at 0/1: data are separated"
 PHI_BRACKET_MAX = 50.0
 PHI_GTOL = 1e-10
 PHI_XTOL = 1e-12       # relative accuracy of the extension coefficient
-_CONSTRAINT_DELTA = 1e-6
-_OPT_MAX_ITER = 10_000
 
 
 class PropensityKind(enum.Enum):
     LOGISTIC_MLE = "LOGISTIC_MLE"
-    INV_LINEAR_ML = "INV_LINEAR_ML"
     INV_LINEAR_UNCONSTRAINED = "INV_LINEAR_UNCONSTRAINED"
     LOGISTIC_EXTENDED = "LOGISTIC_EXTENDED"
 
 
 #: the kind of fit each fit_inverse_linear method makes
 INV_LINEAR_METHODS = {
-    "likelihood": PropensityKind.INV_LINEAR_ML,
     "unconstrained_moment": PropensityKind.INV_LINEAR_UNCONSTRAINED,
 }
 
@@ -267,10 +265,11 @@ def _wls(
     raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} solves")
 
 
-def _newton_step(xs: np.ndarray, v: np.ndarray, resid: np.ndarray) -> np.ndarray:
-    """Solve (xs' V xs) d = xs' resid over the rows with v > 0: on the Gram matrix
-    if it passes _pivots_pass, else by lstsq."""
-    live = v > 0
+def _newton_step(
+    xs: np.ndarray, v: np.ndarray, live: np.ndarray, resid: np.ndarray
+) -> np.ndarray:
+    """Solve (xs' V xs) d = xs' resid over the rows live = (v > 0): on the Gram
+    matrix if it passes _pivots_pass, else by lstsq."""
     gram = (xs.T * v) @ xs
     if _pivots_pass(gram):
         try:
@@ -315,10 +314,11 @@ def fit_logistic_propensity(
         eta = design @ alpha
         mu = expit(eta)
         v = mu * (1.0 - mu)
-        if not (v > 0).any():
+        live = v > 0
+        if not live.any():
             raise stalled(eta, "all fitted variances vanished")
         try:
-            step = _newton_step(xs, v, response - mu) / scale
+            step = _newton_step(xs, v, live, response - mu) / scale
         except SingularDesignError:
             if iterations == 1:
                 raise
@@ -366,90 +366,20 @@ def _inv_linear_unconstrained(design: np.ndarray, T: np.ndarray) -> tuple[np.nda
     raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} iterations")
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first use: only the likelihood
-    fit needs it, and its import would add about a third to the start of
-    the command line."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
-
-
-def _inv_linear_likelihood(design: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, int]:
-    """Constrained inverse-linear maximum likelihood via SLSQP with analytic
-    gradients: minimize -P_n[T log pi + (1 - T) log(1 - pi)] subject to
-    alpha'x_i >= 1 + delta, which keeps both logs finite.
-
-    The likelihood depends on alpha'x only, so the fit runs on the columns
-    divided by _pow2 of their rms (exact), free of their units.
-    """
-    scale = _pow2(_equilibrate(design)[1])
-    design = design / scale
-    t = (T == 1).astype(float)
-    bound = 1.0 + _CONSTRAINT_DELTA
-
-    def objective(alpha):
-        s = design @ alpha
-        if (s <= bound - 1e-12).any():
-            s = np.maximum(s, bound)
-        val = np.mean(np.log(s) - (1.0 - t) * np.log(s - 1.0))
-        grad = fsum_col_means(design * (1.0 / s - (1.0 - t) / (s - 1.0))[:, None])
-        return val, grad
-
-    x0 = np.zeros(design.shape[1])
-    x0[0] = 2.0 / design[:, 0].min() if (design[:, 0] > 0).all() else 0.0
-    if (design @ x0 < bound).any():
-        raise InfeasibleConstraintError(
-            "no feasible starting point for the likelihood constraints"
-        )
-    constraints = {
-        "type": "ineq",
-        "fun": lambda alpha: design @ alpha - bound,
-        "jac": lambda alpha: design,
-    }
-    # a design with huge entries overflows inside the criterion and inside
-    # SLSQP itself; the outcome is judged by res.status and res.x instead,
-    # or by the OverflowError (or inf - inf ValueError) of an exact sum
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = minimize(
-                objective,
-                x0,
-                jac=True,
-                method="SLSQP",
-                constraints=[constraints],
-                options={"maxiter": _OPT_MAX_ITER, "ftol": 1e-14},
-            )
-    except (OverflowError, ValueError) as exc:
-        raise NonconvergenceError(f"constrained fit overflowed: {exc}") from None
-    if res.status == 4:
-        raise InfeasibleConstraintError(res.message)
-    if not res.success and res.status != 0:
-        raise NonconvergenceError(f"constrained fit failed: {res.message}")
-    if not np.isfinite(res.x).all():
-        raise NonconvergenceError("constrained fit ended at non-finite coefficients")
-    return res.x / scale, int(res.nit)
-
-
-def fit_inverse_linear(
-    design: np.ndarray, T: np.ndarray, method: str = "likelihood"
-) -> PropensityFit:
+def fit_inverse_linear(design: np.ndarray, T: np.ndarray, method: str) -> PropensityFit:
     """Fit the inverse-linear response model pi(x) = 1 / (alpha'x).
 
-    method is "likelihood" or "unconstrained_moment".  The likelihood fit
-    keeps alpha'x_i away from the region where its criterion is undefined;
-    the unconstrained moment solve can produce fitted values outside
-    (0, 1], which is intentional (its point is the algebraic identity it
-    induces, not plausibility of the weights).
+    method must be "unconstrained_moment" (any other method raises
+    InvalidArgumentError): alpha solves P_n[(T alpha'x - 1) x] = 0.  The
+    fitted values can fall outside (0, 1], which is intentional: the point
+    of the fit is the algebraic identity it induces, OLS as a weighted mean
+    of respondent outcomes, not plausible weights.
     """
     if not isinstance(method, str) or method not in INV_LINEAR_METHODS:
         raise InvalidArgumentError(f"unknown method {method!r}")
     T = check_response(T)
     design, _ = _check_design(design, T.astype(float))
-    if method == "likelihood":
-        alpha, iterations = _inv_linear_likelihood(design, T)
-    else:
-        alpha, iterations = _inv_linear_unconstrained(design, T)
+    alpha, iterations = _inv_linear_unconstrained(design, T)
     eta = design @ alpha
     with np.errstate(divide="ignore"):
         pi_hat = 1.0 / eta

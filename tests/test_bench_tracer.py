@@ -1,11 +1,10 @@
 """The benchmark tracer still sees every layer boundary it wraps.
 
 bench/layers.py records spans by replacing module attributes such as
-linmod.fit_outcome_wls and linmod.fsum_col_means.  A call that bypasses
-one of them would silently zero a per-layer metric, so these tests run
-the tracer around one estimate_all, small sensitivity runs and a small
-simulate, and ask for a span from each wrapped fit, the exact column sums,
-the bootstrap cells and the simulate layers.
+linmod.fit_outcome_wls.  A call that bypasses one of them would silently
+zero a per-layer metric, so these tests run the tracer around one
+estimate_all, small sensitivity runs and a small simulate, and ask for a
+span from each wrapped fit, the bootstrap cells and the simulate layers.
 """
 
 from pathlib import Path
@@ -34,18 +33,16 @@ def test_tracer_records_every_wrapped_layer(layers):
     z = (0, 1, 2, 3)
     with layers.Tracer() as tracer:
         estimate_all(dgp.make_view(sample, True, True), sample)
-        # the inverse-linear likelihood fit sums its gradient exactly
         run_sensitivity(
             cov, sample.T, y,
             [sens.ModelSpec("propensity", z),
-             sens.ModelSpec("propensity", z, "INV_LINEAR_ML")],
+             sens.ModelSpec("propensity", z, "INV_LINEAR_UNCONSTRAINED")],
             [sens.ModelSpec("outcome", z), sens.ModelSpec("outcome", (4, 5, 6, 7))],
             "DR_WLS", boot_reps=3, seed=1,
         )
     names = {span[0] for span in tracer.spans}
     wanted = set(layers.IRLS_FITS) | {
         "linmod.fit_extended_propensity",
-        "util.fsum_col_means",
         "sensitivity.build_matrix",
         "sensitivity.homogeneity_test",
         "sensitivity.cell",

@@ -589,18 +589,36 @@ class TestParser:
         )
         assert out.stdout.strip() == "False"
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # only the inverse-linear likelihood fit needs SLSQP, imported on use
+    def test_import_leaves_scipy_optimize_unloaded(self, small_sample, tmp_path):
+        # no fit uses scipy.optimize: importing the CLI, an estimate and a
+        # sensitivity run with an inverse-linear row leave it unloaded
         import subprocess
         import sys
 
+        data_csv = write_sample_csv(tmp_path / "d.csv", small_sample)
+        config = tmp_path / "sens.json"
+        config.write_text(json.dumps({
+            "estimator": "DR_WLS", "boot_reps": 3,
+            "propensity_models": [{"covariates": ["x1", "x2"]},
+                                  {"covariates": ["x1", "x2"],
+                                   "kind": "INV_LINEAR_UNCONSTRAINED"}],
+            "outcome_models": [{"covariates": ["x1"]}],
+        }))
+        runs = [["estimate", "--data", data_csv, "--out", str(tmp_path / "e.json")],
+                ["sensitivity", "--data", data_csv, "--config", str(config),
+                 "--out", str(tmp_path / "s.json")]]
         src = str(Path(cli.__file__).resolve().parents[1])
-        code = "import sys, drmean.cli; print('scipy.optimize' in sys.modules)"
+        code = ("import json, sys, drmean.cli\n"
+                "loaded = ['scipy.optimize' in sys.modules]\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    assert drmean.cli.main(argv) == 0, argv\n"
+                "    loaded.append('scipy.optimize' in sys.modules)\n"
+                "print(loaded)")
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
+            [sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src},
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[False, False, False]"
 
     def test_no_arguments_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -460,7 +460,7 @@ class TestOneDefinition:
 
     def test_memo_shares_only_identical_inputs(self, sample_1000, monkeypatch):
         # sharing follows array identity: equal values in distinct arrays,
-        # another start array or another method share no fit
+        # another start array or another propensity model share no fit
         fits = count_calls(monkeypatch, linmod, PIPELINE_FITS)
         view = make_view(sample_1000, True, True)
         twin = dataclasses.replace(view, design_pi=view.design_pi.copy(),
@@ -477,15 +477,17 @@ class TestOneDefinition:
         pipes = [est.Pipeline(view, memo=memo),
                  est.Pipeline(view, pi_start=start, memo=memo),
                  est.Pipeline(view, pi_start=start.copy(), memo=memo),
-                 est.Pipeline(view, inverse_linear="likelihood", memo=memo)]
+                 est.Pipeline(view, pi_start=np.zeros_like(start), memo=memo)]
         fitted = [pipe.propensity() for pipe in pipes]
         weighted = [pipe.outcome("WLS") for pipe in pipes]
-        assert fits["fit_logistic_propensity"] == 2 + 3
+        assert fits["fit_logistic_propensity"] == 2 + 4
         assert fits["fit_outcome_wls"] == 4
         assert len({id(f) for f in fitted}) == len({id(f) for f in weighted}) == 4
         again = est.Pipeline(view, pi_start=start, memo=memo)
         assert again.propensity() is fitted[1] and again.outcome("WLS") is weighted[1]
-        assert fits["fit_logistic_propensity"] == 2 + 3
+        moment = est.Pipeline(view, inverse_linear="unconstrained_moment", memo=memo)
+        assert moment.propensity().kind is linmod.PropensityKind.INV_LINEAR_UNCONSTRAINED
+        assert fits["fit_logistic_propensity"] == 2 + 4
         assert fits["fit_outcome_wls"] == 4
 
     def test_memo_keeps_its_designs_alive(self, sample_1000):

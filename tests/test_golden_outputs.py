@@ -5,10 +5,9 @@ they are.  A change that alters output on purpose updates the hash here
 and says why in CHANGES.md.  The hashes were recorded with RECORDED_WITH
 on x86-64, at OpenBLAS's default thread count (one per core, two cores);
 another BLAS may round differently and legitimately give other bytes.
-The hashes hold at that default count: under OPENBLAS_NUM_THREADS=1 the
-SLSQP fit of an INV_LINEAR_ML propensity row moves in its last bit, and
-with it the "sensitivity DR_WLS" bytes.  test_one_blas_thread pins which
-outputs do not depend on the thread count.
+Every fit is the package's own Newton-type solve on numpy's BLAS, and no
+output here depends on how many threads that BLAS runs: test_one_blas_thread
+pins it for each command at the default count and at one thread.
 """
 
 import csv
@@ -36,13 +35,12 @@ SIMULATE_CONFIGS = {
     "reversed": {"base_seed": 7, "reps": 30, "sample_sizes": [200], "reverse_roles": True},
 }
 
-# Z twice (the default kind, then LOGISTIC_MLE named), X, and Z under each
+# Z twice (the default kind, then LOGISTIC_MLE named), X, and Z under the
 # inverse-linear fit
 PROPENSITY_MODELS = [
     {"covariates": Z_COLS},
     {"covariates": Z_COLS, "kind": "LOGISTIC_MLE"},
     {"covariates": X_COLS},
-    {"covariates": Z_COLS, "kind": "INV_LINEAR_ML"},
     {"covariates": Z_COLS, "kind": "INV_LINEAR_UNCONSTRAINED"},
 ]
 
@@ -60,9 +58,9 @@ GOLDEN = {
     "estimate pi X, m Z":
         "e06c183ae815ee20e49a26f40b378641961e47347a614da525cfc29ccdbf5f53",
     "sensitivity DR_WLS":
-        "b2a11d6ea2e0009a9d5b588036362a485e2da8ae50fd2e97e83ba8a98a1f7f5b",
+        "33a71d2e958d27ff0d924d111bf1f3740250592742c812e5a7d200ce1f1e7335",
     "sensitivity B_DR_EXT":
-        "477ee9bead521e6f494c88e697de70d9015c2eb9cd0296df7a8710bdfe2bf1e3",
+        "dd39b79fa06baa4d737d1d490dfa8ff0891ffc26e8d9318067ba487629fc65d5",
 }
 
 
@@ -135,12 +133,12 @@ def test_sensitivity(tmp_path, data, estimator):
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS",
                     "MKL_NUM_THREADS")
 # DR_WLS over Z and X outcome models, on the logistic rows of
-# PROPENSITY_MODELS, and on a Z row with its INV_LINEAR_ML twin
+# PROPENSITY_MODELS, and on a Z row with its inverse-linear twin
 SENSITIVITY_CASES = {
     "sensitivity logistic": [m for m in PROPENSITY_MODELS
                              if m.get("kind", "LOGISTIC_MLE") == "LOGISTIC_MLE"],
-    "sensitivity INV_LINEAR_ML": [{"covariates": Z_COLS},
-                                  {"covariates": Z_COLS, "kind": "INV_LINEAR_ML"}],
+    "sensitivity INV_LINEAR_UNCONSTRAINED": [
+        {"covariates": Z_COLS}, {"covariates": Z_COLS, "kind": "INV_LINEAR_UNCONSTRAINED"}],
 }
 # runs (case, argv, output files) triples through cli.main and prints the
 # sha256 of each case's outputs as JSON
@@ -198,20 +196,7 @@ def blas_runs(tmp_path_factory, data):
     return _run_cases(tmp, data, None), _run_cases(tmp, data, "1")
 
 
-def _cores() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-
-
-@pytest.mark.parametrize("case", [
-    "simulate",
-    "estimate",
-    "sensitivity logistic",
-    # OpenBLAS runs one thread by default on one core, where nothing differs
-    pytest.param("sensitivity INV_LINEAR_ML", marks=pytest.mark.xfail(
-        _cores() > 1, strict=True,
-        reason="scipy's OpenBLAS thread count moves the SLSQP likelihood fit by "
-        "1e-16 relative and the bootstrap p-values by 1e-9; ROADMAP I removes SLSQP")),
-])
+@pytest.mark.parametrize("case", ["simulate", "estimate", *SENSITIVITY_CASES])
 def test_one_blas_thread(blas_runs, case):
     default, one_thread = blas_runs
     assert one_thread[case] == default[case]

@@ -7,7 +7,8 @@ re-exports of __init__.py.  An import on a line marked "# noqa: F401" is
 kept on purpose and not checked.
 
 In src/, math.fsum is named only inside _util.exact_sum, the one exact
-sum of the package.
+sum of the package, and no module imports scipy.optimize: every fit is
+the package's own Newton-type solve.
 """
 
 import ast
@@ -90,3 +91,33 @@ def test_the_scan_finds_math_fsum(tmp_path):
     path.write_text("import math\nfrom math import fsum\n\n\ndef f(a):\n"
                     "    return math.fsum(a) + fsum(a)\n")
     assert fsum_uses(path) == [(2, "<module>"), (6, "f")]
+
+
+def optimize_imports(path: Path) -> list[int]:
+    """The line of each import of scipy.optimize (or of a name from it) in path."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "scipy.optimize" or name.startswith("scipy.optimize.")
+               for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_src_never_imports_scipy_optimize():
+    found = {p.relative_to(ROOT).as_posix(): optimize_imports(p) for p in FILES
+             if p.relative_to(ROOT).parts[0] == "src"}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def test_the_scan_finds_scipy_optimize(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import scipy.optimize\nfrom scipy import optimize\n"
+                    "from scipy.optimize import brentq\nimport scipy.special\n\n\n"
+                    "def f():\n    import scipy.optimize._minimize as m\n")
+    assert optimize_imports(path) == [1, 2, 3, 8]

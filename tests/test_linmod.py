@@ -215,13 +215,12 @@ class TestLogisticPropensity:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fit_needs_no_exact_sum(self, monkeypatch, seed):
         # the logistic fit and the four outcome fits on the raw-scale X
-        # design stop on numpy mat-vecs alone
-        calls = []
-        exact = linmod.fsum_col_means
-        monkeypatch.setattr(
-            linmod, "fsum_col_means", lambda m: calls.append(m.shape) or exact(m)
-        )
+        # design stop on numpy mat-vecs alone: every exact sum of the
+        # package is a math.fsum, and none runs
         view = make_view(generate_sample(1000, seed), True, False)
+        calls = []
+        exact = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda a: calls.append(len(a)) or exact(a))
         pi_hat = linmod.fit_logistic_propensity(view.design_pi, view.T).pi_hat
         linmod.fit_outcome_reg(view)
         for fit in (linmod.fit_outcome_wls, linmod.fit_outcome_ext_reg,
@@ -428,16 +427,9 @@ class TestInverseLinear:
     def test_intercept_only_closed_forms(self):
         design = np.ones((4, 1))
         T = np.array([1, 1, 1, 0])
-        fit = linmod.fit_inverse_linear(design, T, "likelihood")
-        assert np.allclose(fit.alpha, [4.0 / 3.0], atol=1e-6)
-        assert np.allclose(fit.pi_hat, 0.75, atol=1e-6)
-
-    def test_likelihood_respects_constraints(self, wrong_view):
-        fit = linmod.fit_inverse_linear(wrong_view.design_pi, wrong_view.T,
-                                        "likelihood")
-        assert np.all(fit.eta >= 1.0 + 1e-6 - 1e-9)
-        assert np.all(fit.pi_hat <= 1.0 + 1e-12)
-        assert np.all(fit.pi_hat > 0)
+        fit = linmod.fit_inverse_linear(design, T, "unconstrained_moment")
+        assert np.allclose(fit.alpha, [4.0 / 3.0], rtol=1e-12, atol=0.0)
+        assert np.allclose(fit.pi_hat, 0.75, rtol=1e-12, atol=0.0)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -478,7 +470,7 @@ class TestInverseLinear:
         for name, msg in out.messages.items():
             assert issubclass(getattr(errors, msg.split(":")[0]), DrmeanError), name
 
-    @pytest.mark.parametrize("method", ["unconstrained_moment", "likelihood"])
+    @pytest.mark.parametrize("method", list(linmod.INV_LINEAR_METHODS))
     @pytest.mark.parametrize("n", [200, 1000])
     @pytest.mark.parametrize("z", [True, False], ids=["Z", "X"])
     def test_fit_is_free_of_column_units(self, method, n, z):
@@ -511,15 +503,6 @@ class TestInverseLinear:
         finally:
             tracemalloc.stop()
         assert peak < 4 * design.nbytes
-
-    def test_non_finite_slsqp_result_raises(self, monkeypatch, wrong_view):
-        class Result:
-            x = np.full(5, np.nan)
-            status, success, nit, message = 0, True, 3, "done"
-
-        monkeypatch.setattr(linmod, "minimize", lambda *a, **k: Result())
-        with pytest.raises(NonconvergenceError, match="non-finite"):
-            linmod.fit_inverse_linear(wrong_view.design_pi, wrong_view.T, "likelihood")
 
 
 class TestExtendedPropensity:
@@ -613,7 +596,7 @@ class TestExtendedPropensity:
 
     def test_requires_logistic_base(self):
         base, m_reg, mu_ols, T, _ = self.quartic_setup()
-        inv = linmod.fit_inverse_linear(np.ones((4, 1)), T, "likelihood")
+        inv = linmod.fit_inverse_linear(np.ones((4, 1)), T, "unconstrained_moment")
         with pytest.raises(InvalidArgumentError):
             linmod.fit_extended_propensity(inv, m_reg.m_hat - mu_ols, T)
 

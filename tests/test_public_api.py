@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 import drmean
 from drmean import AnalysisView, DrmeanError, InvalidArgumentError, ModelSpec, cli
 
-PROPENSITY_KINDS = ("LOGISTIC_MLE", "INV_LINEAR_ML", "INV_LINEAR_UNCONSTRAINED")
+PROPENSITY_KINDS = ("LOGISTIC_MLE", "INV_LINEAR_UNCONSTRAINED")
 
 
 def call(f, *args, **kwargs):
@@ -70,7 +70,7 @@ def _case(covariates, T, y):
 
 
 # [1, 1.2e62] on every row: a constant column far from unit scale, on which
-# the exact sums of an SLSQP criterion overflowed
+# the exact sums of a removed likelihood fit's criterion overflowed
 INV_LINEAR_OVERFLOW = _case(np.full((3, 1), 1.2e62), [0, 1, 1], [0.0, 1.0, 2.0])
 
 
@@ -247,18 +247,29 @@ def test_sensitivity_cli_returns_an_exit_code(workdir, config):
     run_cli(workdir, "sensitivity", config)
 
 
+# each removed propensity kind in a sensitivity config, by test id
+REMOVED_KINDS = {"sensitivity kind": "INV_LINEAR_MOMENT",
+                 "sensitivity kind INV_LINEAR_ML": "INV_LINEAR_ML"}
+
+
 @pytest.mark.parametrize("removed", ["moment", "INV_LINEAR_MOMENT", "sensitivity kind",
-                                     "density"])
+                                     "density", "likelihood", "INV_LINEAR_ML",
+                                     "sensitivity kind INV_LINEAR_ML"])
 def test_removed_spellings_are_rejected(workdir, removed):
-    # the constrained moment fit and the density subcommand are gone
-    if removed == "moment":
-        with pytest.raises(InvalidArgumentError, match="unknown method 'moment'"):
-            drmean.fit_inverse_linear(np.ones((4, 1)), np.array([1, 1, 1, 0]), "moment")
-    elif removed == "INV_LINEAR_MOMENT":
+    # the constrained moment fit, the density subcommand and the constrained
+    # likelihood fit are gone
+    design, T = np.ones((4, 1)), np.array([1, 1, 1, 0])
+    if removed in ("moment", "likelihood"):
+        with pytest.raises(InvalidArgumentError, match=f"unknown method '{removed}'"):
+            drmean.fit_inverse_linear(design, T, removed)
+        if removed == "likelihood":  # it was the default, and method has none now
+            with pytest.raises(TypeError):
+                drmean.fit_inverse_linear(design, T)
+    elif removed in ("INV_LINEAR_MOMENT", "INV_LINEAR_ML"):
         with pytest.raises(InvalidArgumentError, match="unknown propensity kind"):
-            ModelSpec("propensity", (0,), "INV_LINEAR_MOMENT")
-    elif removed == "sensitivity kind":
-        models = [{"covariates": ["x1"], "kind": "INV_LINEAR_MOMENT"}]
+            ModelSpec("propensity", (0,), removed)
+    elif removed in REMOVED_KINDS:
+        models = [{"covariates": ["x1"], "kind": REMOVED_KINDS[removed]}]
         assert run_cli(workdir, "sensitivity", {**SENSITIVITY, "propensity_models": models}) == 2
     else:
         with pytest.raises(SystemExit) as exit_:  # argparse's usage error

@@ -62,7 +62,6 @@ class TestModelSpec:
     def test_every_kind_has_its_fit(self):
         assert sens._PROPENSITY_METHODS == {
             "LOGISTIC_MLE": None,
-            "INV_LINEAR_ML": "likelihood",
             "INV_LINEAR_UNCONSTRAINED": "unconstrained_moment",
         }
 
@@ -130,7 +129,7 @@ class TestBuildMatrix:
     def test_cell_failure_is_isolated(self, data600):
         _, cov, T, y = data600
         pz_inv = sens.ModelSpec(
-            role="propensity", covariates=(0, 1, 2, 3), kind="INV_LINEAR_ML"
+            role="propensity", covariates=(0, 1, 2, 3), kind="INV_LINEAR_UNCONSTRAINED"
         )
         estimates, messages = sens.build_matrix(
             cov, T, y, [PZ, pz_inv], [OZ], "B_DR_EXT"
@@ -502,7 +501,7 @@ class TestRunSensitivity:
     def test_nan_cells_serialise_as_null(self, data600):
         _, cov, T, y = data600
         pz_inv = sens.ModelSpec(
-            role="propensity", covariates=(0, 1, 2, 3), kind="INV_LINEAR_ML"
+            role="propensity", covariates=(0, 1, 2, 3), kind="INV_LINEAR_UNCONSTRAINED"
         )
         out = sens.run_sensitivity(cov, T, y, [pz_inv], [OZ], "B_DR_EXT",
                                    boot_reps=25, seed=0)
@@ -612,21 +611,6 @@ class TestNoForeignExceptions:
             assert issubclass(getattr(errors, name), errors.DrmeanError)
         assert np.all(np.isfinite(out.estimates[0]))
         assert out.row_tests[0].p_value == alone.row_tests[0].p_value
-
-    def test_overflowing_likelihood_fit_fails_its_cell(self):
-        # SLSQP fails on the likelihood of a +-1e300 column: that cell
-        # fails, and the row beside it still gets its estimate
-        p_ml = sens.ModelSpec(role="propensity", covariates=(0,), kind="INV_LINEAR_ML")
-        p_unconstrained = sens.ModelSpec(role="propensity", covariates=(1,),
-                                         kind="INV_LINEAR_UNCONSTRAINED")
-        out = sens.run_sensitivity(
-            np.array([[1e300, 0.5], [-1e300, 1.0], [2.0, 3.0]]), np.array([0, 1, 1]),
-            np.array([np.nan, 1.0, 2.0]), [p_ml, p_unconstrained],
-            [sens.ModelSpec(role="outcome", covariates=(1,))], "DR_WLS", boot_reps=2,
-        )
-        assert list(out.cell_messages) == [(0, 0)]
-        assert out.cell_messages[0, 0].startswith("NonconvergenceError: constrained fit")
-        assert np.isfinite(out.estimates[1, 0])
 
     @pytest.mark.parametrize("name", ["matrix_rank", "pinv"])
     def test_linalg_error_in_the_wald_test(self, data600, monkeypatch, name):
