@@ -199,7 +199,7 @@ def _csv_rows(path: str) -> list[tuple[int, list[str]]]:
     with its line number in the file.  DataError if the file cannot be
     read or has no such row."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:

@@ -224,37 +224,37 @@ class Pipeline:
     """Lazy, memoised model fits and respondent terms shared across the
     requested estimators.
 
-    The propensity fit is logistic unless inverse_linear names a method of
-    linmod.fit_inverse_linear; a logistic fit starts from the coefficients
-    pi_start, if given.  Beside the fits, memo holds the checked respondent
-    terms of the base and of the extended propensity fit (respondents), the
-    sum of each outcome fit's fitted values (fitted), each residual
-    correction sum (residual_sum), the base fit's weight diagnostics and
-    the mean of the complete outcomes (full_mean).  A failure is memoised
-    as well and re-raised, with its class and message, to every estimator
-    that needs it.
+    kind names the propensity model: LOGISTIC_MLE, whose fit starts from
+    the coefficients pi_start, if given, or INV_LINEAR_UNCONSTRAINED.
+    Beside the fits, memo holds the checked respondent terms of the base
+    and of the extended propensity fit (respondents), the sum of each
+    outcome fit's fitted values (fitted), each residual correction sum
+    (residual_sum), the base fit's weight diagnostics and the mean of
+    the complete outcomes (full_mean).  A failure is memoised as well,
+    and re-raised with its class and message to every estimator that
+    needs it.
 
     Each entry's key names the inputs it depends on, by the identity of
-    the arrays the pipeline is handed: the pi part (id(design_pi),
-    inverse_linear, id(pi_start)) for the propensity fit, its respondents
-    and diagnostics; the m part id(design_m) for the respondent design and
-    the unweighted fit "REG"; id(full.Y) for full_mean; both parts for the
-    rest.  Pipelines on one sample (one T and y) may share one memo, and
-    then every entry whose inputs they share.  memo["arrays"] keeps the
-    arrays that keys name alive, so no id is reused while the memo lives.
+    the arrays the pipeline is handed: the pi part (id(design_pi), kind,
+    id(pi_start)) for the propensity fit, its respondents and diagnostics;
+    the m part id(design_m) for the respondent design and the unweighted
+    fit "REG"; id(full.Y) for full_mean; both parts for the rest.
+    Pipelines on one sample (one T and y) may share one memo, and then
+    every entry whose inputs they share.  memo["arrays"] keeps the arrays
+    that keys name alive, so no id is reused while the memo lives.
     """
 
     def __init__(
         self,
         view: AnalysisView,
         full: FullSample | None = None,
-        inverse_linear: str | None = None,
+        kind: linmod.PropensityKind = linmod.PropensityKind.LOGISTIC_MLE,
         pi_start: np.ndarray | None = None,
         memo: dict | None = None,
     ):
         self.view = view
         self.full = full
-        self.inverse_linear = inverse_linear
+        self.kind = kind
         self.pi_start = pi_start
         self.T = as_array(view.T, "T", None)
         self.y = as_array(view.y_observed, "y_observed")
@@ -262,7 +262,7 @@ class Pipeline:
         y_full = None if full is None else full.Y
         self._memo.setdefault("arrays", []).append(
             (view.design_pi, view.design_m, pi_start, y_full))
-        self._pi = (id(view.design_pi), inverse_linear, id(pi_start))
+        self._pi = (id(view.design_pi), kind, id(pi_start))
         self._m = id(view.design_m)
         self._both = (self._pi, self._m)
 
@@ -284,9 +284,11 @@ class Pipeline:
     def propensity(self) -> linmod.PropensityFit:
         def build():
             design, T = self.view.design_pi, self.view.T
-            if self.inverse_linear is None:
+            if self.kind is linmod.PropensityKind.LOGISTIC_MLE:
                 return linmod.fit_logistic_propensity(design, T, start=self.pi_start)
-            return linmod.fit_inverse_linear(design, T, self.inverse_linear)
+            if self.kind is linmod.PropensityKind.INV_LINEAR_UNCONSTRAINED:
+                return linmod.fit_inverse_linear(design, T, "unconstrained_moment")
+            raise InvalidArgumentError(f"unknown propensity kind {self.kind}")
 
         return self._get((self._pi, "pi"), build)
 
@@ -328,7 +330,7 @@ class Pipeline:
 
         def build():
             base = self.propensity()
-            if self.inverse_linear is not None:
+            if self.kind is not linmod.PropensityKind.LOGISTIC_MLE:
                 raise InvalidArgumentError("B_DR_EXT requires a logistic propensity model")
             reg = self.fitted("REG")
             h = reg.m_hat - _plug_in(reg)

@@ -69,12 +69,6 @@ class PropensityKind(enum.Enum):
     LOGISTIC_EXTENDED = "LOGISTIC_EXTENDED"
 
 
-#: the kind of fit each fit_inverse_linear method makes
-INV_LINEAR_METHODS = {
-    "unconstrained_moment": PropensityKind.INV_LINEAR_UNCONSTRAINED,
-}
-
-
 @dataclass
 class WeightDiagnostics:
     """Summary of the inverse-probability weights implied by a fit."""
@@ -375,7 +369,7 @@ def fit_inverse_linear(design: np.ndarray, T: np.ndarray, method: str) -> Propen
     of the fit is the algebraic identity it induces, OLS as a weighted mean
     of respondent outcomes, not plausible weights.
     """
-    if not isinstance(method, str) or method not in INV_LINEAR_METHODS:
+    if not isinstance(method, str) or method != "unconstrained_moment":
         raise InvalidArgumentError(f"unknown method {method!r}")
     T = check_response(T)
     design, _ = _check_design(design, T.astype(float))
@@ -384,7 +378,7 @@ def fit_inverse_linear(design: np.ndarray, T: np.ndarray, method: str) -> Propen
     with np.errstate(divide="ignore"):
         pi_hat = 1.0 / eta
     return PropensityFit(
-        kind=INV_LINEAR_METHODS[method],
+        kind=PropensityKind.INV_LINEAR_UNCONSTRAINED,
         alpha=alpha,
         phi=None,
         eta=eta,
@@ -585,9 +579,9 @@ def fit_extended_propensity(
     iterations counts the distinct evaluations of g.
     With h = m_hat - P_n[m_hat] for an outcome fit m_hat, the bounded
     doubly robust estimator built from this fit is a weighted mean of
-    observed outcomes.
+    observed outcomes.  base must be a LOGISTIC_MLE fit, not an extended one.
     """
-    if base.kind not in (PropensityKind.LOGISTIC_MLE, PropensityKind.LOGISTIC_EXTENDED):
+    if base.kind is not PropensityKind.LOGISTIC_MLE:
         raise InvalidArgumentError("extension requires a logistic base fit")
     T = check_response(T)
     h = as_array(h, "h")

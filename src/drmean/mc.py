@@ -12,7 +12,7 @@ whose designs it reads: the propensity fit on Z or X with its respondent
 terms and weight diagnostics, the checked respondent rows of an outcome
 design with the unweighted outcome fit, and, for a (propensity, outcome)
 design pair, the fits and sums that need both.  run_scenarios puts the
-replications of all its scenarios into one task list, which its workers
+replications of all its scenarios into one task list, which K = workers
 processes, this one included, compute in interleaved shares (see
 _util.ordered_map), and reduces each scenario's results in replication
 order regardless of how many processes ran, which makes summaries
@@ -206,8 +206,8 @@ def run_scenarios(specs, workers: int = 1) -> list[MCSummary]:
     Specs that share n, base_seed and reverse form a group, and a task is
     one replication r of one group: the group's specs with more than r
     reps, evaluated on one shared sample (see _replicate).  The tasks of
-    all groups form one list, and workers processes, this one included,
-    compute every workers-th task of it (see _util.ordered_map), so each
+    all groups form one list, and K = workers processes, this one included,
+    compute every K-th task of it (see _util.ordered_map), so each
     process gets its share of every group and mixed sizes balance.  Under
     spawn or forkserver each child imports drmean first.  The summaries
     do not depend on the worker count.  InvalidArgumentError unless specs

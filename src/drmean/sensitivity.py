@@ -30,18 +30,12 @@ from ._util import (
 from .dgp import AnalysisView, design_matrix
 from .errors import DrmeanError, InvalidArgumentError, NonconvergenceError
 from .estimators import ESTIMATORS, Pipeline
-from .linmod import INV_LINEAR_METHODS
+from .linmod import PropensityKind
 
 # estimators that combine a propensity and an outcome fit, in table order
 DR_ESTIMATORS = tuple(
     name for name, e in ESTIMATORS.items() if e.weighted and e.outcome is not None
 )
-
-# each propensity kind's fit_inverse_linear method, None for the logistic fit
-_PROPENSITY_METHODS = {
-    "LOGISTIC_MLE": None,
-    **{kind.value: method for method, kind in INV_LINEAR_METHODS.items()},
-}
 
 _MIN_BOOT_USED = 20
 
@@ -51,8 +45,9 @@ class ModelSpec:
     """A candidate model: which covariate columns it uses, and how it fits.
 
     role is "propensity" or "outcome".  kind names a propensity model's
-    fit, logistic maximum likelihood by default.  The estimator fixes the
-    outcome fit, so an outcome model takes no kind.
+    fit, "LOGISTIC_MLE" (the default) or "INV_LINEAR_UNCONSTRAINED", and
+    a propensity spec's pi_kind is that PropensityKind, parsed once.  The
+    estimator fixes the outcome fit, so an outcome model takes no kind.
     """
 
     role: str
@@ -75,8 +70,15 @@ class ModelSpec:
         if self.role == "outcome" and self.kind is not None:
             raise InvalidArgumentError(
                 f"an outcome model takes no kind ({self.kind!r}): its estimator fixes the fit")
-        if self.role == "propensity" and self.kind not in (None, *_PROPENSITY_METHODS):
+        if self.role == "propensity" and self.pi_kind is None:
             raise InvalidArgumentError(f"unknown propensity kind {self.kind!r}")
+
+    @cached_property
+    def pi_kind(self) -> PropensityKind | None:
+        if self.kind is None:
+            return PropensityKind.LOGISTIC_MLE
+        kind = PropensityKind.__members__.get(self.kind)  # a kind's name is its value
+        return None if kind is PropensityKind.LOGISTIC_EXTENDED else kind
 
 
 @dataclass
@@ -149,8 +151,7 @@ def _estimate_cell(
     memo, so they share each fit whose inputs they share (see Pipeline).
     The estimator fits the propensity model first, as in estimate_all, so
     its failure ends the cell before any outcome fit."""
-    method = _PROPENSITY_METHODS[p_spec.kind or "LOGISTIC_MLE"]
-    pipe = Pipeline(view, inverse_linear=method, pi_start=pi_start, memo=memo)
+    pipe = Pipeline(view, kind=p_spec.pi_kind, pi_start=pi_start, memo=memo)
     return ESTIMATORS[estimator](pipe)
 
 
@@ -191,7 +192,7 @@ def _estimate_cells(designs, T, y_observed, cells, estimator, starts, memo) -> d
     designs holds the sample's design per covariate tuple (see _Sample), so
     the cells of one covariate tuple see one array and, through the shared
     memo, whose keys name the inputs of each fit, share its fits: a
-    propensity model is fitted once per design, method and start
+    propensity model is fitted once per design, kind and start
     (starts.get(p_spec)), an outcome design's respondent design and
     unweighted fit once, and a weighted outcome fit once per propensity
     key and outcome design, so equivalent propensity specs share it too.
@@ -300,7 +301,7 @@ class _Draws:
         sample, n = self.sample, self.sample.T.shape[0]
         starts = {}
         for ps in dict.fromkeys(ps for ps, _ in self.cells):
-            if ps.kind in (None, "LOGISTIC_MLE"):
+            if ps.pi_kind is PropensityKind.LOGISTIC_MLE:
                 d = sample.designs[ps.covariates]
                 view = AnalysisView(design_pi=d, design_m=d, T=sample.T, y_observed=sample.y)
                 try:

@@ -126,6 +126,24 @@ class TestDatasetRoundTrip:
             cli.read_dataset(str(path))
         assert cli.main(["estimate", "--data", str(path)]) == 3
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, small_sample):
+        # Excel writes a UTF-8 BOM, which the header read as part of 't'
+        data = write_sample_csv(tmp_path / "d.csv", small_sample)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(data).read_bytes())
+        plain, marked = cli.read_dataset(data), cli.read_dataset(str(bom))
+        for a, b in zip(plain[:3], marked[:3]):
+            assert np.array_equal(a, b, equal_nan=True)
+        assert plain[3] == marked[3]
+        payloads = []
+        for path in (data, bom):
+            out = tmp_path / "est.json"
+            assert cli.main(["estimate", "--data", str(path), "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            del payload["metadata"]["data_sha256"]
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+
 
 class TestSimulateCommand:
     def test_outputs_and_determinism(self, tmp_path):

@@ -485,10 +485,14 @@ class TestOneDefinition:
         assert len({id(f) for f in fitted}) == len({id(f) for f in weighted}) == 4
         again = est.Pipeline(view, pi_start=start, memo=memo)
         assert again.propensity() is fitted[1] and again.outcome("WLS") is weighted[1]
-        moment = est.Pipeline(view, inverse_linear="unconstrained_moment", memo=memo)
-        assert moment.propensity().kind is linmod.PropensityKind.INV_LINEAR_UNCONSTRAINED
+        inv_linear = linmod.PropensityKind.INV_LINEAR_UNCONSTRAINED
+        moment = est.Pipeline(view, kind=inv_linear, memo=memo)
+        assert moment.propensity().kind is inv_linear
         assert fits["fit_logistic_propensity"] == 2 + 4
         assert fits["fit_outcome_wls"] == 4
+        extended = est.Pipeline(view, kind=linmod.PropensityKind.LOGISTIC_EXTENDED)
+        with pytest.raises(InvalidArgumentError, match="unknown propensity kind"):
+            extended.propensity()  # an extended fit is made from a logistic one
 
     def test_memo_keeps_its_designs_alive(self, sample_1000):
         # a memo entry keeps the arrays its key names, so their ids cannot
@@ -517,7 +521,7 @@ class TestOneDefinition:
                             y_observed=np.where(T == 1, y_full, np.nan))
         full = FullSample(n=10, Z=np.zeros((10, 4)), X=np.zeros((10, 4)),
                           pi_true=np.full(10, 0.5), T=T, Y=y_full)
-        pipe = est.Pipeline(view, full, inverse_linear="unconstrained_moment")
+        pipe = est.Pipeline(view, full, kind=linmod.PropensityKind.INV_LINEAR_UNCONSTRAINED)
         pi = pipe.propensity().pi_hat
         assert pi[0] < 0
         m_reg = linmod.fit_outcome_reg(view).m_hat

@@ -7,8 +7,9 @@ re-exports of __init__.py.  An import on a line marked "# noqa: F401" is
 kept on purpose and not checked.
 
 In src/, math.fsum is named only inside _util.exact_sum, the one exact
-sum of the package, and no module imports scipy.optimize: every fit is
-the package's own Newton-type solve.
+sum of the package, no module imports scipy.optimize: every fit is the
+package's own Newton-type solve, and the propensity kind names are
+string constants only as the values of linmod.PropensityKind.
 """
 
 import ast
@@ -121,3 +122,38 @@ def test_the_scan_finds_scipy_optimize(tmp_path):
                     "from scipy.optimize import brentq\nimport scipy.special\n\n\n"
                     "def f():\n    import scipy.optimize._minimize as m\n")
     assert optimize_imports(path) == [1, 2, 3, 8]
+
+
+KIND_NAMES = ("LOGISTIC_MLE", "INV_LINEAR_UNCONSTRAINED")
+
+
+def kind_strings(path: Path) -> list[tuple[int, str]]:
+    """(line, enclosing class or function, or "<module>") for each string
+    constant in path that spells one of KIND_NAMES."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Constant) and node.value in KIND_NAMES:
+            found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
+
+
+def test_kind_names_only_in_propensity_kind():
+    # a propensity model is named by linmod.PropensityKind alone
+    uses = [(p.relative_to(ROOT).as_posix(), where) for p in FILES
+            if p.relative_to(ROOT).parts[0] == "src" for _, where in kind_strings(p)]
+    assert uses == [("src/drmean/linmod.py", "PropensityKind")] * len(KIND_NAMES)
+
+
+def test_the_scan_finds_kind_names(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text('class PropensityKind:\n    LOGISTIC_MLE = "LOGISTIC_MLE"\n\n\n'
+                    'def f(kind):\n    return kind in (None, "INV_LINEAR_UNCONSTRAINED")\n'
+                    'KIND = "LOGISTIC_MLE"\n"""LOGISTIC_MLE is the default."""\n')
+    assert kind_strings(path) == [(2, "PropensityKind"), (6, "f"), (7, "<module>")]

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from drmean import errors, linmod
 from drmean import sensitivity as sens
-from drmean.dgp import generate_sample, make_view
+from drmean.dgp import AnalysisView, generate_sample, make_view
 from drmean.errors import InvalidArgumentError, NonconvergenceError, SingularDesignError
 from drmean.estimators import estimate_all
 
@@ -59,11 +60,24 @@ class TestModelSpec:
         with pytest.raises(InvalidArgumentError, match="kind must be a string"):
             sens.ModelSpec(role=role, covariates=(0,), kind=kind)
 
-    def test_every_kind_has_its_fit(self):
-        assert sens._PROPENSITY_METHODS == {
-            "LOGISTIC_MLE": None,
-            "INV_LINEAR_UNCONSTRAINED": "unconstrained_moment",
-        }
+    def test_every_kind_has_its_fit(self, data600):
+        # a cell fits the propensity model that its spec's kind names, first
+        # (the inverse-linear pi_hat here leaves (0, 1], so that cell fails)
+        _, cov, T, y = data600
+        d = np.column_stack([np.ones(len(T)), cov[:, :4]])
+        kinds = {None: "LOGISTIC_MLE", "LOGISTIC_MLE": "LOGISTIC_MLE",
+                 "INV_LINEAR_UNCONSTRAINED": "INV_LINEAR_UNCONSTRAINED"}
+        for kind, expected in kinds.items():
+            spec = sens.ModelSpec(role="propensity", covariates=(0, 1, 2, 3), kind=kind)
+            memo = {}
+            with contextlib.suppress(errors.InvalidWeightError):
+                sens._estimate_cell(AnalysisView(d, d, T, y), spec, "DR_WLS", None, memo)
+            fits = [v for v in memo.values() if isinstance(v, linmod.PropensityFit)]
+            assert [fit.kind for fit in fits] == [linmod.PropensityKind(expected)], kind
+        # the extended fit is made from a logistic one, not named by a spec
+        with pytest.raises(InvalidArgumentError,
+                           match="unknown propensity kind 'LOGISTIC_EXTENDED'"):
+            sens.ModelSpec(role="propensity", covariates=(0,), kind="LOGISTIC_EXTENDED")
 
     @pytest.mark.parametrize(
         "covariates",
