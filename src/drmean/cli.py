@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import PRNG_NAME, SEED_DERIVATION, check_int, nan_to_none
+from ._util import PRNG_NAME, SEED_DERIVATION, nan_to_none
 from .dgp import MU_TRUE, AnalysisView, design_matrix
 from .errors import ConfigError, DataError, DrmeanError, InvalidArgumentError
 from .estimators import ESTIMATOR_NAMES, check_estimator_names, estimate_all
@@ -75,16 +75,6 @@ def _load_json(path: str, what: str) -> dict:
     return obj
 
 
-def _int_field(raw: dict, key: str, minimum: int, default: int | None = None) -> int:
-    """raw[key], or default if the key is absent (required if default is None),
-    checked to be an integer of at least minimum by _util.check_int."""
-    _require(key in raw or default is not None, f"config requires {key}")
-    try:
-        return check_int(raw.get(key, default), key, minimum)
-    except InvalidArgumentError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def load_run_config(path: str) -> tuple[list[ScenarioSpec], dict]:
     """Parse a simulate config into the ScenarioSpecs to run (each sample size
     within each scenario, in config order) and the parsed JSON; ConfigError
@@ -92,9 +82,8 @@ def load_run_config(path: str) -> tuple[list[ScenarioSpec], dict]:
     raw = _load_json(path, "config")
     allowed = {"base_seed", "reps", "sample_sizes", "scenarios", "reverse_roles", "estimators"}
     _no_unknown_keys(raw, allowed, "config")
-    base_seed = _int_field(raw, "base_seed", 0)
-    reps = _int_field(raw, "reps", 1)
-    _require("sample_sizes" in raw, "config requires sample_sizes")
+    for key in ("base_seed", "reps", "sample_sizes"):
+        _require(key in raw, f"config requires {key}")
     sizes = raw["sample_sizes"]
     _require(
         isinstance(sizes, list) and sizes
@@ -129,9 +118,9 @@ def load_run_config(path: str) -> tuple[list[ScenarioSpec], dict]:
     )
     try:
         specs = [
-            ScenarioSpec(n=n, reps=reps, pi_model_correct=pi_correct,
+            ScenarioSpec(n=n, reps=raw["reps"], pi_model_correct=pi_correct,
                          m_model_correct=m_correct, reverse=reverse,
-                         base_seed=base_seed, estimators=tuple(estimators))
+                         base_seed=raw["base_seed"], estimators=tuple(estimators))
             for pi_correct, m_correct in scenarios
             for n in sizes
         ]
@@ -386,8 +375,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def load_sensitivity_config(path: str, names: list[str]) -> tuple[dict, dict]:
     """Parse a sensitivity config whose models name columns of names:
-    run_sensitivity's keyword arguments, which it checks further, and the
-    parsed JSON.  ConfigError if the JSON is malformed."""
+    run_sensitivity's keyword arguments and the parsed JSON.  estimator,
+    boot_reps and seed pass as the config holds them, so run_sensitivity
+    checks them and gives boot_reps and seed their defaults.  ConfigError
+    if the JSON is malformed."""
     raw = _load_json(path, "config")
     allowed = {"estimator", "boot_reps", "seed", "propensity_models", "outcome_models"}
     _no_unknown_keys(raw, allowed, "config")
@@ -420,13 +411,9 @@ def load_sensitivity_config(path: str, names: list[str]) -> tuple[dict, dict]:
                 raise ConfigError(f"{key}[{k}]: {exc}") from None
         return tuple(specs)
 
-    kwargs = {
-        "boot_reps": _int_field(raw, "boot_reps", 2, default=500),
-        "seed": _int_field(raw, "seed", 0, default=0),
-        "estimator": raw["estimator"],
-        "p_specs": parse_models("propensity_models", "propensity"),
-        "o_specs": parse_models("outcome_models", "outcome"),
-    }
+    kwargs = {key: raw[key] for key in ("estimator", "boot_reps", "seed") if key in raw}
+    kwargs["p_specs"] = parse_models("propensity_models", "propensity")
+    kwargs["o_specs"] = parse_models("outcome_models", "outcome")
     return kwargs, raw
 
 

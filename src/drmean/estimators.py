@@ -149,8 +149,6 @@ def _aipw(r: _Respondents, f: _Fitted, correction: float) -> float:
 
 def _b_dr(r: _Respondents, f: _Fitted, correction: float) -> float:
     """correction is r.residual_sum(f)."""
-    if r.w_sum <= 0:
-        raise UndefinedEstimatorError("sum of inverse weights is not positive")
     return f.total / r.n + correction / r.w_sum
 
 

@@ -344,8 +344,10 @@ def homogeneity_test(
     and this test on the same line and seed equals its line test bit for
     bit.  A draw in which one of the line's cells fails is discarded for
     this line.  A singular contrast covariance falls back to a
-    pseudoinverse with reduced degrees of freedom and is flagged.  Lines
-    of length one are trivially homogeneous (p = 1).
+    pseudoinverse with reduced degrees of freedom and is flagged.  At rank
+    0, where no contrast varies over the draws, the statistic is 0 with df
+    0, and p is 1 if every contrast is 0 in the data and 0 otherwise.
+    Lines of length one are trivially homogeneous (p = 1).
     """
     line = as_array(estimates_line, "estimates_line")
 
@@ -406,8 +408,8 @@ def homogeneity_test(
         raise NonconvergenceError(f"contrast covariance: {exc}") from None
     # max clamps numerically tiny negatives from the pseudoinverse, keeping NaN
     statistic = max(float(d @ pinv @ d), 0.0)
-    if rank == 0:
-        p_value = 1.0 if statistic == 0.0 else 0.0
+    if rank == 0:  # the pinv is zero, and so is the statistic
+        p_value = 1.0 if np.all(d == 0.0) else 0.0
     else:
         p_value = float(chdtrc(rank, statistic))
     return result(p_value, statistic, df=rank, singular=rank < m - 1)
@@ -471,7 +473,8 @@ def run_sensitivity(
     full-sample estimate is finite once, and each line test reads its own
     cells.  A line's test equals homogeneity_test(..., seed=seed) on that
     line, so adding a row does not change the p-values of existing lines.
-    Every argument is checked before the first fit.
+    Every argument is checked before the first fit: boot_reps must be an
+    integer >= 2 and seed an integer in [0, 2**64).
     """
     boot_reps, seed = _check_draws(boot_reps, seed)
     p_specs, o_specs = _validate_specs(p_specs, o_specs, estimator)

@@ -211,7 +211,7 @@ class TestSimulateCommand:
         [
             ({"base_seed": None}, "config requires base_seed"),
             ({"reps": None}, "config requires reps"),
-            ({"base_seed": -1}, "base_seed must be an integer >= 0"),
+            ({"base_seed": -1}, "base_seed must be in [0, 2**64)"),
             ({"reps": 2.0}, "reps must be an integer >= 1"),
         ],
     )
@@ -503,7 +503,7 @@ class TestSensitivityCommand:
         "patch, message",
         [
             ({"boot_reps": 2.5}, "boot_reps must be an integer >= 2"),
-            ({"seed": True}, "seed must be an integer >= 0"),
+            ({"seed": True}, "seed must be an integer"),
         ],
     )
     def test_integer_keys_name_their_bound(self, setup, capsys, patch, message):

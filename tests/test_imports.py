@@ -9,7 +9,8 @@ kept on purpose and not checked.
 In src/, math.fsum is named only inside _util.exact_sum, the one exact
 sum of the package, no module imports scipy.optimize: every fit is the
 package's own Newton-type solve, and the propensity kind names are
-string constants only as the values of linmod.PropensityKind.
+string constants only as the values of linmod.PropensityKind.  cli names
+neither check_int nor check_seed: config values reach the library unparsed.
 """
 
 import ast
@@ -157,3 +158,36 @@ def test_the_scan_finds_kind_names(tmp_path):
                     'def f(kind):\n    return kind in (None, "INV_LINEAR_UNCONSTRAINED")\n'
                     'KIND = "LOGISTIC_MLE"\n"""LOGISTIC_MLE is the default."""\n')
     assert kind_strings(path) == [(2, "PropensityKind"), (6, "f"), (7, "<module>")]
+
+
+CHECK_NAMES = ("check_int", "check_seed")
+
+
+def check_names(path: Path) -> list[tuple[int, str]]:
+    """(line, name) for each import or use of a name in CHECK_NAMES in path."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in CHECK_NAMES]
+    return sorted(found)
+
+
+def test_cli_leaves_integer_checks_to_the_library():
+    # config values reach ScenarioSpec and run_sensitivity unparsed, so a
+    # bound and its message are written once, in the library
+    assert check_names(ROOT / "src" / "drmean" / "cli.py") == []
+
+
+def test_the_scan_finds_check_names(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from ._util import check_int as ci, check_vector\nfrom . import _util\n\n\n"
+                    "def f(x):\n    return _util.check_seed(x, 'seed') + ci(x, 'n')\n"
+                    "CHECK = 'check_int'\n")
+    assert check_names(path) == [(1, "check_int"), (6, "check_seed")]

@@ -30,7 +30,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import drmean
-from drmean import AnalysisView, DrmeanError, InvalidArgumentError, ModelSpec, cli
+from drmean import (
+    AnalysisView, DrmeanError, InvalidArgumentError, ModelSpec, UndefinedEstimatorError, cli,
+)
 
 PROPENSITY_KINDS = ("LOGISTIC_MLE", "INV_LINEAR_UNCONSTRAINED")
 
@@ -505,11 +507,17 @@ def test_specs_that_are_not_scenario_specs_are_rejected(runner, value):
 
 @pytest.mark.parametrize("target", [
     "logistic start", "summarize text", "summarize None", "select empty", "select spreads",
-    "select non-results",
+    "select non-results", "regression empty", "full empty", "logistic 1-d", "logistic nan",
+    "inverse linear nan", "extension inf", "matrix 1-d", "matrix role", "matrix no propensity",
 ])
 def test_unchecked_inputs_raise_invalid_argument(target):
-    # each escaped as ValueError, TypeError, IndexError or AttributeError
+    # the first six escaped as ValueError, TypeError, IndexError or
+    # AttributeError; the others are checks that no other test reached
     design, T = np.column_stack([np.ones(4), np.arange(4.0)]), np.array([1, 0, 1, 1])
+    nan_design = np.where(design == 2.0, np.nan, design)
+    cov = np.column_stack([np.arange(4.0), np.arange(4.0) ** 2])
+    y = np.array([1.0, np.nan, 2.0, 4.0])
+    p_spec, o_spec = ModelSpec("propensity", (0,)), ModelSpec("outcome", (1,))
     calls = {
         "logistic start": lambda: drmean.fit_logistic_propensity(design, T, start="ab"),
         "summarize text": lambda: drmean.summarize(np.ones(3), "x"),
@@ -519,7 +527,32 @@ def test_unchecked_inputs_raise_invalid_argument(target):
             [LINE_TEST], [LINE_TEST], np.ones(2), np.ones(1)),
         "select non-results": lambda: drmean.select_models(
             [1], [1], np.ones(1), np.ones(1)),
+        "regression empty": lambda: drmean.mu_from_regression([]),
+        "full empty": lambda: drmean.mu_full([]),
+        "logistic 1-d": lambda: drmean.fit_logistic_propensity(design[:, 1], T),
+        "logistic nan": lambda: drmean.fit_logistic_propensity(nan_design, T),
+        "inverse linear nan": lambda: drmean.fit_inverse_linear(
+            nan_design, T, "unconstrained_moment"),
+        "extension inf": lambda: drmean.fit_extended_propensity(
+            drmean.fit_logistic_propensity(design, T), np.array([0.0, np.inf, 1.0, 2.0]), T),
+        "matrix 1-d": lambda: drmean.build_matrix(
+            cov[:, 0], T, y, [p_spec], [o_spec], "DR_WLS"),
+        "matrix role": lambda: drmean.build_matrix(
+            cov, T, y, [p_spec], [o_spec, p_spec], "DR_WLS"),
+        "matrix no propensity": lambda: drmean.build_matrix(
+            cov, T, y, [], [o_spec], "DR_WLS"),
     }
-    with warnings.catch_warnings(), pytest.raises(InvalidArgumentError):
+    error, message = {
+        "regression empty": (UndefinedEstimatorError, "^no fitted values$"),
+        "full empty": (UndefinedEstimatorError, "^no outcomes$"),
+        "logistic 1-d": (InvalidArgumentError, "^design must be 2-d$"),
+        "logistic nan": (InvalidArgumentError, "^design contains non-finite entries$"),
+        "inverse linear nan": (InvalidArgumentError, "^design contains non-finite entries$"),
+        "extension inf": (InvalidArgumentError, "^h contains non-finite entries$"),
+        "matrix 1-d": (InvalidArgumentError, "^covariates must be 2-d$"),
+        "matrix role": (InvalidArgumentError, "^o_specs must all have role 'outcome'$"),
+        "matrix no propensity": (InvalidArgumentError, "^need at least one spec per role$"),
+    }.get(target, (InvalidArgumentError, None))
+    with warnings.catch_warnings(), pytest.raises(error, match=message):
         warnings.simplefilter("error")
         calls[target]()

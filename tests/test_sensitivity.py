@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -266,6 +267,18 @@ class TestHomogeneity:
         assert out.statistic == 0.0
         assert out.singular
         assert "identically zero" in out.note
+
+    @pytest.mark.parametrize("line, p_value", [([215.0, 210.0], 0.0), ([215.0, 215.0], 1.0)],
+                             ids=["contrast-5", "contrast-0"])
+    def test_contrast_without_bootstrap_variance(self, line, p_value):
+        # each draw's contrast is 5, so the contrast covariance is zero (rank
+        # 0); its zero pseudoinverse gave statistic 0 and p = 1 for any line
+        draws = SimpleNamespace(draws=[{(PZ, OZ): 215.0 + b, (PZ, OX): 210.0 + b}
+                                       for b in range(30)])
+        out = sens.homogeneity_test(np.array(line), None, None, None, PZ, (OZ, OX),
+                                    "DR_WLS", _draws=draws)
+        assert (out.p_value, out.statistic, out.df, out.singular) == (p_value, 0.0, 0, True)
+        assert out.n_boot_used == 30
 
     def test_failed_cells_dropped_from_line(self, data600):
         _, cov, T, y = data600
