@@ -49,6 +49,7 @@ from .estimators import (
 from .linmod import (
     OutcomeFit,
     PropensityFit,
+    RespondentDesign,
     WeightDiagnostics,
     fit_extended_propensity,
     fit_inverse_linear,
@@ -74,7 +75,6 @@ from .sensitivity import (
     build_matrix,
     homogeneity_test,
     run_sensitivity,
-    select_models,
 )
 
 __all__ = [
@@ -97,6 +97,7 @@ __all__ = [
     "NonconvergenceError",
     "OutcomeFit",
     "PropensityFit",
+    "RespondentDesign",
     "ScenarioSpec",
     "SensitivityMatrix",
     "SingularDesignError",
@@ -125,7 +126,6 @@ __all__ = [
     "run_scenario",
     "run_scenarios",
     "run_sensitivity",
-    "select_models",
     "summarize",
     "transform_covariates",
 ]

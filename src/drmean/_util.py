@@ -51,6 +51,16 @@ def check_collection(items, cls: type, name: str) -> tuple:
     return items
 
 
+def check_type(value, cls: type, name: str):
+    """value; InvalidArgumentError "<name> must be of type <cls>, not <its type>"
+    unless it is an instance of cls.  The one check of a composite argument,
+    so a wrong object never reaches an attribute read."""
+    if not isinstance(value, cls):
+        raise InvalidArgumentError(
+            f"{name} must be of type {cls.__name__}, not {type(value).__name__}")
+    return value
+
+
 def as_array(values, name: str, dtype=float) -> np.ndarray:
     """values as an array of dtype (float, or numpy's own choice for None);
     InvalidArgumentError "<name> must be numeric" if they are complex, which

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, ndtri
 
-from ._util import as_array, check_flag, check_int
+from ._util import as_array, check_flag, check_int, check_seed, check_type
 from .errors import InvalidArgumentError
 
 MU_TRUE = 210.0  # the population mean of Y
@@ -74,8 +74,9 @@ def transform_covariates(Z: np.ndarray) -> np.ndarray:
 
 
 def generate_sample(n: int, seed: int) -> FullSample:
-    """Draw a sample of size n, fully determined by (n, seed)."""
-    n, seed = check_int(n, "n", 1), check_int(seed, "seed", 0)
+    """Draw a sample of size n, fully determined by (n, seed), seed in
+    [0, 2**64) as for every seed of the package."""
+    n, seed = check_int(n, "n", 1), check_seed(seed, "seed")
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random((n, 6))
     # random() can return exactly 0, where ndtri gives -inf
@@ -95,6 +96,7 @@ def reverse_roles(sample: FullSample) -> FullSample:
     Everything else (Z, X, Y) is shared with the input sample, so the
     operation is an involution up to array identity.
     """
+    check_type(sample, FullSample, "sample")
     return FullSample(
         n=sample.n,
         Z=sample.Z,
@@ -135,6 +137,7 @@ def make_view(
     depends on, shares every fit on the designs they share, and equal the
     views built without it.
     """
+    check_type(sample, FullSample, "sample")
     pi_model_correct = check_flag(pi_model_correct, "pi_model_correct")
     m_model_correct = check_flag(m_model_correct, "m_model_correct")
     parts = {} if _parts is None else _parts

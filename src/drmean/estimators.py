@@ -52,7 +52,8 @@ import numpy as np
 
 from . import linmod
 from ._util import (
-    as_array, check_observed, check_response, check_units, check_vector, exact_sum,
+    as_array, check_observed, check_response, check_type, check_units, check_vector,
+    exact_sum,
 )
 from .dgp import AnalysisView, FullSample
 from .errors import (
@@ -240,6 +241,10 @@ class Pipeline:
     Pipelines on one sample (one T and y) may share one memo, and then
     every entry whose inputs they share.  memo["arrays"] keeps the arrays
     that keys name alive, so no id is reused while the memo lives.
+
+    Each fit is called through its linmod module attribute, an outcome fit
+    as linmod.fit_outcome_<kind>(respondent_design(), ...) on the one
+    memoised RespondentDesign of design_m.
     """
 
     def __init__(
@@ -285,7 +290,7 @@ class Pipeline:
             if self.kind is linmod.PropensityKind.LOGISTIC_MLE:
                 return linmod.fit_logistic_propensity(design, T, start=self.pi_start)
             if self.kind is linmod.PropensityKind.INV_LINEAR_UNCONSTRAINED:
-                return linmod.fit_inverse_linear(design, T, "unconstrained_moment")
+                return linmod.fit_inverse_linear(design, T)
             raise InvalidArgumentError(f"unknown propensity kind {self.kind}")
 
         return self._get((self._pi, "pi"), build)
@@ -310,7 +315,7 @@ class Pipeline:
         def build():
             fit = getattr(linmod, f"fit_outcome_{kind.lower()}")
             args = () if kind == "REG" else (self.propensity().pi_hat,)
-            return fit(self.view, *args, _design=self.respondent_design())
+            return fit(self.respondent_design(), *args)
 
         return self._get((self._inputs(kind), kind), build)
 
@@ -438,9 +443,13 @@ def estimate_all(
     (and FULL, when a complete sample is supplied) intact.  The weight
     diagnostics of the propensity fit are reported only when a requested
     estimator is weighted; otherwise no propensity model is fitted and
-    diagnostics is None.  mc passes the views of one sample the Pipeline
-    memo they share as _memo; the result equals the call without it.
+    diagnostics is None.  view must be an AnalysisView and full, if given,
+    a FullSample.  mc passes the views of one sample the Pipeline memo
+    they share as _memo; the result equals the call without it.
     """
+    check_type(view, AnalysisView, "view")
+    if full is not None:
+        check_type(full, FullSample, "full")
     names = ESTIMATOR_NAMES if which is None else check_estimator_names(which)
     pipe = Pipeline(view, full, memo=_memo)
     # no observed range if y_observed and T disagree: every estimator that
@@ -500,7 +509,7 @@ def mu_ols_identities_check(view: AnalysisView) -> IdentitiesReport:
     instead of raising when the moment system is singular, since the
     check is advisory.
     """
-    m_fit = linmod.fit_outcome_reg(view)
+    m_fit = linmod.fit_outcome_reg(linmod.RespondentDesign(view))
     mu_ols = mu_from_regression(m_fit.m_hat)
 
     def skipped(reason: str) -> IdentitiesReport:
@@ -508,7 +517,7 @@ def mu_ols_identities_check(view: AnalysisView) -> IdentitiesReport:
         return IdentitiesReport(mu_ols, nan, nan, [], nan, False, skipped=True, reason=reason)
 
     try:
-        inv = linmod.fit_inverse_linear(view.design_m, view.T, "unconstrained_moment")
+        inv = linmod.fit_inverse_linear(view.design_m, view.T)
     except DrmeanError as exc:
         return skipped(f"{type(exc).__name__}: {exc}")
     resp = np.asarray(view.T) == 1

@@ -28,8 +28,8 @@ Propensity models:
 Outcome fits are computed on respondents only and return fitted values
 for every unit.  The four variants differ in weighting and in whether a
 function of the fitted propensity is appended as an extra covariate.
-They share one RespondentDesign per outcome design: its respondent rows,
-checked once.
+Each takes RespondentDesign(view), the view's respondent rows and
+outcomes checked once, so fits on one outcome design can share it.
 """
 
 import enum
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from ._util import as_array, check_observed, check_response, check_units
+from ._util import as_array, check_observed, check_response, check_type, check_units
 # no fit here sums exactly; bench/layers.py wraps linmod.fsum_col_means, so
 # a traced run needs the name
 from ._util import fsum_col_means  # noqa: F401
@@ -360,17 +360,14 @@ def _inv_linear_unconstrained(design: np.ndarray, T: np.ndarray) -> tuple[np.nda
     raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} iterations")
 
 
-def fit_inverse_linear(design: np.ndarray, T: np.ndarray, method: str) -> PropensityFit:
+def fit_inverse_linear(design: np.ndarray, T: np.ndarray) -> PropensityFit:
     """Fit the inverse-linear response model pi(x) = 1 / (alpha'x).
 
-    method must be "unconstrained_moment" (any other method raises
-    InvalidArgumentError): alpha solves P_n[(T alpha'x - 1) x] = 0.  The
+    alpha solves the moment equation P_n[(T alpha'x - 1) x] = 0.  The
     fitted values can fall outside (0, 1], which is intentional: the point
     of the fit is the algebraic identity it induces, OLS as a weighted mean
     of respondent outcomes, not plausible weights.
     """
-    if not isinstance(method, str) or method != "unconstrained_moment":
-        raise InvalidArgumentError(f"unknown method {method!r}")
     T = check_response(T)
     design, _ = _check_design(design, T.astype(float))
     alpha, iterations = _inv_linear_unconstrained(design, T)
@@ -388,17 +385,19 @@ def fit_inverse_linear(design: np.ndarray, T: np.ndarray, method: str) -> Propen
 
 
 class RespondentDesign:
-    """The outcome design of a view on its respondents, checked once.
+    """The outcome design of a view on its respondents, checked once: the
+    first argument of every fit_outcome_*.
 
     Holds resp = (T == 1), the full design_m (for the fitted values of every
     unit), its respondent rows and the respondent outcomes divided by
-    y_scale = _pow2(max |y|) (exact), so that no sum X'y overflows; fit
+    y_scale = _pow2(max |y|) (exact), so that no sum X'y overflows; _fit
     scales its results back.  _check_design checks the rows, then
     check_observed the outcomes.  The outcome fits on one design_m, T and
-    y_observed can share one instance.
+    y_observed can share one instance, as estimators.Pipeline does.
     """
 
     def __init__(self, view: AnalysisView):
+        check_type(view, AnalysisView, "view")
         T = check_response(view.T)
         resp = T == 1
         if not resp.any():
@@ -413,7 +412,7 @@ class RespondentDesign:
         self.y_scale = _pow2(np.abs(y).max())
         self.y = y / self.y_scale
 
-    def fit(
+    def _fit(
         self, appended: np.ndarray | None = None, weight_pi: np.ndarray | None = None
     ) -> OutcomeFit:
         """Least squares on respondents, with fitted values for every unit.
@@ -439,59 +438,56 @@ class RespondentDesign:
         return OutcomeFit(beta, m_hat, iterations)
 
 
-def fit_outcome_reg(
-    view: AnalysisView, *, _design: RespondentDesign | None = None
-) -> OutcomeFit:
+def fit_outcome_reg(design: RespondentDesign) -> OutcomeFit:
     """Unweighted outcome regression on respondents.
 
-    Each fit_outcome_* takes the keyword-only _design, the RespondentDesign
-    of view, which estimators.Pipeline shares between fits; the result
-    equals the call without it.
+    Each fit_outcome_* takes the RespondentDesign(view) of the view it fits
+    (InvalidArgumentError for any other object); the weighted ones check
+    pi_hat against its response indicators.
     """
-    return (_design or RespondentDesign(view)).fit()
+    return check_type(design, RespondentDesign, "design")._fit()
 
 
-def fit_outcome_wls(
-    view: AnalysisView, pi_hat: np.ndarray, *, _design: RespondentDesign | None = None
-) -> OutcomeFit:
+def _unit_pi(design: RespondentDesign, pi_hat: np.ndarray) -> np.ndarray:
+    """pi_hat as a float array with one entry per unit of design."""
+    return check_units(pi_hat, check_type(design, RespondentDesign, "design").resp, "pi_hat")
+
+
+def fit_outcome_wls(design: RespondentDesign, pi_hat: np.ndarray) -> OutcomeFit:
     """Outcome regression on respondents, weighted by 1 / pi_hat."""
-    pi_hat = check_units(pi_hat, view.T, "pi_hat")
-    pi_resp = pi_hat[np.asarray(view.T) == 1]
+    pi_hat = _unit_pi(design, pi_hat)
+    pi_resp = pi_hat[design.resp]
     if (pi_resp <= 0).any() or not np.isfinite(pi_resp).all():
         raise InvalidWeightError("pi_hat must be finite and positive on respondents")
-    return (_design or RespondentDesign(view)).fit(weight_pi=pi_hat)
+    return design._fit(weight_pi=pi_hat)
 
 
-def fit_outcome_ext_reg(
-    view: AnalysisView, pi_hat: np.ndarray, *, _design: RespondentDesign | None = None
-) -> OutcomeFit:
+def fit_outcome_ext_reg(design: RespondentDesign, pi_hat: np.ndarray) -> OutcomeFit:
     """Unweighted regression with 1 / pi_hat appended as a covariate.
 
     pi_hat must be positive on all units because the appended column is
     needed to predict for nonrespondents too.  A constant pi_hat makes
     the appended column collinear with the intercept and the fit fails.
     """
-    pi_hat = check_units(pi_hat, view.T, "pi_hat")
+    pi_hat = _unit_pi(design, pi_hat)
     with np.errstate(divide="ignore", over="ignore"):
         inv_pi = 1.0 / pi_hat
     if not ((inv_pi > 0) & (inv_pi < math.inf)).all():
         raise InvalidWeightError("pi_hat must be finite and positive on all units")
-    return (_design or RespondentDesign(view)).fit(appended=inv_pi)
+    return design._fit(appended=inv_pi)
 
 
-def fit_outcome_ipw_nr(
-    view: AnalysisView, pi_hat: np.ndarray, *, _design: RespondentDesign | None = None
-) -> OutcomeFit:
+def fit_outcome_ipw_nr(design: RespondentDesign, pi_hat: np.ndarray) -> OutcomeFit:
     """Regression weighted by 1 / pi_hat with pi_hat appended as covariate.
 
     The fitted values satisfy both the inverse-weighted and the
     unweighted respondent moment conditions, so the plug-in mean
     P_n[m_hat] equals P_n[T y + (1 - T) m_hat].
     """
-    pi_hat = check_units(pi_hat, view.T, "pi_hat")
+    pi_hat = _unit_pi(design, pi_hat)
     if (pi_hat <= 0).any() or (pi_hat >= 1).any() or not np.isfinite(pi_hat).all():
         raise InvalidWeightError("pi_hat must lie strictly inside (0, 1) on all units")
-    return (_design or RespondentDesign(view)).fit(appended=pi_hat, weight_pi=pi_hat)
+    return design._fit(appended=pi_hat, weight_pi=pi_hat)
 
 
 def _extension_root(gd, g0: float, d0: float) -> float:
@@ -581,7 +577,7 @@ def fit_extended_propensity(
     doubly robust estimator built from this fit is a weighted mean of
     observed outcomes.  base must be a LOGISTIC_MLE fit, not an extended one.
     """
-    if base.kind is not PropensityKind.LOGISTIC_MLE:
+    if check_type(base, PropensityFit, "base").kind is not PropensityKind.LOGISTIC_MLE:
         raise InvalidArgumentError("extension requires a logistic base fit")
     T = check_response(T)
     h = as_array(h, "h")

@@ -7,7 +7,8 @@ nonparametric-bootstrap Wald test asks whether the estimates along the
 line are compatible with a single common value; a low p-value means the
 held-fixed model cannot make the answer invariant to its partner, which
 is evidence against that model.  The selection rule picks the row and
-column with the largest p-values.
+column with the largest p-values.  run_sensitivity runs all three steps;
+build_matrix and homogeneity_test are also public, the selection is not.
 
 Bootstrap draw b resamples the rows with PCG64(derive_seed(seed, b)), the
 splitmix64 derivation of the simulation harness, and is shared by every
@@ -25,7 +26,7 @@ from scipy.special import chdtrc
 
 from ._util import (
     as_array, check_collection, check_int, check_observed, check_response, check_seed,
-    check_vector, derive_seed, nan_to_none,
+    check_type, derive_seed, nan_to_none,
 )
 from .dgp import AnalysisView, design_matrix
 from .errors import DrmeanError, InvalidArgumentError, NonconvergenceError
@@ -345,8 +346,9 @@ def homogeneity_test(
     bit.  A draw in which one of the line's cells fails is discarded for
     this line.  A singular contrast covariance falls back to a
     pseudoinverse with reduced degrees of freedom and is flagged.  At rank
-    0, where no contrast varies over the draws, the statistic is 0 with df
-    0, and p is 1 if every contrast is 0 in the data and 0 otherwise.
+    0, where no contrast varies over the draws, df is 0: if every contrast
+    is 0 in the data, p is 1 and the statistic 0; otherwise p is 0, the
+    statistic NaN (JSON null) and the note says so.
     Lines of length one are trivially homogeneous (p = 1).
     """
     line = as_array(estimates_line, "estimates_line")
@@ -359,8 +361,7 @@ def homogeneity_test(
         if line.shape != (len(varying_specs),):
             raise InvalidArgumentError("estimates_line length must match varying_specs")
         boot_reps, seed = _check_draws(boot_reps, seed)
-        if not isinstance(fixed_spec, ModelSpec):
-            raise InvalidArgumentError("fixed_spec must be a ModelSpec")
+        check_type(fixed_spec, ModelSpec, "fixed_spec")
         if any(v.role == fixed_spec.role for v in varying_specs):
             raise InvalidArgumentError("varying specs must have the opposite role")
         # one check of the whole line, so an empty line is checked too
@@ -406,12 +407,14 @@ def homogeneity_test(
         pinv = np.linalg.pinv(sigma_c, hermitian=True)
     except np.linalg.LinAlgError as exc:
         raise NonconvergenceError(f"contrast covariance: {exc}") from None
+    if rank == 0 and not np.all(d == 0.0):
+        # a nonzero contrast that no draw varies: rejected, with no finite
+        # Wald statistic to report
+        return result(0.0, math.nan, "no contrast varies over the draws", singular=True)
     # max clamps numerically tiny negatives from the pseudoinverse, keeping NaN
     statistic = max(float(d @ pinv @ d), 0.0)
-    if rank == 0:  # the pinv is zero, and so is the statistic
-        p_value = 1.0 if np.all(d == 0.0) else 0.0
-    else:
-        p_value = float(chdtrc(rank, statistic))
+    # at rank 0 the pinv is zero, and so are the statistic and the contrasts
+    p_value = 1.0 if rank == 0 else float(chdtrc(rank, statistic))
     return result(p_value, statistic, df=rank, singular=rank < m - 1)
 
 
@@ -422,27 +425,12 @@ def _spread(values: np.ndarray) -> float:
     return float(np.max(finite) - np.min(finite))
 
 
-def select_models(
-    row_tests: list[HomogeneityResult],
-    col_tests: list[HomogeneityResult],
-    row_spread: np.ndarray,
-    col_spread: np.ndarray,
-) -> tuple[int, int]:
-    """Pick the (row, column) whose homogeneity is least rejected.
+def _select(row_tests, col_tests, row_spread, col_spread) -> tuple[int, int]:
+    """The (row, column) whose homogeneity is least rejected.
 
     Ties on p-value break toward the smaller spread of the line, then
     the lower index.  NaN p-values (untestable lines) always lose.
-    InvalidArgumentError unless there are tests of both roles, each
-    with one spread.
     """
-    row_tests = check_collection(row_tests, HomogeneityResult, "row_tests")
-    col_tests = check_collection(col_tests, HomogeneityResult, "col_tests")
-    row_spread = check_vector(row_spread, "row_spread")
-    col_spread = check_vector(col_spread, "col_spread")
-    if not row_tests or not col_tests:
-        raise InvalidArgumentError("need at least one row and one column test")
-    if row_spread.shape != (len(row_tests),) or col_spread.shape != (len(col_tests),):
-        raise InvalidArgumentError("need one spread per line test")
 
     def best(tests: list[HomogeneityResult], spreads: np.ndarray) -> int:
         def key(i: int) -> tuple:
@@ -496,7 +484,7 @@ def run_sensitivity(
 
     row_tests, row_spread = line_tests(estimates, p_specs, o_specs)
     col_tests, col_spread = line_tests(estimates.T, o_specs, p_specs)
-    selection = select_models(row_tests, col_tests, row_spread, col_spread)
+    selection = _select(row_tests, col_tests, row_spread, col_spread)
     return SensitivityMatrix(
         estimator=estimator,
         p_specs=p_specs,

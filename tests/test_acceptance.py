@@ -24,6 +24,7 @@ from drmean.estimators import (
     mu_ipw_pop,
     mu_ols_identities_check,
 )
+from drmean.linmod import RespondentDesign
 
 ACCEPT_SEED = 42
 N = 1000
@@ -109,23 +110,23 @@ def test_criterion_1_identity_suite():
     pfit = linmod.fit_logistic_propensity(view.design_pi, view.T)
     w = 1.0 / pfit.pi_hat
 
-    reg = linmod.fit_outcome_reg(view)
+    reg = linmod.fit_outcome_reg(RespondentDesign(view))
     checks.append((
         "reg score <= 1e-10",
         _p_n_score(view, reg.m_hat, ones, view.design_m) <= 1e-10,
     ))
-    wls = linmod.fit_outcome_wls(view, pfit.pi_hat)
+    wls = linmod.fit_outcome_wls(RespondentDesign(view), pfit.pi_hat)
     checks.append((
         "wls score <= 1e-10",
         _p_n_score(view, wls.m_hat, w, view.design_m) <= 1e-10,
     ))
-    ext = linmod.fit_outcome_ext_reg(view, pfit.pi_hat)
+    ext = linmod.fit_outcome_ext_reg(RespondentDesign(view), pfit.pi_hat)
     aug_ext = np.hstack([view.design_m, w[:, None]])
     checks.append((
         "ext-reg score <= 1e-10",
         _p_n_score(view, ext.m_hat, ones, aug_ext) <= 1e-10,
     ))
-    nr = linmod.fit_outcome_ipw_nr(view, pfit.pi_hat)
+    nr = linmod.fit_outcome_ipw_nr(RespondentDesign(view), pfit.pi_hat)
     aug_nr = np.hstack([view.design_m, pfit.pi_hat[:, None]])
     checks.append((
         "ipw-nr score <= 1e-10",
@@ -274,7 +275,7 @@ def test_criterion_6_near_equivalences(both_right):
     sample = generate_sample(500, 6)
     view = make_view(sample, pi_model_correct=False, m_model_correct=False)
     pfit = linmod.fit_logistic_propensity(view.design_pi, view.T)
-    m_hat = linmod.fit_outcome_reg(view).m_hat
+    m_hat = linmod.fit_outcome_reg(RespondentDesign(view)).m_hat
     y_exact = np.where(view.T == 1, m_hat, np.nan)
     plug = mu_from_regression(m_hat)
     checks.append(("corrected form equals plug-in exactly",

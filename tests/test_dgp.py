@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,10 +61,13 @@ class TestGenerate:
     @pytest.mark.parametrize("n, seed, message",
                              [(True, 1, "n must be an integer >= 1"),
                               (0, 1, "n must be an integer >= 1"),
-                              (10, True, "seed must be an integer >= 0"),
-                              (10, -1, "seed must be an integer >= 0")])
+                              (10, True, "seed must be an integer"),
+                              (10, -1, "seed must be in [0, 2**64)"),
+                              (10, 2**64, "seed must be in [0, 2**64)")])
     def test_bad_size_or_seed_rejected(self, n, seed, message):
-        with pytest.raises(InvalidArgumentError, match=message):
+        # a seed takes the range of every seed of the package: 2**64 and
+        # beyond drew a sample, where ScenarioSpec rejects the same value
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
             dgp.generate_sample(n, seed)
 
     def test_bitwise_determinism(self):

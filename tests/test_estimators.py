@@ -28,6 +28,7 @@ from drmean.errors import (
     NonconvergenceError,
     UndefinedEstimatorError,
 )
+from drmean.linmod import RespondentDesign
 
 # the linmod calls a Pipeline makes, each memoised once per key
 PIPELINE_FITS = ("fit_logistic_propensity", "weight_diagnostics", "RespondentDesign",
@@ -36,13 +37,17 @@ PIPELINE_FITS = ("fit_logistic_propensity", "weight_diagnostics", "RespondentDes
 
 
 def count_calls(monkeypatch, module, names) -> dict:
-    """The number of calls to each of module's names from now on, by name."""
+    """The number of calls to each of module's names from now on, by name; a
+    class is counted by its __init__, so it stays a class for isinstance."""
     counts = dict.fromkeys(names, 0)
     for name in names:
-        def spy(*args, _name=name, _real=getattr(module, name), **kwargs):
+        real = getattr(module, name)
+        owner, attr = (real, "__init__") if isinstance(real, type) else (module, name)
+
+        def spy(*args, _name=name, _real=getattr(owner, attr), **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
-        monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(owner, attr, spy)
     return counts
 
 
@@ -524,7 +529,7 @@ class TestOneDefinition:
         pipe = est.Pipeline(view, full, kind=linmod.PropensityKind.INV_LINEAR_UNCONSTRAINED)
         pi = pipe.propensity().pi_hat
         assert pi[0] < 0
-        m_reg = linmod.fit_outcome_reg(view).m_hat
+        m_reg = linmod.fit_outcome_reg(RespondentDesign(view)).m_hat
         standalone = {
             "HT": lambda: est.mu_ht(pi, T, view.y_observed),
             "IPW_POP": lambda: est.mu_ipw_pop(pi, T, view.y_observed),

@@ -11,6 +11,9 @@ sum of the package, no module imports scipy.optimize: every fit is the
 package's own Newton-type solve, and the propensity kind names are
 string constants only as the values of linmod.PropensityKind.  cli names
 neither check_int nor check_seed: config values reach the library unparsed.
+No public function or method takes a parameter whose name starts with an
+underscore, a second path through a public call for an internal caller,
+except the four that the bench tracer still reaches (PRIVATE_PARAMETERS).
 """
 
 import ast
@@ -191,3 +194,56 @@ def test_the_scan_finds_check_names(tmp_path):
                     "def f(x):\n    return _util.check_seed(x, 'seed') + ci(x, 'n')\n"
                     "CHECK = 'check_int'\n")
     assert check_names(path) == [(1, "check_int"), (6, "check_seed")]
+
+
+# the private forks bench/layers.py still wraps or reads (ROADMAP W and X)
+PRIVATE_PARAMETERS = [
+    ("src/drmean/dgp.py", "make_view", "_parts"),
+    ("src/drmean/estimators.py", "estimate_all", "_memo"),
+    ("src/drmean/sensitivity.py", "build_matrix", "_sample"),
+    ("src/drmean/sensitivity.py", "homogeneity_test", "_draws"),
+]
+
+
+def private_parameters(path: Path) -> list[tuple[str, str]]:
+    """(function, parameter) for each parameter whose name starts with "_"
+    of a public function in path: a module-level function, or a method of
+    a module-level class, whose name does not start with "_" (dunder
+    methods of a public class, such as __init__, count as public)."""
+    def public(name: str) -> bool:
+        return not name.startswith("_") or name.startswith("__") and name.endswith("__")
+
+    functions = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions.append((node.name, node))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            functions += [(f"{node.name}.{f.name}", f) for f in node.body
+                          if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    found = []
+    for name, f in functions:
+        if not public(name.rpartition(".")[2]):
+            continue
+        a = f.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        found += [(name, p.arg) for p in params if p.arg.startswith("_")]
+    return found
+
+
+def test_public_functions_take_no_private_parameter():
+    found = [(p.relative_to(ROOT).as_posix(), *found) for p in FILES
+             if p.relative_to(ROOT).parts[0] == "src" for found in private_parameters(p)]
+    assert found == PRIVATE_PARAMETERS
+
+
+def test_the_scan_finds_private_parameters(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("def f(a, _b, *, _c=None):\n    def g(_d):\n        pass\n\n\n"
+                    "def _h(_e):\n    pass\n\n\nclass C:\n    def __init__(self, _f):\n"
+                    "        pass\n\n    def m(self, /, _g, *_h, **_i):\n        pass\n\n"
+                    "    def _n(self, _j):\n        pass\n\n\nclass _D:\n"
+                    "    def m(self, _k):\n        pass\n")
+    assert private_parameters(path) == [
+        ("f", "_b"), ("f", "_c"), ("C.__init__", "_f"),
+        ("C.m", "_g"), ("C.m", "_h"), ("C.m", "_i"),
+    ]

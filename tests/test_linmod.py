@@ -18,6 +18,7 @@ from drmean.errors import (
     SingularDesignError,
 )
 from drmean.estimators import estimate_all, mu_b_dr, mu_from_regression, mu_ipw_pop
+from drmean.linmod import RespondentDesign
 
 
 def view_from(design_m, T, y_full, design_pi=None):
@@ -83,8 +84,8 @@ class TestIdentityLink:
 
     def test_more_columns_than_rows_raises(self):
         with pytest.raises(SingularDesignError, match="cannot identify"):
-            linmod.fit_outcome_reg(view_from(np.ones((2, 3)), np.ones(2, dtype=int),
-                                             np.array([1.0, 2.0])))
+            linmod.fit_outcome_reg(RespondentDesign(view_from(
+                np.ones((2, 3)), np.ones(2, dtype=int), np.array([1.0, 2.0]))))
         with pytest.raises(SingularDesignError, match="rank"):
             linmod._wls(np.ones((2, 3)), np.array([1.0, 2.0]), None)
 
@@ -101,7 +102,7 @@ class TestIdentityLink:
     def test_nonfinite_response_raises(self):
         view = view_from(np.ones((3, 1)), np.ones(3, dtype=int), np.array([1.0, np.nan, 3.0]))
         with pytest.raises(InvalidArgumentError):
-            linmod.fit_outcome_reg(view)
+            linmod.fit_outcome_reg(RespondentDesign(view))
 
     @pytest.mark.parametrize("shift", [1e8, 1e12])
     def test_shifted_response_stops_at_working_precision(self, wrong_view, shift):
@@ -222,10 +223,10 @@ class TestLogisticPropensity:
         exact = math.fsum
         monkeypatch.setattr(math, "fsum", lambda a: calls.append(len(a)) or exact(a))
         pi_hat = linmod.fit_logistic_propensity(view.design_pi, view.T).pi_hat
-        linmod.fit_outcome_reg(view)
+        linmod.fit_outcome_reg(RespondentDesign(view))
         for fit in (linmod.fit_outcome_wls, linmod.fit_outcome_ext_reg,
                     linmod.fit_outcome_ipw_nr):
-            fit(view, pi_hat)
+            fit(RespondentDesign(view), pi_hat)
         assert calls == []
 
 
@@ -244,24 +245,24 @@ class TestOutcomeFits:
         ))
 
     def test_reg_score(self, wrong_view):
-        fit = linmod.fit_outcome_reg(wrong_view)
+        fit = linmod.fit_outcome_reg(RespondentDesign(wrong_view))
         ones = np.ones(len(wrong_view.T))
         assert self.p_n_score(wrong_view, fit.m_hat, ones, wrong_view.design_m) <= 1e-10
 
     def test_wls_score(self, wrong_view, pi_fit):
-        fit = linmod.fit_outcome_wls(wrong_view, pi_fit.pi_hat)
+        fit = linmod.fit_outcome_wls(RespondentDesign(wrong_view), pi_fit.pi_hat)
         w = 1.0 / pi_fit.pi_hat
         assert self.p_n_score(wrong_view, fit.m_hat, w, wrong_view.design_m) <= 1e-10
 
     def test_ext_reg_score(self, wrong_view, pi_fit):
-        fit = linmod.fit_outcome_ext_reg(wrong_view, pi_fit.pi_hat)
+        fit = linmod.fit_outcome_ext_reg(RespondentDesign(wrong_view), pi_fit.pi_hat)
         aug = np.hstack([wrong_view.design_m, (1.0 / pi_fit.pi_hat)[:, None]])
         ones = np.ones(len(wrong_view.T))
         assert self.p_n_score(wrong_view, fit.m_hat, ones, aug) <= 1e-10
         assert fit.beta.shape == (wrong_view.design_m.shape[1] + 1,)
 
     def test_ipw_nr_score(self, wrong_view, pi_fit):
-        fit = linmod.fit_outcome_ipw_nr(wrong_view, pi_fit.pi_hat)
+        fit = linmod.fit_outcome_ipw_nr(RespondentDesign(wrong_view), pi_fit.pi_hat)
         aug = np.hstack([wrong_view.design_m, pi_fit.pi_hat[:, None]])
         w = 1.0 / pi_fit.pi_hat
         assert self.p_n_score(wrong_view, fit.m_hat, w, aug) <= 1e-10
@@ -277,8 +278,8 @@ class TestOutcomeFits:
                           (linmod.fit_outcome_wls, (pi_fit.pi_hat,)),
                           (linmod.fit_outcome_ext_reg, (pi_fit.pi_hat,)),
                           (linmod.fit_outcome_ipw_nr, (pi_fit.pi_hat,))]:
-            want = fit(wrong_view, *args).m_hat
-            got = fit(scaled, *args).m_hat
+            want = fit(RespondentDesign(wrong_view), *args).m_hat
+            got = fit(RespondentDesign(scaled), *args).m_hat
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("k", [-60, -7, 9, 60])
@@ -290,7 +291,8 @@ class TestOutcomeFits:
                           (linmod.fit_outcome_wls, (pi_fit.pi_hat,)),
                           (linmod.fit_outcome_ext_reg, (pi_fit.pi_hat,)),
                           (linmod.fit_outcome_ipw_nr, (pi_fit.pi_hat,))]:
-            want, got = fit(wrong_view, *args), fit(scaled, *args)
+            want = fit(RespondentDesign(wrong_view), *args)
+            got = fit(RespondentDesign(scaled), *args)
             assert np.array_equal(got.beta, np.ldexp(want.beta, k))
             assert np.array_equal(got.m_hat, np.ldexp(want.m_hat, k))
 
@@ -303,15 +305,15 @@ class TestOutcomeFits:
                           (linmod.fit_outcome_wls, (pi_hat,)),
                           (linmod.fit_outcome_ext_reg, (pi_hat,)),
                           (linmod.fit_outcome_ipw_nr, (pi_hat,))]:
-            want = fit(view, *args).m_hat * 1e305
-            got = fit(huge, *args).m_hat
+            want = fit(RespondentDesign(view), *args).m_hat * 1e305
+            got = fit(RespondentDesign(huge), *args).m_hat
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_ipw_nr_plugin_equals_imputation_form(self, wrong_view, pi_fit):
         # the appended pi covariate makes the unweighted respondent-mean
         # moment hold too, so imputing only nonrespondents gives the same
         # plug-in value
-        fit = linmod.fit_outcome_ipw_nr(wrong_view, pi_fit.pi_hat)
+        fit = linmod.fit_outcome_ipw_nr(RespondentDesign(wrong_view), pi_fit.pi_hat)
         plug = mu_from_regression(fit.m_hat)
         resp = wrong_view.T == 1
         mixed = np.where(resp, wrong_view.y_observed, fit.m_hat)
@@ -324,38 +326,38 @@ class TestOutcomeFits:
             T=wrong_view.T,
             y_observed=np.where(wrong_view.T == 1, wrong_view.y_observed, 1e12),
         )
-        a = linmod.fit_outcome_reg(wrong_view)
-        b = linmod.fit_outcome_reg(poisoned)
+        a = linmod.fit_outcome_reg(RespondentDesign(wrong_view))
+        b = linmod.fit_outcome_reg(RespondentDesign(poisoned))
         assert np.array_equal(a.beta, b.beta)
 
     def test_no_respondents_raises(self):
         v = view_from(np.ones((3, 1)), np.zeros(3, dtype=int), np.ones(3))
         with pytest.raises(SingularDesignError):
-            linmod.fit_outcome_reg(v)
+            linmod.fit_outcome_reg(RespondentDesign(v))
 
     def test_too_few_respondents_raises(self):
         design = np.column_stack([np.ones(5), np.arange(5.0)])
         v = view_from(design, np.array([1, 0, 0, 0, 0]), np.arange(5.0))
         with pytest.raises(SingularDesignError):
-            linmod.fit_outcome_reg(v)
+            linmod.fit_outcome_reg(RespondentDesign(v))
 
     def test_wls_rejects_nonpositive_pi(self, wrong_view):
         pi = np.full(len(wrong_view.T), 0.5)
         pi[int(np.flatnonzero(wrong_view.T == 1)[0])] = 0.0
         with pytest.raises(InvalidWeightError):
-            linmod.fit_outcome_wls(wrong_view, pi)
+            linmod.fit_outcome_wls(RespondentDesign(wrong_view), pi)
 
     def test_ext_reg_rejects_nonpositive_pi_anywhere(self, wrong_view):
         pi = np.full(len(wrong_view.T), 0.5)
         pi[int(np.flatnonzero(wrong_view.T == 0)[0])] = 0.0
         with pytest.raises(InvalidWeightError):
-            linmod.fit_outcome_ext_reg(wrong_view, pi)
+            linmod.fit_outcome_ext_reg(RespondentDesign(wrong_view), pi)
 
     def test_ipw_nr_rejects_pi_of_one(self, wrong_view):
         pi = np.full(len(wrong_view.T), 0.5)
         pi[0] = 1.0
         with pytest.raises(InvalidWeightError):
-            linmod.fit_outcome_ipw_nr(wrong_view, pi)
+            linmod.fit_outcome_ipw_nr(RespondentDesign(wrong_view), pi)
 
     @pytest.mark.parametrize("fit", [linmod.fit_outcome_wls, linmod.fit_outcome_ext_reg,
                                      linmod.fit_outcome_ipw_nr])
@@ -364,7 +366,7 @@ class TestOutcomeFits:
         pi_hat = np.full(len(wrong_view.T), 0.5)
         pi_hat[np.flatnonzero(wrong_view.T == 1)[0]] = 1e-310
         with pytest.raises(InvalidWeightError):
-            fit(wrong_view, pi_hat)
+            fit(RespondentDesign(wrong_view), pi_hat)
 
     def test_overflowing_weighted_design_fails_quietly(self, capfd):
         # the weighted design overflows; LAPACK printed a complaint for each
@@ -374,27 +376,20 @@ class TestOutcomeFits:
         pi_hat[2] = 1e-250
         view = view_from(design, np.ones(6, dtype=np.int64), np.arange(6.0))
         with pytest.raises(NonconvergenceError, match="not finite"):
-            linmod.fit_outcome_wls(view, pi_hat)
+            linmod.fit_outcome_wls(RespondentDesign(view), pi_hat)
         assert capfd.readouterr() == ("", "")
 
     def test_ext_reg_constant_pi_collinear(self, wrong_view):
         pi = np.full(len(wrong_view.T), 0.4)
         with pytest.raises(SingularDesignError):
-            linmod.fit_outcome_ext_reg(wrong_view, pi)
+            linmod.fit_outcome_ext_reg(RespondentDesign(wrong_view), pi)
 
 
 class TestInverseLinear:
-    @pytest.mark.parametrize("method", [[1], None, 1, "MOMENT"])
-    def test_malformed_method_rejected(self, method):
-        # a list method raised TypeError: unhashable type: 'list'
-        design = np.column_stack([np.ones(4), [0.0, 1.0, 3.0, 8.0]])
-        with pytest.raises(InvalidArgumentError, match="unknown method"):
-            linmod.fit_inverse_linear(design, np.array([1, 1, 1, 0]), method)
-
     def test_unconstrained_hand_solution(self):
         design = np.column_stack([np.ones(4), [0.0, 1.0, 3.0, 8.0]])
         T = np.array([1, 1, 1, 0])
-        fit = linmod.fit_inverse_linear(design, T, "unconstrained_moment")
+        fit = linmod.fit_inverse_linear(design, T)
         assert fit.kind is linmod.PropensityKind.INV_LINEAR_UNCONSTRAINED
         assert np.allclose(fit.alpha, [-4.0 / 7.0, 10.0 / 7.0], rtol=1e-10)
 
@@ -404,18 +399,17 @@ class TestInverseLinear:
         design = np.column_stack([np.ones(4), [0.0, 1.0, 3.0, 8.0]])
         T = np.array([1, 1, 1, 0])
         y = np.array([1.0, 2.0, 4.0, np.nan])
-        fit = linmod.fit_inverse_linear(design, T, "unconstrained_moment")
+        fit = linmod.fit_inverse_linear(design, T)
         resp = T == 1
         s = fit.eta[resp]
         bounded = math.fsum(s * y[resp]) / math.fsum(s)
         v = view_from(design, T, y)
-        mu_ols = mu_from_regression(linmod.fit_outcome_reg(v).m_hat)
+        mu_ols = mu_from_regression(linmod.fit_outcome_reg(RespondentDesign(v)).m_hat)
         assert abs(bounded - 4.0) < 1e-10
         assert abs(mu_ols - bounded) < 1e-10
 
     def test_unconstrained_moment_residual_on_sample(self, wrong_view):
-        fit = linmod.fit_inverse_linear(wrong_view.design_m, wrong_view.T,
-                                        "unconstrained_moment")
+        fit = linmod.fit_inverse_linear(wrong_view.design_m, wrong_view.T)
         design = wrong_view.design_m
         t1 = (wrong_view.T == 1).astype(float)
         resid = t1 * (design @ fit.alpha) - 1.0
@@ -427,13 +421,9 @@ class TestInverseLinear:
     def test_intercept_only_closed_forms(self):
         design = np.ones((4, 1))
         T = np.array([1, 1, 1, 0])
-        fit = linmod.fit_inverse_linear(design, T, "unconstrained_moment")
+        fit = linmod.fit_inverse_linear(design, T)
         assert np.allclose(fit.alpha, [4.0 / 3.0], rtol=1e-12, atol=0.0)
         assert np.allclose(fit.pi_hat, 0.75, rtol=1e-12, atol=0.0)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            linmod.fit_inverse_linear(np.ones((3, 1)), np.array([1, 0, 1]), "mle")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -446,7 +436,7 @@ class TestInverseLinear:
         design = view.design_pi.copy()
         design[:, cols] *= factor
         with pytest.raises(InvalidArgumentError, match="moment Gram matrix"):
-            linmod.fit_inverse_linear(design, view.T, "unconstrained_moment")
+            linmod.fit_inverse_linear(design, view.T)
 
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -460,7 +450,7 @@ class TestInverseLinear:
         design = view.design_m.copy()
         design[:, 1] *= factor
         try:
-            fit = linmod.fit_inverse_linear(design, view.T, "unconstrained_moment")
+            fit = linmod.fit_inverse_linear(design, view.T)
         except DrmeanError:
             pass
         else:
@@ -475,11 +465,11 @@ class TestInverseLinear:
     def test_fit_is_free_of_column_units(self, n, z):
         # multiplying a column by a power of two is exact, so pi_hat is too
         view = make_view(generate_sample(n, 6), z, z)
-        ref = linmod.fit_inverse_linear(view.design_pi, view.T, "unconstrained_moment")
+        ref = linmod.fit_inverse_linear(view.design_pi, view.T)
         for k in (-30, -20, -10, 10, 20, 30):
             design = view.design_pi.copy()
             design[:, 1:] *= 2.0**k
-            fit = linmod.fit_inverse_linear(design, view.T, "unconstrained_moment")
+            fit = linmod.fit_inverse_linear(design, view.T)
             assert np.array_equal(fit.pi_hat, ref.pi_hat), k
             assert fit.iterations == ref.iterations, k
 
@@ -487,8 +477,7 @@ class TestInverseLinear:
         monkeypatch.setattr(linmod, "FIT_STEP_RTOL", -1.0)
         solves = _spy(monkeypatch, "_equilibrated_lstsq")
         with pytest.raises(NonconvergenceError, match="no convergence"):
-            linmod.fit_inverse_linear(wrong_view.design_pi, wrong_view.T,
-                                      "unconstrained_moment")
+            linmod.fit_inverse_linear(wrong_view.design_pi, wrong_view.T)
         assert len(solves) == linmod.IRLS_MAX_ITER
 
     def test_unconstrained_memory_is_a_few_designs(self):
@@ -497,7 +486,7 @@ class TestInverseLinear:
         design, T = view.design_pi, view.T
         tracemalloc.start()
         try:
-            linmod.fit_inverse_linear(design, T, "unconstrained_moment")
+            linmod.fit_inverse_linear(design, T)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -512,7 +501,7 @@ class TestExtendedPropensity:
         y = np.array([1.0, np.nan, 3.0, np.nan])
         view = view_from(design_m, T, y, design_pi=design_pi)
         base = linmod.fit_logistic_propensity(design_pi, T)
-        m_reg = linmod.fit_outcome_reg(view)
+        m_reg = linmod.fit_outcome_reg(RespondentDesign(view))
         mu_ols = mu_from_regression(m_reg.m_hat)
         return base, m_reg, mu_ols, T, y
 
@@ -544,7 +533,7 @@ class TestExtendedPropensity:
 
     def test_bounded_dr_becomes_weighted_mean(self, wrong_view):
         base = linmod.fit_logistic_propensity(wrong_view.design_pi, wrong_view.T)
-        m_reg = linmod.fit_outcome_reg(wrong_view)
+        m_reg = linmod.fit_outcome_reg(RespondentDesign(wrong_view))
         mu_ols = mu_from_regression(m_reg.m_hat)
         h = m_reg.m_hat - mu_ols
         ext = linmod.fit_extended_propensity(base, h, wrong_view.T)
@@ -558,7 +547,7 @@ class TestExtendedPropensity:
         view = view_from(np.ones((4, 1)), T, np.array([2.0, 0.0, 2.0, 0.0]),
                          design_pi=design_pi)
         base = linmod.fit_logistic_propensity(design_pi, T)
-        m_reg = linmod.fit_outcome_reg(view)
+        m_reg = linmod.fit_outcome_reg(RespondentDesign(view))
         mu_ols = mu_from_regression(m_reg.m_hat)
         fit = linmod.fit_extended_propensity(base, m_reg.m_hat - mu_ols, T)
         assert fit.phi == 0.0
@@ -595,7 +584,7 @@ class TestExtendedPropensity:
 
     def test_requires_logistic_base(self):
         base, m_reg, mu_ols, T, _ = self.quartic_setup()
-        inv = linmod.fit_inverse_linear(np.ones((4, 1)), T, "unconstrained_moment")
+        inv = linmod.fit_inverse_linear(np.ones((4, 1)), T)
         with pytest.raises(InvalidArgumentError):
             linmod.fit_extended_propensity(inv, m_reg.m_hat - mu_ols, T)
 
@@ -684,10 +673,10 @@ class TestGramOutcomeSolve:
         fit = getattr(linmod, f"fit_outcome_{kind}")
         args = (pi_fit.pi_hat,) if weighted else ()
         calls = _spy(monkeypatch, "_equilibrated_lstsq")
-        gram = fit(wrong_view, *args)
+        gram = fit(RespondentDesign(wrong_view), *args)
         assert calls == []
         monkeypatch.setattr(linmod, "_gram_solver", lambda design, w: None)
-        ref = fit(wrong_view, *args)
+        ref = fit(RespondentDesign(wrong_view), *args)
         assert calls
         err = np.max(np.abs(gram.m_hat - ref.m_hat))
         assert err <= 1e-12 * np.max(np.abs(ref.m_hat))
@@ -700,18 +689,8 @@ class TestGramOutcomeSolve:
         design = np.column_stack([np.ones(s.n), z, z + eps * s.Z[:, 1], s.Z[:, 2]])
         view = view_from(design, s.T, s.Y)
         calls = _spy(monkeypatch, "_equilibrated_lstsq")
-        fit = linmod.fit_outcome_reg(view)
+        fit = linmod.fit_outcome_reg(RespondentDesign(view))
         assert len(calls) == fit.iterations == 2
-
-    def test_shared_design_gives_the_same_fit(self, wrong_view, pi_fit):
-        design = linmod.RespondentDesign(wrong_view)
-        for kind, weighted in self.FITS:
-            fit = getattr(linmod, f"fit_outcome_{kind}")
-            args = (pi_fit.pi_hat,) if weighted else ()
-            shared = fit(wrong_view, *args, _design=design)
-            alone = fit(wrong_view, *args)
-            assert np.array_equal(shared.beta, alone.beta), kind
-            assert np.array_equal(shared.m_hat, alone.m_hat), kind
 
 
 class TestNewtonExtension:
@@ -725,7 +704,7 @@ class TestNewtonExtension:
             for z in (True, False):
                 view = make_view(sample, z, z)
                 base = linmod.fit_logistic_propensity(view.design_pi, view.T)
-                m_hat = linmod.fit_outcome_reg(view).m_hat
+                m_hat = linmod.fit_outcome_reg(RespondentDesign(view)).m_hat
                 h = m_hat - np.mean(m_hat)
                 out.append((base, h, view.T,
                             linmod.fit_extended_propensity(base, h, view.T)))
@@ -788,14 +767,13 @@ class TestResponseIndicators:
         pi_hat = np.full(len(T), 0.5)
         return {
             "logistic": lambda: linmod.fit_logistic_propensity(design, T),
-            "unconstrained_moment":
-                lambda: linmod.fit_inverse_linear(design, T, "unconstrained_moment"),
+            "unconstrained_moment": lambda: linmod.fit_inverse_linear(design, T),
             "extended": lambda: linmod.fit_extended_propensity(base, base.eta, T),
             "diagnostics": lambda: linmod.weight_diagnostics(base.pi_hat, T),
-            "reg": lambda: linmod.fit_outcome_reg(bad_view),
-            "wls": lambda: linmod.fit_outcome_wls(bad_view, pi_hat),
-            "ipw_nr": lambda: linmod.fit_outcome_ipw_nr(bad_view, pi_hat),
-            "ext_reg": lambda: linmod.fit_outcome_ext_reg(bad_view, pi_hat),
+            "reg": lambda: linmod.fit_outcome_reg(RespondentDesign(bad_view)),
+            "wls": lambda: linmod.fit_outcome_wls(RespondentDesign(bad_view), pi_hat),
+            "ipw_nr": lambda: linmod.fit_outcome_ipw_nr(RespondentDesign(bad_view), pi_hat),
+            "ext_reg": lambda: linmod.fit_outcome_ext_reg(RespondentDesign(bad_view), pi_hat),
         }
 
     @pytest.mark.parametrize("name", ["logistic", "unconstrained_moment", "extended",
@@ -916,7 +894,7 @@ class TestStepStop:
                 linmod.fit_logistic_propensity(wrong_view.design_pi, wrong_view.T)
             else:
                 args = () if kind == "reg" else (pi_fit.pi_hat,)
-                getattr(linmod, f"fit_outcome_{kind}")(wrong_view, *args)
+                getattr(linmod, f"fit_outcome_{kind}")(RespondentDesign(wrong_view), *args)
         assert len(solves) == linmod.IRLS_MAX_ITER
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -930,7 +908,7 @@ class TestStepStop:
         for kind in ("reg", "wls", "ext_reg", "ipw_nr"):
             args = () if kind == "reg" else (pi_hat,)
             try:
-                fit = getattr(linmod, f"fit_outcome_{kind}")(big, *args)
+                fit = getattr(linmod, f"fit_outcome_{kind}")(RespondentDesign(big), *args)
             except DrmeanError:
                 continue
             assert np.all(np.isfinite(fit.m_hat)), kind
@@ -958,16 +936,16 @@ class TestUnitArrays:
         view, pi = case
         bad = pi[:-1] if shape == "short" else pi[:, None]
         with pytest.raises(InvalidArgumentError, match="pi_hat length must match T"):
-            fit(view, bad)
+            fit(RespondentDesign(view), bad)
 
     def test_outcome_rows_must_match_t(self, case):
         view, _ = case
         short = AnalysisView(view.design_pi, view.design_m, view.T[:-1], view.y_observed[:-1])
         with pytest.raises(InvalidArgumentError, match="design_m rows must match T"):
-            linmod.fit_outcome_reg(short)
+            linmod.fit_outcome_reg(RespondentDesign(short))
 
     def test_outcomes_must_match_t(self, case):
         view, _ = case
         short_y = dataclasses.replace(view, y_observed=view.y_observed[:-1])
         with pytest.raises(InvalidArgumentError, match="y_observed length must match T"):
-            linmod.RespondentDesign(short_y)
+            RespondentDesign(short_y)

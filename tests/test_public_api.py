@@ -8,15 +8,15 @@ only with the package's own errors: it never warns and never raises an
 exception of another type.  The same holds for the command line: fed
 configs whose values are bools, floats, strings, null, negatives and
 seeds beyond 64 bits, it returns an exit code of 0 to 3.  The scalar
-arguments of the library (counts, seeds, flags, names, methods, a
-summary's truth and a selection's line tests), fed bools, floats,
-strings, lists, None and negative numbers, raise nothing but
-DrmeanErrors; a bool never passes for a count nor anything else for a
-flag, and a scenario never runs without an estimator.  So do per-unit
-arrays (and start coefficients and line spreads) of the wrong shape (one
-entry short or long, a column, 2-d or 0-d) or of text, complex values or
-ragged lists, and scenario and sensitivity specs of another type are
-always rejected, as are the spellings of removed features.
+arguments of the library (counts, seeds, flags, names and a summary's
+truth), fed bools, floats, strings, lists, None and negative numbers,
+raise nothing but DrmeanErrors; a bool never passes for a count nor
+anything else for a flag, and a scenario never runs without an
+estimator.  So do per-unit arrays (and start coefficients) of the wrong
+shape (one entry short or long, a column, 2-d or 0-d) or of text,
+complex values or ragged lists, and scenario and sensitivity specs,
+views, samples and fits of another type are always rejected, as are the
+spellings of removed features.
 """
 
 import dataclasses
@@ -93,11 +93,14 @@ def test_fits_and_estimators_raise_only_drmean_errors(case):
     logistic = call(drmean.fit_logistic_propensity, design, T)
     if logistic is not None:
         call(drmean.fit_extended_propensity, logistic, X[:, 0], T)
-    call(drmean.fit_inverse_linear, design, T, "unconstrained_moment")
-    reg = call(drmean.fit_outcome_reg, view)
-    for fit in (drmean.fit_outcome_wls, drmean.fit_outcome_ext_reg,
-                drmean.fit_outcome_ipw_nr):
-        call(fit, view, pi_hat)
+    call(drmean.fit_inverse_linear, design, T)
+    reg = None
+    respondents = call(drmean.RespondentDesign, view)
+    if respondents is not None:
+        reg = call(drmean.fit_outcome_reg, respondents)
+        for fit in (drmean.fit_outcome_wls, drmean.fit_outcome_ext_reg,
+                    drmean.fit_outcome_ipw_nr):
+            call(fit, respondents, pi_hat)
     m_hat = y if reg is None else reg.m_hat
     for mu in (drmean.mu_ht, drmean.mu_ipw_pop):
         call(mu, pi_hat, T, y_observed)
@@ -118,10 +121,6 @@ def test_sensitivity_raises_only_drmean_errors(case, estimator, boot_reps):
     o_specs = [ModelSpec("outcome", cols) for cols in dict.fromkeys([(0,), every])]
     call(drmean.run_sensitivity, X, T, np.where(T == 1, y, np.nan), p_specs, o_specs,
          estimator, boot_reps=boot_reps, seed=0)
-
-
-# one line test's result, for select_models
-LINE_TEST = drmean.HomogeneityResult(0.5, 1.0, 1, 20, 0, False)
 
 
 # values of the wrong type or range; no large integer, which would be a
@@ -255,17 +254,35 @@ REMOVED_KINDS = {"sensitivity kind": "INV_LINEAR_MOMENT",
 
 @pytest.mark.parametrize("removed", ["moment", "INV_LINEAR_MOMENT", "sensitivity kind",
                                      "density", "likelihood", "INV_LINEAR_ML",
-                                     "sensitivity kind INV_LINEAR_ML"])
+                                     "sensitivity kind INV_LINEAR_ML", "unconstrained_moment",
+                                     "select_models", "outcome fit on a view"])
 def test_removed_spellings_are_rejected(workdir, removed):
     # the constrained moment fit, the density subcommand and the constrained
-    # likelihood fit are gone
+    # likelihood fit are gone; fit_inverse_linear lost its method, which had
+    # one value left, select_models left the public API, and each outcome
+    # fit takes RespondentDesign(view) in place of a view and _design
     design, T = np.ones((4, 1)), np.array([1, 1, 1, 0])
-    if removed in ("moment", "likelihood"):
-        with pytest.raises(InvalidArgumentError, match=f"unknown method '{removed}'"):
+    if removed in ("moment", "likelihood", "unconstrained_moment"):
+        with pytest.raises(TypeError):
             drmean.fit_inverse_linear(design, T, removed)
-        if removed == "likelihood":  # it was the default, and method has none now
+        # a two-argument call, the likelihood fit's until it went, is the moment fit
+        fit = drmean.fit_inverse_linear(design, T)
+        assert fit.kind is drmean.linmod.PropensityKind.INV_LINEAR_UNCONSTRAINED
+    elif removed == "select_models":
+        assert not hasattr(drmean, "select_models")
+        assert "select_models" not in drmean.__all__
+    elif removed == "outcome fit on a view":
+        view = AnalysisView(design, design, T, np.array([1.0, 2.0, 4.0, np.nan]))
+        respondents, pi_hat = drmean.RespondentDesign(view), np.array([0.2, 0.4, 0.6, 0.8])
+        fits = {"reg": (), "wls": (pi_hat,), "ext_reg": (pi_hat,), "ipw_nr": (pi_hat,)}
+        for kind, args in fits.items():
+            fit = getattr(drmean, f"fit_outcome_{kind}")
+            message = "^design must be of type RespondentDesign, not AnalysisView$"
+            with pytest.raises(InvalidArgumentError, match=message):
+                fit(view, *args)
             with pytest.raises(TypeError):
-                drmean.fit_inverse_linear(design, T)
+                fit(respondents, *args, _design=respondents)
+            fit(respondents, *args)
     elif removed in ("INV_LINEAR_MOMENT", "INV_LINEAR_ML"):
         with pytest.raises(InvalidArgumentError, match="unknown propensity kind"):
             ModelSpec("propensity", (0,), removed)
@@ -311,7 +328,6 @@ def scalar_targets() -> dict:
 
     # one task: workers never starts a pool
     one_task = drmean.ScenarioSpec(**SPEC)
-    line = [LINE_TEST, LINE_TEST]
     return {
         **{f"ScenarioSpec.{f}": (scenario(f), "int") for f in ("n", "reps", "base_seed")},
         **{f"ScenarioSpec.{f}": (scenario(f), "flag")
@@ -327,13 +343,7 @@ def scalar_targets() -> dict:
         "run_sensitivity.boot_reps": (lambda v: sensitivity(boot_reps=v), "int"),
         "run_sensitivity.seed": (lambda v: sensitivity(seed=v), "int"),
         "estimate_all.which": (lambda v: drmean.estimate_all(view, sample, v), "other"),
-        "fit_inverse_linear.method": (
-            lambda v: drmean.fit_inverse_linear(view.design_pi, view.T, v), "other"),
         "summarize.mu_true": (lambda v: drmean.summarize(sample.Y, v), "other"),
-        "select_models.row_tests": (
-            lambda v: drmean.select_models(v, line, np.ones(2), np.ones(2)), "other"),
-        "select_models.col_tests": (
-            lambda v: drmean.select_models(line, v, np.ones(2), np.ones(2)), "other"),
     }
 
 
@@ -353,12 +363,9 @@ SCALAR_TARGETS = scalar_targets()
 @example("ModelSpec.kind", [1])
 @example("ScenarioSpec.estimators", (["OLS"],))
 @example("estimate_all.which", [["OLS"]])
-@example("fit_inverse_linear.method", [1])
 # each raised TypeError, ValueError or AttributeError
 @example("summarize.mu_true", "x")
 @example("summarize.mu_true", None)
-@example("select_models.row_tests", [])
-@example("select_models.col_tests", [1])
 def test_scalar_arguments_raise_only_drmean_errors(name, value):
     target, kind = SCALAR_TARGETS[name]
     if (kind == "int" and isinstance(value, (bool, np.bool_))
@@ -397,7 +404,6 @@ def array_targets() -> dict:
     m_hat = np.where(T == 1, y, 1.0)
     cov = np.hstack([sample.Z, sample.X])
     pz, oz = ModelSpec("propensity", (0, 1, 2, 3)), ModelSpec("outcome", (0, 1, 2, 3))
-    spread = np.array([1.0, 0.5, 2.0, 0.5])
 
     def in_view(f, *fields):
         """f on the view with fields passed through a BAD_SHAPES function."""
@@ -407,18 +413,16 @@ def array_targets() -> dict:
     targets = {
         **{f"estimate_all.{name}": in_view(lambda v: drmean.estimate_all(v, sample), name)
            for name in ("design_pi", "design_m", "T", "y_observed")},
-        **{f"{f.__name__}.T,y_observed": in_view(f, "T", "y_observed")
-           for f in (drmean.fit_outcome_reg, drmean.mu_ols_identities_check)},
-        **{f"{f.__name__}.pi_hat": one_bad(f, (view, pi), 1)
+        "RespondentDesign.T,y_observed": in_view(drmean.RespondentDesign, "T", "y_observed"),
+        "mu_ols_identities_check.T,y_observed": in_view(
+            drmean.mu_ols_identities_check, "T", "y_observed"),
+        **{f"{f.__name__}.pi_hat": one_bad(f, (drmean.RespondentDesign(view), pi), 1)
            for f in (drmean.fit_outcome_wls, drmean.fit_outcome_ext_reg,
                      drmean.fit_outcome_ipw_nr)},
         "fit_logistic_propensity.design": one_bad(drmean.fit_logistic_propensity,
                                                   (view.design_pi, T), 0),
         "fit_logistic_propensity.start": one_bad(
             drmean.fit_logistic_propensity, (view.design_pi, T, np.zeros(5)), 2),
-        **{f"select_models.{name}": one_bad(
-            drmean.select_models, ([LINE_TEST] * 4, [LINE_TEST] * 4, spread, spread), k)
-           for k, name in ((2, "row_spread"), (3, "col_spread"))},
         "weight_diagnostics.pi_hat": one_bad(drmean.linmod.weight_diagnostics, (pi, T), 0),
         "weight_diagnostics.T": one_bad(drmean.linmod.weight_diagnostics, (pi, T), 1),
         "mu_from_regression.m_hat": one_bad(drmean.mu_from_regression, (m_hat,), 0),
@@ -449,7 +453,7 @@ ARRAY_TARGETS = array_targets()
 @example("fit_outcome_ext_reg.pi_hat", "column")
 @example("fit_outcome_ipw_nr.pi_hat", "column")
 @example("estimate_all.y_observed", "short")
-@example("fit_outcome_reg.T,y_observed", "short")
+@example("RespondentDesign.T,y_observed", "short")
 @example("mu_ols_identities_check.T,y_observed", "short")
 @example("mu_full.Y", "pairs")
 @example("mu_from_regression.m_hat", "pairs")
@@ -464,8 +468,6 @@ ARRAY_TARGETS = array_targets()
 @example("fit_logistic_propensity.design", "complex")
 # each raised numpy's ValueError or IndexError
 @example("fit_logistic_propensity.start", "text")
-@example("select_models.row_spread", "short")
-@example("select_models.col_spread", "pairs")
 def test_arrays_of_the_wrong_shape_raise_only_drmean_errors(name, shape):
     call(ARRAY_TARGETS[name], BAD_SHAPES[shape])
 
@@ -506,12 +508,12 @@ def test_specs_that_are_not_scenario_specs_are_rejected(runner, value):
 
 
 @pytest.mark.parametrize("target", [
-    "logistic start", "summarize text", "summarize None", "select empty", "select spreads",
-    "select non-results", "regression empty", "full empty", "logistic 1-d", "logistic nan",
-    "inverse linear nan", "extension inf", "matrix 1-d", "matrix role", "matrix no propensity",
+    "logistic start", "summarize text", "summarize None", "regression empty", "full empty",
+    "logistic 1-d", "logistic nan", "inverse linear nan", "extension inf", "matrix 1-d",
+    "matrix role", "matrix no propensity",
 ])
 def test_unchecked_inputs_raise_invalid_argument(target):
-    # the first six escaped as ValueError, TypeError, IndexError or
+    # the first three escaped as ValueError, TypeError, IndexError or
     # AttributeError; the others are checks that no other test reached
     design, T = np.column_stack([np.ones(4), np.arange(4.0)]), np.array([1, 0, 1, 1])
     nan_design = np.where(design == 2.0, np.nan, design)
@@ -522,17 +524,11 @@ def test_unchecked_inputs_raise_invalid_argument(target):
         "logistic start": lambda: drmean.fit_logistic_propensity(design, T, start="ab"),
         "summarize text": lambda: drmean.summarize(np.ones(3), "x"),
         "summarize None": lambda: drmean.summarize(np.ones(3), None),
-        "select empty": lambda: drmean.select_models([], [], np.array([]), np.array([])),
-        "select spreads": lambda: drmean.select_models(
-            [LINE_TEST], [LINE_TEST], np.ones(2), np.ones(1)),
-        "select non-results": lambda: drmean.select_models(
-            [1], [1], np.ones(1), np.ones(1)),
         "regression empty": lambda: drmean.mu_from_regression([]),
         "full empty": lambda: drmean.mu_full([]),
         "logistic 1-d": lambda: drmean.fit_logistic_propensity(design[:, 1], T),
         "logistic nan": lambda: drmean.fit_logistic_propensity(nan_design, T),
-        "inverse linear nan": lambda: drmean.fit_inverse_linear(
-            nan_design, T, "unconstrained_moment"),
+        "inverse linear nan": lambda: drmean.fit_inverse_linear(nan_design, T),
         "extension inf": lambda: drmean.fit_extended_propensity(
             drmean.fit_logistic_propensity(design, T), np.array([0.0, np.inf, 1.0, 2.0]), T),
         "matrix 1-d": lambda: drmean.build_matrix(
@@ -556,3 +552,29 @@ def test_unchecked_inputs_raise_invalid_argument(target):
     with warnings.catch_warnings(), pytest.raises(error, match=message):
         warnings.simplefilter("error")
         calls[target]()
+
+
+@pytest.mark.parametrize("target", ["RespondentDesign", "estimate_all", "estimate_all full",
+                                    "mu_ols_identities_check", "make_view", "reverse_roles",
+                                    "fit_extended_propensity"])
+def test_composite_arguments_of_another_type_are_rejected(target):
+    # each raised AttributeError on its first attribute read
+    sample = drmean.generate_sample(40, 5)
+    view = drmean.make_view(sample, True, True)
+    calls = {
+        "RespondentDesign": (lambda: drmean.RespondentDesign(None), "view", "NoneType"),
+        "estimate_all": (lambda: drmean.estimate_all(sample), "view", "FullSample"),
+        "estimate_all full": (lambda: drmean.estimate_all(view, view), "full", "AnalysisView"),
+        "mu_ols_identities_check": (
+            lambda: drmean.mu_ols_identities_check({}), "view", "dict"),
+        "make_view": (lambda: drmean.make_view(view, True, True), "sample", "AnalysisView"),
+        "reverse_roles": (lambda: drmean.reverse_roles(view), "sample", "AnalysisView"),
+        "fit_extended_propensity": (
+            lambda: drmean.fit_extended_propensity(None, view.design_pi[:, 1], view.T),
+            "base", "NoneType"),
+    }
+    f, name, got = calls[target]
+    cls = {"view": "AnalysisView", "full": "FullSample", "sample": "FullSample",
+           "base": "PropensityFit"}[name]
+    with pytest.raises(InvalidArgumentError, match=f"^{name} must be of type {cls}, not {got}$"):
+        f()

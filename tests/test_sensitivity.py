@@ -129,16 +129,18 @@ class TestBuildMatrix:
         # outcome spec, one weighted fit per cell
         _, cov, T, y = data600
         calls = []
-        for name in ("RespondentDesign", "fit_outcome_reg", "fit_outcome_wls"):
-            real = getattr(linmod, name)
-            monkeypatch.setattr(linmod, name, lambda *a, _real=real, _name=name, **k:
+        # the class is counted by its __init__, so it stays a class for isinstance
+        for owner, name in ((linmod.RespondentDesign, "__init__"), (linmod, "fit_outcome_reg"),
+                            (linmod, "fit_outcome_wls")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **k:
                                 calls.append(_name) or _real(*a, **k))
         for estimator, weighted in (("DR_REG", "fit_outcome_reg"),
                                     ("DR_WLS", "fit_outcome_wls")):
             calls.clear()
             estimates, _ = sens.build_matrix(cov, T, y, [PZ, PX], [OZ, OX], estimator)
             assert np.all(np.isfinite(estimates))
-            assert calls.count("RespondentDesign") == 2
+            assert calls.count("__init__") == 2
             assert calls.count(weighted) == (2 if weighted == "fit_outcome_reg" else 4)
 
     def test_cell_failure_is_isolated(self, data600):
@@ -272,12 +274,19 @@ class TestHomogeneity:
                              ids=["contrast-5", "contrast-0"])
     def test_contrast_without_bootstrap_variance(self, line, p_value):
         # each draw's contrast is 5, so the contrast covariance is zero (rank
-        # 0); its zero pseudoinverse gave statistic 0 and p = 1 for any line
+        # 0); its zero pseudoinverse gave statistic 0 and p = 1 for any line.
+        # A nonzero contrast is rejected with no finite statistic: NaN, which
+        # the JSON writes as null, not a 0 beside p = 0
         draws = SimpleNamespace(draws=[{(PZ, OZ): 215.0 + b, (PZ, OX): 210.0 + b}
                                        for b in range(30)])
         out = sens.homogeneity_test(np.array(line), None, None, None, PZ, (OZ, OX),
                                     "DR_WLS", _draws=draws)
-        assert (out.p_value, out.statistic, out.df, out.singular) == (p_value, 0.0, 0, True)
+        assert (out.p_value, out.df, out.singular) == (p_value, 0, True)
+        if p_value == 0.0:
+            assert math.isnan(out.statistic)
+            assert out.note == "no contrast varies over the draws"
+        else:
+            assert (out.statistic, out.note) == (0.0, "")
         assert out.n_boot_used == 30
 
     def test_failed_cells_dropped_from_line(self, data600):
@@ -590,14 +599,22 @@ class TestSharedDraws:
                                         "DR_WLS", boot_reps=40, seed=8)
 
         clean = run()
-        fit = linmod.fit_outcome_wls
+        fit, logistic = linmod.fit_outcome_wls, linmod.fit_logistic_propensity
+        small_pi = []  # the pi_hat of each fit on p_small's 4-column design
 
-        def flaky(view, pi_hat, **kwargs):
-            if (view.design_pi.shape[1], view.design_m.shape[1]) == (4, 3) and (
-                    int(view.T.sum()) % 2 != int(T.sum()) % 2):
+        def spy(design, *args, **kwargs):
+            out = logistic(design, *args, **kwargs)
+            if design.shape[1] == 4:
+                small_pi.append(out.pi_hat)
+            return out
+
+        def flaky(design, pi_hat):
+            if design.design.shape[1] == 3 and any(pi_hat is p for p in small_pi) and (
+                    int(design.resp.sum()) % 2 != int(T.sum()) % 2):
                 raise NonconvergenceError("injected")
-            return fit(view, pi_hat, **kwargs)
+            return fit(design, pi_hat)
 
+        monkeypatch.setattr(linmod, "fit_logistic_propensity", spy)
         monkeypatch.setattr(linmod, "fit_outcome_wls", flaky)
         out = run()
         assert out.cell_messages == {}
@@ -661,20 +678,17 @@ class TestSelectModels:
     def test_highest_p_wins(self):
         rows = [self.mk(0.2), self.mk(0.9)]
         cols = [self.mk(0.5), self.mk(0.4)]
-        sel = sens.select_models(rows, cols, np.array([1.0, 1.0]),
-                                 np.array([1.0, 1.0]))
+        sel = sens._select(rows, cols, np.array([1.0, 1.0]), np.array([1.0, 1.0]))
         assert sel == (1, 0)
 
     def test_tie_breaks_toward_smaller_spread(self):
         rows = [self.mk(0.5), self.mk(0.5)]
-        sel = sens.select_models(rows, [self.mk(1.0)], np.array([2.0, 1.0]),
-                                 np.array([0.0]))
+        sel = sens._select(rows, [self.mk(1.0)], np.array([2.0, 1.0]), np.array([0.0]))
         assert sel == (1, 0)
 
     def test_nan_p_always_loses(self):
         rows = [self.mk(math.nan), self.mk(0.01)]
-        sel = sens.select_models(rows, [self.mk(1.0)], np.array([0.0, 5.0]),
-                                 np.array([0.0]))
+        sel = sens._select(rows, [self.mk(1.0)], np.array([0.0, 5.0]), np.array([0.0]))
         assert sel == (1, 0)
 
 
@@ -694,7 +708,7 @@ class TestSpecTypes:
         _, cov, T, y = data600
         with pytest.raises(InvalidArgumentError, match="varying_specs must be a collection"):
             sens.homogeneity_test(np.array([210.0, 211.0]), cov, T, y, PZ, [1, 2], "DR_WLS")
-        with pytest.raises(InvalidArgumentError, match="fixed_spec must be a ModelSpec"):
+        with pytest.raises(InvalidArgumentError, match="fixed_spec must be of type ModelSpec"):
             sens.homogeneity_test(np.array([210.0, 211.0]), cov, T, y, 1, (OZ, OX), "DR_WLS")
 
 
