@@ -7,10 +7,13 @@ that regress on Z use correctly specified models; analyses that regress
 on X use misspecified ones, although X carries the same information.
 
 Reproducibility contract: an (n, seed) pair fixes every array bit for
-bit.  Each unit consumes six uniforms from a PCG64 stream in a fixed
-order (four for Z, one for the outcome noise, one for the response
-draw), and normals come from the inverse CDF, so no rejection step can
-desynchronise the stream.
+bit within one CPU class.  Each unit consumes six uniforms from a PCG64
+stream in a fixed order (four for Z, one for the outcome noise, one for
+the response draw), and normals come from the inverse CDF, so no
+rejection step can desynchronise the stream.  X is computed with numpy's
+exp and power, whose SIMD loops round their own way, so where numpy
+dispatches to other SIMD features (np.show_runtime() lists them) X can
+differ in the last bit; Z, Y, T and pi_true do not.
 
 The design is Kang & Schafer's (Statist. Sci. 22(4), 2007):
 

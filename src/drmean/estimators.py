@@ -25,11 +25,11 @@ estimate_all and the sensitivity cells both evaluate it on a Pipeline,
 which memoises the fits and their terms, so one replication checks each
 propensity fit's respondents once and takes each shared exact sum once,
 FULL's sum of the complete outcomes included.  The weight diagnostics of
-estimate_all come from the base fit alone.  Each memo entry is keyed by
-the inputs it depends on (see Pipeline), so Pipelines on one sample that
-share a memo share every fit and sum whose inputs they share: mc shares
-one between the scenarios of a replication, sensitivity between the
-cells of one sample.
+estimate_all come from the base fit alone, taken when first read.  Each
+memo entry is keyed by the inputs it depends on (see Pipeline), so
+Pipelines on one sample that share a memo share every fit and sum whose
+inputs they share: mc shares one between the scenarios of a replication,
+sensitivity between the cells of one sample.
 
 Every exact sum is _util.exact_sum: math.fsum read straight from the
 array's buffer.  fsum rounds correctly (Shewchuk, Discrete Comput. Geom.
@@ -208,15 +208,27 @@ class EstimateSet:
     flags[name] is "ok", "out_of_observed_range" (value defined but
     outside the respondent outcome range) or "fit_failed"; messages
     carries the failure reason for the last case.  values has an entry
-    for every requested name, NaN when the fit failed.  diagnostics
-    describes the base propensity fit's weights; it is None when that fit
-    failed or when no requested estimator is weighted.
+    for every requested name, NaN when the fit failed.
     """
 
     values: dict[str, float]
     flags: dict[str, str]
     messages: dict[str, str] = field(default_factory=dict)
-    diagnostics: linmod.WeightDiagnostics | None = None
+    # the Pipeline of estimate_all when a requested estimator is weighted
+    _pipeline: "Pipeline | None" = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def diagnostics(self) -> linmod.WeightDiagnostics | None:
+        """The weight diagnostics of the base propensity fit, computed on
+        first read (Pipeline.diagnostics) and kept: None when that fit
+        failed or when no requested estimator is weighted.  Until then the
+        EstimateSet keeps its Pipeline, and so the fits it memoised."""
+        if self._pipeline is None:
+            return None
+        try:
+            return self._pipeline.diagnostics()
+        except DrmeanError:
+            return None
 
 
 class Pipeline:
@@ -234,10 +246,10 @@ class Pipeline:
     needs it.
 
     Each entry's key names the inputs it depends on, by the identity of
-    the arrays the pipeline is handed: the pi part (id(design_pi), kind,
-    id(pi_start)) for the propensity fit, its respondents and diagnostics;
-    the m part id(design_m) for the respondent design and the unweighted
-    fit "REG"; id(full.Y) for full_mean; both parts for the rest.
+    the arrays the pipeline is handed: the pi part (id(design_pi),
+    kind.value, id(pi_start)) for the propensity fit, its respondents and
+    diagnostics; the m part id(design_m) for the respondent design and the
+    unweighted fit "REG"; id(full.Y) for full_mean; both parts for the rest.
     Pipelines on one sample (one T and y) may share one memo, and then
     every entry whose inputs they share.  memo["arrays"] keeps the arrays
     that keys name alive, so no id is reused while the memo lives.
@@ -265,7 +277,8 @@ class Pipeline:
         y_full = None if full is None else full.Y
         self._memo.setdefault("arrays", []).append(
             (view.design_pi, view.design_m, pi_start, y_full))
-        self._pi = (id(view.design_pi), kind, id(pi_start))
+        # kind.value: a str hashes in C, an Enum member through Python code
+        self._pi = (id(view.design_pi), kind.value, id(pi_start))
         self._m = id(view.design_m)
         self._both = (self._pi, self._m)
 
@@ -442,9 +455,10 @@ def estimate_all(
     that diverges marks every weighted estimator as failed but leaves OLS
     (and FULL, when a complete sample is supplied) intact.  The weight
     diagnostics of the propensity fit are reported only when a requested
-    estimator is weighted; otherwise no propensity model is fitted and
-    diagnostics is None.  view must be an AnalysisView and full, if given,
-    a FullSample.  mc passes the views of one sample the Pipeline memo
+    estimator is weighted, and computed when the result's diagnostics is
+    first read; otherwise no propensity model is fitted and diagnostics
+    is None.  view must be an AnalysisView and full, if given, a
+    FullSample.  mc passes the views of one sample the Pipeline memo
     they share as _memo; the result equals the call without it.
     """
     check_type(view, AnalysisView, "view")
@@ -473,14 +487,10 @@ def estimate_all(
             flags[name] = FLAG_OK
         else:
             flags[name] = FLAG_OUT_OF_RANGE
-
-    diagnostics = None
+    result = EstimateSet(values=values, flags=flags, messages=messages)
     if any(ESTIMATORS[name].weighted for name in names):
-        try:
-            diagnostics = pipe.diagnostics()
-        except DrmeanError:
-            pass
-    return EstimateSet(values=values, flags=flags, messages=messages, diagnostics=diagnostics)
+        result._pipeline = pipe
+    return result
 
 
 @dataclass

@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 from scipy.special import expit
 
 from ._util import as_array, check_observed, check_response, check_type, check_units
@@ -83,7 +84,7 @@ class WeightDiagnostics:
 class PropensityFit:
     """A fitted propensity model.  It carries no weight summaries: callers
     that report them call weight_diagnostics(pi_hat, T) themselves, as
-    estimators.estimate_all does for the base fit only."""
+    estimators.EstimateSet.diagnostics does for the base fit only."""
 
     kind: PropensityKind
     alpha: np.ndarray       # coefficients of the base model
@@ -167,7 +168,7 @@ def _equilibrated_lstsq(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise NonconvergenceError("least squares input is not finite")
     try:
         coef, _, rank, _ = np.linalg.lstsq(xs, rhs, rcond=RANK_RCOND)
-    except np.linalg.LinAlgError as exc:
+    except LinAlgError as exc:
         raise NonconvergenceError(f"least squares failed: {exc}") from None
     if rank < design.shape[1]:
         raise SingularDesignError(
@@ -181,12 +182,45 @@ def _settled(change: np.ndarray, tol: float) -> bool:
     return bool(np.abs(change).max() <= tol < math.inf)
 
 
+def _lapack(message: str) -> np.errstate:
+    """A decorator: the call runs under the errstate numpy.linalg puts
+    around its LAPACK gufuncs, so a failed routine, which numpy signals
+    by the invalid flag, raises LinAlgError(message) as numpy.linalg does,
+    and no other flag warns or raises.  The helpers below call the
+    numpy.linalg._umath_linalg gufuncs that np.linalg.cholesky, inv and
+    solve call, so they give the same bits, without numpy.linalg's
+    per-call checks and conversions: they take float64 square matrices."""
+
+    def fail(err, flag):
+        raise LinAlgError(message)
+
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+@_lapack("Matrix is not positive definite")
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """np.linalg.cholesky(a): the lower triangular factor."""
+    return _umath_linalg.cholesky_lo(a, signature="d->d")
+
+
+@_lapack("Singular matrix")
+def _inv(a: np.ndarray) -> np.ndarray:
+    """np.linalg.inv(a)."""
+    return _umath_linalg.inv(a, signature="d->d")
+
+
+@_lapack("Singular matrix")
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for a vector b."""
+    return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
 def _pivots_pass(gram: np.ndarray) -> bool:
     """True if Cholesky shows gram positive definite with every pivot above
     sqrt(RANK_RCOND) times the largest."""
     try:
-        d = np.linalg.cholesky(gram).diagonal()
-    except np.linalg.LinAlgError:
+        d = _cholesky(gram).diagonal()
+    except LinAlgError:
         return False
     return bool(d.min() > math.sqrt(RANK_RCOND) * d.max())
 
@@ -204,8 +238,8 @@ def _gram_solver(design: np.ndarray, w: np.ndarray | None):
     if not _pivots_pass(gram):
         return None
     try:
-        inverse = np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
+        inverse = _inv(gram)
+    except LinAlgError as exc:
         raise NonconvergenceError(f"normal equations failed: {exc}") from None
     return lambda r: d * (inverse @ (d * (wx @ r)))
 
@@ -267,8 +301,8 @@ def _newton_step(
     gram = (xs.T * v) @ xs
     if _pivots_pass(gram):
         try:
-            return np.linalg.solve(gram, xs.T @ (resid * live))
-        except np.linalg.LinAlgError:
+            return _solve(gram, xs.T @ (resid * live))
+        except LinAlgError:
             pass
     sv = np.sqrt(v[live])
     return _equilibrated_lstsq(xs[live] * sv[:, None], resid[live] / sv)

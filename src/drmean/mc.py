@@ -9,9 +9,9 @@ drawn once, each design [1, Z] or [1, X] is built once, and the
 scenarios share one Pipeline memo, whose every entry is keyed by the
 designs it depends on.  So each fit is computed once for the scenarios
 whose designs it reads: the propensity fit on Z or X with its respondent
-terms and weight diagnostics, the checked respondent rows of an outcome
-design with the unweighted outcome fit, and, for a (propensity, outcome)
-design pair, the fits and sums that need both.  run_scenarios puts the
+terms, the checked respondent rows of an outcome design with the
+unweighted outcome fit, and, for a (propensity, outcome) design pair,
+the fits and sums that need both.  run_scenarios puts the
 replications of all its scenarios into one task list, which K = workers
 processes, this one included, compute in interleaved shares (see
 _util.ordered_map), and reduces each scenario's results in replication
@@ -20,6 +20,8 @@ bit-identical across worker counts.
 
 Failures are per estimator, not per replication: a replicate where only
 the weighted fits blow up still contributes its OLS and FULL values.
+No output reads the weight diagnostics, so no replication computes them
+(see estimators.EstimateSet.diagnostics).
 """
 
 import math
@@ -97,10 +99,43 @@ class MCSummary:
     rows: dict[str, EstimatorSummary]
 
 
+def _quantiles(values: np.ndarray) -> list[float]:
+    """np.percentile(values, QUANTILE_LEVELS), bit for bit, without its
+    per-call cost.
+
+    numpy's "linear" rule: level q sits at h = (r - 1) * (q / 100) in the
+    ordered values.  With a and b the values at i = floor(h) and i + 1
+    (both the last value when h >= r - 1) and g = h - i, the quantile is
+    a + (b - a) g, or b - (b - a)(1 - g) when g >= 0.5 (numpy's _lerp).
+    The values are ordered by the partition np.percentile makes, on the
+    same kth: a full sort may place -0.0 and 0.0 the other way round and
+    so flip the sign of a zero quantile.  OverflowError if some b - a
+    overflows, where np.percentile under np.errstate(over="raise") raises
+    FloatingPointError.
+    """
+    top = values.size - 1
+    at = [top * (level / 100) for level in QUANTILE_LEVELS]
+    low = [math.floor(h) if h < top else -1 for h in at]
+    high = [i + 1 if i >= 0 else -1 for i in low]
+    ordered = values.copy()
+    ordered.partition(sorted({-1, 0, *low, *high}))
+    out = []
+    for h, i, j in zip(at, low, high):
+        a, b, g = float(ordered[i]), float(ordered[j]), h - i
+        diff = b - a
+        if diff == math.inf:
+            raise OverflowError("quantile interpolation overflows")
+        out.append(a + diff * g if g < 0.5 else b - diff * (1 - g))
+    return out
+
+
 def summarize(values: np.ndarray, mu_true: float) -> EstimatorSummary:
     """Summary statistics of a vector of estimates against the truth.
 
-    DegenerateInputError if a moment or quantile overflows."""
+    The quantiles are np.percentile's at QUANTILE_LEVELS, computed by
+    _quantiles from one partition; minimum and maximum are values.min()
+    and .max(), so a signed zero stays as it is.  DegenerateInputError if
+    a moment or quantile overflows."""
     values, mu_true = check_vector(values, "values"), as_array(mu_true, "mu_true")
     if values.size == 0:
         raise InvalidArgumentError("no values to summarise")
@@ -129,7 +164,7 @@ def summarize(values: np.ndarray, mu_true: float) -> EstimatorSummary:
                 # sign-symmetric.
                 z = dev / math.sqrt(m2)
                 skewness = exact_sum(z * z * z) / r
-            qs = np.percentile(values, QUANTILE_LEVELS)  # linear interpolation
+            qs = _quantiles(values)
     except (OverflowError, FloatingPointError):
         raise DegenerateInputError("the summary statistics overflow") from None
     return EstimatorSummary(
@@ -140,7 +175,7 @@ def summarize(values: np.ndarray, mu_true: float) -> EstimatorSummary:
         variance=variance,
         mse=mse,
         skewness=skewness,
-        quantiles=dict(zip(QUANTILE_LEVELS, (float(q) for q in qs))),
+        quantiles=dict(zip(QUANTILE_LEVELS, qs)),
         minimum=float(values.min()),
         maximum=float(values.max()),
     )

@@ -287,6 +287,34 @@ class TestEstimateAll:
         assert out.diagnostics is None
         assert set(out.flags.values()) == {est.FLAG_OK}
 
+    def test_late_diagnostics_equal_the_eager_value(self, sample_1000):
+        # read only after the four scenarios of one memo ran, each result's
+        # diagnostics equal those taken at once from its own fit
+        parts, memo = {}, {}
+        views = [make_view(sample_1000, p, m, _parts=parts)
+                 for p in (True, False) for m in (True, False)]
+        results = [est.estimate_all(view, sample_1000, _memo=memo) for view in views]
+        for view, out in zip(views, results):
+            eager = est.Pipeline(view).diagnostics()
+            assert repr(out.diagnostics) == repr(eager)
+
+    @pytest.mark.parametrize("which", [("OLS", "FULL"), None], ids=["unweighted", "failed"])
+    def test_late_diagnostics_none(self, monkeypatch, sample_1000, right_view, which):
+        # None when no weighted estimator was requested or the propensity
+        # fit failed, however late it is read, and then no summary is taken
+        def separated(*args, **kwargs):
+            raise NonconvergenceError("separated")
+
+        monkeypatch.setattr(linmod, "fit_logistic_propensity", separated)
+        calls = []
+        diagnose = linmod.weight_diagnostics
+        monkeypatch.setattr(linmod, "weight_diagnostics",
+                            lambda *a: calls.append(1) or diagnose(*a))
+        out = est.estimate_all(right_view, sample_1000, which)
+        est.estimate_all(right_view, sample_1000)
+        assert out.diagnostics is None and out.diagnostics is None
+        assert calls == []
+
     def test_full_needs_complete_sample(self, right_view):
         out = est.estimate_all(right_view, None, ("OLS", "FULL"))
         assert out.flags["FULL"] == est.FLAG_FAILED
@@ -407,9 +435,10 @@ class TestOneDefinition:
         assert got == want
 
     def test_work_per_estimate_all(self, sample_1000, right_view, monkeypatch):
-        # one respondent check per propensity fit, one diagnostics call, and
-        # each exact sum that several estimators read taken once: DR_REG
-        # and B_DR_REG share one residual correction sum
+        # one respondent check per propensity fit, each exact sum that
+        # several estimators read taken once (DR_REG and B_DR_REG share one
+        # residual correction sum), and one diagnostics call, on the first
+        # read of the result's diagnostics
         calls = {"respondents": 0, "diagnostics": 0, "fsum": 0}
 
         def spy(key, fn):
@@ -426,8 +455,10 @@ class TestOneDefinition:
         out = est.estimate_all(right_view, sample_1000)
         assert out.messages == {}
         assert calls["respondents"] <= 2
-        assert calls["diagnostics"] == 1
+        assert calls["diagnostics"] == 0
         assert calls["fsum"] == 10
+        assert out.diagnostics is out.diagnostics
+        assert calls["diagnostics"] == 1
 
     def test_scenarios_sharing_a_memo_sum_full_once(self, sample_1000, monkeypatch):
         # FULL's exact sum is keyed by the complete outcome array, so the
@@ -452,13 +483,14 @@ class TestOneDefinition:
     def test_shared_caches_hold_single_design_terms(self, monkeypatch):
         # the memo mc shares between the four scenarios of one replication
         # fits each of Z and X once as propensity and once as outcome design,
-        # and each (propensity, outcome) design pair once where both are read
+        # and each (propensity, outcome) design pair once where both are
+        # read; no summary reads the weight diagnostics, so none are taken
         fits = count_calls(monkeypatch, linmod, PIPELINE_FITS)
         specs = [mc.ScenarioSpec(n=200, reps=2, pi_model_correct=p, m_model_correct=m)
                  for p in (True, False) for m in (True, False)]
         summaries = mc.run_scenarios(specs)
         assert all(row.failures == 0 for s in summaries for row in s.rows.values())
-        per_design = {"fit_logistic_propensity": 2, "weight_diagnostics": 2,
+        per_design = {"fit_logistic_propensity": 2, "weight_diagnostics": 0,
                       "RespondentDesign": 2, "fit_outcome_reg": 2}
         per_pair = {name: 4 for name in PIPELINE_FITS if name not in per_design}
         assert fits == {name: 2 * k for name, k in {**per_design, **per_pair}.items()}

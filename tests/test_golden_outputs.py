@@ -3,8 +3,13 @@
 A change meant to leave every result as it is must leave these hashes as
 they are.  A change that alters output on purpose updates the hash here
 and says why in CHANGES.md.  The hashes were recorded with RECORDED_WITH
-on x86-64, at OpenBLAS's default thread count (one per core, two cores);
-another BLAS may round differently and legitimately give other bytes.
+on x86-64, at OpenBLAS's default thread count (one per core, two cores),
+on a CPU where numpy dispatches to the SIMD features RECORDED_SIMD;
+another BLAS, or another CPU class, may round differently and
+legitimately give other bytes: numpy's SIMD exp and power in the data
+generation, and the OpenBLAS kernel chosen for the CPU, both round their
+own way.  A failure message names the versions and the SIMD features of
+the run, so a host of another class reads as that.
 Every fit is the package's own Newton-type solve on numpy's BLAS, and no
 output here depends on how many threads that BLAS runs: test_one_blas_thread
 pins it for each command at the default count and at one thread.
@@ -26,6 +31,9 @@ from drmean import cli
 from drmean.dgp import generate_sample
 
 RECORDED_WITH = "numpy 2.4.6, scipy 1.17.1, scipy-openblas 0.3.31.188.0"
+# the dispatched SIMD features numpy found on the recording CPU, as
+# np.show_runtime() lists them under "found" (baseline X86_V2)
+RECORDED_SIMD = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 
 Z_COLS = ["z1", "z2", "z3", "z4"]
 X_COLS = ["x1", "x2", "x3", "x4"]
@@ -70,13 +78,32 @@ def _versions() -> str:
             f"{blas.get('name')} {blas.get('version')}")
 
 
+def _simd() -> str:
+    """The dispatched SIMD features numpy found on this CPU, as
+    np.show_runtime() lists them, without its printing."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return " ".join(f for f in __cpu_dispatch__ if __cpu_features__[f]) or "none"
+
+
+def _mismatch(name: str, got: str) -> str:
+    """The failure message of _check: what differs from the recording host."""
+    versions, simd = _versions(), _simd()
+    if versions != RECORDED_WITH:
+        why = "other versions may legitimately round differently"
+    elif simd != RECORDED_SIMD:
+        why = ("this CPU is of another class than the recording one, and numpy's "
+               "SIMD loops may legitimately round differently on it")
+    else:
+        why = ("on the recording versions and SIMD features the output changed, unless "
+               "OpenBLAS picked another kernel (OPENBLAS_VERBOSE=2 names it)")
+    return (f"{name}: sha256 {got}, recorded {GOLDEN[name]} with {RECORDED_WITH} where "
+            f"numpy found SIMD {RECORDED_SIMD}; this run has {versions} and numpy found "
+            f"SIMD {simd}: {why}.")
+
+
 def _check(name: str, path) -> None:
     got = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert got == GOLDEN[name], (
-        f"{name}: sha256 {got}, recorded {GOLDEN[name]} with {RECORDED_WITH}; "
-        f"this run has {_versions()}.  Another BLAS may legitimately round "
-        "differently; on the recording versions the output changed."
-    )
+    assert got == GOLDEN[name], _mismatch(name, got)
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,9 @@ sum of the package, no module imports scipy.optimize: every fit is the
 package's own Newton-type solve, and the propensity kind names are
 string constants only as the values of linmod.PropensityKind.  cli names
 neither check_int nor check_seed: config values reach the library unparsed.
+Only linmod imports numpy.linalg._umath_linalg, the LAPACK gufuncs behind
+numpy.linalg, and linmod calls them through its own helpers, never
+through np.linalg.cholesky, inv or solve.
 No public function or method takes a parameter whose name starts with an
 underscore, a second path through a public call for an internal caller,
 except the four that the bench tracer still reaches (PRIVATE_PARAMETERS).
@@ -194,6 +197,58 @@ def test_the_scan_finds_check_names(tmp_path):
                     "def f(x):\n    return _util.check_seed(x, 'seed') + ci(x, 'n')\n"
                     "CHECK = 'check_int'\n")
     assert check_names(path) == [(1, "check_int"), (6, "check_seed")]
+
+
+WRAPPERS = ("cholesky", "inv", "solve")
+
+
+def linalg_names(path: Path) -> list[tuple[int, str]]:
+    """(line, name) for each import of numpy.linalg._umath_linalg (or of a
+    name from it), named "_umath_linalg", and for each numpy.linalg wrapper
+    in WRAPPERS that path imports or names as np.linalg.<name> or
+    numpy.linalg.<name>, named as the wrapper."""
+    gufuncs = "numpy.linalg._umath_linalg"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "_umath_linalg") for alias in node.names
+                      if alias.name == gufuncs or alias.name.startswith(gufuncs + ".")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                full = f"{node.module}.{alias.name}"
+                if full == gufuncs or full.startswith(gufuncs + "."):
+                    found.append((node.lineno, "_umath_linalg"))
+                elif node.module == "numpy.linalg" and alias.name in WRAPPERS:
+                    found.append((node.lineno, alias.name))
+        elif (isinstance(node, ast.Attribute) and node.attr in WRAPPERS
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+              and isinstance(node.value.value, ast.Name)
+              and node.value.value.id in ("np", "numpy")):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_only_linmod_reaches_lapack_directly():
+    found = {p.relative_to(ROOT).as_posix(): linalg_names(p) for p in FILES
+             if p.relative_to(ROOT).parts[0] == "src"}
+    importers = [path for path, names in found.items()
+                 if any(name == "_umath_linalg" for _, name in names)]
+    assert importers == ["src/drmean/linmod.py"]
+    assert [name for _, name in found["src/drmean/linmod.py"]] == ["_umath_linalg"]
+
+
+def test_the_scan_finds_lapack_names(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import numpy as np\nimport numpy.linalg._umath_linalg\n"
+                    "from numpy.linalg import _umath_linalg as u, lstsq\n"
+                    "from numpy.linalg._umath_linalg import inv\n"
+                    "from numpy.linalg import solve\n\n\n"
+                    "def f(a):\n    return np.linalg.cholesky(a) + numpy.linalg.inv(a)"
+                    " + np.linalg.lstsq(a, a)[0] + u.inv(a)\n")
+    assert linalg_names(path) == [
+        (2, "_umath_linalg"), (3, "_umath_linalg"), (4, "_umath_linalg"),
+        (5, "solve"), (9, "cholesky"), (9, "inv"),
+    ]
 
 
 # the private forks bench/layers.py still wraps or reads (ROADMAP W and X)

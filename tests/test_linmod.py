@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -612,6 +613,24 @@ def _spy(monkeypatch, name):
     return calls
 
 
+class _FailingLapack:
+    """numpy.linalg._umath_linalg, except that the gufunc named fails as a
+    failed LAPACK routine does there: NaN out, with the invalid flag set."""
+
+    def __init__(self, name):
+        self.name, self.real = name, linmod._umath_linalg
+
+    def __getattr__(self, attr):
+        real = getattr(self.real, attr)
+        if attr != self.name:
+            return real
+        return lambda a, *rest, signature: np.sqrt(np.full_like(a, -1.0))
+
+
+def _fail_lapack(monkeypatch, name):
+    monkeypatch.setattr(linmod, "_umath_linalg", _FailingLapack(name))
+
+
 class TestGramNewton:
     @pytest.mark.parametrize("z", [True, False], ids=["Z", "X"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -631,10 +650,7 @@ class TestGramNewton:
         assert calls
         monkeypatch.undo()
 
-        def no_cholesky(a):
-            raise np.linalg.LinAlgError("lstsq steps only")
-
-        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+        _fail_lapack(monkeypatch, "cholesky_lo")  # lstsq steps only
         ref = linmod.fit_logistic_propensity(design, s.T)
         assert fit.iterations == ref.iterations
         assert np.max(np.abs(fit.alpha - ref.alpha)) <= 1e-10 * np.max(np.abs(ref.alpha))
@@ -651,17 +667,107 @@ class TestGramNewton:
 
     @pytest.mark.parametrize("name", ["inv", "lstsq", "logistic"])
     def test_linalg_error_becomes_drmean_error(self, monkeypatch, name):
+        # the LAPACK failures reach the fits through linmod's own error
+        # mapping, as they reached them through numpy.linalg's
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(np.linalg, "inv" if name == "inv" else "lstsq", fail)
-        if name != "inv":  # a failed Cholesky test sends the solve to lstsq
-            monkeypatch.setattr(np.linalg, "cholesky", fail)
-        with pytest.raises(NonconvergenceError, match="SVD did not converge"):
+        if name == "inv":
+            _fail_lapack(monkeypatch, "inv")
+            message = "normal equations failed: Singular matrix"
+        else:  # a failed Cholesky test sends the solve to lstsq
+            _fail_lapack(monkeypatch, "cholesky_lo")
+            monkeypatch.setattr(np.linalg, "lstsq", fail)
+            message = "least squares failed: SVD did not converge"
+        with pytest.raises(NonconvergenceError, match=message):
             if name == "logistic":
                 linmod.fit_logistic_propensity(np.eye(3), np.array([1, 0, 1]))
             else:
                 linmod._wls(np.eye(3), np.ones(3), None)
+
+
+def _spd(p, seed, spread):
+    """A p x p symmetric positive definite matrix whose eigenvalues span
+    10**spread."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, p)))
+    a = (q * np.logspace(0, spread, p)) @ q.T
+    return (a + a.T) / 2
+
+
+class TestLapackHelpers:
+    """linmod's _cholesky, _inv and _solve against numpy.linalg."""
+
+    @pytest.mark.parametrize("p", range(2, 8))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_for_bit(self, p, seed):
+        for spread in (0, 3, 8):
+            a = _spd(p, seed, spread)
+            b = np.random.default_rng(seed + 100).standard_normal(p)
+            for got, want in [(linmod._cholesky(a), np.linalg.cholesky(a)),
+                              (linmod._inv(a), np.linalg.inv(a)),
+                              (linmod._solve(a, b), np.linalg.solve(a, b))]:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("a", [
+        np.array([[1.0, 2.0], [2.0, 1.0]]),   # indefinite
+        np.array([[1.0, 1.0], [1.0, 1.0]]),   # singular
+        np.diag([1.0, -1e-300, 1.0]),
+    ], ids=["indefinite", "singular", "tiny-negative"])
+    def test_not_positive_definite_fails_as_numpy_does(self, a):
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.cholesky(a)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            linmod._cholesky(a)
+        assert str(got.value) == str(want.value)
+        assert not linmod._pivots_pass(a)
+
+    def test_nan_passes_no_pivot_test(self):
+        # LAPACK may factor a NaN without failing; the factor is numpy's
+        a = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        assert linmod._cholesky(a).tobytes() == np.linalg.cholesky(a).tobytes()
+        assert not linmod._pivots_pass(a)
+
+    @pytest.mark.parametrize("fn, call", [("inv", lambda f, a: f(a)),
+                                          ("solve", lambda f, a: f(a, np.ones(3)))],
+                             ids=["inv", "solve"])
+    def test_singular_fails_as_numpy_does(self, fn, call):
+        a = np.ones((3, 3))
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            call(getattr(np.linalg, fn), a)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            call(getattr(linmod, f"_{fn}"), a)
+        assert str(got.value) == str(want.value) == "Singular matrix"
+
+    def test_errstate_is_numpy_linalgs(self):
+        # whatever errstate the caller holds, a helper raises LinAlgError
+        # for a failed routine alone, warns of nothing, and leaves the
+        # caller's errstate as it was
+        tiny = np.diag([1e-310, 1e-310])  # its inverse overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                assert linmod._inv(tiny).tobytes() == np.linalg.inv(tiny).tobytes()
+                assert np.isinf(linmod._inv(tiny)).any()
+                with pytest.raises(np.linalg.LinAlgError):
+                    linmod._cholesky(-tiny)
+                with pytest.raises(FloatingPointError):
+                    np.sqrt(np.array(-1.0))
+            with np.errstate(all="ignore"):
+                with pytest.raises(np.linalg.LinAlgError):
+                    linmod._inv(np.zeros((2, 2)))
+
+    def test_failures_take_the_same_branches(self, monkeypatch):
+        # a Gram matrix that fails Cholesky sends the outcome and Newton
+        # solves to lstsq, whose rank check raises SingularDesignError
+        calls = _spy(monkeypatch, "_equilibrated_lstsq")
+        design = np.column_stack([np.ones(6), np.arange(6.0), np.arange(6.0)])
+        assert linmod._gram_solver(design, None) is None
+        with pytest.raises(SingularDesignError):
+            linmod._wls(design, np.arange(6.0), None)
+        with pytest.raises(SingularDesignError):
+            linmod.fit_logistic_propensity(design, np.array([0, 1, 0, 1, 1, 0]))
+        assert len(calls) == 2
 
 
 class TestGramOutcomeSolve:

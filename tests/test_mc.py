@@ -78,6 +78,36 @@ class TestSummarize:
     def test_quantile_levels_fixed(self):
         assert mc.QUANTILE_LEVELS == (1, 5, 25, 50, 75, 95, 99)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(-1e6, 1e6, allow_nan=False),
+        st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0]),  # ties and signed zeros
+        st.floats(1e299, 1e300) | st.floats(-1e300, -1e299),
+    ), min_size=1, max_size=300))
+    @example([5.0])
+    @example([-0.0])
+    @example([-2.0, -2.0, -2.0])
+    # a sort orders these zeros otherwise than np.percentile's partition
+    @example([-0.0, -0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0, -0.0])
+    def test_quantiles_are_numpy_percentile(self, values):
+        values = np.array(values)
+        want = np.percentile(values, mc.QUANTILE_LEVELS).tobytes()
+        assert np.array(mc._quantiles(values)).tobytes() == want
+        try:
+            s = mc.summarize(values, 0.0)
+        except DegenerateInputError:  # the moments of 1e300s overflow
+            return
+        assert np.array(list(s.quantiles.values())).tobytes() == want
+
+    def test_overflowing_quantile_is_degenerate(self):
+        values = np.array([-1e308, 1e308])
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            np.percentile(values, mc.QUANTILE_LEVELS)
+        with pytest.raises(OverflowError):
+            mc._quantiles(values)
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            mc.summarize(values, 0.0)
+
 
 class TestScenarioSpec:
     def test_labels(self):
@@ -428,7 +458,8 @@ class TestSharedReplication:
     def test_work_per_replication(self, monkeypatch):
         # one sample per replication; one fit per distinct propensity and
         # unweighted outcome design (Z and X); the fits that need both
-        # designs once per scenario
+        # designs once per scenario; no weight diagnostics, which no
+        # summary reads
         reps = 3
         calls = Counter()
 
@@ -452,7 +483,6 @@ class TestSharedReplication:
             "generate_sample": reps,
             "fit_logistic_propensity": 2 * reps,
             "fit_outcome_reg": 2 * reps,
-            "weight_diagnostics": 2 * reps,
             "fit_outcome_wls": 4 * reps,
             "fit_outcome_ipw_nr": 4 * reps,
             "fit_outcome_ext_reg": 4 * reps,
