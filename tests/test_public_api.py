@@ -578,3 +578,71 @@ def test_composite_arguments_of_another_type_are_rejected(target):
            "base": "PropensityFit"}[name]
     with pytest.raises(InvalidArgumentError, match=f"^{name} must be of type {cls}, not {got}$"):
         f()
+
+
+RESPONDENTS = "pi_hat must be finite and positive on respondents"
+ALL_UNITS = "pi_hat must be finite and positive on all units"
+INSIDE = "pi_hat must lie strictly inside (0, 1) on all units"
+UNIT_WEIGHTS = "unit weights must be finite and nonnegative"
+# (where, pi_hat there): the InvalidWeightError message of fit_outcome_wls,
+# fit_outcome_ext_reg, fit_outcome_ipw_nr and the four respondent-term
+# estimators mu_ht, mu_ipw_pop, mu_aipw and mu_b_dr, or None where the call
+# succeeds; 5e-324 is positive, but its inverse overflows
+PI_FAILURES = {
+    ("respondent", 0.0): (RESPONDENTS, ALL_UNITS, INSIDE, RESPONDENTS),
+    ("respondent", -0.1): (RESPONDENTS, ALL_UNITS, INSIDE, RESPONDENTS),
+    ("respondent", math.nan): (RESPONDENTS, ALL_UNITS, INSIDE, RESPONDENTS),
+    ("respondent", math.inf): (RESPONDENTS, ALL_UNITS, INSIDE, RESPONDENTS),
+    ("respondent", 5e-324): (UNIT_WEIGHTS, ALL_UNITS, UNIT_WEIGHTS, RESPONDENTS),
+    ("respondent", 1.0): (None, None, INSIDE, None),
+    ("nonrespondent", 0.0): (None, ALL_UNITS, INSIDE, None),
+    ("nonrespondent", -0.1): (None, ALL_UNITS, INSIDE, None),
+    ("nonrespondent", math.nan): (None, ALL_UNITS, INSIDE, None),
+    ("nonrespondent", math.inf): (None, ALL_UNITS, INSIDE, None),
+    ("nonrespondent", 5e-324): (None, ALL_UNITS, None, None),
+    ("nonrespondent", 1.0): (None, None, INSIDE, None),
+}
+
+
+@pytest.fixture(scope="module")
+def pi_case():
+    sample = drmean.generate_sample(200, 3)
+    view = drmean.make_view(sample, False, False)
+    fit = drmean.fit_logistic_propensity(view.design_pi, view.T)
+    m_hat = drmean.fit_outcome_reg(drmean.RespondentDesign(view)).m_hat
+    return sample, view, fit, m_hat
+
+
+@pytest.mark.parametrize("where, value", PI_FAILURES, ids=[f"{w}-{v!r}" for w, v in PI_FAILURES])
+def test_pi_hat_failure_table(monkeypatch, pi_case, where, value):
+    # every public fit and estimator that reads pi_hat, with one entry of a
+    # logistic fit's pi_hat replaced: the class and the whole message of each
+    # failure, and estimate_all reports the same message for each estimator
+    sample, view, fit, m_hat = pi_case
+    pi_hat = fit.pi_hat.copy()
+    pi_hat[np.flatnonzero(view.T == (where == "respondent"))[0]] = value
+    T, y = view.T, view.y_observed
+    design = drmean.RespondentDesign(view)
+    wls, ext_reg, ipw_nr, terms = PI_FAILURES[where, value]
+    calls = {
+        "DR_WLS": (wls, lambda: drmean.fit_outcome_wls(design, pi_hat)),
+        "DR_EXT_REG": (ext_reg, lambda: drmean.fit_outcome_ext_reg(design, pi_hat)),
+        "DR_IPW_NR": (ipw_nr, lambda: drmean.fit_outcome_ipw_nr(design, pi_hat)),
+        "HT": (terms, lambda: drmean.mu_ht(pi_hat, T, y)),
+        "IPW_POP": (terms, lambda: drmean.mu_ipw_pop(pi_hat, T, y)),
+        "DR_REG": (terms, lambda: drmean.mu_aipw(pi_hat, m_hat, T, y)),
+        "B_DR_REG": (terms, lambda: drmean.mu_b_dr(pi_hat, m_hat, T, y)),
+    }
+    for name, (message, f) in calls.items():
+        if message is None:
+            f()
+        else:
+            with pytest.raises(drmean.InvalidWeightError) as info:
+                f()
+            assert type(info.value) is drmean.InvalidWeightError, name
+            assert str(info.value) == message, name
+    monkeypatch.setattr(drmean.linmod, "fit_logistic_propensity",
+                        lambda *args, **kwargs: dataclasses.replace(fit, pi_hat=pi_hat))
+    messages = drmean.estimate_all(view, sample).messages
+    assert messages == {name: f"InvalidWeightError: {message}"
+                        for name, (message, _) in calls.items() if message is not None}
