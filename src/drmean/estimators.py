@@ -16,7 +16,8 @@ change spelling:
 
 Each formula is written once (_ht, _ipw_pop, _aipw, _b_dr, _plug_in), on
 the respondent terms of a propensity fit (_Respondents: 1 / pi_hat and y
-on respondents, the sums of w and w y), the terms of an outcome fit
+on respondents, the sums of w and w y; w from linmod._inverse_pi, the same
+rule as the weighted outcome fits), the terms of an outcome fit
 (_Fitted: m_hat and its sum) and, for the augmented forms, the exact
 residual correction sum.  The public mu_* functions build those terms
 from their arguments.  ESTIMATORS is the single definition of each
@@ -56,12 +57,7 @@ from ._util import (
     exact_sum,
 )
 from .dgp import AnalysisView, FullSample
-from .errors import (
-    DrmeanError,
-    InvalidArgumentError,
-    InvalidWeightError,
-    UndefinedEstimatorError,
-)
+from .errors import DrmeanError, InvalidArgumentError, UndefinedEstimatorError
 
 FLAG_OK = "ok"
 FLAG_OUT_OF_RANGE = "out_of_observed_range"
@@ -99,10 +95,7 @@ class _Respondents:
         pi_hat, Y = check_units(pi_hat, T, "pi_hat"), check_units(Y, T, "Y")
         if not resp.any():
             raise UndefinedEstimatorError("no respondents")
-        with np.errstate(divide="ignore", over="ignore"):
-            w = 1.0 / pi_hat[resp]
-        if not ((w > 0) & (w < math.inf)).all():
-            raise InvalidWeightError("pi_hat must be finite and positive on respondents")
+        w = linmod._inverse_pi(pi_hat[resp], "respondents")
         self.resp, self.w, self.y, self.n = resp, w, check_observed(Y[resp]), len(resp)
 
     @cached_property

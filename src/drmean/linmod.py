@@ -30,6 +30,12 @@ for every unit.  The four variants differ in weighting and in whether a
 function of the fitted propensity is appended as an extra covariate.
 Each takes RespondentDesign(view), the view's respondent rows and
 outcomes checked once, so fits on one outcome design can share it.
+
+Each check has one owner: RespondentDesign checks the design and outcomes,
+_inverse_pi that 1 / pi_hat is finite and positive (an overflow fails) for
+the weighted fits and estimators._Respondents, fit_outcome_ipw_nr only its
+(0, 1) rule, and RespondentDesign._fit the rows of a design with a column
+appended and the one errstate of the solve; _wls checks nothing.
 """
 
 import enum
@@ -126,16 +132,21 @@ def weight_diagnostics(pi_hat: np.ndarray, T: np.ndarray) -> WeightDiagnostics:
     )
 
 
+def _check_rows(design: np.ndarray) -> np.ndarray:
+    """design; SingularDesignError if it has fewer rows than columns."""
+    if design.shape[0] < design.shape[1]:
+        raise SingularDesignError(
+            f"{design.shape[0]} rows cannot identify {design.shape[1]} coefficients")
+    return design
+
+
 def _check_design(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     design, response = as_array(design, "design"), as_array(response, "response")
     if design.ndim != 2:
         raise InvalidArgumentError("design must be 2-d")
     if response.shape != (design.shape[0],):
         raise InvalidArgumentError("response length must match design rows")
-    if design.shape[0] < design.shape[1]:
-        raise SingularDesignError(
-            f"{design.shape[0]} rows cannot identify {design.shape[1]} coefficients")
-    if not np.isfinite(design).all():
+    if not np.isfinite(_check_rows(design)).all():
         raise InvalidArgumentError("design contains non-finite entries")
     return design, response
 
@@ -215,6 +226,14 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
+def _unit_diagonal(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gram * d * d', d), d = 1 / sqrt(diag(gram)) where that is positive and
+    1 elsewhere: a zero or non-finite diagonal entry still fails _pivots_pass."""
+    diag = gram.diagonal()
+    d = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+    return gram * d * d[:, None], d
+
+
 def _pivots_pass(gram: np.ndarray) -> bool:
     """True if Cholesky shows gram positive definite with every pivot above
     sqrt(RANK_RCOND) times the largest."""
@@ -230,11 +249,9 @@ def _gram_solver(design: np.ndarray, w: np.ndarray | None):
     from the inverse of the weighted Gram matrix scaled to unit diagonal,
     which is the Gram matrix of the column-equilibrated weighted design; or
     None if that matrix is not finite or fails _pivots_pass.  Called under
-    the errstate of _wls."""
+    the errstate of RespondentDesign._fit."""
     wx = design.T if w is None else design.T * w
-    gram = wx @ design
-    d = 1.0 / np.sqrt(gram.diagonal())
-    gram = gram * d * d[:, None]
+    gram, d = _unit_diagonal(wx @ design)
     if not _pivots_pass(gram):
         return None
     try:
@@ -251,11 +268,10 @@ def _lstsq_solver(design: np.ndarray, w: np.ndarray | None):
     return lambda r: _equilibrated_lstsq(xs, r * sw)
 
 
-def _wls(
-    design: np.ndarray, response: np.ndarray, unit_weights: np.ndarray | None
-) -> tuple[np.ndarray, int]:
-    """Weighted least squares on a finite design and response (RespondentDesign
-    checks them).  Returns (coefficients, passes), passes counting solves.
+def _wls(design: np.ndarray, response: np.ndarray, w: np.ndarray | None) -> tuple[np.ndarray, int]:
+    """Weighted least squares, row i weighted by w[i] (1 if w is None):
+    (coefficients, passes), passes counting solves.  It checks nothing; its
+    caller RespondentDesign._fit owns the checks and the errstate.
 
     Each pass solves on the Gram matrix of the column-equilibrated weighted
     design (_gram_solver) when it passes the Cholesky test of _newton_step;
@@ -265,31 +281,18 @@ def _wls(
     corrected semi-normal-equations steps on its residual (Bjorck, Linear
     Algebra Appl. 88/89, 1987) until one moves the fit x'beta by at most
     FIT_STEP_RTOL max |x'beta|: the next correction would then be at
-    rounding level (NonconvergenceError after IRLS_MAX_ITER solves).  The
-    whole solve runs under one errstate, so a fit that overflows fails the
-    stop instead of printing a warning.
+    rounding level (NonconvergenceError after IRLS_MAX_ITER solves).
     """
-    n = design.shape[0]
-    w = None
-    if unit_weights is not None:
-        w = np.asarray(unit_weights, dtype=float)
-        if w.shape != (n,):
-            raise InvalidArgumentError("unit_weights length must match design rows")
-        if not np.isfinite(w).all() or (w < 0).any():
-            raise InvalidWeightError("unit weights must be finite and nonnegative")
-        if not (w > 0).any():
-            raise InvalidWeightError("all unit weights are zero")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        solve = _gram_solver(design, w) or _lstsq_solver(design, w)
-        beta = solve(response)
-        for passes in range(2, IRLS_MAX_ITER + 1):
-            step = solve(response - design @ beta)
-            beta = beta + step
-            level = np.abs(design @ beta).max()
-            if _settled(design @ step, FIT_STEP_RTOL * level):
-                return beta, passes
-            if not level < math.inf:
-                raise NonconvergenceError("least squares fit is not finite")
+    solve = _gram_solver(design, w) or _lstsq_solver(design, w)
+    beta = solve(response)
+    for passes in range(2, IRLS_MAX_ITER + 1):
+        step = solve(response - design @ beta)
+        beta = beta + step
+        level = np.abs(design @ beta).max()
+        if _settled(design @ step, FIT_STEP_RTOL * level):
+            return beta, passes
+        if not level < math.inf:
+            raise NonconvergenceError("least squares fit is not finite")
     raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} solves")
 
 
@@ -374,16 +377,15 @@ def fit_logistic_propensity(
 def _inv_linear_unconstrained(design: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, int]:
     """Solve the linear P_n[(T alpha'x - 1) x] = 0 by Newton steps from 0,
     stopped as _wls stops, on the respondent Gram matrix scaled to unit
-    diagonal as in _gram_solver (_equilibrated_lstsq checks its rank), so
-    a column rescaled by a power of two leaves alpha'x bit for bit as is."""
+    diagonal (_unit_diagonal; _equilibrated_lstsq checks its rank), so a
+    column rescaled by a power of two leaves alpha'x bit for bit as is."""
     t = (T == 1).astype(float)
     rows = design[T == 1]
     with np.errstate(over="ignore", invalid="ignore"):
         gram = rows.T @ rows
     if not np.isfinite(gram).all():
         raise InvalidArgumentError("moment Gram matrix is not finite")
-    d = 1.0 / np.sqrt(np.where(gram.diagonal() > 0, gram.diagonal(), 1.0))
-    gram = gram * d * d[:, None]
+    gram, d = _unit_diagonal(gram)
     alpha = np.zeros(design.shape[1])
     for iterations in range(1, IRLS_MAX_ITER + 1):
         q = t * (design @ alpha) - 1.0
@@ -447,25 +449,24 @@ class RespondentDesign:
         self.y = y / self.y_scale
 
     def _fit(
-        self, appended: np.ndarray | None = None, weight_pi: np.ndarray | None = None
+        self, column: np.ndarray | None = None, weights: np.ndarray | None = None
     ) -> OutcomeFit:
         """Least squares on respondents, with fitted values for every unit.
 
-        appended, if given, is added to the design as a last column (on the
-        respondent rows only); weight_pi, if given, weights respondent i by
-        1 / weight_pi[i].  Callers check their pi_hat first.
+        column, one finite value per unit, is appended as the last column;
+        weights, one finite positive weight per respondent, weight the rows.
+        Callers check both; _fit checks the rows of the stacked design, and
+        runs _wls and m_hat under one errstate (a non-finite beta fails).
         """
         rows = self.rows
-        if appended is not None:
-            rows, _ = _check_design(np.hstack([rows, appended[self.resp][:, None]]), self.y)
-        # _wls rejects an infinite weight, and a non-finite beta makes m_hat so
-        with np.errstate(over="ignore", invalid="ignore"):
-            weights = None if weight_pi is None else 1.0 / weight_pi[self.resp]
+        if column is not None:
+            rows = _check_rows(np.hstack([rows, column[self.resp][:, None]]))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             beta, iterations = _wls(rows, self.y, weights)
-            if appended is None:
+            if column is None:
                 m_hat = self.design @ beta
             else:
-                m_hat = self.design @ beta[:-1] + appended * beta[-1]
+                m_hat = self.design @ beta[:-1] + column * beta[-1]
             beta, m_hat = beta * self.y_scale, m_hat * self.y_scale
         if not np.isfinite(m_hat).all():
             raise NonconvergenceError("least squares fit is not finite")
@@ -487,28 +488,32 @@ def _unit_pi(design: RespondentDesign, pi_hat: np.ndarray) -> np.ndarray:
     return check_units(pi_hat, check_type(design, RespondentDesign, "design").resp, "pi_hat")
 
 
+def _inverse_pi(pi_hat: np.ndarray, units: str) -> np.ndarray:
+    """1 / pi_hat on the units pi_hat holds ("respondents" or "all units"), or
+    InvalidWeightError unless every inverse is finite and positive: a pi_hat
+    whose inverse overflows (5e-324) fails as one <= 0, NaN or inf does."""
+    with np.errstate(divide="ignore", over="ignore"):
+        inverse = 1.0 / pi_hat
+    if not ((inverse > 0) & (inverse < math.inf)).all():
+        raise InvalidWeightError(f"pi_hat must be finite and positive on {units}")
+    return inverse
+
+
 def fit_outcome_wls(design: RespondentDesign, pi_hat: np.ndarray) -> OutcomeFit:
     """Outcome regression on respondents, weighted by 1 / pi_hat."""
     pi_hat = _unit_pi(design, pi_hat)
-    pi_resp = pi_hat[design.resp]
-    if (pi_resp <= 0).any() or not np.isfinite(pi_resp).all():
-        raise InvalidWeightError("pi_hat must be finite and positive on respondents")
-    return design._fit(weight_pi=pi_hat)
+    return design._fit(weights=_inverse_pi(pi_hat[design.resp], "respondents"))
 
 
 def fit_outcome_ext_reg(design: RespondentDesign, pi_hat: np.ndarray) -> OutcomeFit:
     """Unweighted regression with 1 / pi_hat appended as a covariate.
 
-    pi_hat must be positive on all units because the appended column is
-    needed to predict for nonrespondents too.  A constant pi_hat makes
-    the appended column collinear with the intercept and the fit fails.
+    1 / pi_hat must be finite and positive on all units, because the
+    appended column predicts for nonrespondents too.  A constant pi_hat
+    makes it collinear with the intercept and the fit fails.
     """
     pi_hat = _unit_pi(design, pi_hat)
-    with np.errstate(divide="ignore", over="ignore"):
-        inv_pi = 1.0 / pi_hat
-    if not ((inv_pi > 0) & (inv_pi < math.inf)).all():
-        raise InvalidWeightError("pi_hat must be finite and positive on all units")
-    return design._fit(appended=inv_pi)
+    return design._fit(column=_inverse_pi(pi_hat, "all units"))
 
 
 def fit_outcome_ipw_nr(design: RespondentDesign, pi_hat: np.ndarray) -> OutcomeFit:
@@ -519,9 +524,9 @@ def fit_outcome_ipw_nr(design: RespondentDesign, pi_hat: np.ndarray) -> OutcomeF
     P_n[m_hat] equals P_n[T y + (1 - T) m_hat].
     """
     pi_hat = _unit_pi(design, pi_hat)
-    if (pi_hat <= 0).any() or (pi_hat >= 1).any() or not np.isfinite(pi_hat).all():
+    if not ((pi_hat > 0) & (pi_hat < 1)).all():
         raise InvalidWeightError("pi_hat must lie strictly inside (0, 1) on all units")
-    return design._fit(appended=pi_hat, weight_pi=pi_hat)
+    return design._fit(column=pi_hat, weights=_inverse_pi(pi_hat[design.resp], "respondents"))
 
 
 def _extension_root(gd, g0: float, d0: float) -> float:

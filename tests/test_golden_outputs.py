@@ -4,12 +4,13 @@ A change meant to leave every result as it is must leave these hashes as
 they are.  A change that alters output on purpose updates the hash here
 and says why in CHANGES.md.  The hashes were recorded with RECORDED_WITH
 on x86-64, at OpenBLAS's default thread count (one per core, two cores),
-on a CPU where numpy dispatches to the SIMD features RECORDED_SIMD;
-another BLAS, or another CPU class, may round differently and
-legitimately give other bytes: numpy's SIMD exp and power in the data
-generation, and the OpenBLAS kernel chosen for the CPU, both round their
-own way.  A failure message names the versions and the SIMD features of
-the run, so a host of another class reads as that.
+on a CPU where numpy dispatches to the SIMD features RECORDED_SIMD and
+OpenBLAS picks its RECORDED_BLAS_CORE kernel; another BLAS, or another
+CPU class, may round differently and legitimately give other bytes:
+numpy's SIMD exp and power in the data generation, and the OpenBLAS
+kernel chosen for the CPU, both round their own way.  A failure message
+names the versions, the SIMD features and the OpenBLAS kernel of the run,
+so a host of another class reads as that.
 Every fit is the package's own Newton-type solve on numpy's BLAS, and no
 output here depends on how many threads that BLAS runs: test_one_blas_thread
 pins it for each command at the default count and at one thread.
@@ -19,6 +20,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +36,8 @@ RECORDED_WITH = "numpy 2.4.6, scipy 1.17.1, scipy-openblas 0.3.31.188.0"
 # the dispatched SIMD features numpy found on the recording CPU, as
 # np.show_runtime() lists them under "found" (baseline X86_V2)
 RECORDED_SIMD = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+# the kernel OpenBLAS picked on the recording CPU, as OPENBLAS_VERBOSE=2 names it
+RECORDED_BLAS_CORE = "SkylakeX"
 
 Z_COLS = ["z1", "z2", "z3", "z4"]
 X_COLS = ["x1", "x2", "x3", "x4"]
@@ -85,25 +89,45 @@ def _simd() -> str:
     return " ".join(f for f in __cpu_dispatch__ if __cpu_features__[f]) or "none"
 
 
+def _blas_core(**env: str) -> str:
+    """The kernel OpenBLAS picks in a fresh interpreter run with this
+    process's environment updated by env: the name it prints on stderr as
+    "Core: <name>" at import under OPENBLAS_VERBOSE=2, or "unknown" when
+    nothing names one (MKL, Accelerate, a non-x86 build)."""
+    proc = subprocess.run([sys.executable, "-c", "import numpy"],
+                          env={**os.environ, "OPENBLAS_VERBOSE": "2", **env},
+                          capture_output=True, text=True, timeout=60)
+    found = re.search(r"^Core: (\S+)", proc.stderr, re.MULTILINE)
+    return found.group(1) if found else "unknown"
+
+
 def _mismatch(name: str, got: str) -> str:
     """The failure message of _check: what differs from the recording host."""
-    versions, simd = _versions(), _simd()
+    versions, simd, core = _versions(), _simd(), _blas_core()
     if versions != RECORDED_WITH:
         why = "other versions may legitimately round differently"
     elif simd != RECORDED_SIMD:
         why = ("this CPU is of another class than the recording one, and numpy's "
                "SIMD loops may legitimately round differently on it")
+    elif core != RECORDED_BLAS_CORE:
+        why = ("OpenBLAS picked another kernel than on the recording CPU, and it "
+               "may legitimately round differently")
     else:
-        why = ("on the recording versions and SIMD features the output changed, unless "
-               "OpenBLAS picked another kernel (OPENBLAS_VERBOSE=2 names it)")
+        why = "on the recording versions, SIMD features and kernel the output changed"
     return (f"{name}: sha256 {got}, recorded {GOLDEN[name]} with {RECORDED_WITH} where "
-            f"numpy found SIMD {RECORDED_SIMD}; this run has {versions} and numpy found "
-            f"SIMD {simd}: {why}.")
+            f"numpy found SIMD {RECORDED_SIMD} and OpenBLAS picked {RECORDED_BLAS_CORE}; "
+            f"this run has {versions}, numpy found SIMD {simd} and OpenBLAS picked "
+            f"{core}: {why}.")
 
 
 def _check(name: str, path) -> None:
     got = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == GOLDEN[name], _mismatch(name, got)
+
+
+def test_blas_core_probe_names_the_kernel():
+    # OPENBLAS_CORETYPE is set in the probe's interpreter only
+    assert _blas_core(OPENBLAS_CORETYPE="Haswell") == "Haswell"
 
 
 @pytest.fixture(scope="module")

@@ -90,16 +90,6 @@ class TestIdentityLink:
         with pytest.raises(SingularDesignError, match="rank"):
             linmod._wls(np.ones((2, 3)), np.array([1.0, 2.0]), None)
 
-    def test_negative_weight_raises(self):
-        design = np.ones((3, 1))
-        with pytest.raises(InvalidWeightError):
-            linmod._wls(design, np.array([1.0, 2.0, 3.0]), np.array([1.0, -1.0, 1.0]))
-
-    def test_all_zero_weights_raise(self):
-        design = np.ones((3, 1))
-        with pytest.raises(InvalidWeightError):
-            linmod._wls(design, np.array([1.0, 2.0, 3.0]), np.zeros(3))
-
     def test_nonfinite_response_raises(self):
         view = view_from(np.ones((3, 1)), np.ones(3, dtype=int), np.array([1.0, np.nan, 3.0]))
         with pytest.raises(InvalidArgumentError):

@@ -16,7 +16,8 @@ estimator.  So do per-unit arrays (and start coefficients) of the wrong
 shape (one entry short or long, a column, 2-d or 0-d) or of text,
 complex values or ragged lists, and scenario and sensitivity specs,
 views, samples and fits of another type are always rejected, as are the
-spellings of removed features.
+spellings of removed features.  A table pins the class and whole message
+of every pi_hat failure of the weighted fits and estimators.
 """
 
 import dataclasses
@@ -583,17 +584,18 @@ def test_composite_arguments_of_another_type_are_rejected(target):
 RESPONDENTS = "pi_hat must be finite and positive on respondents"
 ALL_UNITS = "pi_hat must be finite and positive on all units"
 INSIDE = "pi_hat must lie strictly inside (0, 1) on all units"
-UNIT_WEIGHTS = "unit weights must be finite and nonnegative"
 # (where, pi_hat there): the InvalidWeightError message of fit_outcome_wls,
 # fit_outcome_ext_reg, fit_outcome_ipw_nr and the four respondent-term
 # estimators mu_ht, mu_ipw_pop, mu_aipw and mu_b_dr, or None where the call
-# succeeds; 5e-324 is positive, but its inverse overflows
+# succeeds.  5e-324 is positive, but its inverse overflows: one rule on
+# 1 / pi_hat names it as it names 0, NaN and inf, where fit_outcome_wls and
+# fit_outcome_ipw_nr once said "unit weights must be finite and nonnegative"
 PI_FAILURES = {
     ("respondent", 0.0): (RESPONDENTS, ALL_UNITS, INSIDE, RESPONDENTS),
     ("respondent", -0.1): (RESPONDENTS, ALL_UNITS, INSIDE, RESPONDENTS),
     ("respondent", math.nan): (RESPONDENTS, ALL_UNITS, INSIDE, RESPONDENTS),
     ("respondent", math.inf): (RESPONDENTS, ALL_UNITS, INSIDE, RESPONDENTS),
-    ("respondent", 5e-324): (UNIT_WEIGHTS, ALL_UNITS, UNIT_WEIGHTS, RESPONDENTS),
+    ("respondent", 5e-324): (RESPONDENTS, ALL_UNITS, RESPONDENTS, RESPONDENTS),
     ("respondent", 1.0): (None, None, INSIDE, None),
     ("nonrespondent", 0.0): (None, ALL_UNITS, INSIDE, None),
     ("nonrespondent", -0.1): (None, ALL_UNITS, INSIDE, None),
