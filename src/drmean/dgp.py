@@ -13,7 +13,9 @@ the response draw), and normals come from the inverse CDF, so no
 rejection step can desynchronise the stream.  X is computed with numpy's
 exp and power, whose SIMD loops round their own way, so where numpy
 dispatches to other SIMD features (np.show_runtime() lists them) X can
-differ in the last bit; Z, Y, T and pi_true do not.
+differ in the last bit; Z, Y, T and pi_true do not.  A sample builds
+its designs [1, Z] and [1, X] once: its views share them, read-only, and
+each has its own copy of T and of the masked outcomes (make_view).
 
 The design is Kang & Schafer's (Statist. Sci. 22(4), 2007):
 
@@ -22,6 +24,7 @@ The design is Kang & Schafer's (Statist. Sci. 22(4), 2007):
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit, ndtri
@@ -34,7 +37,9 @@ MU_TRUE = 210.0  # the population mean of Y
 
 @dataclass
 class FullSample:
-    """One complete draw, including quantities hidden from the analyst."""
+    """One complete draw, including quantities hidden from the analyst,
+    and the read-only designs its views share (make_view), built from Z
+    and X on first read: write neither after that."""
 
     n: int
     Z: np.ndarray        # (n, 4) latent covariates
@@ -42,6 +47,10 @@ class FullSample:
     pi_true: np.ndarray  # (n,) true response probabilities, in (0, 1)
     T: np.ndarray        # (n,) response indicators, int, 0 or 1
     Y: np.ndarray        # (n,) complete outcomes
+
+    # [1, Z] and [1, X], built on first read; not fields, so not in ==, repr
+    design_z = cached_property(lambda self: _shared_design(self.Z))
+    design_x = cached_property(lambda self: _shared_design(self.X))
 
 
 @dataclass
@@ -97,7 +106,8 @@ def reverse_roles(sample: FullSample) -> FullSample:
     """Swap respondents and nonrespondents: T -> 1 - T, pi -> 1 - pi.
 
     Everything else (Z, X, Y) is shared with the input sample, so the
-    operation is an involution up to array identity.
+    operation is an involution up to array identity; the result builds its
+    own design_z and design_x from them on first use, with the same bits.
     """
     check_type(sample, FullSample, "sample")
     return FullSample(
@@ -122,41 +132,27 @@ def design_matrix(covariates: np.ndarray, columns) -> np.ndarray:
     )
 
 
-def make_view(
-    sample: FullSample,
-    pi_model_correct: bool,
-    m_model_correct: bool,
-    *,
-    _parts: dict | None = None,
-) -> AnalysisView:
+def _shared_design(covariates: np.ndarray) -> np.ndarray:
+    design = design_matrix(covariates, range(covariates.shape[1]))
+    design.flags.writeable = False
+    return design
+
+
+def make_view(sample: FullSample, pi_model_correct: bool, m_model_correct: bool) -> AnalysisView:
     """Build the analyst's view of a sample.
 
-    A correct model regresses on [1, Z]; a misspecified one on [1, X]
-    (design_matrix); each flag must be a boolean.
-    Outcomes are masked to NaN wherever T == 0.  Only the designs the view
-    uses are built.  mc passes the views of one sample a shared _parts
-    dict: they then share each design, the copy of T and the masked
-    outcomes, so a Pipeline memo, whose keys name the designs each entry
-    depends on, shares every fit on the designs they share, and equal the
-    views built without it.
+    A correct model regresses on [1, Z]; a misspecified one on [1, X];
+    each flag must be a boolean.  The designs are the sample's read-only
+    design_z and design_x, so the views of one sample, and the fits a
+    Pipeline memo keys by design, share them.  Each view has its own copy
+    of T and its own outcomes, masked to NaN wherever T == 0.
     """
     check_type(sample, FullSample, "sample")
     pi_model_correct = check_flag(pi_model_correct, "pi_model_correct")
     m_model_correct = check_flag(m_model_correct, "m_model_correct")
-    parts = {} if _parts is None else _parts
-
-    def design(correct: bool) -> np.ndarray:
-        if correct not in parts:
-            covariates = sample.Z if correct else sample.X
-            parts[correct] = design_matrix(covariates, range(covariates.shape[1]))
-        return parts[correct]
-
-    if "T" not in parts:
-        parts["T"] = sample.T.copy()
-        parts["y"] = np.where(sample.T == 1, sample.Y, np.nan)
     return AnalysisView(
-        design_pi=design(pi_model_correct),
-        design_m=design(m_model_correct),
-        T=parts["T"],
-        y_observed=parts["y"],
+        design_pi=sample.design_z if pi_model_correct else sample.design_x,
+        design_m=sample.design_z if m_model_correct else sample.design_x,
+        T=sample.T.copy(),
+        y_observed=np.where(sample.T == 1, sample.Y, np.nan),
     )

@@ -421,8 +421,10 @@ ESTIMATOR_NAMES = tuple(ESTIMATORS)
 
 def check_estimator_names(names) -> tuple[str, ...]:
     """names as a tuple; InvalidArgumentError if names is not a collection
-    of strings or one of them is unknown or repeated."""
+    of strings (a str is not) or one of them is unknown or repeated."""
     try:
+        if isinstance(names, (str, bytes)):
+            raise TypeError
         names = tuple(names)
     except TypeError:
         raise InvalidArgumentError("estimator names must be a collection of strings") from None

@@ -5,18 +5,18 @@ Replication r draws its own PCG64 seed from the scenario's base seed
 in isolation and worker processes need no shared stream.  Scenarios of
 one size, base seed and role reversal therefore draw the same sample in
 replication r, and one task evaluates them all on it: the sample is
-drawn once, each design [1, Z] or [1, X] is built once, and the
-scenarios share one Pipeline memo, whose every entry is keyed by the
-designs it depends on.  So each fit is computed once for the scenarios
-whose designs it reads: the propensity fit on Z or X with its respondent
-terms, the checked respondent rows of an outcome design with the
-unweighted outcome fit, and, for a (propensity, outcome) design pair,
-the fits and sums that need both.  run_scenarios puts the
-replications of all its scenarios into one task list, which K = workers
-processes, this one included, compute in interleaved shares (see
-_util.ordered_map), and reduces each scenario's results in replication
-order regardless of how many processes ran, which makes summaries
-bit-identical across worker counts.
+drawn once and builds each design [1, Z] or [1, X] once, every view of
+it shares them (dgp.make_view), and the scenarios share one Pipeline
+memo, whose every entry is keyed by the designs it depends on.  So each
+fit is computed once for the scenarios whose designs it reads: the
+propensity fit on Z or X with its respondent terms, the checked
+respondent rows of an outcome design with the unweighted outcome fit,
+and, for a (propensity, outcome) design pair, the fits and sums that
+need both.  run_scenarios puts the replications of all its scenarios
+into one task list, which K = workers processes, this one included,
+compute in interleaved shares (see _util.ordered_map), and reduces each
+scenario's results in replication order regardless of how many
+processes ran, which makes summaries bit-identical across worker counts.
 
 Failures are per estimator, not per replication: a replicate where only
 the weighted fits blow up still contributes its OLS and FULL values.
@@ -199,19 +199,19 @@ def _empty_summary(failures: int) -> EstimatorSummary:
 
 def _replicate(args: tuple[int, tuple[ScenarioSpec, ...]]) -> list[dict[str, float | None]]:
     """Replication r of a group of specs that share n, base_seed and
-    reverse: one result dict per spec, in order.  The specs' views share
-    their designs and one Pipeline memo, so each fit is made once for all
-    the specs whose designs it depends on."""
+    reverse: one result dict per spec, in order.  The sample builds each
+    design [1, Z] or [1, X] once, its views share them and the specs share
+    one Pipeline memo, so each fit is made once for all the specs whose
+    designs it depends on."""
     r, specs = args
     first = specs[0]
     sample = generate_sample(first.n, derive_seed(first.base_seed, r))
     if first.reverse:
         sample = reverse_roles(sample)
-    parts: dict = {}
     memo: dict = {}
     out = []
     for spec in specs:
-        view = make_view(sample, spec.pi_model_correct, spec.m_model_correct, _parts=parts)
+        view = make_view(sample, spec.pi_model_correct, spec.m_model_correct)
         result = estimate_all(view, sample, spec.estimators, _memo=memo)
         out.append({
             name: (None if result.flags[name] == FLAG_FAILED else result.values[name])

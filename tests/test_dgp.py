@@ -154,6 +154,10 @@ class TestReverseRoles:
         assert r.Z is sample_1000.Z
         assert r.X is sample_1000.X
         assert r.Y is sample_1000.Y
+        # its designs are its own, built from the shared Z and X with the same bits
+        for name in ("design_z", "design_x"):
+            got, want = getattr(r, name), getattr(sample_1000, name)
+            assert got is not want and np.array_equal(got, want)
 
 
 class TestMakeView:
@@ -174,23 +178,25 @@ class TestMakeView:
         assert np.array_equal(v.design_pi[:, 1:], sample_1000.Z)
         assert np.array_equal(v.design_m[:, 1:], sample_1000.X)
 
-    def test_shared_parts_build_each_array_once(self, sample_1000):
-        # the views of one sample share their designs, T and masked y, and
-        # equal the views built alone
-        parts = {}
+    def test_views_share_the_sample_designs(self, sample_1000):
+        # the four views of one sample share its read-only design_z and
+        # design_x, and each has its own writable T and masked y
         views = {
-            (p, m): dgp.make_view(sample_1000, p, m, _parts=parts)
+            (p, m): dgp.make_view(sample_1000, p, m)
             for p in (True, False) for m in (True, False)
         }
-        assert len(parts) == 4  # [1, Z], [1, X], T, y
+        z, x = sample_1000.design_z, sample_1000.design_x
+        for design, covariates in ((z, sample_1000.Z), (x, sample_1000.X)):
+            assert design.flags.c_contiguous and not design.flags.writeable
+            assert np.array_equal(design, dgp.design_matrix(covariates, range(4)))
         for (p, m), view in views.items():
-            alone = dgp.make_view(sample_1000, p, m)
-            for name in ("design_pi", "design_m", "T", "y_observed"):
-                got, want = getattr(view, name), getattr(alone, name)
-                assert got.flags.c_contiguous and want.flags.c_contiguous
-                assert np.array_equal(got, want, equal_nan=True), name
-            assert view.design_pi is views[(p, not m)].design_pi
-            assert view.T is views[(True, True)].T
+            assert view.design_pi is (z if p else x)
+            assert view.design_m is (z if m else x)
+            for name, source in (("T", sample_1000.T), ("y_observed", sample_1000.Y)):
+                own = getattr(view, name)
+                assert own.flags.writeable and not np.shares_memory(own, source)
+                assert all(own is not getattr(other, name)
+                           for other in views.values() if other is not view)
 
     def test_outcomes_masked_to_nan(self, sample_1000, right_view):
         resp = sample_1000.T == 1

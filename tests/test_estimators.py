@@ -290,8 +290,8 @@ class TestEstimateAll:
     def test_late_diagnostics_equal_the_eager_value(self, sample_1000):
         # read only after the four scenarios of one memo ran, each result's
         # diagnostics equal those taken at once from its own fit
-        parts, memo = {}, {}
-        views = [make_view(sample_1000, p, m, _parts=parts)
+        memo = {}
+        views = [make_view(sample_1000, p, m)
                  for p in (True, False) for m in (True, False)]
         results = [est.estimate_all(view, sample_1000, _memo=memo) for view in views]
         for view, out in zip(views, results):
@@ -472,10 +472,10 @@ class TestOneDefinition:
             return fsum(terms)
 
         monkeypatch.setattr(est, "_fsum", spy)
-        parts, memo = {}, {}
+        memo = {}
         for pi_ok in (True, False):
             for m_ok in (True, False):
-                view = make_view(sample_1000, pi_ok, m_ok, _parts=parts)
+                view = make_view(sample_1000, pi_ok, m_ok)
                 out = est.estimate_all(view, sample_1000, _memo=memo)
                 assert out.values["FULL"] == want
         assert full_sums.count(True) == 1
@@ -533,8 +533,11 @@ class TestOneDefinition:
 
     def test_memo_keeps_its_designs_alive(self, sample_1000):
         # a memo entry keeps the arrays its key names, so their ids cannot
-        # be reused by other arrays while the memo lives
+        # be reused by other arrays while the memo lives; the designs are
+        # copies, since the sample keeps the ones make_view hands out
         view = make_view(sample_1000, False, True)
+        view = dataclasses.replace(view, design_pi=view.design_pi.copy(),
+                                   design_m=view.design_m.copy())
         refs = [weakref.ref(view.design_pi), weakref.ref(view.design_m)]
         memo = {}
         est.estimate_all(view, None, ("HT",), _memo=memo)

@@ -16,7 +16,7 @@ numpy.linalg, and linmod calls them through its own helpers, never
 through np.linalg.cholesky, inv or solve.
 No public function or method takes a parameter whose name starts with an
 underscore, a second path through a public call for an internal caller,
-except the four that the bench tracer still reaches (PRIVATE_PARAMETERS).
+except the three that the bench tracer still reaches (PRIVATE_PARAMETERS).
 """
 
 import ast
@@ -251,9 +251,9 @@ def test_the_scan_finds_lapack_names(tmp_path):
     ]
 
 
-# the private forks bench/layers.py still wraps or reads (ROADMAP W and X)
+# the private forks bench/layers.py still wraps or reads: W's estimate_all
+# _memo and X's build_matrix _sample and homogeneity_test _draws (ROADMAP)
 PRIVATE_PARAMETERS = [
-    ("src/drmean/dgp.py", "make_view", "_parts"),
     ("src/drmean/estimators.py", "estimate_all", "_memo"),
     ("src/drmean/sensitivity.py", "build_matrix", "_sample"),
     ("src/drmean/sensitivity.py", "homogeneity_test", "_draws"),

@@ -15,8 +15,8 @@ anything else for a flag, and a scenario never runs without an
 estimator.  So do per-unit arrays (and start coefficients) of the wrong
 shape (one entry short or long, a column, 2-d or 0-d) or of text,
 complex values or ragged lists, and scenario and sensitivity specs,
-views, samples and fits of another type are always rejected, as are the
-spellings of removed features.  A table pins the class and whole message
+views, samples and fits of another type are always rejected, as are a
+bare string of estimator names and the spellings of removed features.  A table pins the class and whole message
 of every pi_hat failure of the weighted fits and estimators.
 """
 
@@ -553,6 +553,20 @@ def test_unchecked_inputs_raise_invalid_argument(target):
     with warnings.catch_warnings(), pytest.raises(error, match=message):
         warnings.simplefilter("error")
         calls[target]()
+
+
+@pytest.mark.parametrize("call", ["estimate_all", "ScenarioSpec"])
+@pytest.mark.parametrize("names", ["OLS", "HT", b"OLS"])
+def test_bare_string_names_are_not_a_collection(call, names):
+    # "OLS" was split into the unknown names O, L and S, and b"OLS" into 79,
+    # 76 and 83
+    sample = drmean.generate_sample(20, 1)
+    view = drmean.make_view(sample, True, True)
+    calls = {"estimate_all": lambda: drmean.estimate_all(view, sample, names),
+             "ScenarioSpec": lambda: drmean.ScenarioSpec(**{**SPEC, "estimators": names})}
+    with pytest.raises(InvalidArgumentError,
+                       match="^estimator names must be a collection of strings$"):
+        calls[call]()
 
 
 @pytest.mark.parametrize("target", ["RespondentDesign", "estimate_all", "estimate_all full",
