@@ -1,5 +1,7 @@
-"""Shared helpers: argument checks, seed derivation, exact sums and means,
-the JSON null of an undefined value and an ordered map over processes."""
+"""Shared helpers: argument checks, seed derivation, exact sums and means
+(a certified error-free vector extraction, math.fsum where it cannot
+certify: see exact_sum), the JSON null of an undefined value and an
+ordered map over processes."""
 
 import math
 import multiprocessing
@@ -137,13 +139,56 @@ def derive_seed(base_seed: int, index: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+#: The shortest array exact_sum sums by extraction.  Below it one math.fsum
+#: is as fast or faster: on a 2-core AVX-512 host, fsum takes about 3.5 us
+#: at 200 terms, 9 us at 500 and 16 us at 1000, the extraction 6 to 8 us at
+#: each of these lengths; the two meet near 300 terms.
+EXTRACT_MIN_TERMS = 384
+
+
 def exact_sum(a) -> float:
-    """The correctly rounded sum of a 1-d float array (a strided view too),
-    by math.fsum over its buffer: the same double as math.fsum(a.tolist()),
-    without a list of Python floats first.  OverflowError if it overflows,
-    ValueError for inf - inf, as math.fsum raises them.  Every exact sum of
-    the package is taken here."""
-    return math.fsum(memoryview(np.asarray(a, dtype=float)))
+    """The correctly rounded sum of a 1-d float array (a strided view too):
+    the same double as math.fsum(a.tolist()).  Every exact sum of the
+    package is taken here.
+
+    An array of at least EXTRACT_MIN_TERMS terms is summed by error-free
+    vector extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1),
+    2008, Lemma 3.3) in a few whole-array numpy operations.  With
+    mu = max|a| < 2**e and sigma = 2**(M + e), 2**M > n, q = (a + sigma) -
+    sigma takes the high part of each term: q is a multiple of
+    sigma * 2**-53, so tau = sum(q) is exact in any order, and a - q is
+    exact too.  rho = sum(a - q) in numpy's order is off by at most
+    B = 2**(2M - 104) * sigma.  s = tau + rho is returned only when that
+    certifies it: s is nonzero, and the rounding error of tau + rho (by
+    TwoSum) plus B is below half the gap from s to its nearer neighbour,
+    so the true sum rounds to s.  Everything else, short or non-1-d input,
+    mu outside (2**-800, 2**800) (NaN and inf included) and an uncertified
+    s, is one math.fsum over the array's buffer (Shewchuk, Discrete
+    Comput. Geom. 18, 1997), which raises OverflowError if the sum
+    overflows and ValueError for inf - inf.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.size
+    if a.ndim == 1 and n >= EXTRACT_MIN_TERMS:
+        mu = float(np.maximum.reduce(np.abs(a)))
+        # in this range no sum below overflows, nor B underflows
+        if 2.0**-800 < mu < 2.0**800:
+            m = n.bit_length()
+            sigma = math.ldexp(1.0, m + math.frexp(mu)[1])
+            q = a + sigma
+            q -= sigma
+            tau = float(np.add.reduce(q))
+            rho = float(np.add.reduce(a - q))
+            s = tau + rho
+            if s:
+                z = s - tau
+                error = (tau - (s - z)) + (rho - z)
+                gap = math.ulp(s)  # the gap above |s|; half that below a power of two
+                if abs(math.frexp(s)[0]) == 0.5:
+                    gap *= 0.5
+                if abs(error) + math.ldexp(sigma, 2 * m - 104) < 0.5 * gap:
+                    return s
+    return math.fsum(memoryview(a))
 
 
 def fsum_col_means(matrix: np.ndarray) -> np.ndarray:

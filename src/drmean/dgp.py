@@ -39,7 +39,9 @@ MU_TRUE = 210.0  # the population mean of Y
 class FullSample:
     """One complete draw, including quantities hidden from the analyst,
     and the read-only designs its views share (make_view), built from Z
-    and X on first read: write neither after that."""
+    and X on first read.  generate_sample (and so reverse_roles) returns
+    Z and X read-only, so no write can leave those designs stale: it
+    raises ValueError."""
 
     n: int
     Z: np.ndarray        # (n, 4) latent covariates
@@ -99,6 +101,7 @@ def generate_sample(n: int, seed: int) -> FullSample:
     pi_true = expit(Z @ np.array([-1.0, 0.5, -0.25, -0.1]))
     T = (u[:, 5] < pi_true).astype(np.int64)
     X = transform_covariates(Z)
+    Z.flags.writeable = X.flags.writeable = False  # the designs are built from them
     return FullSample(n=n, Z=Z, X=X, pi_true=pi_true, T=T, Y=Y)
 
 
@@ -107,7 +110,8 @@ def reverse_roles(sample: FullSample) -> FullSample:
 
     Everything else (Z, X, Y) is shared with the input sample, so the
     operation is an involution up to array identity; the result builds its
-    own design_z and design_x from them on first use, with the same bits.
+    own design_z and design_x from the shared read-only Z and X on first
+    use, with the same bits.
     """
     check_type(sample, FullSample, "sample")
     return FullSample(

@@ -32,9 +32,12 @@ Pipelines on one sample that share a memo share every fit and sum whose
 inputs they share: mc shares one between the scenarios of a replication,
 sensitivity between the cells of one sample.
 
-Every exact sum is _util.exact_sum: math.fsum read straight from the
-array's buffer.  fsum rounds correctly (Shewchuk, Discrete Comput. Geom.
-18, 1997), so its result is the one double nearest the true sum of the
+Every exact sum is _util.exact_sum: an error-free vector extraction,
+certified correctly rounded (Rump, Ogita & Oishi, SIAM J. Sci. Comput.
+31(1), 2008), for arrays of at least _util.EXTRACT_MIN_TERMS terms, and
+math.fsum read straight from the array's buffer (Shewchuk, Discrete
+Comput. Geom. 18, 1997) for the rest and wherever the certificate fails.
+Either way the result is the one double nearest the true sum of the
 terms, whatever route the terms take to it.
 
 The three plug-in doubly robust forms (DR_WLS, DR_IPW_NR, DR_EXT_REG)
@@ -124,6 +127,15 @@ class _Fitted:
         return _fsum(self.m_hat)
 
 
+def _given_fitted(m_hat: np.ndarray) -> _Fitted:
+    """m_hat from a caller of the public mu_* functions; InvalidArgumentError
+    "m_hat contains non-finite values" unless every entry is finite, as the
+    fits guarantee of their own."""
+    if not np.isfinite(m_hat).all():
+        raise InvalidArgumentError("m_hat contains non-finite values")
+    return _Fitted(m_hat)
+
+
 # Each estimator's formula, written once: the public mu_* functions and
 # ESTIMATORS both evaluate these on _Respondents and _Fitted terms.
 
@@ -164,7 +176,7 @@ def mu_ipw_pop(pi_hat, T, Y) -> float:
 
 def mu_aipw(pi_hat, m_hat, T, Y) -> float:
     """Augmented IPW: P_n[m_hat] + P_n[T (y - m_hat) / pi_hat]."""
-    r, f = _Respondents(pi_hat, T, Y), _Fitted(check_units(m_hat, T, "m_hat"))
+    r, f = _Respondents(pi_hat, T, Y), _given_fitted(check_units(m_hat, T, "m_hat"))
     return _aipw(r, f, r.residual_sum(f))
 
 
@@ -175,13 +187,13 @@ def mu_b_dr(pi_hat, m_hat, T, Y) -> float:
     can never leave [min m_hat, max m_hat] by more than the largest
     absolute residual.
     """
-    r, f = _Respondents(pi_hat, T, Y), _Fitted(check_units(m_hat, T, "m_hat"))
+    r, f = _Respondents(pi_hat, T, Y), _given_fitted(check_units(m_hat, T, "m_hat"))
     return _b_dr(r, f, r.residual_sum(f))
 
 
 def mu_from_regression(m_hat) -> float:
     """Plug-in mean of fitted values: P_n[m_hat]."""
-    return _plug_in(_Fitted(check_vector(m_hat, "m_hat")))
+    return _plug_in(_given_fitted(check_vector(m_hat, "m_hat")))
 
 
 def mu_full(Y) -> float:

@@ -198,6 +198,19 @@ class TestMakeView:
                 assert all(own is not getattr(other, name)
                            for other in views.values() if other is not view)
 
+    def test_covariates_are_read_only(self):
+        # a write to Z or X after a view was built would leave the sample's
+        # cached designs stale for every later view; it raises instead
+        sample = dgp.generate_sample(50, 1)
+        dgp.make_view(sample, True, True)
+        for s in (sample, dgp.reverse_roles(sample)):
+            for name in ("Z", "X"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(s, name)[0, 0] += 1
+        view = dgp.make_view(sample, True, False)
+        assert np.array_equal(view.design_pi[:, 1:], sample.Z)
+        assert np.array_equal(view.design_m[:, 1:], sample.X)
+
     def test_outcomes_masked_to_nan(self, sample_1000, right_view):
         resp = sample_1000.T == 1
         assert np.array_equal(right_view.y_observed[resp], sample_1000.Y[resp])

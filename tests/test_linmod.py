@@ -205,20 +205,16 @@ class TestLogisticPropensity:
             linmod.fit_logistic_propensity(right_view.design_pi, right_view.T, start)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_fit_needs_no_exact_sum(self, monkeypatch, seed):
+    def test_fit_needs_no_exact_sum(self, exact_sums, seed):
         # the logistic fit and the four outcome fits on the raw-scale X
-        # design stop on numpy mat-vecs alone: every exact sum of the
-        # package is a math.fsum, and none runs
+        # design stop on numpy mat-vecs alone: no exact sum runs
         view = make_view(generate_sample(1000, seed), True, False)
-        calls = []
-        exact = math.fsum
-        monkeypatch.setattr(math, "fsum", lambda a: calls.append(len(a)) or exact(a))
         pi_hat = linmod.fit_logistic_propensity(view.design_pi, view.T).pi_hat
         linmod.fit_outcome_reg(RespondentDesign(view))
         for fit in (linmod.fit_outcome_wls, linmod.fit_outcome_ext_reg,
                     linmod.fit_outcome_ipw_nr):
             fit(RespondentDesign(view), pi_hat)
-        assert calls == []
+        assert exact_sums == []
 
 
 @pytest.fixture(scope="module")

@@ -662,3 +662,30 @@ def test_pi_hat_failure_table(monkeypatch, pi_case, where, value):
     messages = drmean.estimate_all(view, sample).messages
     assert messages == {name: f"InvalidWeightError: {message}"
                         for name, (message, _) in calls.items() if message is not None}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["respondent", "nonrespondent"])
+def test_non_finite_m_hat_is_an_invalid_argument(pi_case, where, value):
+    # each public estimator that reads m_hat names a NaN or inf in it, as
+    # check_observed names one in Y, where the exact sum of the fitted values
+    # once reported UndefinedEstimatorError "an exact sum overflows"
+    sample, view, fit, m_hat = pi_case
+    m_hat = m_hat.copy()
+    m_hat[np.flatnonzero(view.T == (where == "respondent"))[0]] = value
+    T, y = view.T, view.y_observed
+    calls = {
+        "mu_from_regression": lambda: drmean.mu_from_regression(m_hat),
+        "mu_aipw": lambda: drmean.mu_aipw(fit.pi_hat, m_hat, T, y),
+        "mu_b_dr": lambda: drmean.mu_b_dr(fit.pi_hat, m_hat, T, y),
+    }
+    for name, f in calls.items():
+        with pytest.raises(InvalidArgumentError) as info:
+            f()
+        assert type(info.value) is InvalidArgumentError, name
+        assert str(info.value) == "m_hat contains non-finite values", name
+
+
+def test_the_non_finite_m_hat_probe():
+    with pytest.raises(InvalidArgumentError, match="^m_hat contains non-finite values$"):
+        drmean.mu_from_regression(np.array([1.0, np.nan]))

@@ -109,6 +109,27 @@ def fsum_outcome(fsum, a):
         return type(exc)
 
 
+@st.composite
+def long_arrays(draw):
+    """Float arrays of EXTRACT_MIN_TERMS - 64 to 3000 terms: normal terms
+    scaled by 10**k for |k| <= 300, terms of independent magnitudes, or
+    terms and their negatives (a zero total) with a drawn remainder; a few
+    drawn floats (inf and NaN among them) may overwrite the first terms."""
+    n = draw(st.integers(_util.EXTRACT_MIN_TERMS - 64, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["scaled", "mixed", "cancelling"]))
+    if kind == "scaled":
+        a = rng.normal(size=n) * 10.0 ** draw(st.integers(-300, 300))
+    elif kind == "mixed":
+        a = rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, size=n)
+    else:
+        half = rng.normal(size=n // 2) * 10.0 ** draw(st.integers(-300, 300))
+        a = np.concatenate([half, -half[::-1], [draw(st.floats(-1e6, 1e6))]])
+    head = draw(st.lists(st.floats(), max_size=3))
+    a[: len(head)] = head
+    return a
+
+
 class TestFsumReductions:
     def test_fsum_col_means_matches_per_column(self):
         rng = np.random.default_rng(4)
@@ -136,6 +157,51 @@ class TestFsumReductions:
         for view in views:
             want = fsum_outcome(math.fsum, view.tolist())
             assert fsum_outcome(_util.exact_sum, view) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(long_arrays())
+    @example(np.array([1.5, -1.5] * 300))  # exact cancellation: 0.0 falls back
+    @example(np.array([-0.0] * 500))
+    @example(np.array([2.0**53, 1.0, 2.0**-60] + [0.0] * 500))  # just above a tie
+    @example(np.array([2.0**53, 1.0, -(2.0**-60)] + [0.0] * 500))  # just below one
+    @example(np.array([2.0**53, 1.0] + [0.0] * 500))  # a tie, to even
+    @example(np.array([2.0**53, -0.5, -(2.0**-60)] + [0.0] * 500))  # below a power of two
+    @example(np.array([1.0] * 1023 + [1.0 - 0.6 * 2.0**-43]))  # just below 1024
+    @example(np.array([2.0**-900] * 600))
+    @example(np.array([2.0**900, -(2.0**900)] * 300 + [1.0]))
+    @example(np.array([1e308, 1e308, -1e308, -1e308] * 150))  # overflows on the way
+    @example(np.array([math.inf, -math.inf] * 300))
+    @example(np.array([1.0] * 600 + [math.nan]))
+    def test_long_sums_are_fsum_of_the_list(self, a):
+        # at lengths either side of EXTRACT_MIN_TERMS: the same double as
+        # math.fsum of the Python floats, or the same exception, for the
+        # array, its reverse and a strided view
+        for view in (a, a[::-1], a[::2], a[1::3]):
+            want = fsum_outcome(math.fsum, view.tolist())
+            assert fsum_outcome(_util.exact_sum, view) == want
+
+    @pytest.mark.parametrize("a, error", [
+        (np.asarray(1.0), TypeError),
+        (np.ones((2, 3)), NotImplementedError),
+        (np.ones((_util.EXTRACT_MIN_TERMS, 2)), NotImplementedError),
+        (np.ones((2, _util.EXTRACT_MIN_TERMS)).T, NotImplementedError),
+    ], ids=["0-d", "2-d", "2-d long", "2-d transposed"])
+    def test_other_shapes_raise_what_fsum_raises(self, a, error):
+        with pytest.raises(error):
+            _util.exact_sum(a)
+
+    def test_a_group_replication_sums_by_extraction(self, exact_sums):
+        # the sums of the paper's four scenarios at n=1000 (respondent and
+        # fitted-value sums of about 500 and 1000 terms) are long enough to
+        # extract, and at most 1 % of them fall back to math.fsum: near a
+        # tie, or where the terms cancel
+        specs = tuple(mc.ScenarioSpec(1000, 10, pi_ok, m_ok)
+                      for pi_ok in (True, False) for m_ok in (True, False))
+        for r in range(10):
+            mc._replicate((r, specs))
+        assert len(exact_sums) == 310
+        assert min(terms for terms, _ in exact_sums) >= _util.EXTRACT_MIN_TERMS
+        assert sum(extracted for _, extracted in exact_sums) >= 0.99 * len(exact_sums)
 
     def test_an_overflowing_sum_is_named_by_its_caller(self):
         huge = np.array([1e308, 1e308])
