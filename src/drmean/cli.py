@@ -391,7 +391,7 @@ def load_sensitivity_config(path: str, names: list[str]) -> tuple[dict, dict]:
         specs = []
         for k, spec in enumerate(models):
             _require(isinstance(spec, dict), f"{key}[{k}] must be an object")
-            _no_unknown_keys(spec, {"covariates", "kind"}, f"{key}[{k}]")
+            _no_unknown_keys(spec, {"covariates"}, f"{key}[{k}]")
             cols = spec.get("covariates")
             _require(
                 isinstance(cols, list) and cols and all(isinstance(c, str) for c in cols),
@@ -399,16 +399,7 @@ def load_sensitivity_config(path: str, names: list[str]) -> tuple[dict, dict]:
             )
             missing = [c for c in cols if c not in names]
             _require(not missing, f"{key}[{k}]: unknown column(s) {', '.join(missing)}")
-            try:
-                specs.append(
-                    ModelSpec(
-                        role=role,
-                        covariates=tuple(names.index(c) for c in cols),
-                        kind=spec.get("kind"),
-                    )
-                )
-            except InvalidArgumentError as exc:
-                raise ConfigError(f"{key}[{k}]: {exc}") from None
+            specs.append(ModelSpec(role, tuple(names.index(c) for c in cols)))
         return tuple(specs)
 
     kwargs = {key: raw[key] for key in ("estimator", "boot_reps", "seed") if key in raw}

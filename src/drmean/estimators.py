@@ -66,10 +66,11 @@ FLAG_OK = "ok"
 FLAG_OUT_OF_RANGE = "out_of_observed_range"
 FLAG_FAILED = "fit_failed"
 
-# mu_ols_identities_check: random coefficient draws, their seed, and the tolerance
+# mu_ols_identities_check: random coefficient draws, their seed, and the
+# tolerance per unit of _pow2(max |y|) on respondents (1e-8 for y in [2^8, 2^9))
 IDENTITIES_ALPHAS = 3
 IDENTITIES_SEED = 0
-IDENTITIES_TOL = 1e-8
+IDENTITIES_TOL = 1e-8 / 2**8
 
 
 def _fsum(terms: np.ndarray) -> float:
@@ -240,21 +241,20 @@ class Pipeline:
     """Lazy, memoised model fits and respondent terms shared across the
     requested estimators.
 
-    kind names the propensity model: LOGISTIC_MLE, whose fit starts from
-    the coefficients pi_start, if given, or INV_LINEAR_UNCONSTRAINED.
-    Beside the fits, memo holds the checked respondent terms of the base
-    and of the extended propensity fit (respondents), the sum of each
-    outcome fit's fitted values (fitted), each residual correction sum
-    (residual_sum), the base fit's weight diagnostics and the mean of
-    the complete outcomes (full_mean).  A failure is memoised as well,
-    and re-raised with its class and message to every estimator that
-    needs it.
+    The propensity model is the logistic fit, started from the
+    coefficients pi_start if given.  Beside the fits, memo holds the
+    checked respondent terms of the base and of the extended propensity
+    fit (respondents), the sum of each outcome fit's fitted values
+    (fitted), each residual correction sum (residual_sum), the base fit's
+    weight diagnostics and the mean of the complete outcomes (full_mean).
+    A failure is memoised as well, and re-raised with its class and
+    message to every estimator that needs it.
 
     Each entry's key names the inputs it depends on, by the identity of
     the arrays the pipeline is handed: the pi part (id(design_pi),
-    kind.value, id(pi_start)) for the propensity fit, its respondents and
-    diagnostics; the m part id(design_m) for the respondent design and the
-    unweighted fit "REG"; id(full.Y) for full_mean; both parts for the rest.
+    id(pi_start)) for the propensity fit, its respondents and diagnostics;
+    the m part id(design_m) for the respondent design and the unweighted
+    fit "REG"; id(full.Y) for full_mean; both parts for the rest.
     Pipelines on one sample (one T and y) may share one memo, and then
     every entry whose inputs they share.  memo["arrays"] keeps the arrays
     that keys name alive, so no id is reused while the memo lives.
@@ -268,13 +268,11 @@ class Pipeline:
         self,
         view: AnalysisView,
         full: FullSample | None = None,
-        kind: linmod.PropensityKind = linmod.PropensityKind.LOGISTIC_MLE,
         pi_start: np.ndarray | None = None,
         memo: dict | None = None,
     ):
         self.view = view
         self.full = full
-        self.kind = kind
         self.pi_start = pi_start
         self.T = as_array(view.T, "T", None)
         self.y = as_array(view.y_observed, "y_observed")
@@ -282,8 +280,7 @@ class Pipeline:
         y_full = None if full is None else full.Y
         self._memo.setdefault("arrays", []).append(
             (view.design_pi, view.design_m, pi_start, y_full))
-        # kind.value: a str hashes in C, an Enum member through Python code
-        self._pi = (id(view.design_pi), kind.value, id(pi_start))
+        self._pi = (id(view.design_pi), id(pi_start))
         self._m = id(view.design_m)
         self._both = (self._pi, self._m)
 
@@ -304,12 +301,8 @@ class Pipeline:
 
     def propensity(self) -> linmod.PropensityFit:
         def build():
-            design, T = self.view.design_pi, self.view.T
-            if self.kind is linmod.PropensityKind.LOGISTIC_MLE:
-                return linmod.fit_logistic_propensity(design, T, start=self.pi_start)
-            if self.kind is linmod.PropensityKind.INV_LINEAR_UNCONSTRAINED:
-                return linmod.fit_inverse_linear(design, T)
-            raise InvalidArgumentError(f"unknown propensity kind {self.kind}")
+            return linmod.fit_logistic_propensity(
+                self.view.design_pi, self.view.T, start=self.pi_start)
 
         return self._get((self._pi, "pi"), build)
 
@@ -346,13 +339,11 @@ class Pipeline:
         """Logistic fit extended along the centred unweighted regression.
 
         Like every weighted estimator's fits, it asks for propensity()
-        first, then checks that the model is logistic, then fits "REG":
-        when several fail, the propensity failure is the one reported."""
+        first, then fits "REG": when both fail, the propensity failure is
+        the one reported."""
 
         def build():
             base = self.propensity()
-            if self.kind is not linmod.PropensityKind.LOGISTIC_MLE:
-                raise InvalidArgumentError("B_DR_EXT requires a logistic propensity model")
             reg = self.fitted("REG")
             h = reg.m_hat - _plug_in(reg)
             return linmod.fit_extended_propensity(base, h, self.view.T)
@@ -522,7 +513,9 @@ def mu_ols_identities_check(view: AnalysisView) -> IdentitiesReport:
     weighted mean sum(T a'x y) / sum(T a'x) at the fitted alpha, and (b)
     the respondent residuals of the outcome fit are orthogonal to a'x
     for IDENTITIES_ALPHAS random coefficient draws (PCG64 seeded with
-    IDENTITIES_SEED), each to within IDENTITIES_TOL.  Returns a report
+    IDENTITIES_SEED), each to within IDENTITIES_TOL times the power of two
+    p with p <= max |y| < 2p on respondents: the report's values are in
+    y's units, and the verdict does not depend on them.  Returns a report
     instead of raising when the moment system is singular, since the
     check is advisory.
     """
@@ -556,7 +549,8 @@ def mu_ols_identities_check(view: AnalysisView) -> IdentitiesReport:
             for _ in range(IDENTITIES_ALPHAS)
         ]
     diff = abs(mu_ols - bounded_ht)
-    passed = diff <= IDENTITIES_TOL and all(r <= IDENTITIES_TOL for r in residuals)
+    tol = IDENTITIES_TOL * float(linmod._pow2(np.abs(y).max()))
+    passed = diff <= tol and all(r <= tol for r in residuals)
     return IdentitiesReport(
         mu_ols=mu_ols,
         bounded_ht=bounded_ht,

@@ -2,6 +2,8 @@
 
 A doubly robust estimator is recomputed under every pairing of candidate
 propensity and outcome specifications, giving a matrix of estimates.
+Every propensity spec is fitted by logistic maximum likelihood; the
+estimator fixes the outcome fit, so a spec names its covariates only.
 For each line of the matrix (one model held fixed, the other varied) a
 nonparametric-bootstrap Wald test asks whether the estimates along the
 line are compatible with a single common value; a low p-value means the
@@ -31,7 +33,7 @@ from ._util import (
 from .dgp import AnalysisView, design_matrix
 from .errors import DrmeanError, InvalidArgumentError, NonconvergenceError
 from .estimators import ESTIMATORS, Pipeline
-from .linmod import PropensityKind
+from .linmod import _pow2
 
 # estimators that combine a propensity and an outcome fit, in table order
 DR_ESTIMATORS = tuple(
@@ -43,17 +45,12 @@ _MIN_BOOT_USED = 20
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A candidate model: which covariate columns it uses, and how it fits.
-
-    role is "propensity" or "outcome".  kind names a propensity model's
-    fit, "LOGISTIC_MLE" (the default) or "INV_LINEAR_UNCONSTRAINED", and
-    a propensity spec's pi_kind is that PropensityKind, parsed once.  The
-    estimator fixes the outcome fit, so an outcome model takes no kind.
-    """
+    """A candidate model: its role, "propensity" or "outcome", and the
+    covariate columns it uses.  A propensity model is a logistic fit, and
+    the estimator fixes the outcome fit."""
 
     role: str
     covariates: tuple[int, ...]
-    kind: str | None = None
 
     def __post_init__(self) -> None:
         if self.role not in ("propensity", "outcome"):
@@ -66,20 +63,6 @@ class ModelSpec:
         if len(covariates) == 0:
             raise InvalidArgumentError("covariates must be a nonempty index tuple")
         object.__setattr__(self, "covariates", covariates)
-        if self.kind is not None and not isinstance(self.kind, str):
-            raise InvalidArgumentError(f"kind must be a string, not {self.kind!r}")
-        if self.role == "outcome" and self.kind is not None:
-            raise InvalidArgumentError(
-                f"an outcome model takes no kind ({self.kind!r}): its estimator fixes the fit")
-        if self.role == "propensity" and self.pi_kind is None:
-            raise InvalidArgumentError(f"unknown propensity kind {self.kind!r}")
-
-    @cached_property
-    def pi_kind(self) -> PropensityKind | None:
-        if self.kind is None:
-            return PropensityKind.LOGISTIC_MLE
-        kind = PropensityKind.__members__.get(self.kind)  # a kind's name is its value
-        return None if kind is PropensityKind.LOGISTIC_EXTENDED else kind
 
 
 @dataclass
@@ -141,19 +124,14 @@ def _check_draws(boot_reps, seed) -> tuple[int, int]:
 
 
 def _estimate_cell(
-    view: AnalysisView,
-    p_spec: ModelSpec,
-    estimator: str,
-    pi_start: np.ndarray | None,
-    memo: dict,
+    view: AnalysisView, estimator: str, pi_start: np.ndarray | None, memo: dict
 ) -> float:
     """One cell's estimate on a view of its two specs' designs, its logistic
     propensity fit started from pi_start.  The cells of one sample share
     memo, so they share each fit whose inputs they share (see Pipeline).
     The estimator fits the propensity model first, as in estimate_all, so
     its failure ends the cell before any outcome fit."""
-    pipe = Pipeline(view, kind=p_spec.pi_kind, pi_start=pi_start, memo=memo)
-    return ESTIMATORS[estimator](pipe)
+    return ESTIMATORS[estimator](Pipeline(view, pi_start=pi_start, memo=memo))
 
 
 class _Sample:
@@ -193,10 +171,10 @@ def _estimate_cells(designs, T, y_observed, cells, estimator, starts, memo) -> d
     designs holds the sample's design per covariate tuple (see _Sample), so
     the cells of one covariate tuple see one array and, through the shared
     memo, whose keys name the inputs of each fit, share its fits: a
-    propensity model is fitted once per design, kind and start
+    propensity model is fitted once per design and start
     (starts.get(p_spec)), an outcome design's respondent design and
     unweighted fit once, and a weighted outcome fit once per propensity
-    key and outcome design, so equivalent propensity specs share it too.
+    key and outcome design, so propensity specs on one design share it too.
     Returns each cell's estimate, or the DrmeanError it failed with.
     """
     out: dict = {}
@@ -208,7 +186,7 @@ def _estimate_cells(designs, T, y_observed, cells, estimator, starts, memo) -> d
             y_observed=y_observed,
         )
         try:
-            out[ps, os_] = _estimate_cell(view, ps, estimator, starts.get(ps), memo)
+            out[ps, os_] = _estimate_cell(view, estimator, starts.get(ps), memo)
         except DrmeanError as exc:
             out[ps, os_] = exc
     return out
@@ -279,11 +257,11 @@ class _Draws:
 
     Draw b resamples the rows of sample, with the designs that cells use
     only, by PCG64(derive_seed(seed, b)) and estimates every cell in cells
-    on the resample, with one memo per draw.  Each logistic propensity
-    spec starts its draw fits from its full-sample fit, read through a
-    Pipeline on sample.memo: the one build_matrix left there, else one made
-    and kept there now (from zero if that fit fails).  Logistic specs on
-    one design therefore get the same start array, and so the same memo
+    on the resample, with one memo per draw.  Each propensity spec starts
+    its draw fits from its full-sample fit, read through a Pipeline on
+    sample.memo: the one build_matrix left there, else one made and kept
+    there now (from zero if that fit fails).  Propensity specs on one
+    design therefore get the same start array, and so the same memo
     keys: they share one propensity fit per draw, and every fit and sum
     that depends on it.  Building one fits nothing: the starts and the
     draws are made on the first read of draws, inside the first line test.
@@ -302,13 +280,12 @@ class _Draws:
         sample, n = self.sample, self.sample.T.shape[0]
         starts = {}
         for ps in dict.fromkeys(ps for ps, _ in self.cells):
-            if ps.pi_kind is PropensityKind.LOGISTIC_MLE:
-                d = sample.designs[ps.covariates]
-                view = AnalysisView(design_pi=d, design_m=d, T=sample.T, y_observed=sample.y)
-                try:
-                    starts[ps] = Pipeline(view, memo=sample.memo).propensity().alpha
-                except DrmeanError:
-                    pass
+            d = sample.designs[ps.covariates]
+            view = AnalysisView(design_pi=d, design_m=d, T=sample.T, y_observed=sample.y)
+            try:
+                starts[ps] = Pipeline(view, memo=sample.memo).propensity().alpha
+            except DrmeanError:
+                pass
         used = dict.fromkeys(s.covariates for cell in self.cells for s in cell)
         draws = []
         for b in range(self.boot_reps):
@@ -344,11 +321,13 @@ def homogeneity_test(
     shares between all of its lines as _draws, with a line it has checked,
     and this test on the same line and seed equals its line test bit for
     bit.  A draw in which one of the line's cells fails is discarded for
-    this line.  A singular contrast covariance falls back to a
-    pseudoinverse with reduced degrees of freedom and is flagged.  At rank
-    0, where no contrast varies over the draws, df is 0: if every contrast
-    is 0 in the data, p is 1 and the statistic 0; otherwise p is 0, the
-    statistic NaN (JSON null) and the note says so.
+    this line.  The contrasts are taken in units of a power of two, so
+    the result does not change when Y is scaled by one.  A singular
+    contrast covariance falls back to a pseudoinverse with reduced
+    degrees of freedom and is flagged.  At rank 0, where no contrast
+    varies over the draws, df is 0: if every contrast is 0 in the data,
+    p is 1 and the statistic 0; otherwise p is 0, the statistic NaN (JSON
+    null) and the note says so.
     Lines of length one are trivially homogeneous (p = 1).
     """
     line = as_array(estimates_line, "estimates_line")
@@ -401,6 +380,11 @@ def homogeneity_test(
         # identical estimates in the data and every draw: homogeneous by
         # construction, exact unit p-value
         return result(1.0, 0.0, "all contrasts identically zero", df=m - 1, singular=True)
+    # an exact division by a power of two near the largest contrast keeps
+    # the covariance from overflowing or underflowing: the test is free of
+    # the units of Y, bit for bit
+    scale = _pow2(max(np.abs(d).max(), np.abs(boot_contrasts).max()))
+    d, boot_contrasts = d / scale, boot_contrasts / scale
     sigma_c = np.cov(boot_contrasts.T, ddof=1).reshape(m - 1, m - 1)
     try:
         rank = int(np.linalg.matrix_rank(sigma_c, hermitian=True))

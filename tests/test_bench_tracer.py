@@ -35,8 +35,7 @@ def test_tracer_records_every_wrapped_layer(layers):
         estimate_all(dgp.make_view(sample, True, True), sample)
         run_sensitivity(
             cov, sample.T, y,
-            [sens.ModelSpec("propensity", z),
-             sens.ModelSpec("propensity", z, "INV_LINEAR_UNCONSTRAINED")],
+            [sens.ModelSpec("propensity", z), sens.ModelSpec("propensity", (4, 5, 6, 7))],
             [sens.ModelSpec("outcome", z), sens.ModelSpec("outcome", (4, 5, 6, 7))],
             "DR_WLS", boot_reps=3, seed=1,
         )

@@ -545,7 +545,7 @@ class TestSensitivityCommand:
         bad = tmp_path / "conflict.json"
         bad.write_text(json.dumps(cfg))
         assert cli.main(["sensitivity", "--data", data, "--config", str(bad)]) == 2
-        assert "outcome_models[0]: an outcome model takes no kind" in capsys.readouterr().err
+        assert "unknown key(s) in outcome_models[0]: kind" in capsys.readouterr().err
 
 
 class TestUnwritableOutput:
@@ -609,7 +609,7 @@ class TestParser:
 
     def test_import_leaves_scipy_optimize_unloaded(self, small_sample, tmp_path):
         # no fit uses scipy.optimize: importing the CLI, an estimate and a
-        # sensitivity run with an inverse-linear row leave it unloaded
+        # sensitivity run leave it unloaded
         import subprocess
         import sys
 
@@ -617,9 +617,7 @@ class TestParser:
         config = tmp_path / "sens.json"
         config.write_text(json.dumps({
             "estimator": "DR_WLS", "boot_reps": 3,
-            "propensity_models": [{"covariates": ["x1", "x2"]},
-                                  {"covariates": ["x1", "x2"],
-                                   "kind": "INV_LINEAR_UNCONSTRAINED"}],
+            "propensity_models": [{"covariates": ["x1", "x2"]}],
             "outcome_models": [{"covariates": ["x1"]}],
         }))
         runs = [["estimate", "--data", data_csv, "--out", str(tmp_path / "e.json")],

@@ -496,8 +496,8 @@ class TestOneDefinition:
         assert fits == {name: 2 * k for name, k in {**per_design, **per_pair}.items()}
 
     def test_memo_shares_only_identical_inputs(self, sample_1000, monkeypatch):
-        # sharing follows array identity: equal values in distinct arrays,
-        # another start array or another propensity model share no fit
+        # sharing follows array identity: equal values in distinct arrays
+        # or another start array share no fit
         fits = count_calls(monkeypatch, linmod, PIPELINE_FITS)
         view = make_view(sample_1000, True, True)
         twin = dataclasses.replace(view, design_pi=view.design_pi.copy(),
@@ -522,14 +522,8 @@ class TestOneDefinition:
         assert len({id(f) for f in fitted}) == len({id(f) for f in weighted}) == 4
         again = est.Pipeline(view, pi_start=start, memo=memo)
         assert again.propensity() is fitted[1] and again.outcome("WLS") is weighted[1]
-        inv_linear = linmod.PropensityKind.INV_LINEAR_UNCONSTRAINED
-        moment = est.Pipeline(view, kind=inv_linear, memo=memo)
-        assert moment.propensity().kind is inv_linear
-        assert fits["fit_logistic_propensity"] == 2 + 4
-        assert fits["fit_outcome_wls"] == 4
-        extended = est.Pipeline(view, kind=linmod.PropensityKind.LOGISTIC_EXTENDED)
-        with pytest.raises(InvalidArgumentError, match="unknown propensity kind"):
-            extended.propensity()  # an extended fit is made from a logistic one
+        with pytest.raises(TypeError):  # the propensity model is the logistic fit
+            est.Pipeline(view, kind=linmod.PropensityKind.INV_LINEAR_UNCONSTRAINED, memo=memo)
 
     def test_memo_keeps_its_designs_alive(self, sample_1000):
         # a memo entry keeps the arrays its key names, so their ids cannot
@@ -549,10 +543,13 @@ class TestOneDefinition:
         assert all(ref() is None for ref in refs)
 
     def test_failed_respondent_check_memoised(self, monkeypatch):
-        # the unconstrained inverse-linear fit puts pi_hat < 0 on the first
-        # respondent: the check runs once, and every estimator that reads it
-        # reports the standalone call's failure, while OLS and FULL still
-        # report their values
+        # a propensity fit (the unconstrained inverse-linear one, in place of
+        # the logistic fit) puts pi_hat < 0 on the first respondent: the
+        # check runs once, and every estimator that reads it reports the
+        # standalone call's failure, while OLS and FULL still report their
+        # values
+        monkeypatch.setattr(linmod, "fit_logistic_propensity",
+                            lambda design, T, start=None: linmod.fit_inverse_linear(design, T))
         x = np.array([-3.0, -1.0, 0.0, 1.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0])
         T = np.array([1, 1, 1, 1, 1, 0, 0, 0, 0, 0])
         y_full = np.array([1.0, 3.0, 2.0, 5.0, 4.0, 6.0, 7.0, 6.5, 8.0, 7.5])
@@ -561,7 +558,7 @@ class TestOneDefinition:
                             y_observed=np.where(T == 1, y_full, np.nan))
         full = FullSample(n=10, Z=np.zeros((10, 4)), X=np.zeros((10, 4)),
                           pi_true=np.full(10, 0.5), T=T, Y=y_full)
-        pipe = est.Pipeline(view, full, kind=linmod.PropensityKind.INV_LINEAR_UNCONSTRAINED)
+        pipe = est.Pipeline(view, full)
         pi = pipe.propensity().pi_hat
         assert pi[0] < 0
         m_reg = linmod.fit_outcome_reg(RespondentDesign(view)).m_hat
@@ -677,6 +674,25 @@ class TestIdentitiesCheck:
 
     def test_passes_on_correct_design(self, right_view):
         assert est.mu_ols_identities_check(right_view).passed
+
+    @pytest.mark.parametrize("factor", [1.0, 1e3, 1e-6, 1e6, 2.0**30])
+    def test_verdict_is_free_of_the_units_of_y(self, factor):
+        # the identities hold to rounding at every scale of y; the
+        # tolerance was absolute, and failed at 1e6 and 2**30.  Under
+        # y -> 2**k y the report scales exactly and keeps its verdict
+        view = make_view(generate_sample(1000, 3), True, False)
+
+        def check(c):
+            return est.mu_ols_identities_check(
+                dataclasses.replace(view, y_observed=view.y_observed * c))
+
+        base = check(factor)
+        assert base.passed
+        for k in (-300, 300):
+            rep = check(np.ldexp(factor, k))
+            assert rep.passed
+            assert rep.abs_difference == np.ldexp(base.abs_difference, k)
+            assert rep.eq_weighted_residuals == list(np.ldexp(base.eq_weighted_residuals, k))
 
     def test_skips_when_weighted_mean_degenerates(self):
         # no-intercept design whose moment solution is alpha = 0: the

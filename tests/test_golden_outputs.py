@@ -22,7 +22,9 @@ and the OpenBLAS kernel of the run, so a host of another class reads as
 that.
 Every fit is the package's own Newton-type solve on numpy's BLAS, and no
 output here depends on how many threads that BLAS runs: test_one_blas_thread
-pins it for each command at the default count and at one thread.
+pins it for each command at the default count and at one thread, and
+test_inverse_linear_fit_one_blas_thread for the inverse-linear fit, which
+no command runs.
 """
 
 import csv
@@ -64,14 +66,8 @@ SIMULATE_CONFIGS = {
 ESTIMATE_DESIGNS = [("Z", "X"), ("X", "Z")]  # (pi columns, m columns)
 SENSITIVITY_ESTIMATORS = ["DR_WLS", "B_DR_EXT"]
 
-# Z twice (the default kind, then LOGISTIC_MLE named), X, and Z under the
-# inverse-linear fit
-PROPENSITY_MODELS = [
-    {"covariates": Z_COLS},
-    {"covariates": Z_COLS, "kind": "LOGISTIC_MLE"},
-    {"covariates": X_COLS},
-    {"covariates": Z_COLS, "kind": "INV_LINEAR_UNCONSTRAINED"},
-]
+# Z twice (two specs of one model, which share their fits), then X
+PROPENSITY_MODELS = [{"covariates": Z_COLS}, {"covariates": Z_COLS}, {"covariates": X_COLS}]
 
 GOLDEN = {
     "simulate all results.csv":
@@ -87,9 +83,9 @@ GOLDEN = {
     "estimate pi X, m Z":
         "e06c183ae815ee20e49a26f40b378641961e47347a614da525cfc29ccdbf5f53",
     "sensitivity DR_WLS":
-        "33a71d2e958d27ff0d924d111bf1f3740250592742c812e5a7d200ce1f1e7335",
+        "8b031b52c96d6622e3b884308d3b67ab575eeea2a1500a5f950675f58abc09b5",
     "sensitivity B_DR_EXT":
-        "dd39b79fa06baa4d737d1d490dfa8ff0891ffc26e8d9318067ba487629fc65d5",
+        "0553b442331b9b63e3f652f11bf5d3dc5472d942e983a93351b5d845b81443ec",
 }
 # the counts in metadata.json are the same on both classes
 GOLDEN_AVX2 = {
@@ -104,9 +100,9 @@ GOLDEN_AVX2 = {
     "estimate pi X, m Z":
         "3f2f0962c51da5dda0537e57ab9fd63ccbb11a8aa0411cb942f4f1a131c929b9",
     "sensitivity DR_WLS":
-        "973d10eba5f9e0fea35837c3f5daedc11579b3ebf610f82412abe5cdbbab9e43",
+        "9dd4b32912dcfb9805c3be3f705421dda0b06565f2cbe8c59f5dce4efe3d2533",
     "sensitivity B_DR_EXT":
-        "b7d1a3865dacbcb30f6440636582f3ebf8c03cf8d6e2fd5139408c19524567cd",
+        "da958da791893c49e950f1765aa6cf7192edc864e2a108e25ffc96f448831304",
 }
 # (numpy's SIMD features, OpenBLAS kernel) -> the hashes that hold there
 KERNEL_CLASSES = {
@@ -285,15 +281,21 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS
                     "MKL_NUM_THREADS")
 
 
-def _run_cases(commands: list, env: dict[str, str], data: Path | None = None) -> dict:
-    """The output hashes of commands run in a fresh interpreter with no BLAS
-    thread variable, env set and OpenBLAS naming its kernel: {"hashes":
-    {golden name: sha256}, "simd": numpy's SIMD features, "core": the
-    OpenBLAS kernel}.  Given data, that interpreter writes the dataset
-    there itself, so it is generated on the interpreter's own kernel."""
+def _fresh_env(env: dict[str, str]) -> dict[str, str]:
+    """This process's environment with no BLAS thread variable, the package
+    on the path and env set."""
     full_env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    full_env.update(PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
-                    OPENBLAS_VERBOSE="2", **env)
+    full_env.update(PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), **env)
+    return full_env
+
+
+def _run_cases(commands: list, env: dict[str, str], data: Path | None = None) -> dict:
+    """The output hashes of commands run in a fresh interpreter with
+    _fresh_env(env) and OpenBLAS naming its kernel: {"hashes": {golden
+    name: sha256}, "simd": numpy's SIMD features, "core": the OpenBLAS
+    kernel}.  Given data, that interpreter writes the dataset there
+    itself, so it is generated on the interpreter's own kernel."""
+    full_env = _fresh_env({"OPENBLAS_VERBOSE": "2", **env})
     spec = [None if data is None else str(data),
             [(argv, {name: str(path) for name, path in outputs.items()})
              for argv, outputs in commands]]
@@ -302,21 +304,10 @@ def _run_cases(commands: list, env: dict[str, str], data: Path | None = None) ->
     return {**json.loads(proc.stdout), "core": _core(proc.stderr)}
 
 
-# DR_WLS over Z and X outcome models, on the logistic rows of
-# PROPENSITY_MODELS, and on a Z row with its inverse-linear twin
-SENSITIVITY_CASES = {
-    "sensitivity logistic": [m for m in PROPENSITY_MODELS
-                             if m.get("kind", "LOGISTIC_MLE") == "LOGISTIC_MLE"],
-    "sensitivity INV_LINEAR_UNCONSTRAINED": [
-        {"covariates": Z_COLS}, {"covariates": Z_COLS, "kind": "INV_LINEAR_UNCONSTRAINED"}],
-}
-
-
 def _blas_commands(tmp: Path, data: Path) -> list:
     tmp.mkdir()
     return [_simulate(tmp, "all"), _estimate(tmp, data, "Z", "X"),
-            *(_sensitivity(tmp, data, "DR_WLS", models, case)
-              for case, models in SENSITIVITY_CASES.items())]
+            _sensitivity(tmp, data, "DR_WLS", name="sensitivity logistic")]
 
 
 @pytest.fixture(scope="module")
@@ -327,11 +318,29 @@ def blas_runs(tmp_path_factory, data):
             _run_cases(_blas_commands(tmp / "one", data), {"OPENBLAS_NUM_THREADS": "1"})["hashes"])
 
 
-@pytest.mark.parametrize("case", ["simulate", "estimate", *SENSITIVITY_CASES])
+@pytest.mark.parametrize("case", ["simulate", "estimate", "sensitivity logistic"])
 def test_one_blas_thread(blas_runs, case):
     default, one_thread = ({name: h for name, h in run.items() if name.startswith(case)}
                            for run in blas_runs)
     assert default and one_thread == default
+
+
+# prints the sha256 of fit_inverse_linear's alpha and pi_hat on the outcome
+# design of a paper sample
+INVERSE_LINEAR_FIT = """
+import hashlib
+from drmean import fit_inverse_linear, generate_sample, make_view
+view = make_view(generate_sample(1000, 3), True, True)
+fit = fit_inverse_linear(view.design_m, view.T)
+print(hashlib.sha256(fit.alpha.tobytes() + fit.pi_hat.tobytes()).hexdigest())
+"""
+
+
+def test_inverse_linear_fit_one_blas_thread():
+    hashes = [subprocess.run([sys.executable, "-c", INVERSE_LINEAR_FIT], env=_fresh_env(env),
+                             capture_output=True, text=True, timeout=60, check=True).stdout
+              for env in ({}, {"OPENBLAS_NUM_THREADS": "1"})]
+    assert hashes[0] and hashes[1] == hashes[0]
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,9 @@ kept on purpose and not checked.
 In src/, math.fsum is named only inside _util.exact_sum, the one exact
 sum of the package, no module imports scipy.optimize: every fit is the
 package's own Newton-type solve, and the propensity kind names are
-string constants only as the values of linmod.PropensityKind.  cli names
+string constants only as the values of linmod.PropensityKind, which no
+module but linmod names: nothing outside the fits chooses a propensity
+model.  cli names
 neither check_int nor check_seed: config values reach the library unparsed.
 Only linmod imports numpy.linalg._umath_linalg, the LAPACK gufuncs behind
 numpy.linalg, and linmod calls them through its own helpers, never
@@ -164,6 +166,34 @@ def test_the_scan_finds_kind_names(tmp_path):
                     'def f(kind):\n    return kind in (None, "INV_LINEAR_UNCONSTRAINED")\n'
                     'KIND = "LOGISTIC_MLE"\n"""LOGISTIC_MLE is the default."""\n')
     assert kind_strings(path) == [(2, "PropensityKind"), (6, "f"), (7, "<module>")]
+
+
+def propensity_kind_lines(path: Path) -> list[int]:
+    """The lines of path that name PropensityKind in code: as a name, an
+    attribute or an imported name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Name) and node.id == "PropensityKind"
+                or isinstance(node, ast.Attribute) and node.attr == "PropensityKind"
+                or isinstance(node, ast.alias) and node.name == "PropensityKind"):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_only_linmod_names_propensity_kind():
+    # the fits choose a propensity model, and nothing outside them does
+    named = [p.relative_to(ROOT).as_posix() for p in FILES
+             if p.relative_to(ROOT).parts[0] == "src" and propensity_kind_lines(p)]
+    assert named == ["src/drmean/linmod.py"]
+
+
+def test_the_scan_finds_propensity_kind(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from .linmod import PropensityKind\nimport drmean\n\n\n"
+                    "def f(fit):\n"
+                    "    return fit.kind is drmean.linmod.PropensityKind.LOGISTIC_MLE\n"
+                    'K = PropensityKind\n"""PropensityKind in a docstring is no use."""\n')
+    assert propensity_kind_lines(path) == [1, 6, 7]
 
 
 CHECK_NAMES = ("check_int", "check_seed")

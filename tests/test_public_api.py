@@ -35,8 +35,6 @@ from drmean import (
     AnalysisView, DrmeanError, InvalidArgumentError, ModelSpec, UndefinedEstimatorError, cli,
 )
 
-PROPENSITY_KINDS = ("LOGISTIC_MLE", "INV_LINEAR_UNCONSTRAINED")
-
 
 def call(f, *args, **kwargs):
     """f(*args, **kwargs), or None if it raised a DrmeanError; a warning fails."""
@@ -118,7 +116,7 @@ def test_fits_and_estimators_raise_only_drmean_errors(case):
 def test_sensitivity_raises_only_drmean_errors(case, estimator, boot_reps):
     X, T, y, _, _ = case
     every = tuple(range(X.shape[1]))
-    p_specs = [ModelSpec("propensity", every, kind) for kind in PROPENSITY_KINDS]
+    p_specs = [ModelSpec("propensity", every)]
     o_specs = [ModelSpec("outcome", cols) for cols in dict.fromkeys([(0,), every])]
     call(drmean.run_sensitivity, X, T, np.where(T == 1, y, np.nan), p_specs, o_specs,
          estimator, boot_reps=boot_reps, seed=0)
@@ -167,17 +165,19 @@ SIMULATE_CONFIGS = one_bad(
 )
 
 
-def models(kind=None):
-    optional = {} if kind is None else {"kind": kind}
-    return lists(st.fixed_dictionaries({"covariates": lists(NAMES, 1, 3)}, optional=optional),
-                 1, 2)
+def models():
+    return lists(st.fixed_dictionaries({"covariates": lists(NAMES, 1, 3)}), 1, 2)
 
 
-def bad_models(kinds):
+# a model's kind, a removed key, under the names it took
+REMOVED_KIND = st.one_of(st.sampled_from(("LOGISTIC_MLE", "INV_LINEAR_UNCONSTRAINED", "WLS")),
+                         JUNK)
+
+
+def bad_models():
     covariates = st.one_of(JUNK, lists(st.sampled_from(("x1", "x9", 3)), 1, 2))
     return st.one_of(JUNK, lists(st.fixed_dictionaries(
-        {"covariates": covariates}, optional={"kind": st.one_of(st.sampled_from(kinds), JUNK)}),
-        1, 2))
+        {"covariates": covariates}, optional={"kind": REMOVED_KIND}), 1, 2))
 
 
 SENSITIVITY_CONFIGS = one_bad(
@@ -185,15 +185,15 @@ SENSITIVITY_CONFIGS = one_bad(
         "estimator": st.sampled_from(drmean.DR_ESTIMATORS),
         "boot_reps": st.integers(2, 3),
         "seed": st.integers(0, 2**64 - 1),
-        "propensity_models": models(st.sampled_from(PROPENSITY_KINDS)),
+        "propensity_models": models(),
         "outcome_models": models(),
     },
     {
         "estimator": st.one_of(st.just("OLS"), JUNK),
         "boot_reps": JUNK,
         "seed": BAD_SEEDS,
-        "propensity_models": bad_models(("PROBIT",) + PROPENSITY_KINDS),
-        "outcome_models": bad_models(("REG", "WLS", "EXT_REG", "IPW_NR")),
+        "propensity_models": bad_models(),
+        "outcome_models": bad_models(),
     },
 )
 
@@ -248,20 +248,23 @@ def test_sensitivity_cli_returns_an_exit_code(workdir, config):
     run_cli(workdir, "sensitivity", config)
 
 
-# each removed propensity kind in a sensitivity config, by test id
+# each propensity kind in a sensitivity config, by test id
 REMOVED_KINDS = {"sensitivity kind": "INV_LINEAR_MOMENT",
-                 "sensitivity kind INV_LINEAR_ML": "INV_LINEAR_ML"}
+                 "sensitivity kind INV_LINEAR_ML": "INV_LINEAR_ML",
+                 "sensitivity kind LOGISTIC_MLE": "LOGISTIC_MLE"}
 
 
 @pytest.mark.parametrize("removed", ["moment", "INV_LINEAR_MOMENT", "sensitivity kind",
                                      "density", "likelihood", "INV_LINEAR_ML",
                                      "sensitivity kind INV_LINEAR_ML", "unconstrained_moment",
-                                     "select_models", "outcome fit on a view"])
-def test_removed_spellings_are_rejected(workdir, removed):
+                                     "select_models", "outcome fit on a view", "LOGISTIC_MLE",
+                                     "sensitivity kind LOGISTIC_MLE"])
+def test_removed_spellings_are_rejected(workdir, capsys, removed):
     # the constrained moment fit, the density subcommand and the constrained
     # likelihood fit are gone; fit_inverse_linear lost its method, which had
-    # one value left, select_models left the public API, and each outcome
-    # fit takes RespondentDesign(view) in place of a view and _design
+    # one value left, select_models left the public API, each outcome fit
+    # takes RespondentDesign(view) in place of a view and _design, and a
+    # sensitivity spec lost its kind: every propensity spec is logistic
     design, T = np.ones((4, 1)), np.array([1, 1, 1, 0])
     if removed in ("moment", "likelihood", "unconstrained_moment"):
         with pytest.raises(TypeError):
@@ -284,12 +287,13 @@ def test_removed_spellings_are_rejected(workdir, removed):
             with pytest.raises(TypeError):
                 fit(respondents, *args, _design=respondents)
             fit(respondents, *args)
-    elif removed in ("INV_LINEAR_MOMENT", "INV_LINEAR_ML"):
-        with pytest.raises(InvalidArgumentError, match="unknown propensity kind"):
-            ModelSpec("propensity", (0,), removed)
+    elif removed in ("INV_LINEAR_MOMENT", "INV_LINEAR_ML", "LOGISTIC_MLE"):
+        with pytest.raises(TypeError):
+            ModelSpec("propensity", (0, 1), removed)
     elif removed in REMOVED_KINDS:
         models = [{"covariates": ["x1"], "kind": REMOVED_KINDS[removed]}]
         assert run_cli(workdir, "sensitivity", {**SENSITIVITY, "propensity_models": models}) == 2
+        assert "unknown key(s) in propensity_models[0]: kind" in capsys.readouterr().err
     else:
         with pytest.raises(SystemExit) as exit_:  # argparse's usage error
             cli.main(["density", "--data", str(workdir / "data.csv")])
@@ -320,7 +324,7 @@ def scalar_targets() -> dict:
         return lambda v: drmean.run_scenario(drmean.ScenarioSpec(**{**SPEC, field: v}))
 
     def model_spec(field):
-        base = {"role": "propensity", "covariates": (0,), "kind": None}
+        base = {"role": "propensity", "covariates": (0,)}
         return lambda v: hash(ModelSpec(**{**base, field: v}))
 
     def sensitivity(**kwargs):
@@ -336,7 +340,7 @@ def scalar_targets() -> dict:
         "ScenarioSpec.estimators": (scenario("estimators"), "names"),
         "make_view.pi_model_correct": (lambda v: drmean.make_view(sample, v, True), "flag"),
         "make_view.m_model_correct": (lambda v: drmean.make_view(sample, True, v), "flag"),
-        **{f"ModelSpec.{f}": (model_spec(f), "other") for f in ("role", "covariates", "kind")},
+        **{f"ModelSpec.{f}": (model_spec(f), "other") for f in ("role", "covariates")},
         "run_scenarios.workers": (
             lambda v: drmean.run_scenarios([one_task], workers=v), "int"),
         "generate_sample.n": (lambda v: drmean.generate_sample(v, 1), "int"),
@@ -361,7 +365,6 @@ SCALAR_TARGETS = scalar_targets()
 @example("make_view.m_model_correct", [1])
 @example("ScenarioSpec.estimators", ())
 @example("ModelSpec.covariates", (True,))
-@example("ModelSpec.kind", [1])
 @example("ScenarioSpec.estimators", (["OLS"],))
 @example("estimate_all.which", [["OLS"]])
 # each raised TypeError, ValueError or AttributeError

@@ -1,4 +1,3 @@
-import contextlib
 import json
 import math
 from types import SimpleNamespace
@@ -41,12 +40,13 @@ class TestModelSpec:
 
     @pytest.mark.parametrize("kind", ["REG", "WLS", "EXT_REG", "IPW_NR"])
     def test_outcome_kind_rejected(self, kind):
-        # the estimator fixes the outcome fit: a kind could only restate it
-        with pytest.raises(InvalidArgumentError, match="outcome model takes no kind"):
+        # the estimator fixes the outcome fit: a spec has no kind to restate it
+        with pytest.raises(TypeError):
             sens.ModelSpec(role="outcome", covariates=(0,), kind=kind)
 
     def test_unknown_propensity_kind(self):
-        with pytest.raises(InvalidArgumentError):
+        # every propensity spec is a logistic fit: a spec names no other
+        with pytest.raises(TypeError):
             sens.ModelSpec(role="propensity", covariates=(0,), kind="PROBIT")
 
     def test_bool_index_rejected(self):
@@ -57,28 +57,23 @@ class TestModelSpec:
     @pytest.mark.parametrize("role", ["propensity", "outcome"])
     @pytest.mark.parametrize("kind", [[1], 1, {"LOGISTIC_MLE"}])
     def test_non_string_kind_rejected(self, role, kind):
-        # a list kind raised TypeError: unhashable type: 'list'
-        with pytest.raises(InvalidArgumentError, match="kind must be a string"):
-            sens.ModelSpec(role=role, covariates=(0,), kind=kind)
+        # a spec is its role and covariates: a third field is no spec
+        with pytest.raises(TypeError):
+            sens.ModelSpec(role, (0,), kind)
 
-    def test_every_kind_has_its_fit(self, data600):
-        # a cell fits the propensity model that its spec's kind names, first
-        # (the inverse-linear pi_hat here leaves (0, 1], so that cell fails)
+    @pytest.mark.parametrize("estimator", ["DR_WLS", "B_DR_EXT"])
+    def test_cell_fits_the_logistic_model(self, data600, estimator):
+        # a cell fits one logistic propensity model, first; B_DR_EXT
+        # extends that fit, so the extended fit is no spec's model
         _, cov, T, y = data600
         d = np.column_stack([np.ones(len(T)), cov[:, :4]])
-        kinds = {None: "LOGISTIC_MLE", "LOGISTIC_MLE": "LOGISTIC_MLE",
-                 "INV_LINEAR_UNCONSTRAINED": "INV_LINEAR_UNCONSTRAINED"}
-        for kind, expected in kinds.items():
-            spec = sens.ModelSpec(role="propensity", covariates=(0, 1, 2, 3), kind=kind)
-            memo = {}
-            with contextlib.suppress(errors.InvalidWeightError):
-                sens._estimate_cell(AnalysisView(d, d, T, y), spec, "DR_WLS", None, memo)
-            fits = [v for v in memo.values() if isinstance(v, linmod.PropensityFit)]
-            assert [fit.kind for fit in fits] == [linmod.PropensityKind(expected)], kind
-        # the extended fit is made from a logistic one, not named by a spec
-        with pytest.raises(InvalidArgumentError,
-                           match="unknown propensity kind 'LOGISTIC_EXTENDED'"):
-            sens.ModelSpec(role="propensity", covariates=(0,), kind="LOGISTIC_EXTENDED")
+        memo = {}
+        sens._estimate_cell(AnalysisView(d, d, T, y), estimator, None, memo)
+        fits = [v for v in memo.values() if isinstance(v, linmod.PropensityFit)]
+        kinds = [linmod.PropensityKind.LOGISTIC_MLE]
+        if estimator == "B_DR_EXT":
+            kinds.append(linmod.PropensityKind.LOGISTIC_EXTENDED)
+        assert [fit.kind for fit in fits] == kinds
 
     @pytest.mark.parametrize(
         "covariates",
@@ -145,15 +140,13 @@ class TestBuildMatrix:
 
     def test_cell_failure_is_isolated(self, data600):
         _, cov, T, y = data600
-        pz_inv = sens.ModelSpec(
-            role="propensity", covariates=(0, 1, 2, 3), kind="INV_LINEAR_UNCONSTRAINED"
-        )
+        p_singular = sens.ModelSpec(role="propensity", covariates=(0, 0))
         estimates, messages = sens.build_matrix(
-            cov, T, y, [PZ, pz_inv], [OZ], "B_DR_EXT"
+            cov, T, y, [PZ, p_singular], [OZ], "B_DR_EXT"
         )
         assert np.isfinite(estimates[0, 0])
         assert math.isnan(estimates[1, 0])
-        assert "logistic" in messages[(1, 0)]
+        assert messages[(1, 0)].startswith("SingularDesignError: ")
 
     def test_estimator_must_be_doubly_robust(self, data600):
         _, cov, T, y = data600
@@ -168,7 +161,7 @@ class TestBuildMatrix:
     def test_outcome_kind_conflict_rejected(self, data600):
         # the estimator fixes the outcome fit, so an outcome spec takes no kind
         _, cov, T, y = data600
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(TypeError):
             bad = sens.ModelSpec(role="outcome", covariates=(0,), kind="WLS")
             sens.build_matrix(cov, T, y, [PZ], [bad], "DR_REG")
 
@@ -234,8 +227,8 @@ class TestHomogeneity:
 
     @pytest.mark.parametrize("fixed, estimator, message", [
         (("propensity", (0,)), "NOPE", "doubly robust"),
-        (("outcome", (0,), "WLS"), "DR_REG", "outcome model takes no kind"),
-    ], ids=["estimator", "outcome-kind"])
+        (("outcome", (0,)), "OLS", "doubly robust"),
+    ], ids=["estimator", "outcome"])
     def test_empty_line_checks_its_estimator(self, data600, fixed, estimator, message):
         # with no varying specs neither was checked: p = nan, "empty line"
         _, cov, T, y = data600
@@ -322,6 +315,27 @@ class TestHomogeneity:
             sens.homogeneity_test(np.array([210.0, 211.0]), cov, T, y, PZ,
                                   (OZ, OX), "DR_WLS", **{name: value})
 
+    @pytest.mark.parametrize("k", [-560, 520])
+    def test_free_of_the_units_of_y(self, k):
+        # the criterion-8 grid with Y scaled by 2**k: the estimates scale
+        # exactly, and each line's test is the unscaled one bit for bit
+        # (the contrast covariance overflowed at 2**520 and underflowed at
+        # 2**-560, and every line read p = 0, df 0)
+        s = generate_sample(400, 3)
+        cov, y = np.hstack([s.Z, s.X]), np.where(s.T == 1, s.Y, np.nan)
+
+        def run(y):
+            return sens.run_sensitivity(cov, s.T, y, [PZ, PX], [OZ, OX], "DR_WLS",
+                                        boot_reps=60, seed=1)
+
+        base, scaled = run(y), run(np.ldexp(y, k))
+        assert np.array_equal(scaled.estimates, np.ldexp(base.estimates, k))
+        for got, want in zip(scaled.row_tests + scaled.col_tests,
+                             base.row_tests + base.col_tests):
+            assert (got.p_value, got.statistic, got.df) == (want.p_value, want.statistic,
+                                                            want.df)
+            assert want.df > 0
+
     def test_seed_beyond_64_bits_rejected(self, data600):
         _, cov, T, y = data600
         with pytest.raises(InvalidArgumentError, match=r"seed must be in \[0, 2\*\*64\)"):
@@ -360,12 +374,11 @@ class TestSharedPropensityFits:
         assert len(logistic_fits) == 2
 
     def test_equivalent_propensity_specs_share_one_fit(self, data600, logistic_fits):
-        # no kind and an explicit LOGISTIC_MLE name one model on one design:
-        # one full-sample fit and one fit per draw serve both rows
+        # two specs on one design name one model: one full-sample fit and
+        # one fit per draw serve both rows
         _, cov, T, y = data600
-        p_named = sens.ModelSpec(role="propensity", covariates=PZ.covariates,
-                                 kind="LOGISTIC_MLE")
-        out = sens.run_sensitivity(cov, T, y, [PZ, p_named], [OZ, OX], "DR_WLS",
+        p_twin = sens.ModelSpec(role="propensity", covariates=PZ.covariates)
+        out = sens.run_sensitivity(cov, T, y, [PZ, p_twin], [OZ, OX], "DR_WLS",
                                    boot_reps=25, seed=2)
         assert len(logistic_fits) == 25 + 1
         assert out.estimates[0].tobytes() == out.estimates[1].tobytes()
@@ -380,9 +393,8 @@ class TestSharedPropensityFits:
         fit = linmod.fit_outcome_wls
         monkeypatch.setattr(linmod, "fit_outcome_wls",
                             lambda *a, **k: fits.append(1) or fit(*a, **k))
-        p_named = sens.ModelSpec(role="propensity", covariates=PZ.covariates,
-                                 kind="LOGISTIC_MLE")
-        out = sens.run_sensitivity(cov, T, y, [PZ, p_named], [OZ, OX], "DR_WLS",
+        p_twin = sens.ModelSpec(role="propensity", covariates=PZ.covariates)
+        out = sens.run_sensitivity(cov, T, y, [PZ, p_twin], [OZ, OX], "DR_WLS",
                                    boot_reps=25, seed=2)
         assert out.estimates[0].tobytes() == out.estimates[1].tobytes()
         assert len(fits) == (25 + 1) * 2
@@ -523,7 +535,7 @@ class TestRunSensitivity:
 
     def test_to_dict_keys_follow_the_dataclasses(self, result):
         payload = result.to_dict()
-        assert list(payload["propensity_models"][0]) == ["role", "covariates", "kind"]
+        assert list(payload["propensity_models"][0]) == ["role", "covariates"]
         assert list(payload["row_tests"][0]) == [
             "p_value", "statistic", "df", "n_boot_used", "boot_failures", "singular", "note"]
 
@@ -536,10 +548,8 @@ class TestRunSensitivity:
 
     def test_nan_cells_serialise_as_null(self, data600):
         _, cov, T, y = data600
-        pz_inv = sens.ModelSpec(
-            role="propensity", covariates=(0, 1, 2, 3), kind="INV_LINEAR_UNCONSTRAINED"
-        )
-        out = sens.run_sensitivity(cov, T, y, [pz_inv], [OZ], "B_DR_EXT",
+        p_singular = sens.ModelSpec(role="propensity", covariates=(0, 0))
+        out = sens.run_sensitivity(cov, T, y, [p_singular], [OZ], "B_DR_EXT",
                                    boot_reps=25, seed=0)
         payload = json.loads(json.dumps(out.to_dict()))
         assert payload["estimates"][0][0] is None
@@ -576,6 +586,25 @@ class TestSharedDraws:
         (first, alpha), *draws = calls
         assert first is None and len(draws) == 5
         assert all(np.array_equal(start, alpha) for start, _ in draws)
+
+    def test_draws_start_from_zero_when_the_full_sample_fit_fails(self, data600,
+                                                                  monkeypatch):
+        # a propensity model on a column equal to T fails on the full sample
+        # and in every draw: each draw fit starts from zero, and the line,
+        # finite as given, reports every draw as failed
+        _, cov, T, y = data600
+        starts = []
+        fit = linmod.fit_logistic_propensity
+        monkeypatch.setattr(linmod, "fit_logistic_propensity",
+                            lambda design, T, start=None: starts.append(start) or fit(
+                                design, T, start))
+        separated = sens.ModelSpec(role="propensity", covariates=(8,))
+        out = sens.homogeneity_test(np.array([210.0, 211.0]), np.column_stack([cov, T]), T,
+                                    y, separated, (OZ, OX), "DR_WLS", boot_reps=25, seed=3)
+        assert starts == [None] * 26
+        assert out.note == "too few successful bootstrap draws"
+        assert (out.n_boot_used, out.boot_failures) == (0, 25)
+        assert math.isnan(out.p_value) and math.isnan(out.statistic)
 
     def test_adding_a_row_leaves_row_tests_unchanged(self, data600):
         _, cov, T, y = data600
@@ -636,16 +665,13 @@ class TestSharedDraws:
 
 class TestNoForeignExceptions:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_out_of_range_moment_row_fails_alone(self, data600):
-        # the unconstrained moment Gram of a x1e160 column overflows: that
+    def test_separated_row_fails_alone(self, data600):
+        # a propensity model on a column equal to T separates the data: that
         # row fails with a DrmeanError and the rest of the run goes on
         _, cov, T, y = data600
-        cov = cov.copy()
-        cov[:, 0] *= 1e160
-        p_moment = sens.ModelSpec(
-            role="propensity", covariates=(0, 1, 2, 3), kind="INV_LINEAR_UNCONSTRAINED"
-        )
-        out = sens.run_sensitivity(cov, T, y, [PZ, p_moment], [OZ, OX], "DR_WLS",
+        cov = np.column_stack([cov, T])
+        p_separated = sens.ModelSpec(role="propensity", covariates=(8,))
+        out = sens.run_sensitivity(cov, T, y, [PZ, p_separated], [OZ, OX], "DR_WLS",
                                    boot_reps=25, seed=5)
         alone = sens.run_sensitivity(cov, T, y, [PZ], [OZ, OX], "DR_WLS",
                                      boot_reps=25, seed=5)
