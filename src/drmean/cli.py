@@ -399,6 +399,8 @@ def load_sensitivity_config(path: str, names: list[str]) -> tuple[dict, dict]:
             )
             missing = [c for c in cols if c not in names]
             _require(not missing, f"{key}[{k}]: unknown column(s) {', '.join(missing)}")
+            repeated = dict.fromkeys(c for c in cols if cols.count(c) > 1)
+            _require(not repeated, f"{key}[{k}] repeats column(s) {', '.join(repeated)}")
             specs.append(ModelSpec(role, tuple(names.index(c) for c in cols)))
         return tuple(specs)
 

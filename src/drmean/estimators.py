@@ -241,8 +241,11 @@ class Pipeline:
     """Lazy, memoised model fits and respondent terms shared across the
     requested estimators.
 
-    The propensity model is the logistic fit, started from the
-    coefficients pi_start if given.  Beside the fits, memo holds the
+    The propensity model is the logistic fit: fit_logistic_propensity,
+    iterated to its stop rule from 0, or, given the coefficients pi_start,
+    linmod._fit_logistic_draw, exactly linmod.DRAW_NEWTON_STEPS Newton
+    steps from them.  Only the sensitivity draws pass pi_start, the
+    full-sample fit of their spec.  Beside the fits, memo holds the
     checked respondent terms of the base and of the extended propensity
     fit (respondents), the sum of each outcome fit's fitted values
     (fitted), each residual correction sum (residual_sum), the base fit's
@@ -301,8 +304,9 @@ class Pipeline:
 
     def propensity(self) -> linmod.PropensityFit:
         def build():
-            return linmod.fit_logistic_propensity(
-                self.view.design_pi, self.view.T, start=self.pi_start)
+            if self.pi_start is None:
+                return linmod.fit_logistic_propensity(self.view.design_pi, self.view.T)
+            return linmod._fit_logistic_draw(self.view.design_pi, self.view.T, self.pi_start)
 
         return self._get((self._pi, "pi"), build)
 

@@ -14,7 +14,12 @@ alpha'x, which is free of units, and FIT_STEP_RTOL times max |x'beta| for
 the linear solves.  The change x'step does not depend on the units of
 the columns, so neither does the stop, and a non-finite step or fit never
 passes it.  A fit that has not stopped after IRLS_MAX_ITER solves raises
-NonconvergenceError.
+NonconvergenceError.  The one fit without the stop rule is a bootstrap
+draw's logistic fit (_fit_logistic_draw): exactly DRAW_NEWTON_STEPS
+Newton steps from the full-sample coefficients.  k Newton steps from a
+consistent start give a k-step bootstrap, whose distribution matches the
+fully iterated one to an order that grows with k (Davidson & MacKinnon,
+Int. Econ. Rev. 40(2), 1999; Andrews, Econometrica 70(1), 2002).
 
 Propensity models:
   * logistic maximum likelihood, pi = expit(alpha'x);
@@ -64,6 +69,9 @@ ETA_STEP_TOL = 1e-6    # logistic: the last step moves no alpha'x by more
 FIT_STEP_RTOL = 2.0**-26  # least squares: ... by more than this times max |x'beta|
 RANK_RCOND = 1e-10     # singular values below rcond * smax count as zero
 ETA_SEPARATION = 33.0  # |linear predictor| beyond this means separation
+# Newton steps of a bootstrap draw's logistic fit from the full-sample fit
+# (_fit_logistic_draw): a two-step bootstrap
+DRAW_NEWTON_STEPS = 2
 _SEPARATED = "fitted probabilities pinned at 0/1: data are separated"
 PHI_BRACKET_MAX = 50.0
 PHI_GTOL = 1e-10
@@ -319,13 +327,34 @@ def fit_logistic_propensity(
     Newton steps (_newton_step) from the coefficients start, or from 0,
     until one moves no alpha'x by more than ETA_STEP_TOL (_settled), then
     a separation check on the final linear predictor; a fit that fails
-    with some |alpha'x| > ETA_SEPARATION is reported as separated.  The
-    first step always runs, and its solve is the rank check.  The Gram
-    solve squares the condition number, but each step is taken from the
-    current score, so its error slows the iteration without moving the
-    fit (Bjorck, Numerical Methods for Least Squares Problems, 1996).
-    iterations counts the steps.
+    with some |alpha'x| > ETA_SEPARATION is reported as separated, and a
+    final alpha'x that is NaN fails too.  The first step always runs, and
+    its solve is the rank check.  The Gram solve squares the condition
+    number, but each step is taken from the current score, so its error
+    slows the iteration without moving the fit (Bjorck, Numerical Methods
+    for Least Squares Problems, 1996).  iterations counts the steps.
     """
+    return _logistic(design, T, start, None)
+
+
+def _fit_logistic_draw(design: np.ndarray, T: np.ndarray, start: np.ndarray) -> PropensityFit:
+    """The logistic fit of a bootstrap draw: exactly DRAW_NEWTON_STEPS
+    Newton steps from start, the full-sample coefficients, and no stop rule.
+
+    Its checks, steps and separation check are fit_logistic_propensity's
+    (_logistic), so a rank-deficient design fails in the first step with
+    SingularDesignError.  No stop rule judges a step, so a step or a final
+    alpha'x that is not finite raises NonconvergenceError itself.
+    iterations is DRAW_NEWTON_STEPS.  Only estimators.Pipeline calls it,
+    for the sensitivity draws.
+    """
+    return _logistic(design, T, start, DRAW_NEWTON_STEPS)
+
+
+def _logistic(
+    design: np.ndarray, T: np.ndarray, start: np.ndarray | None, steps: int | None
+) -> PropensityFit:
+    """fit_logistic_propensity with steps None, else exactly steps Newton steps."""
     T = check_response(T)
     design, response = _check_design(design, T.astype(float))
     xs, scale = _equilibrate(design)
@@ -341,7 +370,7 @@ def fit_logistic_propensity(
         separated = np.abs(eta).max() > ETA_SEPARATION
         return NonconvergenceError(_SEPARATED if separated else reason)
 
-    for iterations in range(1, IRLS_MAX_ITER + 1):
+    for iterations in range(1, (steps or IRLS_MAX_ITER) + 1):
         eta = design @ alpha
         mu = expit(eta)
         v = mu * (1.0 - mu)
@@ -357,13 +386,19 @@ def fit_logistic_propensity(
                 eta, "weighted design lost rank during iteration (separation?)"
             ) from None
         alpha = alpha + step
-        if _settled(design @ step, ETA_STEP_TOL):
-            break
+        if steps is None:
+            if _settled(design @ step, ETA_STEP_TOL):
+                break
+        elif not np.isfinite(step).all():  # no stop rule judges the step
+            raise stalled(eta, "Newton step is not finite")
     else:
-        raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} iterations")
+        if steps is None:
+            raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} iterations")
     eta = design @ alpha
-    if np.abs(eta).max() > ETA_SEPARATION:
-        raise NonconvergenceError(_SEPARATED)
+    top = np.abs(eta).max()
+    if not top <= ETA_SEPARATION:  # NaN fails too
+        raise NonconvergenceError(_SEPARATED if top > ETA_SEPARATION
+                                  else "logistic fit is not finite")
     return PropensityFit(
         kind=PropensityKind.LOGISTIC_MLE,
         alpha=alpha,

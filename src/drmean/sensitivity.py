@@ -15,8 +15,12 @@ build_matrix and homogeneity_test are also public, the selection is not.
 Bootstrap draw b resamples the rows with PCG64(derive_seed(seed, b)), the
 splitmix64 derivation of the simulation harness, and is shared by every
 line: it evaluates the whole matrix once, and each line test reads its
-own cells from it.  Matrices and p-values are reproducible bit for bit,
-and a line's p-value does not depend on which other lines are tested.
+own cells from it.  A draw's propensity fit takes exactly
+linmod.DRAW_NEWTON_STEPS Newton steps from its spec's full-sample fit, a
+two-step bootstrap, so it cannot fail by reaching the iteration cap; a
+spec whose full-sample fit failed iterates from zero to the stop rule in
+each draw.  Matrices and p-values are reproducible bit for bit, and a
+line's p-value does not depend on which other lines are tested.
 """
 
 import math
@@ -46,8 +50,8 @@ _MIN_BOOT_USED = 20
 @dataclass(frozen=True)
 class ModelSpec:
     """A candidate model: its role, "propensity" or "outcome", and the
-    covariate columns it uses.  A propensity model is a logistic fit, and
-    the estimator fixes the outcome fit."""
+    covariate columns it uses, each at most once.  A propensity model is a
+    logistic fit, and the estimator fixes the outcome fit."""
 
     role: str
     covariates: tuple[int, ...]
@@ -62,6 +66,11 @@ class ModelSpec:
         covariates = tuple(check_int(c, "a covariate index", 0) for c in covariates)
         if len(covariates) == 0:
             raise InvalidArgumentError("covariates must be a nonempty index tuple")
+        repeated = dict.fromkeys(c for c in covariates if covariates.count(c) > 1)
+        if repeated:
+            # the design would repeat a column and every fit on it fail
+            raise InvalidArgumentError(
+                f"covariates repeat index(es) {', '.join(map(str, repeated))}")
         object.__setattr__(self, "covariates", covariates)
 
 
@@ -257,14 +266,17 @@ class _Draws:
 
     Draw b resamples the rows of sample, with the designs that cells use
     only, by PCG64(derive_seed(seed, b)) and estimates every cell in cells
-    on the resample, with one memo per draw.  Each propensity spec starts
-    its draw fits from its full-sample fit, read through a Pipeline on
-    sample.memo: the one build_matrix left there, else one made and kept
-    there now (from zero if that fit fails).  Propensity specs on one
-    design therefore get the same start array, and so the same memo
-    keys: they share one propensity fit per draw, and every fit and sum
-    that depends on it.  Building one fits nothing: the starts and the
-    draws are made on the first read of draws, inside the first line test.
+    on the resample, with one memo per draw.  Each propensity spec's draw
+    fits take DRAW_NEWTON_STEPS Newton steps (linmod._fit_logistic_draw)
+    from its full-sample fit, read through a Pipeline on sample.memo: the
+    one build_matrix left there, else one made and kept there now.
+    Propensity specs on one design therefore get the same start array,
+    and so the same memo keys: they share one propensity fit per draw,
+    and every fit and sum that depends on it.  A spec whose full-sample
+    fit fails has no start: its draw fits start from zero and iterate to
+    the stop rule, as k steps from zero are no k-step bootstrap.  Building
+    one fits nothing: the starts and the draws are made on the first read
+    of draws, inside the first line test.
     """
 
     def __init__(self, sample: _Sample, cells, estimator, boot_reps: int, seed: int):

@@ -524,6 +524,19 @@ class TestSensitivityCommand:
         assert cli.main(["sensitivity", "--data", data, "--config", str(bad)]) == 2
         assert "seed must be in [0, 2**64)" in capsys.readouterr().err
 
+    def test_repeated_covariate_exits_2(self, setup, capsys):
+        # the repeated column made a design of rank 3 < 4 columns, and the
+        # run exited 0 with every cell of the row null
+        data, _, tmp_path = setup
+        cfg = json.loads((tmp_path / "sens.json").read_text())
+        cfg["propensity_models"] = [{"covariates": ["x1", "x1", "x2", "x2", "x3"]}]
+        bad, out = tmp_path / "bad.json", tmp_path / "s.json"
+        bad.write_text(json.dumps(cfg))
+        assert cli.main(["sensitivity", "--data", data, "--config", str(bad),
+                         "--out", str(out)]) == 2
+        assert "propensity_models[0] repeats column(s) x1, x2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_estimation_failure_exits_1(self, setup, monkeypatch, capsys):
         # a failed fit is no configuration problem: it exited 2
         def fail(*args, **kwargs):

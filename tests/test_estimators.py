@@ -30,10 +30,11 @@ from drmean.errors import (
 )
 from drmean.linmod import RespondentDesign
 
-# the linmod calls a Pipeline makes, each memoised once per key
-PIPELINE_FITS = ("fit_logistic_propensity", "weight_diagnostics", "RespondentDesign",
-                 "fit_outcome_reg", "fit_outcome_wls", "fit_outcome_ipw_nr",
-                 "fit_outcome_ext_reg", "fit_extended_propensity")
+# the linmod calls a Pipeline makes, each memoised once per key; the
+# draw fit serves a Pipeline given pi_start
+PIPELINE_FITS = ("fit_logistic_propensity", "_fit_logistic_draw", "weight_diagnostics",
+                 "RespondentDesign", "fit_outcome_reg", "fit_outcome_wls",
+                 "fit_outcome_ipw_nr", "fit_outcome_ext_reg", "fit_extended_propensity")
 
 
 def count_calls(monkeypatch, module, names) -> dict:
@@ -484,14 +485,15 @@ class TestOneDefinition:
         # the memo mc shares between the four scenarios of one replication
         # fits each of Z and X once as propensity and once as outcome design,
         # and each (propensity, outcome) design pair once where both are
-        # read; no summary reads the weight diagnostics, so none are taken
+        # read; no summary reads the weight diagnostics, so none are taken,
+        # and no fit starts from given coefficients, so none is a draw fit
         fits = count_calls(monkeypatch, linmod, PIPELINE_FITS)
         specs = [mc.ScenarioSpec(n=200, reps=2, pi_model_correct=p, m_model_correct=m)
                  for p in (True, False) for m in (True, False)]
         summaries = mc.run_scenarios(specs)
         assert all(row.failures == 0 for s in summaries for row in s.rows.values())
-        per_design = {"fit_logistic_propensity": 2, "weight_diagnostics": 0,
-                      "RespondentDesign": 2, "fit_outcome_reg": 2}
+        per_design = {"fit_logistic_propensity": 2, "_fit_logistic_draw": 0,
+                      "weight_diagnostics": 0, "RespondentDesign": 2, "fit_outcome_reg": 2}
         per_pair = {name: 4 for name in PIPELINE_FITS if name not in per_design}
         assert fits == {name: 2 * k for name, k in {**per_design, **per_pair}.items()}
 
@@ -517,7 +519,8 @@ class TestOneDefinition:
                  est.Pipeline(view, pi_start=np.zeros_like(start), memo=memo)]
         fitted = [pipe.propensity() for pipe in pipes]
         weighted = [pipe.outcome("WLS") for pipe in pipes]
-        assert fits["fit_logistic_propensity"] == 2 + 4
+        # the three Pipelines given a start fit by the draw routine
+        assert (fits["fit_logistic_propensity"], fits["_fit_logistic_draw"]) == (2 + 1, 3)
         assert fits["fit_outcome_wls"] == 4
         assert len({id(f) for f in fitted}) == len({id(f) for f in weighted}) == 4
         again = est.Pipeline(view, pi_start=start, memo=memo)

@@ -83,9 +83,9 @@ GOLDEN = {
     "estimate pi X, m Z":
         "e06c183ae815ee20e49a26f40b378641961e47347a614da525cfc29ccdbf5f53",
     "sensitivity DR_WLS":
-        "8b031b52c96d6622e3b884308d3b67ab575eeea2a1500a5f950675f58abc09b5",
+        "58a4673ca95ae051bbd6c262577e6ee4586ae6f2f98d9a91d6daa9e1d285d982",
     "sensitivity B_DR_EXT":
-        "0553b442331b9b63e3f652f11bf5d3dc5472d942e983a93351b5d845b81443ec",
+        "3c7c4c9af96dbbac4e1ac4a85dd3f3760ef02a59423cad8d4fe6dd140a8b979b",
 }
 # the counts in metadata.json are the same on both classes
 GOLDEN_AVX2 = {
@@ -100,9 +100,9 @@ GOLDEN_AVX2 = {
     "estimate pi X, m Z":
         "3f2f0962c51da5dda0537e57ab9fd63ccbb11a8aa0411cb942f4f1a131c929b9",
     "sensitivity DR_WLS":
-        "9dd4b32912dcfb9805c3be3f705421dda0b06565f2cbe8c59f5dce4efe3d2533",
+        "7cec0f7d649ea3f0d29ae275a8d48499da2b43761357eeedf1c4ac377ad4020c",
     "sensitivity B_DR_EXT":
-        "da958da791893c49e950f1765aa6cf7192edc864e2a108e25ffc96f448831304",
+        "b762f8a6cc1a45e70a1cca4625b599a92f3e059db111ed530ae1b14b7392e130",
 }
 # (numpy's SIMD features, OpenBLAS kernel) -> the hashes that hold there
 KERNEL_CLASSES = {

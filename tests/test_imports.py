@@ -11,8 +11,10 @@ sum of the package, no module imports scipy.optimize: every fit is the
 package's own Newton-type solve, and the propensity kind names are
 string constants only as the values of linmod.PropensityKind, which no
 module but linmod names: nothing outside the fits chooses a propensity
-model.  cli names
-neither check_int nor check_seed: config values reach the library unparsed.
+model.  Only estimators names linmod._fit_logistic_draw, the fixed-step
+fit of the sensitivity draws, so no public function takes fixed steps.
+cli names neither check_int nor check_seed: config values reach the
+library unparsed.
 Only linmod imports numpy.linalg._umath_linalg, the LAPACK gufuncs behind
 numpy.linalg, and linmod calls them through its own helpers, never
 through np.linalg.cholesky, inv or solve.
@@ -168,14 +170,14 @@ def test_the_scan_finds_kind_names(tmp_path):
     assert kind_strings(path) == [(2, "PropensityKind"), (6, "f"), (7, "<module>")]
 
 
-def propensity_kind_lines(path: Path) -> list[int]:
-    """The lines of path that name PropensityKind in code: as a name, an
-    attribute or an imported name."""
+def code_lines(path: Path, name: str) -> list[int]:
+    """The lines of path that name name in code: as a name, an attribute or
+    an imported name (a definition of name does not count)."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if (isinstance(node, ast.Name) and node.id == "PropensityKind"
-                or isinstance(node, ast.Attribute) and node.attr == "PropensityKind"
-                or isinstance(node, ast.alias) and node.name == "PropensityKind"):
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name):
             found.add(node.lineno)
     return sorted(found)
 
@@ -183,7 +185,7 @@ def propensity_kind_lines(path: Path) -> list[int]:
 def test_only_linmod_names_propensity_kind():
     # the fits choose a propensity model, and nothing outside them does
     named = [p.relative_to(ROOT).as_posix() for p in FILES
-             if p.relative_to(ROOT).parts[0] == "src" and propensity_kind_lines(p)]
+             if p.relative_to(ROOT).parts[0] == "src" and code_lines(p, "PropensityKind")]
     assert named == ["src/drmean/linmod.py"]
 
 
@@ -193,7 +195,24 @@ def test_the_scan_finds_propensity_kind(tmp_path):
                     "def f(fit):\n"
                     "    return fit.kind is drmean.linmod.PropensityKind.LOGISTIC_MLE\n"
                     'K = PropensityKind\n"""PropensityKind in a docstring is no use."""\n')
-    assert propensity_kind_lines(path) == [1, 6, 7]
+    assert code_lines(path, "PropensityKind") == [1, 6, 7]
+
+
+def test_only_estimators_names_the_draw_fit():
+    # fixed Newton steps serve the sensitivity draws, through Pipeline alone:
+    # no public function takes them
+    named = [p.relative_to(ROOT).as_posix() for p in FILES
+             if p.relative_to(ROOT).parts[0] == "src" and code_lines(p, "_fit_logistic_draw")]
+    assert named == ["src/drmean/estimators.py"]
+
+
+def test_the_scan_finds_the_draw_fit(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from .linmod import _fit_logistic_draw as fit\nfrom . import linmod\n\n\n"
+                    "def _fit_logistic_draw(design, T, start):\n"
+                    "    return linmod._fit_logistic_draw(design, T, start)\n"
+                    'F = _fit_logistic_draw\n"""_fit_logistic_draw in a docstring."""\n')
+    assert code_lines(path, "_fit_logistic_draw") == [1, 6, 7]
 
 
 CHECK_NAMES = ("check_int", "check_seed")

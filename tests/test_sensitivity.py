@@ -15,6 +15,14 @@ PZ = sens.ModelSpec(role="propensity", covariates=(0, 1, 2, 3))
 PX = sens.ModelSpec(role="propensity", covariates=(4, 5, 6, 7))
 OZ = sens.ModelSpec(role="outcome", covariates=(0, 1, 2, 3))
 OX = sens.ModelSpec(role="outcome", covariates=(4, 5, 6, 7))
+# column 8 of twinned(cov) repeats column 0, so this spec's design loses rank
+P_TWINS = sens.ModelSpec(role="propensity", covariates=(0, 8))
+FULL, DRAW = "fit_logistic_propensity", "_fit_logistic_draw"
+
+
+def twinned(cov):
+    """cov with a copy of its column 0 appended as column 8."""
+    return np.column_stack([cov, cov[:, 0]])
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +45,12 @@ class TestModelSpec:
     def test_negative_index(self):
         with pytest.raises(InvalidArgumentError):
             sens.ModelSpec(role="outcome", covariates=(0, -1))
+
+    def test_repeated_index_rejected(self):
+        # (0, 0, 1) was accepted, and every cell of its row failed with
+        # "SingularDesignError: rank 3 < 4 columns"
+        with pytest.raises(InvalidArgumentError, match=r"covariates repeat index\(es\) 3, 0$"):
+            sens.ModelSpec(role="propensity", covariates=(3, 0, 3, 1, 0))
 
     @pytest.mark.parametrize("kind", ["REG", "WLS", "EXT_REG", "IPW_NR"])
     def test_outcome_kind_rejected(self, kind):
@@ -140,9 +154,8 @@ class TestBuildMatrix:
 
     def test_cell_failure_is_isolated(self, data600):
         _, cov, T, y = data600
-        p_singular = sens.ModelSpec(role="propensity", covariates=(0, 0))
         estimates, messages = sens.build_matrix(
-            cov, T, y, [PZ, p_singular], [OZ], "B_DR_EXT"
+            twinned(cov), T, y, [PZ, P_TWINS], [OZ], "B_DR_EXT"
         )
         assert np.isfinite(estimates[0, 0])
         assert math.isnan(estimates[1, 0])
@@ -345,13 +358,12 @@ class TestHomogeneity:
 
 @pytest.fixture
 def logistic_fits(monkeypatch):
-    """Design row counts of every logistic propensity fit made."""
+    """The routine of every logistic propensity fit made, in order: FULL for
+    the stop-rule fit, DRAW for a bootstrap draw's fixed-step fit."""
     fits = []
-    fit = linmod.fit_logistic_propensity
-    monkeypatch.setattr(
-        linmod, "fit_logistic_propensity",
-        lambda design, T, start=None: fits.append(len(design)) or fit(design, T, start),
-    )
+    for name in (FULL, DRAW):
+        monkeypatch.setattr(linmod, name, lambda *a, _name=name, _fit=getattr(linmod, name):
+                            fits.append(_name) or _fit(*a))
     return fits
 
 
@@ -362,7 +374,7 @@ class TestSharedPropensityFits:
         out = sens.homogeneity_test(np.array([210.0, 211.0]), cov, T, y, PZ,
                                     (OZ, OX), "DR_WLS", boot_reps=25, seed=3)
         assert out.n_boot_used == 25
-        assert len(logistic_fits) == 25 + 1
+        assert logistic_fits == [FULL] + [DRAW] * 25
 
     def test_matrix_fits_each_propensity_once(self, data600, logistic_fits):
         _, cov, T, y = data600
@@ -371,7 +383,7 @@ class TestSharedPropensityFits:
             cov, T, y, [PZ, PX], [OZ, OX, o_third], "DR_WLS"
         )
         assert np.all(np.isfinite(estimates)) and messages == {}
-        assert len(logistic_fits) == 2
+        assert logistic_fits == [FULL] * 2
 
     def test_equivalent_propensity_specs_share_one_fit(self, data600, logistic_fits):
         # two specs on one design name one model: one full-sample fit and
@@ -380,7 +392,7 @@ class TestSharedPropensityFits:
         p_twin = sens.ModelSpec(role="propensity", covariates=PZ.covariates)
         out = sens.run_sensitivity(cov, T, y, [PZ, p_twin], [OZ, OX], "DR_WLS",
                                    boot_reps=25, seed=2)
-        assert len(logistic_fits) == 25 + 1
+        assert logistic_fits == [FULL] + [DRAW] * 25
         assert out.estimates[0].tobytes() == out.estimates[1].tobytes()
         assert out.row_tests[0].n_boot_used == 25
         assert repr(out.row_tests[0]) == repr(out.row_tests[1])
@@ -402,16 +414,16 @@ class TestSharedPropensityFits:
     def test_singular_propensity_row(self, data600, logistic_fits):
         # the failed fit is made once and reported by every cell of its row
         _, cov, T, y = data600
-        p_singular = sens.ModelSpec(role="propensity", covariates=(0, 0))
+        cov = twinned(cov)
         estimates, messages = sens.build_matrix(
-            cov, T, y, [PZ, p_singular], [OZ, OX], "DR_WLS"
+            cov, T, y, [PZ, P_TWINS], [OZ, OX], "DR_WLS"
         )
-        assert len(logistic_fits) == 2
+        assert logistic_fits == [FULL] * 2
         assert np.all(np.isfinite(estimates[0])) and np.all(np.isnan(estimates[1]))
         assert sorted(messages) == [(1, 0), (1, 1)]
         assert messages[(1, 0)] == messages[(1, 1)]
         assert messages[(1, 0)].startswith(SingularDesignError.__name__ + ":")
-        out = sens.run_sensitivity(cov, T, y, [PZ, p_singular], [OZ, OX], "DR_WLS",
+        out = sens.run_sensitivity(cov, T, y, [PZ, P_TWINS], [OZ, OX], "DR_WLS",
                                    boot_reps=25, seed=0)
         assert out.cell_messages == messages
         assert math.isnan(out.row_tests[1].p_value)
@@ -548,8 +560,7 @@ class TestRunSensitivity:
 
     def test_nan_cells_serialise_as_null(self, data600):
         _, cov, T, y = data600
-        p_singular = sens.ModelSpec(role="propensity", covariates=(0, 0))
-        out = sens.run_sensitivity(cov, T, y, [p_singular], [OZ], "B_DR_EXT",
+        out = sens.run_sensitivity(twinned(cov), T, y, [P_TWINS], [OZ], "B_DR_EXT",
                                    boot_reps=25, seed=0)
         payload = json.loads(json.dumps(out.to_dict()))
         assert payload["estimates"][0][0] is None
@@ -571,37 +582,41 @@ class TestSharedDraws:
             assert alone == result.col_tests[j]
 
     def test_draw_fits_start_from_the_full_sample_fit(self, data600, monkeypatch):
+        # and take exactly DRAW_NEWTON_STEPS steps from it
         _, cov, T, y = data600
         calls = []
-        fit = linmod.fit_logistic_propensity
+        for name in (FULL, DRAW):
+            def spy(design, T, start=None, _name=name, _fit=getattr(linmod, name)):
+                out = _fit(design, T, start)
+                calls.append((_name, start, out))
+                return out
 
-        def spy(design, T, start=None):
-            out = fit(design, T, start)
-            calls.append((start, out.alpha))
-            return out
-
-        monkeypatch.setattr(linmod, "fit_logistic_propensity", spy)
+            monkeypatch.setattr(linmod, name, spy)
         sens.homogeneity_test(np.array([210.0, 211.0]), cov, T, y, PZ, (OZ, OX),
                               "DR_WLS", boot_reps=5, seed=3)
-        (first, alpha), *draws = calls
-        assert first is None and len(draws) == 5
-        assert all(np.array_equal(start, alpha) for start, _ in draws)
+        (name, first, full), *draws = calls
+        assert (name, first) == (FULL, None) and full.iterations > linmod.DRAW_NEWTON_STEPS
+        assert [name for name, _, _ in draws] == [DRAW] * 5
+        assert all(start is full.alpha for _, start, _ in draws)
+        assert [fit.iterations for _, _, fit in draws] == [linmod.DRAW_NEWTON_STEPS] * 5
 
     def test_draws_start_from_zero_when_the_full_sample_fit_fails(self, data600,
                                                                   monkeypatch):
         # a propensity model on a column equal to T fails on the full sample
-        # and in every draw: each draw fit starts from zero, and the line,
+        # and in every draw: each draw fit starts from zero and iterates to
+        # the stop rule, as no start makes it a two-step draw, and the line,
         # finite as given, reports every draw as failed
         _, cov, T, y = data600
-        starts = []
+        starts, fixed = [], []
         fit = linmod.fit_logistic_propensity
         monkeypatch.setattr(linmod, "fit_logistic_propensity",
                             lambda design, T, start=None: starts.append(start) or fit(
                                 design, T, start))
+        monkeypatch.setattr(linmod, "_fit_logistic_draw", lambda *a: fixed.append(a))
         separated = sens.ModelSpec(role="propensity", covariates=(8,))
         out = sens.homogeneity_test(np.array([210.0, 211.0]), np.column_stack([cov, T]), T,
                                     y, separated, (OZ, OX), "DR_WLS", boot_reps=25, seed=3)
-        assert starts == [None] * 26
+        assert starts == [None] * 26 and fixed == []
         assert out.note == "too few successful bootstrap draws"
         assert (out.n_boot_used, out.boot_failures) == (0, 25)
         assert math.isnan(out.p_value) and math.isnan(out.statistic)
@@ -628,11 +643,12 @@ class TestSharedDraws:
                                         "DR_WLS", boot_reps=40, seed=8)
 
         clean = run()
-        fit, logistic = linmod.fit_outcome_wls, linmod.fit_logistic_propensity
-        small_pi = []  # the pi_hat of each fit on p_small's 4-column design
+        fit = linmod.fit_outcome_wls
+        small_pi = []  # the pi_hat of each draw fit on p_small's 4-column design
+        logistic = linmod._fit_logistic_draw
 
-        def spy(design, *args, **kwargs):
-            out = logistic(design, *args, **kwargs)
+        def spy(design, *args):
+            out = logistic(design, *args)
             if design.shape[1] == 4:
                 small_pi.append(out.pi_hat)
             return out
@@ -643,7 +659,7 @@ class TestSharedDraws:
                 raise NonconvergenceError("injected")
             return fit(design, pi_hat)
 
-        monkeypatch.setattr(linmod, "fit_logistic_propensity", spy)
+        monkeypatch.setattr(linmod, "_fit_logistic_draw", spy)
         monkeypatch.setattr(linmod, "fit_outcome_wls", flaky)
         out = run()
         assert out.cell_messages == {}
@@ -746,5 +762,125 @@ class TestLazyDraws:
         assert logistic_fits == []
         first = draws.draws
         # the start fit, then one fit per draw, and nothing on a second read
-        assert len(logistic_fits) == 1 + 4
-        assert draws.draws is first and len(logistic_fits) == 1 + 4
+        assert logistic_fits == [FULL] + [DRAW] * 4
+        assert draws.draws is first and logistic_fits == [FULL] + [DRAW] * 4
+
+
+def _criterion_8(n: int):
+    """The criterion-8 2x2 with DR_WLS on generate_sample(n, 99), 300 draws, seed 7."""
+    s = generate_sample(n, 99)
+    return sens.run_sensitivity(np.hstack([s.Z, s.X]), s.T, np.where(s.T == 1, s.Y, np.nan),
+                                [PZ, PX], [OZ, OX], "DR_WLS", boot_reps=300, seed=7)
+
+
+class TestTwoStepDraws:
+    """Each draw's propensity fit takes DRAW_NEWTON_STEPS Newton steps from
+    the full-sample fit, without the stop rule (linmod._fit_logistic_draw)."""
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_line_p_values_match_converged_draws(self, monkeypatch, n):
+        # the paired gate: the same run with every draw fit iterated to the
+        # stop rule differs only in the line tests' p-values and statistics,
+        # and each p-value by less than the 0.005-0.013 seed-to-seed SD of a
+        # line p-value on this sample
+        two_step = _criterion_8(n)
+        monkeypatch.setattr(linmod, "_fit_logistic_draw", linmod.fit_logistic_propensity)
+        converged = _criterion_8(n)
+        assert two_step.estimates.tobytes() == converged.estimates.tobytes()
+        assert two_step.cell_messages == converged.cell_messages == {}
+        assert two_step.row_spread.tobytes() == converged.row_spread.tobytes()
+        assert two_step.col_spread.tobytes() == converged.col_spread.tobytes()
+        assert two_step.selection == converged.selection
+        lines = list(zip(two_step.row_tests + two_step.col_tests,
+                         converged.row_tests + converged.col_tests))
+        for got, want in lines:
+            assert (got.n_boot_used, got.boot_failures) == (want.n_boot_used, want.boot_failures)
+            assert got.boot_failures == 0
+            assert abs(got.p_value - want.p_value) <= 0.005
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_separating_start_fails_as_separated(self):
+        # T is a sign of the column: two steps from a slope of 32 reach
+        # |alpha'x| = 34, past ETA_SEPARATION; from 30 they stop at 32
+        T = np.array([0, 1] * 10)
+        design = np.column_stack([np.ones(20), 2.0 * T - 1])
+        fit = linmod._fit_logistic_draw(design, T, np.array([0.0, 30.0]))
+        assert fit.iterations == linmod.DRAW_NEWTON_STEPS
+        assert 32 < np.abs(fit.eta).max() < linmod.ETA_SEPARATION
+        with pytest.raises(NonconvergenceError, match="data are separated"):
+            linmod._fit_logistic_draw(design, T, np.array([0.0, 32.0]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e300, -1e300])
+    def test_overflowing_start_fails_without_a_nan_estimate(self, data600, scale):
+        s, *_ = data600
+        view = make_view(s, True, True)
+        start = linmod.fit_logistic_propensity(view.design_pi, view.T).alpha * scale
+        with pytest.raises(NonconvergenceError):
+            linmod._fit_logistic_draw(view.design_pi, view.T, start)
+        with pytest.raises(NonconvergenceError):
+            sens._estimate_cell(view, "DR_WLS", start, {})
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("at", [1, 2])
+    def test_non_finite_step_fails(self, data600, monkeypatch, bad, at):
+        # no stop rule judges a step, so a non-finite one must still fail
+        s, *_ = data600
+        view = make_view(s, True, True)
+        start = linmod.fit_logistic_propensity(view.design_pi, view.T).alpha
+        steps = []
+        real = linmod._newton_step
+
+        def newton_step(*args):
+            step = real(*args)
+            steps.append(step)
+            return np.full_like(step, bad) if len(steps) == at else step
+
+        monkeypatch.setattr(linmod, "_newton_step", newton_step)
+        with pytest.raises(NonconvergenceError):
+            linmod._fit_logistic_draw(view.design_pi, view.T, start)
+        assert len(steps) == at
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("signs", [(1, 1, 1, 1, 1), (1, -1, 1, -1, 1)])
+    def test_overflowing_fit_fails(self, data600, monkeypatch, signs):
+        # a finite last step whose alpha'x overflows to inf or NaN: the
+        # separation test alone let a NaN through
+        s, *_ = data600
+        view = make_view(s, True, True)
+        start = linmod.fit_logistic_propensity(view.design_pi, view.T).alpha
+        real = linmod._newton_step
+        steps = []
+
+        def newton_step(*args):
+            steps.append(real(*args))
+            return 1e308 * np.array(signs, dtype=float) if len(steps) == 2 else steps[-1]
+
+        monkeypatch.setattr(linmod, "_newton_step", newton_step)
+        with pytest.raises(NonconvergenceError, match="logistic fit is not finite"):
+            linmod._fit_logistic_draw(view.design_pi, view.T, start)
+
+    def test_rank_deficient_resample_fails_at_the_first_step(self, data600):
+        # column 8 is nonzero on three units only: a draw that resamples
+        # none of them has a zero column, and its fit fails in the first
+        # step's solve, by name; every other draw fits
+        s, cov, T, y = data600
+        rows = [int(i) for i in np.flatnonzero(T == 1)[:2]] + [int(np.flatnonzero(T == 0)[0])]
+        cov = np.column_stack([cov, np.isin(np.arange(len(T)), rows).astype(float)])
+        p_sparse = sens.ModelSpec(role="propensity", covariates=(0, 1, 2, 3, 8))
+        sample = sens._Sample(cov, T, y, (p_sparse, OZ))
+        draws = sens._Draws(sample, [(p_sparse, OZ)], "DR_WLS", 60, 3).draws
+        lost = 0
+        for b, draw in enumerate(draws):
+            rng = np.random.Generator(np.random.PCG64(sens.derive_seed(3, b)))
+            missing = not np.isin(rows, rng.integers(0, len(T), size=len(T))).any()
+            value = draw[p_sparse, OZ]
+            if missing:
+                lost += 1
+                assert isinstance(value, SingularDesignError)
+                assert str(value).startswith("rank 5 < 6 columns")
+            else:
+                assert math.isfinite(value)
+        assert lost == 8
