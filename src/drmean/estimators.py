@@ -99,8 +99,8 @@ class _Respondents:
         pi_hat, Y = check_units(pi_hat, T, "pi_hat"), check_units(Y, T, "Y")
         if not resp.any():
             raise UndefinedEstimatorError("no respondents")
-        w = linmod._inverse_pi(pi_hat[resp], "respondents")
-        self.resp, self.w, self.y, self.n = resp, w, check_observed(Y[resp]), len(resp)
+        w = linmod._inverse_pi(pi_hat.compress(resp), "respondents")
+        self.resp, self.w, self.y, self.n = resp, w, check_observed(Y.compress(resp)), len(resp)
 
     @cached_property
     def w_sum(self) -> float:
@@ -114,7 +114,7 @@ class _Respondents:
     def residual_sum(self, fitted: "_Fitted") -> float:
         """Exact sum of w (y - m_hat) over respondents."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return _fsum(self.w * (self.y - fitted.m_hat[self.resp]))
+            return _fsum(self.w * (self.y - fitted.m_hat.compress(self.resp)))
 
 
 class _Fitted:
@@ -470,8 +470,8 @@ def estimate_all(
     pipe = Pipeline(view, full, memo=_memo)
     # no observed range if y_observed and T disagree: every estimator that
     # reads them fails on that
-    y_resp = pipe.y[pipe.T == 1] if pipe.y.shape == pipe.T.shape else np.empty(0)
-    y_resp = y_resp[~np.isnan(y_resp)]
+    y, T = pipe.y, pipe.T
+    y_resp = y.compress(((T == 1) & ~np.isnan(y)).ravel()) if y.shape == T.shape else np.empty(0)
     lo, hi = (y_resp.min(), y_resp.max()) if y_resp.size else (math.inf, -math.inf)
     values: dict[str, float] = {}
     flags: dict[str, str] = {}
@@ -535,8 +535,8 @@ def mu_ols_identities_check(view: AnalysisView) -> IdentitiesReport:
     except DrmeanError as exc:
         return skipped(f"{type(exc).__name__}: {exc}")
     resp = np.asarray(view.T) == 1
-    y = np.asarray(view.y_observed, dtype=float)[resp]
-    s = inv.eta[resp]  # alpha'x on respondents
+    y = np.asarray(view.y_observed, dtype=float).compress(resp)
+    s = inv.eta.compress(resp)  # alpha'x on respondents
     denom = _fsum(s)
     if denom == 0:
         return skipped("weighted mean undefined: sum of alpha'x vanishes")
@@ -547,9 +547,9 @@ def mu_ols_identities_check(view: AnalysisView) -> IdentitiesReport:
         bounded_ht = _fsum(s * y) / denom
         moments = design * ((design * resp[:, None]) @ inv.alpha - 1.0)[:, None]
         moment_residual = max(abs(_fsum(col)) for col in moments.T) / n
-        resid = y - m_fit.m_hat[resp]
+        rows, resid = design.compress(resp, axis=0), y - m_fit.m_hat.compress(resp)
         residuals = [
-            abs(_fsum((design[resp] @ rng.standard_normal(design.shape[1])) * resid) / n)
+            abs(_fsum((rows @ rng.standard_normal(design.shape[1])) * resid) / n)
             for _ in range(IDENTITIES_ALPHAS)
         ]
     diff = abs(mu_ols - bounded_ht)

@@ -1041,3 +1041,28 @@ class TestUnitArrays:
         short_y = dataclasses.replace(view, y_observed=view.y_observed[:-1])
         with pytest.raises(InvalidArgumentError, match="y_observed length must match T"):
             RespondentDesign(short_y)
+
+
+class TestRowCuts:
+    """A respondent design's rows and outcomes are the mask cut of its view,
+    byte for byte and in C order: the designs' layout decides BLAS rounding
+    (dgp.design_matrix), so a cut that changed it could move a fit's bits."""
+
+    @staticmethod
+    def resampled(view, seed):
+        idx = np.random.default_rng(seed).integers(0, view.T.size, size=view.T.size)
+        design = view.design_m.take(idx, axis=0)
+        return AnalysisView(design, design, view.T.take(idx), view.y_observed.take(idx))
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("resample", [False, True])
+    def test_rows_and_outcomes_equal_the_mask_cut(self, s, resample):
+        view = make_view(generate_sample(1000, s), False, False)
+        if resample:
+            view = self.resampled(view, s)
+        resp = view.T == 1
+        got = RespondentDesign(view)
+        want_rows, want_y = view.design_m[resp], view.y_observed[resp] / got.y_scale
+        for have, want in ((got.rows, want_rows), (got.y, want_y)):
+            assert have.flags.c_contiguous
+            assert have.shape == want.shape and have.tobytes() == want.tobytes()

@@ -17,7 +17,10 @@ shape (one entry short or long, a column, 2-d or 0-d) or of text,
 complex values or ragged lists, and scenario and sensitivity specs,
 views, samples and fits of another type are always rejected, as are a
 bare string of estimator names and the spellings of removed features.  A table pins the class and whole message
-of every pi_hat failure of the weighted fits and estimators.
+of every pi_hat failure of the weighted fits and estimators, and another
+those of a per-unit array one unit short at every public entry that cuts
+rows by a mask, where ndarray.compress would drop units that indexing
+rejected; estimate_all reports them per estimator.
 """
 
 import dataclasses
@@ -408,6 +411,7 @@ def array_targets() -> dict:
     m_hat = np.where(T == 1, y, 1.0)
     cov = np.hstack([sample.Z, sample.X])
     pz, oz = ModelSpec("propensity", (0, 1, 2, 3)), ModelSpec("outcome", (0, 1, 2, 3))
+    base = drmean.fit_logistic_propensity(view.design_pi, T)
 
     def in_view(f, *fields):
         """f on the view with fields passed through a BAD_SHAPES function."""
@@ -418,6 +422,7 @@ def array_targets() -> dict:
         **{f"estimate_all.{name}": in_view(lambda v: drmean.estimate_all(v, sample), name)
            for name in ("design_pi", "design_m", "T", "y_observed")},
         "RespondentDesign.T,y_observed": in_view(drmean.RespondentDesign, "T", "y_observed"),
+        "RespondentDesign.y_observed": in_view(drmean.RespondentDesign, "y_observed"),
         "mu_ols_identities_check.T,y_observed": in_view(
             drmean.mu_ols_identities_check, "T", "y_observed"),
         **{f"{f.__name__}.pi_hat": one_bad(f, (drmean.RespondentDesign(view), pi), 1)
@@ -427,6 +432,12 @@ def array_targets() -> dict:
                                                   (view.design_pi, T), 0),
         "fit_logistic_propensity.start": one_bad(
             drmean.fit_logistic_propensity, (view.design_pi, T, np.zeros(5)), 2),
+        "fit_logistic_propensity.T": one_bad(drmean.fit_logistic_propensity,
+                                             (view.design_pi, T), 1),
+        "fit_inverse_linear.T": one_bad(drmean.fit_inverse_linear, (view.design_m, T), 1),
+        **{f"fit_extended_propensity.{name}": one_bad(drmean.fit_extended_propensity,
+                                                       (base, m_hat - 210.0, T), k)
+           for k, name in ((1, "h"), (2, "T"))},
         "weight_diagnostics.pi_hat": one_bad(drmean.linmod.weight_diagnostics, (pi, T), 0),
         "weight_diagnostics.T": one_bad(drmean.linmod.weight_diagnostics, (pi, T), 1),
         "mu_from_regression.m_hat": one_bad(drmean.mu_from_regression, (m_hat,), 0),
@@ -435,6 +446,10 @@ def array_targets() -> dict:
         **{f"run_sensitivity.{name}": one_bad(drmean.run_sensitivity,
                                               (cov, T, y, [pz], [oz], "DR_WLS"), k, boot_reps=2)
            for k, name in ((1, "T"), (2, "Y"))},
+        "build_matrix.T": one_bad(drmean.build_matrix, (cov, T, y, [pz], [oz], "DR_WLS"), 1),
+        "homogeneity_test.T": one_bad(drmean.homogeneity_test,
+                                      (np.ones(1), cov, T, y, pz, [oz], "DR_WLS"), 2,
+                                      boot_reps=2),
     }
     values = {"pi_hat": pi, "m_hat": m_hat, "T": T, "Y": y}
     for mu, names in ((drmean.mu_ht, "pi_hat T Y"), (drmean.mu_ipw_pop, "pi_hat T Y"),
@@ -474,6 +489,80 @@ ARRAY_TARGETS = array_targets()
 @example("fit_logistic_propensity.start", "text")
 def test_arrays_of_the_wrong_shape_raise_only_drmean_errors(name, shape):
     call(ARRAY_TARGETS[name], BAD_SHAPES[shape])
+
+
+Y_OBSERVED, PI_HAT = "y_observed length must match T", "pi_hat length must match T"
+DESIGN_M, RESPONSE = "design_m rows must match T", "response length must match design rows"
+PER_ROW = "T and Y must have one entry per row of covariates"
+# the InvalidArgumentError message of each call in ARRAY_TARGETS that reaches
+# a row cut by a mask, given an argument one unit short.  ndarray.compress
+# keeps the first len(mask) rows where indexing by the mask raised
+# IndexError, so each of these checks is all that keeps a short T, pi_hat,
+# outcome or h from cutting rows silently
+SHORT_FAILURES = {
+    "RespondentDesign.y_observed": Y_OBSERVED,
+    "RespondentDesign.T,y_observed": DESIGN_M,
+    "mu_ols_identities_check.T,y_observed": DESIGN_M,
+    **{f"{f}.pi_hat": PI_HAT for f in ("fit_outcome_wls", "fit_outcome_ext_reg",
+                                       "fit_outcome_ipw_nr", "mu_ht", "mu_ipw_pop",
+                                       "mu_aipw", "mu_b_dr", "weight_diagnostics")},
+    **{f"{f}.T": PI_HAT for f in ("mu_ht", "mu_ipw_pop", "mu_aipw", "mu_b_dr",
+                                  "weight_diagnostics")},
+    **{f"{f}.Y": "Y length must match T" for f in ("mu_ht", "mu_ipw_pop", "mu_aipw",
+                                                   "mu_b_dr")},
+    **{f"{f}.m_hat": "m_hat length must match T" for f in ("mu_aipw", "mu_b_dr")},
+    "fit_extended_propensity.h": "h and T must have one entry per unit",
+    "fit_extended_propensity.T": "h and T must have one entry per unit",
+    "fit_logistic_propensity.T": RESPONSE,
+    "fit_inverse_linear.T": RESPONSE,
+    "run_sensitivity.T": PER_ROW,
+    "run_sensitivity.Y": PER_ROW,
+    "build_matrix.T": PER_ROW,
+    "homogeneity_test.T": PER_ROW,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORT_FAILURES))
+def test_one_unit_short_fails_with_its_message(name):
+    with warnings.catch_warnings(), pytest.raises(InvalidArgumentError) as info:
+        warnings.simplefilter("error")
+        ARRAY_TARGETS[name](BAD_SHAPES["short"])
+    assert type(info.value) is InvalidArgumentError
+    assert str(info.value) == SHORT_FAILURES[name]
+
+
+WEIGHTED = ("HT", "IPW_POP", "DR_REG", "DR_WLS", "DR_IPW_NR", "DR_EXT_REG", "B_DR_REG",
+            "B_DR_EXT")
+# (fields of the view passed through BAD_SHAPES[shape]): OLS's message, the
+# weighted estimators' messages, FULL's flag.  estimate_all reads the
+# observed range only where y_observed and T have one shape, so a short one
+# leaves FULL out of range, and a column of each still gives FULL its range
+ESTIMATE_ALL_FAILURES = {
+    (("y_observed",), "short"): (
+        Y_OBSERVED, {**dict.fromkeys(WEIGHTED, Y_OBSERVED),
+                     "HT": "Y length must match T", "IPW_POP": "Y length must match T"},
+        "out_of_observed_range"),
+    (("T",), "short"): (Y_OBSERVED, dict.fromkeys(WEIGHTED, RESPONSE),
+                        "out_of_observed_range"),
+    (("T", "y_observed"), "short"): (DESIGN_M, dict.fromkeys(WEIGHTED, RESPONSE), "ok"),
+    (("T", "y_observed"), "column"): (
+        "T must be a 1-d array of 0/1 response indicators",
+        dict.fromkeys(WEIGHTED, "T must be a 1-d array of 0/1 response indicators"), "ok"),
+}
+
+
+@pytest.mark.parametrize("fields, shape", ESTIMATE_ALL_FAILURES)
+def test_estimate_all_isolates_a_short_unit_array(fields, shape):
+    sample = drmean.generate_sample(40, 5)
+    view = drmean.make_view(sample, False, True)
+    bad = dataclasses.replace(view, **{f: BAD_SHAPES[shape](getattr(view, f)) for f in fields})
+    ols, weighted, full = ESTIMATE_ALL_FAILURES[fields, shape]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = drmean.estimate_all(bad, sample)
+    assert result.messages == {name: f"InvalidArgumentError: {message}" for name, message
+                               in {"OLS": ols, **weighted}.items()}
+    assert result.flags["FULL"] == full
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -7,7 +7,8 @@ import pytest
 
 from drmean import errors, linmod
 from drmean import sensitivity as sens
-from drmean.dgp import AnalysisView, generate_sample, make_view
+from drmean._util import derive_seed
+from drmean.dgp import AnalysisView, design_matrix, generate_sample, make_view
 from drmean.errors import InvalidArgumentError, NonconvergenceError, SingularDesignError
 from drmean.estimators import estimate_all
 
@@ -671,6 +672,32 @@ class TestSharedDraws:
         assert out.row_tests[0] == clean.row_tests[0]
         assert out.col_tests[0] == clean.col_tests[0]
         assert out.row_tests[0].n_boot_used == out.col_tests[0].n_boot_used == 40
+
+    def test_draws_cut_the_rows_of_the_sample(self, data600, monkeypatch):
+        # draw b hands the cells designs[k][idx], T[idx] and y[idx] for the
+        # idx of PCG64(derive_seed(seed, b)), byte for byte and in C order
+        _, cov, T, y = data600
+        seen = []
+        estimate_cells = sens._estimate_cells
+
+        def spy(designs, T, y_observed, *args):
+            seen.append((designs, T, y_observed))
+            return estimate_cells(designs, T, y_observed, *args)
+
+        monkeypatch.setattr(sens, "_estimate_cells", spy)
+        sens.homogeneity_test(np.array([210.0, 211.0]), cov, T, y, PX, (OZ, OX),
+                              "DR_WLS", boot_reps=4, seed=5)
+        assert len(seen) == 4
+        for b, (designs, T_b, y_b) in enumerate(seen):
+            rng = np.random.Generator(np.random.PCG64(derive_seed(5, b)))
+            idx = rng.integers(0, T.size, size=T.size)
+            assert sorted(designs) == sorted({PX.covariates, OZ.covariates, OX.covariates})
+            want = {k: design_matrix(cov, k)[idx] for k in designs}
+            want["T"], want["y"] = T.astype(np.int64)[idx], np.where(T == 1, y, np.nan)[idx]
+            for k, have in {**designs, "T": T_b, "y": y_b}.items():
+                assert have.flags.c_contiguous, k
+                assert have.dtype == want[k].dtype and have.shape == want[k].shape, k
+                assert have.tobytes() == want[k].tobytes(), k
 
     def test_two_runs_in_one_process_agree(self, data600, result):
         _, cov, T, y = data600
