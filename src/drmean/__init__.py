@@ -47,6 +47,7 @@ from .estimators import (
     mu_ols_identities_check,
 )
 from .linmod import (
+    InverseLinearFit,
     OutcomeFit,
     PropensityFit,
     RespondentDesign,
@@ -91,6 +92,7 @@ __all__ = [
     "HomogeneityResult",
     "InvalidArgumentError",
     "InvalidWeightError",
+    "InverseLinearFit",
     "MCSummary",
     "ModelSpec",
     "NoRootError",

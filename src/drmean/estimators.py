@@ -26,11 +26,12 @@ estimate_all and the sensitivity cells both evaluate it on a Pipeline,
 which memoises the fits and their terms, so one replication checks each
 propensity fit's respondents once and takes each shared exact sum once,
 FULL's sum of the complete outcomes included.  The weight diagnostics of
-estimate_all come from the base fit alone, taken when first read.  Each
-memo entry is keyed by the inputs it depends on (see Pipeline), so
-Pipelines on one sample that share a memo share every fit and sum whose
-inputs they share: mc shares one between the scenarios of a replication,
-sensitivity between the cells of one sample.
+estimate_all come from the base fit alone, taken when first read and
+kept by the result, not the memo.  Each memo entry is keyed by the
+inputs it depends on (see Pipeline), so Pipelines on one sample that
+share a memo share every fit and sum whose inputs they share: mc shares
+one between the scenarios of a replication, sensitivity between the
+cells of one sample.
 
 Every exact sum is _util.exact_sum: an error-free vector extraction,
 certified correctly rounded (Rump, Ogita & Oishi, SIAM J. Sci. Comput.
@@ -225,14 +226,15 @@ class EstimateSet:
 
     @cached_property
     def diagnostics(self) -> linmod.WeightDiagnostics | None:
-        """The weight diagnostics of the base propensity fit, computed on
-        first read (Pipeline.diagnostics) and kept: None when that fit
-        failed or when no requested estimator is weighted.  Until then the
-        EstimateSet keeps its Pipeline, and so the fits it memoised."""
-        if self._pipeline is None:
+        """linmod.weight_diagnostics of the base propensity fit, computed on
+        first read and kept: None when that fit failed or when no requested
+        estimator is weighted.  Until then the EstimateSet keeps its
+        Pipeline, and so the fits it memoised."""
+        pipe = self._pipeline
+        if pipe is None:
             return None
         try:
-            return self._pipeline.diagnostics()
+            return linmod.weight_diagnostics(pipe.propensity().pi_hat, pipe.T)
         except DrmeanError:
             return None
 
@@ -245,19 +247,20 @@ class Pipeline:
     iterated to its stop rule from 0, or, given the coefficients pi_start,
     linmod._fit_logistic_draw, exactly linmod.DRAW_NEWTON_STEPS Newton
     steps from them.  Only the sensitivity draws pass pi_start, the
-    full-sample fit of their spec.  Beside the fits, memo holds the
+    full-sample fit of their spec.  memo holds one entry per fit: the
+    propensity fit, the respondent design, each outcome fit's fitted
+    values with their sum (fitted) and the extended fit; beside them, the
     checked respondent terms of the base and of the extended propensity
-    fit (respondents), the sum of each outcome fit's fitted values
-    (fitted), each residual correction sum (residual_sum), the base fit's
-    weight diagnostics and the mean of the complete outcomes (full_mean).
-    A failure is memoised as well, and re-raised with its class and
-    message to every estimator that needs it.
+    fit (respondents), each residual correction sum (residual_sum) and
+    the mean of the complete outcomes (full_mean).  A failure is memoised
+    as well, and re-raised with its class and message to every estimator
+    that needs it.
 
     Each entry's key names the inputs it depends on, by the identity of
     the arrays the pipeline is handed: the pi part (id(design_pi),
-    id(pi_start)) for the propensity fit, its respondents and diagnostics;
-    the m part id(design_m) for the respondent design and the unweighted
-    fit "REG"; id(full.Y) for full_mean; both parts for the rest.
+    id(pi_start)) for the propensity fit and its respondents; the m part
+    id(design_m) for the respondent design and the unweighted fit "REG";
+    id(full.Y) for full_mean; both parts for the rest.
     Pipelines on one sample (one T and y) may share one memo, and then
     every entry whose inputs they share.  memo["arrays"] keeps the arrays
     that keys name alive, so no id is reused while the memo lives.
@@ -299,9 +302,6 @@ class Pipeline:
             raise out.with_traceback(None)  # not every earlier read's frames too
         return out
 
-    def _inputs(self, kind: str):  # the key part outcome(kind) depends on
-        return self._m if kind == "REG" else self._both
-
     def propensity(self) -> linmod.PropensityFit:
         def build():
             if self.pi_start is None:
@@ -310,19 +310,13 @@ class Pipeline:
 
         return self._get((self._pi, "pi"), build)
 
-    def diagnostics(self) -> linmod.WeightDiagnostics:
-        """Weight diagnostics of propensity()."""
-        return self._get(
-            (self._pi, "diagnostics"),
-            lambda: linmod.weight_diagnostics(self.propensity().pi_hat, self.T),
-        )
-
     def respondent_design(self) -> linmod.RespondentDesign:
         """The respondent rows of design_m, checked once for every outcome fit."""
         return self._get((self._m, "design"), lambda: linmod.RespondentDesign(self.view))
 
-    def outcome(self, kind: str) -> linmod.OutcomeFit:
-        """Outcome fit "REG", "WLS", "EXT_REG" or "IPW_NR" (fit_outcome_<kind>).
+    def fitted(self, kind: str) -> _Fitted:
+        """The fitted values of outcome fit "REG", "WLS", "EXT_REG" or
+        "IPW_NR" (fit_outcome_<kind>), with their memoised sum.
 
         The propensity fit comes first, then respondent_design(), then the
         fit's own checks of pi_hat."""
@@ -330,14 +324,9 @@ class Pipeline:
         def build():
             fit = getattr(linmod, f"fit_outcome_{kind.lower()}")
             args = () if kind == "REG" else (self.propensity().pi_hat,)
-            return fit(self.respondent_design(), *args)
+            return _Fitted(fit(self.respondent_design(), *args).m_hat)
 
-        return self._get((self._inputs(kind), kind), build)
-
-    def fitted(self, kind: str) -> _Fitted:
-        """The fitted values of outcome(kind), with their memoised sum."""
-        key = (self._inputs(kind), kind, "fitted")
-        return self._get(key, lambda: _Fitted(self.outcome(kind).m_hat))
+        return self._get((self._m if kind == "REG" else self._both, kind), build)
 
     def extended(self) -> linmod.PropensityFit:
         """Logistic fit extended along the centred unweighted regression.
@@ -383,7 +372,7 @@ class Estimator:
     its own order, so that the first failing fit is the one reported.
     """
 
-    outcome: str | None  # outcome fit kind, a Pipeline.outcome key
+    outcome: str | None  # outcome fit kind, a Pipeline.fitted key
     weighted: bool       # needs a propensity fit
     combine: Callable[[Pipeline, str | None], float]
 

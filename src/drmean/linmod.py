@@ -21,14 +21,15 @@ consistent start give a k-step bootstrap, whose distribution matches the
 fully iterated one to an order that grows with k (Davidson & MacKinnon,
 Int. Econ. Rev. 40(2), 1999; Andrews, Econometrica 70(1), 2002).
 
-Propensity models:
-  * logistic maximum likelihood, pi = expit(alpha'x);
+Propensity models, each told apart by its result's type and fields:
+  * logistic maximum likelihood, pi = expit(alpha'x): a PropensityFit
+    with phi None;
   * inverse-linear, pi = 1 / (alpha'x), fit by solving the unconstrained
     moment equation P_n[(T alpha'x - 1) x] = 0, under which OLS is a
-    doubly robust mean;
+    doubly robust mean: an InverseLinearFit;
   * a one-parameter logistic extension expit(alpha'x + phi h) whose phi
     solves P_n[(T / pi - 1) h] = 0 for a caller-chosen direction h, by a
-    safeguarded Newton method.
+    safeguarded Newton method: a PropensityFit with phi set.
 
 Outcome fits are computed on respondents only and return fitted values
 for every unit.  The four variants differ in weighting and in whether a
@@ -51,7 +52,6 @@ the weighted fits and estimators._Respondents, fit_outcome_ipw_nr only its
 appended and the one errstate of the solve; _wls checks nothing.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -86,12 +86,6 @@ PHI_GTOL = 1e-10
 PHI_XTOL = 1e-12       # relative accuracy of the extension coefficient
 
 
-class PropensityKind(enum.Enum):
-    LOGISTIC_MLE = "LOGISTIC_MLE"
-    INV_LINEAR_UNCONSTRAINED = "INV_LINEAR_UNCONSTRAINED"
-    LOGISTIC_EXTENDED = "LOGISTIC_EXTENDED"
-
-
 @dataclass
 class WeightDiagnostics:
     """Summary of the inverse-probability weights implied by a fit."""
@@ -104,15 +98,26 @@ class WeightDiagnostics:
 
 @dataclass
 class PropensityFit:
-    """A fitted propensity model.  It carries no weight summaries: callers
-    that report them call weight_diagnostics(pi_hat, T) themselves, as
-    estimators.EstimateSet.diagnostics does for the base fit only."""
+    """A logistic propensity fit: fit_logistic_propensity's when phi is
+    None, fit_extended_propensity's otherwise.  It carries no weight
+    summaries: callers that report them call weight_diagnostics(pi_hat, T)
+    themselves, as estimators.EstimateSet.diagnostics does for the base
+    fit only."""
 
-    kind: PropensityKind
     alpha: np.ndarray       # coefficients of the base model
     phi: float | None       # extension coefficient, when applicable
     eta: np.ndarray         # per-unit linear predictor (alpha'x [+ phi h])
     pi_hat: np.ndarray      # per-unit fitted response probability
+    iterations: int
+
+
+@dataclass
+class InverseLinearFit:
+    """fit_inverse_linear's fit of pi = 1 / (alpha'x)."""
+
+    alpha: np.ndarray
+    eta: np.ndarray         # per-unit alpha'x
+    pi_hat: np.ndarray      # 1 / eta, which may leave (0, 1]
     iterations: int
 
 
@@ -160,6 +165,8 @@ def _check_design(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray,
     design, response = as_array(design, "design"), as_array(response, "response")
     if design.ndim != 2:
         raise InvalidArgumentError("design must be 2-d")
+    if design.shape[1] == 0:
+        raise InvalidArgumentError("design must have at least one column")
     if response.shape != (design.shape[0],):
         raise InvalidArgumentError("response length must match design rows")
     if not np.isfinite(_check_rows(design)).all():
@@ -327,22 +334,20 @@ def _newton_step(
     return _equilibrated_lstsq(xs.compress(live, axis=0) * sv[:, None], resid.compress(live) / sv)
 
 
-def fit_logistic_propensity(
-    design: np.ndarray, T: np.ndarray, start: np.ndarray | None = None
-) -> PropensityFit:
+def fit_logistic_propensity(design: np.ndarray, T: np.ndarray) -> PropensityFit:
     """Logistic maximum-likelihood fit of P(T = 1 | x) = expit(alpha'x).
 
-    Newton steps (_newton_step) from the coefficients start, or from 0,
-    until one moves no alpha'x by more than ETA_STEP_TOL (_settled), then
-    a separation check on the final linear predictor; a fit that fails
-    with some |alpha'x| > ETA_SEPARATION is reported as separated, and a
-    final alpha'x that is NaN fails too.  The first step always runs, and
-    its solve is the rank check.  The Gram solve squares the condition
-    number, but each step is taken from the current score, so its error
-    slows the iteration without moving the fit (Bjorck, Numerical Methods
-    for Least Squares Problems, 1996).  iterations counts the steps.
+    Newton steps (_newton_step) from 0 until one moves no alpha'x by more
+    than ETA_STEP_TOL (_settled), then a separation check on the final
+    linear predictor; a fit that fails with some |alpha'x| >
+    ETA_SEPARATION is reported as separated, and a final alpha'x that is
+    NaN fails too.  The first step always runs, and its solve is the rank
+    check.  The Gram solve squares the condition number, but each step is
+    taken from the current score, so its error slows the iteration
+    without moving the fit (Bjorck, Numerical Methods for Least Squares
+    Problems, 1996).  iterations counts the steps.
     """
-    return _logistic(design, T, start, None)
+    return _logistic(design, T, None, None)
 
 
 def _fit_logistic_draw(design: np.ndarray, T: np.ndarray, start: np.ndarray) -> PropensityFit:
@@ -362,7 +367,9 @@ def _fit_logistic_draw(design: np.ndarray, T: np.ndarray, start: np.ndarray) -> 
 def _logistic(
     design: np.ndarray, T: np.ndarray, start: np.ndarray | None, steps: int | None
 ) -> PropensityFit:
-    """fit_logistic_propensity with steps None, else exactly steps Newton steps."""
+    """The logistic fit from start (0 if None): iterated to the stop rule
+    as fit_logistic_propensity with steps None, else exactly steps Newton
+    steps."""
     T = check_response(T)
     design, response = _check_design(design, T.astype(float))
     xs, scale = _equilibrate(design)
@@ -407,14 +414,7 @@ def _logistic(
     if not top <= ETA_SEPARATION:  # NaN fails too
         raise NonconvergenceError(_SEPARATED if top > ETA_SEPARATION
                                   else "logistic fit is not finite")
-    return PropensityFit(
-        kind=PropensityKind.LOGISTIC_MLE,
-        alpha=alpha,
-        phi=None,
-        eta=eta,
-        pi_hat=expit(eta),
-        iterations=iterations,
-    )
+    return PropensityFit(alpha, None, eta, expit(eta), iterations)
 
 
 def _inv_linear_unconstrained(design: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, int]:
@@ -439,7 +439,7 @@ def _inv_linear_unconstrained(design: np.ndarray, T: np.ndarray) -> tuple[np.nda
     raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} iterations")
 
 
-def fit_inverse_linear(design: np.ndarray, T: np.ndarray) -> PropensityFit:
+def fit_inverse_linear(design: np.ndarray, T: np.ndarray) -> InverseLinearFit:
     """Fit the inverse-linear response model pi(x) = 1 / (alpha'x).
 
     alpha solves the moment equation P_n[(T alpha'x - 1) x] = 0.  The
@@ -453,14 +453,7 @@ def fit_inverse_linear(design: np.ndarray, T: np.ndarray) -> PropensityFit:
     eta = design @ alpha
     with np.errstate(divide="ignore"):
         pi_hat = 1.0 / eta
-    return PropensityFit(
-        kind=PropensityKind.INV_LINEAR_UNCONSTRAINED,
-        alpha=alpha,
-        phi=None,
-        eta=eta,
-        pi_hat=pi_hat,
-        iterations=iterations,
-    )
+    return InverseLinearFit(alpha, eta, pi_hat, iterations)
 
 
 class RespondentDesign:
@@ -659,9 +652,11 @@ def fit_extended_propensity(
     iterations counts the distinct evaluations of g.
     With h = m_hat - P_n[m_hat] for an outcome fit m_hat, the bounded
     doubly robust estimator built from this fit is a weighted mean of
-    observed outcomes.  base must be a LOGISTIC_MLE fit, not an extended one.
+    observed outcomes.  base must be fit_logistic_propensity's fit: an
+    InverseLinearFit fails the type check, and an extended fit (phi not
+    None) is not extended again.
     """
-    if check_type(base, PropensityFit, "base").kind is not PropensityKind.LOGISTIC_MLE:
+    if check_type(base, PropensityFit, "base").phi is not None:
         raise InvalidArgumentError("extension requires a logistic base fit")
     T = check_response(T)
     h = as_array(h, "h")
@@ -689,11 +684,4 @@ def fit_extended_propensity(
     phi_hat = 0.0 if abs(g0) <= PHI_GTOL else _extension_root(gd, g0, d0)
     eta = base.eta + phi_hat * hn
     pi_hat = expit(eta)
-    return PropensityFit(
-        kind=PropensityKind.LOGISTIC_EXTENDED,
-        alpha=base.alpha.copy(),
-        phi=phi_hat / c,
-        eta=eta,
-        pi_hat=pi_hat,
-        iterations=evaluations,
-    )
+    return PropensityFit(base.alpha.copy(), phi_hat / c, eta, pi_hat, evaluations)

@@ -417,7 +417,7 @@ def homogeneity_test(
 
 
 def _spread(values: np.ndarray) -> float:
-    finite = values[np.isfinite(values)]
+    finite = values.compress(np.isfinite(values))
     if finite.size == 0:
         return math.nan
     return float(np.max(finite) - np.min(finite))

@@ -296,7 +296,8 @@ class TestEstimateAll:
                  for p in (True, False) for m in (True, False)]
         results = [est.estimate_all(view, sample_1000, _memo=memo) for view in views]
         for view, out in zip(views, results):
-            eager = est.Pipeline(view).diagnostics()
+            fit = linmod.fit_logistic_propensity(view.design_pi, view.T)
+            eager = linmod.weight_diagnostics(fit.pi_hat, view.T)
             assert repr(out.diagnostics) == repr(eager)
 
     @pytest.mark.parametrize("which", [("OLS", "FULL"), None], ids=["unweighted", "failed"])
@@ -419,7 +420,7 @@ class TestOneDefinition:
         pipe = est.Pipeline(view, sample)
         T, y = view.T, view.y_observed
         pi = pipe.propensity().pi_hat
-        m = {kind: pipe.outcome(kind).m_hat for kind in ("REG", "WLS", "IPW_NR", "EXT_REG")}
+        m = {kind: pipe.fitted(kind).m_hat for kind in ("REG", "WLS", "IPW_NR", "EXT_REG")}
         want = {
             "OLS": _outcome(est.mu_from_regression, m["REG"]),
             "HT": _outcome(est.mu_ht, pi, T, y),
@@ -518,15 +519,13 @@ class TestOneDefinition:
                  est.Pipeline(view, pi_start=start.copy(), memo=memo),
                  est.Pipeline(view, pi_start=np.zeros_like(start), memo=memo)]
         fitted = [pipe.propensity() for pipe in pipes]
-        weighted = [pipe.outcome("WLS") for pipe in pipes]
+        weighted = [pipe.fitted("WLS") for pipe in pipes]
         # the three Pipelines given a start fit by the draw routine
         assert (fits["fit_logistic_propensity"], fits["_fit_logistic_draw"]) == (2 + 1, 3)
         assert fits["fit_outcome_wls"] == 4
         assert len({id(f) for f in fitted}) == len({id(f) for f in weighted}) == 4
         again = est.Pipeline(view, pi_start=start, memo=memo)
-        assert again.propensity() is fitted[1] and again.outcome("WLS") is weighted[1]
-        with pytest.raises(TypeError):  # the propensity model is the logistic fit
-            est.Pipeline(view, kind=linmod.PropensityKind.INV_LINEAR_UNCONSTRAINED, memo=memo)
+        assert again.propensity() is fitted[1] and again.fitted("WLS") is weighted[1]
 
     def test_memo_keeps_its_designs_alive(self, sample_1000):
         # a memo entry keeps the arrays its key names, so their ids cannot
@@ -551,8 +550,7 @@ class TestOneDefinition:
         # check runs once, and every estimator that reads it reports the
         # standalone call's failure, while OLS and FULL still report their
         # values
-        monkeypatch.setattr(linmod, "fit_logistic_propensity",
-                            lambda design, T, start=None: linmod.fit_inverse_linear(design, T))
+        monkeypatch.setattr(linmod, "fit_logistic_propensity", linmod.fit_inverse_linear)
         x = np.array([-3.0, -1.0, 0.0, 1.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0])
         T = np.array([1, 1, 1, 1, 1, 0, 0, 0, 0, 0])
         y_full = np.array([1.0, 3.0, 2.0, 5.0, 4.0, 6.0, 7.0, 6.5, 8.0, 7.5])

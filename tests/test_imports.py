@@ -8,10 +8,7 @@ kept on purpose and not checked.
 
 In src/, math.fsum is named only inside _util.exact_sum, the one exact
 sum of the package, no module imports scipy.optimize: every fit is the
-package's own Newton-type solve, and the propensity kind names are
-string constants only as the values of linmod.PropensityKind, which no
-module but linmod names: nothing outside the fits chooses a propensity
-model.  Only estimators names linmod._fit_logistic_draw, the fixed-step
+package's own Newton-type solve.  Only estimators names linmod._fit_logistic_draw, the fixed-step
 fit of the sensitivity draws, so no public function takes fixed steps.
 cli names neither check_int nor check_seed: config values reach the
 library unparsed.
@@ -25,9 +22,10 @@ In src/, rows are cut by ndarray.take (indices) or ndarray.compress (a
 mask), never by advanced indexing: each copies the same values into a
 new array in C order, so no result depends on the route, and on the
 sensitivity draws' 1000 x 5 designs they are 3x faster.  The scan reads
-a load of x[...] whose index is a comparison, an inverted mask or one of
-the package's mask and index names (ROW_CUT_NAMES, or the attribute
-.resp) as a row cut.
+a load of x[...] whose index is a comparison, an inverted mask, a call
+of a numpy predicate (np.isfinite, isnan, isinf, isin or logical_*) or
+one of the package's mask and index names (ROW_CUT_NAMES, or the
+attribute .resp) as a row cut.
 """
 
 import ast
@@ -142,41 +140,6 @@ def test_the_scan_finds_scipy_optimize(tmp_path):
     assert optimize_imports(path) == [1, 2, 3, 8]
 
 
-KIND_NAMES = ("LOGISTIC_MLE", "INV_LINEAR_UNCONSTRAINED")
-
-
-def kind_strings(path: Path) -> list[tuple[int, str]]:
-    """(line, enclosing class or function, or "<module>") for each string
-    constant in path that spells one of KIND_NAMES."""
-    found = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, ast.Constant) and node.value in KIND_NAMES:
-            found.append((node.lineno, where))
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
-    return found
-
-
-def test_kind_names_only_in_propensity_kind():
-    # a propensity model is named by linmod.PropensityKind alone
-    uses = [(p.relative_to(ROOT).as_posix(), where) for p in FILES
-            if p.relative_to(ROOT).parts[0] == "src" for _, where in kind_strings(p)]
-    assert uses == [("src/drmean/linmod.py", "PropensityKind")] * len(KIND_NAMES)
-
-
-def test_the_scan_finds_kind_names(tmp_path):
-    path = tmp_path / "m.py"
-    path.write_text('class PropensityKind:\n    LOGISTIC_MLE = "LOGISTIC_MLE"\n\n\n'
-                    'def f(kind):\n    return kind in (None, "INV_LINEAR_UNCONSTRAINED")\n'
-                    'KIND = "LOGISTIC_MLE"\n"""LOGISTIC_MLE is the default."""\n')
-    assert kind_strings(path) == [(2, "PropensityKind"), (6, "f"), (7, "<module>")]
-
-
 def code_lines(path: Path, name: str) -> list[int]:
     """The lines of path that name name in code: as a name, an attribute or
     an imported name (a definition of name does not count)."""
@@ -187,22 +150,6 @@ def code_lines(path: Path, name: str) -> list[int]:
                 or isinstance(node, ast.alias) and node.name == name):
             found.add(node.lineno)
     return sorted(found)
-
-
-def test_only_linmod_names_propensity_kind():
-    # the fits choose a propensity model, and nothing outside them does
-    named = [p.relative_to(ROOT).as_posix() for p in FILES
-             if p.relative_to(ROOT).parts[0] == "src" and code_lines(p, "PropensityKind")]
-    assert named == ["src/drmean/linmod.py"]
-
-
-def test_the_scan_finds_propensity_kind(tmp_path):
-    path = tmp_path / "m.py"
-    path.write_text("from .linmod import PropensityKind\nimport drmean\n\n\n"
-                    "def f(fit):\n"
-                    "    return fit.kind is drmean.linmod.PropensityKind.LOGISTIC_MLE\n"
-                    'K = PropensityKind\n"""PropensityKind in a docstring is no use."""\n')
-    assert code_lines(path, "PropensityKind") == [1, 6, 7]
 
 
 def test_only_estimators_names_the_draw_fit():
@@ -361,11 +308,22 @@ def test_the_scan_finds_private_parameters(tmp_path):
 
 
 ROW_CUT_NAMES = ("resp", "live", "keep", "idx")
+PREDICATES = ("isfinite", "isnan", "isinf", "isin")  # and logical_*
+
+
+def predicate_call(node) -> bool:
+    """True if node is a call np.<p>(...) or numpy.<p>(...) of a p in
+    PREDICATES or a logical_* function."""
+    f = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+            and f.value.id in ("np", "numpy")
+            and (f.attr in PREDICATES or f.attr.startswith("logical_")))
 
 
 def indexed_row_cuts(path: Path) -> list[tuple[int, str]]:
     """(line, source) of each load x[i] in path whose index i is a
-    comparison, a ~mask, a name in ROW_CUT_NAMES or an attribute .resp."""
+    comparison, a ~mask, a numpy predicate call (predicate_call), a name
+    in ROW_CUT_NAMES or an attribute .resp."""
     text = path.read_text()
     found = []
     for node in ast.walk(ast.parse(text, filename=str(path))):
@@ -374,6 +332,7 @@ def indexed_row_cuts(path: Path) -> list[tuple[int, str]]:
         i = node.slice
         if (isinstance(i, ast.Compare)
                 or isinstance(i, ast.UnaryOp) and isinstance(i.op, ast.Invert)
+                or predicate_call(i)
                 or isinstance(i, ast.Name) and i.id in ROW_CUT_NAMES
                 or isinstance(i, ast.Attribute) and i.attr == "resp"):
             found.append((node.lineno, node.col_offset, ast.get_source_segment(text, node)))
@@ -390,7 +349,10 @@ def test_the_scan_finds_indexed_row_cuts(tmp_path):
     path = tmp_path / "m.py"
     path.write_text("def f(x, T, resp, idx, d):\n    a = x[T == 1] + x[~resp]\n"
                     "    b = x[resp] + x[idx] + x[d.resp]\n    x[x == 0] = 1.0\n"
+                    "    c = x[np.isfinite(x)] + x[numpy.logical_and(resp, d)]\n"
+                    "    c = x[int(np.argmin(d))]\n"
                     "    return x.compress(resp, axis=0), x.take(idx), x[:, idx], d['resp']\n")
     assert indexed_row_cuts(path) == [
         (2, "x[T == 1]"), (2, "x[~resp]"), (3, "x[resp]"), (3, "x[idx]"), (3, "x[d.resp]"),
+        (5, "x[np.isfinite(x)]"), (5, "x[numpy.logical_and(resp, d)]"),
     ]

@@ -121,7 +121,7 @@ class TestLogisticPropensity:
         design = np.ones((4, 1))
         T = np.array([1, 1, 1, 0])
         fit = linmod.fit_logistic_propensity(design, T)
-        assert fit.kind is linmod.PropensityKind.LOGISTIC_MLE
+        assert fit.phi is None  # a logistic fit, not an extended one
         assert np.allclose(fit.alpha, [math.log(3.0)], rtol=1e-8)
         assert np.allclose(fit.pi_hat, 0.75, rtol=1e-8)
 
@@ -177,32 +177,31 @@ class TestLogisticPropensity:
 
     @pytest.mark.parametrize("z", [True, False], ids=["Z", "X"])
     def test_warm_start_reaches_the_same_fit(self, z):
-        # started from the fit of another sample, as in the bootstrap
+        # iterated to the stop rule from the fit of another sample, as the
+        # converged reference of the two-step draws is
         start = make_view(generate_sample(1000, 1), z, z)
         view = make_view(generate_sample(1000, 2), z, z)
         alpha0 = linmod.fit_logistic_propensity(start.design_pi, start.T).alpha
         cold = linmod.fit_logistic_propensity(view.design_pi, view.T)
-        warm = linmod.fit_logistic_propensity(view.design_pi, view.T, start=alpha0)
+        warm = linmod._logistic(view.design_pi, view.T, alpha0, None)
         assert warm.iterations < cold.iterations
         assert np.max(np.abs(warm.pi_hat - cold.pi_hat)) <= 1e-9
 
     def test_stationary_start_still_checks_rank(self, right_view):
         # the first Newton step always runs, and its solve is the rank check
         fit = linmod.fit_logistic_propensity(right_view.design_pi, right_view.T)
-        again = linmod.fit_logistic_propensity(right_view.design_pi, right_view.T,
-                                               start=fit.alpha)
+        again = linmod._logistic(right_view.design_pi, right_view.T, fit.alpha, None)
         assert again.iterations == 1
         assert np.max(np.abs(again.pi_hat - fit.pi_hat)) <= 1e-12
         doubled = np.column_stack([right_view.design_pi, right_view.design_pi[:, 1]])
         with pytest.raises(SingularDesignError):
-            linmod.fit_logistic_propensity(doubled, right_view.T,
-                                           start=np.append(fit.alpha, 0.0))
+            linmod._logistic(doubled, right_view.T, np.append(fit.alpha, 0.0), None)
 
     @pytest.mark.parametrize("start", [np.zeros(4), np.full(5, np.nan)],
                              ids=["length", "nan"])
     def test_bad_start_rejected(self, right_view, start):
         with pytest.raises(InvalidArgumentError, match="start"):
-            linmod.fit_logistic_propensity(right_view.design_pi, right_view.T, start)
+            linmod._fit_logistic_draw(right_view.design_pi, right_view.T, start)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fit_needs_no_exact_sum(self, exact_sums, seed):
@@ -377,7 +376,7 @@ class TestInverseLinear:
         design = np.column_stack([np.ones(4), [0.0, 1.0, 3.0, 8.0]])
         T = np.array([1, 1, 1, 0])
         fit = linmod.fit_inverse_linear(design, T)
-        assert fit.kind is linmod.PropensityKind.INV_LINEAR_UNCONSTRAINED
+        assert isinstance(fit, linmod.InverseLinearFit)
         assert np.allclose(fit.alpha, [-4.0 / 7.0, 10.0 / 7.0], rtol=1e-10)
 
     def test_unconstrained_induces_weighted_mean_identity(self):
@@ -504,7 +503,7 @@ class TestExtendedPropensity:
             roots[(np.abs(roots.imag) < 1e-12) & (roots.real > 0)].real[0]
         )
         assert abs(fit.phi - 2.0 * math.log(u_star)) < 1e-9
-        assert fit.kind is linmod.PropensityKind.LOGISTIC_EXTENDED
+        assert isinstance(fit, linmod.PropensityFit)
         # pins the solver's cost: 9 distinct evaluations of g here (11
         # when brentq recomputed the two bracket ends)
         assert fit.iterations <= 9
@@ -572,7 +571,8 @@ class TestExtendedPropensity:
     def test_requires_logistic_base(self):
         base, m_reg, mu_ols, T, _ = self.quartic_setup()
         inv = linmod.fit_inverse_linear(np.ones((4, 1)), T)
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError,
+                           match="^base must be of type PropensityFit, not InverseLinearFit$"):
             linmod.fit_extended_propensity(inv, m_reg.m_hat - mu_ols, T)
 
     def test_extended_fit_is_not_extended_again(self):

@@ -12,15 +12,17 @@ arguments of the library (counts, seeds, flags, names and a summary's
 truth), fed bools, floats, strings, lists, None and negative numbers,
 raise nothing but DrmeanErrors; a bool never passes for a count nor
 anything else for a flag, and a scenario never runs without an
-estimator.  So do per-unit arrays (and start coefficients) of the wrong
-shape (one entry short or long, a column, 2-d or 0-d) or of text,
-complex values or ragged lists, and scenario and sensitivity specs,
-views, samples and fits of another type are always rejected, as are a
-bare string of estimator names and the spellings of removed features.  A table pins the class and whole message
-of every pi_hat failure of the weighted fits and estimators, and another
-those of a per-unit array one unit short at every public entry that cuts
-rows by a mask, where ndarray.compress would drop units that indexing
-rejected; estimate_all reports them per estimator.
+estimator.  So do per-unit arrays of the wrong shape (one entry short
+or long, a column, 2-d or 0-d) or of text, complex values or ragged
+lists, and scenario and sensitivity specs, views, samples and fits of
+another type are always rejected, as are a bare string of estimator
+names and the spellings of removed features.  A table pins the class
+and whole message of every pi_hat failure of the weighted fits and
+estimators, and another those of a per-unit array one unit short at
+every public entry that cuts rows by a mask, where ndarray.compress
+would drop units that indexing rejected; estimate_all reports them per
+estimator, as it does a design with no column, which every fit rejects
+by name.
 """
 
 import dataclasses
@@ -261,23 +263,31 @@ REMOVED_KINDS = {"sensitivity kind": "INV_LINEAR_MOMENT",
                                      "density", "likelihood", "INV_LINEAR_ML",
                                      "sensitivity kind INV_LINEAR_ML", "unconstrained_moment",
                                      "select_models", "outcome fit on a view", "LOGISTIC_MLE",
-                                     "sensitivity kind LOGISTIC_MLE"])
+                                     "sensitivity kind LOGISTIC_MLE", "PropensityKind",
+                                     "logistic start"])
 def test_removed_spellings_are_rejected(workdir, capsys, removed):
     # the constrained moment fit, the density subcommand and the constrained
     # likelihood fit are gone; fit_inverse_linear lost its method, which had
     # one value left, select_models left the public API, each outcome fit
-    # takes RespondentDesign(view) in place of a view and _design, and a
-    # sensitivity spec lost its kind: every propensity spec is logistic
+    # takes RespondentDesign(view) in place of a view and _design, a
+    # sensitivity spec lost its kind: every propensity spec is logistic, a
+    # fit is told apart by its type and phi, not by a PropensityKind, and
+    # fit_logistic_propensity always starts from 0
     design, T = np.ones((4, 1)), np.array([1, 1, 1, 0])
     if removed in ("moment", "likelihood", "unconstrained_moment"):
         with pytest.raises(TypeError):
             drmean.fit_inverse_linear(design, T, removed)
         # a two-argument call, the likelihood fit's until it went, is the moment fit
         fit = drmean.fit_inverse_linear(design, T)
-        assert fit.kind is drmean.linmod.PropensityKind.INV_LINEAR_UNCONSTRAINED
+        assert isinstance(fit, drmean.InverseLinearFit)
     elif removed == "select_models":
         assert not hasattr(drmean, "select_models")
         assert "select_models" not in drmean.__all__
+    elif removed == "PropensityKind":
+        assert not hasattr(drmean.linmod, "PropensityKind")
+    elif removed == "logistic start":
+        with pytest.raises(TypeError):
+            drmean.fit_logistic_propensity(design, T, start=np.zeros(1))
     elif removed == "outcome fit on a view":
         view = AnalysisView(design, design, T, np.array([1.0, 2.0, 4.0, np.nan]))
         respondents, pi_hat = drmean.RespondentDesign(view), np.array([0.2, 0.4, 0.6, 0.8])
@@ -430,8 +440,6 @@ def array_targets() -> dict:
                      drmean.fit_outcome_ipw_nr)},
         "fit_logistic_propensity.design": one_bad(drmean.fit_logistic_propensity,
                                                   (view.design_pi, T), 0),
-        "fit_logistic_propensity.start": one_bad(
-            drmean.fit_logistic_propensity, (view.design_pi, T, np.zeros(5)), 2),
         "fit_logistic_propensity.T": one_bad(drmean.fit_logistic_propensity,
                                              (view.design_pi, T), 1),
         "fit_inverse_linear.T": one_bad(drmean.fit_inverse_linear, (view.design_m, T), 1),
@@ -485,8 +493,6 @@ ARRAY_TARGETS = array_targets()
 # each warned that the imaginary part was discarded
 @example("mu_full.Y", "complex")
 @example("fit_logistic_propensity.design", "complex")
-# each raised numpy's ValueError or IndexError
-@example("fit_logistic_propensity.start", "text")
 def test_arrays_of_the_wrong_shape_raise_only_drmean_errors(name, shape):
     call(ARRAY_TARGETS[name], BAD_SHAPES[shape])
 
@@ -533,7 +539,11 @@ def test_one_unit_short_fails_with_its_message(name):
 
 WEIGHTED = ("HT", "IPW_POP", "DR_REG", "DR_WLS", "DR_IPW_NR", "DR_EXT_REG", "B_DR_REG",
             "B_DR_EXT")
-# (fields of the view passed through BAD_SHAPES[shape]): OLS's message, the
+NO_COLUMN = "design must have at least one column"
+# a design with no column, which the fits' Cholesky pivot test met as a
+# ValueError, beside the wrong shapes of BAD_SHAPES
+VIEW_SHAPES = {**BAD_SHAPES, "no column": lambda a: a[:, :0]}
+# (fields of the view passed through VIEW_SHAPES[shape]): OLS's message, the
 # weighted estimators' messages, FULL's flag.  estimate_all reads the
 # observed range only where y_observed and T have one shape, so a short one
 # leaves FULL out of range, and a column of each still gives FULL its range
@@ -548,6 +558,8 @@ ESTIMATE_ALL_FAILURES = {
     (("T", "y_observed"), "column"): (
         "T must be a 1-d array of 0/1 response indicators",
         dict.fromkeys(WEIGHTED, "T must be a 1-d array of 0/1 response indicators"), "ok"),
+    (("design_pi", "design_m"), "no column"): (NO_COLUMN, dict.fromkeys(WEIGHTED, NO_COLUMN),
+                                               "ok"),
 }
 
 
@@ -555,7 +567,7 @@ ESTIMATE_ALL_FAILURES = {
 def test_estimate_all_isolates_a_short_unit_array(fields, shape):
     sample = drmean.generate_sample(40, 5)
     view = drmean.make_view(sample, False, True)
-    bad = dataclasses.replace(view, **{f: BAD_SHAPES[shape](getattr(view, f)) for f in fields})
+    bad = dataclasses.replace(view, **{f: VIEW_SHAPES[shape](getattr(view, f)) for f in fields})
     ols, weighted, full = ESTIMATE_ALL_FAILURES[fields, shape]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -601,20 +613,29 @@ def test_specs_that_are_not_scenario_specs_are_rejected(runner, value):
 
 
 @pytest.mark.parametrize("target", [
-    "logistic start", "summarize text", "summarize None", "regression empty", "full empty",
-    "logistic 1-d", "logistic nan", "inverse linear nan", "extension inf", "matrix 1-d",
-    "matrix role", "matrix no propensity",
+    "logistic no column", "inverse linear no column", "regression no column",
+    "identities no column", "summarize text", "summarize None", "regression empty",
+    "full empty", "logistic 1-d", "logistic nan", "inverse linear nan", "extension inf",
+    "matrix 1-d", "matrix role", "matrix no propensity",
 ])
 def test_unchecked_inputs_raise_invalid_argument(target):
-    # the first three escaped as ValueError, TypeError, IndexError or
-    # AttributeError; the others are checks that no other test reached
+    # on a design with no column, the logistic fit, the outcome fit and the
+    # identities check escaped as ValueError from a Cholesky pivot test and
+    # the inverse-linear fit warned and returned an infinite pi_hat; the
+    # two summarize calls escaped as another exception type; the others are
+    # checks that no other test reached
     design, T = np.column_stack([np.ones(4), np.arange(4.0)]), np.array([1, 0, 1, 1])
     nan_design = np.where(design == 2.0, np.nan, design)
     cov = np.column_stack([np.arange(4.0), np.arange(4.0) ** 2])
     y = np.array([1.0, np.nan, 2.0, 4.0])
+    no_column = AnalysisView(design[:, :0], design[:, :0], T, y)
     p_spec, o_spec = ModelSpec("propensity", (0,)), ModelSpec("outcome", (1,))
     calls = {
-        "logistic start": lambda: drmean.fit_logistic_propensity(design, T, start="ab"),
+        "logistic no column": lambda: drmean.fit_logistic_propensity(design[:, :0], T),
+        "inverse linear no column": lambda: drmean.fit_inverse_linear(design[:, :0], T),
+        "regression no column": lambda: drmean.fit_outcome_reg(
+            drmean.RespondentDesign(no_column)),
+        "identities no column": lambda: drmean.mu_ols_identities_check(no_column),
         "summarize text": lambda: drmean.summarize(np.ones(3), "x"),
         "summarize None": lambda: drmean.summarize(np.ones(3), None),
         "regression empty": lambda: drmean.mu_from_regression([]),
@@ -632,6 +653,9 @@ def test_unchecked_inputs_raise_invalid_argument(target):
             cov, T, y, [], [o_spec], "DR_WLS"),
     }
     error, message = {
+        **dict.fromkeys(("logistic no column", "inverse linear no column",
+                         "regression no column", "identities no column"),
+                        (InvalidArgumentError, f"^{NO_COLUMN}$")),
         "regression empty": (UndefinedEstimatorError, "^no fitted values$"),
         "full empty": (UndefinedEstimatorError, "^no outcomes$"),
         "logistic 1-d": (InvalidArgumentError, "^design must be 2-d$"),
@@ -663,7 +687,8 @@ def test_bare_string_names_are_not_a_collection(call, names):
 
 @pytest.mark.parametrize("target", ["RespondentDesign", "estimate_all", "estimate_all full",
                                     "mu_ols_identities_check", "make_view", "reverse_roles",
-                                    "fit_extended_propensity"])
+                                    "fit_extended_propensity",
+                                    "fit_extended_propensity inverse-linear"])
 def test_composite_arguments_of_another_type_are_rejected(target):
     # each raised AttributeError on its first attribute read
     sample = drmean.generate_sample(40, 5)
@@ -679,6 +704,10 @@ def test_composite_arguments_of_another_type_are_rejected(target):
         "fit_extended_propensity": (
             lambda: drmean.fit_extended_propensity(None, view.design_pi[:, 1], view.T),
             "base", "NoneType"),
+        "fit_extended_propensity inverse-linear": (
+            lambda: drmean.fit_extended_propensity(
+                drmean.fit_inverse_linear(view.design_m, view.T), view.design_pi[:, 1], view.T),
+            "base", "InverseLinearFit"),
     }
     f, name, got = calls[target]
     cls = {"view": "AnalysisView", "full": "FullSample", "sample": "FullSample",

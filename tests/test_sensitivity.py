@@ -85,10 +85,8 @@ class TestModelSpec:
         memo = {}
         sens._estimate_cell(AnalysisView(d, d, T, y), estimator, None, memo)
         fits = [v for v in memo.values() if isinstance(v, linmod.PropensityFit)]
-        kinds = [linmod.PropensityKind.LOGISTIC_MLE]
-        if estimator == "B_DR_EXT":
-            kinds.append(linmod.PropensityKind.LOGISTIC_EXTENDED)
-        assert [fit.kind for fit in fits] == kinds
+        extended = [False] + [True] * (estimator == "B_DR_EXT")
+        assert [fit.phi is not None for fit in fits] == extended
 
     @pytest.mark.parametrize(
         "covariates",
@@ -587,8 +585,8 @@ class TestSharedDraws:
         _, cov, T, y = data600
         calls = []
         for name in (FULL, DRAW):
-            def spy(design, T, start=None, _name=name, _fit=getattr(linmod, name)):
-                out = _fit(design, T, start)
+            def spy(design, T, *start, _name=name, _fit=getattr(linmod, name)):
+                out = _fit(design, T, *start)
                 calls.append((_name, start, out))
                 return out
 
@@ -596,28 +594,27 @@ class TestSharedDraws:
         sens.homogeneity_test(np.array([210.0, 211.0]), cov, T, y, PZ, (OZ, OX),
                               "DR_WLS", boot_reps=5, seed=3)
         (name, first, full), *draws = calls
-        assert (name, first) == (FULL, None) and full.iterations > linmod.DRAW_NEWTON_STEPS
+        assert (name, first) == (FULL, ()) and full.iterations > linmod.DRAW_NEWTON_STEPS
         assert [name for name, _, _ in draws] == [DRAW] * 5
-        assert all(start is full.alpha for _, start, _ in draws)
+        assert all(start is full.alpha for _, (start,), _ in draws)
         assert [fit.iterations for _, _, fit in draws] == [linmod.DRAW_NEWTON_STEPS] * 5
 
     def test_draws_start_from_zero_when_the_full_sample_fit_fails(self, data600,
                                                                   monkeypatch):
         # a propensity model on a column equal to T fails on the full sample
-        # and in every draw: each draw fit starts from zero and iterates to
-        # the stop rule, as no start makes it a two-step draw, and the line,
-        # finite as given, reports every draw as failed
+        # and in every draw: each draw fit is fit_logistic_propensity, from
+        # zero to the stop rule, as no start makes it a two-step draw, and
+        # the line, finite as given, reports every draw as failed
         _, cov, T, y = data600
-        starts, fixed = [], []
+        full, fixed = [], []
         fit = linmod.fit_logistic_propensity
         monkeypatch.setattr(linmod, "fit_logistic_propensity",
-                            lambda design, T, start=None: starts.append(start) or fit(
-                                design, T, start))
+                            lambda design, T: full.append(design) or fit(design, T))
         monkeypatch.setattr(linmod, "_fit_logistic_draw", lambda *a: fixed.append(a))
         separated = sens.ModelSpec(role="propensity", covariates=(8,))
         out = sens.homogeneity_test(np.array([210.0, 211.0]), np.column_stack([cov, T]), T,
                                     y, separated, (OZ, OX), "DR_WLS", boot_reps=25, seed=3)
-        assert starts == [None] * 26 and fixed == []
+        assert len(full) == 26 and fixed == []
         assert out.note == "too few successful bootstrap draws"
         assert (out.n_boot_used, out.boot_failures) == (0, 25)
         assert math.isnan(out.p_value) and math.isnan(out.statistic)
@@ -807,11 +804,13 @@ class TestTwoStepDraws:
     @pytest.mark.parametrize("n", [200, 1000])
     def test_line_p_values_match_converged_draws(self, monkeypatch, n):
         # the paired gate: the same run with every draw fit iterated to the
-        # stop rule differs only in the line tests' p-values and statistics,
-        # and each p-value by less than the 0.005-0.013 seed-to-seed SD of a
-        # line p-value on this sample
+        # stop rule from the same start (linmod._logistic) differs only in
+        # the line tests' p-values and statistics, and each p-value by less
+        # than the 0.005-0.013 seed-to-seed SD of a line p-value on this
+        # sample
         two_step = _criterion_8(n)
-        monkeypatch.setattr(linmod, "_fit_logistic_draw", linmod.fit_logistic_propensity)
+        monkeypatch.setattr(linmod, "_fit_logistic_draw",
+                            lambda design, T, start: linmod._logistic(design, T, start, None))
         converged = _criterion_8(n)
         assert two_step.estimates.tobytes() == converged.estimates.tobytes()
         assert two_step.cell_messages == converged.cell_messages == {}
