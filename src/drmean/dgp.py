@@ -13,7 +13,10 @@ the response draw), and normals come from the inverse CDF, so no
 rejection step can desynchronise the stream.  X is computed with numpy's
 exp and power, whose SIMD loops round their own way, so where numpy
 dispatches to other SIMD features (np.show_runtime() lists them) X can
-differ in the last bit; Z, Y, T and pi_true do not.  A sample builds
+differ in the last bit; Z, Y, T and pi_true, computed with scipy's
+ndtri and expit, do not.  generate_sample imports scipy when first
+called, so only data generation loads it: importing drmean, estimating
+and the sensitivity analysis do not.  A sample builds
 its designs [1, Z] and [1, X] once: its views share them, read-only, and
 each has its own copy of T and of the masked outcomes (make_view).
 
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from ._util import as_array, check_flag, check_int, check_seed, check_type
 from .errors import InvalidArgumentError
@@ -90,6 +92,11 @@ def transform_covariates(Z: np.ndarray) -> np.ndarray:
 def generate_sample(n: int, seed: int) -> FullSample:
     """Draw a sample of size n, fully determined by (n, seed), seed in
     [0, 2**64) as for every seed of the package."""
+    # scipy's ndtri and expit, glibc's exp inside, give Z, Y, T and
+    # pi_true the same bits on every x86-64 class; imported here, so only
+    # data generation loads scipy
+    from scipy.special import expit, ndtri
+
     n, seed = check_int(n, "n", 1), check_seed(seed, "seed")
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random((n, 6))

@@ -37,6 +37,12 @@ function of the fitted propensity is appended as an extra covariate.
 Each takes RespondentDesign(view), the view's respondent rows and
 outcomes checked once, so fits on one outcome design can share it.
 
+The logistic function is numpy's 1 / (1 + e^-x) (_expit), not scipy's
+expit, so no fit loads scipy.  Its exp is numpy's SIMD loop: numpy's
+AVX2 exp is glibc's bit for bit, as is the exp inside scipy's expit, but
+its AVX-512 exp rounds its own way, so fitted propensities may differ in
+the last bit between those CPU classes, as the BLAS products already do.
+
 Rows are cut by ndarray.compress on a boolean mask of units (the
 respondents, a Newton step's live rows), never by advanced indexing:
 compress copies the same values into a new C-ordered array, as
@@ -57,7 +63,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
-from scipy.special import expit
 
 from ._util import as_array, check_observed, check_response, check_type, check_units
 # no fit here sums exactly; bench/layers.py wraps linmod.fsum_col_means, so
@@ -179,6 +184,14 @@ def _pow2(x):
     division by it is exact, so every fit that rescales by one leaves its
     result free of the units of the data, bit for bit."""
     return np.ldexp(1.0, np.frexp(x)[1] - 1)
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + e^-x), elementwise: exactly 0 where
+    e^-x overflows, 1 where it vanishes, NaN at NaN, and silent under any
+    errstate, as scipy.special.expit."""
+    with np.errstate(over="ignore", under="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _equilibrate(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,7 +400,7 @@ def _logistic(
 
     for iterations in range(1, (steps or IRLS_MAX_ITER) + 1):
         eta = design @ alpha
-        mu = expit(eta)
+        mu = _expit(eta)
         v = mu * (1.0 - mu)
         live = v > 0
         if not live.any():
@@ -414,7 +427,7 @@ def _logistic(
     if not top <= ETA_SEPARATION:  # NaN fails too
         raise NonconvergenceError(_SEPARATED if top > ETA_SEPARATION
                                   else "logistic fit is not finite")
-    return PropensityFit(alpha, None, eta, expit(eta), iterations)
+    return PropensityFit(alpha, None, eta, _expit(eta), iterations)
 
 
 def _inv_linear_unconstrained(design: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, int]:
@@ -683,5 +696,5 @@ def fit_extended_propensity(
     g0, d0 = gd(0.0)
     phi_hat = 0.0 if abs(g0) <= PHI_GTOL else _extension_root(gd, g0, d0)
     eta = base.eta + phi_hat * hn
-    pi_hat = expit(eta)
+    pi_hat = _expit(eta)
     return PropensityFit(base.alpha.copy(), phi_hat / c, eta, pi_hat, evaluations)

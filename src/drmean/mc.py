@@ -17,6 +17,8 @@ into one task list, which K = workers processes, this one included,
 compute in interleaved shares (see _util.ordered_map), and reduces each
 scenario's results in replication order regardless of how many
 processes ran, which makes summaries bit-identical across worker counts.
+run_scenarios loads scipy, which only generate_sample needs, before it
+starts a worker, so forked workers share it and none imports it again.
 
 Failures are per estimator, not per replication: a replicate where only
 the weighted fits blow up still contributes its OLS and FULL values.
@@ -260,6 +262,10 @@ def run_scenarios(specs, workers: int = 1) -> list[MCSummary]:
             live = [i for i in group if specs[i].reps > r]
             tasks.append((r, tuple(specs[i] for i in live)))
             members.append(live)
+    # every task draws a sample, and generate_sample loads scipy: loaded
+    # here, before ordered_map forks, the children share its pages
+    import scipy.special  # noqa: F401
+
     results = ordered_map(_replicate, tasks, workers)
     per_spec: list[list] = [[] for _ in specs]
     for live, task_results in zip(members, results):

@@ -11,6 +11,9 @@ held-fixed model cannot make the answer invariant to its partner, which
 is evidence against that model.  The selection rule picks the row and
 column with the largest p-values.  run_sensitivity runs all three steps;
 build_matrix and homogeneity_test are also public, the selection is not.
+A p-value is the chi^2 survival of the Wald statistic at its integer df,
+in closed form with math alone (_chi2_sf), so the analysis loads no
+scipy.
 
 Bootstrap draw b resamples the rows with PCG64(derive_seed(seed, b)), the
 splitmix64 derivation of the simulation harness, and is shared by every
@@ -28,7 +31,6 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import chdtrc
 
 from ._util import (
     as_array, check_collection, check_int, check_observed, check_response, check_seed,
@@ -412,8 +414,39 @@ def homogeneity_test(
     # max clamps numerically tiny negatives from the pseudoinverse, keeping NaN
     statistic = max(float(d @ pinv @ d), 0.0)
     # at rank 0 the pinv is zero, and so are the statistic and the contrasts
-    p_value = 1.0 if rank == 0 else float(chdtrc(rank, statistic))
+    p_value = 1.0 if rank == 0 else _chi2_sf(rank, statistic)
     return result(p_value, statistic, df=rank, singular=rank < m - 1)
+
+
+def _chi2_sf(df: int, x: float) -> float:
+    """P(chi^2_df > x) for an integer df >= 1 and x >= 0 or NaN, in closed
+    form with math alone (Abramowitz & Stegun 26.4.4 and 26.4.5):
+
+        even df: e^(-x/2) sum_{j < df/2} (x/2)^j / j!
+        odd df:  erfc(sqrt(x/2)) + sqrt(2x/pi) e^(-x/2)
+                 sum_{j=1}^{(df-1)/2} x^(j-1) / (1 * 3 * ... * (2j - 1))
+
+    x = 0 gives 1.0 and NaN gives NaN; a sum that rounds above 1 gives
+    1.0.  Where e^(-x/2) underflows to 0 (x > 1490, inf included) the
+    result is 0.0, not the NaN of 0 * an overflowed sum; for df < 15 only
+    subnormal values round so.
+    """
+    half = x / 2.0
+    decay = math.exp(-half)
+    if decay == 0.0:
+        return 0.0
+    total, term = 0.0, 1.0
+    if df % 2 == 0:
+        for j in range(1, df // 2 + 1):
+            total += term
+            term *= half / j
+        p = decay * total
+    else:
+        for j in range(1, (df - 1) // 2 + 1):
+            total += term
+            term *= x / (2 * j + 1)
+        p = math.erfc(math.sqrt(half)) + math.sqrt(2.0 * x / math.pi) * decay * total
+    return min(p, 1.0)  # min keeps a NaN p
 
 
 def _spread(values: np.ndarray) -> float:

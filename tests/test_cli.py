@@ -607,47 +607,39 @@ class TestUnwritableOutput:
 
 
 class TestParser:
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats dominates a cold start; the CLI needs none of it
-        import subprocess
-        import sys
-
-        src = str(Path(cli.__file__).resolve().parents[1])
-        code = "import sys, drmean.cli; print('scipy.stats' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert out.stdout.strip() == "False"
-
-    def test_import_leaves_scipy_optimize_unloaded(self, small_sample, tmp_path):
-        # no fit uses scipy.optimize: importing the CLI, an estimate and a
-        # sensitivity run leave it unloaded
+    def test_runs_leave_scipy_unloaded(self, small_sample, tmp_path):
+        # only data generation needs scipy: importing the CLI, an estimate
+        # and a sensitivity run whose line tests reach the chi^2 survival
+        # leave every scipy module unloaded
         import subprocess
         import sys
 
         data_csv = write_sample_csv(tmp_path / "d.csv", small_sample)
         config = tmp_path / "sens.json"
         config.write_text(json.dumps({
-            "estimator": "DR_WLS", "boot_reps": 3,
-            "propensity_models": [{"covariates": ["x1", "x2"]}],
-            "outcome_models": [{"covariates": ["x1"]}],
+            "estimator": "DR_WLS", "boot_reps": 25,
+            "propensity_models": [{"covariates": ["x1", "x2"]}, {"covariates": ["x3"]}],
+            "outcome_models": [{"covariates": ["x1"]}, {"covariates": ["x2", "x4"]}],
         }))
         runs = [["estimate", "--data", data_csv, "--out", str(tmp_path / "e.json")],
                 ["sensitivity", "--data", data_csv, "--config", str(config),
                  "--out", str(tmp_path / "s.json")]]
         src = str(Path(cli.__file__).resolve().parents[1])
         code = ("import json, sys, drmean.cli\n"
-                "loaded = ['scipy.optimize' in sys.modules]\n"
+                "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                "loaded = [scipy()]\n"
                 "for argv in json.loads(sys.argv[1]):\n"
                 "    assert drmean.cli.main(argv) == 0, argv\n"
-                "    loaded.append('scipy.optimize' in sys.modules)\n"
+                "    loaded.append(scipy())\n"
                 "print(loaded)")
         out = subprocess.run(
             [sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True,
             check=True, env={**os.environ, "PYTHONPATH": src},
         )
-        assert out.stdout.strip() == "[False, False, False]"
+        assert out.stdout.strip() == "[[], [], []]"
+        tests = json.loads((tmp_path / "s.json").read_text())["row_tests"]
+        assert [t["df"] for t in tests] == [1, 1]
+        assert all(0.0 < t["p_value"] < 1.0 for t in tests)
 
     def test_no_arguments_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -6,8 +6,9 @@ and says why in CHANGES.md.  The hashes were recorded with RECORDED_WITH
 on x86-64, at OpenBLAS's default thread count (one per core, two cores).
 Another BLAS, or another CPU class, may round differently and
 legitimately give other bytes: numpy's SIMD exp and power in the data
-generation, and the OpenBLAS kernel chosen for the CPU, both round their
-own way.  So one set of hashes is pinned per kernel class, the SIMD
+generation, numpy's SIMD exp in the fits' logistic function (linmod's
+1 / (1 + e^-x)), and the OpenBLAS kernel chosen for the CPU, each round
+their own way.  So one set of hashes is pinned per kernel class, the SIMD
 features numpy dispatches to and the kernel OpenBLAS picks
 (KERNEL_CLASSES): GOLDEN for AVX-512 with the SkylakeX kernel, the
 recording CPU's class, and GOLDEN_AVX2 for AVX2 with the Haswell kernel.
@@ -71,21 +72,21 @@ PROPENSITY_MODELS = [{"covariates": Z_COLS}, {"covariates": Z_COLS}, {"covariate
 
 GOLDEN = {
     "simulate all results.csv":
-        "4e43f9892729d82ba3cedfcf425c88881318080463900d4e02bc8a915a3d1d0f",
+        "e74c682e00c7cc1d2245470c1289ec9069b93c6d333030cfba1971f7775ca2b1",
     "simulate all metadata.json":
         "ca4e0dc80d495198972e685987f2ee2ecb2f6df0781bf91f8313dafc87d081cc",
     "simulate reversed results.csv":
-        "225ce650a8b5906bf1e8460d6f9ddf5c420a261755b71a1914570cfa63003790",
+        "aa1c7d91075fc3e826b5dde9a577ca122d61caa99806a5b7471c622fccbe4d85",
     "simulate reversed metadata.json":
         "686154574929b64a4a0f45e7601af593c4bc648c01448bf7d2bdd620ae7ecf20",
     "estimate pi Z, m X":
-        "cb8880de31b7e6afd781477d55c3a0ea90447408c4a75219c944801d3f719c77",
+        "21584c61cca20da19d48751711ddb63cb0c6e57a45581e40aee558f1da8b9085",
     "estimate pi X, m Z":
-        "e06c183ae815ee20e49a26f40b378641961e47347a614da525cfc29ccdbf5f53",
+        "5779ad97cafb26fec859746c7f6efdc4b19e0bd1b89bd0e8aeaa221d8ff49f03",
     "sensitivity DR_WLS":
-        "58a4673ca95ae051bbd6c262577e6ee4586ae6f2f98d9a91d6daa9e1d285d982",
+        "5856025588dd9d2172279a76fa9d62a1a7ec61e0c815f47fd0c9aba8e80620b3",
     "sensitivity B_DR_EXT":
-        "3c7c4c9af96dbbac4e1ac4a85dd3f3760ef02a59423cad8d4fe6dd140a8b979b",
+        "7c1750e71fa8afa6204d56e5c23c16704d7c0eb859fa822f779e6abd2e562ccf",
 }
 # the counts in metadata.json are the same on both classes
 GOLDEN_AVX2 = {
@@ -100,9 +101,9 @@ GOLDEN_AVX2 = {
     "estimate pi X, m Z":
         "3f2f0962c51da5dda0537e57ab9fd63ccbb11a8aa0411cb942f4f1a131c929b9",
     "sensitivity DR_WLS":
-        "7cec0f7d649ea3f0d29ae275a8d48499da2b43761357eeedf1c4ac377ad4020c",
+        "64131de68d6a740ec889eeb066abd693b07f307f315178eea8687044a92548ab",
     "sensitivity B_DR_EXT":
-        "b762f8a6cc1a45e70a1cca4625b599a92f3e059db111ed530ae1b14b7392e130",
+        "9d4e343a5498cd44fcd77620b660c174c13bd0feb7fa23bbeadb2cbda76c2b75",
 }
 # (numpy's SIMD features, OpenBLAS kernel) -> the hashes that hold there
 KERNEL_CLASSES = {

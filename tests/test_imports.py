@@ -8,8 +8,11 @@ kept on purpose and not checked.
 
 In src/, math.fsum is named only inside _util.exact_sum, the one exact
 sum of the package, no module imports scipy.optimize: every fit is the
-package's own Newton-type solve.  Only estimators names linmod._fit_logistic_draw, the fixed-step
-fit of the sensitivity draws, so no public function takes fixed steps.
+package's own Newton-type solve.  scipy is imported only inside
+dgp.generate_sample, for its ndtri and expit, and mc.run_scenarios, which
+loads it before any worker starts, so importing drmean loads no scipy.
+Only estimators names linmod._fit_logistic_draw, the fixed-step fit of
+the sensitivity draws, so no public function takes fixed steps.
 cli names neither check_int nor check_seed: config values reach the
 library unparsed.
 Only linmod imports numpy.linalg._umath_linalg, the LAPACK gufuncs behind
@@ -138,6 +141,47 @@ def test_the_scan_finds_scipy_optimize(tmp_path):
                     "from scipy.optimize import brentq\nimport scipy.special\n\n\n"
                     "def f():\n    import scipy.optimize._minimize as m\n")
     assert optimize_imports(path) == [1, 2, 3, 8]
+
+
+def scipy_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, enclosing function or "<module>") for each import of scipy, or
+    of a name from it, in path."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
+
+
+def test_scipy_imported_only_inside_functions_of_dgp_and_mc():
+    # importing drmean, estimating and the sensitivity analysis load no scipy
+    found = {(p.relative_to(ROOT).as_posix(), where) for p in FILES
+             if p.relative_to(ROOT).parts[0] == "src" for _, where in scipy_imports(p)}
+    assert found == {("src/drmean/dgp.py", "generate_sample"),
+                     ("src/drmean/mc.py", "run_scenarios")}
+
+
+def test_the_scan_finds_scipy(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import scipy\nfrom scipy.special import expit\nimport numpy, scipy.stats\n"
+                    "from . import scipy_like\nimport scipyx\n\n\n"
+                    "def f():\n    from scipy import special\n\n\n"
+                    "class C:\n    def g(self):\n        import scipy.special as sp\n")
+    assert scipy_imports(path) == [(1, "<module>"), (2, "<module>"), (3, "<module>"),
+                                   (9, "f"), (14, "g")]
 
 
 def code_lines(path: Path, name: str) -> list[int]:

@@ -116,6 +116,29 @@ class TestIdentityLink:
             linmod._wls(design, np.array([1.0, 2.0, 4.0, 3.0]), None)
 
 
+class TestLogisticFunction:
+    """linmod._expit, numpy's 1 / (1 + e^-x) in place of scipy's expit."""
+
+    def test_within_four_ulps_of_scipy_expit(self):
+        # numpy's AVX-512 exp is not glibc's: 4 ulps at most over 3 M inputs
+        # on that class; its AVX2 exp is, and there the two agree exactly
+        from scipy.special import expit
+        x = np.linspace(-750.0, 750.0, 1_000_001)
+        ref = expit(x)
+        assert np.max(np.abs(linmod._expit(x) - ref) / np.spacing(ref)) <= 4.0
+
+    def test_saturates_exactly_and_silently(self):
+        x = np.array([-np.inf, -800.0, 0.0, 800.0, np.inf])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = linmod._expit(x)
+        assert got.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+
+    def test_nan_stays_nan(self):
+        got = linmod._expit(np.array([np.nan, 0.0]))
+        assert np.isnan(got[0]) and got[1] == 0.5
+
+
 class TestLogisticPropensity:
     def test_intercept_only_closed_form(self):
         design = np.ones((4, 1))

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,6 +362,29 @@ class TestRunScenarios:
         assert multiprocessing.active_children() == []
         rows = (out / "results.csv").read_text().splitlines()
         assert len(rows) == 1 + 4 * 2
+
+    def test_scipy_loaded_before_a_worker_starts(self):
+        # a forked worker that imported scipy itself would hold its own copy
+        # of it: in a fresh interpreter, scipy is loaded by the time
+        # ordered_map starts the workers, and not before run_scenarios
+        import subprocess
+        import sys
+
+        code = ("import sys\n"
+                "from drmean import mc\n"
+                "seen = ['scipy.special' in sys.modules]\n"
+                "ordered_map = mc.ordered_map\n"
+                "def spy(fn, tasks, workers):\n"
+                "    seen.append((workers, 'scipy.special' in sys.modules))\n"
+                "    return ordered_map(fn, tasks, workers)\n"
+                "mc.ordered_map = spy\n"
+                "mc.run_scenarios([mc.ScenarioSpec(n=40, reps=2, pi_model_correct=True,\n"
+                "                                  m_model_correct=True)], workers=2)\n"
+                "print(seen)")
+        src = str(Path(mc.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[False, (2, True)]"
 
     def test_no_child_outlives_a_failed_run(self, monkeypatch):
         monkeypatch.setattr(mc, "_replicate", _fail_in_child)

@@ -355,6 +355,39 @@ class TestHomogeneity:
                                   (OZ, OX), "DR_WLS", seed=2**64)
 
 
+class TestChi2Survival:
+    """sens._chi2_sf, the closed-form chi^2 survival of the Wald test."""
+
+    # over this grid the largest relative difference from scipy's chdtrc was
+    # 1.84e-13 (df 1, where erfc meets a rounded sqrt); every value is normal
+    XS = np.concatenate([np.geomspace(1e-12, 1400.0, 4001), np.linspace(0.0, 60.0, 1201)])
+
+    @pytest.mark.parametrize("df", range(1, 9))
+    def test_matches_scipy_chdtrc(self, df):
+        from scipy.special import chdtrc
+        ref = chdtrc(df, self.XS)
+        got = np.array([sens._chi2_sf(df, float(x)) for x in self.XS])
+        assert ref.min() > 0.0
+        np.testing.assert_allclose(got, ref, rtol=2.5e-13, atol=0.0)
+
+    @pytest.mark.parametrize("df", range(1, 9))
+    def test_a_probability(self, df):
+        # without the clamp, the even sums round above 1 at tiny x (1 + 2**-52
+        # for df 6)
+        got = [sens._chi2_sf(df, float(x)) for x in np.geomspace(1e-300, 1.0, 2001)]
+        assert all(0.0 <= p <= 1.0 for p in got)
+
+    @pytest.mark.parametrize("df", range(1, 9))
+    @pytest.mark.parametrize("x, p", [(0.0, 1.0), (math.inf, 0.0), (1e300, 0.0)])
+    def test_edges(self, df, x, p):
+        # e^(-x/2) underflows before the even sums' 0 * inf could give NaN
+        assert sens._chi2_sf(df, x) == p
+
+    @pytest.mark.parametrize("df", range(1, 9))
+    def test_nan_stays_nan(self, df):
+        assert math.isnan(sens._chi2_sf(df, math.nan))
+
+
 @pytest.fixture
 def logistic_fits(monkeypatch):
     """The routine of every logistic propensity fit made, in order: FULL for
