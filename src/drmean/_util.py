@@ -1,7 +1,7 @@
-"""Shared helpers: argument checks, seed derivation, exact sums and means
-(a certified error-free vector extraction, math.fsum where it cannot
-certify: see exact_sum), the JSON null of an undefined value and an
-ordered map over processes."""
+"""Shared helpers: argument checks, the floating-point policy (quiet),
+seed derivation, exact sums and means (a certified error-free vector
+extraction, math.fsum where it cannot certify: see exact_sum), the JSON
+null of an undefined value and an ordered map over processes."""
 
 import math
 import multiprocessing
@@ -19,6 +19,14 @@ _GOLDEN = 0x9E3779B97F4A7C15
 SEED_DERIVATION = "splitmix64(base_seed + (rep_index + 1) * 0x9E3779B97F4A7C15)"
 
 PRNG_NAME = "numpy.random.PCG64"
+
+
+def quiet() -> np.errstate:
+    """numpy's error state with every flag ignored, the package's one
+    floating-point policy: each public computation enters it once, whatever
+    state the caller holds, and checks its results for finiteness.  A new
+    instance per call, since numpy keeps an errstate's context on it."""
+    return np.errstate(all="ignore")
 
 
 def check_int(value, name: str, minimum: int | None = None) -> int:

@@ -149,8 +149,8 @@ def _writing(path):
 
 def _check_out(path: str) -> None:
     """ConfigError "cannot write <path>: <reason>" if path, other than "-",
-    is a directory or its parent is not one.  estimate and sensitivity
-    check --out so before they estimate anything."""
+    is a directory or its parent is not one.  Every command checks the
+    files it writes so before it estimates anything."""
     if path == "-":
         return
     if Path(path).is_dir():
@@ -286,6 +286,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("results.csv", "metadata.json"):
+        _check_out(str(out_dir / name))
     summaries = run_scenarios(specs, workers=args.workers)
     failure_counts: dict[str, int] = {}
     for summary in summaries:
@@ -327,6 +329,8 @@ def _select_columns(names: list[str], spec: str | None, what: str) -> list[int]:
     missing = [w for w in wanted if w not in names]
     if missing:
         raise ConfigError(f"{what}: unknown column(s) {', '.join(missing)}")
+    repeated = dict.fromkeys(w for w in wanted if wanted.count(w) > 1)
+    _require(not repeated, f"{what} repeats column(s) {', '.join(repeated)}")
     return [names.index(w) for w in wanted]
 
 

@@ -58,7 +58,7 @@ import numpy as np
 from . import linmod
 from ._util import (
     as_array, check_observed, check_response, check_type, check_units, check_vector,
-    exact_sum,
+    exact_sum, quiet,
 )
 from .dgp import AnalysisView, FullSample
 from .errors import DrmeanError, InvalidArgumentError, UndefinedEstimatorError
@@ -76,7 +76,7 @@ IDENTITIES_TOL = 1e-8 / 2**8
 
 def _fsum(terms: np.ndarray) -> float:
     """exact_sum of terms; UndefinedEstimatorError if a term or the sum is
-    not finite.  Callers make terms that may overflow under np.errstate."""
+    not finite.  Callers make terms that may overflow inside _util.quiet()."""
     try:
         total = exact_sum(terms)
     except (OverflowError, ValueError):  # inf - inf raises ValueError
@@ -109,12 +109,12 @@ class _Respondents:
 
     @cached_property
     def wy_sum(self) -> float:
-        with np.errstate(over="ignore"):
+        with quiet():
             return _fsum(self.w * self.y)
 
     def residual_sum(self, fitted: "_Fitted") -> float:
         """Exact sum of w (y - m_hat) over respondents."""
-        with np.errstate(over="ignore", invalid="ignore"):
+        with quiet():
             return _fsum(self.w * (self.y - fitted.m_hat.compress(self.resp)))
 
 
@@ -532,7 +532,7 @@ def mu_ols_identities_check(view: AnalysisView) -> IdentitiesReport:
     design = np.asarray(view.design_m, dtype=float)
     n = design.shape[0]
     rng = np.random.Generator(np.random.PCG64(IDENTITIES_SEED))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with quiet():
         bounded_ht = _fsum(s * y) / denom
         moments = design * ((design * resp[:, None]) @ inv.alpha - 1.0)[:, None]
         moment_residual = max(abs(_fsum(col)) for col in moments.T) / n

@@ -55,7 +55,12 @@ Each check has one owner: RespondentDesign checks the design and outcomes,
 _inverse_pi that 1 / pi_hat is finite and positive (an overflow fails) for
 the weighted fits and estimators._Respondents, fit_outcome_ipw_nr only its
 (0, 1) rule, and RespondentDesign._fit the rows of a design with a column
-appended and the one errstate of the solve; _wls checks nothing.
+appended and that the fit is finite; _wls checks nothing.
+
+Every fit runs its arithmetic inside one _util.quiet(), whatever error
+state the caller holds, and reads failure from its results: a fit that is
+not finite fails, and _cholesky, _inv and _solve, the LAPACK gufuncs of
+numpy.linalg without its per-call checks, return NaN where it would raise.
 """
 
 import math
@@ -64,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from ._util import as_array, check_observed, check_response, check_type, check_units
+from ._util import as_array, check_observed, check_response, check_type, check_units, quiet
 # no fit here sums exactly; bench/layers.py wraps linmod.fsum_col_means, so
 # a traced run needs the name
 from ._util import fsum_col_means  # noqa: F401
@@ -144,7 +149,7 @@ def weight_diagnostics(pi_hat: np.ndarray, T: np.ndarray) -> WeightDiagnostics:
     pi_hat = check_units(pi_hat, T, "pi_hat")
     if T.size == 0:
         raise InvalidArgumentError("T and pi_hat hold no units to summarise")
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with quiet():
         inv = 1.0 / pi_hat
         var = float(inv.var())
     resp = T == 1
@@ -188,17 +193,15 @@ def _pow2(x):
 
 def _expit(x: np.ndarray) -> np.ndarray:
     """The logistic function 1 / (1 + e^-x), elementwise: exactly 0 where
-    e^-x overflows, 1 where it vanishes, NaN at NaN, and silent under any
-    errstate, as scipy.special.expit."""
-    with np.errstate(over="ignore", under="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+    e^-x overflows, 1 where it vanishes and NaN at NaN, as
+    scipy.special.expit.  Its callers run it inside quiet()."""
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _equilibrate(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(design / scale, scale), scale_j the root mean square of column j (1 if zero);
     a column whose squares overflow is first divided by _pow2 of its largest entry."""
-    with np.errstate(over="ignore"):
-        scale = np.sqrt(np.mean(design * design, axis=0))
+    scale = np.sqrt(np.mean(design * design, axis=0))
     big = ~np.isfinite(scale)
     if big.any():
         m = _pow2(np.abs(design[:, big]).max(axis=0))
@@ -229,36 +232,18 @@ def _settled(change: np.ndarray, tol: float) -> bool:
     return bool(np.abs(change).max() <= tol < math.inf)
 
 
-def _lapack(message: str) -> np.errstate:
-    """A decorator: the call runs under the errstate numpy.linalg puts
-    around its LAPACK gufuncs, so a failed routine, which numpy signals
-    by the invalid flag, raises LinAlgError(message) as numpy.linalg does,
-    and no other flag warns or raises.  The helpers below call the
-    numpy.linalg._umath_linalg gufuncs that np.linalg.cholesky, inv and
-    solve call, so they give the same bits, without numpy.linalg's
-    per-call checks and conversions: they take float64 square matrices."""
-
-    def fail(err, flag):
-        raise LinAlgError(message)
-
-    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
-
-
-@_lapack("Matrix is not positive definite")
 def _cholesky(a: np.ndarray) -> np.ndarray:
-    """np.linalg.cholesky(a): the lower triangular factor."""
+    """np.linalg.cholesky(a): the lower triangular factor; NaN if it fails."""
     return _umath_linalg.cholesky_lo(a, signature="d->d")
 
 
-@_lapack("Singular matrix")
 def _inv(a: np.ndarray) -> np.ndarray:
-    """np.linalg.inv(a)."""
+    """np.linalg.inv(a); NaN if it fails."""
     return _umath_linalg.inv(a, signature="d->d")
 
 
-@_lapack("Singular matrix")
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(a, b) for a vector b."""
+    """np.linalg.solve(a, b) for a vector b; NaN if it fails."""
     return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
@@ -272,11 +257,9 @@ def _unit_diagonal(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _pivots_pass(gram: np.ndarray) -> bool:
     """True if Cholesky shows gram positive definite with every pivot above
-    sqrt(RANK_RCOND) times the largest."""
-    try:
-        d = _cholesky(gram).diagonal()
-    except LinAlgError:
-        return False
+    sqrt(RANK_RCOND) times the largest; False for the NaN of a failed
+    factorisation, since no comparison with NaN holds."""
+    d = _cholesky(gram).diagonal()
     return bool(d.min() > math.sqrt(RANK_RCOND) * d.max())
 
 
@@ -284,16 +267,15 @@ def _gram_solver(design: np.ndarray, w: np.ndarray | None):
     """solve(r), the c that minimizes sum w (r - design c)^2 (w = 1 if None),
     from the inverse of the weighted Gram matrix scaled to unit diagonal,
     which is the Gram matrix of the column-equilibrated weighted design; or
-    None if that matrix is not finite or fails _pivots_pass.  Called under
-    the errstate of RespondentDesign._fit."""
+    None if that matrix is not finite or fails _pivots_pass.  Called inside
+    the quiet() of RespondentDesign._fit."""
     wx = design.T if w is None else design.T * w
     gram, d = _unit_diagonal(wx @ design)
     if not _pivots_pass(gram):
         return None
-    try:
-        inverse = _inv(gram)
-    except LinAlgError as exc:
-        raise NonconvergenceError(f"normal equations failed: {exc}") from None
+    inverse = _inv(gram)
+    if np.isnan(inverse).any():  # a failed inversion; the gram is finite
+        raise NonconvergenceError("normal equations failed: Singular matrix")
     return lambda r: d * (inverse @ (d * (wx @ r)))
 
 
@@ -307,7 +289,7 @@ def _lstsq_solver(design: np.ndarray, w: np.ndarray | None):
 def _wls(design: np.ndarray, response: np.ndarray, w: np.ndarray | None) -> tuple[np.ndarray, int]:
     """Weighted least squares, row i weighted by w[i] (1 if w is None):
     (coefficients, passes), passes counting solves.  It checks nothing; its
-    caller RespondentDesign._fit owns the checks and the errstate.
+    caller RespondentDesign._fit owns the checks and the quiet() block.
 
     Each pass solves on the Gram matrix of the column-equilibrated weighted
     design (_gram_solver) when it passes the Cholesky test of _newton_step;
@@ -339,10 +321,9 @@ def _newton_step(
     matrix if it passes _pivots_pass, else by lstsq."""
     gram = (xs.T * v) @ xs
     if _pivots_pass(gram):
-        try:
-            return _solve(gram, xs.T @ (resid * live))
-        except LinAlgError:
-            pass
+        step = _solve(gram, xs.T @ (resid * live))
+        if not np.isnan(step).any():  # else the solve failed
+            return step
     sv = np.sqrt(v.compress(live))
     return _equilibrated_lstsq(xs.compress(live, axis=0) * sv[:, None], resid.compress(live) / sv)
 
@@ -385,7 +366,6 @@ def _logistic(
     steps."""
     T = check_response(T)
     design, response = _check_design(design, T.astype(float))
-    xs, scale = _equilibrate(design)
     if start is None:
         alpha = np.zeros(design.shape[1])
     else:
@@ -398,36 +378,38 @@ def _logistic(
         separated = np.abs(eta).max() > ETA_SEPARATION
         return NonconvergenceError(_SEPARATED if separated else reason)
 
-    for iterations in range(1, (steps or IRLS_MAX_ITER) + 1):
+    with quiet():
+        xs, scale = _equilibrate(design)
+        for iterations in range(1, (steps or IRLS_MAX_ITER) + 1):
+            eta = design @ alpha
+            mu = _expit(eta)
+            v = mu * (1.0 - mu)
+            live = v > 0
+            if not live.any():
+                raise stalled(eta, "all fitted variances vanished")
+            try:
+                step = _newton_step(xs, v, live, response - mu) / scale
+            except SingularDesignError:
+                if iterations == 1:
+                    raise
+                raise stalled(
+                    eta, "weighted design lost rank during iteration (separation?)"
+                ) from None
+            alpha = alpha + step
+            if steps is None:
+                if _settled(design @ step, ETA_STEP_TOL):
+                    break
+            elif not np.isfinite(step).all():  # no stop rule judges the step
+                raise stalled(eta, "Newton step is not finite")
+        else:
+            if steps is None:
+                raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} iterations")
         eta = design @ alpha
-        mu = _expit(eta)
-        v = mu * (1.0 - mu)
-        live = v > 0
-        if not live.any():
-            raise stalled(eta, "all fitted variances vanished")
-        try:
-            step = _newton_step(xs, v, live, response - mu) / scale
-        except SingularDesignError:
-            if iterations == 1:
-                raise
-            raise stalled(
-                eta, "weighted design lost rank during iteration (separation?)"
-            ) from None
-        alpha = alpha + step
-        if steps is None:
-            if _settled(design @ step, ETA_STEP_TOL):
-                break
-        elif not np.isfinite(step).all():  # no stop rule judges the step
-            raise stalled(eta, "Newton step is not finite")
-    else:
-        if steps is None:
-            raise NonconvergenceError(f"no convergence in {IRLS_MAX_ITER} iterations")
-    eta = design @ alpha
-    top = np.abs(eta).max()
-    if not top <= ETA_SEPARATION:  # NaN fails too
-        raise NonconvergenceError(_SEPARATED if top > ETA_SEPARATION
-                                  else "logistic fit is not finite")
-    return PropensityFit(alpha, None, eta, _expit(eta), iterations)
+        top = np.abs(eta).max()
+        if not top <= ETA_SEPARATION:  # NaN fails too
+            raise NonconvergenceError(_SEPARATED if top > ETA_SEPARATION
+                                      else "logistic fit is not finite")
+        return PropensityFit(alpha, None, eta, _expit(eta), iterations)
 
 
 def _inv_linear_unconstrained(design: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, int]:
@@ -437,8 +419,7 @@ def _inv_linear_unconstrained(design: np.ndarray, T: np.ndarray) -> tuple[np.nda
     column rescaled by a power of two leaves alpha'x bit for bit as is."""
     t = (T == 1).astype(float)
     rows = design.compress(T == 1, axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = rows.T @ rows
+    gram = rows.T @ rows
     if not np.isfinite(gram).all():
         raise InvalidArgumentError("moment Gram matrix is not finite")
     gram, d = _unit_diagonal(gram)
@@ -462,9 +443,9 @@ def fit_inverse_linear(design: np.ndarray, T: np.ndarray) -> InverseLinearFit:
     """
     T = check_response(T)
     design, _ = _check_design(design, T.astype(float))
-    alpha, iterations = _inv_linear_unconstrained(design, T)
-    eta = design @ alpha
-    with np.errstate(divide="ignore"):
+    with quiet():
+        alpha, iterations = _inv_linear_unconstrained(design, T)
+        eta = design @ alpha
         pi_hat = 1.0 / eta
     return InverseLinearFit(alpha, eta, pi_hat, iterations)
 
@@ -497,7 +478,8 @@ class RespondentDesign:
         self.rows, y = _check_design(self.design.compress(resp, axis=0), y)
         y = check_observed(y)
         self.y_scale = _pow2(np.abs(y).max())
-        self.y = y / self.y_scale
+        with quiet():  # a y far below max |y| underflows
+            self.y = y / self.y_scale
 
     def _fit(
         self, column: np.ndarray | None = None, weights: np.ndarray | None = None
@@ -507,12 +489,12 @@ class RespondentDesign:
         column, one finite value per unit, is appended as the last column;
         weights, one finite positive weight per respondent, weight the rows.
         Callers check both; _fit checks the rows of the stacked design, and
-        runs _wls and m_hat under one errstate (a non-finite beta fails).
+        runs _wls and m_hat inside one quiet() (a non-finite fit fails).
         """
         rows = self.rows
         if column is not None:
             rows = _check_rows(np.hstack([rows, column.compress(self.resp)[:, None]]))
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with quiet():
             beta, iterations = _wls(rows, self.y, weights)
             if column is None:
                 m_hat = self.design @ beta
@@ -543,7 +525,7 @@ def _inverse_pi(pi_hat: np.ndarray, units: str) -> np.ndarray:
     """1 / pi_hat on the units pi_hat holds ("respondents" or "all units"), or
     InvalidWeightError unless every inverse is finite and positive: a pi_hat
     whose inverse overflows (5e-324) fails as one <= 0, NaN or inf does."""
-    with np.errstate(divide="ignore", over="ignore"):
+    with quiet():
         inverse = 1.0 / pi_hat
     if not ((inverse > 0) & (inverse < math.inf)).all():
         raise InvalidWeightError(f"pi_hat must be finite and positive on {units}")
@@ -678,23 +660,24 @@ def fit_extended_propensity(
     if not np.isfinite(h).all():
         raise InvalidArgumentError("h contains non-finite entries")
     resp = T == 1
-    c = _pow2(np.abs(h).max(initial=0.0))
-    hn = h / c
-    n = hn.size
-    eta_r, h_r = base.eta.compress(resp), hn.compress(resp)
-    h2_r = h_r * h_r
-    h_nonresp = float(np.sum(hn.compress(~resp)))
-    evaluations = 0
+    with quiet():
+        c = _pow2(np.abs(h).max(initial=0.0))
+        hn = h / c
+        n = hn.size
+        eta_r, h_r = base.eta.compress(resp), hn.compress(resp)
+        h2_r = h_r * h_r
+        h_nonresp = float(np.sum(hn.compress(~resp)))
+        evaluations = 0
 
-    def gd(phi: float) -> tuple[float, float]:
-        # T/expit(eta) - 1 = exp(-eta) for respondents, -1 otherwise
-        nonlocal evaluations
-        evaluations += 1
-        e = np.exp(-np.clip(eta_r + phi * h_r, -700.0, 700.0))
-        return (float(e @ h_r) - h_nonresp) / n, -float(e @ h2_r) / n
+        def gd(phi: float) -> tuple[float, float]:
+            # T/expit(eta) - 1 = exp(-eta) for respondents, -1 otherwise
+            nonlocal evaluations
+            evaluations += 1
+            e = np.exp(-np.clip(eta_r + phi * h_r, -700.0, 700.0))
+            return (float(e @ h_r) - h_nonresp) / n, -float(e @ h2_r) / n
 
-    g0, d0 = gd(0.0)
-    phi_hat = 0.0 if abs(g0) <= PHI_GTOL else _extension_root(gd, g0, d0)
-    eta = base.eta + phi_hat * hn
-    pi_hat = _expit(eta)
-    return PropensityFit(base.alpha.copy(), phi_hat / c, eta, pi_hat, evaluations)
+        g0, d0 = gd(0.0)
+        phi_hat = 0.0 if abs(g0) <= PHI_GTOL else _extension_root(gd, g0, d0)
+        eta = base.eta + phi_hat * hn
+        pi_hat = _expit(eta)
+        return PropensityFit(base.alpha.copy(), phi_hat / c, eta, pi_hat, evaluations)

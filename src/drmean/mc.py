@@ -137,7 +137,8 @@ def summarize(values: np.ndarray, mu_true: float) -> EstimatorSummary:
     The quantiles are np.percentile's at QUANTILE_LEVELS, computed by
     _quantiles from one partition; minimum and maximum are values.min()
     and .max(), so a signed zero stays as it is.  DegenerateInputError if
-    a moment or quantile overflows."""
+    a moment or quantile overflows, whatever error state the caller holds;
+    an underflow is ignored."""
     values, mu_true = check_vector(values, "values"), as_array(mu_true, "mu_true")
     if values.size == 0:
         raise InvalidArgumentError("no values to summarise")
@@ -148,7 +149,7 @@ def summarize(values: np.ndarray, mu_true: float) -> EstimatorSummary:
         raise InvalidArgumentError("values and mu_true must be finite")
     r = values.size
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(all="ignore", over="raise", invalid="raise"):
             mean = exact_sum(values) / r
             # not mean - mu_true: the rounding of a large mean would swamp
             # a small bias

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._util import (
     as_array, check_collection, check_int, check_observed, check_response, check_seed,
-    check_type, derive_seed, nan_to_none,
+    check_type, derive_seed, nan_to_none, quiet,
 )
 from .dgp import AnalysisView, design_matrix
 from .errors import DrmeanError, InvalidArgumentError, NonconvergenceError
@@ -390,31 +390,32 @@ def homogeneity_test(
         return result(math.nan, math.nan, "too few successful bootstrap draws")
     boot = np.asarray(boot_rows)
 
-    d = line[0] - line[1:]
-    boot_contrasts = boot[:, :1] - boot[:, 1:]
-    if np.all(d == 0.0) and np.all(boot_contrasts == 0.0):
-        # identical estimates in the data and every draw: homogeneous by
-        # construction, exact unit p-value
-        return result(1.0, 0.0, "all contrasts identically zero", df=m - 1, singular=True)
-    # an exact division by a power of two near the largest contrast keeps
-    # the covariance from overflowing or underflowing: the test is free of
-    # the units of Y, bit for bit
-    scale = _pow2(max(np.abs(d).max(), np.abs(boot_contrasts).max()))
-    d, boot_contrasts = d / scale, boot_contrasts / scale
-    sigma_c = np.cov(boot_contrasts.T, ddof=1).reshape(m - 1, m - 1)
-    try:
-        rank = int(np.linalg.matrix_rank(sigma_c, hermitian=True))
-        pinv = np.linalg.pinv(sigma_c, hermitian=True)
-    except np.linalg.LinAlgError as exc:
-        raise NonconvergenceError(f"contrast covariance: {exc}") from None
-    if rank == 0 and not np.all(d == 0.0):
-        # a nonzero contrast that no draw varies: rejected, with no finite
-        # Wald statistic to report
-        return result(0.0, math.nan, "no contrast varies over the draws", singular=True)
-    # max clamps numerically tiny negatives from the pseudoinverse, keeping NaN
-    statistic = max(float(d @ pinv @ d), 0.0)
-    # at rank 0 the pinv is zero, and so are the statistic and the contrasts
-    p_value = 1.0 if rank == 0 else _chi2_sf(rank, statistic)
+    with quiet():
+        d = line[0] - line[1:]
+        boot_contrasts = boot[:, :1] - boot[:, 1:]
+        if np.all(d == 0.0) and np.all(boot_contrasts == 0.0):
+            # identical estimates in the data and every draw: homogeneous by
+            # construction, exact unit p-value
+            return result(1.0, 0.0, "all contrasts identically zero", df=m - 1, singular=True)
+        # an exact division by a power of two near the largest contrast keeps
+        # the covariance from overflowing or underflowing: the test is free of
+        # the units of Y, bit for bit
+        scale = _pow2(max(np.abs(d).max(), np.abs(boot_contrasts).max()))
+        d, boot_contrasts = d / scale, boot_contrasts / scale
+        sigma_c = np.cov(boot_contrasts.T, ddof=1).reshape(m - 1, m - 1)
+        try:
+            rank = int(np.linalg.matrix_rank(sigma_c, hermitian=True))
+            pinv = np.linalg.pinv(sigma_c, hermitian=True)
+        except np.linalg.LinAlgError as exc:
+            raise NonconvergenceError(f"contrast covariance: {exc}") from None
+        if rank == 0 and not np.all(d == 0.0):
+            # a nonzero contrast that no draw varies: rejected, with no finite
+            # Wald statistic to report
+            return result(0.0, math.nan, "no contrast varies over the draws", singular=True)
+        # max clamps numerically tiny negatives from the pseudoinverse, keeping NaN
+        statistic = max(float(d @ pinv @ d), 0.0)
+        # at rank 0 the pinv is zero, and so are the statistic and the contrasts
+        p_value = 1.0 if rank == 0 else _chi2_sf(rank, statistic)
     return result(p_value, statistic, df=rank, singular=rank < m - 1)
 
 

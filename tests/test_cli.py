@@ -399,6 +399,17 @@ class TestEstimateCommand:
         data = write_sample_csv(tmp_path / "d.csv", small_sample)
         assert cli.main(["estimate", "--data", data, "--pi-cols", "x9"]) == 2
 
+    @pytest.mark.parametrize("option", ["--pi-cols", "--m-cols"])
+    def test_repeated_column_exits_2(self, tmp_path, small_sample, capsys, option):
+        # a repeat exited 0 with every estimator on the rank-deficient
+        # design flagged fit_failed; sensitivity configs reject it too
+        data = write_sample_csv(tmp_path / "d.csv", small_sample)
+        out = tmp_path / "est.json"
+        rc = cli.main(["estimate", "--data", data, option, "x1,x1,x2", "--out", str(out)])
+        assert rc == 2
+        assert f"error: {option} repeats column(s) x1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_estimator_exits_2(self, tmp_path, small_sample):
         data = write_sample_csv(tmp_path / "d.csv", small_sample)
         assert cli.main(["estimate", "--data", data, "--estimators", "NOPE"]) == 2
@@ -604,6 +615,20 @@ class TestUnwritableOutput:
         assert cli.main([command, *args[command], "--out", out]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
         assert ran == [] and not (tmp_path / "no").exists()
+
+    @pytest.mark.parametrize("name", ["results.csv", "metadata.json"])
+    def test_simulate_checks_its_files_before_it_runs(self, tmp_path, capsys, name,
+                                                      command_args):
+        # a directory in place of results.csv failed only after every
+        # replication had run, and one in place of metadata.json after
+        # results.csv was written
+        _, args, ran = command_args
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert cli.main(["simulate", *args["simulate"], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / name}: it is a directory")
+        assert ran == [] and [p.name for p in out.iterdir()] == [name]
 
 
 class TestParser:

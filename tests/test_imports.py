@@ -15,6 +15,9 @@ Only estimators names linmod._fit_logistic_draw, the fixed-step fit of
 the sensitivity draws, so no public function takes fixed steps.
 cli names neither check_int nor check_seed: config values reach the
 library unparsed.
+In src/, numpy's error state is set only in _util.quiet, the one
+floating-point policy of the package, and in mc.summarize, which states
+its own: no partial np.errstate leaves a flag to the caller.
 Only linmod imports numpy.linalg._umath_linalg, the LAPACK gufuncs behind
 numpy.linalg, and linmod calls them through its own helpers, never
 through np.linalg.cholesky, inv or solve.
@@ -111,6 +114,46 @@ def test_the_scan_finds_math_fsum(tmp_path):
     path.write_text("import math\nfrom math import fsum\n\n\ndef f(a):\n"
                     "    return math.fsum(a) + fsum(a)\n")
     assert fsum_uses(path) == [(2, "<module>"), (6, "f")]
+
+
+ERRSTATE_NAMES = ("errstate", "seterr", "seterrcall")
+
+
+def errstate_uses(path: Path) -> list[tuple[int, str]]:
+    """(line, enclosing function or "<module>") for each name in
+    ERRSTATE_NAMES that path names as np.<name> or numpy.<name> or
+    imports from numpy."""
+    uses = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        named = (isinstance(node, ast.Attribute) and node.attr in ERRSTATE_NAMES
+                 and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+        imported = (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                    and any(alias.name in ERRSTATE_NAMES for alias in node.names))
+        if named or imported:
+            uses.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return uses
+
+
+def test_error_state_set_only_by_quiet_and_summarize():
+    uses = {(p.relative_to(ROOT).as_posix(), where) for p in FILES
+            if p.relative_to(ROOT).parts[0] == "src" for _, where in errstate_uses(p)}
+    assert uses == {("src/drmean/_util.py", "quiet"), ("src/drmean/mc.py", "summarize")}
+
+
+def test_the_scan_finds_errstate(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import numpy as np\nfrom numpy import errstate, seterr\n\n\n"
+                    "def f(a):\n    with np.errstate(over='ignore'):\n        return a * a\n\n\n"
+                    "class C:\n    def g(self):\n        numpy.seterrcall(print)\n"
+                    '        """np.errstate( in a docstring"""\n        return self.errstate\n')
+    assert errstate_uses(path) == [(2, "<module>"), (6, "f"), (12, "g")]
 
 
 def optimize_imports(path: Path) -> list[int]:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drmean import errors, linmod
+from drmean._util import quiet
 from drmean.dgp import AnalysisView, generate_sample, make_view
 from drmean.errors import (
     DrmeanError,
@@ -80,14 +81,14 @@ class TestIdentityLink:
 
     def test_duplicate_column_raises(self):
         design = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularDesignError):
+        with quiet(), pytest.raises(SingularDesignError):
             linmod._wls(design, np.array([1.0, 2.0, 3.0]), None)
 
     def test_more_columns_than_rows_raises(self):
         with pytest.raises(SingularDesignError, match="cannot identify"):
             linmod.fit_outcome_reg(RespondentDesign(view_from(
                 np.ones((2, 3)), np.ones(2, dtype=int), np.array([1.0, 2.0]))))
-        with pytest.raises(SingularDesignError, match="rank"):
+        with quiet(), pytest.raises(SingularDesignError, match="rank"):
             linmod._wls(np.ones((2, 3)), np.array([1.0, 2.0]), None)
 
     def test_nonfinite_response_raises(self):
@@ -117,7 +118,8 @@ class TestIdentityLink:
 
 
 class TestLogisticFunction:
-    """linmod._expit, numpy's 1 / (1 + e^-x) in place of scipy's expit."""
+    """linmod._expit, numpy's 1 / (1 + e^-x) in place of scipy's expit, which
+    its callers run inside quiet()."""
 
     def test_within_four_ulps_of_scipy_expit(self):
         # numpy's AVX-512 exp is not glibc's: 4 ulps at most over 3 M inputs
@@ -125,14 +127,21 @@ class TestLogisticFunction:
         from scipy.special import expit
         x = np.linspace(-750.0, 750.0, 1_000_001)
         ref = expit(x)
-        assert np.max(np.abs(linmod._expit(x) - ref) / np.spacing(ref)) <= 4.0
+        with quiet():
+            got = linmod._expit(x)
+        assert np.max(np.abs(got - ref) / np.spacing(ref)) <= 4.0
 
     def test_saturates_exactly_and_silently(self):
         x = np.array([-np.inf, -800.0, 0.0, 800.0, np.inf])
+        with quiet():
+            assert linmod._expit(x).tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+        # a separated fit drives alpha'x far enough that e^-x underflows and
+        # overflows, and fails as separated whatever errstate the caller holds
+        x = np.linspace(-1.0, 1.0, 20)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            got = linmod._expit(x)
-        assert got.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+            with pytest.raises(NonconvergenceError, match="separated"):
+                linmod.fit_logistic_propensity(np.column_stack([np.ones(20), x]), x > 0)
 
     def test_nan_stays_nan(self):
         got = linmod._expit(np.array([np.nan, 0.0]))
@@ -677,7 +686,9 @@ class TestGramNewton:
     @pytest.mark.parametrize("name", ["inv", "lstsq", "logistic"])
     def test_linalg_error_becomes_drmean_error(self, monkeypatch, name):
         # the LAPACK failures reach the fits through linmod's own error
-        # mapping, as they reached them through numpy.linalg's
+        # mapping, as they reached them through numpy.linalg's, whatever
+        # errstate the caller holds: a failed gufunc's NaN (inv) and
+        # numpy.linalg's LinAlgError (lstsq)
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
@@ -688,11 +699,12 @@ class TestGramNewton:
             _fail_lapack(monkeypatch, "cholesky_lo")
             monkeypatch.setattr(np.linalg, "lstsq", fail)
             message = "least squares failed: SVD did not converge"
-        with pytest.raises(NonconvergenceError, match=message):
+        with np.errstate(all="raise"), pytest.raises(NonconvergenceError, match=message):
             if name == "logistic":
                 linmod.fit_logistic_propensity(np.eye(3), np.array([1, 0, 1]))
             else:
-                linmod._wls(np.eye(3), np.ones(3), None)
+                linmod.fit_outcome_reg(RespondentDesign(view_from(np.eye(3), [1, 1, 1],
+                                                                  np.ones(3))))
 
 
 def _spd(p, seed, spread):
@@ -704,7 +716,8 @@ def _spd(p, seed, spread):
 
 
 class TestLapackHelpers:
-    """linmod's _cholesky, _inv and _solve against numpy.linalg."""
+    """linmod's _cholesky, _inv and _solve against numpy.linalg: the same bits
+    where numpy.linalg succeeds, NaN where it raises LinAlgError."""
 
     @pytest.mark.parametrize("p", range(2, 8))
     @pytest.mark.parametrize("seed", range(5))
@@ -724,12 +737,13 @@ class TestLapackHelpers:
         np.diag([1.0, -1e-300, 1.0]),
     ], ids=["indefinite", "singular", "tiny-negative"])
     def test_not_positive_definite_fails_as_numpy_does(self, a):
-        with pytest.raises(np.linalg.LinAlgError) as want:
+        # where numpy.linalg raises, the factor is NaN, which no pivot test
+        # passes, so the solve goes to lstsq
+        with pytest.raises(np.linalg.LinAlgError, match="^Matrix is not positive definite$"):
             np.linalg.cholesky(a)
-        with pytest.raises(np.linalg.LinAlgError) as got:
-            linmod._cholesky(a)
-        assert str(got.value) == str(want.value)
-        assert not linmod._pivots_pass(a)
+        with quiet():
+            assert np.isnan(linmod._cholesky(a)).all()
+            assert not linmod._pivots_pass(a)
 
     def test_nan_passes_no_pivot_test(self):
         # LAPACK may factor a NaN without failing; the factor is numpy's
@@ -737,43 +751,58 @@ class TestLapackHelpers:
         assert linmod._cholesky(a).tobytes() == np.linalg.cholesky(a).tobytes()
         assert not linmod._pivots_pass(a)
 
-    @pytest.mark.parametrize("fn, call", [("inv", lambda f, a: f(a)),
-                                          ("solve", lambda f, a: f(a, np.ones(3)))],
-                             ids=["inv", "solve"])
-    def test_singular_fails_as_numpy_does(self, fn, call):
-        a = np.ones((3, 3))
-        with pytest.raises(np.linalg.LinAlgError) as want:
-            call(getattr(np.linalg, fn), a)
-        with pytest.raises(np.linalg.LinAlgError) as got:
-            call(getattr(linmod, f"_{fn}"), a)
-        assert str(got.value) == str(want.value) == "Singular matrix"
+    @pytest.mark.parametrize("fn", ["inv", "solve"])
+    def test_singular_fails_as_numpy_does(self, monkeypatch, fn):
+        # where numpy.linalg raises, the helper returns NaN, and its caller
+        # maps that as it mapped the LinAlgError: the normal equations fail
+        # with its message, and a Newton step falls back to lstsq
+        args = (np.ones((3, 3)),) if fn == "inv" else (np.ones((3, 3)), np.ones(3))
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            getattr(np.linalg, fn)(*args)
+        with quiet():
+            assert np.isnan(getattr(linmod, f"_{fn}")(*args)).all()
+        xs = np.column_stack([np.ones(4), np.arange(4.0)])
+        v, resid = np.full(4, 0.25), np.array([0.5, -0.5, -0.5, 0.5])
+        with quiet():
+            want = linmod._newton_step(xs, v, v > 0, resid)
+        _fail_lapack(monkeypatch, "inv" if fn == "inv" else "solve1")
+        calls = _spy(monkeypatch, "_equilibrated_lstsq")
+        with quiet():
+            if fn == "inv":
+                with pytest.raises(NonconvergenceError,
+                                   match="^normal equations failed: Singular matrix$"):
+                    linmod._gram_solver(xs, None)
+            else:
+                got = linmod._newton_step(xs, v, v > 0, resid)
+                assert len(calls) == 1
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_errstate_is_numpy_linalgs(self):
-        # whatever errstate the caller holds, a helper raises LinAlgError
-        # for a failed routine alone, warns of nothing, and leaves the
-        # caller's errstate as it was
+        # inside quiet() a helper gives numpy.linalg's result, inf included,
+        # and NaN for a failed routine, warns of nothing whatever errstate
+        # the caller holds, and leaves that errstate as it was
         tiny = np.diag([1e-310, 1e-310])  # its inverse overflows to inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="raise"):
-                assert linmod._inv(tiny).tobytes() == np.linalg.inv(tiny).tobytes()
-                assert np.isinf(linmod._inv(tiny)).any()
-                with pytest.raises(np.linalg.LinAlgError):
-                    linmod._cholesky(-tiny)
+                with quiet():
+                    inverse = linmod._inv(tiny)
+                    assert np.isnan(linmod._cholesky(-tiny)).all()
+                    assert np.isnan(linmod._inv(np.zeros((2, 2)))).all()
+                assert inverse.tobytes() == np.linalg.inv(tiny).tobytes()
+                assert np.isinf(inverse).any()
                 with pytest.raises(FloatingPointError):
                     np.sqrt(np.array(-1.0))
-            with np.errstate(all="ignore"):
-                with pytest.raises(np.linalg.LinAlgError):
-                    linmod._inv(np.zeros((2, 2)))
 
     def test_failures_take_the_same_branches(self, monkeypatch):
         # a Gram matrix that fails Cholesky sends the outcome and Newton
         # solves to lstsq, whose rank check raises SingularDesignError
         calls = _spy(monkeypatch, "_equilibrated_lstsq")
         design = np.column_stack([np.ones(6), np.arange(6.0), np.arange(6.0)])
-        assert linmod._gram_solver(design, None) is None
-        with pytest.raises(SingularDesignError):
-            linmod._wls(design, np.arange(6.0), None)
+        with quiet():
+            assert linmod._gram_solver(design, None) is None
+            with pytest.raises(SingularDesignError):
+                linmod._wls(design, np.arange(6.0), None)
         with pytest.raises(SingularDesignError):
             linmod.fit_logistic_propensity(design, np.array([0, 1, 0, 1, 1, 0]))
         assert len(calls) == 2
@@ -859,7 +888,8 @@ class TestEquilibrate:
 
     def test_scale_is_finite_for_huge_columns(self):
         design = np.array([[1e300, 1.7e308, 0.0], [-1e300, -1.5e308, 0.0]])
-        _, scale = linmod._equilibrate(design)
+        with quiet():
+            _, scale = linmod._equilibrate(design)
         assert scale[0] == 1e300 and scale[2] == 1.0
         assert scale[1] == pytest.approx(math.sqrt((1.7**2 + 1.5**2) / 2) * 1e308, rel=1e-15)
 

@@ -5,7 +5,9 @@ outcomes span most of the float range: n from 2 to 60, covariate columns
 scaled by up to 1e+-200 (some of them constant), outcomes scaled by up to
 1e+-300, and samples in which every unit responded.  A call may fail, but
 only with the package's own errors: it never warns and never raises an
-exception of another type.  The same holds for the command line: fed
+exception of another type, whether the caller holds numpy's default
+error state or one that raises or warns on every flag, and its result
+is the same under each.  The same holds for the command line: fed
 configs whose values are bools, floats, strings, null, negatives and
 seeds beyond 64 bits, it returns an exit code of 0 to 3.  The scalar
 arguments of the library (counts, seeds, flags, names and a summary's
@@ -41,6 +43,11 @@ from drmean import (
 )
 
 
+# the error state a caller may hold: numpy's default, or every flag raising
+# or warning (a warning fails the call)
+CALLER_STATES = {"default": {}, "raise": {"all": "raise"}, "warn": {"all": "warn"}}
+
+
 def call(f, *args, **kwargs):
     """f(*args, **kwargs), or None if it raised a DrmeanError; a warning fails."""
     with warnings.catch_warnings():
@@ -70,24 +77,58 @@ def samples(draw):
     return X, T, y, pi_hat, draw(st.booleans())
 
 
-def _case(covariates, T, y):
+def _case(covariates, T, y, pi_hat=None):
     T = np.array(T)
-    return np.array(covariates, dtype=float), T, np.array(y), np.full(len(T), 0.5), True
+    pi_hat = np.full(len(T), 0.5) if pi_hat is None else np.array(pi_hat)
+    return np.array(covariates, dtype=float), T, np.array(y), pi_hat, True
 
 
 # [1, 1.2e62] on every row: a constant column far from unit scale, on which
 # the exact sums of a removed likelihood fit's criterion overflowed
 INV_LINEAR_OVERFLOW = _case(np.full((3, 1), 1.2e62), [0, 1, 1], [0.0, 1.0, 2.0])
 
+# Each of these once raised FloatingPointError under a raising caller
+# state, and warned under a warning one.
+LINE = np.linspace(-1.0, 1.0, 20)
+# separated: alpha'x grows until e^-alpha'x underflows; with y = 1 + x the
+# error escaped estimate_all too
+SEPARATED = _case(LINE[:, None], (LINE > 0).astype(int), 1.0 + LINE)
+# one pi_hat of 1e-200: the column 1 / pi_hat appended by the extended
+# regression, divided by its largest entry, squares to below the subnormals
+TINY_PI = _case(np.arange(6.0)[:, None], [1, 1, 0, 1, 0, 1], np.arange(6.0),
+                [1e-200, 0.5, 0.5, 0.5, 0.5, 0.5])
+# a covariate in units of 1e-160: the products of the Gram matrix underflow
+TINY_UNITS = _case(1e-160 * LINE[:, None] ** 2, np.ones(20, dtype=int), LINE)
+# the standardised deviations of tiny outcomes underflow when cubed
+TINY_SPREAD = _case([[0.0], [1.0], [2.0]], [1, 1, 1], [1e-200, 2e-200, 3e-200])
+# an outcome 320 decades below the largest underflows when the outcome
+# fits divide y by a power of two near max |y|
+TINY_BESIDE_HUGE = _case([[0.0], [1.0], [2.0]], [1, 1, 1], [1.2345e-300, 1e20, 3.0])
+# a direction entry of 1e-170 underflows when the extension squares it
+TINY_DIRECTION = _case([[1e-170], [0.3], [-0.5], [1.0], [-1.0], [0.2], [-0.2], [0.7]],
+                       [1, 0, 1, 0, 1, 1, 0, 1], np.arange(8.0))
 
+
+@pytest.mark.parametrize("caller_state", CALLER_STATES)
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(samples())
 @example(INV_LINEAR_OVERFLOW)
 # the summary's squared deviations, and then its exact sum, overflowed
 @example(_case([[0.0], [1.0]], [1, 1], [1e200, -1e200]))
 @example(_case([[0.0], [1.0]], [1, 1], [1e308, 1e308]))
-def test_fits_and_estimators_raise_only_drmean_errors(case):
-    X, T, y, pi_hat, intercept = case
+@example(SEPARATED)
+@example(TINY_PI)
+@example(TINY_UNITS)
+@example(TINY_SPREAD)
+@example(TINY_BESIDE_HUGE)
+@example(TINY_DIRECTION)
+def test_fits_and_estimators_raise_only_drmean_errors(caller_state, case):
+    with np.errstate(**CALLER_STATES[caller_state]):
+        fits_and_estimators(*case)
+
+
+def fits_and_estimators(X, T, y, pi_hat, intercept):
+    """Every public fit, estimator and summary on one sample, each through call."""
     n = len(T)
     design = np.hstack([np.ones((n, 1)), X]) if intercept else X
     y_observed = np.where(T == 1, y, np.nan)
@@ -110,21 +151,112 @@ def test_fits_and_estimators_raise_only_drmean_errors(case):
         call(mu, pi_hat, T, y_observed)
     for mu in (drmean.mu_aipw, drmean.mu_b_dr):
         call(mu, pi_hat, m_hat, T, y_observed)
+    call(drmean.linmod.weight_diagnostics, pi_hat, T)
     call(drmean.mu_from_regression, m_hat)
     call(drmean.mu_full, y)
     call(drmean.summarize, y, 0.0)
 
 
+@pytest.mark.parametrize("caller_state", CALLER_STATES)
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(samples(), st.sampled_from(drmean.DR_ESTIMATORS), st.integers(2, 3))
 @example(INV_LINEAR_OVERFLOW, "DR_WLS", 2)
-def test_sensitivity_raises_only_drmean_errors(case, estimator, boot_reps):
+@example(SEPARATED, "DR_WLS", 2)
+@example(TINY_UNITS, "B_DR_EXT", 2)
+def test_sensitivity_raises_only_drmean_errors(caller_state, case, estimator, boot_reps):
     X, T, y, _, _ = case
     every = tuple(range(X.shape[1]))
     p_specs = [ModelSpec("propensity", every)]
     o_specs = [ModelSpec("outcome", cols) for cols in dict.fromkeys([(0,), every])]
-    call(drmean.run_sensitivity, X, T, np.where(T == 1, y, np.nan), p_specs, o_specs,
-         estimator, boot_reps=boot_reps, seed=0)
+    with np.errstate(**CALLER_STATES[caller_state]):
+        call(drmean.run_sensitivity, X, T, np.where(T == 1, y, np.nan), p_specs, o_specs,
+             estimator, boot_reps=boot_reps, seed=0)
+
+
+def outcome(f, caller_state: str):
+    """f() under caller_state, or the class and message of the DrmeanError
+    it raised; a warning fails."""
+    with np.errstate(**CALLER_STATES[caller_state]), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return f()
+        except DrmeanError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+
+def _view(case) -> AnalysisView:
+    X, T, y, _, _ = case
+    design = np.hstack([np.ones((len(T), 1)), X])
+    return AnalysisView(design, design, T, np.where(T == 1, y, np.nan))
+
+
+def _estimates(result) -> str:
+    return json.dumps([result.values, result.flags, result.messages])
+
+
+def _line_test() -> str:
+    """A line test whose contrasts lie 320 decades apart: divided by a power
+    of two near the largest, the smallest underflows."""
+    sample = drmean.generate_sample(200, 5)
+    return repr(drmean.homogeneity_test(
+        [0.0, 1e-170, 1e150], np.hstack([sample.Z, sample.X]), sample.T,
+        np.where(sample.T == 1, sample.Y, np.nan), ModelSpec("propensity", (0, 1, 2, 3)),
+        [ModelSpec("outcome", (j,)) for j in range(3)], "DR_WLS", boot_reps=20, seed=1))
+
+
+# per case, a call whose result once depended on the caller's error
+# state, and the result under numpy's default state
+CALLER_CASES = {
+    "separated logistic": (
+        lambda: drmean.fit_logistic_propensity(_view(SEPARATED).design_pi, SEPARATED[1]),
+        "NonconvergenceError: fitted probabilities pinned at 0/1: data are separated"),
+    "separated estimate_all": (lambda: _estimates(drmean.estimate_all(_view(SEPARATED))), None),
+    "extended regression on a tiny pi_hat": (
+        lambda: drmean.fit_outcome_ext_reg(drmean.RespondentDesign(_view(TINY_PI)),
+                                           TINY_PI[3]).m_hat.tobytes(), None),
+    "regression in tiny units": (
+        lambda: drmean.fit_outcome_reg(drmean.RespondentDesign(_view(TINY_UNITS)))
+        .m_hat.tobytes(), None),
+    "summary of a tiny spread": (
+        lambda: drmean.summarize(TINY_SPREAD[2], 0.0).variance, 0.0),
+    "line test of far-apart contrasts": (_line_test, None),
+}
+
+
+@pytest.mark.parametrize("caller_state", ["raise", "warn"])
+@pytest.mark.parametrize("case", CALLER_CASES)
+def test_results_do_not_depend_on_the_caller_state(case, caller_state):
+    f, want = CALLER_CASES[case]
+    default = outcome(f, "default")
+    assert want is None or default == want
+    assert outcome(f, caller_state) == default
+
+
+def test_a_raising_caller_state_moves_no_byte():
+    # the four scenarios' estimates, a few replications with their summary
+    # and a small sensitivity pass, at a size where exact_sum takes its
+    # vector route
+    sample = drmean.generate_sample(1000, 7)
+    cov = np.hstack([sample.Z, sample.X])
+    y = np.where(sample.T == 1, sample.Y, np.nan)
+    specs = [(0, 1, 2, 3), (4, 5, 6, 7)]
+
+    def run() -> str:
+        out = []
+        for pi_ok in (True, False):
+            for m_ok in (True, False):
+                result = drmean.estimate_all(drmean.make_view(sample, pi_ok, m_ok), sample)
+                out.append(_estimates(result) + repr(result.diagnostics))
+        matrix = drmean.run_sensitivity(
+            cov, sample.T, y, [ModelSpec("propensity", c) for c in specs],
+            [ModelSpec("outcome", c) for c in specs], "DR_WLS", boot_reps=20, seed=3)
+        spec = drmean.ScenarioSpec(n=1000, reps=3, pi_model_correct=False,
+                                   m_model_correct=False, base_seed=7)
+        return json.dumps(out + [matrix.to_dict(), repr(drmean.run_scenario(spec))])
+
+    with np.errstate(all="raise"):
+        raising = run()
+    assert raising == run()
 
 
 # values of the wrong type or range; no large integer, which would be a
