@@ -244,10 +244,14 @@ class Pipeline:
     requested estimators.
 
     The propensity model is the logistic fit: fit_logistic_propensity,
-    iterated to its stop rule from 0, or, given the coefficients pi_start,
+    iterated to its stop rule from 0, or, given pi_start = (alpha, scale),
     linmod._fit_logistic_draw, exactly linmod.DRAW_NEWTON_STEPS Newton
-    steps from them.  Only the sensitivity draws pass pi_start, the
-    full-sample fit of their spec.  memo holds one entry per fit: the
+    steps from the coefficients alpha, solved on the design divided by
+    the column scale, with no column scaling of its own.  Only the
+    sensitivity draws pass pi_start: their spec's full-sample
+    coefficients and the column scale (linmod._equilibrate) of the
+    full-sample design they were fitted on, the preconditioner that all
+    of the spec's draw fits share.  memo holds one entry per fit: the
     propensity fit, the respondent design, each outcome fit's fitted
     values with their sum (fitted) and the extended fit; beside them, the
     checked respondent terms of the base and of the extended propensity
@@ -258,8 +262,8 @@ class Pipeline:
 
     Each entry's key names the inputs it depends on, by the identity of
     the arrays the pipeline is handed: the pi part (id(design_pi),
-    id(pi_start)) for the propensity fit and its respondents; the m part
-    id(design_m) for the respondent design and the unweighted fit "REG";
+    id(pi_start), the identity of the pair) for the propensity fit and
+    its respondents; the m part id(design_m) for the respondent design and the unweighted fit "REG";
     id(full.Y) for full_mean; both parts for the rest.
     Pipelines on one sample (one T and y) may share one memo, and then
     every entry whose inputs they share.  memo["arrays"] keeps the arrays
@@ -274,7 +278,7 @@ class Pipeline:
         self,
         view: AnalysisView,
         full: FullSample | None = None,
-        pi_start: np.ndarray | None = None,
+        pi_start: tuple[np.ndarray, np.ndarray] | None = None,
         memo: dict | None = None,
     ):
         self.view = view
@@ -306,7 +310,7 @@ class Pipeline:
         def build():
             if self.pi_start is None:
                 return linmod.fit_logistic_propensity(self.view.design_pi, self.view.T)
-            return linmod._fit_logistic_draw(self.view.design_pi, self.view.T, self.pi_start)
+            return linmod._fit_logistic_draw(self.view.design_pi, self.view.T, *self.pi_start)
 
         return self._get((self._pi, "pi"), build)
 

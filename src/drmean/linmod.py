@@ -19,7 +19,12 @@ draw's logistic fit (_fit_logistic_draw): exactly DRAW_NEWTON_STEPS
 Newton steps from the full-sample coefficients.  k Newton steps from a
 consistent start give a k-step bootstrap, whose distribution matches the
 fully iterated one to an order that grows with k (Davidson & MacKinnon,
-Int. Econ. Rev. 40(2), 1999; Andrews, Econometrica 70(1), 2002).
+Int. Econ. Rev. 40(2), 1999; Andrews, Econometrica 70(1), 2002).  A draw
+fit measures no column scale of its own: it divides its design by the
+full-sample fit's column scale (_equilibrate), its spec's one
+preconditioner.  The scale only preconditions the step solve, which in
+exact arithmetic does not depend on it, and a resample's column root
+mean square is the full sample's to O(n^-1/2).
 
 Propensity models, each told apart by its result's type and fields:
   * logistic maximum likelihood, pi = expit(alpha'x): a PropensityFit
@@ -344,34 +349,51 @@ def fit_logistic_propensity(design: np.ndarray, T: np.ndarray) -> PropensityFit:
     return _logistic(design, T, None, None)
 
 
-def _fit_logistic_draw(design: np.ndarray, T: np.ndarray, start: np.ndarray) -> PropensityFit:
+def _fit_logistic_draw(
+    design: np.ndarray, T: np.ndarray, start: np.ndarray, scale: np.ndarray
+) -> PropensityFit:
     """The logistic fit of a bootstrap draw: exactly DRAW_NEWTON_STEPS
     Newton steps from start, the full-sample coefficients, and no stop rule.
 
-    Its checks, steps and separation check are fit_logistic_propensity's
-    (_logistic), so a rank-deficient design fails in the first step with
+    scale is the column scale of the full-sample design (_equilibrate), the
+    preconditioner the draw shares with its spec's full-sample fit: the
+    draw's equilibrated design is design / scale, and the draw measures
+    no scale of its own.  A power-of-two change of a column's units scales
+    its full-sample root mean square exactly, so the equilibrated design
+    keeps its bits.  Its checks, steps and separation check are
+    fit_logistic_propensity's (_logistic), so a rank-deficient design (a
+    zero column stays zero) fails in the first step with
     SingularDesignError.  No stop rule judges a step, so a step or a final
     alpha'x that is not finite raises NonconvergenceError itself.
     iterations is DRAW_NEWTON_STEPS.  Only estimators.Pipeline calls it,
     for the sensitivity draws.
     """
-    return _logistic(design, T, start, DRAW_NEWTON_STEPS)
+    return _logistic(design, T, start, DRAW_NEWTON_STEPS, scale)
 
 
 def _logistic(
-    design: np.ndarray, T: np.ndarray, start: np.ndarray | None, steps: int | None
+    design: np.ndarray, T: np.ndarray, start: np.ndarray | None, steps: int | None,
+    scale: np.ndarray | None = None,
 ) -> PropensityFit:
     """The logistic fit from start (0 if None): iterated to the stop rule
     as fit_logistic_propensity with steps None, else exactly steps Newton
-    steps."""
+    steps.  Its Newton steps are solved on design / scale, the
+    column-equilibrated design; scale None measures it from design
+    (_equilibrate), as the full-sample fit does, and a draw fit is given
+    its full-sample fit's (finite and positive, one entry per column)."""
     T = check_response(T)
     design, response = _check_design(design, T.astype(float))
+    columns = (design.shape[1],)
     if start is None:
-        alpha = np.zeros(design.shape[1])
+        alpha = np.zeros(columns)
     else:
         alpha = as_array(start, "start")
-        if alpha.shape != (design.shape[1],) or not np.isfinite(alpha).all():
+        if alpha.shape != columns or not np.isfinite(alpha).all():
             raise InvalidArgumentError("start must be finite, one entry per column")
+    if scale is not None:
+        scale = as_array(scale, "scale")
+        if scale.shape != columns or not ((scale > 0) & (scale < math.inf)).all():
+            raise InvalidArgumentError("scale must be finite and positive, one entry per column")
 
     def stalled(eta: np.ndarray, reason: str) -> NonconvergenceError:
         """The failure for reason, named as separation if max |eta| shows it."""
@@ -379,7 +401,7 @@ def _logistic(
         return NonconvergenceError(_SEPARATED if separated else reason)
 
     with quiet():
-        xs, scale = _equilibrate(design)
+        xs, scale = _equilibrate(design) if scale is None else (design / scale, scale)
         for iterations in range(1, (steps or IRLS_MAX_ITER) + 1):
             eta = design @ alpha
             mu = _expit(eta)

@@ -20,10 +20,12 @@ splitmix64 derivation of the simulation harness, and is shared by every
 line: it evaluates the whole matrix once, and each line test reads its
 own cells from it.  A draw's propensity fit takes exactly
 linmod.DRAW_NEWTON_STEPS Newton steps from its spec's full-sample fit, a
-two-step bootstrap, so it cannot fail by reaching the iteration cap; a
-spec whose full-sample fit failed iterates from zero to the stop rule in
-each draw.  Matrices and p-values are reproducible bit for bit, and a
-line's p-value does not depend on which other lines are tested.
+two-step bootstrap, so it cannot fail by reaching the iteration cap, and
+it is preconditioned by the column scale of the full-sample design: a
+draw measures no column scale of its own.  A spec whose full-sample fit
+failed iterates from zero to the stop rule in each draw.  Matrices and
+p-values are reproducible bit for bit, and a line's p-value does not
+depend on which other lines are tested.
 """
 
 import math
@@ -39,7 +41,7 @@ from ._util import (
 from .dgp import AnalysisView, design_matrix
 from .errors import DrmeanError, InvalidArgumentError, NonconvergenceError
 from .estimators import ESTIMATORS, Pipeline
-from .linmod import _pow2
+from .linmod import _equilibrate, _pow2
 
 # estimators that combine a propensity and an outcome fit, in table order
 DR_ESTIMATORS = tuple(
@@ -135,13 +137,14 @@ def _check_draws(boot_reps, seed) -> tuple[int, int]:
 
 
 def _estimate_cell(
-    view: AnalysisView, estimator: str, pi_start: np.ndarray | None, memo: dict
+    view: AnalysisView, estimator: str, pi_start: tuple | None, memo: dict
 ) -> float:
     """One cell's estimate on a view of its two specs' designs, its logistic
-    propensity fit started from pi_start.  The cells of one sample share
-    memo, so they share each fit whose inputs they share (see Pipeline).
-    The estimator fits the propensity model first, as in estimate_all, so
-    its failure ends the cell before any outcome fit."""
+    propensity fit started from pi_start, a Pipeline's (alpha, scale).
+    The cells of one sample share memo, so they share each fit whose
+    inputs they share (see Pipeline).  The estimator fits the propensity
+    model first, as in estimate_all, so its failure ends the cell before
+    any outcome fit."""
     return ESTIMATORS[estimator](Pipeline(view, pi_start=pi_start, memo=memo))
 
 
@@ -273,8 +276,11 @@ class _Draws:
     y[idx], at a third of the cost of indexing for a 1000 x 5 design.  Each propensity spec's draw
     fits take DRAW_NEWTON_STEPS Newton steps (linmod._fit_logistic_draw)
     from its full-sample fit, read through a Pipeline on sample.memo: the
-    one build_matrix left there, else one made and kept there now.
-    Propensity specs on one design therefore get the same start array,
+    one build_matrix left there, else one made and kept there now.  Its
+    start is that fit's coefficients and the column scale of the
+    full-sample design (_equilibrate), taken once per design and run: every
+    draw fit of the spec is preconditioned by it, and none scales its
+    columns itself.  Propensity specs on one design get the same start,
     and so the same memo keys: they share one propensity fit per draw,
     and every fit and sum that depends on it.  A spec whose full-sample
     fit fails has no start: its draw fits start from zero and iterate to
@@ -299,9 +305,11 @@ class _Draws:
             d = sample.designs[ps.covariates]
             view = AnalysisView(design_pi=d, design_m=d, T=sample.T, y_observed=sample.y)
             try:
-                starts[ps] = Pipeline(view, memo=sample.memo).propensity().alpha
+                alpha = Pipeline(view, memo=sample.memo).propensity().alpha
             except DrmeanError:
-                pass
+                continue
+            with quiet():  # squares of a huge column overflow, as in the fit
+                starts[ps] = (alpha, _equilibrate(d)[1])
         used = dict.fromkeys(s.covariates for cell in self.cells for s in cell)
         draws = []
         for b in range(self.boot_reps):

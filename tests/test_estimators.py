@@ -361,6 +361,17 @@ class TestEstimateAll:
         assert out.values["HT"] > resp_y.max()
         assert out.flags["OLS"] == est.FLAG_OK
 
+    def test_estimate_on_the_edge_of_the_range_is_ok(self):
+        # the observed range is closed: with every respondent outcome 1.0,
+        # the normalised weighted mean and the plug-ins of the unweighted
+        # and weighted regressions on the right designs are exactly 1.0,
+        # both ends of it
+        view = make_view(generate_sample(200, 5), True, True)
+        view = dataclasses.replace(view, y_observed=np.where(view.T == 1, 1.0, np.nan))
+        out = est.estimate_all(view, which=("IPW_POP", "OLS", "DR_WLS"))
+        assert out.values == dict.fromkeys(("IPW_POP", "OLS", "DR_WLS"), 1.0)
+        assert set(out.flags.values()) == {est.FLAG_OK}
+
     def test_nonfinite_respondent_outcome_fails_each_estimator(
         self, sample_1000, right_view
     ):
@@ -500,7 +511,7 @@ class TestOneDefinition:
 
     def test_memo_shares_only_identical_inputs(self, sample_1000, monkeypatch):
         # sharing follows array identity: equal values in distinct arrays
-        # or another start array share no fit
+        # or another start (alpha, scale) pair share no fit
         fits = count_calls(monkeypatch, linmod, PIPELINE_FITS)
         view = make_view(sample_1000, True, True)
         twin = dataclasses.replace(view, design_pi=view.design_pi.copy(),
@@ -513,11 +524,12 @@ class TestOneDefinition:
             assert fits[name] == 2
 
         memo = {}
-        start = np.zeros(view.design_pi.shape[1])
+        scale = linmod._equilibrate(view.design_pi)[1]
+        start = (np.zeros(view.design_pi.shape[1]), scale)
         pipes = [est.Pipeline(view, memo=memo),
                  est.Pipeline(view, pi_start=start, memo=memo),
-                 est.Pipeline(view, pi_start=start.copy(), memo=memo),
-                 est.Pipeline(view, pi_start=np.zeros_like(start), memo=memo)]
+                 est.Pipeline(view, pi_start=(start[0].copy(), scale), memo=memo),
+                 est.Pipeline(view, pi_start=(np.zeros_like(start[0]), scale), memo=memo)]
         fitted = [pipe.propensity() for pipe in pipes]
         weighted = [pipe.fitted("WLS") for pipe in pipes]
         # the three Pipelines given a start fit by the draw routine

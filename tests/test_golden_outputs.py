@@ -84,9 +84,9 @@ GOLDEN = {
     "estimate pi X, m Z":
         "5779ad97cafb26fec859746c7f6efdc4b19e0bd1b89bd0e8aeaa221d8ff49f03",
     "sensitivity DR_WLS":
-        "5856025588dd9d2172279a76fa9d62a1a7ec61e0c815f47fd0c9aba8e80620b3",
+        "95076402d9dac165b527aa37a4dd8271f8d745145d247e6dc49806155dc29e86",
     "sensitivity B_DR_EXT":
-        "7c1750e71fa8afa6204d56e5c23c16704d7c0eb859fa822f779e6abd2e562ccf",
+        "45c71ca2f5914c4db6351aaf5fe52f15b00475d72ec6d56f4f07a4f29dab2d93",
 }
 # the counts in metadata.json are the same on both classes
 GOLDEN_AVX2 = {
@@ -101,9 +101,9 @@ GOLDEN_AVX2 = {
     "estimate pi X, m Z":
         "3f2f0962c51da5dda0537e57ab9fd63ccbb11a8aa0411cb942f4f1a131c929b9",
     "sensitivity DR_WLS":
-        "64131de68d6a740ec889eeb066abd693b07f307f315178eea8687044a92548ab",
+        "bc93cf07303da013cb4222c74f0f882a3462d89e846299a88edbfae5ebad7124",
     "sensitivity B_DR_EXT":
-        "9d4e343a5498cd44fcd77620b660c174c13bd0feb7fa23bbeadb2cbda76c2b75",
+        "749e8df924a2192ea8a0973b0b4e048e134807f5a7cfed4384515985b0da32a9",
 }
 # (numpy's SIMD features, OpenBLAS kernel) -> the hashes that hold there
 KERNEL_CLASSES = {

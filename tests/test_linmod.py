@@ -232,8 +232,19 @@ class TestLogisticPropensity:
     @pytest.mark.parametrize("start", [np.zeros(4), np.full(5, np.nan)],
                              ids=["length", "nan"])
     def test_bad_start_rejected(self, right_view, start):
+        scale = linmod._equilibrate(right_view.design_pi)[1]
         with pytest.raises(InvalidArgumentError, match="start"):
-            linmod._fit_logistic_draw(right_view.design_pi, right_view.T, start)
+            linmod._fit_logistic_draw(right_view.design_pi, right_view.T, start, scale)
+
+    @pytest.mark.parametrize("scale", [np.ones(4), np.full(5, np.nan), np.full(5, np.inf),
+                                       np.zeros(5), -np.ones(5), np.ones((5, 1))],
+                             ids=["length", "nan", "inf", "zero", "negative", "2-d"])
+    def test_bad_scale_rejected(self, right_view, scale):
+        # the draw's column scale is checked as its start is
+        start = np.zeros(right_view.design_pi.shape[1])
+        with pytest.raises(InvalidArgumentError,
+                           match="scale must be finite and positive, one entry per column"):
+            linmod._fit_logistic_draw(right_view.design_pi, right_view.T, start, scale)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fit_needs_no_exact_sum(self, exact_sums, seed):

@@ -21,6 +21,12 @@ P_TWINS = sens.ModelSpec(role="propensity", covariates=(0, 8))
 FULL, DRAW = "fit_logistic_propensity", "_fit_logistic_draw"
 
 
+def own_scale(design):
+    """The column scale that design's own fit measures (linmod._equilibrate):
+    given it, a draw fit is the fit that measures its own."""
+    return linmod._equilibrate(design)[1]
+
+
 def twinned(cov):
     """cov with a copy of its column 0 appended as column 8."""
     return np.column_stack([cov, cov[:, 0]])
@@ -312,6 +318,21 @@ class TestHomogeneity:
         with pytest.raises(InvalidArgumentError):
             sens.homogeneity_test(np.array([210.0]), cov, T, y, PZ, (PX,),
                                   "DR_WLS")
+
+    def test_twenty_successful_draws_are_needed(self, data600):
+        # a line is tested on at least 20 successful draws: at 19 no line of
+        # the 2x2 grid gets a p-value, at 20 every one does
+        _, cov, T, y = data600
+        for boot_reps in (19, 20):
+            out = sens.run_sensitivity(cov, T, y, [PZ, PX], [OZ, OX], "DR_WLS",
+                                       boot_reps=boot_reps, seed=3)
+            for t in out.row_tests + out.col_tests:
+                assert (t.n_boot_used, t.boot_failures) == (boot_reps, 0)
+                if boot_reps == 19:
+                    assert t.note == "too few successful bootstrap draws"
+                    assert math.isnan(t.p_value) and math.isnan(t.statistic)
+                else:
+                    assert t.note == "" and 0.0 <= t.p_value <= 1.0
 
     def test_boot_reps_floor(self, data600):
         _, cov, T, y = data600
@@ -629,7 +650,12 @@ class TestSharedDraws:
         (name, first, full), *draws = calls
         assert (name, first) == (FULL, ()) and full.iterations > linmod.DRAW_NEWTON_STEPS
         assert [name for name, _, _ in draws] == [DRAW] * 5
-        assert all(start is full.alpha for _, (start,), _ in draws)
+        assert all(start is full.alpha for _, (start, _), _ in draws)
+        # preconditioned by the column scale of the full-sample design, one
+        # array shared by every draw
+        scale = own_scale(design_matrix(cov, PZ.covariates))
+        assert all(s.tobytes() == scale.tobytes() for _, (_, s), _ in draws)
+        assert len({id(s) for _, (_, s), _ in draws}) == 1
         assert [fit.iterations for _, _, fit in draws] == [linmod.DRAW_NEWTON_STEPS] * 5
 
     def test_draws_start_from_zero_when_the_full_sample_fit_fails(self, data600,
@@ -843,7 +869,8 @@ class TestTwoStepDraws:
         # sample
         two_step = _criterion_8(n)
         monkeypatch.setattr(linmod, "_fit_logistic_draw",
-                            lambda design, T, start: linmod._logistic(design, T, start, None))
+                            lambda design, T, start, scale:
+                            linmod._logistic(design, T, start, None, scale))
         converged = _criterion_8(n)
         assert two_step.estimates.tobytes() == converged.estimates.tobytes()
         assert two_step.cell_messages == converged.cell_messages == {}
@@ -857,17 +884,79 @@ class TestTwoStepDraws:
             assert got.boot_failures == 0
             assert abs(got.p_value - want.p_value) <= 0.005
 
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_shared_preconditioner_moves_line_tests_by_rounding_only(self, monkeypatch, n):
+        # the paired gate of the shared column scale: the same run with
+        # every draw fit measuring its own (linmod._logistic with scale
+        # None) differs only in the line tests' p-values and statistics,
+        # each by rounding
+        shared = _criterion_8(n)
+        monkeypatch.setattr(linmod, "_fit_logistic_draw",
+                            lambda design, T, start, scale:
+                            linmod._logistic(design, T, start, linmod.DRAW_NEWTON_STEPS))
+        own = _criterion_8(n)
+        assert shared.estimates.tobytes() == own.estimates.tobytes()
+        assert shared.cell_messages == own.cell_messages == {}
+        assert shared.row_spread.tobytes() == own.row_spread.tobytes()
+        assert shared.col_spread.tobytes() == own.col_spread.tobytes()
+        assert shared.selection == own.selection
+        for got, want in zip(shared.row_tests + shared.col_tests,
+                             own.row_tests + own.col_tests):
+            assert (got.n_boot_used, got.boot_failures, got.df, got.singular, got.note) == (
+                want.n_boot_used, want.boot_failures, want.df, want.singular, want.note)
+            assert abs(got.p_value - want.p_value) <= 1e-12
+            assert abs(got.statistic - want.statistic) <= 1e-12 * want.statistic
+
+    def test_column_scale_is_measured_per_spec_not_per_draw(self, data600, monkeypatch):
+        # linmod._equilibrate runs for the full-sample fits and the starts
+        # of the draws, so as often at 50 draws as at 25
+        _, cov, T, y = data600
+        calls = []
+        for module in (linmod, sens):
+            monkeypatch.setattr(module, "_equilibrate",
+                                lambda design, _real=module._equilibrate, _by=module.__name__:
+                                calls.append(_by) or _real(design))
+        counts = []
+        for boot_reps in (25, 50):
+            calls.clear()
+            sens.run_sensitivity(cov, T, y, [PZ, PX], [OZ, OX], "DR_WLS",
+                                 boot_reps=boot_reps, seed=3)
+            counts.append(sorted(calls))
+        # one full-sample fit and one start per propensity spec
+        assert counts == [["drmean.linmod"] * 2 + ["drmean.sensitivity"] * 2] * 2
+
+    def test_given_its_own_scale_the_draw_fit_measures_nothing_new(self, data600):
+        # the shared scale is the only change: given the scale its own design
+        # measures, a draw fit is bit for bit the fit that measures it; a
+        # column in units 2^k times larger, with its scale and start
+        # rescaled alike, leaves the fit's alpha'x as is
+        s, *_ = data600
+        view = make_view(s, False, True)
+        start = linmod.fit_logistic_propensity(view.design_pi, view.T).alpha
+        units = 2.0 ** np.array([0, 40, -30, 3, 0])
+        for b in range(5):
+            idx = np.random.Generator(np.random.PCG64(b)).integers(0, s.n, size=s.n)
+            design, T = view.design_pi.take(idx, axis=0), view.T.take(idx)
+            given = linmod._fit_logistic_draw(design, T, start, own_scale(design))
+            measured = linmod._logistic(design, T, start, linmod.DRAW_NEWTON_STEPS)
+            assert given.iterations == measured.iterations == linmod.DRAW_NEWTON_STEPS
+            for name in ("alpha", "eta", "pi_hat"):
+                assert getattr(given, name).tobytes() == getattr(measured, name).tobytes()
+            rescaled = linmod._fit_logistic_draw(design * units, T, start / units,
+                                                 own_scale(design) * units)
+            assert rescaled.eta.tobytes() == given.eta.tobytes()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_separating_start_fails_as_separated(self):
         # T is a sign of the column: two steps from a slope of 32 reach
         # |alpha'x| = 34, past ETA_SEPARATION; from 30 they stop at 32
         T = np.array([0, 1] * 10)
         design = np.column_stack([np.ones(20), 2.0 * T - 1])
-        fit = linmod._fit_logistic_draw(design, T, np.array([0.0, 30.0]))
+        fit = linmod._fit_logistic_draw(design, T, np.array([0.0, 30.0]), own_scale(design))
         assert fit.iterations == linmod.DRAW_NEWTON_STEPS
         assert 32 < np.abs(fit.eta).max() < linmod.ETA_SEPARATION
         with pytest.raises(NonconvergenceError, match="data are separated"):
-            linmod._fit_logistic_draw(design, T, np.array([0.0, 32.0]))
+            linmod._fit_logistic_draw(design, T, np.array([0.0, 32.0]), own_scale(design))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e300, -1e300])
@@ -875,10 +964,11 @@ class TestTwoStepDraws:
         s, *_ = data600
         view = make_view(s, True, True)
         start = linmod.fit_logistic_propensity(view.design_pi, view.T).alpha * scale
+        columns = own_scale(view.design_pi)
         with pytest.raises(NonconvergenceError):
-            linmod._fit_logistic_draw(view.design_pi, view.T, start)
+            linmod._fit_logistic_draw(view.design_pi, view.T, start, columns)
         with pytest.raises(NonconvergenceError):
-            sens._estimate_cell(view, "DR_WLS", start, {})
+            sens._estimate_cell(view, "DR_WLS", (start, columns), {})
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -898,7 +988,7 @@ class TestTwoStepDraws:
 
         monkeypatch.setattr(linmod, "_newton_step", newton_step)
         with pytest.raises(NonconvergenceError):
-            linmod._fit_logistic_draw(view.design_pi, view.T, start)
+            linmod._fit_logistic_draw(view.design_pi, view.T, start, own_scale(view.design_pi))
         assert len(steps) == at
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
@@ -919,7 +1009,7 @@ class TestTwoStepDraws:
 
         monkeypatch.setattr(linmod, "_newton_step", newton_step)
         with pytest.raises(NonconvergenceError, match="logistic fit is not finite"):
-            linmod._fit_logistic_draw(view.design_pi, view.T, start)
+            linmod._fit_logistic_draw(view.design_pi, view.T, start, own_scale(view.design_pi))
 
     def test_rank_deficient_resample_fails_at_the_first_step(self, data600):
         # column 8 is nonzero on three units only: a draw that resamples
